@@ -6,16 +6,17 @@
 # the end-to-end network smoke test plus its run-report invariants,
 # the two-process socket relay smoke (byte parity with loopback), the
 # four-process mesh smoke (3 servers, failover, N:1 run-report
-# invariants), the fixed-seed fuzz smoke, and the executable-docs
-# check.
+# invariants), the fixed-seed fuzz smoke, the executable-docs check,
+# and the end-to-end benchmark's smoke (spec limits plus a traced
+# --quick pass over every workload).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test perf perf-check perf-update perf-relay perf-relay-update \
 	perf-net perf-net-update perf-p3 perf-p3-update profile-relay \
-	bench smoke smoke-socket smoke-mesh report-check fuzz-smoke fuzz \
-	docs-check ci
+	bench bench-smoke smoke smoke-socket smoke-mesh report-check \
+	fuzz-smoke fuzz docs-check ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -77,5 +78,8 @@ profile-relay:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
+bench-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q
+
 ci: test perf-check perf-relay perf-net perf-p3 report-check smoke-socket \
-	smoke-mesh fuzz-smoke docs-check
+	smoke-mesh fuzz-smoke docs-check bench-smoke

@@ -16,9 +16,9 @@ Subcommands cover the workflows a user reaches for first:
 * ``fuzz``        -- run the differential fuzzing engines; minimize and
   archive any failures as replayable corpus artifacts.
 * ``serve``       -- announce and serve one synthetic block over real TCP.
-* ``peer``        -- fetch a block from one ``serve`` instance
-  (``--port``) or from a whole node group (repeated ``--connect``,
-  optional ``--listen``); optionally assert byte parity against the
+* ``peer``        -- fetch a block from a node group (repeated
+  ``--connect``, optional ``--listen``; ``--port`` names a single
+  ``serve`` instance); optionally assert byte parity against the
   loopback relay of the same scenario.
 """
 
@@ -348,21 +348,22 @@ def _parse_drops(specs, blackhole: bool) -> dict:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.net.peer import BlockServer
+    from repro.net.peer import PeerManager
 
     scenario = make_block_scenario(n=args.n, extra=args.extra,
                                    fraction=args.fraction, seed=args.seed)
     drops = _parse_drops(args.drop, args.blackhole)
 
     async def run() -> int:
-        server = BlockServer(scenario.block,
+        server = PeerManager(node_id=args.node_id,
                              config=GrapheneConfig(
                                  protocol=3 if args.p3 else 1),
-                             node_id=args.node_id, drop=drops)
-        port = await server.start(args.host, args.port)
+                             drop=drops)
+        root = server.serve_block(scenario.block)
+        port = await server.listen(args.host, args.port)
         # Parseable by scripts that pass --port 0 and need the real one.
         print(f"listening on {args.host}:{port}", flush=True)
-        print(f"serving block {server.root.hex()[:12]} ({scenario.n} txns, "
+        print(f"serving block {root.hex()[:12]} ({scenario.n} txns, "
               f"seed {args.seed})", flush=True)
         if args.once:
             await server.wait_served(1)
@@ -379,10 +380,11 @@ def _cmd_serve(args) -> int:
 
 
 def _run_mesh_peer(args, scenario, policy, config=None) -> int:
-    """The node-group path of ``repro peer``: every ``--connect`` target
-    is dialed into one :class:`~repro.net.peer.PeerManager`, the first
-    announced block is fetched under the full recovery ladder (failover
-    included), and the traced marks come out in the JSON document."""
+    """``repro peer``: every ``--connect`` target (``--port`` names
+    one) is dialed into one :class:`~repro.net.peer.PeerManager`, the
+    first announced block is fetched under the full recovery ladder
+    (failover included), and the traced marks come out in the JSON
+    document."""
     import asyncio
 
     from repro.net.peer import PeerManager
@@ -480,77 +482,21 @@ def _run_mesh_peer(args, scenario, policy, config=None) -> int:
 
 
 def _cmd_peer(args) -> int:
-    import asyncio
-
-    from repro.net.peer import fetch_block
     from repro.net.recovery import RecoveryPolicy
-    from repro.obs import Tracer, WallClock
 
-    if not args.connect and args.port is None:
-        print("peer: give --port for one server or --connect HOST:PORT "
-              "(repeatable) for a node group", file=sys.stderr)
-        return 2
+    if not args.connect:
+        if args.port is None:
+            print("peer: give --port for one server or --connect HOST:PORT "
+                  "(repeatable) for a node group", file=sys.stderr)
+            return 2
+        # One server is a one-entry dial list.
+        args.connect = [f"{args.host}:{args.port}"]
     scenario = make_block_scenario(n=args.n, extra=args.extra,
                                    fraction=args.fraction, seed=args.seed)
     policy = RecoveryPolicy(timeout_base=args.timeout_base,
                             max_retries=args.max_retries)
     config = GrapheneConfig(protocol=3 if args.p3 else 1)
-    if args.connect:
-        return _run_mesh_peer(args, scenario, policy, config)
-    tracer = Tracer(WallClock())
-    result = asyncio.run(fetch_block(args.host, args.port,
-                                     scenario.receiver_mempool,
-                                     config=config, policy=policy,
-                                     tracer=tracer))
-    # With --json, stdout carries only the JSON document.
-    out = sys.stderr if args.json else sys.stdout
-    print(f"fetched block {result.root.hex()[:12]} from "
-          f"{result.peer.node_id}: success={result.success} "
-          f"protocol {result.protocol_used}, {result.roundtrips} RTT, "
-          f"{result.total_bytes:,} B graphene "
-          f"(+{result.wire_overhead} B frame overhead)", file=out)
-    if result.timeouts or result.escalated or result.abandoned:
-        print(f"  recovery: {result.timeouts} timeouts, {result.retries} "
-              f"retries, escalated={result.escalated}, "
-              f"abandoned={result.abandoned}", file=out)
-        for m in tracer.marks:
-            print(f"    mark {m.name}: {dict(m.detail)}", file=out)
-    ok = result.success
-    if args.check_parity:
-        loop = BlockRelaySession(config).relay(scenario.block,
-                                               scenario.receiver_mempool)
-        cost_ok = (json.dumps(result.cost.as_dict(), sort_keys=True)
-                   == json.dumps(loop.cost.as_dict(), sort_keys=True))
-        events_ok = ([e.as_dict() for e in result.events]
-                     == [e.as_dict() for e in loop.events])
-        print(f"  loopback parity: cost "
-              f"{'ok' if cost_ok else 'MISMATCH'}, events "
-              f"{'ok' if events_ok else 'MISMATCH'} "
-              f"({len(result.events)} events, {loop.total_bytes:,} B)",
-              file=out)
-        ok = ok and cost_ok and events_ok
-    if args.json:
-        # Abandoned runs must still tell the whole story: the recovery
-        # ladder's marks and the bytes burned before giving up used to
-        # be dropped here, leaving success=false documents with no
-        # explanation of *how* the fetch died.
-        json.dump({"success": result.success,
-                   "protocol_used": result.protocol_used,
-                   "roundtrips": result.roundtrips,
-                   "total_bytes": result.total_bytes,
-                   "wire_overhead": result.wire_overhead,
-                   "timeouts": result.timeouts,
-                   "retries": result.retries,
-                   "escalated": result.escalated,
-                   "abandoned": result.abandoned,
-                   "via_fullblock": result.via_fullblock,
-                   "marks": [{"name": m.name, "detail": dict(m.detail)}
-                             for m in tracer.marks],
-                   "cost": result.cost.as_dict(),
-                   "events": [e.as_dict() for e in result.events]},
-                  sys.stdout, indent=1)
-        print()
-    return 0 if ok else 1
+    return _run_mesh_peer(args, scenario, policy, config)
 
 
 def _add_scenario_args(parser) -> None:
@@ -743,14 +689,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "(--port) or a node group (--connect)")
     _add_socket_scenario_args(peer)
     peer.add_argument("--port", type=int, default=None,
-                      help="single-connection mode: the one server port")
+                      help="shorthand for one --connect HOST:PORT")
     peer.add_argument("--connect", action="append", default=None,
                       metavar="HOST:PORT",
-                      help="mesh mode: dial this peer (repeatable); "
-                           "the ladder can fail over between them")
+                      help="dial this peer (repeatable); the ladder "
+                           "can fail over between them")
     peer.add_argument("--listen", type=int, default=None, metavar="PORT",
-                      help="mesh mode: also accept inbound peers (and "
-                           "re-serve fetched blocks); 0 = ephemeral")
+                      help="also accept inbound peers (and re-serve "
+                           "fetched blocks); 0 = ephemeral")
     peer.add_argument("--node-id", default="peer",
                       help="identity announced in the version handshake")
     peer.add_argument("--timeout-base", type=float, default=2.0,
@@ -758,13 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
     peer.add_argument("--max-retries", type=int, default=3,
                       help="resends per recovery rung before escalating")
     peer.add_argument("--fetch-timeout", type=float, default=120.0,
-                      help="mesh mode: overall wall-clock budget for "
-                           "the fetch (seconds)")
+                      help="overall wall-clock budget for the fetch "
+                           "(seconds)")
     peer.add_argument("--check-parity", action="store_true",
                       help="also run the loopback relay of the same "
                            "scenario and require byte-identical cost "
-                           "and telemetry (mesh mode compares the "
-                           "surviving path)")
+                           "and telemetry on the surviving path")
     peer.add_argument("--json", action="store_true",
                       help="dump the result (cost, events, marks) "
                            "as JSON")

@@ -45,7 +45,6 @@ from repro.net.recovery import (
     RecoveryPolicy,
     RelayRecoveryMixin,
     STAGE_ENGINE,
-    STAGE_FULLBLOCK,
     STAGE_REQUEST,
     prune_oldest,
 )
@@ -579,19 +578,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
     def _fallback_full_block(self, sender: "Node", root: bytes) -> None:
         """Decode failure: request the whole block, with recovery armed."""
         self.relay_failures += 1
-        self._trace_mark("relay", root, "escalate", why="decode_failed",
-                         peer=sender.node_id)
-        state = self._block_recovery.get(root)
-        if state is not None:
-            state.peer = sender
-            state.stage = STAGE_FULLBLOCK
-            state.attempts = 0
-        self._send_fullblock_getdata(sender, root)
-        # Real bytes, honestly charged -- and the anchor the rung's
-        # later retry events re-charge against.
-        self._record_recovery_event(
-            root, "", parts={"extra_getdata": getdata_bytes(0)})
-        self._arm_block_timer(root)
+        self._escalate_block_fetch(root, sender, "decode_failed")
 
     def _try_accept_candidate(self, sender: "Node", root: bytes,
                               header, txs) -> bool:

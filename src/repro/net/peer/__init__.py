@@ -1,17 +1,22 @@
-"""Real-socket peer stack: framing, handshake, and asyncio endpoints.
+"""Real-socket peer stack: framing, handshake, and one asyncio endpoint.
 
 The deployment face of the relay: the same
 :mod:`repro.core.engine` state machines every in-memory layer drives,
 behind a length-prefixed frame codec and a version/verack handshake on
-real TCP streams.  ``repro serve`` / ``repro peer`` are the CLI front
-ends; ``tests/test_peer_socket.py`` pins socket relays byte-identical
-to their loopback twins.
+real TCP streams.
 
-:mod:`repro.net.peer.manager` grows the stack from point-to-point into
-a peer *group*: :class:`PeerManager` runs a listener and a dial list in
-one event loop, demultiplexes concurrent exchanges by root key, and
-maps the full recovery ladder -- including alternate-announcer
-failover -- onto real sockets (see docs/PEERING.md).
+There is one socket path.  :class:`PeerManager`
+(:mod:`repro.net.peer.manager`) runs a listener and a dial list in one
+event loop, demultiplexes concurrent exchanges by root key, and is the
+asyncio driver of the recovery ladder in :mod:`repro.net.recovery` --
+including alternate-announcer failover (see docs/PEERING.md).
+:class:`BlockServer` and :func:`fetch_block` are that manager with a
+group of one (a listener serving one block; a one-entry dial list
+returning its first fetch), and both report a :class:`PeerFetchResult`
+(``MeshFetchResult`` is the same class).  ``repro serve`` /
+``repro peer`` are the CLI front ends; ``tests/test_peer_socket.py``
+and ``tests/test_peer_mesh.py`` pin socket relays byte-identical to
+their loopback twins.
 """
 
 from repro.net.peer.framing import (
@@ -26,16 +31,16 @@ from repro.net.peer.framing import (
     MAX_PAYLOAD,
 )
 from repro.net.peer.manager import (
+    BlockServer,
     MeshConnection,
     MeshFetchResult,
     PeerManager,
+    fetch_block,
 )
 from repro.net.peer.peer import (
-    BlockServer,
     HANDSHAKE_TIMEOUT,
     PeerConnection,
     PeerFetchResult,
-    fetch_block,
 )
 from repro.net.peer.protocol import (
     ENGINE_COMMANDS,

@@ -1,12 +1,9 @@
-"""PeerManager: a peer *group* on real sockets.
+"""PeerManager: the one socket path, and the ladder's asyncio driver.
 
-:mod:`repro.net.peer.peer` speaks to exactly one connection --
-:class:`~repro.net.peer.peer.BlockServer` serves whoever dials in,
-:func:`~repro.net.peer.peer.fetch_block` drives one exchange against
-one server, and the recovery ladder's third rung (fail over to an
-alternate announcer) is structurally impossible with a single socket.
-This module is the mesh layer on top of the same frames, handshake and
-engines:
+Every frame this package reads off a socket is read here, every
+sender/receiver engine that runs behind a socket is held here, and the
+recovery ladder of :mod:`repro.net.recovery` has exactly one asyncio
+mapping, here:
 
 * :class:`PeerManager` holds *many* connections in one event loop --
   a dial list of outbound peers (:meth:`PeerManager.connect`) and an
@@ -21,23 +18,29 @@ engines:
   fetching several blocks, never share engine state).
 * Every ``inv`` is recorded in a per-root *announcer registry* in
   arrival order; only the first opens an exchange, duplicates across
-  connections are suppressed.  That registry is what makes the full
-  recovery ladder of :mod:`repro.net.recovery` real on sockets:
-  re-emit with backoff, escalate to a full-block ``getdata_block``,
-  then **fail over to the next announcer on a different connection**
-  (fresh engine, same telemetry stream -- exactly the simulator's
-  failover), and abandon with full state GC once every announcer has
-  been tried.  A connection dying mid-fetch fails over immediately.
+  connections are suppressed.  That registry is what the ladder's
+  third rung walks: re-emit with backoff, escalate to a full-block
+  ``getdata_block``, then **fail over to the next announcer on a
+  different connection** (fresh engine, same telemetry stream --
+  exactly the simulator's failover), and abandon with full state GC
+  once every announcer has been tried.  A connection dying mid-fetch
+  fails over immediately.
+* :class:`BlockServer` and :func:`fetch_block` are the two one-line
+  uses of a manager that the point-to-point call sites want: a
+  listener that serves one block, and a one-entry dial list that
+  returns its first fetch.
 
-Telemetry shapes are unchanged from the 1:1 stack: only engines (and
-the ladder's honest ``timeout``/``retry`` events) append to streams,
-``inv``/handshake/envelope bytes stay out of the analytic accounting,
-and recovery transitions mark the relay span (``escalate`` /
-``failover`` / ``abandon`` / ``done``) the same way the simulator's
-nodes do.  :class:`MeshFetchResult.surviving_events` is the slice of
+The ladder's decisions, counters and recovery events come from
+:mod:`repro.net.recovery`, shared with the simulator's nodes; this
+module only sends frames, arms ``loop.call_later``, looks up the next
+live announcer and marks the relay span (``escalate`` / ``failover`` /
+``abandon`` / ``done``).  Only engines and the ladder append to
+streams; ``inv``/handshake/envelope bytes stay out of the analytic
+accounting.  :attr:`PeerFetchResult.surviving_events` is the slice of
 the stream produced by the attempt that actually completed, which is
 byte-identical to the loopback relay of the same scenario -- pinned by
-``tests/test_peer_mesh.py`` and the ``make smoke-mesh`` CI stage.
+``tests/test_peer_socket.py``, ``tests/test_peer_mesh.py`` and the
+``make smoke-socket`` / ``make smoke-mesh`` CI stages.
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ import asyncio
 import itertools
 import logging
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
+from repro.chain.merkle import merkle_root
 from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
@@ -59,15 +63,11 @@ from repro.core.engine import (
     SENDER_STEPS,
 )
 from repro.core.params import GrapheneConfig
-from repro.core.sizing import CostBreakdown, getdata_bytes
+from repro.core.sizing import CostBreakdown
 from repro.core.telemetry import EventRecorder
 from repro.errors import ProtocolFailure
 from repro.net.peer.framing import FrameError
-from repro.net.peer.peer import (
-    PeerConnection,
-    PeerFetchResult,
-    _fullblock_event,
-)
+from repro.net.peer.peer import PeerConnection, PeerFetchResult
 from repro.net.peer.protocol import (
     decode_full_block,
     decode_inv,
@@ -77,13 +77,23 @@ from repro.net.peer.protocol import (
 )
 from repro.net.peer.transport import AsyncioTransport
 from repro.net.recovery import (
+    ABANDON,
+    ESCALATE,
+    FetchState,
+    RESEND,
     RecoveryPolicy,
     STAGE_ENGINE,
     STAGE_FULLBLOCK,
+    escalate,
+    fail_over,
+    on_timeout,
     prune_oldest,
 )
 
 logger = logging.getLogger(__name__)
+
+#: A fetch over many sockets and a fetch over one report the same facts.
+MeshFetchResult = PeerFetchResult
 
 
 @dataclass
@@ -105,48 +115,20 @@ class MeshConnection:
 
 
 @dataclass
-class MeshFetchResult(PeerFetchResult):
-    """One completed (or abandoned) mesh fetch.
+class _SocketFetch(FetchState):
+    """The ladder state of one fetch (``peer`` is the serving
+    connection's id) plus what only a socket fetch carries: the live
+    engine and transport, and the facts its result reports."""
 
-    Extends :class:`~repro.net.peer.peer.PeerFetchResult` with the
-    facts only a peer group has: how many times the fetch failed over,
-    which announcers were on the registry, and the *surviving path* --
-    the telemetry slice of the attempt that completed, which is what
-    stays byte-identical to the loopback relay when earlier announcers
-    were lost.  ``events``/``cost`` still cover the whole stream, so
-    timeouts and retries across failed announcers are charged honestly.
-    """
-
-    failovers: int = 0
-    #: Announcer labels in registry (arrival) order at completion time.
-    announcers: List[str] = field(default_factory=list)
-    #: Events of the attempt that completed (since the last failover).
-    surviving_events: list = field(default_factory=list)
-
-    @property
-    def surviving_cost(self) -> CostBreakdown:
-        """CostBreakdown of the surviving attempt alone."""
-        return CostBreakdown.from_events(self.surviving_events)
-
-
-@dataclass
-class _FetchState:
-    """Recovery-ladder state for one in-flight mesh fetch."""
-
-    root: bytes
-    cid: int                     # connection currently serving the fetch
-    stage: str                   # STAGE_ENGINE | STAGE_FULLBLOCK
-    stream: list                 # telemetry, reused across failovers
+    root: bytes = b""
+    stream: Optional[list] = None  # telemetry, reused across failovers
     engine: Optional[GrapheneReceiverEngine] = None
     transport: Optional[AsyncioTransport] = None
-    attempts: int = 0            # resends on the current rung
-    timer: Optional[asyncio.TimerHandle] = None
     generation: int = 0          # stale-timer guard
-    tried: Set[int] = field(default_factory=set)
     attempt_start: int = 0       # stream index where this attempt began
     wire_overhead: int = 0       # overhead of *retired* transports
-    timeouts: int = 0
-    retries: int = 0
+    relay_timeouts: int = 0      # counted by the ladder, per fetch
+    relay_retries: int = 0
     failovers: int = 0
     escalated: bool = False
     abandoned: bool = False
@@ -162,11 +144,10 @@ class PeerManager:
     ladder; completed fetches surface through :meth:`fetch_next`).
     Give it a mempool to fetch with; a pure server can omit it.
 
-    ``drop`` is the same deterministic test knob
-    :class:`~repro.net.peer.peer.BlockServer` has -- a
-    ``{command: count}`` map of inbound frames to ignore -- used by
-    the ladder/failover tests and the docs walkthroughs to stall a
-    peer without a lossy network.
+    ``drop`` is a deterministic test knob -- a ``{command: count}`` map
+    of inbound frames to ignore (no response) -- used by the
+    ladder/failover tests and the docs walkthroughs to stall a peer
+    without a lossy network.
     """
 
     def __init__(self, node_id: str = "mesh",
@@ -189,17 +170,21 @@ class PeerManager:
         self.invs_seen = 0
         self.inv_duplicates = 0
         self.frames_shed = 0
+        #: Inbound connections that have ended (a failed handshake
+        #: counts: the peer was turned away, which is service too).
+        self.connections_served = 0
         self._cids = itertools.count()
         self._listener: Optional[asyncio.AbstractServer] = None
         self._closing = False
         self._announcers: Dict[bytes, List[int]] = {}
-        self._fetches: Dict[bytes, _FetchState] = {}
+        self._fetches: Dict[bytes, _SocketFetch] = {}
         self._serving: Dict[Tuple[int, bytes],
                             Tuple[GrapheneSenderEngine,
                                   AsyncioTransport]] = {}
         self._fetched_roots: Dict[bytes, bool] = {}
         self._completed: deque = deque()
         self._done_event = asyncio.Event()
+        self._served_event = asyncio.Event()
 
     # -- introspection (tests, CLI) -------------------------------------
 
@@ -253,9 +238,9 @@ class PeerManager:
         return root
 
     async def fetch_next(self, timeout: Optional[float] = None) \
-            -> MeshFetchResult:
+            -> PeerFetchResult:
         """Next completed fetch (success or abandonment), FIFO order."""
-        async def _next() -> MeshFetchResult:
+        async def _next() -> PeerFetchResult:
             while not self._completed:
                 self._done_event.clear()
                 await self._done_event.wait()
@@ -264,6 +249,12 @@ class PeerManager:
         if timeout is None:
             return await _next()
         return await asyncio.wait_for(_next(), timeout)
+
+    async def wait_served(self, count: int = 1) -> None:
+        """Block until ``count`` inbound connections have ended."""
+        while self.connections_served < count:
+            self._served_event.clear()
+            await self._served_event.wait()
 
     async def close(self) -> None:
         """Tear the group down: listener, timers, every connection."""
@@ -297,16 +288,20 @@ class PeerManager:
                             outbound=False, address="inbound")
         mc.task = asyncio.current_task()
         try:
-            await conn.handshake()
-        except (ProtocolFailure, FrameError, ConnectionError,
-                OSError, asyncio.TimeoutError) as exc:
-            logger.warning("%s: inbound handshake failed: %s",
-                           self.node_id, exc)
-            await conn.close()
-            return
-        self.connections[mc.cid] = mc
-        self._announce_held_blocks(mc)
-        await self._run_connection(mc)
+            try:
+                await conn.handshake()
+            except (ProtocolFailure, FrameError, ConnectionError,
+                    OSError, asyncio.TimeoutError) as exc:
+                logger.warning("%s: inbound handshake failed: %s",
+                               self.node_id, exc)
+                await conn.close()
+                return
+            self.connections[mc.cid] = mc
+            self._announce_held_blocks(mc)
+            await self._run_connection(mc)
+        finally:
+            self.connections_served += 1
+            self._served_event.set()
 
     async def _run_connection(self, mc: MeshConnection) -> None:
         try:
@@ -335,7 +330,7 @@ class PeerManager:
         # A dead announcer is a lost cause immediately: no point waiting
         # out the backoff rungs on a socket the kernel already closed.
         for state in [s for s in self._fetches.values()
-                      if s.cid == mc.cid]:
+                      if s.peer == mc.cid]:
             logger.info("%s: announcer %s vanished mid-fetch of %s; "
                         "failing over", self.node_id, mc.label,
                         state.root.hex()[:12])
@@ -370,6 +365,8 @@ class PeerManager:
 
     def _on_inv(self, mc: MeshConnection, root: bytes) -> None:
         self.invs_seen += 1
+        if self.mempool is None:
+            return  # a pure server never fetches: nothing to register
         if root in self.blocks or root in self._fetched_roots:
             self.inv_duplicates += 1
             return
@@ -380,15 +377,14 @@ class PeerManager:
         # Register every announcer, in arrival order: that order is the
         # failover schedule (PROTOCOL.md §5.3).
         sources.append(mc.cid)
-        if self.mempool is None or root in self._fetches:
-            return
-        self._begin_fetch(root, mc)
+        if root not in self._fetches:
+            self._begin_fetch(root, mc)
 
     async def _on_receiver_frame(self, mc: MeshConnection, command: str,
                                  payload) -> None:
         root, message = split_keyed(payload)
         state = self._fetches.get(root)
-        if state is None or state.cid != mc.cid \
+        if state is None or state.peer != mc.cid \
                 or state.stage != STAGE_ENGINE \
                 or not state.engine.accepts(command):
             # A late duplicate from a retransmission, a frame from an
@@ -433,10 +429,16 @@ class PeerManager:
         block = decode_full_block(payload)
         root = block.header.merkle_root
         state = self._fetches.get(root)
-        if state is None or state.cid != mc.cid \
+        if state is None or state.peer != mc.cid \
                 or state.stage != STAGE_FULLBLOCK:
             self.frames_shed += 1  # unsolicited full block: ignore
             return
+        # The header only *claims* the awaited root; hold the body to
+        # it, as the engines' DONE path does through validated_order.
+        if merkle_root(block.txids) != root:
+            raise ProtocolFailure(
+                f"full block from {mc.label} does not hash to its "
+                f"header's Merkle root {root.hex()[:12]}")
         self._mark(root, "done", via="fullblock")
         self._finish(state, success=True, txs=list(block.txs),
                      block=block, via_fullblock=True)
@@ -463,12 +465,12 @@ class PeerManager:
     def _begin_fetch(self, root: bytes, mc: MeshConnection) -> None:
         stream = self.tracer.stream(self.node_id, "relay", root) \
             if self.tracer is not None else EventRecorder()
-        state = _FetchState(root=root, cid=mc.cid, stage=STAGE_ENGINE,
-                            stream=stream)
+        state = _SocketFetch(peer=mc.cid, stage=STAGE_ENGINE, root=root,
+                             stream=stream)
         self._fetches[root] = state
         self._start_attempt(state, mc)
 
-    def _start_attempt(self, state: _FetchState,
+    def _start_attempt(self, state: _SocketFetch,
                        mc: MeshConnection) -> None:
         """(Re)start the engine exchange on ``mc`` -- first attempt and
         every failover: fresh engine, same telemetry stream, exactly
@@ -482,7 +484,7 @@ class PeerManager:
         state.transport.deliver(state.engine.start())
         self._arm_timer(state)
 
-    def _arm_timer(self, state: _FetchState) -> None:
+    def _arm_timer(self, state: _SocketFetch) -> None:
         if state.timer is not None:
             state.timer.cancel()
         state.generation += 1
@@ -497,35 +499,27 @@ class PeerManager:
         state = self._fetches.get(root)
         if state is None or state.generation != generation:
             return  # stale timer; the exchange moved on
-        state.timeouts += 1
-        if state.stage == STAGE_FULLBLOCK:
-            state.stream.append(_fullblock_event("timeout"))
-        else:
-            state.engine.note_timeout()
-        mc = self.connections.get(state.cid)
+        mc = self.connections.get(state.peer)
         if mc is None or not mc.alive:
+            # The socket is gone and its read loop has not said so yet.
             self._failover(state)
             return
-        if state.attempts < self.policy.max_retries:
-            # Rung 1: same request again, backoff doubled.
-            state.attempts += 1
-            state.retries += 1
+        rung = on_timeout(
+            state, self.policy, state,
+            state.engine if state.stage == STAGE_ENGINE else None,
+            state.stream)
+        if rung is RESEND:
             if state.stage == STAGE_FULLBLOCK:
-                state.stream.append(_fullblock_event(
-                    "retry", {"extra_getdata": getdata_bytes(0)}))
                 mc.conn.send("getdata_block", encode_inv(root))
             else:
                 state.transport.deliver(state.engine.reemit_last_request())
             self._arm_timer(state)
-            return
-        if state.stage != STAGE_FULLBLOCK:
-            # Rung 2: stop nursing the exchange, fetch the whole block.
+        elif rung is ESCALATE:
             self._escalate(state, mc, why="timeout")
-            return
-        # Rung 3: this announcer is a lost cause; try the next one.
-        self._failover(state)
+        else:
+            self._failover(state)
 
-    def _escalate(self, state: _FetchState, mc: MeshConnection,
+    def _escalate(self, state: _SocketFetch, mc: MeshConnection,
                   why: str) -> None:
         logger.info("%s: exchange for %s with %s stalled; escalating to "
                     "full block", self.node_id, state.root.hex()[:12],
@@ -535,51 +529,30 @@ class PeerManager:
             detail["peer"] = mc.label
         self._mark(state.root, "escalate", **detail)
         state.escalated = True
-        state.stage = STAGE_FULLBLOCK
-        state.attempts = 0
+        escalate(state, state.stream)
         mc.conn.send("getdata_block", encode_inv(state.root))
-        # Real bytes, honestly charged -- and the anchor the rung's
-        # later retry events re-charge against.
-        state.stream.append(_fullblock_event(
-            "", {"extra_getdata": getdata_bytes(0)}))
         self._arm_timer(state)
 
-    def _failover(self, state: _FetchState) -> None:
-        state.tried.add(state.cid)
-        alternate = self._next_announcer(state.root, state.tried)
-        if alternate is None:
-            self._abandon(state)
+    def _failover(self, state: _SocketFetch) -> None:
+        live = (cid for cid in self._announcers.get(state.root, ())
+                if cid in self.connections and self.connections[cid].alive)
+        if fail_over(state, live, STAGE_ENGINE) is ABANDON:
+            logger.warning("%s: abandoning fetch of %s (every announcer "
+                           "exhausted); a fresh inv will restart it",
+                           self.node_id, state.root.hex()[:12])
+            self._mark(state.root, "abandon")
+            state.abandoned = True
+            self._finish(state, success=False, txs=None, block=None,
+                         via_fullblock=False)
             return
-        mc = self.connections[alternate]
+        mc = self.connections[state.peer]
         logger.info("%s: failing over fetch of %s to %s", self.node_id,
                     state.root.hex()[:12], mc.label)
         self._mark(state.root, "failover", to=mc.label)
         state.failovers += 1
-        state.cid = alternate
-        state.stage = STAGE_ENGINE
-        state.attempts = 0
         self._start_attempt(state, mc)
 
-    def _next_announcer(self, root: bytes, tried: Set[int]) \
-            -> Optional[int]:
-        for cid in self._announcers.get(root, ()):
-            if cid in tried:
-                continue
-            mc = self.connections.get(cid)
-            if mc is not None and mc.alive:
-                return cid
-        return None
-
-    def _abandon(self, state: _FetchState) -> None:
-        logger.warning("%s: abandoning fetch of %s (every announcer "
-                       "exhausted); a fresh inv will restart it",
-                       self.node_id, state.root.hex()[:12])
-        self._mark(state.root, "abandon")
-        state.abandoned = True
-        self._finish(state, success=False, txs=None, block=None,
-                     via_fullblock=False)
-
-    def _finish(self, state: _FetchState, success: bool, txs, block,
+    def _finish(self, state: _SocketFetch, success: bool, txs, block,
                 via_fullblock: bool) -> None:
         """Resolve a fetch: GC every bit of in-flight state and publish
         the result.  After an abandonment nothing is retained, so a
@@ -600,11 +573,11 @@ class PeerManager:
                 # A mesh node relays: once fetched, the block is served
                 # to (and announced on) every connection.
                 self.serve_block(block)
-        mc = self.connections.get(state.cid)
+        mc = self.connections.get(state.peer)
         engine = state.engine
         overhead = state.wire_overhead + (state.transport.wire_overhead
                                           if state.transport else 0)
-        result = MeshFetchResult(
+        result = PeerFetchResult(
             success=success,
             protocol_used=engine.protocol_used,
             roundtrips=engine.roundtrips,
@@ -617,8 +590,8 @@ class PeerManager:
             events=list(state.stream),
             root=root,
             peer=mc.conn.peer_info if mc is not None else None,
-            timeouts=state.timeouts,
-            retries=state.retries,
+            timeouts=state.relay_timeouts,
+            retries=state.relay_retries,
             escalated=state.escalated,
             abandoned=state.abandoned,
             via_fullblock=via_fullblock,
@@ -628,3 +601,42 @@ class PeerManager:
             surviving_events=list(state.stream[state.attempt_start:]))
         self._completed.append(result)
         self._done_event.set()
+
+
+class BlockServer(PeerManager):
+    """A manager that listens and serves one block: the server half of
+    the point-to-point call sites (tests, docs, ``repro serve``)."""
+
+    def __init__(self, block: Block,
+                 config: Optional[GrapheneConfig] = None,
+                 node_id: str = "server",
+                 drop: Optional[dict] = None,
+                 tracer=None):
+        super().__init__(node_id=node_id, config=config, tracer=tracer,
+                         drop=drop)
+        self.root = self.serve_block(block)
+
+    start = PeerManager.listen
+
+
+async def fetch_block(host: str, port: int, mempool: Mempool,
+                      config: Optional[GrapheneConfig] = None,
+                      node_id: str = "peer",
+                      policy: Optional[RecoveryPolicy] = None,
+                      tracer=None) -> PeerFetchResult:
+    """Dial one peer with a fresh manager and return its first fetch:
+    the block that peer announces, under the full recovery ladder
+    (with one announcer, rung 3 finds no alternate and abandons)."""
+    manager = PeerManager(node_id=node_id, mempool=mempool, config=config,
+                          policy=policy, tracer=tracer)
+    try:
+        await manager.connect(host, port)
+        try:
+            return await manager.fetch_next(manager.policy.timeout_for(0))
+        except asyncio.TimeoutError:
+            if not manager.invs_seen:
+                raise ProtocolFailure(
+                    "peer never announced a block (no inv)") from None
+        return await manager.fetch_next()
+    finally:
+        await manager.close()

@@ -1,69 +1,45 @@
-"""Asyncio peer endpoints: serve and fetch blocks over real TCP.
+"""The framed peer connection and the result of a socket fetch.
 
 This is the deployment face of the relay stack.  The Graphene control
-flow still lives entirely in :mod:`repro.core.engine`; this module
-adds only what a socket needs around it:
+flow lives entirely in :mod:`repro.core.engine` and the recovery
+ladder in :mod:`repro.net.recovery`; the one place that reads frames
+off a socket and drives either is
+:class:`~repro.net.peer.manager.PeerManager`.  This module holds what
+every connection of a manager is made of:
 
 * :class:`PeerConnection` -- a framed connection (incremental
   :class:`~repro.net.peer.framing.FrameDecoder` over ``StreamReader``
   reads) with the symmetric version/verack handshake.
-* :class:`BlockServer` -- ``asyncio.start_server`` wrapper that
-  announces one block with ``inv`` and serves each connection with its
-  own :class:`~repro.core.engine.GrapheneSenderEngine` behind an
-  :class:`~repro.net.peer.transport.AsyncioTransport`.
-* :func:`fetch_block` -- the client: handshake, await the ``inv``,
-  drive a :class:`~repro.core.engine.GrapheneReceiverEngine`, and map
-  the recovery ladder of :mod:`repro.net.recovery` onto asyncio
-  timeouts (re-emit with backoff, escalate to a full block, abandon --
-  failover to another announcer needs another announcer, so on a
-  single connection the ladder ends at abandonment).
+* :class:`PeerFetchResult` -- what a completed (or abandoned) fetch
+  reports, one socket or many.
 
 Byte parity with the in-memory stack is the design invariant: only the
-engines append telemetry (handshake and ``inv`` frames add nothing;
-the engine's ``start()`` already records the inv it was triggered by),
-so a loss-free socket relay produces a telemetry stream and
-:class:`~repro.core.sizing.CostBreakdown` byte-identical to the same
-scenario run through :class:`~repro.core.session.BlockRelaySession` --
-pinned by ``tests/test_peer_socket.py`` and ``make smoke-socket``.
+engines and the ladder append telemetry (handshake and ``inv`` frames
+add nothing; the engine's ``start()`` already records the inv it was
+triggered by), so a loss-free socket relay produces a telemetry stream
+and :class:`~repro.core.sizing.CostBreakdown` byte-identical to the
+same scenario run through
+:class:`~repro.core.session.BlockRelaySession` -- pinned by
+``tests/test_peer_socket.py`` and ``make smoke-socket``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.chain.block import Block
-from repro.chain.mempool import Mempool
-from repro.core.engine import (
-    ActionKind,
-    GrapheneReceiverEngine,
-    GrapheneSenderEngine,
-    RECEIVER_STEPS,
-    SENDER_STEPS,
-)
-from repro.core.params import GrapheneConfig
-from repro.core.sizing import CostBreakdown, getdata_bytes
-from repro.core.telemetry import MessageEvent
+from repro.core.sizing import CostBreakdown
 from repro.errors import ProtocolFailure
-from repro.net.peer.framing import FrameDecoder, FrameError, encode_frame
+from repro.net.peer.framing import FrameDecoder, encode_frame
 from repro.net.peer.protocol import (
     PROTOCOL_VERSION,
     VersionInfo,
-    decode_full_block,
-    decode_inv,
     decode_version,
-    encode_full_block,
-    encode_inv,
     encode_version,
-    split_keyed,
 )
-from repro.net.peer.transport import AsyncioTransport
-from repro.net.recovery import RecoveryPolicy
-
-logger = logging.getLogger(__name__)
 
 #: Handshake must complete within this many seconds or the connection
 #: is a lost cause (mirrors bitcoind's version handshake timeout
@@ -163,123 +139,21 @@ class PeerConnection:
             pass  # peer already gone; nothing left to flush
 
 
-class BlockServer:
-    """Announces and serves one block to every connecting peer.
-
-    Each connection gets its own
-    :class:`~repro.core.engine.GrapheneSenderEngine` (engines are
-    per-exchange state machines) behind an :class:`AsyncioTransport`
-    keyed by the block's Merkle root.  ``getdata_block`` requests --
-    the escalation rung of the client's recovery ladder -- are served
-    with the full block.
-
-    ``drop`` is a deterministic test knob: a ``{command: count}`` map
-    of inbound request frames to ignore (no response), which is how
-    the timeout-ladder tests stall the client without a lossy network.
-    """
-
-    def __init__(self, block: Block,
-                 config: Optional[GrapheneConfig] = None,
-                 node_id: str = "server",
-                 drop: Optional[dict] = None,
-                 tracer=None):
-        self.block = block
-        self.config = config or GrapheneConfig()
-        self.node_id = node_id
-        self.drop = dict(drop or {})
-        self.tracer = tracer
-        self.root = block.header.merkle_root
-        self.connections_served = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._finished = asyncio.Event()
-        self._handlers: set = set()
-        self.port: Optional[int] = None
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind and listen; returns the bound port (use ``port=0`` to
-        let the OS pick one)."""
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._handlers:
-            # Let in-flight handlers run down their finally blocks, so
-            # closing the server never leaves a task to be cancelled
-            # noisily at loop teardown.
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-
-    async def wait_served(self, count: int = 1) -> None:
-        """Block until ``count`` connections have been fully served."""
-        while self.connections_served < count:
-            self._finished.clear()
-            await self._finished.wait()
-
-    def _should_drop(self, command: str) -> bool:
-        remaining = self.drop.get(command, 0)
-        if remaining > 0:
-            self.drop[command] = remaining - 1
-            logger.info("%s: dropping %r (%d more to drop)", self.node_id,
-                        command, remaining - 1)
-            return True
-        return False
-
-    async def _on_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        conn = PeerConnection(reader, writer, self.node_id)
-        telemetry = self.tracer.stream(self.node_id, "serve", self.root) \
-            if self.tracer is not None else None
-        engine = GrapheneSenderEngine(self.block, self.config,
-                                      telemetry=telemetry)
-        transport = AsyncioTransport(writer, self.root)
-        try:
-            await conn.handshake()
-            conn.send("inv", encode_inv(self.root))
-            await conn.drain()
-            while True:
-                frame = await conn.read_frame()
-                if frame is None:
-                    break
-                command, payload = frame
-                if self._should_drop(command):
-                    continue
-                if command == "getdata_block":
-                    if decode_inv(payload) == self.root:
-                        conn.send("block", encode_full_block(self.block))
-                        await conn.drain()
-                elif command in SENDER_STEPS:
-                    root, message = split_keyed(payload)
-                    if root != self.root:
-                        continue  # exchange we are not serving
-                    transport.deliver(engine.handle(command, message))
-                    await conn.drain()
-                # anything else: tolerated and ignored, like bitcoind
-        except (FrameError, ProtocolFailure) as exc:
-            logger.warning("%s: dropping misbehaving peer: %s",
-                           self.node_id, exc)
-        except (ConnectionError, OSError) as exc:
-            logger.info("%s: connection lost: %s", self.node_id, exc)
-        finally:
-            await conn.close()
-            self.connections_served += 1
-            self._finished.set()
-
-
 @dataclass
 class PeerFetchResult:
-    """Outcome of one :func:`fetch_block` exchange.
+    """One completed (or abandoned) fetch of a
+    :class:`~repro.net.peer.manager.PeerManager`.
 
     Mirrors :class:`~repro.core.session.RelayOutcome` so the parity
     tests (and the CLI) can compare field for field, plus the
-    socket-only facts: the recovery rungs climbed and the raw frame
-    overhead that real TCP added around the analytic bytes.
+    socket-only facts: the recovery rungs climbed, the raw frame
+    overhead that real TCP added around the analytic bytes, and the
+    *surviving path* -- the telemetry slice of the attempt that
+    completed, which is what stays byte-identical to the loopback relay
+    when earlier announcers were lost.  ``events``/``cost`` cover the
+    whole stream, so timeouts and retries across failed announcers are
+    charged honestly.  A fetch over one socket is the same thing with
+    ``failovers == 0``.
     """
 
     success: bool
@@ -300,192 +174,23 @@ class PeerFetchResult:
     timeouts: int = 0
     retries: int = 0
     escalated: bool = False
+    failovers: int = 0
     abandoned: bool = False
     #: True when the block arrived via the full-block fallback rung.
     via_fullblock: bool = False
     #: Envelope + key bytes the socket added around the analytic
     #: payloads (never part of the paper's accounting).
     wire_overhead: int = 0
+    #: Announcer labels in registry (arrival) order at completion time.
+    announcers: List[str] = field(default_factory=list)
+    #: Events of the attempt that completed (since the last failover).
+    surviving_events: list = field(default_factory=list)
 
     @property
     def total_bytes(self) -> int:
         return self.cost.total()
 
-
-async def fetch_block(host: str, port: int, mempool: Mempool,
-                      config: Optional[GrapheneConfig] = None,
-                      node_id: str = "peer",
-                      policy: Optional[RecoveryPolicy] = None,
-                      tracer=None) -> PeerFetchResult:
-    """Connect to a :class:`BlockServer` and fetch its block.
-
-    Runs the handshake, waits for the ``inv``, then drives a receiver
-    engine with every response wait wrapped in ``asyncio.wait_for``
-    under the :class:`~repro.net.recovery.RecoveryPolicy` backoff
-    schedule.  Timeouts climb the same ladder the simulator climbs:
-    re-emit the stalled request (``outcome="timeout"`` then ``"retry"``
-    telemetry, bytes charged honestly), escalate to a full-block
-    ``getdata_block``, and -- with no alternate announcer on a single
-    connection -- abandon.
-    """
-    policy = policy or RecoveryPolicy()
-    reader, writer = await asyncio.open_connection(host, port)
-    conn = PeerConnection(reader, writer, node_id)
-    try:
-        peer_info = await conn.handshake()
-        try:
-            frame = await asyncio.wait_for(conn.read_frame(),
-                                           policy.timeout_for(0))
-        except asyncio.TimeoutError:
-            raise ProtocolFailure(
-                "peer never announced a block (no inv)") from None
-        if frame is None or frame[0] != "inv":
-            got = repr(frame[0]) if frame else "EOF"
-            raise ProtocolFailure(
-                f"expected inv after handshake, got {got}")
-        root = decode_inv(frame[1])
-        telemetry = tracer.stream(node_id, "relay", root) \
-            if tracer is not None else None
-        receiver = GrapheneReceiverEngine(mempool, config,
-                                          telemetry=telemetry)
-        transport = AsyncioTransport(writer, root)
-        transport.deliver(receiver.start())
-        await conn.drain()
-        result = await _drive_exchange(conn, receiver, transport, root,
-                                       policy, tracer, node_id)
-        result.root = root
-        result.peer = peer_info
-        result.wire_overhead = transport.wire_overhead
-        return result
-    finally:
-        await conn.close()
-
-
-def _fullblock_event(outcome: str, parts: Optional[dict] = None) \
-        -> MessageEvent:
-    """A recovery event for the full-block rung, where the engine is no
-    longer driving -- identical shape to the simulator's
-    ``_record_recovery_event``."""
-    return MessageEvent(command="getdata", direction="sent",
-                        role="receiver", phase="fetch", roundtrip=4,
-                        parts=dict(parts or {}), outcome=outcome)
-
-
-async def _drive_exchange(conn: PeerConnection,
-                          receiver: GrapheneReceiverEngine,
-                          transport: AsyncioTransport, root: bytes,
-                          policy: RecoveryPolicy, tracer,
-                          node_id: str) -> PeerFetchResult:
-    """The response loop: engine steps under the asyncio timeout ladder."""
-    attempts = 0
-    timeouts = retries = 0
-    escalated = abandoned = False
-    fullblock: Optional[Block] = None
-    final = None
-
-    def mark(name: str, **detail) -> None:
-        if tracer is not None:
-            tracer.mark(node_id, "relay", root, name, **detail)
-
-    while final is None and fullblock is None:
-        try:
-            frame = await asyncio.wait_for(conn.read_frame(),
-                                           policy.timeout_for(attempts))
-        except asyncio.TimeoutError:
-            timeouts += 1
-            if escalated:
-                receiver.telemetry.append(_fullblock_event("timeout"))
-            else:
-                receiver.note_timeout()
-            if attempts < policy.max_retries:
-                # Rung 1: same request again, backoff doubled.
-                attempts += 1
-                retries += 1
-                if escalated:
-                    receiver.telemetry.append(_fullblock_event(
-                        "retry", {"extra_getdata": getdata_bytes(0)}))
-                    conn.send("getdata_block", encode_inv(root))
-                else:
-                    transport.deliver(receiver.reemit_last_request())
-                await conn.drain()
-                continue
-            if not escalated:
-                # Rung 2: stop nursing the exchange, fetch the block.
-                logger.info("%s: exchange for %s stalled; escalating to "
-                            "full block", node_id, root.hex()[:12])
-                mark("escalate", why="timeout",
-                     peer=conn.peer_info.node_id if conn.peer_info else "")
-                escalated = True
-                attempts = 0
-                conn.send("getdata_block", encode_inv(root))
-                # Real bytes, honestly charged -- and the anchor the
-                # rung's later retry events re-charge against.
-                receiver.telemetry.append(_fullblock_event(
-                    "", {"extra_getdata": getdata_bytes(0)}))
-                await conn.drain()
-                continue
-            # Rung 3 needs another announcer; one connection has none.
-            logger.warning("%s: abandoning fetch of %s (single peer "
-                           "exhausted)", node_id, root.hex()[:12])
-            mark("abandon")
-            abandoned = True
-            break
-        if frame is None:
-            logger.warning("%s: peer hung up mid-exchange", node_id)
-            break
-        command, payload = frame
-        if command == "block":
-            if not escalated:
-                continue  # unsolicited full block: ignore
-            fullblock = decode_full_block(payload)
-        elif command in RECEIVER_STEPS and not escalated:
-            frame_root, message = split_keyed(payload)
-            if frame_root != root or not receiver.accepts(command):
-                # Late duplicate from a retransmission, or a frame for
-                # an exchange we are not running: shed it here, exactly
-                # where the simulated nodes shed theirs.
-                continue
-            action = receiver.handle(command, message)
-            attempts = 0  # progress resets the backoff ladder
-            if action.kind is ActionKind.SEND:
-                transport.deliver(action)
-                await conn.drain()
-            elif action.kind is ActionKind.FAILED:
-                # Even Protocol 2 could not complete: same escalation
-                # the simulated nodes take on a decode failure.
-                mark("escalate", why="decode_failed")
-                escalated = True
-                conn.send("getdata_block", encode_inv(root))
-                receiver.telemetry.append(_fullblock_event(
-                    "", {"extra_getdata": getdata_bytes(0)}))
-                await conn.drain()
-            else:
-                final = action
-        # anything else (handshake stragglers, unknown commands): ignore
-
-    if final is not None and final.kind is ActionKind.DONE:
-        success, txs, block = True, final.txs, final.block
-        mark("done")
-    elif fullblock is not None:
-        success, txs, block = True, list(fullblock.txs), fullblock
-        mark("done", via="fullblock")
-    else:
-        success, txs, block = False, None, None
-        if not abandoned:
-            mark("failed")
-    return PeerFetchResult(
-        success=success,
-        protocol_used=receiver.protocol_used,
-        roundtrips=receiver.roundtrips,
-        cost=CostBreakdown.from_events(receiver.telemetry),
-        txs=txs,
-        block=block,
-        p1_decode_failed=receiver.p1_decode_failed,
-        p2_used_pingpong=receiver.p2_used_pingpong,
-        fetched_count=receiver.fetched_count,
-        events=list(receiver.telemetry),
-        timeouts=timeouts,
-        retries=retries,
-        escalated=escalated,
-        abandoned=abandoned,
-        via_fullblock=fullblock is not None)
+    @property
+    def surviving_cost(self) -> CostBreakdown:
+        """CostBreakdown of the surviving attempt alone."""
+        return CostBreakdown.from_events(self.surviving_events)

@@ -1,14 +1,13 @@
-"""Timeout/retry/fallback recovery for simulated relay exchanges.
+"""Timeout/retry/fallback recovery for relay exchanges: one ladder.
 
 The paper's deployment story (sections 4.3 and 5) is that Graphene
-keeps propagating under real p2p conditions, yet a naive simulated
-relay has no recovery path: one dropped ``graphene_block`` leaves the
-receiver engine in ``WAIT_P1`` forever, and a write-once inv dedup set
-means the node never re-requests the block from anyone.  This module
-is the missing subsystem: per-exchange timeout timers on the
-:class:`~repro.net.simulator.Simulator`, a capped exponential-backoff
-retry ladder, and a per-root *source registry* so a stalled fetch can
-fail over to another announcing peer.
+keeps propagating under real p2p conditions, yet a naive relay has no
+recovery path: one dropped ``graphene_block`` leaves the receiver
+engine in ``WAIT_P1`` forever, and a write-once inv dedup set means the
+node never re-requests the block from anyone.  This module is the
+missing subsystem: a per-exchange timeout, a capped
+exponential-backoff retry ladder, and a per-root *source registry* so
+a stalled fetch can fail over to another announcing peer.
 
 The ladder for a stalled block fetch, climbed one timeout at a time::
 
@@ -25,16 +24,25 @@ starts over.  Every timer is cancelled the moment the awaited response
 arrives, so a loss-free run never observes the subsystem at all -- the
 same messages cross the wire in the same order, byte for byte.
 
+The ladder is written once, without I/O: :class:`FetchState` plus the
+three steps :func:`on_timeout`, :func:`escalate` and :func:`fail_over`
+own the ``attempts``/``stage``/``tried`` bookkeeping, the
+``relay_timeouts``/``relay_retries`` counting and the recovery events.
+It has two drivers, which only send, arm timers, look up live
+announcers and mark spans: :class:`RelayRecoveryMixin` on the
+:class:`~repro.net.simulator.Simulator` clock (below) and
+:class:`~repro.net.peer.manager.PeerManager` on asyncio's.
+
 Recovery is observable: timeouts and retransmissions append
 ``outcome="timeout"`` / ``outcome="retry"`` events to the per-relay
 telemetry stream (retries carry the resent byte decomposition, so
 :meth:`CostBreakdown.from_events
 <repro.core.sizing.CostBreakdown.from_events>` charges them honestly)
-and bump the node's ``relay_timeouts`` / ``relay_retries`` counters
-next to ``relay_failures``.  With a :class:`~repro.obs.trace.Tracer`
-attached, ladder transitions additionally mark the exchange's span
-(``escalate`` / ``failover`` / ``abandon``) so a trace timeline shows
-*why* a fetch moved between rungs, not just that bytes were re-spent.
+and bump the driver's ``relay_timeouts`` / ``relay_retries`` counters.
+With a :class:`~repro.obs.trace.Tracer` attached, the drivers mark the
+exchange's span at each transition (``escalate`` / ``failover`` /
+``abandon``) so a trace timeline shows *why* a fetch moved between
+rungs, not just that bytes were re-spent.
 """
 
 from __future__ import annotations
@@ -93,14 +101,96 @@ class RecoveryPolicy:
 
 
 @dataclass
-class BlockFetchState:
-    """Receiver-side recovery state for one in-flight block fetch."""
+class FetchState:
+    """Recovery-ladder state of one in-flight block fetch.
 
-    peer: object                    # Node currently serving the fetch
+    Shared by both drivers: ``peer`` is the serving
+    :class:`~repro.net.node.Node` in the simulator and the connection
+    id on sockets; ``timer`` is whatever the driver's clock hands back
+    (an ``EventHandle`` or an ``asyncio.TimerHandle``).
+    """
+
+    peer: object                    # announcer currently serving the fetch
     stage: str                      # STAGE_ENGINE/REQUEST/FULLBLOCK
     attempts: int = 0               # resends on the current rung
-    timer: Optional[object] = None  # EventHandle of the armed timeout
+    timer: Optional[object] = None  # handle of the armed timeout
     tried: Set[object] = field(default_factory=set)  # exhausted peers
+
+
+#: What a ladder step asks its driver to do next.
+RESEND = "resend"        # same request again, to the same peer
+ESCALATE = "escalate"    # give up on the exchange, fetch the full block
+FAILOVER = "failover"    # restart the exchange at the next announcer
+ABANDON = "abandon"      # every announcer exhausted: GC the fetch
+
+
+def fullblock_event(outcome: str = "") -> MessageEvent:
+    """A receiver-side event of the full-block rung, where no engine is
+    driving: the escalation request itself (``outcome=""``), a
+    ``"timeout"`` on it, or its ``"retry"``.
+
+    The two sends carry ``extra_getdata`` -- real bytes, honestly
+    charged, and the retry re-charges a decomposition the anchor
+    actually carried; a timeout is zero-byte.
+    """
+    parts = {} if outcome == "timeout" \
+        else {"extra_getdata": getdata_bytes(0)}
+    return MessageEvent(command="getdata", direction="sent",
+                        role="receiver", phase="fetch", roundtrip=4,
+                        parts=parts, outcome=outcome)
+
+
+def on_timeout(state: FetchState, policy: RecoveryPolicy, tally,
+               engine, stream) -> str:
+    """The armed timer of ``state`` fired: count it, record it, and
+    pick the rung -- :data:`RESEND` (bookkept here), :data:`ESCALATE`
+    or :data:`FAILOVER` (the driver marks the span, then calls
+    :func:`escalate` / :func:`fail_over`).
+
+    ``tally`` carries the ``relay_timeouts`` / ``relay_retries``
+    counters.  ``engine`` is the receiver engine while it drives the
+    exchange (it knows the stalled request's phase, and its
+    ``reemit_last_request`` records the retry), else ``None``;
+    ``stream`` is the relay's telemetry stream, ``None`` for baseline
+    protocols, which keep none.
+    """
+    tally.relay_timeouts += 1
+    if engine is not None:
+        engine.note_timeout()
+    elif stream is not None:
+        stream.append(fullblock_event("timeout"))
+    if state.attempts < policy.max_retries:
+        state.attempts += 1
+        tally.relay_retries += 1
+        if state.stage == STAGE_FULLBLOCK and stream is not None:
+            stream.append(fullblock_event("retry"))
+        return RESEND
+    return FAILOVER if state.stage == STAGE_FULLBLOCK else ESCALATE
+
+
+def escalate(state: FetchState, stream) -> None:
+    """Rung 2, entered from a timeout or a decode failure: the driver
+    sends a full-block getdata to ``state.peer``; this records it."""
+    state.stage = STAGE_FULLBLOCK
+    state.attempts = 0
+    if stream is not None:
+        stream.append(fullblock_event())
+
+
+def fail_over(state: FetchState, announcers, stage: str) -> str:
+    """Rung 3: ``state.peer`` is a lost cause.  Move to the first of
+    ``announcers`` (the root's live announcers, in arrival order) not
+    yet tried and return :data:`FAILOVER` -- the driver restarts the
+    exchange there at ``stage`` -- or :data:`ABANDON`."""
+    state.tried.add(state.peer)
+    alternate = next((peer for peer in announcers
+                      if peer not in state.tried), None)
+    if alternate is None:
+        return ABANDON
+    state.peer = alternate
+    state.stage = stage
+    state.attempts = 0
+    return FAILOVER
 
 
 def prune_oldest(registry: dict, cap: int) -> None:
@@ -110,19 +200,20 @@ def prune_oldest(registry: dict, cap: int) -> None:
 
 
 class RelayRecoveryMixin:
-    """Recovery handlers a :class:`~repro.net.node.Node` gains.
+    """The simulator driver of the ladder, mixed into
+    :class:`~repro.net.node.Node`.
 
-    The node provides the protocol-specific primitives
-    (``_request_block``, ``_resend_engine_request``,
-    ``_send_fullblock_getdata``, ``_initial_stage``); this mixin owns
-    the timers, the ladder, the source registry and the stale-state GC.
+    The node provides the protocol-specific sends (``_request_block``,
+    ``_resend_engine_request``, ``_send_fullblock_getdata``,
+    ``_initial_stage``); this mixin arms ``simulator.schedule`` timers,
+    keeps the source registry, marks the span and GCs stale state.
     """
 
     # -- fetch lifecycle ------------------------------------------------
 
     def _begin_block_fetch(self, peer, root, stage: str) -> None:
         """Open a fetch for ``root`` from ``peer`` and arm its timer."""
-        self._block_recovery[root] = BlockFetchState(peer=peer, stage=stage)
+        self._block_recovery[root] = FetchState(peer=peer, stage=stage)
         self._request_block(peer, root)
         self._arm_block_timer(root)
 
@@ -153,100 +244,59 @@ class RelayRecoveryMixin:
         self._rx_engines.pop(root, None)
         self._cb_pending.pop(root, None)
 
-    # -- the ladder -----------------------------------------------------
+    # -- driving the ladder ---------------------------------------------
 
     def _on_block_timeout(self, root) -> None:
         state = self._block_recovery.get(root)
         if state is None or root in self.blocks:
             return
-        self.relay_timeouts += 1
-        self._record_recovery_event(root, "timeout")
-        if state.attempts < self.recovery.max_retries:
-            state.attempts += 1
-            self.relay_retries += 1
-            self._resend_block_request(root, state)
-            self._arm_block_timer(root)
-            return
-        if state.stage in (STAGE_ENGINE, STAGE_REQUEST):
-            # Rung 2: the protocol exchange stalled repeatedly; stop
-            # nursing it and fetch the whole block instead.
+        rung = on_timeout(state, self.recovery, self,
+                          self._rx_engines.get(root),
+                          self.relay_telemetry.get(root))
+        if rung is ESCALATE:
             logger.info("%s: fetch of %s from %s stalled; escalating to "
                         "full block", self.node_id, root.hex()[:12],
                         state.peer.node_id)
-            self._trace_mark("relay", root, "escalate", why="timeout",
-                             peer=state.peer.node_id)
-            state.stage = STAGE_FULLBLOCK
-            state.attempts = 0
+            self._escalate_block_fetch(root, state.peer, "timeout")
+            return
+        if rung is RESEND:
+            if state.stage == STAGE_FULLBLOCK:
+                self._send_fullblock_getdata(state.peer, root)
+            elif state.stage == STAGE_ENGINE:
+                self._resend_engine_request(state.peer, root)
+            else:  # STAGE_REQUEST: re-issue the protocol's opening request
+                self._request_block(state.peer, root)
+        else:
+            # The source registry stores integer nids; resolve them back
+            # to Node objects through the run's columnar registry.
+            nodes = self._net.nodes
+            live = (peer for peer in (nodes[nid] for nid in
+                                      self._block_sources.get(root, ()))
+                    if peer in self.peers)
+            if fail_over(state, live, self._initial_stage()) is ABANDON:
+                logger.warning("%s: abandoning fetch of %s (every announcer "
+                               "exhausted); a fresh inv will restart it",
+                               self.node_id, root.hex()[:12])
+                self._trace_mark("relay", root, "abandon")
+                self._gc_block_state(root)
+                return
+            logger.info("%s: failing over fetch of %s to %s", self.node_id,
+                        root.hex()[:12], state.peer.node_id)
+            self._trace_mark("relay", root, "failover",
+                             to=state.peer.node_id)
             self._rx_engines.pop(root, None)
-            self._send_fullblock_getdata(state.peer, root)
-            # Record the escalation request itself: it is real bytes,
-            # and the rung's later retries must re-charge a
-            # decomposition some earlier send actually carried.
-            self._record_recovery_event(
-                root, "", parts={"extra_getdata": getdata_bytes(0)})
-            self._arm_block_timer(root)
-            return
-        # Rung 3: this peer is a lost cause; fail over to the next
-        # peer that announced the root.
-        state.tried.add(state.peer)
-        # The source registry stores integer nids; resolve them back to
-        # Node objects through the run's columnar registry.
-        nodes = self._net.nodes
-        alternate = next(
-            (p for p in (nodes[nid] for nid in
-                         self._block_sources.get(root, ()))
-             if p not in state.tried and p in self.peers), None)
-        if alternate is None:
-            self._abandon_block_fetch(root)
-            return
-        logger.info("%s: failing over fetch of %s to %s", self.node_id,
-                    root.hex()[:12], alternate.node_id)
-        self._trace_mark("relay", root, "failover", to=alternate.node_id)
-        state.peer = alternate
-        state.stage = self._initial_stage()
-        state.attempts = 0
-        self._rx_engines.pop(root, None)
-        self._request_block(alternate, root)
+            self._request_block(state.peer, root)
         self._arm_block_timer(root)
 
-    def _resend_block_request(self, root, state: BlockFetchState) -> None:
-        if state.stage == STAGE_FULLBLOCK:
-            self._record_recovery_event(
-                root, "retry", parts={"extra_getdata": getdata_bytes(0)})
-            self._send_fullblock_getdata(state.peer, root)
-        elif state.stage == STAGE_ENGINE:
-            self._resend_engine_request(state.peer, root)
-        else:  # STAGE_REQUEST: re-issue the protocol's opening request
-            self._request_block(state.peer, root)
-
-    def _abandon_block_fetch(self, root) -> None:
-        logger.warning("%s: abandoning fetch of %s (every announcer "
-                       "exhausted); a fresh inv will restart it",
-                       self.node_id, root.hex()[:12])
-        self._trace_mark("relay", root, "abandon")
-        self._gc_block_state(root)
-
-    # -- telemetry ------------------------------------------------------
-
-    def _record_recovery_event(self, root, outcome: str,
-                               parts: Optional[dict] = None) -> None:
-        """Make a recovery step visible in the per-relay event stream.
-
-        Engine-stage timeouts go through the engine (it knows the
-        stalled request's phase); engine-stage retries are recorded by
-        :meth:`~repro.core.engine.GrapheneReceiverEngine.reemit_last_request`
-        itself.  Full-block-stage steps get node-made events; baseline
-        protocols keep no per-relay stream, so there is nothing to do.
-        """
-        engine = self._rx_engines.get(root)
-        if engine is not None:
-            if outcome == "timeout":
-                engine.note_timeout()
-            return
-        stream = self.relay_telemetry.get(root)
-        if stream is None:
-            return
-        stream.append(MessageEvent(
-            command="getdata", direction="sent", role="receiver",
-            phase="fetch", roundtrip=4, parts=dict(parts or {}),
-            outcome=outcome))
+    def _escalate_block_fetch(self, root, peer, why: str) -> None:
+        """Stop nursing the exchange with ``peer`` (it stalled, or its
+        reply would not decode) and request the whole block instead."""
+        self._trace_mark("relay", root, "escalate", why=why,
+                         peer=peer.node_id)
+        self._rx_engines.pop(root, None)
+        state = self._block_recovery.get(root)
+        if state is not None:
+            state.peer = peer
+            escalate(state, self.relay_telemetry.get(root))
+        self._send_fullblock_getdata(peer, root)
+        self._arm_block_timer(root)

@@ -20,8 +20,15 @@ import asyncio
 import json
 
 from repro.chain.scenarios import make_block_scenario
+from repro.codec import encode_tx_list
 from repro.core.session import BlockRelaySession
-from repro.net.peer import BlockServer, MeshFetchResult, PeerManager
+from repro.net.peer import (
+    BlockServer,
+    MeshFetchResult,
+    PeerConnection,
+    PeerManager,
+    encode_inv,
+)
 from repro.net.recovery import RecoveryPolicy
 from repro.obs import Tracer, WallClock
 
@@ -369,6 +376,105 @@ class TestAbandonAndGC:
 
         manager = asyncio.run(run())
         assert not manager.connections
+
+
+class TestHostileFullBlock:
+    """The full-block rung checks the body, not just the header."""
+
+    @staticmethod
+    async def _lying_server(block, body_txs):
+        """Announces ``block``, ignores every engine request, and
+        answers ``getdata_block`` with the right header over
+        ``body_txs``."""
+        async def handle(reader, writer):
+            conn = PeerConnection(reader, writer, "liar")
+            try:
+                await conn.handshake()
+                conn.send("inv", encode_inv(block.header.merkle_root))
+                await conn.drain()
+                while True:
+                    frame = await conn.read_frame()
+                    if frame is None:
+                        break
+                    if frame[0] == "getdata_block":
+                        conn.send("block", block.header.serialize()
+                                  + encode_tx_list(body_txs))
+                        await conn.drain()
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                await conn.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        return server, server.sockets[0].getsockname()[1]
+
+    def _fetch(self, with_honest_alternate):
+        sc = _scenario(123)
+        wrong = _scenario(124).block.txs
+
+        async def run():
+            liar, liar_port = await self._lying_server(sc.block, wrong)
+            honest = BlockServer(sc.block, node_id="honest")
+            honest_port = await honest.start()
+            manager = PeerManager(node_id="leaf",
+                                  mempool=sc.receiver_mempool,
+                                  policy=RecoveryPolicy(**FAST))
+            try:
+                await manager.connect("127.0.0.1", liar_port)
+                if with_honest_alternate:
+                    await asyncio.sleep(0.05)  # the liar's inv is first
+                    await manager.connect("127.0.0.1", honest_port)
+                return await manager.fetch_next(timeout=15)
+            finally:
+                await manager.close()
+                await honest.close()
+                liar.close()
+                await liar.wait_closed()
+
+        return sc, asyncio.run(run())
+
+    def test_sole_liar_is_abandoned_never_believed(self):
+        _, result = self._fetch(with_honest_alternate=False)
+        assert not result.success and result.abandoned
+        assert result.block is None and result.txs is None
+        assert result.escalated and not result.via_fullblock
+
+    def test_fetch_ends_on_the_second_announcer(self):
+        sc, result = self._fetch(with_honest_alternate=True)
+        assert result.success and result.failovers == 1
+        # The liar's connection was dropped, so only its slot remains.
+        assert len(result.announcers) == 2
+        assert result.announcers[1] == "honest"
+        assert result.block.txids == sc.block.txids
+        _assert_event_parity(result.surviving_events, _loopback(123))
+
+
+class TestPureServerRegistry:
+    def test_invs_to_a_mempoolless_manager_register_nothing(self):
+        """A manager without a mempool never opens a fetch, so nothing
+        would ever pop an announcer entry: it must not make one."""
+        blocks = [_scenario(seed, n=10).block for seed in range(200, 205)]
+
+        async def run():
+            serving = PeerManager(node_id="hub")  # no mempool
+            port = await serving.listen()
+            announcing = PeerManager(node_id="leaf")
+            try:
+                await announcing.connect("127.0.0.1", port)
+                for block in blocks:
+                    announcing.serve_block(block)
+                for _ in range(100):
+                    if serving.invs_seen == len(blocks):
+                        break
+                    await asyncio.sleep(0.01)
+                return serving.invs_seen, serving.announced_roots
+            finally:
+                await announcing.close()
+                await serving.close()
+
+        invs_seen, announced = asyncio.run(run())
+        assert invs_seen == len(blocks)
+        assert announced == {}
 
 
 class TestMeshRelay:

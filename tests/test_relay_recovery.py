@@ -8,6 +8,7 @@ the recovery trail visible in telemetry.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -18,7 +19,8 @@ from repro.core.engine import (
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
 )
-from repro.core.sizing import CostBreakdown
+from repro.core.session import BlockRelaySession
+from repro.core.sizing import CostBreakdown, getdata_bytes
 from repro.errors import ParameterError, ProtocolFailure
 from repro.net import (
     FaultInjector,
@@ -29,6 +31,21 @@ from repro.net import (
     Simulator,
     connect_random_regular,
 )
+from repro.net.peer import BlockServer, PeerManager
+from repro.net.recovery import (
+    ABANDON,
+    ESCALATE,
+    FAILOVER,
+    FetchState,
+    RESEND,
+    STAGE_ENGINE,
+    STAGE_FULLBLOCK,
+    STAGE_REQUEST,
+    escalate,
+    fail_over,
+    on_timeout,
+)
+from repro.obs import Tracer, WallClock
 
 
 def _graphene_pair(fault=None, scenario_seed=7, recovery=None):
@@ -364,6 +381,210 @@ class TestSyncRecovery:
         state = b.sync_result(nonce)
         assert state.done and not state.succeeded
         assert b.relay_timeouts == b.recovery.max_retries + 1
+
+
+class _Tally:
+    def __init__(self):
+        self.relay_timeouts = 0
+        self.relay_retries = 0
+
+
+class _StubEngine:
+    """Stands in for a driving receiver engine: the ladder only ever
+    tells it that its last request timed out."""
+
+    def __init__(self):
+        self.timeouts_noted = 0
+
+    def note_timeout(self):
+        self.timeouts_noted += 1
+
+
+def _climb(state, policy, tally, engine, stream, announcers, restart):
+    """One timeout, composed the way both drivers compose it."""
+    rung = on_timeout(state, policy, tally, engine, stream)
+    if rung is ESCALATE:
+        escalate(state, stream)
+    elif rung is FAILOVER:
+        rung = fail_over(state, announcers, restart)
+    return rung
+
+
+def _recorded(stream):
+    return [(e.outcome, dict(e.parts)) for e in stream]
+
+
+ANCHOR = ("", {"extra_getdata": getdata_bytes(0)})
+RETRY = ("retry", {"extra_getdata": getdata_bytes(0)})
+TIMEOUT = ("timeout", {})
+
+
+class TestLadderTable:
+    """The shared ladder, driven bare: no simulator, no event loop.
+
+    One row per ``(stage, attempts vs max_retries, alternates left)``
+    cell: the rung it returns, the state it leaves, the events it
+    records and what it counts."""
+
+    # stage, attempts, max_retries, traced stream?, announcers
+    #   -> rung, (stage, attempts, peer), recorded, (timeouts, retries)
+    TABLE = [
+        # Engine rung: the engine records the timeout (and, when the
+        # driver re-emits, the retry); the ladder appends nothing.
+        (STAGE_ENGINE, 0, 2, True, ["p0", "p1"],
+         RESEND, (STAGE_ENGINE, 1, "p0"), [], (1, 1)),
+        (STAGE_ENGINE, 1, 2, True, ["p0", "p1"],
+         RESEND, (STAGE_ENGINE, 2, "p0"), [], (1, 1)),
+        (STAGE_ENGINE, 2, 2, True, ["p0", "p1"],
+         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), [ANCHOR], (1, 0)),
+        (STAGE_ENGINE, 0, 0, True, ["p0", "p1"],
+         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), [ANCHOR], (1, 0)),
+        # Compact Blocks / XThin opening rung: no engine, no stream.
+        (STAGE_REQUEST, 0, 1, False, ["p0", "p1"],
+         RESEND, (STAGE_REQUEST, 1, "p0"), None, (1, 1)),
+        (STAGE_REQUEST, 1, 1, False, ["p0", "p1"],
+         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
+        (STAGE_REQUEST, 0, 0, False, [],
+         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
+        # Full-block rung: the ladder records both events itself.
+        (STAGE_FULLBLOCK, 0, 1, True, ["p0", "p1"],
+         RESEND, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT, RETRY], (1, 1)),
+        (STAGE_FULLBLOCK, 0, 1, False, ["p0", "p1"],
+         RESEND, (STAGE_FULLBLOCK, 1, "p0"), None, (1, 1)),
+        (STAGE_FULLBLOCK, 1, 1, True, ["p0", "p1"],
+         FAILOVER, ("restart", 0, "p1"), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 0, 0, True, ["p0", "p1"],
+         FAILOVER, ("restart", 0, "p1"), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 1, 1, True, ["p0"],
+         ABANDON, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 1, 1, True, [],
+         ABANDON, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 0, 0, False, [],
+         ABANDON, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "stage,attempts,max_retries,streamed,announcers,"
+        "rung,after,recorded,counted", TABLE)
+    def test_cell(self, stage, attempts, max_retries, streamed,
+                  announcers, rung, after, recorded, counted):
+        state = FetchState(peer="p0", stage=stage, attempts=attempts)
+        stream = [] if streamed else None
+        engine = _StubEngine() if stage == STAGE_ENGINE else None
+        tally = _Tally()
+        got = _climb(state, RecoveryPolicy(max_retries=max_retries), tally,
+                     engine, stream, announcers, "restart")
+        assert got is rung
+        assert (state.stage, state.attempts, state.peer) == after
+        assert (tally.relay_timeouts, tally.relay_retries) == counted
+        if engine is not None:
+            assert engine.timeouts_noted == 1
+        if streamed:
+            assert _recorded(stream) == recorded
+            assert all(e.command == "getdata" and e.phase == "fetch"
+                       and e.direction == "sent" for e in stream)
+        assert state.tried == ({"p0"} if rung in (FAILOVER, ABANDON)
+                               else set())
+
+    def test_failover_skips_tried_announcers_in_arrival_order(self):
+        state = FetchState(peer="p0", stage=STAGE_FULLBLOCK, tried={"p1"})
+        assert fail_over(state, iter(["p0", "p1", "p2", "p3"]),
+                         STAGE_ENGINE) is FAILOVER
+        assert state.peer == "p2" and state.tried == {"p0", "p1"}
+        assert fail_over(state, iter(["p0", "p1", "p2"]),
+                         STAGE_ENGINE) is ABANDON
+        assert state.tried == {"p0", "p1", "p2"}
+
+    def test_decode_failed_entry_shares_the_escalation_step(self):
+        """A decode failure enters rung 2 without a timeout: nothing is
+        counted, the backoff resets, the request is anchored."""
+        state = FetchState(peer="p0", stage=STAGE_ENGINE, attempts=1)
+        stream = []
+        escalate(state, stream)
+        assert (state.stage, state.attempts) == (STAGE_FULLBLOCK, 0)
+        assert _recorded(stream) == [ANCHOR]
+        # From there the timeout path continues on the same rung.
+        tally = _Tally()
+        assert on_timeout(state, RecoveryPolicy(max_retries=1), tally,
+                          None, stream) is RESEND
+        assert _recorded(stream) == [ANCHOR, TIMEOUT, RETRY]
+        assert CostBreakdown.from_events(stream).extra_getdata \
+            == 2 * getdata_bytes(0)
+
+
+class TestCrossDriverParity:
+    """One fault schedule, both drivers of the ladder: first announcer
+    black-holed on every request command, second healthy."""
+
+    REQUESTS = ("getdata", "graphene_p2_request", "getdata_shortids",
+                "getdata_block")
+    POLICY = dict(max_retries=1)
+
+    @staticmethod
+    def _shape(events):
+        return [(e.command, e.outcome, e.phase, dict(e.parts))
+                for e in events]
+
+    def _simulated(self):
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=55)
+        sim = Simulator()
+        policy = RecoveryPolicy(**self.POLICY)
+        dark, bright, leaf = (Node(name, sim, recovery=policy)
+                              for name in ("dark", "bright", "leaf"))
+        dark.connect(leaf)
+        bright.connect(leaf)
+        leaf.mempool.add_many(sc.receiver_mempool.transactions())
+        # The simulator's full-block request is a getdata too.
+        leaf.inject_fault(dark, FaultInjector(
+            drop_commands=frozenset(self.REQUESTS)))
+        tracer = Tracer(sim).attach(leaf)
+        dark.mine_block(sc.block)    # dark's inv is first on the wire
+        bright.mine_block(sc.block)
+        sim.run()
+        root = sc.block.header.merkle_root
+        assert root in leaf.blocks
+        return list(leaf.relay_telemetry[root]), tracer
+
+    def _socketed(self):
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=55)
+        tracer = Tracer(WallClock())
+
+        async def run():
+            dark = BlockServer(sc.block, node_id="dark",
+                               drop={c: 10 ** 9 for c in self.REQUESTS})
+            bright = BlockServer(sc.block, node_id="bright")
+            p1, p2 = await dark.start(), await bright.start()
+            leaf = PeerManager(node_id="leaf", mempool=sc.receiver_mempool,
+                               policy=RecoveryPolicy(
+                                   timeout_base=0.1, backoff=1.5,
+                                   **self.POLICY),
+                               tracer=tracer)
+            try:
+                await leaf.connect("127.0.0.1", p1)
+                await asyncio.sleep(0.05)  # dark's inv arrives first
+                await leaf.connect("127.0.0.1", p2)
+                return await leaf.fetch_next(timeout=15)
+            finally:
+                await leaf.close()
+                await dark.close()
+                await bright.close()
+
+        return asyncio.run(run()), tracer
+
+    def test_same_stream_same_marks_same_surviving_path(self):
+        sim_events, sim_tracer = self._simulated()
+        result, socket_tracer = self._socketed()
+        assert result.success and result.failovers == 1
+        assert self._shape(result.events) == self._shape(sim_events)
+        assert [m.name for m in socket_tracer.marks] \
+            == [m.name for m in sim_tracer.marks] \
+            == ["escalate", "failover", "done"]
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=55)
+        loop = BlockRelaySession().relay(sc.block, sc.receiver_mempool)
+        assert [e.as_dict() for e in result.surviving_events] \
+            == [e.as_dict() for e in loop.events]
+        assert self._shape(sim_events[-len(loop.events):]) \
+            == self._shape(loop.events)
 
 
 class TestChaosTopology:
