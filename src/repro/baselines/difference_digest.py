@@ -54,7 +54,7 @@ class StrataEstimator:
         ]
 
     def _stratum_of(self, key: int) -> int:
-        word = self._partition_hasher._words(key, 1)[0]
+        word = self._partition_hasher.entry(key)[0][0]
         return _trailing_zeros(word, self.num_strata - 1)
 
     def insert_all(self, keys: Iterable[int]) -> None:

@@ -19,13 +19,11 @@ Layouts (all little-endian):
   synthetic in this simulation, so a transaction's wire form carries
   its metadata; *size accounting* elsewhere still charges ``tx.size``.
 
-Two execution paths produce these bytes (hot-path round 2):
-
-* a vectorized path serializing the IBLT's flat columnar arrays with
-  ``ndarray.tobytes()`` / ``np.frombuffer`` in a handful of numpy ops;
-* the original per-cell ``struct`` loops, kept as the byte-identical
-  reference and selected via :mod:`repro.fastpath` (``REPRO_FASTPATH=0``
-  or :func:`repro.fastpath.set_fastpath`).
+IBLT cells and coded symbols have one body each way: the flat columnar
+arrays are laid into a ``(rows, width)`` byte grid and shipped with one
+``ndarray.tobytes()``, and parsed back through ``np.frombuffer`` views.
+The independent per-cell ``struct`` encoder the tests compare against
+is :func:`repro.pds.reference.encode_reference_iblt`.
 
 Every ``decode_*`` entry point accepts any bytes-like buffer --
 ``bytes``, ``bytearray`` or ``memoryview`` -- and reads through it
@@ -38,7 +36,8 @@ from __future__ import annotations
 import math
 import struct
 
-from repro import fastpath
+import numpy as _np
+
 from repro.chain.block import BlockHeader
 from repro.chain.transaction import Transaction
 from repro.errors import ParameterError
@@ -46,11 +45,6 @@ from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
 from repro.pds.riblt import SYMBOL_BATCH_HEADER_BYTES, SYMBOL_BYTES
 from repro.utils.serialization import compact_size, read_compact_size
-
-try:  # optional vector backend (fastpath gates usage)
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
 
 _U32 = 0xFFFFFFFF
 _LN2 = math.log(2.0)
@@ -61,9 +55,21 @@ _LN2_SQ = _LN2 * _LN2
 # Bloom filter
 # ---------------------------------------------------------------------------
 
+def _wire_seed(seed: int) -> int:
+    """A structure seed as its ``u32`` header field.
+
+    The receiver rebuilds its side of the structure from this field, so
+    a seed the field cannot hold is rejected, not masked: the masked
+    value would name a different hash family than the sender used.
+    """
+    if not 0 <= seed <= _U32:
+        raise ParameterError(f"seed {seed} does not fit the u32 wire field")
+    return seed
+
+
 def encode_bloom(bloom: BloomFilter) -> bytes:
     """Serialize a Bloom filter; length equals ``serialized_size()``."""
-    header = struct.pack("<IBI", bloom.nbits, bloom.k, bloom.seed & _U32)
+    header = struct.pack("<IBI", bloom.nbits, bloom.k, _wire_seed(bloom.seed))
     return header + bytes(bloom._bits)
 
 
@@ -117,13 +123,6 @@ def restore_bloom_load(bloom: BloomFilter, count: int) -> BloomFilter:
 # IBLT
 # ---------------------------------------------------------------------------
 
-#: Whole-cell struct codecs for the power-of-two checkSum widths; odd
-#: widths fall back to a per-cell ``to_bytes`` path.
-_CELL_STRUCTS = {1: struct.Struct("<hQB"), 2: struct.Struct("<hQH"),
-                 4: struct.Struct("<hQI"), 8: struct.Struct("<hQQ")}
-_COUNT_KEY_STRUCT = struct.Struct("<hQ")
-
-
 #: Wire width of a full-fidelity cell (count i16 | keySum u64 |
 #: checkSum u64) used when ``cell_bytes`` lies outside 12..18: such
 #: widths are size-model fictions (the paper's cell-width sweeps assume
@@ -132,47 +131,18 @@ _COUNT_KEY_STRUCT = struct.Struct("<hQ")
 #: whole cells and flags it in the header's pad field.  The analytic
 #: ``serialized_size()`` stays the accounting authority.
 _FULL_CELL_BYTES = 18
-_FULL_CELL_STRUCT = struct.Struct("<hQQ")
 
 
 #: Bounds of the on-wire ``count i16`` field.
 _I16_MIN, _I16_MAX = -0x8000, 0x7FFF
 
 
-def _encode_cells_py(iblt: IBLT, check_width: int, full: bool) -> bytes:
-    """Reference cell serialization: per-cell ``struct`` packing."""
-    out = bytearray()
-    counts = iblt._counts
-    key_sums = iblt._key_sums
-    check_sums = iblt._check_sums
-    try:
-        if full:
-            pack_full = _FULL_CELL_STRUCT.pack
-            for count, key_sum, check in zip(counts, key_sums, check_sums):
-                out += pack_full(count, key_sum, check)
-            return bytes(out)
-        check_mask = (1 << (8 * check_width)) - 1
-        cell_struct = _CELL_STRUCTS.get(check_width)
-        if cell_struct is not None:
-            pack_cell = cell_struct.pack
-            for count, key_sum, check in zip(counts, key_sums, check_sums):
-                out += pack_cell(count, key_sum, check & check_mask)
-        else:
-            pack_ck = _COUNT_KEY_STRUCT.pack
-            for count, key_sum, check in zip(counts, key_sums, check_sums):
-                out += pack_ck(count, key_sum)
-                out += (check & check_mask).to_bytes(check_width, "little")
-    except struct.error as exc:
-        raise ParameterError(f"cell count overflows i16: {exc}") from exc
-    return bytes(out)
-
-
-def _encode_cells_vector(iblt: IBLT, check_width: int, full: bool) -> bytes:
-    """Vectorized cell serialization: columnar arrays -> one byte grid.
+def _encode_cells(iblt: IBLT, check_width: int, full: bool) -> bytes:
+    """Cell serialization: columnar arrays -> one byte grid.
 
     Builds a ``(cells, width)`` uint8 matrix whose columns are the
     little-endian byte views of the three cell fields and ships it with
-    one ``tobytes()`` -- byte-identical to :func:`_encode_cells_py`.
+    one ``tobytes()``.
     """
     counts = _np.frombuffer(iblt._counts, dtype=_np.int64)
     if counts.size and ((counts < _I16_MIN) | (counts > _I16_MAX)).any():
@@ -199,48 +169,14 @@ def encode_iblt(iblt: IBLT) -> bytes:
     lossless cell widths (``cell_bytes`` 12..18, pad field 0)."""
     check_width = iblt.cell_bytes - 10
     full = check_width < 2 or check_width > 8
-    header = struct.pack("<IBIBH", iblt.cells, iblt.k, iblt.seed & _U32,
+    header = struct.pack("<IBIBH", iblt.cells, iblt.k, _wire_seed(iblt.seed),
                          iblt.cell_bytes, _FULL_CELL_BYTES if full else 0)
-    if _np is not None and fastpath.fastpath_enabled():
-        return header + _encode_cells_vector(iblt, check_width, full)
-    return header + _encode_cells_py(iblt, check_width, full)
+    return header + _encode_cells(iblt, check_width, full)
 
 
-def _decode_cells_py(iblt: IBLT, data, offset: int, body: int,
-                     check_width: int, full: bool) -> None:
-    """Reference cell parse: per-cell ``iter_unpack`` into the columns."""
-    counts = iblt._counts
-    key_sums = iblt._key_sums
-    check_sums = iblt._check_sums
-    if full:
-        for i, (count, key_sum, check) in enumerate(
-                _FULL_CELL_STRUCT.iter_unpack(data[offset:offset + body])):
-            counts[i] = count
-            key_sums[i] = key_sum
-            check_sums[i] = check
-        return
-    cell_struct = _CELL_STRUCTS.get(check_width)
-    if cell_struct is not None:
-        i = 0
-        for count, key_sum, check in cell_struct.iter_unpack(
-                data[offset:offset + body]):
-            counts[i] = count
-            key_sums[i] = key_sum
-            check_sums[i] = check
-            i += 1
-        return
-    unpack_ck = _COUNT_KEY_STRUCT.unpack_from
-    for i in range(iblt.cells):
-        counts[i], key_sums[i] = unpack_ck(data, offset)
-        offset += 10
-        check_sums[i] = int.from_bytes(
-            data[offset:offset + check_width], "little")
-        offset += check_width
-
-
-def _decode_cells_vector(iblt: IBLT, data, offset: int, body: int,
-                         check_width: int, full: bool) -> None:
-    """Vectorized cell parse: one ``frombuffer`` view, three column fills.
+def _decode_cells(iblt: IBLT, data, offset: int, body: int,
+                  check_width: int, full: bool) -> None:
+    """Cell parse: one ``frombuffer`` view, three column fills.
 
     Reads the wire bytes in place (no body-slice copy, any bytes-like
     buffer) and writes the columnar arrays through writable numpy views.
@@ -290,10 +226,7 @@ def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
     iblt._pristine = False  # columns are written below, outside IBLT
     full = pad == _FULL_CELL_BYTES
     check_width = cell_bytes - 10
-    if _np is not None and fastpath.fastpath_enabled():
-        _decode_cells_vector(iblt, data, offset, body, check_width, full)
-    else:
-        _decode_cells_py(iblt, data, offset, body, check_width, full)
+    _decode_cells(iblt, data, offset, body, check_width, full)
     return iblt, offset + body
 
 
@@ -301,28 +234,13 @@ def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
 # Rateless IBLT coded-symbol batches (Protocol 3)
 # ---------------------------------------------------------------------------
 
-#: One coded symbol on the wire: ``count i32 | keySum u64 | checkSum u16``.
-_SYMBOL_STRUCT = struct.Struct("<iQH")
-
-#: Bounds of the on-wire symbol ``count i32`` field.
+#: Bounds of the on-wire symbol ``count i32`` field (a coded symbol is
+#: ``count i32 | keySum u64 | checkSum u16``).
 _I32_MIN, _I32_MAX = -0x80000000, 0x7FFFFFFF
 
 
-def _encode_symbols_py(batch) -> bytes:
-    """Reference symbol serialization: per-symbol ``struct`` packing."""
-    out = bytearray()
-    pack_symbol = _SYMBOL_STRUCT.pack
-    try:
-        for count, key_sum, check in zip(batch.counts, batch.key_sums,
-                                         batch.check_sums):
-            out += pack_symbol(count, key_sum, check & 0xFFFF)
-    except struct.error as exc:
-        raise ParameterError(f"symbol count overflows i32: {exc}") from exc
-    return bytes(out)
-
-
-def _encode_symbols_vector(batch) -> bytes:
-    """Vectorized symbol serialization, byte-identical to the reference."""
+def _encode_symbols(batch) -> bytes:
+    """Symbol serialization: the three columns laid into one byte grid."""
     n = len(batch.counts)
     counts = _np.asarray(batch.counts, dtype=_np.int64)
     if counts.size and ((counts < _I32_MIN) | (counts > _I32_MAX)).any():
@@ -350,9 +268,7 @@ def encode_symbol_batch(batch) -> bytes:
     if n > 0xFFFF:
         raise ParameterError(f"symbol batch of {n} exceeds u16 framing")
     header = struct.pack("<IH", batch.start & _U32, n)
-    if _np is not None and fastpath.fastpath_enabled():
-        return header + _encode_symbols_vector(batch)
-    return header + _encode_symbols_py(batch)
+    return header + _encode_symbols(batch)
 
 
 def decode_symbol_batch(data, offset: int = 0):
@@ -378,23 +294,16 @@ def decode_symbol_batch(data, offset: int = 0):
     counts = array("q", bytes(8 * n))
     key_sums = array("Q", bytes(8 * n))
     check_sums = array("Q", bytes(8 * n))
-    if _np is not None and fastpath.fastpath_enabled():
-        grid = _np.frombuffer(data, dtype=_np.uint8, count=body,
-                              offset=offset).reshape(n, SYMBOL_BYTES)
-        _np.frombuffer(counts, dtype=_np.int64)[:] = \
-            _np.ascontiguousarray(grid[:, 0:4]).view("<i4").ravel()
-        _np.frombuffer(key_sums, dtype=_np.uint64)[:] = \
-            _np.ascontiguousarray(grid[:, 4:12]).view("<u8").ravel()
-        padded = _np.zeros((n, 8), dtype=_np.uint8)
-        padded[:, :2] = grid[:, 12:14]
-        _np.frombuffer(check_sums, dtype=_np.uint64)[:] = \
-            padded.view("<u8").ravel()
-    else:
-        for i, (count, key_sum, check) in enumerate(
-                _SYMBOL_STRUCT.iter_unpack(data[offset:offset + body])):
-            counts[i] = count
-            key_sums[i] = key_sum
-            check_sums[i] = check
+    grid = _np.frombuffer(data, dtype=_np.uint8, count=body,
+                          offset=offset).reshape(n, SYMBOL_BYTES)
+    _np.frombuffer(counts, dtype=_np.int64)[:] = \
+        _np.ascontiguousarray(grid[:, 0:4]).view("<i4").ravel()
+    _np.frombuffer(key_sums, dtype=_np.uint64)[:] = \
+        _np.ascontiguousarray(grid[:, 4:12]).view("<u8").ravel()
+    padded = _np.zeros((n, 8), dtype=_np.uint8)
+    padded[:, :2] = grid[:, 12:14]
+    _np.frombuffer(check_sums, dtype=_np.uint64)[:] = \
+        padded.view("<u8").ravel()
     return SymbolBatch(start=start, counts=counts, key_sums=key_sums,
                        check_sums=check_sums), offset + body
 

@@ -54,6 +54,11 @@ class GrapheneConfig:
     special_case_fpr:
         The fixed ``f_R`` used in the ``m ~ n`` special case (paper
         3.3.2 sets 0.1 and reports 0.001-0.2 all work).
+    seed:
+        Base of every structure's hash-family seed (each is
+        ``seed ^ small-constant``).  Must fit the ``u32`` seed field
+        of the Bloom/IBLT wire headers, from which the receiver
+        rebuilds its side.
     protocol:
         Which Graphene exchange the engines run: 1 is the classic
         Protocol 1 with Protocol 2 fallback; 3 is the rateless-IBLT
@@ -68,6 +73,11 @@ class GrapheneConfig:
     special_case_fpr: float = 0.1
     seed: int = 0
     protocol: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 32:
+            raise ParameterError(
+                f"seed must be in [0, 2**32), got {self.seed}")
 
     def table(self) -> IBLTParamTable:
         return default_param_table(self.decode_denom)

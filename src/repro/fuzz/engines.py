@@ -14,8 +14,7 @@ deterministic test case and checks a battery of invariants:
   :class:`~repro.pds.bloom.BloomFilter` against the frozen references in
   :mod:`repro.pds.reference` and against their own scalar paths
   (``update`` vs repeated ``insert``, ``contains_many`` vs
-  ``__contains__``), on both sides of the ``_BATCH_MIN`` threshold and
-  with the numpy backend force-disabled.
+  ``__contains__``), on both sides of the ``_BATCH_MIN`` threshold.
 * :class:`RelayEngine` -- random small lossy topologies with optional
   :class:`~repro.net.simulator.FaultInjector` schedules, asserting
   convergence-or-clean-abandon and every RunReport invariant.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import random
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -124,22 +122,6 @@ class Engine:
     def fail(self, check: str, detail: str, params: dict) -> FuzzFailure:
         return FuzzFailure(engine=self.name, check=check, detail=detail,
                            params=dict(params))
-
-
-@contextmanager
-def numpy_disabled():
-    """Force the pure-python fallback of the PDS batch entry points."""
-    import repro.pds.bloom as bloom_mod
-    import repro.pds.iblt as iblt_mod
-    import repro.pds.riblt as riblt_mod
-    saved = bloom_mod._np, iblt_mod._np, riblt_mod._np
-    bloom_mod._np = None
-    iblt_mod._np = None
-    riblt_mod._np = None
-    try:
-        yield
-    finally:
-        bloom_mod._np, iblt_mod._np, riblt_mod._np = saved
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +729,7 @@ class PDSEngine(Engine):
 
     def draw(self, rng: random.Random) -> dict:
         struct = rng.choice(["iblt", "bloom", "riblt"])
-        params = {"struct": struct, "seed": rng.getrandbits(24),
-                  "numpy": rng.random() < 0.7}
+        params = {"struct": struct, "seed": rng.getrandbits(24)}
         if struct == "iblt":
             params.update(cells=rng.randint(4, 240), k=rng.randint(2, 6),
                           sseed=rng.getrandbits(16),
@@ -771,13 +752,9 @@ class PDSEngine(Engine):
     def check(self, params: dict) -> Optional[FuzzFailure]:
         checker = {"iblt": self._check_iblt, "bloom": self._check_bloom,
                    "riblt": self._check_riblt}[params["struct"]]
-        failure = checker(params)
-        if failure is None and not params["numpy"]:
-            with numpy_disabled():
-                failure = checker(params, tag="nonumpy-")
-        return failure
+        return checker(params)
 
-    def _check_riblt(self, params, tag="") -> Optional[FuzzFailure]:
+    def _check_riblt(self, params) -> Optional[FuzzFailure]:
         from repro.errors import MalformedIBLTError
         from repro.pds.riblt import RIBLTEncoder, reconcile
 
@@ -809,7 +786,7 @@ class PDSEngine(Engine):
                 acc.extend(col)
             offset += step
         if tuple(map(list, pieces)) != tuple(map(list, reference)):
-            return self.fail(tag + "riblt-window-invariance",
+            return self.fail("riblt-window-invariance",
                              "chunked windows differ from one straight "
                              "read of the stream", params)
 
@@ -819,18 +796,18 @@ class PDSEngine(Engine):
             decoder, used = reconcile(sender, receiver, seed=seed,
                                       batch=params["batch"])
         except MalformedIBLTError as exc:
-            return self.fail(tag + "riblt-no-convergence", str(exc), params)
+            return self.fail("riblt-no-convergence", str(exc), params)
         if set(decoder.local) != set(only_a):
-            return self.fail(tag + "riblt-local-oracle",
+            return self.fail("riblt-local-oracle",
                              f"decoded {len(decoder.local)} sender-only "
                              f"keys, expected {len(only_a)}", params)
         if set(decoder.remote) != set(only_b):
-            return self.fail(tag + "riblt-remote-oracle",
+            return self.fail("riblt-remote-oracle",
                              f"decoded {len(decoder.remote)} receiver-only "
                              f"keys, expected {len(only_b)}", params)
         return None
 
-    def _check_iblt(self, params, tag="") -> Optional[FuzzFailure]:
+    def _check_iblt(self, params) -> Optional[FuzzFailure]:
         from repro.pds.iblt import IBLT
         from repro.pds.reference import ReferenceIBLT, encode_reference_iblt
 
@@ -850,14 +827,14 @@ class PDSEngine(Engine):
         for name in ("_counts", "_key_sums", "_check_sums"):
             if getattr(batch, name).tobytes() != \
                     getattr(scalar, name).tobytes():
-                return self.fail(tag + "iblt-batch-vs-scalar",
+                return self.fail("iblt-batch-vs-scalar",
                                  f"column {name} differs between update() "
                                  "and repeated insert()", params)
 
         ref = ReferenceIBLT(cells, **shape)
         ref.update(shared + only_a)
         if encode_iblt(batch) != encode_reference_iblt(ref):
-            return self.fail(tag + "iblt-vs-reference",
+            return self.fail("iblt-vs-reference",
                              "wire bytes differ from the frozen seed "
                              "implementation", params)
 
@@ -867,20 +844,20 @@ class PDSEngine(Engine):
         ref_other.update(shared + only_b)
         diff, ref_diff = batch.subtract(other), ref.subtract(ref_other)
         if encode_iblt(diff) != encode_reference_iblt(ref_diff):
-            return self.fail(tag + "iblt-subtract-vs-reference",
+            return self.fail("iblt-subtract-vs-reference",
                              "subtracted columns differ from reference",
                              params)
         mine, theirs = diff.decode(), ref_diff.decode()
         if (mine.complete, mine.local, mine.remote) != \
                 (theirs.complete, theirs.local, theirs.remote):
-            return self.fail(tag + "iblt-decode-vs-reference",
+            return self.fail("iblt-decode-vs-reference",
                              f"live ({mine.complete}, {len(mine.local)}, "
                              f"{len(mine.remote)}) vs reference "
                              f"({theirs.complete}, {len(theirs.local)}, "
                              f"{len(theirs.remote)})", params)
         return None
 
-    def _check_bloom(self, params, tag="") -> Optional[FuzzFailure]:
+    def _check_bloom(self, params) -> Optional[FuzzFailure]:
         from repro.pds.bloom import BloomFilter
         from repro.pds.reference import (
             ReferenceBloomFilter,
@@ -901,11 +878,11 @@ class PDSEngine(Engine):
             scalar.insert(item)
         if bytes(batch._bits) != bytes(scalar._bits) \
                 or batch.count != scalar.count:
-            return self.fail(tag + "bloom-batch-vs-scalar",
+            return self.fail("bloom-batch-vs-scalar",
                              "update() and repeated insert() disagree",
                              params)
         if batch.contains_many(probes) != [p in scalar for p in probes]:
-            return self.fail(tag + "bloom-contains-many",
+            return self.fail("bloom-contains-many",
                              "contains_many() differs from __contains__",
                              params)
 
@@ -914,15 +891,15 @@ class PDSEngine(Engine):
         for item in items:
             ref.insert(item)
         if (batch.nbits, batch.k) != (ref.nbits, ref.k):
-            return self.fail(tag + "bloom-shape-vs-reference",
+            return self.fail("bloom-shape-vs-reference",
                              f"(nbits, k) = ({batch.nbits}, {batch.k}) vs "
                              f"reference ({ref.nbits}, {ref.k})", params)
         if encode_bloom(batch) != encode_reference_bloom(ref):
-            return self.fail(tag + "bloom-vs-reference",
+            return self.fail("bloom-vs-reference",
                              "wire bytes differ from the frozen seed "
                              "implementation", params)
         if [p in batch for p in probes] != [p in ref for p in probes]:
-            return self.fail(tag + "bloom-membership-vs-reference",
+            return self.fail("bloom-membership-vs-reference",
                              "membership answers differ from reference",
                              params)
         return None

@@ -23,6 +23,8 @@ import math
 import struct
 from typing import Iterable
 
+import numpy as _np
+
 from repro.errors import ParameterError
 from repro.utils.hashing import sha256, split_digest
 
@@ -30,11 +32,6 @@ _LN2 = math.log(2.0)
 _LN2_SQ = _LN2 * _LN2
 
 _UNPACK_8I = struct.Struct("<8I").unpack
-
-try:  # optional vector backend for the batch entry points
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -203,14 +200,12 @@ class BloomFilter:
     def _batch_indices(self, items: list):
         """Return the ``(len(items), k)`` bit-index matrix, vectorized.
 
-        Returns ``None`` when the vector path cannot run (no numpy, or
-        unseeded items that are not 32-byte digests); callers fall back
-        to the scalar loop.  Index values match :meth:`_indices` exactly:
-        the digests and the hash-splitting arithmetic are the same, only
-        computed column-wise.
+        Returns ``None`` for unseeded items that are not all 32-byte
+        digests (they have no fixed-width word matrix); callers then
+        take the scalar loop.  Index values match :meth:`_indices`
+        exactly: the digests and the hash-splitting arithmetic are the
+        same, only computed column-wise.
         """
-        if _np is None:
-            return None
         if self.seed:
             seed = self.seed
             joined = b"".join(items)

@@ -20,8 +20,8 @@ Graphene stores in its IBLTs.
 
 Storage is columnar: three flat parallel arrays (``array('q')`` counts,
 ``array('Q')`` keySums, ``array('Q')`` checkSums) instead of a list of
-cell objects.  ``subtract`` XORs whole columns through big-integer
-conversion, ``copy`` is three C-level memcpys, emptiness is a memcmp
+cell objects.  ``subtract`` combines whole columns through numpy views
+of the arrays, ``copy`` is three C-level memcpys, emptiness is a memcmp
 against zeros, and ``decode`` peels on scratch columns with a worklist
 of candidate pure cells rather than cloning a cell-object table.  Hash
 words come from the per-family :meth:`DerivedHasher.entry` cache, so a
@@ -41,13 +41,10 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as _np
+
 from repro.errors import MalformedIBLTError, ParameterError
 from repro.utils.hashing import DerivedHasher
-
-try:  # optional vector backend for batch updates
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -193,20 +190,19 @@ class IBLT:
     def update(self, keys: Iterable[int]) -> None:
         """Insert every key of ``keys`` (batch path: one hash lookup each).
 
-        Large batches go through the numpy backend: one digest-blob sweep
+        Batches of ``_BATCH_MIN`` keys or more take one digest-blob sweep
         via :meth:`DerivedHasher.batch_entries`, then the three columns
         are updated wholesale (``bincount`` for counts, ``bitwise_xor.at``
-        for the sums).  The scalar loop below is the fallback and the
-        small-batch fast path; both orders of operation commute (cell
-        updates are adds and xors), so the resulting columns are
-        identical.
+        for the sums).  Smaller batches take the scalar loop below; both
+        orders of operation commute (cell updates are adds and xors), so
+        the resulting columns are identical.
         """
         keys = [key & _U64 for key in keys]
         if not keys:
             return
         if not self.cells:
             raise ParameterError("cannot store keys in a 0-cell IBLT")
-        if _np is not None and len(keys) >= _BATCH_MIN:
+        if len(keys) >= _BATCH_MIN:
             fkey = None
             if self._pristine:
                 # Whole-batch fold memo: a receiver rebuilds I' from the
@@ -223,19 +219,17 @@ class IBLT:
                     self.count += len(keys)
                     self._pristine = False
                     return
-            batched = self.hasher.batch_entries(keys)
-            if batched is not None:
-                self._update_batch(keys, *batched)
-                self.count += len(keys)
-                self._pristine = False
-                if fkey is not None:
-                    if len(_FOLD_CACHE) >= _FOLD_CACHE_CAP:
-                        for stale in list(_FOLD_CACHE)[:_FOLD_CACHE_CAP // 2]:
-                            del _FOLD_CACHE[stale]
-                    _FOLD_CACHE[fkey] = (array("q", self._counts),
-                                         array("Q", self._key_sums),
-                                         array("Q", self._check_sums))
-                return
+            self._update_batch(keys, *self.hasher.batch_entries(keys))
+            self.count += len(keys)
+            self._pristine = False
+            if fkey is not None:
+                if len(_FOLD_CACHE) >= _FOLD_CACHE_CAP:
+                    for stale in list(_FOLD_CACHE)[:_FOLD_CACHE_CAP // 2]:
+                        del _FOLD_CACHE[stale]
+                _FOLD_CACHE[fkey] = (array("q", self._counts),
+                                     array("Q", self._key_sums),
+                                     array("Q", self._check_sums))
+            return
         self._pristine = False
         entry = self.hasher.entry
         width = self.cells // self.k
@@ -309,16 +303,9 @@ class IBLT:
                 f"({other.cells},{other.k},{other.seed})")
         diff = IBLT(self.cells, k=self.k, seed=self.seed,
                     cell_bytes=self.cell_bytes)
-        if _np is not None:
-            _np.subtract(_np.frombuffer(self._counts, dtype=_np.int64),
-                         _np.frombuffer(other._counts, dtype=_np.int64),
-                         out=_np.frombuffer(diff._counts, dtype=_np.int64))
-        else:
-            diff._counts = array("q", [a - b for a, b in
-                                       zip(self._counts, other._counts)])
-        # XOR columns wholesale: per-element XOR carries nothing between
-        # lanes, so one big-integer XOR over the raw column bytes is the
-        # exact element-wise result at C speed.
+        _np.subtract(_np.frombuffer(self._counts, dtype=_np.int64),
+                     _np.frombuffer(other._counts, dtype=_np.int64),
+                     out=_np.frombuffer(diff._counts, dtype=_np.int64))
         diff._key_sums = _xor_column(self._key_sums, other._key_sums)
         diff._check_sums = _xor_column(self._check_sums, other._check_sums)
         diff.count = self.count - other.count
@@ -433,14 +420,8 @@ class IBLT:
 
 def _xor_column(a: array, b: array) -> array:
     """Element-wise XOR of two equal-shape unsigned columns."""
-    if _np is not None:
-        out = array("Q", bytes(8 * len(a)))
-        _np.bitwise_xor(_np.frombuffer(a, dtype=_np.uint64),
-                        _np.frombuffer(b, dtype=_np.uint64),
-                        out=_np.frombuffer(out, dtype=_np.uint64))
-        return out
-    blob = (int.from_bytes(a.tobytes(), "little")
-            ^ int.from_bytes(b.tobytes(), "little"))
-    out = array("Q")
-    out.frombytes(blob.to_bytes(8 * len(a), "little"))
+    out = array("Q", bytes(8 * len(a)))
+    _np.bitwise_xor(_np.frombuffer(a, dtype=_np.uint64),
+                    _np.frombuffer(b, dtype=_np.uint64),
+                    out=_np.frombuffer(out, dtype=_np.uint64))
     return out

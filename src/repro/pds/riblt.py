@@ -35,11 +35,11 @@ difference, exactly like a subtracted IBLT -- except the prefix can
 continues seamlessly into newly arrived symbols.
 
 Storage is columnar like :mod:`repro.pds.iblt`: three flat parallel
-arrays per stream.  Symbol generation has a numpy lockstep batch path
-(all keys advance through the index stream together under an active
-mask) and a scalar pure-Python path, selected by
-:func:`repro.fastpath.fastpath_enabled` (``REPRO_FASTPATH=0`` forces
-pure) -- both produce bit-identical columns.
+arrays per stream.  Symbol generation is selected by key count alone:
+from ``_BATCH_MIN`` keys up a numpy lockstep loop (all keys advance
+through the index stream together under an active mask), below it a
+scalar loop that wins on numpy's fixed call overhead -- both produce
+bit-identical columns.
 
 The decoder keeps the section 6.1 malformed-table defence: a key
 peeled twice raises :class:`~repro.errors.MalformedIBLTError` instead
@@ -52,14 +52,10 @@ import math
 from array import array
 from typing import Iterable, Optional, Sequence
 
-from repro import fastpath
+import numpy as _np
+
 from repro.errors import MalformedIBLTError, ParameterError
 from repro.utils.hashing import DerivedHasher
-
-try:  # optional vector backend for symbol generation
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -152,15 +148,14 @@ class RIBLTEncoder:
         self._counts.extend([0] * grow)
         self._key_sums.frombytes(bytes(8 * grow))
         self._check_sums.frombytes(bytes(8 * grow))
-        if (_np is not None and fastpath.fastpath_enabled()
-                and len(self._keys) >= _BATCH_MIN):
+        if len(self._keys) >= _BATCH_MIN:
             self._extend_batch(size)
         else:
             self._extend_py(size)
         self.size = size
 
     def _extend_py(self, size: int) -> None:
-        """Scalar reference path: walk each key's stream independently."""
+        """Scalar small-set path: walk each key's stream independently."""
         counts = self._counts
         key_sums = self._key_sums
         check_sums = self._check_sums

@@ -21,16 +21,11 @@ import hashlib
 import struct
 from typing import Iterator
 
-try:  # optional vector backend for the batch entry points
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
+import numpy as _np
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 _PACK_Q = struct.Struct("<Q").pack
-_UNPACK_QQQQ = struct.Struct("<QQQQ").unpack
-_UNPACK_QQ_FROM = struct.Struct("<QQ").unpack_from
 
 
 def sha256(data: bytes) -> bytes:
@@ -159,16 +154,25 @@ class DerivedHasher:
         if blob is None:
             blob = self._make_blob(key)
         vals = self._unpack_blob(blob)
-        # base_pair() forces h2 odd, but bit 0 is shifted out by >> 7, so
-        # the raw word gives the identical checksum base.
+        # The reference derivation (ReferenceHasher.checksum) forces h2
+        # odd first, but bit 0 is shifted out by >> 7, so the raw word
+        # gives the identical checksum base.
         return vals[:self.k], vals[-2] ^ (vals[-1] >> 7)
 
     def _make_blob(self, key: int) -> bytes:
-        """Digest ``key`` into the cached blob (word digests + base pair)."""
+        """Digest ``key`` into the cached blob (word digests + base pair).
+
+        Index words are independent SHA-256 slices (four per digest, a
+        counter extending the stream for large ``k``) because deriving
+        position ``i`` as ``h1 + i*h2`` (fine for Bloom filters) would
+        make every IBLT edge an arithmetic progression, shrinking the
+        effective edge space quadratically and creating spurious
+        2-cores via birthday collisions.
+        """
         packed = _PACK_Q(key)
         if self.k <= 4:
-            # One digest covers up to four index words; slicing matches
-            # _words(key, k) exactly (counter 0, first k of four words).
+            # One digest covers up to four index words (counter 0,
+            # first k of the four).
             h = self._mid_words.copy()
             h.update(packed)
             words_blob = h.digest()
@@ -190,17 +194,13 @@ class DerivedHasher:
         return blob
 
     def batch_entries(self, keys):
-        """Vectorized :meth:`entry` over a key list (numpy backend).
+        """Vectorized :meth:`entry` over a key list.
 
         Returns ``(words, csums)`` -- a ``(len(keys), k)`` uint64 array of
         index words and a ``(len(keys),)`` uint64 array of unmasked
-        checksum bases -- or ``None`` when numpy is unavailable (callers
-        fall back to per-key :meth:`entry`).  Keys must already be masked
-        to 64 bits.  Misses are digested and cached exactly like
-        :meth:`entry` misses.
+        checksum bases.  Keys must already be masked to 64 bits.  Misses
+        are digested and cached exactly like :meth:`entry` misses.
         """
-        if _np is None:
-            return None
         # Whole-batch memo: a relay rebuilds I' from the identical key
         # list on every hop, so the concatenated blob repeats verbatim;
         # the tuple key is exact (no hashing shortcuts).
@@ -219,32 +219,6 @@ class DerivedHasher:
         arr = arr.reshape(len(keys), self._blob_words + 2)
         csums = arr[:, -2] ^ (arr[:, -1] >> _np.uint64(7))
         return arr[:, :self.k], csums
-
-    def base_pair(self, key: int) -> tuple[int, int]:
-        """Return the ``(h1, h2)`` base values for ``key``."""
-        digest = hashlib.sha256(self._prefix + struct.pack("<Q", key & _U64)).digest()
-        h1, h2 = struct.unpack("<QQ", digest[:16])
-        return h1, h2 | 1
-
-    def _words(self, key: int, need: int) -> list[int]:
-        """Return ``need`` independent 64-bit hash words for ``key``.
-
-        Each SHA-256 invocation yields four words; a counter extends the
-        stream for large ``k``.  Independence across positions matters
-        for IBLTs: deriving position ``i`` as ``h1 + i*h2`` (fine for
-        Bloom filters) would make every edge an arithmetic progression,
-        shrinking the effective edge space quadratically and creating
-        spurious 2-cores via birthday collisions.
-        """
-        words: list[int] = []
-        counter = 0
-        packed_key = struct.pack("<Q", key & _U64)
-        while len(words) < need:
-            digest = hashlib.sha256(
-                self._prefix + struct.pack("<I", counter) + packed_key).digest()
-            words.extend(struct.unpack("<QQQQ", digest))
-            counter += 1
-        return words[:need]
 
     def indices(self, key: int, modulus: int) -> list[int]:
         """Return ``k`` independent indices in ``[0, modulus)`` for ``key``."""

@@ -16,10 +16,6 @@ receive buffer fails here immediately.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro import codec
@@ -79,32 +75,6 @@ class TestCodecCopyOnRetain:
                                   GrapheneSenderEngine(sc.block).config)
         self._roundtrip(codec.encode_iblt, codec.decode_iblt,
                         codec.encode_iblt(payload.iblt_i))
-
-    def test_iblt_pure_python_path(self):
-        # The vectorized and pure decode paths manage cell storage
-        # differently; both must copy.  Run the pure path in a child
-        # interpreter where the fastpath is disabled from the start.
-        code = (
-            "import os; os.environ['REPRO_FASTPATH']='0'\n"
-            "from repro import codec\n"
-            "from repro.core.protocol1 import build_protocol1\n"
-            "from repro.core.params import GrapheneConfig\n"
-            "from repro.chain.scenarios import make_block_scenario\n"
-            "sc = make_block_scenario(n=60, extra=60, fraction=0.4, "
-            "seed=133)\n"
-            "p = build_protocol1(list(sc.block.txs), "
-            "len(sc.receiver_mempool), GrapheneConfig())\n"
-            "blob = codec.encode_iblt(p.iblt_i)\n"
-            "buf = bytearray(blob)\n"
-            "iblt, _ = codec.decode_iblt(memoryview(buf))\n"
-            "buf[:] = bytes(len(buf))\n"
-            "assert codec.encode_iblt(iblt) == blob, 'retained a view'\n"
-            "print('pure-path ok')\n")
-        env = dict(os.environ, PYTHONPATH="src")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert "pure-path ok" in out.stdout
 
     def test_transaction_and_tx_list(self):
         sc = _scenario()

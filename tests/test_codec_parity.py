@@ -1,14 +1,14 @@
-"""Hot-path round 2 safety net.
+"""Wire codec safety net: the live codec against the frozen oracle.
 
 Three batteries:
 
-* **Golden-vector byte parity** -- the vectorized (numpy) codec bodies
-  and the pure-Python reference loops must produce byte-identical wire
-  encodings and state-identical decodes, for structures spanning every
-  lossless IBLT cell width, the full-cell fallback, degenerate Bloom
-  filters, and complete Protocol 1/2 payloads.  The fuzz corpus replays
-  under the pure path too, so every artifact in ``tests/corpus/`` pins
-  both implementations.
+* **Oracle byte parity** -- :func:`repro.codec.encode_iblt` over the
+  columnar :class:`~repro.pds.iblt.IBLT` must produce the bytes the
+  independent per-cell encoder in :mod:`repro.pds.reference` produces
+  for the same keys, at every lossless cell width; the two full-cell
+  widths and one coded-symbol batch (which the reference encoder does
+  not cover) are pinned by digest; and every decode is a fixed point
+  (``encode(decode(b)) == b``, columns equal to the source).
 * **memoryview inputs** -- every ``decode_*`` entry point must accept a
   read-only ``memoryview`` (the zero-copy wire path hands engines
   views, never sliced copies) and decode exactly what it decodes from
@@ -19,8 +19,9 @@ Three batteries:
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -31,94 +32,132 @@ from repro.chain.transaction import TransactionGenerator
 from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1, receive_protocol1
 from repro.core.protocol2 import build_protocol2_request, respond_protocol2
-from repro.fastpath import fastpath_enabled, set_fastpath
-from repro.fuzz import replay_artifact
+from repro.core.protocol3 import SymbolBatch
+from repro.errors import ParameterError
 from repro.net.simulator import Link, Simulator
 from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
+from repro.pds.reference import (
+    ReferenceBloomFilter,
+    ReferenceIBLT,
+    encode_reference_bloom,
+    encode_reference_iblt,
+)
+from repro.pds.riblt import RIBLTEncoder
 
-CORPUS = Path(__file__).parent / "corpus"
-ARTIFACTS = sorted(CORPUS.glob("*.json"))
+LOSSLESS_WIDTHS = (12, 13, 14, 15, 16, 17, 18)
+#: Widths below/above the lossless window ship as full 18-byte cells.
+FULL_CELL_WIDTHS = (10, 20)
 
-
-@pytest.fixture
-def pure_python():
-    """Force the reference loops for the duration of a test."""
-    saved = fastpath_enabled()
-    set_fastpath(False)
-    yield
-    set_fastpath(saved)
-
-
-def both_paths(fn):
-    """Run ``fn`` under both implementations; return the two results."""
-    saved = fastpath_enabled()
-    try:
-        set_fastpath(True)
-        fast = fn()
-        set_fastpath(False)
-        pure = fn()
-    finally:
-        set_fastpath(saved)
-    return fast, pure
+#: SHA-256 of the wire bytes, recorded when the per-cell ``struct``
+#: bodies still existed and agreed with these byte for byte.
+PINNED_SHA256 = {
+    10: "3b4d511e56bfabab94ef3e11be720ba071e3bdefcf7bb0ad1b1bb5cc20cd394e",
+    20: "c2692ddc5cabdd170246c70b1b207b929d80051f53759b07c6b8d30bcc78e816",
+    "symbols":
+        "d071b9e82538469f321571c8396d887756bb5b5e9248ba5639cee66c7c196407",
+}
 
 
-def make_iblts() -> list[IBLT]:
-    """IBLTs covering every wire-cell shape.
+def make_iblts(table=IBLT) -> list:
+    """Tables of class ``table`` covering every wire-cell shape.
 
     One per lossless ``cell_bytes`` 12..18 (checksum widths 2..8), plus
     widths below/above the lossless window, which ship as full cells.
+    The key sequence does not depend on ``table``, so the live and the
+    reference structure hold the same set.
     """
     rng = random.Random(1234)
     tables = []
-    for cell_bytes in (12, 13, 14, 15, 16, 17, 18, 10, 20):
-        iblt = IBLT(24, k=4, seed=77, cell_bytes=cell_bytes)
+    for cell_bytes in LOSSLESS_WIDTHS + FULL_CELL_WIDTHS:
+        iblt = table(24, k=4, seed=77, cell_bytes=cell_bytes)
         for _ in range(17):
             iblt.insert(rng.getrandbits(64))
-        iblt.erase(rng.getrandbits(64))  # negative counts on the wire
+        iblt._apply(rng.getrandbits(64), -1)  # negative counts on the wire
         tables.append(iblt)
     return tables
 
 
-def make_blooms() -> list[BloomFilter]:
+def bloom_items() -> list[bytes]:
     rng = random.Random(99)
+    return [rng.getrandbits(256).to_bytes(32, "little") for _ in range(64)]
+
+
+def make_blooms() -> list[BloomFilter]:
     loaded = BloomFilter.from_fpr(64, 0.02, seed=5)
-    loaded.update(rng.getrandbits(256).to_bytes(32, "little")
-                  for _ in range(64))
+    loaded.update(bloom_items())
     degenerate = BloomFilter.from_fpr(10, 1.0, seed=5)
     empty = BloomFilter.from_fpr(32, 0.1, seed=0)
     return [loaded, degenerate, empty]
 
 
-class TestGoldenVectorParity:
-    """Vectorized and pure codec bodies agree byte for byte."""
+def make_symbol_batch() -> SymbolBatch:
+    """A mid-stream window over 40 keys, one count forced negative."""
+    rng = random.Random(4321)
+    counts, key_sums, check_sums = RIBLTEncoder(
+        [rng.getrandbits(64) for _ in range(40)], seed=77).window(3, 24)
+    counts[5] = -2
+    return SymbolBatch(start=3, counts=counts, key_sums=key_sums,
+                       check_sums=check_sums)
 
-    def test_iblt_wire_bytes_identical(self):
-        for iblt in make_iblts():
-            fast, pure = both_paths(lambda i=iblt: codec.encode_iblt(i))
-            assert fast == pure, (
-                f"cell_bytes={iblt.cell_bytes}: vectorized and pure "
-                "encodings differ")
 
-    def test_iblt_decode_state_identical(self):
+def test_the_switch_module_is_gone():
+    """One codec path: re-adding the selector must come with its tests."""
+    assert importlib.util.find_spec("repro.fastpath") is None
+
+
+class TestOracleParity:
+    """The live codec agrees with the frozen reference byte for byte."""
+
+    def test_iblt_wire_bytes_match_reference(self):
+        # The reference encoder has no full-cell form; widths 10 and 20
+        # are pinned by digest below instead.
+        for live, ref in zip(make_iblts(), make_iblts(ReferenceIBLT)):
+            if live.cell_bytes in LOSSLESS_WIDTHS:
+                assert codec.encode_iblt(live) == \
+                    encode_reference_iblt(ref), (
+                        f"cell_bytes={live.cell_bytes}: live and "
+                        "reference encodings differ")
+
+    def test_full_cell_and_symbol_wire_bytes_pinned(self):
+        blobs = {iblt.cell_bytes: codec.encode_iblt(iblt)
+                 for iblt in make_iblts()
+                 if iblt.cell_bytes in FULL_CELL_WIDTHS}
+        blobs["symbols"] = codec.encode_symbol_batch(make_symbol_batch())
+        assert {name: hashlib.sha256(blob).hexdigest()
+                for name, blob in blobs.items()} == PINNED_SHA256
+
+    def test_iblt_decode_is_fixed_point(self):
         for iblt in make_iblts():
             blob = codec.encode_iblt(iblt)
-            (fast, off_f), (pure, off_p) = both_paths(
-                lambda b=blob: codec.decode_iblt(b))
-            assert off_f == off_p == len(blob)
-            assert fast._counts == pure._counts
-            assert fast._key_sums == pure._key_sums
-            assert fast._check_sums == pure._check_sums
-            # And both re-encode to the original bytes (fixed point).
-            assert codec.encode_iblt(fast) == blob
-            assert codec.encode_iblt(pure) == blob
+            decoded, offset = codec.decode_iblt(blob)
+            assert offset == len(blob)
+            assert decoded._counts == iblt._counts
+            assert decoded._key_sums == iblt._key_sums
+            assert decoded._check_sums == iblt._check_sums
+            assert codec.encode_iblt(decoded) == blob
 
-    def test_bloom_wire_bytes_identical(self):
-        for bloom in make_blooms():
-            fast, pure = both_paths(lambda b=bloom: codec.encode_bloom(b))
-            assert fast == pure
+    def test_symbol_batch_decode_is_fixed_point(self):
+        batch = make_symbol_batch()
+        blob = codec.encode_symbol_batch(batch)
+        decoded, offset = codec.decode_symbol_batch(blob)
+        assert offset == len(blob) == batch.wire_size()
+        assert decoded.start == batch.start
+        assert decoded.counts == batch.counts
+        assert decoded.key_sums == batch.key_sums
+        assert decoded.check_sums == batch.check_sums
+        assert codec.encode_symbol_batch(decoded) == blob
 
-    def test_protocol_payloads_identical(self):
+    def test_bloom_wire_bytes_match_reference(self):
+        refs = [ReferenceBloomFilter.from_fpr(64, 0.02, seed=5),
+                ReferenceBloomFilter.from_fpr(10, 1.0, seed=5),
+                ReferenceBloomFilter.from_fpr(32, 0.1, seed=0)]
+        for item in bloom_items():
+            refs[0].insert(item)
+        for live, ref in zip(make_blooms(), refs):
+            assert codec.encode_bloom(live) == encode_reference_bloom(ref)
+
+    def test_protocol_payloads_are_fixed_points(self):
         config = GrapheneConfig()
         sc = make_block_scenario(n=120, extra=80, fraction=0.7, seed=75)
         payload = build_protocol1(sc.block.txs, sc.m, config)
@@ -128,34 +167,34 @@ class TestGoldenVectorParity:
         request, _ = build_protocol2_request(p1, payload, sc.m, config)
         response = respond_protocol2(request, sc.block.txs, sc.m, config)
 
-        for encode, obj in [
-            (codec.encode_protocol1_payload, payload),
-            (codec.encode_protocol2_request, request),
-            (codec.encode_protocol2_response, response),
+        for encode, decode, obj in [
+            (codec.encode_protocol1_payload,
+             codec.decode_protocol1_payload, payload),
+            (codec.encode_protocol2_request,
+             codec.decode_protocol2_request, request),
+            (codec.encode_protocol2_response,
+             codec.decode_protocol2_response, response),
         ]:
-            fast, pure = both_paths(lambda e=encode, o=obj: e(o))
-            assert fast == pure, f"{encode.__name__} differs between paths"
+            blob = encode(obj)
+            decoded, offset = decode(blob)
+            assert offset == len(blob)
+            assert encode(decoded) == blob, (
+                f"{encode.__name__} is not a fixed point of its decoder")
 
-    def test_i16_overflow_raises_on_both_paths(self):
-        from repro.errors import ParameterError
+    def test_i16_overflow_raises(self):
         iblt = IBLT(4, k=2, seed=0, cell_bytes=12)
         for _ in range(0x8000 // 2 + 1):
             iblt.xor_cell(0, 0, +2)  # drive one cell count past i16
-        for enabled in (True, False):
-            saved = fastpath_enabled()
-            try:
-                set_fastpath(enabled)
-                with pytest.raises(ParameterError):
-                    codec.encode_iblt(iblt)
-            finally:
-                set_fastpath(saved)
+        with pytest.raises(ParameterError):
+            codec.encode_iblt(iblt)
 
-
-@pytest.mark.parametrize("path", ARTIFACTS, ids=lambda p: p.stem)
-def test_corpus_replays_clean_on_pure_path(path, pure_python):
-    """Every fuzz artifact also stays green on the reference loops."""
-    failure = replay_artifact(path)
-    assert failure is None, f"corpus case regressed on pure path: {failure}"
+    def test_seed_outside_the_wire_field_raises(self):
+        """A masked seed would name another hash family to the receiver."""
+        for seed in (2 ** 32 + 7, -1):
+            with pytest.raises(ParameterError):
+                codec.encode_iblt(IBLT(4, k=2, seed=seed))
+        with pytest.raises(ParameterError):
+            codec.encode_bloom(BloomFilter(64, 3, seed=2 ** 32 + 7))
 
 
 class TestMemoryviewInputs:
@@ -212,15 +251,6 @@ class TestMemoryviewInputs:
                 codec.encode_bloom(from_bytes[0])
         elif name == "tx_list":
             assert from_view[0] == from_bytes[0]
-
-    @pytest.mark.parametrize("name", [
-        "bloom", "iblt", "block_header", "transaction", "tx_list",
-        "p1", "p2_request", "p2_response",
-    ])
-    def test_decode_from_memoryview_pure_path(self, wire, name,
-                                              pure_python):
-        decoder, blob = wire[name]
-        assert repr(decoder(memoryview(blob))) == repr(decoder(blob))
 
 
 class TestSimulatorPendingCounter:

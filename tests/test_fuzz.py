@@ -15,7 +15,7 @@ from repro.fuzz import (
     shrink,
     write_artifact,
 )
-from repro.fuzz.engines import Engine, numpy_disabled
+from repro.fuzz.engines import Engine
 from repro.fuzz.gen import MUTATION_OPS, mutate, rng_from
 from repro.fuzz.runner import _wrap_check
 
@@ -157,20 +157,3 @@ class TestRunner:
         monkeypatch.undo()
         for path in stats.artifacts:
             assert replay_artifact(path) is None  # fixed again -> clean
-
-
-class TestPDSHarness:
-    def test_numpy_disabled_restores_backends(self):
-        import repro.pds.bloom as bloom_mod
-        import repro.pds.iblt as iblt_mod
-        before = bloom_mod._np, iblt_mod._np
-        with numpy_disabled():
-            assert bloom_mod._np is None and iblt_mod._np is None
-        assert (bloom_mod._np, iblt_mod._np) == before
-
-    def test_pds_engine_covers_fallback(self):
-        # A no-numpy case runs both backends in one check.
-        engine = ENGINES["pds"]
-        params = engine.draw(rng_from("x", 0))
-        params["numpy"] = False
-        assert engine.check(params) is None

@@ -275,37 +275,29 @@ class TestPropertyBased:
 
 class TestDegenerateTables:
     """0-cell and all-zero tables fail *cleanly* (never raise or return
-    a silently-complete decode), on both the numpy and pure paths."""
+    a silently-complete decode)."""
 
-    @pytest.fixture(params=[True, False], ids=["fast", "pure"])
-    def _fastpath(self, request):
-        from repro.fastpath import fastpath_enabled, set_fastpath
-        saved = fastpath_enabled()
-        set_fastpath(request.param)
-        yield
-        set_fastpath(saved)
-
-    def test_zero_cells_constructs(self, _fastpath):
+    def test_zero_cells_constructs(self):
         iblt = IBLT(0)
         assert iblt.cells == 0
         assert iblt.is_empty()
 
-    def test_zero_cells_decode_is_clean_failure(self, _fastpath):
+    def test_zero_cells_decode_is_clean_failure(self):
         decode = IBLT(0).decode()
         assert not decode.complete
         assert decode.local == frozenset() and decode.remote == frozenset()
 
-    def test_zero_cells_subtract_then_decode(self, _fastpath):
+    def test_zero_cells_subtract_then_decode(self):
         diff = IBLT(0).subtract(IBLT(0))
         assert not diff.decode().complete
 
-    def test_zero_cells_rejects_keys(self, _fastpath):
+    def test_zero_cells_rejects_keys(self):
         with pytest.raises(ParameterError):
             IBLT(0).insert(1)
         with pytest.raises(ParameterError):
             IBLT(0).update(_keys(64))
 
-    def test_all_zero_nonempty_expectation_protocol1(self, _fastpath):
+    def test_all_zero_nonempty_expectation_protocol1(self):
         """A subtracted IBLT that is all-zero while transactions are
         provably in flight must report decode failure, not an empty
         'complete' difference (the replayed-I' attack)."""

@@ -134,6 +134,22 @@ class TestGrapheneConfig:
         params = config.table().params_for(10)
         assert config.iblt_bytes(params) == 12 + params.cells * 12
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 7])
+    def test_seed_must_fit_the_wire_field(self, seed):
+        # The receiver rebuilds S/I'/J' from the u32 seed in the wire
+        # header; a wider seed used to be masked there and every relay
+        # under it silently fell through to the full block.
+        with pytest.raises(ParameterError):
+            GrapheneConfig(seed=seed)
+
+    def test_largest_seed_relays(self):
+        from repro.chain.scenarios import make_block_scenario
+        from repro.core.session import BlockRelaySession
+        sc = make_block_scenario(n=500, extra=500, fraction=1.0, seed=3)
+        result = BlockRelaySession(GrapheneConfig(seed=2 ** 32 - 1)).relay(
+            sc.block, sc.receiver_mempool)
+        assert result.success and result.protocol_used == 1
+
 
 class TestCandidateSweep:
     def test_small_region_exhaustive(self, config):

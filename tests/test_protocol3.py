@@ -94,24 +94,6 @@ class TestLoopbackRelay:
         out = _relay(sc)
         assert out.success and out.roundtrips == 1.5
 
-    def test_pure_python_byte_parity(self):
-        """The pure-Python paths relay the same bytes as numpy's."""
-        from repro.fastpath import fastpath_enabled, set_fastpath
-
-        sc = make_block_scenario(n=150, extra=100, fraction=0.97, seed=13)
-        fast = _relay(sc)
-        saved = fastpath_enabled()
-        set_fastpath(False)
-        try:
-            sc2 = make_block_scenario(n=150, extra=100, fraction=0.97,
-                                      seed=13)
-            pure = _relay(sc2)
-        finally:
-            set_fastpath(saved)
-        assert fast.success and pure.success
-        assert json.dumps(fast.cost.as_dict(), sort_keys=True) \
-            == json.dumps(pure.cost.as_dict(), sort_keys=True)
-
     def test_mempool_mode_sync(self):
         sc = make_sync_scenario(300, 0.9, seed=3)
         sender = GrapheneSenderEngine(txs=sc.sender_mempool.transactions(),

@@ -1,19 +1,20 @@
-"""Rateless IBLT: stream determinism, incremental peeling, fastpath parity."""
+"""Rateless IBLT: stream determinism, incremental peeling, oracle parity."""
 
 import random
 
 import pytest
 
 from repro.errors import MalformedIBLTError, ParameterError
-from repro.fastpath import set_fastpath
-from repro.pds import riblt as riblt_mod
 from repro.pds.riblt import (
     RIBLTDecoder,
     RIBLTEncoder,
     SYMBOL_BYTES,
+    _initial_state,
+    _next_index,
     reconcile,
     symbol_stream_bytes,
 )
+from repro.utils.hashing import DerivedHasher
 
 
 def _keys(count, seed, lo=1, hi=2**60):
@@ -24,15 +25,24 @@ def _keys(count, seed, lo=1, hi=2**60):
     return out
 
 
-@pytest.fixture(params=["fast", "pure"])
-def fastpath_mode(request):
-    set_fastpath(request.param == "fast")
-    yield request.param
-    set_fastpath(True)
+def _brute_force_stream(keys, seed, size):
+    """Each key's symbols accumulated one at a time, the way the decoder
+    peels them: no batching, no shared encoder state."""
+    hasher = DerivedHasher(1, seed)
+    counts, key_sums, check_sums = [0] * size, [0] * size, [0] * size
+    for key in keys:
+        state, csum = _initial_state(hasher, key)
+        idx = 0
+        while idx < size:
+            counts[idx] += 1
+            key_sums[idx] ^= key
+            check_sums[idx] ^= csum
+            state, idx = _next_index(state, idx)
+    return counts, key_sums, check_sums
 
 
 class TestEncoder:
-    def test_stream_is_deterministic(self, fastpath_mode):
+    def test_stream_is_deterministic(self):
         keys = _keys(100, seed=1)
         a = RIBLTEncoder(keys, seed=7)
         b = RIBLTEncoder(keys, seed=7)
@@ -42,7 +52,7 @@ class TestEncoder:
         assert a._key_sums == b._key_sums
         assert a._check_sums == b._check_sums
 
-    def test_extension_order_does_not_matter(self, fastpath_mode):
+    def test_extension_order_does_not_matter(self):
         keys = _keys(64, seed=2)
         whole = RIBLTEncoder(keys, seed=3)
         whole.extend(200)
@@ -53,31 +63,18 @@ class TestEncoder:
         assert whole._key_sums == stepped._key_sums
         assert whole._check_sums == stepped._check_sums
 
-    def test_fast_and_pure_paths_agree(self):
-        keys = _keys(200, seed=4)
-        set_fastpath(True)
-        fast = RIBLTEncoder(keys, seed=5)
-        fast.extend(300)
-        set_fastpath(False)
-        try:
-            pure = RIBLTEncoder(keys, seed=5)
-            pure.extend(300)
-        finally:
-            set_fastpath(True)
-        assert fast._counts == pure._counts
-        assert fast._key_sums == pure._key_sums
-        assert fast._check_sums == pure._check_sums
-
-    def test_numpy_disabled_matches(self, monkeypatch):
-        keys = _keys(150, seed=6)
-        with_np = RIBLTEncoder(keys, seed=8)
-        with_np.extend(128)
-        monkeypatch.setattr(riblt_mod, "_np", None)
-        without = RIBLTEncoder(keys, seed=8)
-        without.extend(128)
-        assert with_np._counts == without._counts
-        assert with_np._key_sums == without._key_sums
-        assert with_np._check_sums == without._check_sums
+    @pytest.mark.parametrize("n_keys", [31, 32, 33, 200])
+    def test_columns_match_brute_force_oracle(self, n_keys):
+        # 31/32/33 straddle _BATCH_MIN: the scalar loop and the numpy
+        # lockstep loop must both equal the key-at-a-time accumulation.
+        keys = _keys(n_keys, seed=4)
+        enc = RIBLTEncoder(keys, seed=5)
+        enc.extend(100)   # grown in two steps, so the second extend
+        enc.extend(300)   # resumes every key mid-stream
+        counts, key_sums, check_sums = _brute_force_stream(keys, 5, 300)
+        assert list(enc._counts) == counts
+        assert list(enc._key_sums) == key_sums
+        assert list(enc._check_sums) == check_sums
 
     def test_every_key_hits_symbol_zero(self):
         keys = _keys(80, seed=9)
@@ -112,7 +109,7 @@ class TestEncoder:
         with pytest.raises(ParameterError):
             enc.window(0, -4)
 
-    def test_empty_key_set(self, fastpath_mode):
+    def test_empty_key_set(self):
         enc = RIBLTEncoder([], seed=0)
         counts, key_sums, check_sums = enc.window(0, 8)
         assert not any(counts) and not any(key_sums)
@@ -123,8 +120,7 @@ class TestDecoder:
     @pytest.mark.parametrize("d_local,d_remote", [
         (0, 0), (1, 0), (0, 1), (3, 2), (10, 10), (40, 25),
     ])
-    def test_reconciles_without_estimate(self, d_local, d_remote,
-                                         fastpath_mode):
+    def test_reconciles_without_estimate(self, d_local, d_remote):
         shared = _keys(300, seed=20)
         sender_only = _keys(d_local, seed=21, lo=2**60, hi=2**61)
         receiver_only = _keys(d_remote, seed=22, lo=2**61, hi=2**62)
@@ -141,7 +137,7 @@ class TestDecoder:
         assert used == 4
         assert decoder.local == decoder.remote == set()
 
-    def test_incremental_matches_batch(self, fastpath_mode):
+    def test_incremental_matches_batch(self):
         sender = _keys(120, seed=26)
         receiver = set(list(sender)[:100]) | _keys(15, seed=27,
                                                    lo=2**61, hi=2**62)
