@@ -78,8 +78,15 @@ profile-relay:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
+# PR 14 (the keyed-mixing hash family) deselects exactly one node: that
+# test relies on scenario seed (2 << 20) + 710 tripping the *SHA-256*
+# replay family, and nothing under benchmarks/e2e/ may change in a PR
+# that claims a gain.  The property itself is forced, family-free, in
+# tests/test_e2e_replay.py; the next benchmark PR re-pins or replaces
+# the e2e test and drops this deselect (ROADMAP).
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q
+	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q \
+		--deselect benchmarks/e2e/test_e2e_smoke.py::test_replay_survives_a_key_peeled_twice
 
 ci: test perf-check perf-relay perf-net perf-p3 report-check smoke-socket \
 	smoke-mesh fuzz-smoke docs-check bench-smoke

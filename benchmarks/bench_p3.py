@@ -17,9 +17,14 @@ stream, no difference estimate) against:
 The acceptance bound this suite enforces (and ``BENCH_P3.json`` pins
 in CI via ``scripts/check_perf.py --suite p3``): across the Fig. 14
 grid, Protocol 3's total bytes stay within ``RATIO_BOUND`` (2.5x) of
-the oracle-sized Protocol 1 relay, and the rateless path never falls
-back -- ``protocol_used == 3`` and ``success`` on every trial, relay
-and mempool sync alike.
+the oracle-sized Protocol 1 relay, and the rateless relay never falls
+back (``protocol_used == 3`` and ``success`` on every trial).  A
+mempool sync may *give up*: at a difference in the thousands a 16-bit
+checksum passes a false pure cell about once in fifteen streams, the
+key peels twice and the decoder rejects the stream (paper 6.1).  That
+is counted per row (``p3_gave_up``) and bounded by ``GAVE_UP_BOUND``
+(which carries the measurement), not asserted away -- which trials
+trip it is a draw of the hash family.
 
 Every number here is deterministic byte accounting under fixed seeds
 (no wall clock), so the committed baseline compares exactly across
@@ -57,6 +62,13 @@ SEED = 314
 #: repair the same scenario difference, so the per-delta ratio is the
 #: total-bytes ratio.)
 RATIO_BOUND = 2.5
+
+#: Rateless mempool syncs allowed to give up, per Fig. 18 cell (of
+#: ``TRIALS``).  Measured at the worst cell (n = 2000, 20 % in common,
+#: scenario seeds 9000..9059): 3 of 60, and 6 of 60 under the SHA-256
+#: family of protocol version 1 -- so two of three in one row is a
+#: regression, one is a draw.
+GAVE_UP_BOUND = 1
 
 
 def _oracle_p1_bytes(scenario, outcome, config, table) -> tuple:
@@ -126,6 +138,7 @@ def bench_sync_cell(n: int, fraction: float, trials: int = TRIALS,
     classic = GrapheneConfig()
     rateless = GrapheneConfig(protocol=3)
     agg = {"p1_bytes": 0, "p3_bytes": 0, "p3_riblt_bytes": 0}
+    gave_up = 0
     for t in range(trials):
         case_seed = seed + 2221 * t + n + int(fraction * 10)
         scenario = make_sync_scenario(n, fraction, seed=case_seed)
@@ -138,16 +151,25 @@ def bench_sync_cell(n: int, fraction: float, trials: int = TRIALS,
         p3 = synchronize_mempools(scenario.sender_mempool,
                                   scenario.receiver_mempool, rateless,
                                   transfer_missing=False)
-        assert p3.success and p3.protocol_used == 3, (
+        if not p3.success:
+            gave_up += 1
+            continue
+        assert p3.protocol_used == 3, (
             f"rateless sync fell back at n={n} fraction={fraction} "
             f"trial={t}: used protocol {p3.protocol_used}")
         agg["p1_bytes"] += p1.cost.total()
         agg["p3_bytes"] += p3.cost.total()
         agg["p3_riblt_bytes"] += p3.cost.riblt
     row = {"case": f"sync_n{n}_f{fraction:g}", "kind": "sync",
-           "n": n, "fraction_common": fraction, "trials": trials}
-    row.update({key: round(value / trials, 2) for key, value in agg.items()})
-    row["ratio_vs_classic"] = round(row["p3_bytes"] / row["p1_bytes"], 4)
+           "n": n, "fraction_common": fraction, "trials": trials,
+           "p3_gave_up": gave_up}
+    # Bytes are averaged over the trials both encodings completed, so
+    # the ratio compares like with like.
+    completed = max(1, trials - gave_up)
+    row.update({key: round(value / completed, 2)
+                for key, value in agg.items()})
+    row["ratio_vs_classic"] = round(
+        row["p3_bytes"] / row["p1_bytes"], 4) if row["p1_bytes"] else 0.0
     return row
 
 
@@ -169,6 +191,11 @@ def check_bounds(rows: list) -> list:
                 f"{row['case']}: P3 at {row['p3_bytes']} bytes is "
                 f"x{row['ratio_vs_oracle']} the oracle-sized P1 "
                 f"({row['oracle_bytes']} bytes), bound is {RATIO_BOUND}")
+        if row["kind"] == "sync" and row["p3_gave_up"] > GAVE_UP_BOUND:
+            problems.append(
+                f"{row['case']}: rateless sync gave up on "
+                f"{row['p3_gave_up']} of {row['trials']} trials, bound "
+                f"is {GAVE_UP_BOUND}")
     return problems
 
 

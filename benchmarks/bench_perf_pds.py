@@ -1,7 +1,7 @@
 """PDS hot-path before/after microbenchmarks (BENCH_PDS trajectory).
 
 Runs the :mod:`perf_pds` suite -- columnar/batch structures vs the
-frozen seed implementations in :mod:`repro.pds.reference` -- and records
+scalar reference implementations in :mod:`repro.pds.reference` -- and records
 the rows twice: ``benchmarks/results/perf_pds.json`` like every other
 bench, and a top-level ``BENCH_PDS.json`` that ``scripts/check_perf.py``
 uses as the committed regression baseline.
@@ -25,7 +25,7 @@ def test_perf_pds_suite(benchmark, record_rows):
     record_rows("perf_pds", rows)
     BENCH_PDS_PATH.write_text(json.dumps(
         {"units": "seconds",
-         "note": ("seed_s times the frozen repro.pds.reference "
+         "note": ("seed_s times the scalar repro.pds.reference "
                   "implementations, columnar_s the live structures, "
                   "in one process on one machine"),
          "cases": rows}, indent=1) + "\n")

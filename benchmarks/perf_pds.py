@@ -1,9 +1,9 @@
 """PDS hot-path microbenchmark suite (the BENCH_PDS trajectory).
 
 Times the columnar/batch-first structures of :mod:`repro.pds` against
-the frozen seed implementations in :mod:`repro.pds.reference`, in the
-same process on the same machine, so the before/after speedups recorded
-in ``BENCH_PDS.json`` are honest anywhere they are re-run.
+the scalar reference implementations in :mod:`repro.pds.reference`, in
+the same process on the same machine, so the speedups recorded in
+``BENCH_PDS.json`` are honest anywhere they are re-run.
 
 Cases (per n in 200 / 2 000 / 10 000):
 
@@ -18,9 +18,9 @@ plus one end-to-end ``protocol1_session`` at n = 2 000: sender builds
 S + I for a block, receiver sweeps an (n + 10%) mempool through S,
 builds I', subtracts and decodes -- the paper's common relay case.
 
-Every repetition draws fresh keys so the :class:`DerivedHasher` cache is
-cold where a real session's would be: speedups reflect first-touch work,
-not replayed cache hits across repetitions.
+Every repetition draws fresh keys, so the whole-batch memos (Bloom index
+matrix, folded IBLT columns) miss where a real session's would:
+speedups reflect first-touch work, not hits replayed across repetitions.
 """
 
 from __future__ import annotations
@@ -191,7 +191,6 @@ def bench_bloom_probe(n: int, rng: random.Random) -> tuple[float, float]:
         seed = rng.getrandbits(30) | 1
         bloom = BloomFilter.from_fpr(n, 0.001, seed=seed)
         bloom.update(items)
-        bloom._index_cache.clear()  # cold probes, like a fresh receiver
         ref = ReferenceBloomFilter.from_fpr(n, 0.001, seed=seed)
         for item in items:
             ref.insert(item)

@@ -146,7 +146,7 @@ def run_pds(args: argparse.Namespace) -> int:
         PDS_BASELINE_PATH.write_text(json.dumps(
             {"units": "seconds",
              "machine": machine_stanza(),
-             "note": ("seed_s times the frozen repro.pds.reference "
+             "note": ("seed_s times the scalar repro.pds.reference "
                       "implementations, columnar_s the live structures, "
                       "in one process on one machine"),
              "cases": rows}, indent=1) + "\n")

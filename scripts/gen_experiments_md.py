@@ -356,7 +356,7 @@ def perf_notes() -> str:
         e2e = by_key.get(("protocol1_session", 2000))
         if bd and e2e:
             parts.append(
-                f"- **Columnar/batch PDS layer vs frozen seed "
+                f"- **Columnar/batch PDS layer vs scalar reference "
                 f"implementations** (same process, same machine): "
                 f"{bd:.1f}x on IBLT build+decode and {e2e:.1f}x on an "
                 f"end-to-end Protocol 1 session at n=2000.  Full table: "

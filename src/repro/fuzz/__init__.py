@@ -4,7 +4,7 @@ Three engines hammer the layers most prone to silent drift:
 
 * ``codec`` -- wire round-trips, behaviour parity of decoded
   structures, hostile-input robustness (mutations and truncations);
-* ``pds`` -- columnar Bloom/IBLT batch paths against the frozen
+* ``pds`` -- columnar Bloom/IBLT batch paths against the scalar
   references and their own scalar paths;
 * ``relay`` -- random lossy topologies with fault injection through
   the real node stack, asserting convergence-or-clean-abandon and the

@@ -11,7 +11,7 @@ deterministic test case and checks a battery of invariants:
   :class:`~repro.errors.ReproError` rather than mis-parse, overrun the
   buffer, or crash with a non-protocol exception.
 * :class:`PDSEngine` -- the columnar :class:`~repro.pds.iblt.IBLT` and
-  :class:`~repro.pds.bloom.BloomFilter` against the frozen references in
+  :class:`~repro.pds.bloom.BloomFilter` against the scalar references in
   :mod:`repro.pds.reference` and against their own scalar paths
   (``update`` vs repeated ``insert``, ``contains_many`` vs
   ``__contains__``), on both sides of the ``_BATCH_MIN`` threshold.
@@ -720,7 +720,7 @@ class CodecEngine(Engine):
 # ---------------------------------------------------------------------------
 
 class PDSEngine(Engine):
-    """Columnar PDS vs frozen reference vs its own scalar paths."""
+    """Columnar PDS vs scalar reference vs its own scalar paths."""
 
     name = "pds"
     cost = 2
@@ -835,7 +835,7 @@ class PDSEngine(Engine):
         ref.update(shared + only_a)
         if encode_iblt(batch) != encode_reference_iblt(ref):
             return self.fail("iblt-vs-reference",
-                             "wire bytes differ from the frozen seed "
+                             "wire bytes differ from the scalar reference "
                              "implementation", params)
 
         other = IBLT(cells, **shape)
@@ -896,7 +896,7 @@ class PDSEngine(Engine):
                              f"reference ({ref.nbits}, {ref.k})", params)
         if encode_bloom(batch) != encode_reference_bloom(ref):
             return self.fail("bloom-vs-reference",
-                             "wire bytes differ from the frozen seed "
+                             "wire bytes differ from the scalar reference "
                              "implementation", params)
         if [p in batch for p in probes] != [p in ref for p in probes]:
             return self.fail("bloom-membership-vs-reference",

@@ -38,7 +38,10 @@ from repro.errors import ProtocolFailure
 from repro.utils.serialization import compact_size, read_compact_size
 
 #: Version spoken by this peer stack; a mismatch fails the handshake.
-PROTOCOL_VERSION = 1
+#: 2: the keyed-mixing hash family (PROTOCOL.md 1.1/1.2).  A version-1
+#: peer places every key in different cells and bits, so every decode
+#: against it would fail silently into a full-block fetch.
+PROTOCOL_VERSION = 2
 
 #: Merkle roots are 32 bytes on the wire, prefixed to engine messages.
 ROOT_BYTES = 32

@@ -12,13 +12,28 @@ equations use:
   where Graphene has an FPR of 1 is equivalent to not sending a Bloom
   filter at all").
 
-Items are inserted by slicing their digest into ``k`` index words
-(hash-splitting, section 6.3) rather than rehashing ``k`` times.
+An unseeded filter inserts an item by slicing its digest into ``k``
+index words (hash-splitting, section 6.3).  A seeded filter -- every
+filter the protocols build, so that S, R and F make independent
+mistakes -- never re-hashes either: it absorbs the four 64-bit words of
+the digest through the keyed mixer (:func:`repro.utils.hashing.mix64`,
+starting from the seed's salt) and derives the ``k`` indices from the
+two 32-bit halves of the result by Kirsch-Mitzenmacher double hashing.
+
+Two properties of that derivation are load-bearing:
+
+* **The whole ID is absorbed, not only the short ID.**  Graphene's
+  answer to a manufactured 8-byte short-ID collision (section 6.1) is
+  that S and R hold *full* IDs, so the colliding pair still has to get
+  past both filters by luck, ``f_S * f_R``.  Mixing only the first 8
+  bytes would send both transactions to the same bits and lose that.
+* **The salt goes through the mixer.**  XORed onto finished words it
+  would, for a power-of-two ``nbits``, merely permute bit positions,
+  and two seeds would make identical mistakes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from typing import Iterable
@@ -26,45 +41,35 @@ from typing import Iterable
 import numpy as _np
 
 from repro.errors import ParameterError
-from repro.utils.hashing import sha256, split_digest
+from repro.utils.hashing import (
+    family_salts, mix64, mix64_array, sha256, split_digest)
 
 _LN2 = math.log(2.0)
 _LN2_SQ = _LN2 * _LN2
 
 _UNPACK_8I = struct.Struct("<8I").unpack
+_UNPACK_4Q = struct.Struct("<4Q").unpack
 
+_U32 = 0xFFFFFFFF
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-#: Below this many items the scalar loop beats numpy's fixed call overhead.
-_BATCH_MIN = 32
+#: Domain tag of the seeded filter's salt (see ``family_salts``).
+_SALT_TAG = b"graphene/bloom"
 
-#: Seeded-digest cache shared across *all* filter instances, keyed
-#: ``(seed, item)``.  The protocols rebuild filters with the same
-#: derived seed for every relay of the same block (S, R, F use fixed
-#: seed offsets), so the SHA-256 over each txid repeats across filters;
-#: a digest depends only on ``(seed, item)``, making cross-instance
-#: sharing deterministic.  Bounded: oldest half evicted at the cap.
-_DIGEST_CACHE: dict = {}
-_DIGEST_CACHE_CAP = 1 << 17
+#: Below this many items the scalar loop beats numpy's fixed call overhead
+#: (measured, seeded probe of never-seen items: 34 vs 36 us at 10 items,
+#: 41 vs 40 at 12, 103 vs 38 at 31; a memo hit costs 3-6 us at any size).
+_BATCH_MIN = 12
 
-
-def _remember_digest(key: tuple, digest: bytes) -> bytes:
-    if len(_DIGEST_CACHE) >= _DIGEST_CACHE_CAP:
-        for stale in list(_DIGEST_CACHE)[:_DIGEST_CACHE_CAP // 2]:
-            del _DIGEST_CACHE[stale]
-    _DIGEST_CACHE[key] = digest
-    return digest
-
-
-#: Whole-batch digest-blob cache for :meth:`BloomFilter._batch_indices`,
-#: keyed ``(seed, item_count, sha256(joined items))``.  A relay sweeps
-#: the *same* mempool txid list through a filter of the same seed on
-#: every block, so the concatenated per-item digest blob repeats batch
-#: for batch; one join plus one SHA-256 replaces the per-item cache
-#: loop.  Only fixed-width (32-byte) items use it -- with the count in
-#: the key the concatenation is then unambiguous.
-_BLOB_CACHE: dict = {}
-_BLOB_CACHE_CAP = 256
+#: Finished ``(len(items), k)`` bit-index matrices of seeded whole-batch
+#: sweeps, keyed ``(seed, nbits, k, tuple(items))``.  A relay sweeps the
+#: *same* mempool txid list through a filter of the same geometry for
+#: every peer that announces the block, so the matrix repeats batch for
+#: batch.  The key is the exact item tuple (no digest, no joined bytes),
+#: so two lists can never answer for each other.  Bounded; oldest half
+#: evicted at the cap.
+_INDEX_MEMO: dict = {}
+_INDEX_MEMO_CAP = 64
 
 
 def bloom_size_bits(n: int, f: float) -> int:
@@ -106,10 +111,7 @@ class BloomFilter:
     """
 
     __slots__ = ("nbits", "k", "seed", "count", "_bits", "_target_fpr",
-                 "_seed_prefix", "_seed_mid", "_index_cache")
-
-    #: Bound on the per-filter item -> bit-index cache (see ``_indices``).
-    CACHE_CAP = 1 << 16
+                 "_salt")
 
     def __init__(self, nbits: int, k: int, seed: int = 0):
         if nbits < 0:
@@ -122,11 +124,8 @@ class BloomFilter:
         self.count = 0
         self._bits = bytearray((nbits + 7) // 8)
         self._target_fpr = 1.0
-        self._seed_prefix = seed.to_bytes(8, "little") if seed else b""
-        # Midstate with the seed prefix absorbed: each digest copies it
-        # and feeds only the item bytes.
-        self._seed_mid = hashlib.sha256(self._seed_prefix) if seed else None
-        self._index_cache: dict = {}
+        #: Salt of the seeded family; unseeded filters split the digest.
+        self._salt = family_salts(_SALT_TAG, seed, 1)[0] if seed else None
 
     @classmethod
     def from_fpr(cls, n: int, fpr: float, seed: int = 0) -> "BloomFilter":
@@ -160,87 +159,66 @@ class BloomFilter:
         """The FPR this filter was sized for (1.0 when degenerate)."""
         return self._target_fpr
 
-    def _digest(self, item: bytes) -> bytes:
+    def _indices(self, item: bytes) -> list:
+        """Return the ``k`` bit indices for ``item``."""
+        k, nbits = self.k, self.nbits
         if self.seed:
-            key = (self.seed, item)
-            digest = _DIGEST_CACHE.get(key)
-            if digest is None:
-                h = self._seed_mid.copy()
-                h.update(item)
-                digest = _remember_digest(key, h.digest())
-            return digest
+            if len(item) != 32:
+                item = sha256(item)
+            mixed = self._salt
+            for word in _UNPACK_4Q(item):
+                mixed = mix64(mixed ^ word)
+            lo, hi = mixed & _U32, mixed >> 32 | 1
+            return [((lo + j * hi) & _U32) % nbits for j in range(k)]
         # Transaction IDs are already cryptographic hashes; reuse them
         # directly (hash-splitting, paper 6.3) when no reseeding is needed.
-        return item if len(item) >= 32 else sha256(item)
+        digest = item if len(item) >= 32 else sha256(item)
+        if k <= 8 and len(digest) == 32:
+            # Inline hash splitting: identical to split_digest for a
+            # 32-byte digest and k direct words, minus the generator.
+            return [w % nbits for w in _UNPACK_8I(digest)[:k]]
+        return list(split_digest(digest, k, nbits))
 
-    def _indices(self, item: bytes) -> tuple:
-        """Return the ``k`` bit indices for ``item``, cached per filter.
-
-        The protocols probe and insert the same txid against one filter
-        within a session (e.g. partitioning a block through R, then
-        building F over the hits); the cache makes the second touch free.
-        """
-        cache = self._index_cache
-        idx = cache.get(item)
-        if idx is None:
-            digest = self._digest(item)
-            k, nbits = self.k, self.nbits
-            if k <= 8 and len(digest) == 32:
-                # Inline hash splitting: identical to split_digest for a
-                # 32-byte digest and k direct words, minus the generator.
-                idx = tuple(w % nbits for w in _UNPACK_8I(digest)[:k])
-            else:
-                idx = tuple(split_digest(digest, k, nbits))
-            if len(cache) >= self.CACHE_CAP:
-                for stale in list(cache)[:self.CACHE_CAP // 2]:
-                    del cache[stale]
-            cache[item] = idx
-        return idx
-
-    def _batch_indices(self, items: list):
-        """Return the ``(len(items), k)`` bit-index matrix, vectorized.
+    def _batch_cells(self, items: list):
+        """Return ``(byte_index, bit_mask)`` matrices, ``(len(items), k)``.
 
         Returns ``None`` for unseeded items that are not all 32-byte
         digests (they have no fixed-width word matrix); callers then
-        take the scalar loop.  Index values match :meth:`_indices`
-        exactly: the digests and the hash-splitting arithmetic are the
-        same, only computed column-wise.
+        take the scalar loop.  Bit positions match :meth:`_indices`
+        exactly: the same arithmetic, only computed column-wise.
         """
-        if self.seed:
-            seed = self.seed
-            joined = b"".join(items)
-            blob_key = None
-            if len(joined) == 32 * len(items):
-                blob_key = (seed, len(items),
-                            hashlib.sha256(joined).digest())
-                blob = _BLOB_CACHE.get(blob_key)
-                if blob is not None:
-                    words = _np.frombuffer(blob, dtype="<u4")
-                    return self._split_words(words.reshape(len(items), 8))
-            mid = self._seed_mid
-            cache = _DIGEST_CACHE
-            digests = []
-            append = digests.append
-            for item in items:
-                key = (seed, item)
-                digest = cache.get(key)
-                if digest is None:
-                    h = mid.copy()
-                    h.update(item)
-                    digest = _remember_digest(key, h.digest())
-                append(digest)
-            blob = b"".join(digests)
-            if blob_key is not None:
-                if len(_BLOB_CACHE) >= _BLOB_CACHE_CAP:
-                    for stale in list(_BLOB_CACHE)[:_BLOB_CACHE_CAP // 2]:
-                        del _BLOB_CACHE[stale]
-                _BLOB_CACHE[blob_key] = blob
-        else:
+        if not self.seed:
             if any(len(item) != 32 for item in items):
                 return None
-            blob = b"".join(items)
-        words = _np.frombuffer(blob, dtype="<u4").reshape(len(items), 8)
-        return self._split_words(words)
+            words = _np.frombuffer(b"".join(items), dtype="<u4")
+            return _cells(self._split_words(words.reshape(len(items), 8)))
+        memo_key = (self.seed, self.nbits, self.k, tuple(items))
+        cells = _INDEX_MEMO.get(memo_key)
+        if cells is None:
+            joined = b"".join(items)
+            # Sum and maximum together establish that *every* item is
+            # 32 bytes; only then is the join a word matrix.
+            if (len(joined) != 32 * len(items)
+                    or max(map(len, items)) != 32):
+                joined = b"".join([item if len(item) == 32 else sha256(item)
+                                   for item in items])
+            words = _np.frombuffer(joined, dtype="<u8").reshape(-1, 4)
+            mixed = mix64_array(words[:, 0] ^ _np.uint64(self._salt))
+            for j in (1, 2, 3):
+                mixed = mix64_array(mixed ^ words[:, j])
+            lo = mixed.astype(_np.uint32)
+            hi = (mixed >> _np.uint64(32)).astype(_np.uint32) | _np.uint32(1)
+            # u32 arithmetic wraps mod 2^32, the scalar path's ``& _U32``.
+            steps = _np.multiply.outer(
+                hi, _np.arange(self.k, dtype=_np.uint32))
+            steps += lo[:, None]
+            steps %= _np.uint32(self.nbits)
+            cells = _cells(steps.astype(_np.intp))
+            if len(_INDEX_MEMO) >= _INDEX_MEMO_CAP:
+                for stale in list(_INDEX_MEMO)[:_INDEX_MEMO_CAP // 2]:
+                    del _INDEX_MEMO[stale]
+            _INDEX_MEMO[memo_key] = cells
+        return cells
 
     def _split_words(self, words):
         """Map a ``(batch, 8)`` u32 digest-word matrix to bit indices."""
@@ -275,12 +253,10 @@ class BloomFilter:
         if not items:
             return
         if len(items) >= _BATCH_MIN:
-            idx = self._batch_indices(items)
-            if idx is not None:
-                masks = _np.uint8(1) << (idx & 7).astype(_np.uint8)
+            cells = self._batch_cells(items)
+            if cells is not None:
                 _np.bitwise_or.at(
-                    _np.frombuffer(self._bits, dtype=_np.uint8),
-                    idx >> 3, masks)
+                    _np.frombuffer(self._bits, dtype=_np.uint8), *cells)
                 self.count += len(items)
                 return
         bits = self._bits
@@ -305,11 +281,11 @@ class BloomFilter:
             return [True for _ in items]
         items = list(items)
         if len(items) >= _BATCH_MIN:
-            idx = self._batch_indices(items)
-            if idx is not None:
+            cells = self._batch_cells(items)
+            if cells is not None:
+                byte_idx, masks = cells
                 bits = _np.frombuffer(self._bits, dtype=_np.uint8)
-                masks = _np.uint8(1) << (idx & 7).astype(_np.uint8)
-                return (bits[idx >> 3] & masks).astype(bool) \
+                return (bits[byte_idx] & masks).astype(bool) \
                     .all(axis=1).tolist()
         bits = self._bits
         indices = self._indices
@@ -347,3 +323,8 @@ class BloomFilter:
     def __repr__(self) -> str:
         return (f"BloomFilter(nbits={self.nbits}, k={self.k}, "
                 f"count={self.count}, fpr~{self.actual_fpr():.2e})")
+
+
+def _cells(idx):
+    """Split a bit-index matrix into ``(byte index, bit mask)`` matrices."""
+    return idx >> 3, _np.uint8(1) << (idx & 7).astype(_np.uint8)

@@ -1,17 +1,21 @@
-"""Frozen seed implementations of the PDS hot path (reference only).
+"""Scalar specification of the PDS hot path (reference only).
 
-The live :mod:`repro.pds.iblt` / :mod:`repro.pds.bloom` structures were
-rewritten columnar-and-batch-first for speed; these classes preserve the
-original per-object, hash-per-probe implementations byte-for-byte.  They
-exist for two reasons:
+The live :mod:`repro.pds.iblt` / :mod:`repro.pds.bloom` structures are
+columnar and batch-first; these classes are the same structures written
+one object, one probe, one hash derivation at a time, straight from
+docs/PROTOCOL.md sections 1.1 and 1.2.  Nothing is cached and nothing is
+shared with :mod:`repro.utils.hashing` beyond SHA-256 and the unseeded
+digest split: the mixing kernel and the salt derivation are written out
+again here, so a slip in either copy shows up as a byte difference.
+They exist for two reasons:
 
-* **Equivalence testing** -- property tests assert the optimized
-  structures produce byte-identical wire encodings and identical decode
-  results against these references for randomized key sets.
+* **Equivalence testing** -- property tests, the golden vectors and the
+  fuzz ``pds`` engine assert the live structures produce byte-identical
+  wire encodings and identical decode results against these references.
 * **Perf trajectory** -- ``benchmarks/bench_perf_pds.py`` times both
   implementations on the same machine in the same process, so the
-  before/after speedups recorded in ``BENCH_PDS.json`` are honest on any
-  hardware rather than replayed from a one-off measurement.
+  speedups recorded in ``BENCH_PDS.json`` are honest on any hardware
+  rather than replayed from a one-off measurement.
 
 Do not use these classes outside tests and benchmarks: they are
 deliberately slow.
@@ -32,50 +36,48 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _U32 = 0xFFFFFFFF
 
 
-class ReferenceHasher:
-    """Seed ``DerivedHasher``: one SHA-256 per call, no caching."""
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer (PROTOCOL.md 1.2)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
 
-    __slots__ = ("seed", "k", "_prefix")
+
+def _salt(tag: bytes, seed: int, index: int) -> int:
+    """Salt ``index`` of family ``(tag, seed)``, derived afresh per call."""
+    digest = hashlib.sha256(
+        tag + struct.pack("<QI", seed & _U64, index // 4)).digest()
+    return struct.unpack("<4Q", digest)[index % 4]
+
+
+class ReferenceHasher:
+    """Scalar ``DerivedHasher``: every word re-derived per call, no state."""
+
+    __slots__ = ("seed", "k")
 
     def __init__(self, k: int, seed: int = 0):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.seed = seed
-        self._prefix = struct.pack("<Q", seed & _U64)
 
-    def base_pair(self, key: int) -> tuple[int, int]:
-        digest = hashlib.sha256(
-            self._prefix + struct.pack("<Q", key & _U64)).digest()
-        h1, h2 = struct.unpack("<QQ", digest[:16])
-        return h1, h2 | 1
-
-    def _words(self, key: int, need: int) -> list[int]:
-        words: list[int] = []
-        counter = 0
-        packed_key = struct.pack("<Q", key & _U64)
-        while len(words) < need:
-            digest = hashlib.sha256(
-                self._prefix + struct.pack("<I", counter) + packed_key).digest()
-            words.extend(struct.unpack("<QQQQ", digest))
-            counter += 1
-        return words[:need]
+    def _word(self, key: int, index: int) -> int:
+        return _mix((key & _U64) ^ _salt(b"graphene/hasher", self.seed, index))
 
     def partitioned_indices(self, key: int, cells: int) -> list[int]:
         if cells % self.k != 0:
             raise ValueError(f"cell count {cells} not divisible by k={self.k}")
         width = cells // self.k
-        return [i * width + (w % width)
-                for i, w in enumerate(self._words(key, self.k))]
+        return [i * width + self._word(key, i) % width
+                for i in range(self.k)]
 
     def checksum(self, key: int, bits: int = 16) -> int:
-        h1, h2 = self.base_pair(key)
-        return (h1 ^ (h2 >> 7)) & ((1 << bits) - 1)
+        return self._word(key, self.k) & ((1 << bits) - 1)
 
 
 @dataclass
 class ReferenceCell:
-    """Seed IBLT cell: one dataclass object per cell."""
+    """Reference IBLT cell: one dataclass object per cell."""
 
     count: int = 0
     key_sum: int = 0
@@ -93,7 +95,7 @@ class ReferenceDecodeResult:
 
 
 class ReferenceIBLT:
-    """Seed IBLT: ``list[ReferenceCell]`` table, clone-then-peel decode."""
+    """Scalar IBLT: ``list[ReferenceCell]`` table, clone-then-peel decode."""
 
     def __init__(self, cells: int, k: int = 4, seed: int = 0,
                  cell_bytes: int = 12):
@@ -189,7 +191,7 @@ class ReferenceIBLT:
 
 
 def encode_reference_iblt(iblt: ReferenceIBLT) -> bytes:
-    """Seed wire encoding, layout-identical to :func:`repro.codec.encode_iblt`."""
+    """Per-cell wire encoding, layout of :func:`repro.codec.encode_iblt`."""
     check_width = iblt.cell_bytes - 10
     if check_width < 1 or check_width > 8:
         raise ParameterError(f"cell_bytes={iblt.cell_bytes} not encodable")
@@ -204,7 +206,7 @@ def encode_reference_iblt(iblt: ReferenceIBLT) -> bytes:
 
 
 class ReferenceBloomFilter:
-    """Seed Bloom filter: re-digests and re-slices on every probe."""
+    """Reference Bloom filter: re-derives every index on every probe."""
 
     def __init__(self, nbits: int, k: int, seed: int = 0):
         if nbits < 0:
@@ -227,29 +229,33 @@ class ReferenceBloomFilter:
         k = max(1, round(nbits / n * ln2))
         return cls(nbits, k, seed=seed)
 
-    def _digest(self, item: bytes) -> bytes:
-        if self.seed:
-            return sha256(self.seed.to_bytes(8, "little") + item)
-        return item if len(item) >= 32 else sha256(item)
+    def _indices(self, item: bytes) -> list[int]:
+        if not self.seed:
+            digest = item if len(item) >= 32 else sha256(item)
+            return list(split_digest(digest, self.k, self.nbits))
+        if len(item) != 32:
+            item = sha256(item)
+        mixed = _salt(b"graphene/bloom", self.seed, 0)
+        for word in struct.unpack("<4Q", item):
+            mixed = _mix(mixed ^ word)
+        lo, hi = mixed & _U32, (mixed >> 32) | 1
+        return [((lo + j * hi) & _U32) % self.nbits for j in range(self.k)]
 
     def insert(self, item: bytes) -> None:
         self.count += 1
         if self.nbits == 0:
             return
-        for idx in split_digest(self._digest(item), self.k, self.nbits):
+        for idx in self._indices(item):
             self._bits[idx >> 3] |= 1 << (idx & 7)
 
     def __contains__(self, item: bytes) -> bool:
         if self.nbits == 0:
             return True
-        digest = self._digest(item)
-        return all(
-            self._bits[idx >> 3] & (1 << (idx & 7))
-            for idx in split_digest(digest, self.k, self.nbits)
-        )
+        return all(self._bits[idx >> 3] & (1 << (idx & 7))
+                   for idx in self._indices(item))
 
 
 def encode_reference_bloom(bloom: ReferenceBloomFilter) -> bytes:
-    """Seed wire encoding, layout-identical to :func:`repro.codec.encode_bloom`."""
+    """Wire encoding, layout of :func:`repro.codec.encode_bloom`."""
     header = struct.pack("<IBI", bloom.nbits, bloom.k, bloom.seed & _U32)
     return header + bytes(bloom._bits)

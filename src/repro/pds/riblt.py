@@ -17,8 +17,10 @@ Every key participates in symbol 0.  After index ``i`` a key's next
 index is drawn so that the *mapping density* -- the probability a key
 participates in symbol ``t`` -- decays as ``1.5 / (t + 1.5)``.  Each
 key carries its own deterministic PRNG (a 64-bit multiplicative
-congruential generator seeded from the key's hash), so both sides of
-an exchange derive identical index sequences from the key alone::
+congruential generator seeded from one keyed 64-bit mix of the key --
+:class:`~repro.utils.hashing.DerivedHasher`, the cost model of Yang et
+al.: one cheap hash per item, never a SHA-256), so both sides of an
+exchange derive identical index sequences from the key alone::
 
     s    <- s * 0xda942042e4dd58b5  (mod 2^64)
     u    <- (s >> 32): 1 - u/2^32 uniform in (0, 1]
@@ -86,9 +88,8 @@ def _initial_state(hasher: DerivedHasher, key: int) -> tuple[int, int]:
     """Per-key PRNG seed and 16-bit checksum, both from the hash family.
 
     The first hash word seeds the index-stream PRNG (forced nonzero:
-    a zero MCG state is absorbing).  The checksum is the same masked
-    entry checksum IBLT cells use, so a short ID hashed for an IBLT
-    costs nothing to re-derive here.
+    a zero MCG state is absorbing).  The checksum is the masked entry
+    checksum, as in IBLT cells.
     """
     words, csum = hasher.entry(key)
     return words[0] or 1, csum & 0xFFFF
@@ -117,21 +118,22 @@ class RIBLTEncoder:
 
     def __init__(self, keys: Iterable[int], seed: int = 0):
         self.seed = seed
-        self.hasher = DerivedHasher.shared(1, seed)
+        self.hasher = DerivedHasher(1, seed)
         self.size = 0
         self._counts = array("q")
         self._key_sums = array("Q")
         self._check_sums = array("Q")
         uniq = {key & _U64 for key in keys}
         self._keys = array("Q", sorted(uniq))
-        self._csums = array("Q", bytes(8 * len(uniq)))
-        self._states = array("Q", bytes(8 * len(uniq)))
+        # One vectorized mix fills both per-key columns; element for
+        # element it is ``_initial_state`` (the decoder's scalar form).
+        words, csums = self.hasher.batch_entries(self._keys)
+        states = words[:, 0]
+        states[states == 0] = 1
+        self._states = array("Q", states.tobytes())
+        self._csums = array("Q", (csums & _np.uint64(0xFFFF)).tobytes())
         #: Next stream index each key participates in (all start at 0).
         self._next = array("q", bytes(8 * len(uniq)))
-        for i, key in enumerate(self._keys):
-            state, csum = _initial_state(self.hasher, key)
-            self._states[i] = state
-            self._csums[i] = csum
 
     def __len__(self) -> int:
         return self.size
@@ -245,9 +247,9 @@ class RIBLTDecoder:
 
     def __init__(self, local_keys: Iterable[int], seed: int = 0):
         self.seed = seed
-        self.hasher = DerivedHasher.shared(1, seed)
         self.size = 0
         self._encoder = RIBLTEncoder(local_keys, seed=seed)
+        self.hasher = self._encoder.hasher
         # Subtracted columns: sender stream minus the local stream.
         self._counts = array("q")
         self._key_sums = array("Q")

@@ -1,18 +1,30 @@
 """Hashing helpers used by every probabilistic data structure in the package.
 
-Two idioms from the paper live here:
+Transaction IDs are already the output of a cryptographic hash (paper
+6.3), so no structure hashes them again item by item.  Two idioms:
 
-* **Hash splitting** (paper 6.3): transaction IDs are already the output of
-  a cryptographic hash, so instead of rehashing an item ``k`` times for a
-  Bloom filter, we slice the 32-byte digest into ``k`` independent pieces.
-  :func:`split_digest` implements the slicing and falls back to cheap
-  derived hashing when ``k`` pieces do not fit.
+* **Hash splitting**: an unseeded Bloom filter slices the 32-byte
+  digest into ``k`` index words.  :func:`split_digest` implements the
+  slicing and falls back to cheap derived hashing when ``k`` pieces do
+  not fit.
 
-* **Derived hashing** (Kirsch & Mitzenmacher): ``h_i(x) = h1(x) + i*h2(x)``
-  gives an arbitrary number of independent-enough hash functions from two
-  base values.  :class:`DerivedHasher` packages this with a seed so that
-  sibling IBLTs can use independent hash families (required by ping-pong
-  decoding, paper 4.2).
+* **Keyed mixing**: every seeded structure (each filter and table the
+  protocols build) passes the ID, 64 bits at a time, through one
+  bijective multiply-xorshift finalizer, :func:`mix64`, keyed by XORing
+  a per-family *salt* into the input.  Salts come from SHA-256 over
+  ``(domain tag, seed, index)`` -- once per family, never per item
+  (:func:`family_salts`).  :func:`mix64` (Python ints) and
+  :func:`mix64_array` (numpy ``uint64``) are bit-identical.
+  :class:`DerivedHasher` packages ``k`` independently salted index
+  words plus a checksum word for the IBLT and the rateless IBLT;
+  different seeds give different salts and therefore (statistically)
+  independent families, which ping-pong decoding requires of its two
+  IBLTs (paper 4.2).
+
+Nothing here is secret: seeds are public configuration, so the salts
+buy independence between structures, not unpredictability.  Collision
+resistance against an adversary is the short-ID layer's job (the
+SipHash option), not this module's.
 """
 
 from __future__ import annotations
@@ -26,6 +38,52 @@ import numpy as _np
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 _PACK_Q = struct.Struct("<Q").pack
+_PACK_I = struct.Struct("<I").pack
+
+#: Multipliers and shifts of the splitmix64 finalizer (Steele, Lea &
+#: Flood's SplittableRandom output function); pinned by PROTOCOL.md 1.2.
+_MIX_C1 = 0xBF58476D1CE4E5B9
+_MIX_C2 = 0x94D049BB133111EB
+_NP_C1, _NP_C2 = _np.uint64(_MIX_C1), _np.uint64(_MIX_C2)
+_NP_30, _NP_27, _NP_31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
+
+
+def mix64(z: int) -> int:
+    """Mix one 64-bit word: a bijection with full avalanche.
+
+    ``mix64(x ^ salt)`` is the keyed hash every seeded structure uses.
+    """
+    z = ((z ^ (z >> 30)) * _MIX_C1) & _U64
+    z = ((z ^ (z >> 27)) * _MIX_C2) & _U64
+    return z ^ (z >> 31)
+
+
+def mix64_array(z):
+    """:func:`mix64` over a numpy ``uint64`` array, element for element.
+
+    Returns a fresh array; array multiplication wraps mod 2^64, which is
+    exactly the ``& _U64`` of the scalar body.
+    """
+    z = z ^ (z >> _NP_30)
+    z *= _NP_C1
+    z ^= z >> _NP_27
+    z *= _NP_C2
+    z ^= z >> _NP_31
+    return z
+
+
+def family_salts(tag: bytes, seed: int, count: int) -> tuple:
+    """Return the first ``count`` 64-bit salts of family ``(tag, seed)``.
+
+    Salts are hash-split, four to a digest: salt ``i`` is little-endian
+    u64 word ``i mod 4`` of ``SHA256(tag | seed_u64 | (i div 4)_u32)``.
+    This is the only place a seeded structure touches SHA-256: per
+    family, not per item.
+    """
+    prefix = tag + _PACK_Q(seed & _U64)
+    blob = b"".join([hashlib.sha256(prefix + _PACK_I(block)).digest()
+                     for block in range((count + 3) // 4)])
+    return struct.unpack_from(f"<{count}Q", blob)
 
 
 def sha256(data: bytes) -> bytes:
@@ -69,156 +127,55 @@ def split_digest(digest: bytes, k: int, modulus: int) -> Iterator[int]:
 
 
 class DerivedHasher:
-    """A family of ``k`` hash functions over 64-bit keys.
+    """A family of ``k`` hash functions plus a checksum over 64-bit keys.
 
-    Uses the Kirsch-Mitzenmacher construction ``h_i(x) = h1 + i*h2`` where
-    ``h1`` and ``h2`` are halves of a seeded SHA-256 of the key.  Each
-    instance is deterministic given ``(seed, k)``; different seeds give
-    (statistically) independent families, which is what ping-pong decoding
-    requires of the two IBLTs.
+    Index word ``i`` of key ``x`` is ``mix64(x ^ salt_i)`` and the
+    checksum word is ``mix64(x ^ salt_k)``, with ``salt_0..salt_k`` the
+    :func:`family_salts` of ``(b"graphene/hasher", seed)``.  The words
+    are independently salted, not an arithmetic progression: deriving
+    position ``i`` as ``h1 + i*h2`` (fine for Bloom filters) would make
+    every IBLT edge a progression, shrinking the effective edge space
+    quadratically and creating spurious 2-cores via birthday
+    collisions.
 
-    Each instance keeps a bounded hash-word cache (key -> the ``k`` 64-bit
-    words plus the checksum base), so a key digested once is free on every
-    later insert/peel/probe against any structure sharing the hasher.  The
-    protocols sweep the same mempool against S, I, I', J and J' in one
-    session; :meth:`shared` hands all structures of one ``(k, seed)``
-    family the same instance so they also share the cache.
+    Each instance is deterministic given ``(seed, k)`` and holds nothing
+    but its salts, so constructing one per structure is free of shared
+    state.
     """
 
-    __slots__ = ("seed", "k", "_prefix", "_cache", "_cache_cap",
-                 "_mid_base", "_mid_words", "_blob_words", "_unpack_blob",
-                 "_batch_cache")
+    __slots__ = ("seed", "k", "_salts")
 
-    #: Bound on whole-batch blob memos (see :meth:`batch_entries`).
-    BATCH_CACHE_CAP = 32
-
-    #: Bound on cached keys per family; at ~100 B/entry this caps the
-    #: cache near 13 MB.  Eviction drops the oldest half (insertion
-    #: order), an O(1)-amortized approximation of LRU.
-    CACHE_CAP = 1 << 17
-
-    #: Registry of shared per-family instances (see :meth:`shared`).
-    _shared: dict = {}
+    #: Domain tag separating this family from the Bloom filter's.
+    TAG = b"graphene/hasher"
 
     def __init__(self, k: int, seed: int = 0):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.seed = seed
-        self._prefix = struct.pack("<Q", seed & _U64)
-        self._cache: dict[int, bytes] = {}
-        self._cache_cap = self.CACHE_CAP
-        self._batch_cache: dict[tuple, bytes] = {}
-        # SHA-256 midstates with the seed prefix (and, for the index
-        # words, the counter) already absorbed; a cache miss copies these
-        # and feeds only the 8-byte key instead of rebuilding the message.
-        self._mid_base = hashlib.sha256(self._prefix)
-        self._mid_words = hashlib.sha256(self._prefix + b"\x00\x00\x00\x00")
-        # Cached blob layout: ceil(k/4) word digests then 16 bytes of the
-        # base digest -- a flat byte view both entry() and the numpy
-        # batch path can slice without re-hashing.
-        self._blob_words = 4 * ((k + 3) // 4)
-        self._unpack_blob = struct.Struct(f"<{self._blob_words + 2}Q").unpack
-
-    @classmethod
-    def shared(cls, k: int, seed: int = 0) -> "DerivedHasher":
-        """Return the process-wide hasher for the ``(k, seed)`` family.
-
-        Sibling structures (an IBLT ``I`` and its receiver-built ``I'``,
-        or a subtracted difference) share one hash family by protocol
-        design; sharing the instance means each txid is digested once per
-        family per process instead of once per structure.
-        """
-        hasher = cls._shared.get((k, seed))
-        if hasher is None:
-            # Bound the registry: decode-rate experiments spin up
-            # thousands of one-shot families.  Evicting only forgets the
-            # shared cache for that family; live structures keep their
-            # hasher reference and stay correct.
-            if len(cls._shared) >= 256:
-                for stale in list(cls._shared)[:128]:
-                    del cls._shared[stale]
-            hasher = cls._shared[(k, seed)] = cls(k, seed)
-        return hasher
+        self._salts = family_salts(self.TAG, seed, k + 1)
 
     def entry(self, key: int) -> tuple:
-        """Return ``(words, checksum_base)`` for ``key``, cached.
+        """Return ``(words, checksum_base)`` for ``key``.
 
         ``words`` is the tuple of ``k`` 64-bit hash words driving index
         selection; ``checksum_base`` is the unmasked IBLT checksum value
-        (mask to taste with ``& ((1 << bits) - 1)``).  Two SHA-256
-        invocations on a miss, zero on a hit.
+        (mask to taste with ``& ((1 << bits) - 1)``).
         """
         key &= _U64
-        blob = self._cache.get(key)
-        if blob is None:
-            blob = self._make_blob(key)
-        vals = self._unpack_blob(blob)
-        # The reference derivation (ReferenceHasher.checksum) forces h2
-        # odd first, but bit 0 is shifted out by >> 7, so the raw word
-        # gives the identical checksum base.
-        return vals[:self.k], vals[-2] ^ (vals[-1] >> 7)
-
-    def _make_blob(self, key: int) -> bytes:
-        """Digest ``key`` into the cached blob (word digests + base pair).
-
-        Index words are independent SHA-256 slices (four per digest, a
-        counter extending the stream for large ``k``) because deriving
-        position ``i`` as ``h1 + i*h2`` (fine for Bloom filters) would
-        make every IBLT edge an arithmetic progression, shrinking the
-        effective edge space quadratically and creating spurious
-        2-cores via birthday collisions.
-        """
-        packed = _PACK_Q(key)
-        if self.k <= 4:
-            # One digest covers up to four index words (counter 0,
-            # first k of the four).
-            h = self._mid_words.copy()
-            h.update(packed)
-            words_blob = h.digest()
-        else:
-            parts = []
-            for counter in range((self.k + 3) // 4):
-                parts.append(hashlib.sha256(
-                    self._prefix + struct.pack("<I", counter)
-                    + packed).digest())
-            words_blob = b"".join(parts)
-        h = self._mid_base.copy()
-        h.update(packed)
-        blob = words_blob + h.digest()[:16]
-        cache = self._cache
-        if len(cache) >= self._cache_cap:
-            for stale in list(cache)[:self._cache_cap // 2]:
-                del cache[stale]
-        cache[key] = blob
-        return blob
+        mixed = [mix64(key ^ salt) for salt in self._salts]
+        return tuple(mixed[:-1]), mixed[-1]
 
     def batch_entries(self, keys):
-        """Vectorized :meth:`entry` over a key list.
+        """Vectorized :meth:`entry` over a key list or uint64 array.
 
         Returns ``(words, csums)`` -- a ``(len(keys), k)`` uint64 array of
         index words and a ``(len(keys),)`` uint64 array of unmasked
-        checksum bases.  Keys must already be masked to 64 bits.  Misses
-        are digested and cached exactly like :meth:`entry` misses.
+        checksum bases.  Keys must already be masked to 64 bits.
         """
-        # Whole-batch memo: a relay rebuilds I' from the identical key
-        # list on every hop, so the concatenated blob repeats verbatim;
-        # the tuple key is exact (no hashing shortcuts).
-        tkey = tuple(keys)
-        batch_cache = self._batch_cache
-        blob = batch_cache.get(tkey)
-        if blob is None:
-            get = self._cache.get
-            make = self._make_blob
-            blob = b"".join([get(key) or make(key) for key in keys])
-            if len(batch_cache) >= self.BATCH_CACHE_CAP:
-                for stale in list(batch_cache)[:self.BATCH_CACHE_CAP // 2]:
-                    del batch_cache[stale]
-            batch_cache[tkey] = blob
-        arr = _np.frombuffer(blob, dtype="<u8")
-        arr = arr.reshape(len(keys), self._blob_words + 2)
-        csums = arr[:, -2] ^ (arr[:, -1] >> _np.uint64(7))
-        return arr[:, :self.k], csums
+        column = _np.asarray(keys, dtype=_np.uint64).reshape(-1, 1)
+        mixed = mix64_array(column ^ _np.array(self._salts, dtype=_np.uint64))
+        return mixed[:, :self.k], mixed[:, self.k]
 
     def indices(self, key: int, modulus: int) -> list[int]:
         """Return ``k`` independent indices in ``[0, modulus)`` for ``key``."""

@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.pds.bloom import (
+    _BATCH_MIN,
     BloomFilter,
     bloom_size_bits,
     bloom_size_bytes,
     optimal_hash_count,
 )
+from repro.pds.reference import ReferenceBloomFilter
 from repro.utils.hashing import sha256
+from repro.utils.stats import wilson_interval
+
+#: Width of every statistical interval below, in standard deviations: a
+#: correct hash family leaves a two-sided Wilson interval at this width
+#: about once in 150 000 draws, and the draws here are seeded anyway.
+Z = 4.5
 
 
 def _ids(count, tag=b""):
@@ -159,12 +167,22 @@ class TestBatchPaths:
         assert batched._bits == single._bits
 
     def test_update_matches_scalar_high_k(self):
-        # k > 8 exercises the derived-hashing continuation of the
-        # splitting rule in both paths.
+        # More indices than the digest has 32-bit words, seeded.
         items = _ids(100)
         batched = BloomFilter(503, 11, seed=3)
         batched.update(items)
         single = BloomFilter(503, 11, seed=3)
+        for item in items:
+            single.insert(item)
+        assert batched._bits == single._bits
+
+    def test_update_matches_scalar_high_k_unseeded(self):
+        # k > 8 exercises the derived-hashing continuation of the
+        # splitting rule in both paths.
+        items = _ids(100)
+        batched = BloomFilter(503, 11)
+        batched.update(items)
+        single = BloomFilter(503, 11)
         for item in items:
             single.insert(item)
         assert batched._bits == single._bits
@@ -174,8 +192,56 @@ class TestBatchPaths:
         filt = BloomFilter.from_fpr(120, 0.05, seed=7)
         filt.update(items)
         probes = items[:60] + _ids(100, tag=b"q")
-        filt._index_cache.clear()
         assert filt.contains_many(probes) == [p in filt for p in probes]
+
+    @pytest.mark.parametrize("count", [_BATCH_MIN - 1, _BATCH_MIN,
+                                       _BATCH_MIN + 1, 200])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_both_sides_of_the_batch_threshold(self, count, seed):
+        # Scalar loop below _BATCH_MIN, numpy at and above it, and the
+        # cache-free reference: one set of bits, one set of answers.
+        items = _ids(count)
+        batched = BloomFilter(1021, 5, seed=seed)
+        batched.update(items)
+        single = BloomFilter(1021, 5, seed=seed)
+        ref = ReferenceBloomFilter(1021, 5, seed=seed)
+        for item in items:
+            single.insert(item)
+            ref.insert(item)
+        assert batched._bits == single._bits == ref._bits
+        probes = items[::2] + _ids(count, tag=b"q")
+        assert batched.contains_many(probes) \
+            == [p in single for p in probes] == [p in ref for p in probes]
+
+    def test_odd_width_items_take_the_sha_first_branch(self):
+        # Items that are not 32 bytes are digested first, on every path.
+        items = [b"", b"short", bytes(31), bytes(33), bytes(64)] + _ids(40)
+        batched = BloomFilter(2039, 4, seed=11)
+        batched.update(items)
+        single = BloomFilter(2039, 4, seed=11)
+        rehashed = BloomFilter(2039, 4, seed=11)
+        ref = ReferenceBloomFilter(2039, 4, seed=11)
+        for item in items:
+            single.insert(item)
+            ref.insert(item)
+            rehashed.insert(item if len(item) == 32 else sha256(item))
+        assert batched._bits == single._bits == rehashed._bits == ref._bits
+        assert batched.contains_many(items) == [True] * len(items)
+
+    def test_batch_never_answers_for_a_list_with_other_boundaries(self):
+        # Regression: the whole-batch memo was keyed by the *joined*
+        # bytes and the item count, so a list with the same
+        # concatenation but different item boundaries got the first
+        # list's answers (40 x True) from contains_many.
+        a = _ids(40)
+        filt = BloomFilter.from_fpr(40, 0.01, seed=5)
+        filt.update(a)
+        assert filt.contains_many(a) == [True] * 40
+        b = [a[0][:31], a[0][31:] + a[1]] + a[2:]
+        assert len(b) == len(a) and b"".join(b) == b"".join(a)
+        scalar = [item in filt for item in b]
+        assert scalar[:2] == [False, False]
+        assert filt.contains_many(b) == scalar
 
     def test_degenerate_update_keeps_count_zero(self):
         # Zero-bit filters fold nothing into the bit array, so nothing
@@ -186,6 +252,60 @@ class TestBatchPaths:
         assert len(filt) == 0
         assert filt.actual_fpr() == 1.0
         assert filt.contains_many(_ids(3)) == [True, True, True]
+
+
+class TestSeededFamilyStatistics:
+    """The keyed-mixing family behaves like independent uniform hashing.
+
+    Seeded draws, so the suite is deterministic; the stated bounds say
+    how surprising a failure would be had the draws been fresh.
+    """
+
+    @pytest.mark.parametrize("target,probes", [(0.5, 20_000), (0.1, 20_000),
+                                               (0.01, 60_000),
+                                               (0.001, 200_000)])
+    def test_observed_fpr_within_binomial_interval(self, target, probes):
+        filt = BloomFilter.from_fpr(2000, target, seed=0x5150)
+        filt.update(_ids(2000))
+        hits = sum(filt.contains_many(_ids(probes, tag=b"probe")))
+        low, high = wilson_interval(hits, probes, z=Z)
+        assert low <= filt.actual_fpr() <= high, (
+            f"target {target}: observed {hits}/{probes}, expected "
+            f"{filt.actual_fpr():.5f}, interval [{low:.5f}, {high:.5f}]")
+
+    @pytest.mark.parametrize("nbits", [1 << 14, (1 << 14) + 27])
+    def test_two_seeds_share_no_more_mistakes_than_chance(self, nbits):
+        # Same items, same geometry, two seeds.  With a power-of-two
+        # nbits a salt XORed onto finished index words would only
+        # permute bit positions and both filters would err on the very
+        # same probes; the salt goes through the mixer so that they
+        # share only what independent filters share: f1 * f2.
+        items, probes = _ids(2400), _ids(50_000, tag=b"probe")
+        mistakes = []
+        for seed in (0x5150, 0x5152):
+            filt = BloomFilter(nbits, 5, seed=seed)
+            filt.update(items)
+            mistakes.append(filt.contains_many(probes))
+        first, second = (sum(m) for m in mistakes)
+        shared = sum(a and b for a, b in zip(*mistakes))
+        assert first > 1000 and second > 1000  # the filters do err
+        low, _ = wilson_interval(shared, len(probes), z=Z)
+        assert low <= (first / len(probes)) * (second / len(probes)), (
+            f"{shared} shared false positives of {first} and {second}")
+
+
+    def test_short_id_collisions_still_land_on_independent_bits(self):
+        # Paper 6.1: S and R hold *full* IDs, so a pair manufactured to
+        # share its 8-byte short ID passes a filter holding its partner
+        # only at the false positive rate.  A filter that mixed the
+        # short ID alone would pass all 2000.
+        block = _ids(2000)
+        partners = [txid[:8] + sha256(txid)[:24] for txid in block]
+        filt = BloomFilter.from_fpr(2000, 0.02, seed=0x5150)
+        filt.update(block)
+        passed = sum(filt.contains_many(partners))
+        low, high = wilson_interval(passed, len(partners), z=Z)
+        assert low <= filt.actual_fpr() <= high, f"{passed} of 2000 passed"
 
 
 class TestPropertyBased:

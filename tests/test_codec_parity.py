@@ -1,4 +1,4 @@
-"""Wire codec safety net: the live codec against the frozen oracle.
+"""Wire codec safety net: the live codec against the scalar oracle.
 
 Three batteries:
 
@@ -49,13 +49,15 @@ LOSSLESS_WIDTHS = (12, 13, 14, 15, 16, 17, 18)
 #: Widths below/above the lossless window ship as full 18-byte cells.
 FULL_CELL_WIDTHS = (10, 20)
 
-#: SHA-256 of the wire bytes, recorded when the per-cell ``struct``
-#: bodies still existed and agreed with these byte for byte.
+#: SHA-256 of the wire bytes under the protocol-version-2 hash family,
+#: computed from :mod:`repro.pds.reference` alone: ``ReferenceIBLT``
+#: cells packed as full 18-byte wire cells for widths 10 and 20, and a
+#: key-at-a-time symbol stream seeded from ``ReferenceHasher``.
 PINNED_SHA256 = {
-    10: "3b4d511e56bfabab94ef3e11be720ba071e3bdefcf7bb0ad1b1bb5cc20cd394e",
-    20: "c2692ddc5cabdd170246c70b1b207b929d80051f53759b07c6b8d30bcc78e816",
+    10: "91c7853ac3feb41b1c851778da3d828d8698cbf8456a67a3140b29b3ef327f8f",
+    20: "125bede172fa792177cd7a457a0418777ca1e1ce62736ca598c3b54e1d2dfda2",
     "symbols":
-        "d071b9e82538469f321571c8396d887756bb5b5e9248ba5639cee66c7c196407",
+        "4d7daf9eb1fdbfa2b03b7506b94ff475925685270eaefd1960451a9795c50f72",
 }
 
 
@@ -107,7 +109,7 @@ def test_the_switch_module_is_gone():
 
 
 class TestOracleParity:
-    """The live codec agrees with the frozen reference byte for byte."""
+    """The live codec agrees with the scalar reference byte for byte."""
 
     def test_iblt_wire_bytes_match_reference(self):
         # The reference encoder has no full-cell form; widths 10 and 20

@@ -43,8 +43,8 @@ class TestBloomGolden:
         blob = encode_bloom(self._filter())
         assert len(blob) == 16
         assert hashlib.sha256(blob).hexdigest() == (
-            "6c381a2fe7b50ee1c0adc0b8b59175"
-            "7744ad0fc81fc13888617af9394884c2ad")
+            "858050bd5e91736a3f2af20bfdc581"
+            "c822f6bdaf32e7650fa3ef601964748ab9")
 
     def test_shape_is_stable(self):
         bloom = self._filter()
@@ -62,8 +62,8 @@ class TestIBLTGolden:
         blob = encode_iblt(self._iblt())
         assert len(blob) == 156
         assert hashlib.sha256(blob).hexdigest() == (
-            "3acf571d37399e5ce486178a8c8b30"
-            "7a738b95f6e8930f54a5667852fd6129ba")
+            "79915b8d8f90291a0c6a28258b854c"
+            "d4087e4d3876fbf786de36ef6dc180b966")
 
     def test_decode_of_golden_content(self):
         result = self._iblt().decode()
@@ -91,10 +91,10 @@ class TestTransactionGolden:
 class TestHashFamilyGolden:
     def test_partitioned_indices(self):
         hasher = DerivedHasher(4, seed=9)
-        assert hasher.partitioned_indices(12345, 40) == [7, 17, 24, 38]
+        assert hasher.partitioned_indices(12345, 40) == [6, 16, 27, 35]
 
     def test_checksum(self):
-        assert DerivedHasher(4, seed=9).checksum(12345) == 43417
+        assert DerivedHasher(4, seed=9).checksum(12345) == 64791
 
     def test_siphash_reference(self):
         # Already covered in test_siphash; repeated here as the spec's

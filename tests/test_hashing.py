@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
 
-from repro.utils.hashing import DerivedHasher, sha256, short_id, split_digest
+from repro.pds.bloom import BloomFilter
+from repro.pds.iblt import IBLT
+from repro.pds.reference import ReferenceHasher
+from repro.pds.riblt import RIBLTEncoder
+from repro.utils.hashing import (
+    DerivedHasher,
+    family_salts,
+    mix64,
+    mix64_array,
+    sha256,
+    short_id,
+    split_digest,
+)
+
+#: Keys every scalar/batch comparison covers: the extremes of the key
+#: space, the small integers docs/TUTORIAL.md inserts, and spread bits.
+EDGE_KEYS = [0, 2**64 - 1, *range(1, 10), 2**63, 0xDEADBEEF,
+             0x0123456789ABCDEF]
 
 
 class TestSha256:
@@ -132,3 +153,110 @@ class TestDerivedHasher:
         idx = h.partitioned_indices(7, 120)
         assert len(idx) == 12
         assert len(set(idx)) == 12  # one per partition, all distinct
+
+
+class TestMixingKernel:
+    def test_pinned_outputs(self):
+        # SplitMix64 seeded with 0 emits mix(g), mix(2g), ... for the
+        # golden-ratio increment g: its published first two outputs.
+        gamma = 0x9E3779B97F4A7C15
+        assert mix64(gamma) == 0xE220A8397B1DCDAF
+        assert mix64(2 * gamma & (2**64 - 1)) == 0x6E789E6AA1B965F4
+        assert mix64(0) == 0
+        assert mix64(1) == 0x5692161D100B05E5  # quoted in PROTOCOL.md 1.2
+
+    def test_scalar_and_array_bodies_are_bit_identical(self):
+        keys = EDGE_KEYS + [mix64(i) for i in range(1, 200)]
+        mixed = mix64_array(np.array(keys, dtype=np.uint64))
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [mix64(key) for key in keys]
+
+    def test_array_body_leaves_its_input_alone(self):
+        keys = np.array(EDGE_KEYS, dtype=np.uint64)
+        mix64_array(keys)
+        assert keys.tolist() == EDGE_KEYS
+
+    def test_is_a_bijection_on_a_sample(self):
+        assert len({mix64(i) for i in range(20_000)}) == 20_000
+
+    def test_salts_follow_the_documented_derivation(self):
+        # Hash-split, four to a digest (PROTOCOL.md 1.2).
+        salts = family_salts(b"graphene/hasher", 9, 6)
+        for i, salt in enumerate(salts):
+            digest = sha256(b"graphene/hasher" + (9).to_bytes(8, "little")
+                            + (i // 4).to_bytes(4, "little"))
+            word = digest[8 * (i % 4):8 * (i % 4) + 8]
+            assert salt == int.from_bytes(word, "little")
+        assert family_salts(b"graphene/hasher", 9, 2) == salts[:2]
+        assert family_salts(b"graphene/bloom", 9, 1)[0] != salts[0]
+        assert family_salts(b"graphene/hasher", 10, 1)[0] != salts[0]
+
+
+class TestScalarBatchParity:
+    @pytest.mark.parametrize("k,seed", [(1, 0), (3, 1), (4, 0x1B17),
+                                        (12, 2**32 - 1)])
+    def test_batch_entries_equal_entry(self, k, seed):
+        hasher = DerivedHasher(k, seed=seed)
+        words, csums = hasher.batch_entries(EDGE_KEYS)
+        assert words.shape == (len(EDGE_KEYS), k)
+        for row, csum, key in zip(words.tolist(), csums.tolist(),
+                                  EDGE_KEYS):
+            assert (tuple(row), csum) == hasher.entry(key)
+
+    def test_empty_batch(self):
+        words, csums = DerivedHasher(4, seed=1).batch_entries([])
+        assert words.shape == (0, 4) and csums.shape == (0,)
+
+    @pytest.mark.parametrize("k,seed", [(1, 5), (4, 9), (7, 0)])
+    def test_live_hasher_equals_the_reference(self, k, seed):
+        live, ref = DerivedHasher(k, seed=seed), ReferenceHasher(k, seed)
+        for key in EDGE_KEYS:
+            assert live.partitioned_indices(key, 10 * k) == \
+                ref.partitioned_indices(key, 10 * k)
+            for bits in (16, 32, 64):
+                assert live.checksum(key, bits) == ref.checksum(key, bits)
+
+
+class TestNoPerItemSha:
+    """Graphene 6.3: structures slice or mix a txid, never re-hash it.
+
+    A counting wrapper stands in for ``hashlib.sha256`` while each
+    structure ingests ``count`` items.  The budget is the family salts
+    (four to a digest: one digest for a Bloom filter or the rateless
+    stream's k = 1 hasher, two for an IBLT's k = 4) and nothing that
+    grows with the item count, so per-item SHA cannot creep back
+    unnoticed.
+    """
+
+    @staticmethod
+    def _sha_calls(monkeypatch, count) -> dict:
+        rng = random.Random(count)
+        txids = [rng.getrandbits(256).to_bytes(32, "little")
+                 for _ in range(2 * count)]
+        keys = [rng.getrandbits(64) for _ in range(count)]
+        calls = []
+        real = hashlib.sha256
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        spent = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "sha256", counting)
+            filt = BloomFilter.from_fpr(count, 0.01, seed=0x5150)
+            filt.update(txids[:count])
+            assert sum(filt.contains_many(txids)) >= count
+            spent["bloom"] = len(calls)
+
+            IBLT(240, k=4, seed=0x1B17).update(keys)
+            spent["iblt"] = len(calls) - spent["bloom"]
+
+            RIBLTEncoder(keys, seed=0x3137).extend(64)
+            spent["riblt"] = len(calls) - spent["bloom"] - spent["iblt"]
+        return spent
+
+    def test_sha_calls_are_a_constant_handful(self, monkeypatch):
+        spent = self._sha_calls(monkeypatch, 2000)
+        assert spent == {"bloom": 1, "iblt": 2, "riblt": 1}
+        assert self._sha_calls(monkeypatch, 4000) == spent

@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encode_iblt
 from repro.errors import MalformedIBLTError, ParameterError
-from repro.pds.iblt import DEFAULT_CELL_BYTES, IBLT, IBLT_HEADER_BYTES
-from repro.pds.reference import ReferenceIBLT
+from repro.pds.iblt import (
+    _BATCH_MIN,
+    DEFAULT_CELL_BYTES,
+    IBLT,
+    IBLT_HEADER_BYTES,
+)
+from repro.pds.param_table import default_param_table
+from repro.pds.reference import ReferenceIBLT, encode_reference_iblt
+from repro.utils.stats import wilson_interval
 
 KEYS = st.sets(st.integers(min_value=0, max_value=2**64 - 1), max_size=40)
 
@@ -261,6 +269,27 @@ class TestPropertyBased:
         assert batched._check_sums == single._check_sums
         assert batched.count == single.count
 
+    @pytest.mark.parametrize("count", [_BATCH_MIN - 1, _BATCH_MIN,
+                                       _BATCH_MIN + 1, 40])
+    def test_both_sides_of_the_batch_threshold(self, count):
+        # Scalar loop below _BATCH_MIN, one vectorized mix at and above
+        # it, and the cache-free reference, over the extremes of the
+        # key space and the small integers docs/TUTORIAL.md inserts.
+        edge = [0, 2**64 - 1, 2**63, *range(1, 10)]
+        keys = (edge + _keys(40, seed=11))[:count]
+        batched = IBLT(96, k=4, seed=33)
+        batched.update(keys)
+        single = IBLT(96, k=4, seed=33)
+        ref = ReferenceIBLT(96, k=4, seed=33)
+        for key in keys:
+            single.insert(key)
+            ref.insert(key)
+        assert batched._counts == single._counts
+        assert batched._key_sums == single._key_sums
+        assert batched._check_sums == single._check_sums
+        assert encode_iblt(batched) == encode_reference_iblt(ref)
+        assert batched.decode().local == set(keys)
+
     def test_large_batch_matches_reference_decode(self):
         shared = _keys(220, seed=6)
         xs = shared + _keys(30, seed=7)
@@ -271,6 +300,35 @@ class TestPropertyBased:
             ReferenceIBLT.from_keys(ys, 400, seed=17)).decode()
         assert (got.complete, got.local, got.remote) \
             == (want.complete, want.local, want.remote)
+
+
+class TestCertifiedDecodeRate:
+    """Graphene 3.3: a certified row decodes at rate >= beta = 239/240.
+
+    The rows were certified by hypergraph Monte Carlo (Algorithm 1),
+    which assumes uniform independent cell choices; this pins that the
+    live hash family delivers them.  Seeded draws; the assertion is
+    that the observed rate's Wilson interval, ``Z`` standard deviations
+    wide, reaches up to beta, which a family that truly decodes at beta
+    misses about once in 2 000 fresh draws per row.
+    """
+
+    Z = 3.3
+
+    @pytest.mark.parametrize("j,trials", [(5, 3000), (20, 2000),
+                                          (100, 1500), (400, 800)])
+    def test_decode_rate_at_certified_row(self, j, trials):
+        params = default_param_table(240).params_for(j)
+        rng = random.Random(0xB17 + j)
+        decoded = 0
+        for trial in range(trials):
+            table = IBLT(params.cells, k=params.k, seed=trial + 1)
+            table.update(rng.getrandbits(64) for _ in range(j))
+            decoded += table.decode().complete
+        _, high = wilson_interval(decoded, trials, z=self.Z)
+        assert high >= 239 / 240, (
+            f"j={j}: {trials - decoded} of {trials} tables failed to "
+            f"decode at cells={params.cells}, k={params.k}")
 
 
 class TestDegenerateTables:

@@ -26,6 +26,7 @@ from repro.errors import ParameterError, ProtocolFailure
 from repro.net.peer import (
     AsyncioTransport,
     BlockServer,
+    PROTOCOL_VERSION,
     PeerConnection,
     derive_sync_nonce,
     encode_version,
@@ -94,7 +95,7 @@ class TestByteParity:
         assert result.wire_overhead > 0
 
     def test_full_fallback_chain(self):
-        result = self._assert_parity(fraction=0.4, seed=133)
+        result = self._assert_parity(fraction=0.4, seed=2736)
         assert result.protocol_used == 2
         assert result.p2_used_pingpong
         assert result.fetched_count > 0
@@ -126,7 +127,8 @@ class TestHandshake:
                     "127.0.0.1", port)
                 conn = PeerConnection(reader, writer, "oldpeer")
                 # Speak an unknown protocol version by hand.
-                conn.send("version", encode_version("oldpeer", version=99))
+                conn.send("version", encode_version(
+                    "oldpeer", version=PROTOCOL_VERSION + 1))
                 await conn.drain()
                 # The server rejects us: either it closes (EOF on our
                 # next read) or our own handshake machinery never sees
@@ -147,8 +149,8 @@ class TestHandshake:
             async def fake_server(reader, writer):
                 decoder_conn = PeerConnection(reader, writer, "fake")
                 await decoder_conn.read_frame()  # the client's version
-                decoder_conn.send("version",
-                                  encode_version("fake", version=2))
+                decoder_conn.send("version", encode_version(
+                    "fake", version=PROTOCOL_VERSION + 1))
                 await decoder_conn.drain()
 
             server = await asyncio.start_server(fake_server,
@@ -156,7 +158,9 @@ class TestHandshake:
             port = server.sockets[0].getsockname()[1]
             sc = make_block_scenario(n=10, extra=0, fraction=1.0, seed=0)
             try:
-                with pytest.raises(ProtocolFailure, match="protocol 2"):
+                with pytest.raises(
+                        ProtocolFailure,
+                        match=f"protocol {PROTOCOL_VERSION + 1}"):
                     await fetch_block("127.0.0.1", port,
                                       sc.receiver_mempool)
             finally:

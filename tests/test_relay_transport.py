@@ -78,7 +78,7 @@ class TestCostParity:
         # fraction=0.4 at this seed escalates to Protocol 2, needs
         # ping-pong decoding AND a short-id repair fetch -- the whole
         # chain crosses a lossy (but surviving) simulated link.
-        outcome, events = self._assert_parity(fraction=0.4, seed=133,
+        outcome, events = self._assert_parity(fraction=0.4, seed=2736,
                                               loss_rate=0.1)
         assert outcome.protocol_used == 2
         assert outcome.p2_used_pingpong
@@ -97,7 +97,7 @@ class TestFallbackChainToFailed:
     """P1 fail -> P2 ping-pong -> fetch -> FAILED, step by step."""
 
     def test_truncated_repair_fails_validation(self):
-        sc = make_block_scenario(n=120, extra=120, fraction=0.4, seed=133)
+        sc = make_block_scenario(n=120, extra=120, fraction=0.4, seed=2736)
         sender = GrapheneSenderEngine(sc.block)
         receiver = GrapheneReceiverEngine(sc.receiver_mempool)
 
