@@ -9,25 +9,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from repro.chain.merkle import merkle_root
-from repro.chain.ordering import canonical_order
+from repro.chain.columns import TxColumns
+from repro.chain.merkle import merkle_root_packed
 from repro.chain.transaction import Transaction
 from repro.errors import MerkleValidationError, ParameterError
 
 #: Serialized header size: version(4) prev(32) merkle(32) time(4) bits(4) nonce(4).
 BLOCK_HEADER_BYTES = 80
-
-#: Memoized candidate-set validations, shared across Block instances
-#: (relay paths construct a fresh header-only probe per attempt).  Keyed
-#: ``(merkle_root, frozenset(txids))``; the value is the txid order when
-#: the set hashes to the root, else None.  CTOR is a pure function of
-#: the txids, so the key fully determines the answer; the hit path
-#: re-maps the order onto the *caller's* transaction objects.
-_ORDER_CACHE: dict = {}
-_ORDER_CACHE_CAP = 256
-_ORDER_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -76,11 +67,11 @@ class Block:
         Bitcoin Cash post-CTOR (paper 6.2), so Graphene never needs to
         transmit ordering information for these blocks.
         """
-        ordered = tuple(canonical_order(list(txs)))
-        root = merkle_root([tx.txid for tx in ordered])
-        header = BlockHeader(prev_hash=prev_hash, merkle_root=root,
+        ordered = TxColumns.of(txs).canonical()
+        header = BlockHeader(prev_hash=prev_hash,
+                             merkle_root=merkle_root_packed(ordered.ids),
                              timestamp=timestamp, nonce=nonce)
-        return cls(header=header, txs=ordered)
+        return cls(header=header, txs=tuple(ordered.txs))
 
     @property
     def n(self) -> int:
@@ -98,61 +89,40 @@ class Block:
         """Full wire size: header + all transaction payloads."""
         return BLOCK_HEADER_BYTES + sum(tx.size for tx in self.txs)
 
+    @cached_property
+    def columns(self) -> TxColumns:
+        """This block's transactions as columns, packed on first read.
+
+        The block is frozen, so the snapshot lives as long as it does;
+        senders build S, I, J and the symbol stream from it.
+        """
+        return TxColumns(self.txs)
+
+    def validated_order(self, candidate) -> list[Transaction] | None:
+        """Order and Merkle-check a candidate set in one packed pass.
+
+        ``candidate`` is a transaction sequence or its
+        :class:`~repro.chain.columns.TxColumns`.  Returns the
+        canonically ordered list when it hashes to this block's root,
+        else ``None`` -- what a CTOR receiver does at Protocol 1 step 4
+        / Protocol 2 step 5.  The sorted rows' bytes go straight into
+        the packed Merkle tree, whose root memo turns a repeat
+        validation (one per hop of a relay) into one lookup of the
+        leaves.
+        """
+        ordered = TxColumns.of(candidate).canonical()
+        if merkle_root_packed(ordered.ids) != self.header.merkle_root:
+            return None
+        return ordered.txs
+
     def validate_candidate(self, candidate: Sequence[Transaction]) -> bool:
-        """Check a decoded transaction set against this block's Merkle root.
-
-        The candidate is canonically ordered before hashing, exactly what
-        a CTOR receiver does at Protocol 1 step 4 / Protocol 2 step 5.
-        """
-        ordered = canonical_order(list(candidate))
-        return merkle_root([tx.txid for tx in ordered]) == self.header.merkle_root
-
-    def validated_order(self, candidate: Sequence[Transaction]
-                        ) -> list[Transaction] | None:
-        """Order and Merkle-check a candidate set in one pass.
-
-        Returns the canonically ordered list when it hashes to this
-        block's root, else ``None``.  Fuses :meth:`validate_candidate`
-        followed by :meth:`require_valid`, which each re-sort and
-        re-hash the same candidate -- the relay hot path asks both
-        questions about every decode.
-
-        The answer is memoized per ``(merkle_root, txid set)`` (a relay
-        re-validates the same reconciled set once per hop): candidate
-        sets are deduplicated by txid in every caller, and CTOR depends
-        only on txids, so the key determines the order.  Sets with
-        duplicate txids bypass the cache.
-        """
-        txs = list(candidate)
-        id_set = frozenset(tx.txid for tx in txs)
-        if len(id_set) != len(txs):
-            ordered = canonical_order(txs)
-            if merkle_root([tx.txid for tx in ordered]) \
-                    != self.header.merkle_root:
-                return None
-            return ordered
-        key = (self.header.merkle_root, id_set)
-        hit = _ORDER_CACHE.get(key, _ORDER_MISS)
-        if hit is not _ORDER_MISS:
-            if hit is None:
-                return None
-            by_id = {tx.txid: tx for tx in txs}
-            return [by_id[txid] for txid in hit]
-        ordered = canonical_order(txs)
-        if merkle_root([tx.txid for tx in ordered]) \
-                != self.header.merkle_root:
-            ordered = None
-        if len(_ORDER_CACHE) >= _ORDER_CACHE_CAP:
-            for stale in list(_ORDER_CACHE)[:_ORDER_CACHE_CAP // 2]:
-                del _ORDER_CACHE[stale]
-        _ORDER_CACHE[key] = tuple(tx.txid for tx in ordered) \
-            if ordered is not None else None
-        return ordered
+        """Check a decoded transaction set against this block's Merkle root."""
+        return self.validated_order(candidate) is not None
 
     def require_valid(self, candidate: Sequence[Transaction]) -> list[Transaction]:
         """Return the canonically ordered candidate or raise on mismatch."""
-        ordered = canonical_order(list(candidate))
-        if merkle_root([tx.txid for tx in ordered]) != self.header.merkle_root:
+        ordered = self.validated_order(candidate)
+        if ordered is None:
             raise MerkleValidationError(
                 f"candidate set of {len(candidate)} txs does not match "
                 f"Merkle root {self.header.merkle_root.hex()[:16]}...")

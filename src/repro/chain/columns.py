@@ -1,0 +1,103 @@
+"""Columnar snapshots of transaction sets.
+
+Every structure a relay builds consumes the same two facts about a
+transaction -- its 32-byte ID and the short ID that is the ID's
+little-endian prefix -- and consumes them for a whole mempool or block
+at a time.  A :class:`TxColumns` lays a transaction set out once in the
+form those sweeps want: the transactions in row order beside one
+buffer of their IDs end to end, so that a Bloom sweep, an IBLT fold, a
+symbol stream, the canonical order and the Merkle tree all read a
+buffer instead of visiting ``Transaction`` objects one by one.
+
+A snapshot is immutable.  Its owner caches it and drops it on change:
+:meth:`Mempool.columns() <repro.chain.mempool.Mempool.columns>` (dropped
+by ``add`` / ``remove`` / ``remove_block``) and :attr:`Block.columns
+<repro.chain.block.Block.columns>` (kept for the life of the frozen
+block).  Whoever took a snapshot before a mutation keeps describing the
+old set -- Protocol 3 holds one across its round trips.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as _np
+
+
+class TxColumns:
+    """A transaction set as parallel columns, one row per transaction.
+
+    Attributes
+    ----------
+    txs:
+        The transactions in row order (a sequence the snapshot owns;
+        never mutated).
+    ids:
+        Their 32-byte txids laid end to end, ``32 * len(txs)`` bytes.
+    words:
+        ``ids`` viewed as an ``(n, 4)`` little-endian ``uint64`` matrix
+        (read-only; shares the buffer).
+    """
+
+    __slots__ = ("txs", "ids", "words")
+
+    def __init__(self, txs: Sequence, ids: bytes | None = None):
+        self.txs = txs
+        self.ids = b"".join([tx.txid for tx in txs]) if ids is None else ids
+        self.words = _np.frombuffer(self.ids, dtype="<u8").reshape(-1, 4)
+
+    @classmethod
+    def of(cls, txs) -> "TxColumns":
+        """``txs`` itself when already columnar, else packed once."""
+        return txs if isinstance(txs, cls) else cls(tuple(txs))
+
+    def __reduce__(self):
+        return TxColumns, (self.txs, self.ids)
+
+    def __len__(self) -> int:
+        return len(self.txs)
+
+    def short_ids(self, width: int = 8):
+        """Column of ``tx.short_id(width)``, ``uint64``, ``1 <= width <= 8``.
+
+        A short ID is the little-endian integer of the txid's first
+        ``width`` bytes: word 0 of the row, masked.
+        """
+        return self.words[:, 0] & _np.uint64((1 << (8 * width)) - 1)
+
+    def rows_with_short_ids(self, keys, width: int = 8):
+        """Ascending rows whose short ID is one of ``keys`` (sized, of ints)."""
+        wanted = _np.fromiter(keys, dtype=_np.uint64, count=len(keys))
+        # kind="sort": numpy's integer table method costs ~15 us of set-up
+        # that a handful of keys never earns back.
+        return _np.flatnonzero(
+            _np.isin(self.short_ids(width), wanted, kind="sort"))
+
+    def take(self, rows) -> "TxColumns":
+        """The snapshot of ``rows`` (an index array), in that order."""
+        txs = self.txs
+        return TxColumns([txs[row] for row in rows.tolist()],
+                         self.words[rows].tobytes())
+
+    def canonical(self) -> "TxColumns":
+        """This set in canonical (CTOR) order: ``sorted`` by txid."""
+        return self.take(self.canonical_rows())
+
+    def canonical_rows(self):
+        """Row permutation into canonical (CTOR) order.
+
+        Equal to ``sorted(range(n), key=txid)``.  IDs are hashes, so
+        their first 8 bytes, read big-endian, almost always order them
+        already: that is one integer sort.  Only when two rows share
+        that prefix (duplicates, manufactured collisions) does the
+        whole set go through the stable sort over all 32 bytes, where
+        fixed-width byte strings compare like ``bytes`` (embedded and
+        trailing NULs included).
+        """
+        prefix = self.words[:, 0].byteswap()
+        rows = _np.argsort(prefix)
+        ordered = prefix[rows]
+        if (ordered[1:] == ordered[:-1]).any():
+            return _np.argsort(_np.frombuffer(self.ids, dtype="S32"),
+                               kind="stable")
+        return rows

@@ -5,12 +5,21 @@ problem.  Beyond set storage we track, per peer, which transactions have
 had an ``inv`` exchanged -- the log the paper notes senders can use to
 proactively push transactions the receiver cannot have (section 2.2 and
 the Protocol 1 step 3 note).
+
+The receive path never walks the set object by object: :meth:`Mempool.
+columns` serves it as a :class:`~repro.chain.columns.TxColumns`
+snapshot -- rows in iteration order beside one buffer of their txids --
+which every sweep (Bloom S, the short-ID column of I' or the symbol
+stream) reads directly.  The mempool owns the snapshot and keeps it
+until the set changes, so peers re-syncing against an unchanged pool
+sweep the same buffer again.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+from repro.chain.columns import TxColumns
 from repro.chain.transaction import Transaction
 from repro.errors import ParameterError
 
@@ -21,6 +30,8 @@ class Mempool:
     def __init__(self, txs: Optional[Iterable[Transaction]] = None):
         self._txs: dict = {}
         self._inv_seen: dict = {}  # peer id -> set of txids
+        #: Cached :meth:`columns` snapshot; None once the set changed.
+        self._columns: Optional[TxColumns] = None
         if txs is not None:
             self.add_many(txs)
 
@@ -33,6 +44,7 @@ class Mempool:
         if tx.txid in self._txs:
             return False
         self._txs[tx.txid] = tx
+        self._columns = None
         return True
 
     def add_many(self, txs: Iterable[Transaction]) -> int:
@@ -41,10 +53,12 @@ class Mempool:
 
     def remove(self, txid: bytes) -> Optional[Transaction]:
         """Remove and return a transaction, or None if absent."""
+        self._columns = None
         return self._txs.pop(txid, None)
 
     def remove_block(self, txids: Iterable[bytes]) -> int:
         """Evict confirmed transactions after a block connects."""
+        self._columns = None
         return sum(1 for txid in txids if self._txs.pop(txid, None) is not None)
 
     def get(self, txid: bytes) -> Optional[Transaction]:
@@ -65,6 +79,19 @@ class Mempool:
 
     def transactions(self) -> list[Transaction]:
         return list(self._txs.values())
+
+    def columns(self) -> TxColumns:
+        """The set as an immutable columnar snapshot, rows in iteration order.
+
+        Built from the dict in two C-level passes (one join of the keys,
+        one tuple of the values) and kept until ``add`` / ``remove`` /
+        ``remove_block`` change the set; a snapshot handed out earlier
+        keeps describing the set as it was.
+        """
+        if self._columns is None:
+            self._columns = TxColumns(tuple(self._txs.values()),
+                                      b"".join(self._txs))
+        return self._columns
 
     # ------------------------------------------------------------------
     # Per-peer inventory log

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ParameterError
 from repro.utils.hashing import sha256, short_id
@@ -138,58 +138,3 @@ class TransactionGenerator:
                               self.rng.getrandbits(64))
         return Transaction(txid=sha256(b"coinbase" + payload), size=size,
                            fee_rate=0.0, is_coinbase=True)
-
-
-@dataclass
-class ShortIdIndex:
-    """Bidirectional map between transactions and their short IDs.
-
-    Receivers use this to turn the keys recovered from an IBLT back into
-    transactions.  Collisions (two mempool transactions sharing a short
-    ID) are recorded rather than silently dropped, since the collision
-    attack analysis of paper 6.1 needs to observe them.
-    """
-
-    nbytes: int = SHORT_ID_BYTES
-    _by_short: dict = field(default_factory=dict)
-    collisions: set = field(default_factory=set)
-
-    def add(self, tx: Transaction, sid: int | None = None) -> None:
-        """Index ``tx``; pass ``sid`` when the caller already computed it.
-
-        Hot reconciliation paths compute each candidate's short ID once
-        and share it between the index, the IBLT and the false-positive
-        strip, so re-deriving it here would double the work.
-        """
-        if sid is None:
-            sid = tx.short_id(self.nbytes)
-        existing = self._by_short.get(sid)
-        if existing is not None and existing.txid != tx.txid:
-            self.collisions.add(sid)
-            return
-        self._by_short[sid] = tx
-
-    def bulk_add(self, txs: list, sids: list) -> None:
-        """Index parallel ``(tx, sid)`` lists in one pass.
-
-        The common case -- empty index, no short-ID collisions -- builds
-        the map with a single ``dict(zip(...))``; any duplicate falls
-        back to per-item :meth:`add` so first-wins and collision
-        recording behave exactly as the scalar path.
-        """
-        if not self._by_short:
-            merged = dict(zip(sids, txs))
-            if len(merged) == len(sids):
-                self._by_short = merged
-                return
-        for tx, sid in zip(txs, sids):
-            self.add(tx, sid)
-
-    def get(self, sid: int) -> Transaction | None:
-        return self._by_short.get(sid)
-
-    def __contains__(self, sid: int) -> bool:
-        return sid in self._by_short
-
-    def __len__(self) -> int:
-        return len(self._by_short)

@@ -1,0 +1,91 @@
+"""The receiver's candidate set Z, in columnar form.
+
+Protocols 1 and 3 open the same way: the transactions the sender
+prefilled (in the block by construction -- no Bloom test needed), then
+every mempool transaction that passes Bloom filter S.  A
+:class:`CandidateSet` forms Z in one packed sweep of the mempool's
+:class:`~repro.chain.columns.TxColumns` and keeps it as columns -- the
+surviving row indices and the short-ID column the IBLT or the symbol
+decoder is built from -- so no step visits the mempool one
+``Transaction`` at a time.  Transactions are only materialized for the
+rows that end up in the answer.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional, Sequence
+
+import numpy as _np
+
+from repro.chain.columns import TxColumns
+from repro.chain.mempool import Mempool
+from repro.pds.bloom import BloomFilter
+
+
+class CandidateSet:
+    """Z = prefilled transactions + the mempool rows that pass S.
+
+    Candidate order is the prefilled transactions (first occurrence of
+    each txid) followed by the passing mempool rows in mempool
+    iteration order; a prefilled transaction the mempool also holds is
+    counted once, as prefilled.
+
+    Attributes
+    ----------
+    sids:
+        ``uint64`` short-ID column of Z, in candidate order.
+    """
+
+    __slots__ = ("_source", "_rows", "sids", "_by_txid")
+
+    def __init__(self, prefilled: Sequence, mempool: Mempool,
+                 bloom_s: BloomFilter, width: int):
+        source = mempool.columns()
+        hits = bloom_s.contains_packed(source.ids)
+        first: dict = {}
+        for tx in prefilled:
+            first.setdefault(tx.txid, tx)
+        for txid in first:
+            if txid in mempool:
+                hits &= (source.words
+                         != _np.frombuffer(txid, dtype="<u8")).any(axis=1)
+        rows = hits.nonzero()[0]
+        if first:
+            # Prefilled rows go in front of the mempool's, so that Z is
+            # row indices into one set of columns.
+            source = TxColumns((*first.values(), *source.txs),
+                               b"".join(first) + source.ids)
+            rows = _np.concatenate([_np.arange(len(first)),
+                                    rows + len(first)])
+        #: Z is ``_rows`` of ``_source``: the mempool's own snapshot, or
+        #: a copy of it behind the prefilled transactions.
+        self._source = source
+        self._rows = rows
+        self.sids = source.short_ids(width)[rows]
+        self._by_txid: Optional[dict] = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def columns(self, keep=None) -> TxColumns:
+        """Z as a snapshot, or only the candidates ``keep`` (a mask) marks."""
+        return self._source.take(self._rows if keep is None
+                                 else self._rows[keep])
+
+    def without(self, remote: Iterable[int]) -> TxColumns:
+        """Z minus the candidates whose short ID is in ``remote``.
+
+        ``remote`` holds the keys a decode attributed to the receiver
+        alone: Bloom false positives to strip, a handful at most.
+        """
+        if not remote:
+            return self.columns()
+        strip = _np.fromiter(remote, dtype=_np.uint64, count=len(remote))
+        # kind="sort" skips the integer table method's fixed set-up.
+        return self.columns(~_np.isin(self.sids, strip, kind="sort"))
+
+    def as_dict(self) -> dict:
+        """``txid -> Transaction`` over Z in candidate order (built once)."""
+        if self._by_txid is None:
+            self._by_txid = {tx.txid: tx for tx in self.columns().txs}
+        return self._by_txid

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.chain.block import Block, BlockHeader
+from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.codec import (
     decode_block_header,
@@ -198,9 +199,11 @@ def _p3_parts(payload) -> dict:
 class GrapheneSenderEngine:
     """Serves one block (or a whole mempool) to any number of peers.
 
-    Pass ``block`` for block relay; pass ``txs`` (a transaction list,
-    typically a mempool snapshot) for mempool synchronization, where
-    there is no header to prefix and no coinbase to prefill.
+    Pass ``block`` for block relay; pass ``txs`` (a transaction list or
+    a :class:`~repro.chain.columns.TxColumns`, typically
+    ``mempool.columns()``) for mempool synchronization, where there is
+    no header to prefix and no coinbase to prefill.  Either way every
+    structure served is built from the one columnar snapshot.
 
     ``telemetry`` collects a :class:`MessageEvent` per served message;
     pass a shared (or traced, see :mod:`repro.obs.trace`) list to
@@ -215,7 +218,8 @@ class GrapheneSenderEngine:
             raise ParameterError(
                 "exactly one of block= or txs= must be provided")
         self.block = block
-        self.txs = list(block.txs) if block is not None else list(txs)
+        self.columns = block.columns if block is not None \
+            else TxColumns.of(txs)
         self.mempool_mode = block is None
         self.config = config or GrapheneConfig()
         self.telemetry = telemetry if telemetry is not None \
@@ -260,7 +264,7 @@ class GrapheneSenderEngine:
         cached = self._p1_cache.get(m)
         if cached is None:
             payload = build_protocol1(
-                self.txs, m, self.config,
+                self.columns, m, self.config,
                 auto_prefill_coinbase=not self.mempool_mode)
             blob = encode_protocol1_payload(payload)
             if not self.mempool_mode:
@@ -275,7 +279,7 @@ class GrapheneSenderEngine:
     def _symbol_stream(self):
         """The sender's one shared rateless symbol stream, built lazily."""
         if self._p3_encoder is None:
-            self._p3_encoder = make_encoder(self.txs, self.config)
+            self._p3_encoder = make_encoder(self.columns, self.config)
         return self._p3_encoder
 
     def _serve_p3_opening(self, m: int) -> EngineAction:
@@ -283,7 +287,7 @@ class GrapheneSenderEngine:
         cached = self._p3_cache.get(m)
         if cached is None:
             payload, _ = build_protocol3(
-                self.txs, m, self.config,
+                self.columns, m, self.config,
                 auto_prefill_coinbase=not self.mempool_mode,
                 encoder=self._symbol_stream())
             blob = encode_protocol3_payload(payload)
@@ -323,7 +327,7 @@ class GrapheneSenderEngine:
             raise ParameterError("p2 request too short")
         (m,) = struct.unpack_from("<I", message, 0)
         request, _ = decode_protocol2_request(message, 4)
-        response = respond_protocol2(request, self.txs, m, self.config)
+        response = respond_protocol2(request, self.columns, m, self.config)
         return self._emit("graphene_p2_response",
                           encode_protocol2_response(response), "p2", 2,
                           _p2_response_parts(response))
@@ -339,7 +343,8 @@ class GrapheneSenderEngine:
             int.from_bytes(message[i:i + width], "little")
             for i in range(0, len(message), width)
         }
-        txs = [tx for tx in self.txs if tx.short_id(width) in wanted]
+        txs = self.columns.take(
+            self.columns.rows_with_short_ids(wanted, width)).txs
         return self._emit("block_txs", encode_tx_list(txs), "fetch", 3,
                           {"fetched_tx_bytes": sum(tx.size for tx in txs)})
 
@@ -393,9 +398,10 @@ class GrapheneReceiverEngine:
         #: Last outbound request, kept so a recovery driver can re-emit
         #: it verbatim after a timeout (see :meth:`reemit_last_request`).
         self._last_send: Optional[EngineAction] = None
-        #: Transactions recovered so far, keyed by txid; on DONE this is
-        #: the reconciled view drivers adopt (mempool sync's union).
-        self.reconciled: dict = {}
+        #: Candidates a P1/P3 decode kept, and the txid-keyed view of
+        #: them (see :attr:`reconciled`), built on first read.
+        self._survivors: list = []
+        self._reconciled: Optional[dict] = None
         self.bytes_sent = 0
         self.bytes_received = 0
         # Exchange summary, valid once the engine reaches DONE/FAILED.
@@ -412,6 +418,18 @@ class GrapheneReceiverEngine:
         self.p3_symbols = 0
 
     # ------------------------------------------------------------------
+
+    @property
+    def reconciled(self) -> dict:
+        """Transactions recovered so far, keyed by txid.
+
+        On DONE this is the reconciled view drivers adopt (mempool
+        sync's union).  A block relay that decodes outright never reads
+        it, so the dict is only built when someone does.
+        """
+        if self._reconciled is None:
+            self._reconciled = {tx.txid: tx for tx in self._survivors}
+        return self._reconciled
 
     def _record(self, command: str, direction: str, phase: str,
                 roundtrip: int, parts: dict,
@@ -511,7 +529,7 @@ class GrapheneReceiverEngine:
             self._record("graphene_block", "received", "p1", 1, parts,
                          outcome="decoded")
             self.p1_success = True
-            self.reconciled = {tx.txid: tx for tx in result.reconciled}
+            self._survivors = result.reconciled
             if result.missing_short_ids:
                 return self._request_short_ids(result.missing_short_ids)
             return self._complete(result.txs)
@@ -520,7 +538,7 @@ class GrapheneReceiverEngine:
             self._record("graphene_block", "received", "p1", 1, parts,
                          outcome="decoded")
             self.p1_success = True
-            self.reconciled = {tx.txid: tx for tx in result.reconciled}
+            self._survivors = result.reconciled
             return self._complete(result.txs)
 
         self._record("graphene_block", "received", "p1", 1, parts,
@@ -556,7 +574,7 @@ class GrapheneReceiverEngine:
         if result.success:
             self._record("graphene_p2_response", "received", "p2", 2,
                          parts, outcome="decoded")
-            self.reconciled = dict(result.recovered)
+            self._reconciled = dict(result.recovered)
             return self._complete(result.txs)
         if not result.decode_complete:
             self._record("graphene_p2_response", "received", "p2", 2,
@@ -565,7 +583,7 @@ class GrapheneReceiverEngine:
         if result.missing_short_ids:
             self._record("graphene_p2_response", "received", "p2", 2,
                          parts, outcome="fetch")
-            self.reconciled = dict(result.recovered)
+            self._reconciled = dict(result.recovered)
             return self._request_short_ids(result.missing_short_ids)
         self._record("graphene_p2_response", "received", "p2", 2,
                      parts, outcome="failed")
@@ -660,12 +678,12 @@ class GrapheneReceiverEngine:
         if result.missing_short_ids:
             self._record(command, "received", "p3", roundtrip, parts,
                          outcome="fetch")
-            self.reconciled = {tx.txid: tx for tx in result.reconciled}
+            self._survivors = result.reconciled
             return self._request_short_ids(result.missing_short_ids)
         if result.success:
             self._record(command, "received", "p3", roundtrip, parts,
                          outcome="decoded")
-            self.reconciled = {tx.txid: tx for tx in result.reconciled}
+            self._survivors = result.reconciled
             return self._complete(result.txs)
         self._record(command, "received", "p3", roundtrip, parts,
                      outcome="failed")

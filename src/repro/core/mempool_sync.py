@@ -72,9 +72,8 @@ def synchronize_mempools(sender: Mempool, receiver: Mempool,
     Fig. 18 while still exercising the full reconciliation logic.
     """
     config = config or GrapheneConfig()
-    sender_txs = sender.transactions()
 
-    tx_engine = GrapheneSenderEngine(txs=sender_txs, config=config)
+    tx_engine = GrapheneSenderEngine(txs=sender.columns(), config=config)
     rx_engine = GrapheneReceiverEngine(receiver, config, mode="mempool")
     final = LoopbackTransport(tx_engine, rx_engine).run()
 
@@ -97,7 +96,7 @@ def synchronize_mempools(sender: Mempool, receiver: Mempool,
     # The reconciled view holds everything recovered from the sender's
     # side (fetched repairs included); anything new joins the receiver.
     reconciled = rx_engine.reconciled
-    sender_ids = {tx.txid for tx in sender_txs}
+    sender_ids = set(sender.txids)
     result.receiver_gained = receiver.add_many(reconciled.values())
 
     # Receiver pushes H: her transactions the sender provably lacks --

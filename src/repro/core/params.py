@@ -50,7 +50,10 @@ class GrapheneConfig:
         The IBLT parameter table targets a decode failure rate of
         ``1/decode_denom``.
     short_id_bytes:
-        Width of the short transaction IDs stored in IBLTs.
+        Width of the short transaction IDs stored in IBLTs, 1 to 8:
+        IBLT and coded-symbol keys are 64-bit, so a wider ID would be
+        truncated inside the structures and no longer match its
+        transaction when false positives are stripped.
     special_case_fpr:
         The fixed ``f_R`` used in the ``m ~ n`` special case (paper
         3.3.2 sets 0.1 and reports 0.001-0.2 all work).
@@ -78,6 +81,10 @@ class GrapheneConfig:
         if not 0 <= self.seed < 2 ** 32:
             raise ParameterError(
                 f"seed must be in [0, 2**32), got {self.seed}")
+        if not 1 <= self.short_id_bytes <= 8:
+            raise ParameterError(
+                f"short_id_bytes must be in [1, 8], got "
+                f"{self.short_id_bytes}")
 
     def table(self) -> IBLTParamTable:
         return default_param_table(self.decode_denom)

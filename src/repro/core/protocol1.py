@@ -8,6 +8,14 @@ mempool through S, forming the candidate set ``Z``; builds ``I'`` from
 ``Z``; subtracts ``I (-) I'``; removes the recovered false positives
 from ``Z``; and validates the Merkle root.
 
+Neither side visits transactions one object at a time.  The sender
+builds S and I from the block's :class:`~repro.chain.columns.TxColumns`
+(its ID buffer and its short-ID column); the receiver forms Z in one
+packed sweep of the mempool's snapshot
+(:class:`~repro.core.candidates.CandidateSet`), folds Z's short-ID
+column into ``I'``, strips false positives with one ``isin`` and hands
+the survivors' ID buffer to the packed order + Merkle pass.
+
 The functions here also serve mempool synchronization (paper 3.2.1) by
 treating the sender's whole mempool as the "block": pass
 ``validate_block=None`` and the Merkle check is skipped.
@@ -19,8 +27,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.chain.block import Block
+from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
-from repro.chain.transaction import ShortIdIndex, Transaction
+from repro.chain.transaction import Transaction
+from repro.core.candidates import CandidateSet
 from repro.core.params import FilterIBLTPlan, GrapheneConfig, optimize_a
 from repro.errors import ParameterError
 from repro.pds.bloom import BloomFilter
@@ -73,14 +83,13 @@ class Protocol1Result:
 
     On success ``txs`` holds the canonically ordered block transactions.
     On failure the fields preserve everything Protocol 2 needs: the
-    candidate set ``Z``, the observed count ``z``, the subtracted IBLT
-    (for ping-pong decoding later) and the index mapping short IDs back
-    to transactions.
+    candidate set ``Z``, the observed count ``z`` and the subtracted
+    IBLT (for ping-pong decoding later).
     """
 
     success: bool
     txs: Optional[list] = None
-    candidates: dict = field(default_factory=dict)  # txid -> Transaction
+    candidate_set: Optional[CandidateSet] = None  # the set Z, columnar
     z: int = 0
     iblt_diff: Optional[IBLT] = None
     decode_complete: bool = False
@@ -90,36 +99,52 @@ class Protocol1Result:
     #: meaningful when decode_complete; used by mempool synchronization).
     reconciled: list = field(default_factory=list)
 
+    @property
+    def candidates(self) -> dict:
+        """``txid -> Transaction`` view of Z, built on first read."""
+        if self.candidate_set is None:
+            return {}
+        return self.candidate_set.as_dict()
 
-def build_protocol1(txs: Sequence[Transaction], receiver_mempool_count: int,
+
+def build_protocol1(txs, receiver_mempool_count: int,
                     config: Optional[GrapheneConfig] = None,
                     plan: Optional[FilterIBLTPlan] = None,
                     prefill: Optional[Sequence[Transaction]] = None,
                     auto_prefill_coinbase: bool = True) -> Protocol1Payload:
     """Sender side: construct S and I for a block (or a whole mempool).
 
+    ``txs`` is the block's :class:`~repro.chain.columns.TxColumns`
+    (``block.columns``) or any transaction sequence, packed once here.
     ``plan`` lets callers (and ablation benches) override the optimizer.
     ``prefill`` transactions ride along in full (step-3 note); coinbase
     transactions are prefilled automatically since no receiver can hold
     them (disable with ``auto_prefill_coinbase=False``).
     """
     config = config or GrapheneConfig()
-    n = len(txs)
-    prefilled = list(prefill) if prefill is not None else []
-    if auto_prefill_coinbase:
-        chosen = {tx.txid for tx in prefilled}
-        prefilled.extend(tx for tx in txs
-                         if tx.is_coinbase and tx.txid not in chosen)
+    columns = TxColumns.of(txs)
+    n = len(columns)
     if plan is None:
         plan = optimize_a(n, receiver_mempool_count, config)
     bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
     iblt = IBLT(plan.iblt.cells, k=plan.iblt.k, seed=config.seed ^ SEED_I,
                 cell_bytes=config.cell_bytes)
-    bloom.update(tx.txid for tx in txs)
-    iblt.update(tx.short_id(config.short_id_bytes) for tx in txs)
-    return Protocol1Payload(n=n, bloom_s=bloom, iblt_i=iblt,
-                            recover=plan.recover, plan=plan,
-                            prefilled=tuple(prefilled))
+    bloom.update_packed(columns.ids)
+    iblt.update(columns.short_ids(config.short_id_bytes))
+    return Protocol1Payload(
+        n=n, bloom_s=bloom, iblt_i=iblt, recover=plan.recover, plan=plan,
+        prefilled=choose_prefilled(columns, prefill, auto_prefill_coinbase))
+
+
+def choose_prefilled(columns: TxColumns, prefill,
+                     auto_prefill_coinbase: bool) -> tuple:
+    """Transactions to ship in full: ``prefill`` plus any coinbase."""
+    prefilled = list(prefill) if prefill is not None else []
+    if auto_prefill_coinbase:
+        chosen = {tx.txid for tx in prefilled}
+        prefilled += [tx for tx in columns.txs
+                      if tx.is_coinbase and tx.txid not in chosen]
+    return tuple(prefilled)
 
 
 def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
@@ -135,34 +160,16 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
     if payload.n < 0:
         raise ParameterError(f"payload.n must be non-negative: {payload.n}")
 
-    index = ShortIdIndex(nbytes=config.short_id_bytes)
-    candidates: dict = {}
+    candidates = CandidateSet(payload.prefilled, mempool, payload.bloom_s,
+                              config.short_id_bytes)
     iblt_prime = IBLT(payload.iblt_i.cells, k=payload.iblt_i.k,
                       seed=payload.iblt_i.seed,
                       cell_bytes=payload.iblt_i.cell_bytes)
-    # Prefilled transactions (e.g. the coinbase) are in the block by
-    # construction -- no Bloom test needed.
-    for tx in payload.prefilled:
-        if tx.txid not in candidates:
-            candidates[tx.txid] = tx
-    # One batch sweep of the mempool through S; survivors join the
-    # candidate set Z.
-    pool = [tx for tx in mempool if tx.txid not in candidates]
-    for tx, hit in zip(pool, payload.bloom_s.contains_many(
-            [tx.txid for tx in pool])):
-        if hit:
-            candidates[tx.txid] = tx
-    # One short-id computation per candidate, shared by the index, the
-    # receiver IBLT and the false-positive strip below.
-    width = config.short_id_bytes
-    cand_txs = list(candidates.values())
-    cand_sids = [tx.short_id(width) for tx in cand_txs]
-    index.bulk_add(cand_txs, cand_sids)
-    iblt_prime.update(cand_sids)
+    iblt_prime.update(candidates.sids)
 
     diff = payload.iblt_i.subtract(iblt_prime)
     decode = diff.decode()
-    result = Protocol1Result(success=False, candidates=candidates,
+    result = Protocol1Result(success=False, candidate_set=candidates,
                              z=len(candidates), iblt_diff=diff,
                              decode_complete=decode.complete)
     if not decode.complete:
@@ -171,9 +178,7 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
     # decode.local: short IDs in the block but not the candidate set --
     # transactions the receiver is missing.  Protocol 1 cannot repair
     # those; escalate.  decode.remote: false positives to strip from Z.
-    remote = decode.remote
-    surviving = [tx for tx, sid in zip(cand_txs, cand_sids)
-                 if sid not in remote]
+    surviving = candidates.without(decode.remote)
     # Consistency: |block| must equal surviving candidates plus the
     # missing transactions the decode claims.  An IBLT that is all-zero
     # after the subtract (e.g. a replay of the receiver's own I') peels
@@ -185,7 +190,7 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
     if payload.n != len(surviving) + len(decode.local):
         result.decode_complete = False
         return result
-    result.reconciled = surviving
+    result.reconciled = surviving.txs
     if decode.local:
         result.missing_short_ids = decode.local
         return result
@@ -196,6 +201,6 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
         result.merkle_ok = True
         result.txs = ordered
     else:
-        result.txs = sorted(surviving, key=lambda tx: tx.txid)
+        result.txs = surviving.canonical().txs
     result.success = True
     return result

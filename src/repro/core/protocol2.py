@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as _np
 
 from repro.chain.block import Block
+from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
-from repro.chain.transaction import ShortIdIndex, Transaction
 from repro.core.bounds import x_star, y_star
 from repro.core.params import FilterIBLTPlan, GrapheneConfig, optimize_b
 from repro.core.protocol1 import Protocol1Payload, Protocol1Result, SEED_J
@@ -165,25 +167,27 @@ def build_protocol2_request(
                                      seed=config.seed ^ 0xF00D)
         request = Protocol2Request(bloom_r=bloom, b=plan.a, ystar=ystar, z=z,
                                    xstar=xstar, special_case=False, plan=plan)
-    bloom.update(p1_result.candidates)
+    bloom.update_packed(p1_result.candidate_set.columns().ids)
     state = Protocol2ReceiverState(
-        candidates=dict(p1_result.candidates),
+        candidates=p1_result.candidates,
         iblt_p1_diff=p1_result.iblt_diff, payload_n=n, fpr_s=fpr_s,
         xstar=xstar, ystar=ystar, special_case=request.special_case)
     return request, state
 
 
-def respond_protocol2(request: Protocol2Request, txs: Sequence[Transaction],
+def respond_protocol2(request: Protocol2Request, txs,
                       receiver_mempool_count: int,
                       config: Optional[GrapheneConfig] = None) -> Protocol2Response:
-    """Sender: push transactions missing R, build IBLT J (steps 3-4)."""
+    """Sender: push transactions missing R, build IBLT J (steps 3-4).
+
+    ``txs`` is the block's :class:`~repro.chain.columns.TxColumns` or
+    any transaction sequence, packed once here.
+    """
     config = config or GrapheneConfig()
-    n = len(txs)
-    in_r: list = []
-    missing: list = []
-    hits = request.bloom_r.contains_many(tx.txid for tx in txs)
-    for tx, hit in zip(txs, hits):
-        (in_r if hit else missing).append(tx)
+    columns = TxColumns.of(txs)
+    n = len(columns)
+    in_r = request.bloom_r.contains_packed(columns.ids)
+    missing = columns.take(_np.flatnonzero(~in_r)).txs
 
     table = config.table()
     bloom_f: Optional[BloomFilter] = None
@@ -194,7 +198,7 @@ def respond_protocol2(request: Protocol2Request, txs: Sequence[Transaction],
         # fixed special-case constant, known to both sides -- it is
         # not on the wire, so a decoded request cannot carry it.
         fpr_r = config.special_case_fpr
-        z_s = len(in_r)
+        z_s = int(_np.count_nonzero(in_r))
         xstar_s = x_star(z_s, n, fpr_r, beta=config.beta) if fpr_r < 1.0 else 0
         ystar_s = y_star(z_s, n, fpr_r, beta=config.beta, xstar=xstar_s) \
             if fpr_r < 1.0 else z_s
@@ -202,7 +206,7 @@ def respond_protocol2(request: Protocol2Request, txs: Sequence[Transaction],
         plan_f = optimize_b(z_s, f_bound, ystar_s, config)
         bloom_f = BloomFilter.from_fpr(max(1, z_s), plan_f.fpr,
                                        seed=config.seed ^ 0xFEED)
-        bloom_f.update(tx.txid for tx in in_r)
+        bloom_f.update_packed(columns.words[in_r].tobytes())
         recover = plan_f.a + ystar_s
     else:
         recover = request.b + request.ystar
@@ -210,7 +214,7 @@ def respond_protocol2(request: Protocol2Request, txs: Sequence[Transaction],
     params = table.params_for(max(1, recover))
     iblt = IBLT(params.cells, k=params.k, seed=config.seed ^ SEED_J,
                 cell_bytes=config.cell_bytes)
-    iblt.update(tx.short_id(config.short_id_bytes) for tx in txs)
+    iblt.update(columns.short_ids(config.short_id_bytes))
     return Protocol2Response(missing_txs=tuple(missing), iblt_j=iblt,
                              bloom_f=bloom_f, recover=max(1, recover))
 
@@ -233,12 +237,9 @@ def finish_protocol2(response: Protocol2Response,
     for tx in response.missing_txs:
         candidates[tx.txid] = tx
 
-    index = ShortIdIndex(nbytes=config.short_id_bytes)
     jprime = IBLT(response.iblt_j.cells, k=response.iblt_j.k,
                   seed=response.iblt_j.seed,
                   cell_bytes=response.iblt_j.cell_bytes)
-    for tx in candidates.values():
-        index.add(tx)
     jprime.update(tx.short_id(config.short_id_bytes)
                   for tx in candidates.values())
 
@@ -279,8 +280,10 @@ def finish_protocol2(response: Protocol2Response,
         for cand in dropped_by_f.values():
             dropped_short.setdefault(cand.short_id(config.short_id_bytes),
                                      cand)
+        pool = mempool.columns()
         pool_short: dict = {}
-        for cand in mempool:
+        for cand in pool.take(pool.rows_with_short_ids(
+                decode.local, config.short_id_bytes)).txs:
             pool_short.setdefault(cand.short_id(config.short_id_bytes), cand)
         for key in decode.local:
             tx = dropped_short.get(key) or pool_short.get(key)

@@ -28,6 +28,14 @@ the no-missing-transactions case usually decodes in a single round
 trip, byte-competitive with Protocol 1.  Follow-up batches grow
 geometrically, bounding the worst case at a constant factor of the
 true difference.
+
+Both sides read columns, as Protocol 1 does: the sender builds S and the
+symbol stream from the block's :class:`~repro.chain.columns.TxColumns`,
+and the receiver's Z is the same
+:class:`~repro.core.candidates.CandidateSet` -- one packed sweep of the
+mempool's snapshot, whose short-ID column seeds the decoder.  The state
+keeps that snapshot, so the exchange finishes against the mempool it
+began with however many round trips it takes.
 """
 
 from __future__ import annotations
@@ -37,8 +45,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.chain.block import Block
+from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
+from repro.core.candidates import CandidateSet
 from repro.core.params import FilterIBLTPlan, GrapheneConfig, optimize_a
+from repro.core.protocol1 import SEED_S, choose_prefilled
 from repro.errors import ParameterError
 from repro.pds.bloom import BloomFilter
 from repro.pds.riblt import RIBLTDecoder, RIBLTEncoder, symbol_stream_bytes
@@ -138,18 +149,26 @@ class Protocol3Payload:
 
 @dataclass
 class Protocol3ReceiverState:
-    """Receiver-side state across the symbol-stream round trips."""
+    """Receiver-side state across the symbol-stream round trips.
+
+    ``candidate_set`` holds the mempool snapshot Z was swept from, so
+    the exchange finishes against the set it began with even if the
+    mempool changes between round trips.
+    """
 
     decoder: RIBLTDecoder
-    candidates: dict                 # txid -> Transaction (set Z)
-    cand_txs: list
-    cand_sids: list
+    candidate_set: CandidateSet      # the set Z, columnar
     n: int
     cap: int                         # hard bound on total symbols
 
     @property
     def symbols(self) -> int:
         return self.decoder.size
+
+    @property
+    def candidates(self) -> dict:
+        """``txid -> Transaction`` view of Z, built on first read."""
+        return self.candidate_set.as_dict()
 
 
 @dataclass
@@ -166,13 +185,14 @@ class Protocol3Result:
 
 
 def make_encoder(txs, config: GrapheneConfig) -> RIBLTEncoder:
-    """The sender's symbol stream over a transaction list's short IDs.
+    """The sender's symbol stream over a transaction set's short IDs.
 
-    A pure function of ``(txs, config)``: any window of the stream can
-    be re-served byte-identically to any peer at any time.
+    ``txs`` is a :class:`~repro.chain.columns.TxColumns` or any
+    transaction sequence.  A pure function of ``(txs, config)``: any
+    window of the stream can be re-served byte-identically to any peer
+    at any time.
     """
-    width = config.short_id_bytes
-    return RIBLTEncoder((tx.short_id(width) for tx in txs),
+    return RIBLTEncoder(TxColumns.of(txs).short_ids(config.short_id_bytes),
                         seed=config.seed ^ SEED_R)
 
 
@@ -190,26 +210,21 @@ def build_protocol3(txs, receiver_mempool_count: int,
     share one symbol stream across peers and continuation requests.
     """
     config = config or GrapheneConfig()
-    n = len(txs)
-    prefilled = list(prefill) if prefill is not None else []
-    if auto_prefill_coinbase:
-        chosen = {tx.txid for tx in prefilled}
-        prefilled.extend(tx for tx in txs
-                         if tx.is_coinbase and tx.txid not in chosen)
+    columns = TxColumns.of(txs)
+    n = len(columns)
     if plan is None:
         plan = optimize_a(n, receiver_mempool_count, config)
-    from repro.core.protocol1 import SEED_S
     bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
-    bloom.update(tx.txid for tx in txs)
+    bloom.update_packed(columns.ids)
     if encoder is None:
-        encoder = make_encoder(txs, config)
+        encoder = make_encoder(columns, config)
     count = first_batch_size(plan.recover)
     counts, key_sums, check_sums = encoder.window(0, count)
     batch = SymbolBatch(start=0, counts=counts, key_sums=key_sums,
                         check_sums=check_sums)
-    payload = Protocol3Payload(n=n, bloom_s=bloom, symbols=batch,
-                               recover=plan.recover, plan=plan,
-                               prefilled=tuple(prefilled))
+    payload = Protocol3Payload(
+        n=n, bloom_s=bloom, symbols=batch, recover=plan.recover, plan=plan,
+        prefilled=choose_prefilled(columns, prefill, auto_prefill_coinbase))
     return payload, encoder
 
 
@@ -218,30 +233,20 @@ def begin_protocol3(payload: Protocol3Payload, mempool: Mempool,
                     ) -> Protocol3ReceiverState:
     """Receiver side: form Z through S, then ingest the first batch.
 
-    Identical candidate-set construction to Protocol 1; the decoder is
-    seeded with the candidates' short IDs and fed the opening symbols.
+    The same :class:`~repro.core.candidates.CandidateSet` as Protocol 1;
+    the decoder is seeded with its short-ID column and fed the opening
+    symbols.
     May raise :class:`~repro.errors.MalformedIBLTError` if the opening
     batch itself peels inconsistently.
     """
     config = config or GrapheneConfig()
     if payload.n < 0:
         raise ParameterError(f"payload.n must be non-negative: {payload.n}")
-    candidates: dict = {}
-    for tx in payload.prefilled:
-        if tx.txid not in candidates:
-            candidates[tx.txid] = tx
-    pool = [tx for tx in mempool if tx.txid not in candidates]
-    for tx, hit in zip(pool, payload.bloom_s.contains_many(
-            [tx.txid for tx in pool])):
-        if hit:
-            candidates[tx.txid] = tx
-    width = config.short_id_bytes
-    cand_txs = list(candidates.values())
-    cand_sids = [tx.short_id(width) for tx in cand_txs]
-    decoder = RIBLTDecoder(cand_sids, seed=config.seed ^ SEED_R)
-    cap = STREAM_CAP_FACTOR * max(16, payload.n + len(cand_txs))
-    state = Protocol3ReceiverState(decoder=decoder, candidates=candidates,
-                                   cand_txs=cand_txs, cand_sids=cand_sids,
+    candidates = CandidateSet(payload.prefilled, mempool, payload.bloom_s,
+                              config.short_id_bytes)
+    decoder = RIBLTDecoder(candidates.sids, seed=config.seed ^ SEED_R)
+    cap = STREAM_CAP_FACTOR * max(16, payload.n + len(candidates))
+    state = Protocol3ReceiverState(decoder=decoder, candidate_set=candidates,
                                    n=payload.n, cap=cap)
     ingest_symbols(state, payload.symbols)
     return state
@@ -286,9 +291,7 @@ def finish_protocol3(state: Protocol3ReceiverState,
                              decode_complete=decoder.complete)
     if not decoder.complete:
         return result
-    remote = decoder.remote
-    surviving = [tx for tx, sid in zip(state.cand_txs, state.cand_sids)
-                 if sid not in remote]
+    surviving = state.candidate_set.without(decoder.remote)
     # Consistency: |block| must equal surviving candidates plus the
     # missing transactions the decode claims.  (Short-id collisions
     # can break this; they also break Protocol 1, and the Merkle check
@@ -296,7 +299,7 @@ def finish_protocol3(state: Protocol3ReceiverState,
     if state.n != len(surviving) + len(decoder.local):
         result.decode_complete = False
         return result
-    result.reconciled = surviving
+    result.reconciled = surviving.txs
     if decoder.local:
         result.missing_short_ids = frozenset(decoder.local)
         return result
@@ -307,6 +310,6 @@ def finish_protocol3(state: Protocol3ReceiverState,
         result.merkle_ok = True
         result.txs = ordered
     else:
-        result.txs = sorted(surviving, key=lambda tx: tx.txid)
+        result.txs = surviving.canonical().txs
     result.success = True
     return result

@@ -14,7 +14,9 @@ deterministic test case and checks a battery of invariants:
   :class:`~repro.pds.bloom.BloomFilter` against the scalar references in
   :mod:`repro.pds.reference` and against their own scalar paths
   (``update`` vs repeated ``insert``, ``contains_many`` vs
-  ``__contains__``), on both sides of the ``_BATCH_MIN`` threshold.
+  ``__contains__``) and their packed entry points (``update_packed`` /
+  ``contains_packed``, a ``uint64`` key column), on both sides of the
+  ``_BATCH_MIN`` threshold.
 * :class:`RelayEngine` -- random small lossy topologies with optional
   :class:`~repro.net.simulator.FaultInjector` schedules, asserting
   convergence-or-clean-abandon and every RunReport invariant.
@@ -32,6 +34,8 @@ import random
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
+
+import numpy as _np
 
 from repro.codec import (
     decode_bloom,
@@ -65,6 +69,7 @@ from repro.net.peer.framing import (
     frame_overhead,
     iter_splits,
 )
+from repro.utils.hashing import sha256
 
 _DECODERS = (decode_bloom, decode_iblt, decode_transaction, decode_tx_list,
              decode_protocol1_payload, decode_protocol2_request,
@@ -789,6 +794,11 @@ class PDSEngine(Engine):
             return self.fail("riblt-window-invariance",
                              "chunked windows differ from one straight "
                              "read of the stream", params)
+        packed = RIBLTEncoder(_np.array(sender, dtype=_np.uint64), seed=seed)
+        if packed.window(0, total) != reference:
+            return self.fail("riblt-packed-vs-list",
+                             "a uint64 key column and the same keys as a "
+                             "list give different streams", params)
 
         # Differential decode: the recovered difference must equal the
         # set-algebra oracle exactly, in both directions.
@@ -830,6 +840,13 @@ class PDSEngine(Engine):
                 return self.fail("iblt-batch-vs-scalar",
                                  f"column {name} differs between update() "
                                  "and repeated insert()", params)
+
+        packed = IBLT(cells, **shape)
+        packed.update(_np.array(shared + only_a, dtype=_np.uint64))
+        if encode_iblt(packed) != encode_iblt(batch):
+            return self.fail("iblt-packed-vs-list",
+                             "a uint64 key column and the same keys as a "
+                             "list fold differently", params)
 
         ref = ReferenceIBLT(cells, **shape)
         ref.update(shared + only_a)
@@ -885,6 +902,26 @@ class PDSEngine(Engine):
             return self.fail("bloom-contains-many",
                              "contains_many() differs from __contains__",
                              params)
+
+        if params["fseed"] or params["width"] == 32:
+            # The packed entry points take 32-byte rows: the items
+            # themselves, or (seeded) their digests.
+            def rows(batch_items):
+                return b"".join([item if len(item) == 32 else sha256(item)
+                                 for item in batch_items])
+            packed = BloomFilter.from_fpr(params["n"], params["fpr"],
+                                          seed=params["fseed"])
+            packed.update_packed(rows(items))
+            if bytes(packed._bits) != bytes(batch._bits) \
+                    or packed.count != batch.count:
+                return self.fail("bloom-packed-vs-list",
+                                 "update_packed() and update() disagree",
+                                 params)
+            if packed.contains_packed(rows(probes)).tolist() \
+                    != batch.contains_many(probes):
+                return self.fail("bloom-contains-packed",
+                                 "contains_packed() differs from "
+                                 "contains_many()", params)
 
         ref = ReferenceBloomFilter.from_fpr(params["n"], params["fpr"],
                                             seed=params["fseed"])

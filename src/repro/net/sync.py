@@ -155,7 +155,7 @@ class MempoolSyncMixin:
             if step != "getdata":
                 return  # late message for a finished or unknown sync
             engine = GrapheneSenderEngine(
-                txs=self.mempool.transactions(), config=self.config,
+                txs=self.mempool.columns(), config=self.config,
                 telemetry=self._telemetry_stream("sync-serve", nonce))
             self._sync_serving[key] = engine
             # A lost sync_push would leak this engine forever; retain a

@@ -30,6 +30,15 @@ Two properties of that derivation are load-bearing:
 * **The salt goes through the mixer.**  XORed onto finished words it
   would, for a power-of-two ``nbits``, merely permute bit positions,
   and two seeds would make identical mistakes.
+
+Batches have one kernel, and it reads packed input:
+:meth:`BloomFilter.update_packed` and :meth:`BloomFilter.contains_packed`
+take 32-byte rows laid end to end -- a mempool's or a block's own ID
+buffer (:class:`repro.chain.columns.TxColumns`) -- and
+:meth:`~BloomFilter.update` / :meth:`~BloomFilter.contains_many` pack
+their list (digesting any item that is not 32 bytes, as the scalar path
+does) and call it.  The mempool sweep of section 6.3 is therefore one
+vectorized pass over a buffer the mempool already holds.
 """
 
 from __future__ import annotations
@@ -61,13 +70,15 @@ _SALT_TAG = b"graphene/bloom"
 #: 41 vs 40 at 12, 103 vs 38 at 31; a memo hit costs 3-6 us at any size).
 _BATCH_MIN = 12
 
-#: Finished ``(len(items), k)`` bit-index matrices of seeded whole-batch
-#: sweeps, keyed ``(seed, nbits, k, tuple(items))``.  A relay sweeps the
-#: *same* mempool txid list through a filter of the same geometry for
-#: every peer that announces the block, so the matrix repeats batch for
-#: batch.  The key is the exact item tuple (no digest, no joined bytes),
-#: so two lists can never answer for each other.  Bounded; oldest half
-#: evicted at the cap.
+#: Finished ``(k, n)`` cell matrices of seeded packed sweeps, keyed
+#: ``(seed, nbits, k, ids)`` with ``ids`` the packed 32-byte rows.  A
+#: relay sweeps the *same* mempool snapshot through a filter of the same
+#: geometry for every peer that announces the block, so the matrix
+#: repeats sweep for sweep.  The matrix is a pure function of exactly
+#: those bytes (rows are fixed-width, so no two row lists share a key);
+#: a ``bytes`` key caches its own hash, so a reused snapshot looks up in
+#: O(1), and equal content held by another object still hits.  Bounded;
+#: oldest half evicted at the cap.
 _INDEX_MEMO: dict = {}
 _INDEX_MEMO_CAP = 64
 
@@ -179,30 +190,48 @@ class BloomFilter:
             return [w % nbits for w in _UNPACK_8I(digest)[:k]]
         return list(split_digest(digest, k, nbits))
 
-    def _batch_cells(self, items: list):
-        """Return ``(byte_index, bit_mask)`` matrices, ``(len(items), k)``.
+    def _pack(self, items: list):
+        """``items`` as packed 32-byte rows, or ``None`` for the scalar loop.
 
-        Returns ``None`` for unseeded items that are not all 32-byte
-        digests (they have no fixed-width word matrix); callers then
-        take the scalar loop.  Bit positions match :meth:`_indices`
-        exactly: the same arithmetic, only computed column-wise.
+        Short batches stay scalar (see ``_BATCH_MIN``).  A seeded filter
+        digests any item that is not 32 bytes first, as :meth:`_indices`
+        does; an unseeded one splits the item itself, and a longer item
+        has words a 32-byte row cannot carry, so such lists have no
+        packed form.
         """
+        if len(items) < _BATCH_MIN:
+            return None
+        joined = b"".join(items)
+        # Sum and maximum together establish that *every* item is
+        # 32 bytes; only then is the join a row buffer.
+        if len(joined) == 32 * len(items) and max(map(len, items)) == 32:
+            return joined
         if not self.seed:
-            if any(len(item) != 32 for item in items):
-                return None
-            words = _np.frombuffer(b"".join(items), dtype="<u4")
-            return _cells(self._split_words(words.reshape(len(items), 8)))
-        memo_key = (self.seed, self.nbits, self.k, tuple(items))
+            return None
+        return b"".join([item if len(item) == 32 else sha256(item)
+                         for item in items])
+
+    def _packed_cells(self, ids: bytes):
+        """Return ``(byte_index, bit_mask)`` matrices, ``(k, len(ids)/32)``.
+
+        The one batch kernel: ``ids`` is 32-byte rows laid end to end
+        (:attr:`repro.chain.columns.TxColumns.ids`).  Bit positions
+        match :meth:`_indices` exactly: the same arithmetic, only
+        computed column-wise.  One matrix row per hash function, so a
+        probe reduces along the long, contiguous axis; reducing over
+        each item's ``k`` adjacent cells is a loop too short to
+        vectorize and measures three times as slow.
+        """
+        if len(ids) % 32:
+            raise ParameterError(
+                f"packed ids must be 32-byte rows, got {len(ids)} bytes")
+        if not self.seed:
+            words = _np.frombuffer(ids, dtype="<u4")
+            return _cells(self._split_words(words.reshape(-1, 8)))
+        memo_key = (self.seed, self.nbits, self.k, ids)
         cells = _INDEX_MEMO.get(memo_key)
         if cells is None:
-            joined = b"".join(items)
-            # Sum and maximum together establish that *every* item is
-            # 32 bytes; only then is the join a word matrix.
-            if (len(joined) != 32 * len(items)
-                    or max(map(len, items)) != 32):
-                joined = b"".join([item if len(item) == 32 else sha256(item)
-                                   for item in items])
-            words = _np.frombuffer(joined, dtype="<u8").reshape(-1, 4)
+            words = _np.frombuffer(ids, dtype="<u8").reshape(-1, 4)
             mixed = mix64_array(words[:, 0] ^ _np.uint64(self._salt))
             for j in (1, 2, 3):
                 mixed = mix64_array(mixed ^ words[:, j])
@@ -210,8 +239,8 @@ class BloomFilter:
             hi = (mixed >> _np.uint64(32)).astype(_np.uint32) | _np.uint32(1)
             # u32 arithmetic wraps mod 2^32, the scalar path's ``& _U32``.
             steps = _np.multiply.outer(
-                hi, _np.arange(self.k, dtype=_np.uint32))
-            steps += lo[:, None]
+                _np.arange(self.k, dtype=_np.uint32), hi)
+            steps += lo
             steps %= _np.uint32(self.nbits)
             cells = _cells(steps.astype(_np.intp))
             if len(_INDEX_MEMO) >= _INDEX_MEMO_CAP:
@@ -221,16 +250,20 @@ class BloomFilter:
         return cells
 
     def _split_words(self, words):
-        """Map a ``(batch, 8)`` u32 digest-word matrix to bit indices."""
+        """Map a ``(batch, 8)`` u32 digest-word matrix to ``(k, batch)``
+        bit indices."""
         k, nbits = self.k, self.nbits
         if k <= 8:
-            return (words[:, :k] % _np.uint32(nbits)).astype(_np.intp)
+            # order="C": ``words.T`` is Fortran-ordered and would
+            # otherwise hand its layout on.
+            return (words.T[:k] % _np.uint32(nbits)).astype(_np.intp,
+                                                          order="C")
         h1 = words[:, 0].astype(_np.uint64)
         h2 = words[:, 1].astype(_np.uint64) | _np.uint64(1)
         derived = [((h1 + _np.uint64(i) * h2) & _np.uint64(_U64))
                    % _np.uint64(nbits) for i in range(8, k)]
-        direct = words % _np.uint32(nbits)
-        return _np.column_stack([direct] + derived).astype(_np.intp)
+        direct = words.T % _np.uint32(nbits)
+        return _np.vstack([direct] + derived).astype(_np.intp)
 
     def insert(self, item: bytes) -> None:
         """Insert ``item`` (a byte string, typically a 32-byte txid)."""
@@ -246,25 +279,28 @@ class BloomFilter:
             bits[idx >> 3] |= 1 << (idx & 7)
 
     def update(self, items: Iterable[bytes]) -> None:
-        """Insert every item of ``items`` (batch path)."""
+        """Insert every item of ``items``: pack, then :meth:`update_packed`."""
         if self.nbits == 0:
             return
         items = list(items)
-        if not items:
+        ids = self._pack(items)
+        if ids is not None:
+            self.update_packed(ids)
             return
-        if len(items) >= _BATCH_MIN:
-            cells = self._batch_cells(items)
-            if cells is not None:
-                _np.bitwise_or.at(
-                    _np.frombuffer(self._bits, dtype=_np.uint8), *cells)
-                self.count += len(items)
-                return
         bits = self._bits
         indices = self._indices
         for item in items:
             for idx in indices(item):
                 bits[idx >> 3] |= 1 << (idx & 7)
         self.count += len(items)
+
+    def update_packed(self, ids: bytes) -> None:
+        """Insert every 32-byte row of ``ids`` (``bytes``, rows end to end)."""
+        if self.nbits == 0 or not ids:
+            return
+        _np.bitwise_or.at(_np.frombuffer(self._bits, dtype=_np.uint8),
+                          *self._packed_cells(ids))
+        self.count += len(ids) // 32
 
     def __contains__(self, item: bytes) -> bool:
         if self.nbits == 0:
@@ -280,13 +316,9 @@ class BloomFilter:
         if self.nbits == 0:
             return [True for _ in items]
         items = list(items)
-        if len(items) >= _BATCH_MIN:
-            cells = self._batch_cells(items)
-            if cells is not None:
-                byte_idx, masks = cells
-                bits = _np.frombuffer(self._bits, dtype=_np.uint8)
-                return (bits[byte_idx] & masks).astype(bool) \
-                    .all(axis=1).tolist()
+        ids = self._pack(items)
+        if ids is not None:
+            return self.contains_packed(ids).tolist()
         bits = self._bits
         indices = self._indices
         out = []
@@ -299,6 +331,21 @@ class BloomFilter:
             else:
                 append(True)
         return out
+
+    def contains_packed(self, ids: bytes):
+        """Membership of every 32-byte row of ``ids``, as a bool array.
+
+        The sweep of Graphene 6.3 -- a whole mempool through S -- reads
+        the mempool's own ID buffer (``mempool.columns().ids``) and
+        returns a fresh, writable mask with one entry per row.
+        """
+        if self.nbits == 0:
+            return _np.ones(len(ids) // 32, dtype=bool)
+        if not ids:
+            return _np.zeros(0, dtype=bool)
+        byte_idx, masks = self._packed_cells(ids)
+        bits = _np.frombuffer(self._bits, dtype=_np.uint8)
+        return (bits[byte_idx] & masks).all(axis=0)
 
     def actual_fpr(self) -> float:
         """Expected FPR given the current load: ``(1 - e^{-kn/m})^k``."""

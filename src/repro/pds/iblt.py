@@ -16,7 +16,10 @@ section 2.1 of the paper:
   sets, or fails partially if the difference exceeds what ``c`` supports.
 
 Keys are 64-bit integers -- the 8-byte short transaction IDs that
-Graphene stores in its IBLTs.
+Graphene stores in its IBLTs.  :meth:`IBLT.update` takes them as a
+``uint64`` array (the short-ID column of a
+:class:`repro.chain.columns.TxColumns`, folded by the one batch kernel)
+or as any iterable of ints, which it packs into such a column first.
 
 Storage is columnar: three flat parallel arrays (``array('q')`` counts,
 ``array('Q')`` keySums, ``array('Q')`` checkSums) instead of a list of
@@ -56,8 +59,9 @@ _BATCH_MIN = 8
 DEFAULT_CELL_BYTES = 12
 
 #: Folded-column snapshots for whole-batch :meth:`IBLT.update` calls on
-#: pristine tables, keyed ``(cells, k, seed, key tuple)``.  Bounded;
-#: oldest half evicted at the cap.
+#: pristine tables, keyed ``(cells, k, seed, column.tobytes())`` -- the
+#: fold is a pure function of exactly those bytes.  Bounded; oldest half
+#: evicted at the cap.
 _FOLD_CACHE: dict = {}
 _FOLD_CACHE_CAP = 64
 
@@ -197,52 +201,33 @@ class IBLT:
         self._apply(key, -1)
         self.count -= 1
 
-    def update(self, keys: Iterable[int]) -> None:
-        """Insert every key of ``keys`` (batch path: one hash lookup each).
+    def update(self, keys) -> None:
+        """Insert every key of ``keys``: an iterable or a ``uint64`` array.
 
-        Batches of ``_BATCH_MIN`` keys or more take one vectorized mix
-        via :meth:`DerivedHasher.batch_entries`, then the three columns
-        are updated wholesale (``bincount`` for counts, ``bitwise_xor.at``
-        for the sums).  Smaller batches take the scalar loop below; both
-        orders of operation commute (cell updates are adds and xors), so
-        the resulting columns are identical.
+        The array form is the packed entry point (a short-ID column,
+        :meth:`repro.chain.columns.TxColumns.short_ids`); any other
+        iterable is masked to 64 bits and packed into one.  Batches of
+        ``_BATCH_MIN`` keys or more take the vectorized fold, smaller
+        ones the scalar loop; both orders of operation commute (cell
+        updates are adds and xors), so the resulting columns are
+        identical.
         """
-        keys = [key & _U64 for key in keys]
-        if not keys:
+        packed = isinstance(keys, _np.ndarray)
+        if not packed:
+            keys = [key & _U64 for key in keys]
+        if not len(keys):
             return
         if not self.cells:
             raise ParameterError("cannot store keys in a 0-cell IBLT")
         if len(keys) >= _BATCH_MIN:
-            fkey = None
-            if self._pristine:
-                # Whole-batch fold memo: a receiver rebuilds I' from the
-                # identical short-ID list on every relay of a block, so
-                # the folded columns repeat verbatim.  Keyed by geometry
-                # + exact key tuple; only pristine (all-zero) tables can
-                # take the snapshot, since the fold starts from zero.
-                fkey = (self.cells, self.k, self.seed, tuple(keys))
-                snap = _FOLD_CACHE.get(fkey)
-                if snap is not None:
-                    self._counts[:] = snap[0]
-                    self._key_sums[:] = snap[1]
-                    self._check_sums[:] = snap[2]
-                    self.count += len(keys)
-                    self._pristine = False
-                    return
-            column = _np.array(keys, dtype=_np.uint64)
-            self._update_batch(column,
-                               *self.hasher.batch_entries(column))
-            self.count += len(keys)
-            self._pristine = False
-            if fkey is not None:
-                if len(_FOLD_CACHE) >= _FOLD_CACHE_CAP:
-                    for stale in list(_FOLD_CACHE)[:_FOLD_CACHE_CAP // 2]:
-                        del _FOLD_CACHE[stale]
-                _FOLD_CACHE[fkey] = (array("q", self._counts),
-                                     array("Q", self._key_sums),
-                                     array("Q", self._check_sums))
-            return
+            self._fold_column(_np.asarray(keys, dtype=_np.uint64))
+        else:
+            self._fold_scalar(keys.astype(_np.uint64).tolist() if packed
+                              else keys)
+        self.count += len(keys)
         self._pristine = False
+
+    def _fold_scalar(self, keys: list) -> None:
         entry = self.hasher.entry
         width = self.cells // self.k
         counts, key_sums, check_sums = \
@@ -257,22 +242,50 @@ class IBLT:
                 key_sums[idx] ^= key
                 check_sums[idx] ^= csum
                 base += width
-        self.count += len(keys)
 
-    def _update_batch(self, keys, words, csums) -> None:
-        """Fold a uint64 key column into the table through numpy views."""
+    def _fold_column(self, column) -> None:
+        """Fold a uint64 key column into the table through numpy views.
+
+        The one batch kernel: one vectorized mix via
+        :meth:`DerivedHasher.batch_entries`, then the three columns are
+        updated wholesale (``bincount`` for counts, ``bitwise_xor.at``
+        for the sums).
+
+        Whole-batch fold memo: a receiver rebuilds I' from the identical
+        short-ID column on every relay of a block, so the folded columns
+        repeat verbatim.  Keyed by geometry + the column's exact bytes;
+        only pristine (all-zero) tables can take or leave the snapshot,
+        since the fold starts from zero.
+        """
+        fkey = None
+        if self._pristine:
+            fkey = (self.cells, self.k, self.seed, column.tobytes())
+            snap = _FOLD_CACHE.get(fkey)
+            if snap is not None:
+                self._counts[:] = snap[0]
+                self._key_sums[:] = snap[1]
+                self._check_sums[:] = snap[2]
+                return
         k, cells = self.k, self.cells
         width = cells // k
+        words, csums = self.hasher.batch_entries(column)
         offsets = _np.arange(0, cells, width, dtype=_np.uint64)
         idx = (words % _np.uint64(width) + offsets).ravel().astype(_np.intp)
         counts = _np.frombuffer(self._counts, dtype=_np.int64)
         counts += _np.bincount(idx, minlength=cells)
         _np.bitwise_xor.at(
             _np.frombuffer(self._key_sums, dtype=_np.uint64), idx,
-            _np.repeat(keys, k))
+            _np.repeat(column, k))
         _np.bitwise_xor.at(
             _np.frombuffer(self._check_sums, dtype=_np.uint64), idx,
             _np.repeat(csums & _np.uint64(0xFFFF), k))
+        if fkey is not None:
+            if len(_FOLD_CACHE) >= _FOLD_CACHE_CAP:
+                for stale in list(_FOLD_CACHE)[:_FOLD_CACHE_CAP // 2]:
+                    del _FOLD_CACHE[stale]
+            _FOLD_CACHE[fkey] = (array("q", self._counts),
+                                 array("Q", self._key_sums),
+                                 array("Q", self._check_sums))
 
     @classmethod
     def from_keys(cls, keys: Iterable[int], cells: int, k: int = 4,

@@ -116,18 +116,23 @@ class RIBLTEncoder:
     __slots__ = ("seed", "hasher", "size", "_counts", "_key_sums",
                  "_check_sums", "_keys", "_csums", "_states", "_next")
 
-    def __init__(self, keys: Iterable[int], seed: int = 0):
+    def __init__(self, keys, seed: int = 0):
         self.seed = seed
         self.hasher = DerivedHasher(1, seed)
         self.size = 0
         self._counts = array("q")
         self._key_sums = array("Q")
         self._check_sums = array("Q")
-        uniq = {key & _U64 for key in keys}
-        self._keys = array("Q", sorted(uniq))
+        # ``keys`` is a uint64 array (a short-ID column) or any iterable
+        # of ints, masked to 64 bits and packed into one; either way the
+        # key set is its sorted distinct values.
+        if not isinstance(keys, _np.ndarray):
+            keys = [key & _U64 for key in keys]
+        uniq = _np.unique(_np.asarray(keys, dtype=_np.uint64))
+        self._keys = array("Q", uniq.tobytes())
         # One vectorized mix fills both per-key columns; element for
         # element it is ``_initial_state`` (the decoder's scalar form).
-        words, csums = self.hasher.batch_entries(self._keys)
+        words, csums = self.hasher.batch_entries(uniq)
         states = words[:, 0]
         states[states == 0] = 1
         self._states = array("Q", states.tobytes())

@@ -228,6 +228,81 @@ class TestBatchPaths:
         assert batched._bits == single._bits == rehashed._bits == ref._bits
         assert batched.contains_many(items) == [True] * len(items)
 
+    @pytest.mark.parametrize("count", [0, 1, _BATCH_MIN - 1, _BATCH_MIN,
+                                       200])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_packed_equals_list_equals_scalar_equals_reference(
+            self, count, seed):
+        # The packed entry points are the batch kernel itself, so they
+        # must agree with the list wrappers, the scalar loop and the
+        # reference at every size, seeded (mixing) and not (splitting).
+        items = _ids(count)
+        probes = items[::2] + _ids(count + 3, tag=b"q")
+        packed = BloomFilter(1021, 5, seed=seed)
+        packed.update_packed(b"".join(items))
+        listed = BloomFilter(1021, 5, seed=seed)
+        listed.update(items)
+        single = BloomFilter(1021, 5, seed=seed)
+        ref = ReferenceBloomFilter(1021, 5, seed=seed)
+        for item in items:
+            single.insert(item)
+            ref.insert(item)
+        assert packed._bits == listed._bits == single._bits == ref._bits
+        assert len(packed) == len(listed) == len(single) == count
+        answers = packed.contains_packed(b"".join(probes))
+        assert answers.dtype == bool and answers.flags.writeable
+        assert answers.tolist() == listed.contains_many(probes) \
+            == [p in single for p in probes] == [p in ref for p in probes]
+
+    def test_a_31_byte_item_is_digested_on_the_way_into_the_kernel(self):
+        # Seeded: the list wrapper packs sha256(item) for the odd item,
+        # so packing by hand gives the same bits.  Unseeded: a list with
+        # an odd-width item has no packed form and takes the scalar loop.
+        items = _ids(20) + [bytes(31)] + _ids(20, tag=b"r")
+        rows = b"".join(item if len(item) == 32 else sha256(item)
+                        for item in items)
+        listed = BloomFilter(2039, 4, seed=11)
+        listed.update(items)
+        packed = BloomFilter(2039, 4, seed=11)
+        packed.update_packed(rows)
+        ref = ReferenceBloomFilter(2039, 4, seed=11)
+        for item in items:
+            ref.insert(item)
+        assert listed._bits == packed._bits == ref._bits
+        assert listed.contains_many(items) == [True] * 41 \
+            == packed.contains_packed(rows).tolist()
+        unseeded = BloomFilter(2039, 4)
+        assert unseeded._pack(items) is None
+        unseeded.update(items)
+        single = BloomFilter(2039, 4)
+        for item in items:
+            single.insert(item)
+        assert unseeded._bits == single._bits
+        assert unseeded.contains_many(items) == [True] * 41
+
+    def test_degenerate_and_ragged_packed_input(self):
+        everything = BloomFilter.from_fpr(10, 1.0, seed=3)
+        everything.update_packed(b"".join(_ids(20)))
+        assert len(everything) == 0
+        assert everything.contains_packed(b"".join(_ids(4))).tolist() \
+            == [True] * 4
+        with pytest.raises(ParameterError):
+            BloomFilter(1021, 5, seed=3).update_packed(bytes(33))
+        with pytest.raises(ParameterError):
+            BloomFilter(1021, 5).contains_packed(bytes(31))
+
+    def test_equal_bytes_in_another_object_hit_the_same_memo_entry(self):
+        # The simulator's 20 nodes hold equal mempools in 20 objects.
+        from repro.pds import bloom
+        filt = BloomFilter.from_fpr(60, 0.01, seed=5)
+        rows = b"".join(_ids(60, tag=b"memo"))
+        filt.update_packed(rows)
+        entries = len(bloom._INDEX_MEMO)
+        twin = bytes(bytearray(rows))
+        assert twin is not rows
+        assert filt.contains_packed(twin).all()
+        assert len(bloom._INDEX_MEMO) == entries
+
     def test_batch_never_answers_for_a_list_with_other_boundaries(self):
         # Regression: the whole-batch memo was keyed by the *joined*
         # bytes and the item count, so a list with the same

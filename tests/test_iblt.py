@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +290,42 @@ class TestPropertyBased:
         assert batched._check_sums == single._check_sums
         assert encode_iblt(batched) == encode_reference_iblt(ref)
         assert batched.decode().local == set(keys)
+
+    @pytest.mark.parametrize("count", [0, 1, _BATCH_MIN - 1, _BATCH_MIN,
+                                       _BATCH_MIN + 1, 60])
+    def test_key_column_equals_iterable(self, count):
+        # The uint64 array is the packed entry point; a list, a
+        # generator and a strided view of the same keys (duplicates
+        # included) must fold to the same table on both sides of
+        # _BATCH_MIN, and to the reference's.
+        edge = [0, 2**64 - 1, 2**63, 7, 7, 2**63]
+        keys = (edge + _keys(60, seed=12))[:count]
+        column = np.array(keys, dtype=np.uint64)
+        strided = np.repeat(column, 2)[::2]
+        ref = ReferenceIBLT(96, k=4, seed=33)
+        for key in keys:
+            ref.insert(key)
+        for form in (column, strided, keys, iter(keys)):
+            table = IBLT(96, k=4, seed=33)
+            table.update(form)
+            assert table.count == count
+            assert encode_iblt(table) == encode_reference_iblt(ref)
+
+    def test_key_column_on_a_table_that_is_not_pristine(self):
+        # The fold memo only serves all-zero tables; a second column
+        # folds on top of the first.
+        first, second = _keys(30, seed=13), _keys(30, seed=14)
+        table = IBLT(96, k=4, seed=33)
+        table.update(np.array(first, dtype=np.uint64))
+        table.update(np.array(second, dtype=np.uint64))
+        again = IBLT(96, k=4, seed=33)
+        again.update(np.array(first, dtype=np.uint64))   # memo hit
+        again.update(second)
+        single = IBLT(96, k=4, seed=33)
+        for key in first + second:
+            single.insert(key)
+        assert encode_iblt(table) == encode_iblt(again) \
+            == encode_iblt(single)
 
     def test_large_batch_matches_reference_decode(self):
         shared = _keys(220, seed=6)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.merkle import merkle_proof_size, merkle_root
+from repro.chain import merkle
+from repro.chain.merkle import (merkle_proof_size, merkle_root,
+                                merkle_root_packed)
 from repro.errors import ParameterError
 from repro.utils.hashing import sha256
 
@@ -56,6 +58,44 @@ class TestMerkleRoot:
         mutated[position] = sha256(mutated[position])
         if mutated != txids:
             assert merkle_root(txids) != merkle_root(mutated)
+
+
+class TestRootMemo:
+    """The memo is keyed by the leaves themselves and bounded in bytes."""
+
+    @staticmethod
+    def _leaves(tag: int, count: int) -> bytes:
+        return b"".join(sha256(b"%d/%d" % (tag, i)) for i in range(count))
+
+    def test_hit_is_the_uncached_root_for_equal_bytes_in_any_buffer(self):
+        leaves = self._leaves(1, 37)
+        merkle._ROOT_CACHE.clear()
+        root = merkle_root_packed(leaves)
+        assert list(merkle._ROOT_CACHE) == [leaves]
+        assert merkle_root_packed(bytes(bytearray(leaves))) == root
+        assert merkle_root_packed(bytearray(leaves)) == root
+        assert merkle_root_packed(memoryview(leaves)) == root
+        assert len(merkle._ROOT_CACHE) == 1
+        merkle._ROOT_CACHE.clear()
+        assert merkle_root_packed(leaves) == root
+
+    def test_pinned_bytes_stay_within_the_budget(self):
+        merkle._ROOT_CACHE.clear()
+        count = merkle._ROOT_CACHE_BYTES // (32 * 8)  # 8 entries fill it
+        for tag in range(30):
+            merkle_root_packed(self._leaves(tag, count))
+            assert sum(map(len, merkle._ROOT_CACHE)) \
+                <= merkle._ROOT_CACHE_BYTES
+        newest = self._leaves(29, count)
+        assert newest in merkle._ROOT_CACHE
+        # A buffer larger than the whole budget is kept alone, and is
+        # the first to go at the next insertion.
+        huge = self._leaves(99, merkle._ROOT_CACHE_BYTES // 32 + 2)
+        assert merkle_root_packed(huge) == merkle_root_packed(huge)
+        assert list(merkle._ROOT_CACHE) == [huge]
+        merkle_root_packed(newest[:64])
+        assert list(merkle._ROOT_CACHE) == [newest[:64]]
+        merkle._ROOT_CACHE.clear()
 
 
 class TestProofSize:

@@ -142,6 +142,31 @@ class TestGrapheneConfig:
         with pytest.raises(ParameterError):
             GrapheneConfig(seed=seed)
 
+    @pytest.mark.parametrize("width", [-1, 0, 9, 12])
+    def test_short_id_width_must_fit_a_64_bit_key(self, width):
+        # IBLT keys are masked to 64 bits while false positives are
+        # stripped by comparing whole short IDs, so at 9 bytes and up a
+        # stripped key matched no candidate and 6 of 10 relays ended
+        # success=False; 0 escaped as a bare ValueError.
+        with pytest.raises(ParameterError):
+            GrapheneConfig(short_id_bytes=width)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_every_legal_short_id_width_relays(self, width):
+        from repro.chain.scenarios import make_block_scenario
+        from repro.core.session import BlockRelaySession
+        # One- and two-byte IDs collide by the dozen at any real size;
+        # a handful of transactions keeps them distinct.
+        n, extra = (4, 4) if width < 3 else (300, 600)
+        sc = make_block_scenario(n, extra, fraction=1.0, seed=3)
+        assert len({tx.short_id(width) for tx in sc.receiver_mempool}) \
+            == n + extra
+        result = BlockRelaySession(
+            GrapheneConfig(short_id_bytes=width)).relay(
+                sc.block, sc.receiver_mempool)
+        assert result.success and result.protocol_used == 1
+        assert [tx.txid for tx in result.txs] == sc.block.txids
+
     def test_largest_seed_relays(self):
         from repro.chain.scenarios import make_block_scenario
         from repro.core.session import BlockRelaySession

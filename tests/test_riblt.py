@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import MalformedIBLTError, ParameterError
@@ -75,6 +76,30 @@ class TestEncoder:
         assert list(enc._counts) == counts
         assert list(enc._key_sums) == key_sums
         assert list(enc._check_sums) == check_sums
+
+    @pytest.mark.parametrize("n_keys", [0, 1, 31, 32, 33, 200])
+    def test_key_column_equals_iterable(self, n_keys):
+        # A uint64 array is the packed entry point: same stream as the
+        # list, in any order and with duplicates, on both sides of
+        # _BATCH_MIN, and the decoder seeded from a column peels the
+        # same difference.
+        keys = sorted(_keys(n_keys, seed=14, hi=2**64))
+        listed = RIBLTEncoder(keys + keys[:5], seed=5)
+        column = np.array((keys + keys[:5])[::-1], dtype=np.uint64)
+        packed = RIBLTEncoder(column, seed=5)
+        assert packed.key_count == listed.key_count == n_keys
+        assert packed.window(0, 120) == listed.window(0, 120)
+        counts, key_sums, check_sums = _brute_force_stream(keys, 5, 120)
+        assert list(packed._counts) == counts
+        assert list(packed._key_sums) == key_sums
+        assert list(packed._check_sums) == check_sums
+        theirs = sorted(_keys(20, seed=15))
+        decoder = RIBLTDecoder(column, seed=5)
+        stream = RIBLTEncoder(keys[3:] + theirs, seed=5)
+        while not decoder.add_symbols(*stream.window(decoder.size, 40)):
+            assert decoder.size < 4000
+        assert decoder.local == set(theirs)
+        assert decoder.remote == set(keys[:3])
 
     def test_every_key_hits_symbol_zero(self):
         keys = _keys(80, seed=9)

@@ -1,4 +1,4 @@
-"""Tests for transactions, generation, and short-ID indexing."""
+"""Tests for transactions and their generation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.chain.transaction import (
     SHORT_ID_BYTES,
-    ShortIdIndex,
     Transaction,
     TransactionGenerator,
 )
@@ -79,32 +78,3 @@ class TestTransactionGenerator:
     def test_rejects_tiny_mean(self):
         with pytest.raises(ParameterError):
             TransactionGenerator(mean_size=10)
-
-
-class TestShortIdIndex:
-    def test_roundtrip(self, txgen):
-        index = ShortIdIndex()
-        tx = txgen.make()
-        index.add(tx)
-        assert index.get(tx.short_id()) is tx
-        assert tx.short_id() in index
-
-    def test_missing_returns_none(self):
-        assert ShortIdIndex().get(12345) is None
-
-    def test_collision_recorded(self):
-        t1 = Transaction(txid=bytes(8) + sha256(b"a")[:24])
-        t2 = Transaction(txid=bytes(8) + sha256(b"b")[:24])
-        index = ShortIdIndex()
-        index.add(t1)
-        index.add(t2)
-        assert t1.short_id() in index.collisions
-        assert index.get(t1.short_id()) is t1  # first entry wins
-
-    def test_readding_same_tx_not_a_collision(self, txgen):
-        index = ShortIdIndex()
-        tx = txgen.make()
-        index.add(tx)
-        index.add(tx)
-        assert not index.collisions
-        assert len(index) == 1
