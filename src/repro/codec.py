@@ -403,84 +403,82 @@ def decode_tx_list(data: bytes, offset: int = 0) -> tuple[list, int]:
 # Graphene protocol messages
 # ---------------------------------------------------------------------------
 
-def encode_protocol1_payload(payload) -> bytes:
-    """Serialize a Protocol 1 payload (counts + prefilled txns + S + I)."""
+def _encode_opening(payload) -> bytes:
+    """The head every opening shares: counts + prefilled txns + S."""
     return (compact_size(payload.n) + compact_size(payload.recover)
             + encode_tx_list(payload.prefilled)
-            + encode_bloom(payload.bloom_s) + encode_iblt(payload.iblt_i))
+            + encode_bloom(payload.bloom_s))
+
+
+def _decode_opening(data, offset: int):
+    """Parse an opening's head; returns ``(fields, fpr, new_offset)``.
+
+    ``fields`` are the :class:`~repro.core.protocol1.Opening` fields on
+    the wire.  The sender's sizing ``plan`` is not, so the caller
+    rebuilds one around ``fpr``: S was built over exactly the n block
+    transactions, and with that load restored ``actual_fpr()`` reports
+    (1 - e^{-kn/m})^k instead of the empty-filter 0.0, which would make
+    the receiver treat S as degenerate and size IBLT J to all of Z.
+    """
+    n, offset = read_compact_size(data, offset)
+    recover, offset = read_compact_size(data, offset)
+    prefilled, offset = decode_tx_list(data, offset)
+    bloom, offset = decode_bloom(data, offset)
+    restore_bloom_load(bloom, n)
+    fpr = bloom.actual_fpr() if bloom.nbits else 1.0
+    fields = dict(n=n, bloom_s=bloom, recover=recover,
+                  prefilled=tuple(prefilled))
+    return fields, fpr if fpr > 0 else 1.0, offset
+
+
+def encode_protocol1_payload(payload) -> bytes:
+    """Serialize a Protocol 1 payload (counts + prefilled txns + S + I)."""
+    return _encode_opening(payload) + encode_iblt(payload.iblt_i)
 
 
 def decode_protocol1_payload(data: bytes, offset: int = 0):
     """Parse a Protocol 1 payload; returns ``(payload, new_offset)``.
 
-    Reconstructs a :class:`~repro.core.protocol1.Protocol1Payload` whose
-    receive-side behaviour matches the original: the sender-side sizing
-    ``plan`` is not on the wire, so the decoded payload's plan carries
-    ``bloom_s.actual_fpr()`` over the restored load, and S's target FPR
-    is re-estimated from its wire dimensions and ``n``.
+    The rebuilt payload receives exactly as the original does; see
+    :func:`_decode_opening` for what stands in for its plan.
     """
     from repro.core.params import FilterIBLTPlan
     from repro.core.protocol1 import Protocol1Payload
     from repro.pds.param_table import IBLTParams
 
-    n, offset = read_compact_size(data, offset)
-    recover, offset = read_compact_size(data, offset)
-    prefilled, offset = decode_tx_list(data, offset)
-    bloom, offset = decode_bloom(data, offset)
+    fields, fpr, offset = _decode_opening(data, offset)
     iblt, offset = decode_iblt(data, offset)
-    # S was built over exactly the n block transactions (item count is
-    # not on the wire, but n is): restore its load so actual_fpr()
-    # reports (1 - e^{-kn/m})^k instead of the empty-filter 0.0, which
-    # would make the receiver treat S as degenerate and size IBLT J to
-    # the whole candidate set.
-    restore_bloom_load(bloom, n)
-    fpr = bloom.actual_fpr() if bloom.nbits else 1.0
     plan = FilterIBLTPlan(
-        a=0, fpr=fpr if fpr > 0 else 1.0, recover=recover,
+        a=0, fpr=fpr, recover=fields["recover"],
         iblt=IBLTParams(cells=iblt.cells, k=iblt.k),
-        bloom_bytes=bloom.serialized_size(),
+        bloom_bytes=fields["bloom_s"].serialized_size(),
         iblt_bytes=iblt.serialized_size())
-    payload = Protocol1Payload(n=n, bloom_s=bloom, iblt_i=iblt,
-                               recover=recover, plan=plan,
-                               prefilled=tuple(prefilled))
-    return payload, offset
+    return Protocol1Payload(iblt_i=iblt, plan=plan, **fields), offset
 
 
 def encode_protocol3_payload(payload) -> bytes:
     """Serialize a Protocol 3 opening (counts + prefilled + S + symbols)."""
-    return (compact_size(payload.n) + compact_size(payload.recover)
-            + encode_tx_list(payload.prefilled)
-            + encode_bloom(payload.bloom_s)
-            + encode_symbol_batch(payload.symbols))
+    return _encode_opening(payload) + encode_symbol_batch(payload.symbols)
 
 
 def decode_protocol3_payload(data: bytes, offset: int = 0):
     """Parse a Protocol 3 opening; returns ``(payload, new_offset)``.
 
-    As with Protocol 1, the sender-side sizing plan is not on the
-    wire; the receive side never consults it for Protocol 3 (there is
-    no IBLT to size), so the rebuilt plan only restores S's parameters
+    The receive side never consults the plan for Protocol 3 (there is
+    no IBLT to size), so the rebuilt one only restores S's parameters
     for introspection.
     """
     from repro.core.params import FilterIBLTPlan
     from repro.core.protocol3 import Protocol3Payload
     from repro.pds.param_table import IBLTParams
 
-    n, offset = read_compact_size(data, offset)
-    recover, offset = read_compact_size(data, offset)
-    prefilled, offset = decode_tx_list(data, offset)
-    bloom, offset = decode_bloom(data, offset)
+    fields, fpr, offset = _decode_opening(data, offset)
     batch, offset = decode_symbol_batch(data, offset)
-    restore_bloom_load(bloom, n)
-    fpr = bloom.actual_fpr() if bloom.nbits else 1.0
     plan = FilterIBLTPlan(
-        a=0, fpr=fpr if fpr > 0 else 1.0, recover=recover,
+        a=0, fpr=fpr, recover=fields["recover"],
         iblt=IBLTParams(cells=0, k=4),
-        bloom_bytes=bloom.serialized_size(), iblt_bytes=0)
-    payload = Protocol3Payload(n=n, bloom_s=bloom, symbols=batch,
-                               recover=recover, plan=plan,
-                               prefilled=tuple(prefilled))
-    return payload, offset
+        bloom_bytes=fields["bloom_s"].serialized_size(), iblt_bytes=0)
+    return Protocol3Payload(symbols=batch, plan=plan, **fields), offset
 
 
 def encode_protocol2_request(request) -> bytes:

@@ -141,6 +141,12 @@ _AWAITED_BY_PHASE = {
 }
 
 
+#: Protocol -> (wire command, telemetry phase, ``CostBreakdown`` part of
+#: the body) of its opening; everything else about the two is shared.
+_OPENINGS = {1: ("graphene_block", "p1", "iblt_i"),
+             3: ("graphene_p3_block", "p3", "riblt")}
+
+
 class ActionKind(enum.Enum):
     """What the caller should do with an engine step's result."""
 
@@ -165,15 +171,11 @@ class EngineAction:
     event: Optional[MessageEvent] = None
 
 
-#: Historical name, kept for callers that predate sender actions.
-ReceiverAction = EngineAction
-
-
-def _p1_parts(payload) -> dict:
-    return {"bloom_s": payload.bloom_bytes,
-            "iblt_i": payload.iblt_bytes,
-            "counts": (payload.wire_size() - payload.bloom_bytes
-                       - payload.iblt_bytes)}
+def _opening_parts(payload, protocol: int) -> dict:
+    _, _, body_part = _OPENINGS[protocol]
+    bloom, body = payload.bloom_bytes, payload.body_bytes
+    return {"bloom_s": bloom, body_part: body,
+            "counts": payload.wire_size() - bloom - body}
 
 
 def _p2_request_parts(request) -> dict:
@@ -187,13 +189,6 @@ def _p2_response_parts(response) -> dict:
             "pushed_tx_bytes": response.txs_bytes,
             "counts": (response.wire_size() - response.iblt_bytes
                        - response.bloom_f_bytes - response.txs_bytes)}
-
-
-def _p3_parts(payload) -> dict:
-    return {"bloom_s": payload.bloom_bytes,
-            "riblt": payload.riblt_bytes,
-            "counts": (payload.wire_size() - payload.bloom_bytes
-                       - payload.riblt_bytes)}
 
 
 class GrapheneSenderEngine:
@@ -228,15 +223,15 @@ class GrapheneSenderEngine:
         #: a ``getattr`` per message (see :meth:`handle`).
         self._steps = {command: getattr(self, step)
                        for command, step in SENDER_STEPS.items()}
-        #: Served P1 payloads keyed by the requester's mempool count m:
-        #: ``build_protocol1`` is deterministic in (txs, m, config), and
-        #: a sender fans the same block out to many peers whose counts
-        #: repeat.  Bounded; oldest half evicted at the cap.
-        self._p1_cache: dict = {}
-        #: Protocol 3 twins: served openings keyed by m, plus the one
-        #: shared symbol stream -- it depends only on (txs, seed), so
-        #: every peer and every continuation reads the same prefix.
-        self._p3_cache: dict = {}
+        #: Served openings keyed by ``(protocol, m)``, m the requester's
+        #: mempool count: ``build_protocol1`` / ``build_protocol3`` are
+        #: deterministic in (txs, m, config), and a sender fans the same
+        #: block out to many peers whose counts repeat.  Bounded; oldest
+        #: half evicted at the cap.
+        self._openings: dict = {}
+        #: The one shared Protocol 3 symbol stream -- it depends only on
+        #: (txs, seed), so every peer and every continuation reads the
+        #: same prefix.
         self._p3_encoder = None
 
     def _emit(self, command: str, message: bytes, phase: str,
@@ -247,7 +242,7 @@ class GrapheneSenderEngine:
         self.telemetry.append(event)
         return EngineAction(ActionKind.SEND, command, message, event=event)
 
-    #: Bound on the per-engine served-payload cache.
+    #: Bound on the per-engine served-opening cache.
     P1_CACHE_CAP = 64
 
     def on_getdata(self, message: bytes) -> EngineAction:
@@ -259,46 +254,43 @@ class GrapheneSenderEngine:
         if len(message) < 4:
             raise ParameterError("getdata too short")
         (m,) = struct.unpack_from("<I", message, 0)
-        if len(message) >= 5 and message[4] == P3_GETDATA_MARKER:
-            return self._serve_p3_opening(m)
-        cached = self._p1_cache.get(m)
+        protocol = 3 if len(message) >= 5 \
+            and message[4] == P3_GETDATA_MARKER else 1
+        cached = self._openings.get((protocol, m))
         if cached is None:
+            cached = self._build_opening(protocol, m)
+        blob, parts = cached
+        command, phase, _ = _OPENINGS[protocol]
+        return self._emit(command, blob, phase, 1, dict(parts))
+
+    def _build_opening(self, protocol: int, m: int) -> tuple:
+        """Build, encode and cache the opening served to mempool count
+        ``m``: [header +] counts + prefilled + S + (I | first symbols)."""
+        if protocol == 3:
+            payload, _ = build_protocol3(
+                self.columns, m, self.config,
+                auto_prefill_coinbase=not self.mempool_mode,
+                encoder=self._symbol_stream())
+            blob = encode_protocol3_payload(payload)
+        else:
             payload = build_protocol1(
                 self.columns, m, self.config,
                 auto_prefill_coinbase=not self.mempool_mode)
             blob = encode_protocol1_payload(payload)
-            if not self.mempool_mode:
-                blob = self.block.header.serialize() + blob
-            if len(self._p1_cache) >= self.P1_CACHE_CAP:
-                for stale in list(self._p1_cache)[:self.P1_CACHE_CAP // 2]:
-                    del self._p1_cache[stale]
-            cached = self._p1_cache[m] = (blob, _p1_parts(payload))
-        blob, parts = cached
-        return self._emit("graphene_block", blob, "p1", 1, dict(parts))
+        if not self.mempool_mode:
+            blob = self.block.header.serialize() + blob
+        if len(self._openings) >= self.P1_CACHE_CAP:
+            for stale in list(self._openings)[:self.P1_CACHE_CAP // 2]:
+                del self._openings[stale]
+        cached = self._openings[protocol, m] = (
+            blob, _opening_parts(payload, protocol))
+        return cached
 
     def _symbol_stream(self):
         """The sender's one shared rateless symbol stream, built lazily."""
         if self._p3_encoder is None:
             self._p3_encoder = make_encoder(self.columns, self.config)
         return self._p3_encoder
-
-    def _serve_p3_opening(self, m: int) -> EngineAction:
-        """Serve the Protocol 3 opening: S plus the first symbol batch."""
-        cached = self._p3_cache.get(m)
-        if cached is None:
-            payload, _ = build_protocol3(
-                self.columns, m, self.config,
-                auto_prefill_coinbase=not self.mempool_mode,
-                encoder=self._symbol_stream())
-            blob = encode_protocol3_payload(payload)
-            if not self.mempool_mode:
-                blob = self.block.header.serialize() + blob
-            if len(self._p3_cache) >= self.P1_CACHE_CAP:
-                for stale in list(self._p3_cache)[:self.P1_CACHE_CAP // 2]:
-                    del self._p3_cache[stale]
-            cached = self._p3_cache[m] = (blob, _p3_parts(payload))
-        blob, parts = cached
-        return self._emit("graphene_p3_block", blob, "p3", 1, dict(parts))
 
     def on_p3_request(self, message: bytes) -> EngineAction:
         """Serve a continuation window of coded symbols.
@@ -441,6 +433,17 @@ class GrapheneReceiverEngine:
         self.telemetry.append(event)
         return event
 
+    def _send(self, command: str, message: bytes, phase: str,
+              roundtrip: int, parts: dict,
+              outcome: str = "") -> EngineAction:
+        """Count, record and remember (``_last_send``) one request."""
+        self.bytes_sent += len(message)
+        event = self._record(command, "sent", phase, roundtrip, parts,
+                             outcome)
+        action = self._last_send = EngineAction(
+            ActionKind.SEND, command, message, event=event)
+        return action
+
     def start(self) -> EngineAction:
         """Begin: emit the getdata with our mempool count.
 
@@ -466,13 +469,8 @@ class GrapheneReceiverEngine:
         else:
             message = struct.pack("<I", m)
             phase, extra = "p1", 0
-        self.bytes_sent += len(message)
-        event = self._record("getdata", "sent", phase, 1,
-                             {"getdata": getdata_bytes(m) + extra})
-        action = EngineAction(ActionKind.SEND, "getdata", message,
-                              event=event)
-        self._last_send = action
-        return action
+        return self._send("getdata", message, phase, 1,
+                          {"getdata": getdata_bytes(m) + extra})
 
     def _fail(self) -> EngineAction:
         logger.info("graphene receiver failed in phase %s; caller should "
@@ -492,6 +490,13 @@ class GrapheneReceiverEngine:
             return None
         return Block(header=self.header, txs=())
 
+    def _adopt(self, result) -> EngineAction:
+        """Keep a settled P1/P3 decode: DONE, or fetch what it lacks."""
+        self._survivors = result.reconciled
+        if result.missing_short_ids:
+            return self._request_short_ids(result.missing_short_ids)
+        return self._complete(result.txs)
+
     def _request_short_ids(self, missing) -> EngineAction:
         self.missing_short_ids = frozenset(missing)
         self.phase = ReceiverPhase.WAIT_TXS
@@ -499,50 +504,41 @@ class GrapheneReceiverEngine:
         width = self.config.short_id_bytes
         out = b"".join(sid.to_bytes(width, "little")
                        for sid in sorted(missing))
-        self.bytes_sent += len(out)
-        event = self._record(
-            "getdata_shortids", "sent", "fetch", int(self.roundtrips),
+        return self._send(
+            "getdata_shortids", out, "fetch", int(self.roundtrips),
             {"extra_getdata": short_id_request_bytes(len(missing), width)})
-        action = EngineAction(ActionKind.SEND, "getdata_shortids", out,
-                              event=event)
-        self._last_send = action
-        return action
 
-    def on_p1_payload(self, message: bytes) -> EngineAction:
-        """Process [header +] S + I; decode, fetch, or escalate."""
-        if self.phase is not ReceiverPhase.WAIT_P1:
-            raise ProtocolFailure(f"unexpected P1 payload in {self.phase}")
+    def _read_opening(self, message, protocol: int, decode) -> tuple:
+        """Prologue of both openings: phase check, byte count, [header]
+        and payload; returns ``(payload, parts)``."""
+        command, _, _ = _OPENINGS[protocol]
+        if not self.accepts(command):
+            raise ProtocolFailure(
+                f"unexpected P{protocol} payload in {self.phase}")
         self.bytes_received += len(message)
         offset = 0
         if self.mode == "block":
             self.header = decode_block_header(message)
             offset = 80
-        payload, _ = decode_protocol1_payload(message, offset)
+        payload, _ = decode(message, offset)
+        return payload, _opening_parts(payload, protocol)
+
+    def on_p1_payload(self, message: bytes) -> EngineAction:
+        """Process [header +] S + I; decode, fetch, or escalate."""
+        payload, parts = self._read_opening(message, 1,
+                                            decode_protocol1_payload)
         result = receive_protocol1(payload, self.mempool, self.config,
                                    validate_block=self._probe())
-        parts = _p1_parts(payload)
         self.p1_decode_failed = not result.decode_complete
-
-        if self.mode == "mempool" and result.decode_complete:
-            # Mempool sync never escalates a *complete* decode: missing
-            # short IDs are simply sender transactions to fetch.
-            self._record("graphene_block", "received", "p1", 1, parts,
-                         outcome="decoded")
-            self.p1_success = True
-            self._survivors = result.reconciled
-            if result.missing_short_ids:
-                return self._request_short_ids(result.missing_short_ids)
-            return self._complete(result.txs)
-
-        if result.success:
-            self._record("graphene_block", "received", "p1", 1, parts,
-                         outcome="decoded")
-            self.p1_success = True
-            self._survivors = result.reconciled
-            return self._complete(result.txs)
-
+        # Mempool sync never escalates a *complete* decode: missing
+        # short IDs are simply sender transactions to fetch.
+        kept = result.success or (self.mode == "mempool"
+                                  and result.decode_complete)
         self._record("graphene_block", "received", "p1", 1, parts,
-                     outcome="fallback")
+                     outcome="decoded" if kept else "fallback")
+        if kept:
+            self.p1_success = True
+            return self._adopt(result)
         self.protocol_used = 2
         self.roundtrips = 2.5
         request, state = build_protocol2_request(
@@ -551,13 +547,8 @@ class GrapheneReceiverEngine:
         self.phase = ReceiverPhase.WAIT_P2
         out = (struct.pack("<I", len(self.mempool))
                + encode_protocol2_request(request))
-        self.bytes_sent += len(out)
-        event = self._record("graphene_p2_request", "sent", "p2", 2,
-                             _p2_request_parts(request))
-        action = EngineAction(ActionKind.SEND, "graphene_p2_request", out,
-                              event=event)
-        self._last_send = action
-        return action
+        return self._send("graphene_p2_request", out, "p2", 2,
+                          _p2_request_parts(request))
 
     def on_p2_response(self, message: bytes) -> EngineAction:
         """Process T + J (+ F); finish, fetch leftovers, or fail."""
@@ -571,23 +562,17 @@ class GrapheneReceiverEngine:
         self.p2_decode_solo = result.decode_complete_solo
         self.p2_decode_complete = result.decode_complete
         parts = _p2_response_parts(response)
-        if result.success:
-            self._record("graphene_p2_response", "received", "p2", 2,
-                         parts, outcome="decoded")
-            self._reconciled = dict(result.recovered)
-            return self._complete(result.txs)
-        if not result.decode_complete:
-            self._record("graphene_p2_response", "received", "p2", 2,
-                         parts, outcome="failed")
+        fetch = result.decode_complete and result.missing_short_ids
+        outcome = "decoded" if result.success \
+            else "fetch" if fetch else "failed"
+        self._record("graphene_p2_response", "received", "p2", 2, parts,
+                     outcome=outcome)
+        if outcome == "failed":
             return self._fail()
-        if result.missing_short_ids:
-            self._record("graphene_p2_response", "received", "p2", 2,
-                         parts, outcome="fetch")
-            self._reconciled = dict(result.recovered)
+        self._reconciled = dict(result.recovered)
+        if outcome == "fetch":
             return self._request_short_ids(result.missing_short_ids)
-        self._record("graphene_p2_response", "received", "p2", 2,
-                     parts, outcome="failed")
-        return self._fail()
+        return self._complete(result.txs)
 
     # ------------------------------------------------------------------
     # Protocol 3: the rateless symbol stream
@@ -595,15 +580,8 @@ class GrapheneReceiverEngine:
 
     def on_p3_payload(self, message: bytes) -> EngineAction:
         """Process [header +] S + first symbols; decode or ask for more."""
-        if self.phase is not ReceiverPhase.WAIT_P3:
-            raise ProtocolFailure(f"unexpected P3 payload in {self.phase}")
-        self.bytes_received += len(message)
-        offset = 0
-        if self.mode == "block":
-            self.header = decode_block_header(message)
-            offset = 80
-        payload, _ = decode_protocol3_payload(message, offset)
-        parts = _p3_parts(payload)
+        payload, parts = self._read_opening(message, 3,
+                                            decode_protocol3_payload)
         try:
             self._p3_state = begin_protocol3(payload, self.mempool,
                                              self.config)
@@ -655,39 +633,25 @@ class GrapheneReceiverEngine:
         self.phase = ReceiverPhase.WAIT_P3_SYMBOLS
         self.roundtrips += 1.0
         message = encode_protocol3_request(start, count)
-        self.bytes_sent += len(message)
-        event = self._record("graphene_p3_request", "sent", "p3",
-                             int(self.roundtrips),
-                             {"getdata": p3_request_bytes()})
-        action = EngineAction(ActionKind.SEND, "graphene_p3_request",
-                              message, event=event)
-        self._last_send = action
-        return action
+        return self._send("graphene_p3_request", message, "p3",
+                          int(self.roundtrips),
+                          {"getdata": p3_request_bytes()})
 
     def _finish_p3(self, command: str, parts: dict,
                    roundtrip: int) -> EngineAction:
         """Turn a complete rateless decode into DONE / fetch / FAILED."""
         result = finish_protocol3(self._p3_state, self.config,
                                   validate_block=self._probe())
-        if not result.decode_complete:
-            # The peel zeroed out but the arithmetic does not reconcile
-            # with n -- a malformed (e.g. replayed) stream.
-            self._record(command, "received", "p3", roundtrip, parts,
-                         outcome="failed")
-            return self._fail()
-        if result.missing_short_ids:
-            self._record(command, "received", "p3", roundtrip, parts,
-                         outcome="fetch")
-            self._survivors = result.reconciled
-            return self._request_short_ids(result.missing_short_ids)
-        if result.success:
-            self._record(command, "received", "p3", roundtrip, parts,
-                         outcome="decoded")
-            self._survivors = result.reconciled
-            return self._complete(result.txs)
+        # Neither missing nor success: the peel zeroed out but the
+        # arithmetic does not reconcile with n -- a malformed (e.g.
+        # replayed) stream -- or the set failed the Merkle check.
+        outcome = "fetch" if result.missing_short_ids \
+            else "decoded" if result.success else "failed"
         self._record(command, "received", "p3", roundtrip, parts,
-                     outcome="failed")
-        return self._fail()
+                     outcome=outcome)
+        if outcome == "failed":
+            return self._fail()
+        return self._adopt(result)
 
     def on_tx_list(self, message: bytes) -> EngineAction:
         """Process the final repair transactions; validate in block mode."""
@@ -701,19 +665,16 @@ class GrapheneReceiverEngine:
         for tx in txs:
             self.reconciled[tx.txid] = tx
         if self.mode == "mempool":
-            self._record("block_txs", "received", "fetch", roundtrip,
-                         parts, outcome="done")
-            return self._complete(sorted(self.reconciled.values(),
-                                         key=lambda tx: tx.txid))
-        probe = self._probe()
-        ordered = probe.validated_order(list(self.reconciled.values()))
-        if ordered is not None:
-            self._record("block_txs", "received", "fetch", roundtrip,
-                         parts, outcome="done")
-            return self._complete(ordered)
-        self._record("block_txs", "received", "fetch", roundtrip,
-                     parts, outcome="failed")
-        return self._fail()
+            ordered = sorted(self.reconciled.values(),
+                             key=lambda tx: tx.txid)
+        else:
+            ordered = self._probe().validated_order(
+                list(self.reconciled.values()))
+        self._record("block_txs", "received", "fetch", roundtrip, parts,
+                     outcome="failed" if ordered is None else "done")
+        if ordered is None:
+            return self._fail()
+        return self._complete(ordered)
 
     def handle(self, command: str, message) -> EngineAction:
         """Dispatch on the wire command via :data:`RECEIVER_STEPS`.
@@ -763,18 +724,6 @@ class GrapheneReceiverEngine:
         prev = self._last_send
         if prev is None or prev.event is None:
             raise ProtocolFailure("no request in flight to re-emit")
-        event = self._record(prev.command, "sent", prev.event.phase,
-                             prev.event.roundtrip, dict(prev.event.parts),
-                             outcome="retry")
-        self.bytes_sent += len(prev.message)
-        action = EngineAction(ActionKind.SEND, prev.command, prev.message,
-                              event=event)
-        self._last_send = action
-        return action
-
-
-def _parse_header(blob: bytes) -> BlockHeader:
-    """Back-compat alias for :func:`repro.codec.decode_block_header`."""
-    if len(blob) != 80:
-        raise ParameterError(f"header must be 80 bytes, got {len(blob)}")
-    return decode_block_header(blob)
+        return self._send(prev.command, prev.message, prev.event.phase,
+                          prev.event.roundtrip, dict(prev.event.parts),
+                          outcome="retry")

@@ -19,6 +19,10 @@ the survivors' ID buffer to the packed order + Merkle pass.
 The functions here also serve mempool synchronization (paper 3.2.1) by
 treating the sender's whole mempool as the "block": pass
 ``validate_block=None`` and the Merkle check is skipped.
+
+What Protocol 3 shares with Protocol 1 is written here and imported
+there: :class:`Opening`, :func:`open_exchange`, :func:`sweep` and
+:func:`settle`.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ SEED_I = 0x1B17
 SEED_J = 0x2B27
 
 
-@dataclass(frozen=True)
-class Protocol1Payload:
-    """Step 3 message: Bloom filter S, IBLT I, and bookkeeping counts.
+@dataclass(frozen=True, kw_only=True)
+class Opening:
+    """Step 3 message, minus its reconciliation body: bookkeeping counts,
+    prefilled transactions and Bloom filter S.  A subclass adds the body
+    (IBLT I, or Protocol 3's first coded symbols) and its ``body_bytes``.
 
     ``prefilled`` carries transactions the sender knows the receiver
     cannot have (no inv ever exchanged -- e.g. the coinbase); the paper
@@ -56,35 +62,43 @@ class Protocol1Payload:
 
     n: int
     bloom_s: BloomFilter
-    iblt_i: IBLT
-    recover: int  # a*, what I was provisioned for
+    recover: int  # a*, what the body was provisioned for
     plan: FilterIBLTPlan
     prefilled: tuple = ()
-
-    def wire_size(self) -> int:
-        """Bytes on the wire: S + I + counts + any prefilled txns."""
-        return (self.bloom_s.serialized_size() + self.iblt_i.serialized_size()
-                + compact_size_len(self.n) + compact_size_len(self.recover)
-                + compact_size_len(len(self.prefilled))
-                + sum(tx.size for tx in self.prefilled))
 
     @property
     def bloom_bytes(self) -> int:
         return self.bloom_s.serialized_size()
 
+    def wire_size(self) -> int:
+        """Bytes on the wire: S + body + counts + any prefilled txns."""
+        return (self.bloom_bytes + self.body_bytes
+                + compact_size_len(self.n) + compact_size_len(self.recover)
+                + compact_size_len(len(self.prefilled))
+                + sum(tx.size for tx in self.prefilled))
+
+
+@dataclass(frozen=True, kw_only=True)
+class Protocol1Payload(Opening):
+    """The Protocol 1 opening: S and IBLT I."""
+
+    iblt_i: IBLT
+
     @property
     def iblt_bytes(self) -> int:
         return self.iblt_i.serialized_size()
 
+    body_bytes = iblt_bytes
+
 
 @dataclass
 class Protocol1Result:
-    """Receiver-side outcome of Protocol 1.
+    """Receiver-side outcome of a Protocol 1 or Protocol 3 decode.
 
     On success ``txs`` holds the canonically ordered block transactions.
     On failure the fields preserve everything Protocol 2 needs: the
     candidate set ``Z``, the observed count ``z`` and the subtracted
-    IBLT (for ping-pong decoding later).
+    IBLT (for ping-pong decoding later; Protocol 3 has none).
     """
 
     success: bool
@@ -107,6 +121,30 @@ class Protocol1Result:
         return self.candidate_set.as_dict()
 
 
+def open_exchange(txs, receiver_mempool_count: int, config: GrapheneConfig,
+                  plan: Optional[FilterIBLTPlan], prefill,
+                  auto_prefill_coinbase: bool) -> tuple[TxColumns, dict]:
+    """Sender side of any opening: the packed ``txs`` and the
+    :class:`Opening` fields -- plan, S, and ``prefill`` plus any coinbase.
+
+    Both protocols size S by the discrete S + I optimization: a false
+    positive costs coded symbols just as it costs IBLT cells.
+    """
+    columns = TxColumns.of(txs)
+    n = len(columns)
+    if plan is None:
+        plan = optimize_a(n, receiver_mempool_count, config)
+    bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
+    bloom.update_packed(columns.ids)
+    prefilled = list(prefill) if prefill is not None else []
+    if auto_prefill_coinbase:
+        chosen = {tx.txid for tx in prefilled}
+        prefilled += [tx for tx in columns.txs
+                      if tx.is_coinbase and tx.txid not in chosen]
+    return columns, dict(n=n, bloom_s=bloom, recover=plan.recover,
+                         plan=plan, prefilled=tuple(prefilled))
+
+
 def build_protocol1(txs, receiver_mempool_count: int,
                     config: Optional[GrapheneConfig] = None,
                     plan: Optional[FilterIBLTPlan] = None,
@@ -122,29 +160,23 @@ def build_protocol1(txs, receiver_mempool_count: int,
     them (disable with ``auto_prefill_coinbase=False``).
     """
     config = config or GrapheneConfig()
-    columns = TxColumns.of(txs)
-    n = len(columns)
-    if plan is None:
-        plan = optimize_a(n, receiver_mempool_count, config)
-    bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
+    columns, head = open_exchange(txs, receiver_mempool_count, config, plan,
+                                  prefill, auto_prefill_coinbase)
+    plan = head["plan"]
     iblt = IBLT(plan.iblt.cells, k=plan.iblt.k, seed=config.seed ^ SEED_I,
                 cell_bytes=config.cell_bytes)
-    bloom.update_packed(columns.ids)
     iblt.update(columns.short_ids(config.short_id_bytes))
-    return Protocol1Payload(
-        n=n, bloom_s=bloom, iblt_i=iblt, recover=plan.recover, plan=plan,
-        prefilled=choose_prefilled(columns, prefill, auto_prefill_coinbase))
+    return Protocol1Payload(iblt_i=iblt, **head)
 
 
-def choose_prefilled(columns: TxColumns, prefill,
-                     auto_prefill_coinbase: bool) -> tuple:
-    """Transactions to ship in full: ``prefill`` plus any coinbase."""
-    prefilled = list(prefill) if prefill is not None else []
-    if auto_prefill_coinbase:
-        chosen = {tx.txid for tx in prefilled}
-        prefilled += [tx for tx in columns.txs
-                      if tx.is_coinbase and tx.txid not in chosen]
-    return tuple(prefilled)
+def sweep(payload: Opening, mempool: Mempool,
+          config: GrapheneConfig) -> CandidateSet:
+    """Receiver side of any opening: form Z, the prefilled transactions
+    plus the mempool's snapshot passed through S in one packed sweep."""
+    if payload.n < 0:
+        raise ParameterError(f"payload.n must be non-negative: {payload.n}")
+    return CandidateSet(payload.prefilled, mempool, payload.bloom_s,
+                        config.short_id_bytes)
 
 
 def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
@@ -156,12 +188,7 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
     the decode; pass None for mempool synchronization, where success is
     defined by IBLT decode alone.
     """
-    config = config or GrapheneConfig()
-    if payload.n < 0:
-        raise ParameterError(f"payload.n must be non-negative: {payload.n}")
-
-    candidates = CandidateSet(payload.prefilled, mempool, payload.bloom_s,
-                              config.short_id_bytes)
+    candidates = sweep(payload, mempool, config or GrapheneConfig())
     iblt_prime = IBLT(payload.iblt_i.cells, k=payload.iblt_i.k,
                       seed=payload.iblt_i.seed,
                       cell_bytes=payload.iblt_i.cell_bytes)
@@ -174,25 +201,33 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
                              decode_complete=decode.complete)
     if not decode.complete:
         return result
+    return settle(result, decode.local, decode.remote, payload.n,
+                  validate_block)
 
-    # decode.local: short IDs in the block but not the candidate set --
-    # transactions the receiver is missing.  Protocol 1 cannot repair
-    # those; escalate.  decode.remote: false positives to strip from Z.
-    surviving = candidates.without(decode.remote)
+
+def settle(result: Protocol1Result, local, remote, n: int,
+           validate_block: Optional[Block]) -> Protocol1Result:
+    """Turn a complete decode into the reconciled transaction set.
+
+    ``local``: short IDs in the block but not in Z -- transactions the
+    receiver is missing, for the caller to escalate or fetch.
+    ``remote``: Bloom false positives to strip from Z.
+    """
+    surviving = result.candidate_set.without(remote)
     # Consistency: |block| must equal surviving candidates plus the
-    # missing transactions the decode claims.  An IBLT that is all-zero
-    # after the subtract (e.g. a replay of the receiver's own I') peels
-    # "complete" with an empty difference; when the expected difference
-    # is nonempty that is a silently wrong set, so report a decode
-    # failure instead.  (Short-id collisions can also trip this; they
-    # break Protocol 1 regardless, and in block mode the Merkle check
-    # is the backstop.)
-    if payload.n != len(surviving) + len(decode.local):
+    # missing transactions the decode claims.  A difference that is
+    # all-zero after the subtract (e.g. a replay of the receiver's own
+    # I' or coded symbols) peels "complete" with nothing in it; when the
+    # expected difference is nonempty that is a silently wrong set, so
+    # report a decode failure instead.  (Short-id collisions can also
+    # trip this; they break the exchange regardless, and in block mode
+    # the Merkle check is the backstop.)
+    if n != len(surviving) + len(local):
         result.decode_complete = False
         return result
     result.reconciled = surviving.txs
-    if decode.local:
-        result.missing_short_ids = decode.local
+    if local:
+        result.missing_short_ids = frozenset(local)
         return result
     if validate_block is not None:
         ordered = validate_block.validated_order(surviving)

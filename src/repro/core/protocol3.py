@@ -29,31 +29,35 @@ trip, byte-competitive with Protocol 1.  Follow-up batches grow
 geometrically, bounding the worst case at a constant factor of the
 true difference.
 
-Both sides read columns, as Protocol 1 does: the sender builds S and the
-symbol stream from the block's :class:`~repro.chain.columns.TxColumns`,
-and the receiver's Z is the same
-:class:`~repro.core.candidates.CandidateSet` -- one packed sweep of the
-mempool's snapshot, whose short-ID column seeds the decoder.  The state
-keeps that snapshot, so the exchange finishes against the mempool it
-began with however many round trips it takes.
+The opening is Protocol 1's with a symbol batch where IBLT I was, and a
+complete decode settles as Protocol 1's does: ``Opening``,
+``open_exchange``, ``sweep`` and ``settle`` are imported from
+:mod:`repro.core.protocol1`, not repeated here.  The receiver's Z seeds
+the decoder with its short-ID column, and the state keeps Z's mempool
+snapshot, so the exchange finishes against the mempool it began with
+however many round trips it takes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.chain.block import Block
 from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.core.candidates import CandidateSet
-from repro.core.params import FilterIBLTPlan, GrapheneConfig, optimize_a
-from repro.core.protocol1 import SEED_S, choose_prefilled
+from repro.core.params import FilterIBLTPlan, GrapheneConfig
+from repro.core.protocol1 import (
+    Opening,
+    Protocol1Result,
+    open_exchange,
+    settle,
+    sweep,
+)
 from repro.errors import ParameterError
-from repro.pds.bloom import BloomFilter
 from repro.pds.riblt import RIBLTDecoder, RIBLTEncoder, symbol_stream_bytes
-from repro.utils.serialization import compact_size_len
 
 #: Seed offset keeping the symbol stream's hash family independent of
 #: the S/I/J families (see protocol1.SEED_S et al.).
@@ -121,29 +125,15 @@ class SymbolBatch:
         return symbol_stream_bytes(len(self.counts))
 
 
-@dataclass(frozen=True)
-class Protocol3Payload:
-    """Opening message: counts, prefilled txns, Bloom S, first symbols."""
+@dataclass(frozen=True, kw_only=True)
+class Protocol3Payload(Opening):
+    """The Protocol 3 opening: S and the first batch of coded symbols
+    (``recover`` is what that batch was provisioned against)."""
 
-    n: int
-    bloom_s: BloomFilter
     symbols: SymbolBatch
-    recover: int  # a*, what the first batch was provisioned against
-    plan: FilterIBLTPlan
-    prefilled: tuple = ()
-
-    def wire_size(self) -> int:
-        return (self.bloom_s.serialized_size() + self.symbols.wire_size()
-                + compact_size_len(self.n) + compact_size_len(self.recover)
-                + compact_size_len(len(self.prefilled))
-                + sum(tx.size for tx in self.prefilled))
 
     @property
-    def bloom_bytes(self) -> int:
-        return self.bloom_s.serialized_size()
-
-    @property
-    def riblt_bytes(self) -> int:
+    def body_bytes(self) -> int:
         return self.symbols.wire_size()
 
 
@@ -171,19 +161,6 @@ class Protocol3ReceiverState:
         return self.candidate_set.as_dict()
 
 
-@dataclass
-class Protocol3Result:
-    """Outcome of finishing a decoded Protocol 3 exchange."""
-
-    success: bool
-    txs: Optional[list] = None
-    decode_complete: bool = False
-    merkle_ok: bool = False
-    missing_short_ids: frozenset = frozenset()
-    #: Candidates surviving false-positive removal.
-    reconciled: list = field(default_factory=list)
-
-
 def make_encoder(txs, config: GrapheneConfig) -> RIBLTEncoder:
     """The sender's symbol stream over a transaction set's short IDs.
 
@@ -204,28 +181,19 @@ def build_protocol3(txs, receiver_mempool_count: int,
                     ) -> tuple[Protocol3Payload, RIBLTEncoder]:
     """Sender side: Bloom S plus the opening symbol batch.
 
-    S reuses Protocol 1's discrete S+I optimization -- a false positive
-    costs ~``OVERHEAD`` symbols just as it costs IBLT cells, so the
-    same trade-off point applies.  ``encoder`` lets a serving engine
-    share one symbol stream across peers and continuation requests.
+    The head -- plan, S, prefill -- is Protocol 1's
+    (:func:`~repro.core.protocol1.open_exchange`).  ``encoder`` lets a
+    serving engine share one symbol stream across peers and
+    continuation requests.
     """
     config = config or GrapheneConfig()
-    columns = TxColumns.of(txs)
-    n = len(columns)
-    if plan is None:
-        plan = optimize_a(n, receiver_mempool_count, config)
-    bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
-    bloom.update_packed(columns.ids)
+    columns, head = open_exchange(txs, receiver_mempool_count, config, plan,
+                                  prefill, auto_prefill_coinbase)
     if encoder is None:
         encoder = make_encoder(columns, config)
-    count = first_batch_size(plan.recover)
-    counts, key_sums, check_sums = encoder.window(0, count)
-    batch = SymbolBatch(start=0, counts=counts, key_sums=key_sums,
-                        check_sums=check_sums)
-    payload = Protocol3Payload(
-        n=n, bloom_s=bloom, symbols=batch, recover=plan.recover, plan=plan,
-        prefilled=choose_prefilled(columns, prefill, auto_prefill_coinbase))
-    return payload, encoder
+    batch = SymbolBatch(0, *encoder.window(
+        0, first_batch_size(head["recover"])))
+    return Protocol3Payload(symbols=batch, **head), encoder
 
 
 def begin_protocol3(payload: Protocol3Payload, mempool: Mempool,
@@ -233,17 +201,13 @@ def begin_protocol3(payload: Protocol3Payload, mempool: Mempool,
                     ) -> Protocol3ReceiverState:
     """Receiver side: form Z through S, then ingest the first batch.
 
-    The same :class:`~repro.core.candidates.CandidateSet` as Protocol 1;
-    the decoder is seeded with its short-ID column and fed the opening
-    symbols.
+    Z is Protocol 1's (:func:`~repro.core.protocol1.sweep`); the decoder
+    is seeded with its short-ID column and fed the opening symbols.
     May raise :class:`~repro.errors.MalformedIBLTError` if the opening
     batch itself peels inconsistently.
     """
     config = config or GrapheneConfig()
-    if payload.n < 0:
-        raise ParameterError(f"payload.n must be non-negative: {payload.n}")
-    candidates = CandidateSet(payload.prefilled, mempool, payload.bloom_s,
-                              config.short_id_bytes)
+    candidates = sweep(payload, mempool, config)
     decoder = RIBLTDecoder(candidates.sids, seed=config.seed ^ SEED_R)
     cap = STREAM_CAP_FACTOR * max(16, payload.n + len(candidates))
     state = Protocol3ReceiverState(decoder=decoder, candidate_set=candidates,
@@ -275,41 +239,24 @@ def ingest_symbols(state: Protocol3ReceiverState,
 def finish_protocol3(state: Protocol3ReceiverState,
                      config: Optional[GrapheneConfig] = None,
                      validate_block: Optional[Block] = None,
-                     ) -> Protocol3Result:
-    """Turn a complete decode into the reconciled transaction set.
+                     ) -> Protocol1Result:
+    """Turn the decoder's state into what ``receive_protocol1`` returns.
 
     ``decoder.local`` holds short IDs only the sender has (missing
     transactions, fetched afterwards); ``decoder.remote`` holds Bloom
-    false positives to strip from Z.  A decode whose arithmetic does
-    not reconcile with the announced block size ``n`` is reported as
-    ``decode_complete=False`` -- the stream was malformed (e.g. an
-    all-zero replay of the receiver's own symbols) and the caller
-    should fail cleanly rather than accept a silently wrong set.
+    false positives to strip from Z.  A complete decode settles exactly
+    as Protocol 1's does (:func:`~repro.core.protocol1.settle`): one
+    whose arithmetic does not reconcile with the announced block size
+    ``n`` is reported as ``decode_complete=False`` -- the stream was
+    malformed and the caller should fail cleanly rather than accept a
+    silently wrong set.
     """
     decoder = state.decoder
-    result = Protocol3Result(success=False,
+    result = Protocol1Result(success=False,
+                             candidate_set=state.candidate_set,
+                             z=len(state.candidate_set),
                              decode_complete=decoder.complete)
     if not decoder.complete:
         return result
-    surviving = state.candidate_set.without(decoder.remote)
-    # Consistency: |block| must equal surviving candidates plus the
-    # missing transactions the decode claims.  (Short-id collisions
-    # can break this; they also break Protocol 1, and the Merkle check
-    # is the backstop in block mode.)
-    if state.n != len(surviving) + len(decoder.local):
-        result.decode_complete = False
-        return result
-    result.reconciled = surviving.txs
-    if decoder.local:
-        result.missing_short_ids = frozenset(decoder.local)
-        return result
-    if validate_block is not None:
-        ordered = validate_block.validated_order(surviving)
-        if ordered is None:
-            return result
-        result.merkle_ok = True
-        result.txs = ordered
-    else:
-        result.txs = surviving.canonical().txs
-    result.success = True
-    return result
+    return settle(result, decoder.local, decoder.remote, state.n,
+                  validate_block)

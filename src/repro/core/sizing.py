@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.core.telemetry import StreamTotals
 from repro.errors import ParameterError
 from repro.utils.serialization import compact_size_len
 
@@ -99,29 +100,13 @@ class CostBreakdown:
 
         Each :class:`~repro.core.telemetry.MessageEvent` carries its
         byte decomposition keyed by the field names of this class, so
-        the engines' event stream *is* the cost accounting.
-
-        An :class:`~repro.core.telemetry.EventRecorder` stream already
-        holds the per-part totals, so it folds in O(parts); any other
-        iterable (or a recorder mutated behind its aggregates, or one
-        carrying an unknown part name) takes the per-event reference
-        loop, whose error message names the offending event.
+        the stream's :class:`~repro.core.telemetry.StreamTotals` *are*
+        the cost accounting; a part name that is not a field means a
+        producer drifted from the schema.
         """
-        from repro.core.telemetry import EventRecorder
-
-        valid = {spec.name for spec in fields(cls)}
-        if (isinstance(events, EventRecorder) and events.consistent()
-                and set(events.part_totals) <= valid):
-            cost = cls()
-            for name, nbytes in events.part_totals.items():
-                setattr(cost, name, nbytes)
-            return cost
-        cost = cls()
-        for event in events:
-            for name, nbytes in event.parts.items():
-                if name not in valid:
-                    raise ParameterError(
-                        f"unknown cost part {name!r} in event "
-                        f"{event.command!r}")
-                setattr(cost, name, getattr(cost, name) + nbytes)
-        return cost
+        totals = StreamTotals.of(events).part_totals
+        unknown = set(totals) - {spec.name for spec in fields(cls)}
+        if unknown:
+            raise ParameterError(
+                f"unknown cost part(s) {sorted(unknown)} in event stream")
+        return cls(**totals)

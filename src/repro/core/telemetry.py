@@ -105,45 +105,25 @@ class MessageEvent:
         }
 
 
-class EventRecorder(list):
-    """An event stream that folds aggregates as events are appended.
+@dataclass(slots=True)
+class StreamTotals:
+    """The one fold of an event stream: bytes per part, messages per
+    direction, bytes per phase, count and bytes per outcome.
 
-    The engines, nodes and recovery ladder only ever ``append`` to
-    their telemetry streams, while every consumer
-    (``CostBreakdown.from_events``, the ``repro.obs`` metrics fold,
-    :func:`total_wire_bytes`) re-walks the whole stream per query.
-    This subclass keeps the running aggregates those consumers need --
-    byte totals per part, message counts per direction, bytes per
-    phase, counts and bytes per outcome -- updated in O(parts) at
-    append time, so the queries become dict reads instead of per-event
-    loops over freshly allocated dicts.
-
-    Everything else behaves like the plain list the rest of the
-    package expects.  If a stream is ever mutated through any other
-    list operation the aggregates go stale; :meth:`consistent` detects
-    that (appends are counted) and consumers then fall back to their
-    per-event reference loops, so the fast path can never return
-    different numbers than the slow one.
+    :meth:`add` is the only code that sums an event's parts.  A recorder
+    keeps one, updated in O(parts) per append; :meth:`of` returns that,
+    or folds any other iterable through the same :meth:`add`, so
+    ``CostBreakdown.from_events``, :func:`total_wire_bytes` and the
+    ``repro.obs`` metrics fold read identical numbers off any stream.
     """
 
-    __slots__ = ("_folded", "part_totals", "direction_counts",
-                 "phase_bytes", "outcome_counts", "outcome_bytes")
+    part_totals: dict = field(default_factory=dict)
+    direction_counts: dict = field(default_factory=dict)
+    phase_bytes: dict = field(default_factory=dict)
+    outcome_counts: dict = field(default_factory=dict)
+    outcome_bytes: dict = field(default_factory=dict)
 
-    def __init__(self):
-        super().__init__()
-        self._folded = 0
-        self.part_totals: dict = {}
-        self.direction_counts: dict = {}
-        self.phase_bytes: dict = {}
-        self.outcome_counts: dict = {}
-        self.outcome_bytes: dict = {}
-
-    def append(self, event: MessageEvent) -> None:
-        super().append(event)
-        self._fold(event)
-
-    def _fold(self, event: MessageEvent) -> None:
-        self._folded += 1
+    def add(self, event: MessageEvent) -> None:
         totals = self.part_totals
         for name, nbytes in event.parts.items():
             totals[name] = totals.get(name, 0) + nbytes
@@ -158,35 +138,51 @@ class EventRecorder(list):
             obytes[event.outcome] = \
                 obytes.get(event.outcome, 0) + event.wire_bytes
 
-    def consistent(self) -> bool:
-        """True while every element arrived through :meth:`append`."""
-        return self._folded == len(self)
+    @classmethod
+    def of(cls, events) -> "StreamTotals":
+        """The totals of ``events``: a recorder's own, else a fresh fold."""
+        if isinstance(events, EventRecorder):
+            return events.totals
+        totals = cls()
+        for event in events:
+            totals.add(event)
+        return totals
+
+
+class EventRecorder(list):
+    """An event stream that keeps its :class:`StreamTotals` as it grows.
+
+    The engines, nodes and recovery ladder only ever ``append`` to
+    their telemetry streams, so that is the one operation folded;
+    everything else behaves like the plain list the rest of the package
+    expects.
+    """
+
+    __slots__ = ("totals",)
+
+    def __init__(self):
+        super().__init__()
+        self.totals = StreamTotals()
+
+    def append(self, event: MessageEvent) -> None:
+        super().append(event)
+        self.totals.add(event)
 
 
 class AggregateRecorder(EventRecorder):
-    """An event stream that keeps only the running aggregates.
+    """An event stream that keeps only its :class:`StreamTotals`.
 
     At network scale, retaining one :class:`MessageEvent` per message is
     O(messages) memory per node; above the scenario layer's node-count
     threshold each relay stream is one of these instead.  ``append``
-    folds the event into the same aggregates :class:`EventRecorder`
-    maintains and discards the event itself, so every aggregate
-    consumer (``CostBreakdown.from_events``, the obs metrics fold,
-    :func:`total_wire_bytes`) sees identical numbers while per-event
-    walks see an empty list.
-
-    ``consistent()`` stays True by definition -- the aggregates *are*
-    the stream -- which is what routes consumers onto their fast paths
-    rather than the (empty) per-event reference loops.
+    folds the event and discards it, so every consumer of the totals
+    sees identical numbers while per-event walks see an empty list.
     """
 
     __slots__ = ()
 
     def append(self, event: MessageEvent) -> None:
-        self._fold(event)
-
-    def consistent(self) -> bool:
-        return True
+        self.totals.add(event)
 
 
 def total_wire_bytes(events, include_txs: bool = False) -> int:
@@ -197,12 +193,6 @@ def total_wire_bytes(events, include_txs: bool = False) -> int:
     :meth:`~repro.core.sizing.CostBreakdown.total`.
     """
     tx_parts = ("pushed_tx_bytes", "fetched_tx_bytes")
-    if isinstance(events, EventRecorder) and events.consistent():
-        return sum(nbytes for name, nbytes in events.part_totals.items()
-                   if include_txs or name not in tx_parts)
-    total = 0
-    for event in events:
-        for name, nbytes in event.parts.items():
-            if include_txs or name not in tx_parts:
-                total += nbytes
-    return total
+    return sum(nbytes for name, nbytes
+               in StreamTotals.of(events).part_totals.items()
+               if include_txs or name not in tx_parts)

@@ -1,6 +1,6 @@
 """Flat, columnar network-wide state shared by the nodes of one run.
 
-At 20 nodes, per-node dicts of Python objects (``Node -> PeerStats``,
+At 20 nodes, per-node dicts of Python objects (``Node -> stats``,
 per-node inv sets) are fine; at 1000 nodes they are O(network) small
 objects *per node* -- O(network^2) overall -- and dominate memory.
 This module centralizes that bookkeeping in one :class:`NetIndex` per
@@ -89,7 +89,8 @@ class NetIndex:
 
 
 class EdgeStats:
-    """PeerStats-compatible proxy over one directed edge's columns."""
+    """``bytes_sent`` / ``messages_sent`` of one directed edge, read off
+    the columns."""
 
     __slots__ = ("_net", "_eid")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.compact_blocks import compact_blocks_bytes, index_width
@@ -49,7 +48,7 @@ from repro.net.recovery import (
     prune_oldest,
 )
 from repro.net.simulator import FaultInjector, Link, Simulator
-from repro.net.sync import MempoolSyncMixin
+from repro.net.sync import MempoolSyncMixin, SYNC_ROUTES
 from repro.net.transport import SimulatorTransport
 from repro.pds.bloom import BloomFilter
 from repro.utils.serialization import compact_size_len
@@ -77,23 +76,6 @@ class RelayProtocol(enum.Enum):
     COMPACT_BLOCKS = "compact_blocks"
     XTHIN = "xthin"
     FULL_BLOCK = "full_block"
-
-
-@dataclass
-class PeerStats:
-    """Byte counters for one direction of one peering.
-
-    ``bytes_sent`` accumulates each message's telemetry wire bytes
-    (engine messages) or its declared size plus envelope (everything
-    else) -- the same accounting the links charge for transmission.
-    """
-
-    bytes_sent: int = 0
-    messages_sent: int = 0
-
-    def record(self, message: NetMessage) -> None:
-        self.bytes_sent += message.total_size
-        self.messages_sent += 1
 
 
 class Node(RelayRecoveryMixin, MempoolSyncMixin):
@@ -147,7 +129,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self.blocks: dict = {}          # merkle root -> Block
         self.peers: dict = {}           # node -> Link
         #: ``peer -> stats`` view over the registry's flat edge columns
-        #: (PeerStats-compatible: ``stats[peer].bytes_sent`` etc.).
+        #: (``stats[peer].bytes_sent`` / ``.messages_sent``).
         self.stats = NodeStats(self)
         self.block_arrival: dict = {}   # merkle root -> sim time
         #: Transaction-inv dedup (txids only; block roots live in the
@@ -326,6 +308,11 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
             if command in _ENGINE_COMMANDS:
                 def handler(peer, payload, _command=command):
                     self._on_graphene_wire(peer, _command, payload)
+            elif command in SYNC_ROUTES:
+                name, step = SYNC_ROUTES[command]
+                def handler(peer, payload, _route=getattr(self, name),
+                            _step=step):
+                    _route(peer, _step, payload)
             else:
                 handler = getattr(self, f"_on_{command}", None)
                 if handler is None:

@@ -65,8 +65,7 @@ from repro.core.engine import (
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
 from repro.core.telemetry import EventRecorder
-from repro.errors import ProtocolFailure
-from repro.net.peer.framing import FrameError
+from repro.errors import ProtocolFailure, ReproError
 from repro.net.peer.peer import PeerConnection, PeerFetchResult
 from repro.net.peer.protocol import (
     decode_full_block,
@@ -290,8 +289,8 @@ class PeerManager:
         try:
             try:
                 await conn.handshake()
-            except (ProtocolFailure, FrameError, ConnectionError,
-                    OSError, asyncio.TimeoutError) as exc:
+            except (ReproError, ConnectionError, OSError,
+                    asyncio.TimeoutError) as exc:
                 logger.warning("%s: inbound handshake failed: %s",
                                self.node_id, exc)
                 await conn.close()
@@ -310,7 +309,9 @@ class PeerManager:
                 if frame is None:
                     break
                 await self._dispatch(mc, *frame)
-        except (FrameError, ProtocolFailure) as exc:
+        except ReproError as exc:
+            # Envelope, handshake-discipline and engine/codec errors
+            # alike: hostile bytes raise somewhere in the family.
             logger.warning("%s: dropping misbehaving peer %s: %s",
                            self.node_id, mc.label, exc)
         except (ConnectionError, OSError) as exc:

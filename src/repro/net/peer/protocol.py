@@ -95,7 +95,11 @@ def decode_version(payload) -> VersionInfo:
         raise ProtocolFailure(
             f"version payload length mismatch: node id claims {id_len} "
             f"bytes, {len(payload) - offset} remain")
-    node_id = bytes(payload[offset:offset + id_len]).decode("utf-8")
+    try:
+        node_id = bytes(payload[offset:offset + id_len]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolFailure(f"version node id is not UTF-8: {exc}") \
+            from None
     return VersionInfo(version=version, nonce=nonce, node_id=node_id)
 
 

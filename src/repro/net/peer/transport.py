@@ -20,8 +20,6 @@ anyone who wants the raw socket total.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.engine import ActionKind, EngineAction
 from repro.errors import ParameterError
 from repro.net.peer.framing import encode_frame, frame_overhead
@@ -35,16 +33,12 @@ class AsyncioTransport(Transport):
     ``key`` tags the exchange on the wire (the block's Merkle root for
     relay) so the remote peer can find the matching engine, exactly as
     :class:`~repro.net.transport.SimulatorTransport` does over
-    simulated links.  ``command_map`` optionally renames engine
-    commands to wire commands (mempool sync reuses the engines under
-    its own vocabulary).
+    simulated links.
     """
 
-    def __init__(self, writer, key: bytes,
-                 command_map: Optional[dict] = None):
+    def __init__(self, writer, key: bytes):
         self.writer = writer
         self.key = key
-        self.command_map = command_map or {}
         #: Raw envelope + key bytes written so far, *beyond* the
         #: analytic payload accounting (socket-level overhead).
         self.wire_overhead = 0
@@ -55,8 +49,7 @@ class AsyncioTransport(Transport):
         if action.kind is not ActionKind.SEND:
             raise ParameterError(
                 f"only SEND actions cross the wire, got {action.kind}")
-        command = self.command_map.get(action.command, action.command)
-        self.writer.write(
-            encode_frame(command, encode_keyed(self.key, action.message)))
-        self.wire_overhead += frame_overhead(command) + len(self.key)
+        self.writer.write(encode_frame(
+            action.command, encode_keyed(self.key, action.message)))
+        self.wire_overhead += frame_overhead(action.command) + len(self.key)
         self.frames_sent += 1

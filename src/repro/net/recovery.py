@@ -31,7 +31,9 @@ own the ``attempts``/``stage``/``tried`` bookkeeping, the
 It has two drivers, which only send, arm timers, look up live
 announcers and mark spans: :class:`RelayRecoveryMixin` on the
 :class:`~repro.net.simulator.Simulator` clock (below) and
-:class:`~repro.net.peer.manager.PeerManager` on asyncio's.
+:class:`~repro.net.peer.manager.PeerManager` on asyncio's.  Mempool
+sync (:mod:`repro.net.sync`) climbs rung 1 through :func:`on_timeout`
+too; it has no full-block rung and one responder, so it abandons there.
 
 Recovery is observable: timeouts and retransmissions append
 ``outcome="timeout"`` / ``outcome="retry"`` events to the per-relay

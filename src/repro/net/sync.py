@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -39,18 +38,25 @@ from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
+    SENDER_STEPS,
 )
 from repro.core.telemetry import MessageEvent
 from repro.errors import ParameterError
 from repro.net.messages import NetMessage
-from repro.net.recovery import prune_oldest
+from repro.net.recovery import (
+    FetchState,
+    RESEND,
+    STAGE_ENGINE,
+    on_timeout,
+    prune_oldest,
+)
 from repro.net.transport import SimulatorTransport
 
 logger = logging.getLogger(__name__)
 
-#: Engine step command -> sync wire command (and back).  The engines
-#: speak the relay vocabulary; the wire tags sync traffic distinctly so
-#: a node can serve block relay and mempool sync concurrently.
+#: Engine step command -> sync wire command.  The engines speak the
+#: relay vocabulary; the wire tags sync traffic distinctly so a node can
+#: serve block relay and mempool sync concurrently.
 _WIRE_BY_STEP = {
     "getdata": "mempool_sync_request",
     "graphene_block": "mempool_sync_p1",
@@ -62,27 +68,26 @@ _WIRE_BY_STEP = {
     "getdata_shortids": "sync_fetch",
     "block_txs": "sync_txs",
 }
-_STEP_BY_WIRE = {wire: step for step, wire in _WIRE_BY_STEP.items()}
 
-#: Wire commands this module adds to the node vocabulary.
-SYNC_COMMANDS = frozenset(_WIRE_BY_STEP.values()) | {"sync_push"}
+#: Sync wire command -> (handler, engine step), the table
+#: :meth:`Node.receive <repro.net.node.Node.receive>` routes through:
+#: sender steps feed the responder's serving engine, receiver steps
+#: advance the initiator's.  A new step costs one ``_WIRE_BY_STEP`` row.
+SYNC_ROUTES = {
+    wire: ("_sync_serve" if step in SENDER_STEPS else "_sync_advance", step)
+    for step, wire in _WIRE_BY_STEP.items()}
 
 
 @dataclass
-class SyncState:
-    """Initiator-side state for one in-flight sync."""
+class SyncState(FetchState):
+    """Initiator-side state for one in-flight sync: the ladder's
+    :class:`~repro.net.recovery.FetchState` (``peer`` is the responder
+    Node, kept for resends) plus the session's own facts."""
 
-    nonce: int
-    peer_id: str
-    engine: GrapheneReceiverEngine
+    nonce: int = 0
+    engine: Optional[GrapheneReceiverEngine] = None
     done: bool = False
     succeeded: bool = False
-    #: The responder Node, kept so timed-out requests can be resent.
-    peer: object = None
-    #: Recovery bookkeeping: resends of the current round, and the
-    #: armed timeout timer (an EventHandle, cancelled on progress).
-    attempts: int = 0
-    timer: object = None
 
     @property
     def reconciled(self) -> dict:
@@ -98,8 +103,9 @@ class SyncState:
 class MempoolSyncMixin:
     """Handlers a :class:`~repro.net.node.Node` gains for mempool sync.
 
-    ``Node`` inherits this mixin; the message dispatcher finds the
-    ``_on_mempool_sync_*`` handlers by name like any other command.
+    ``Node`` inherits this mixin; its dispatcher routes the engine-step
+    commands through :data:`SYNC_ROUTES` and finds ``_on_sync_push`` by
+    name like any other command.
     """
 
     def _next_sync_nonce(self) -> int:
@@ -122,8 +128,8 @@ class MempoolSyncMixin:
         engine = GrapheneReceiverEngine(
             self.mempool, self.config, mode="mempool",
             telemetry=self._telemetry_stream("sync", nonce))
-        state = SyncState(nonce=nonce, peer_id=peer.node_id, engine=engine,
-                          peer=peer)
+        state = SyncState(peer=peer, stage=STAGE_ENGINE, nonce=nonce,
+                          engine=engine)
         self._sync_sessions[nonce] = state
         prune_oldest(self._sync_sessions, self.recovery.telemetry_cap)
         self._dispatch_sync_action(peer, state, engine.start())
@@ -133,18 +139,6 @@ class MempoolSyncMixin:
         return self._sync_sessions.get(nonce)
 
     # -- responder side -------------------------------------------------
-
-    def _on_mempool_sync_request(self, sender, payload) -> None:
-        self._sync_serve(sender, "getdata", payload)
-
-    def _on_mempool_sync_p2_req(self, sender, payload) -> None:
-        self._sync_serve(sender, "graphene_p2_request", payload)
-
-    def _on_mempool_sync_p3_req(self, sender, payload) -> None:
-        self._sync_serve(sender, "graphene_p3_request", payload)
-
-    def _on_sync_fetch(self, sender, payload) -> None:
-        self._sync_serve(sender, "getdata_shortids", payload)
 
     def _sync_serve(self, sender, step: str, payload) -> None:
         """Feed one initiator message to the serving sender engine."""
@@ -173,21 +167,6 @@ class MempoolSyncMixin:
 
     # -- initiator side -------------------------------------------------
 
-    def _on_mempool_sync_p1(self, sender, payload) -> None:
-        self._sync_advance(sender, "graphene_block", payload)
-
-    def _on_mempool_sync_p2_resp(self, sender, payload) -> None:
-        self._sync_advance(sender, "graphene_p2_response", payload)
-
-    def _on_mempool_sync_p3(self, sender, payload) -> None:
-        self._sync_advance(sender, "graphene_p3_block", payload)
-
-    def _on_mempool_sync_p3_sym(self, sender, payload) -> None:
-        self._sync_advance(sender, "graphene_p3_symbols", payload)
-
-    def _on_sync_txs(self, sender, payload) -> None:
-        self._sync_advance(sender, "block_txs", payload)
-
     def _sync_advance(self, sender, step: str, payload) -> None:
         nonce, blob = payload
         state = self._sync_sessions.get(nonce)
@@ -203,25 +182,24 @@ class MempoolSyncMixin:
         if action.kind is ActionKind.SEND:
             SimulatorTransport(self, peer, state.nonce,
                                command_map=_WIRE_BY_STEP).deliver(action)
-            self._arm_sync_timer(state, progress=True)
+            state.attempts = 0  # progress resets the backoff
+            self._arm_sync_timer(state)
             return
         self._cancel_sync_timer(state)
         if action.kind is ActionKind.DONE:
             self._finish_sync(peer, state)
             return
         logger.info("mempool sync %d with %s failed to decode",
-                    state.nonce, state.peer_id)
+                    state.nonce, state.peer.node_id)
         self._trace_mark("sync", state.nonce, "failed", why="decode")
         state.done = True
 
     # -- recovery (timeout ladder for lost sync rounds) -----------------
 
-    def _arm_sync_timer(self, state: SyncState, progress: bool) -> None:
-        """(Re)arm the round timer; progress resets the backoff."""
+    def _arm_sync_timer(self, state: SyncState) -> None:
+        """(Re)arm the round timer."""
         if not self.recovery.enabled:
             return
-        if progress:
-            state.attempts = 0
         self._cancel_sync_timer(state)
         state.timer = self.simulator.schedule(
             self.recovery.timeout_for(state.attempts),
@@ -236,23 +214,25 @@ class MempoolSyncMixin:
         state = self._sync_sessions.get(nonce)
         if state is None or state.done:
             return
-        self.relay_timeouts += 1
-        state.engine.note_timeout()
-        if (state.attempts >= self.recovery.max_retries
-                or state.peer not in self.peers):
+        resends = state.attempts
+        if state.peer not in self.peers:
+            # A gone peer has no resends left: the timeout is counted,
+            # no retry is.
+            state.attempts = self.recovery.max_retries
+        # A sync has no full-block rung and one responder, so any rung
+        # but RESEND abandons.
+        if on_timeout(state, self.recovery, self, state.engine,
+                      None) is not RESEND:
             logger.info("mempool sync %d with %s abandoned after %d "
-                        "resends", nonce, state.peer_id, state.attempts)
-            self._trace_mark("sync", nonce, "abandon",
-                             attempts=state.attempts)
+                        "resends", nonce, state.peer.node_id, resends)
+            self._trace_mark("sync", nonce, "abandon", attempts=resends)
             state.done = True
             self._cancel_sync_timer(state)
             return
-        state.attempts += 1
-        self.relay_retries += 1
         SimulatorTransport(self, state.peer, nonce,
                            command_map=_WIRE_BY_STEP).deliver(
             state.engine.reemit_last_request())
-        self._arm_sync_timer(state, progress=False)
+        self._arm_sync_timer(state)
 
     def _finish_sync(self, peer, state: SyncState) -> None:
         engine = state.engine
@@ -274,10 +254,4 @@ class MempoolSyncMixin:
         state.succeeded = True
         self._trace_mark("sync", state.nonce, "done", pushed=len(h_txs))
         logger.debug("mempool sync %d with %s complete: pushed %d txns",
-                     state.nonce, state.peer_id, len(h_txs))
-
-
-# The engines' mempool-mode start message is 4 bytes of m; keep a
-# helper for tests that drive sync wire payloads directly.
-def encode_sync_request(m: int) -> bytes:
-    return struct.pack("<I", m)
+                     state.nonce, state.peer.node_id, len(h_txs))

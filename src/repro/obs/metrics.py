@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.telemetry import EventRecorder
+from repro.core.telemetry import StreamTotals
 from repro.errors import ParameterError
 
 #: Default latency buckets (seconds) for exchange-duration histograms --
@@ -209,40 +209,17 @@ class MetricsRegistry:
 
 def _fold_stream(registry: MetricsRegistry, prefix: str, node_id: str,
                  events) -> None:
-    if isinstance(events, EventRecorder) and events.consistent():
-        # The recorder already folded this stream at append time; emit
-        # its aggregates straight into the counters.  Same numbers as
-        # the per-event loop below (series identity is name + labels;
-        # snapshot order is sorted), just without re-walking the stream.
-        for direction, count in events.direction_counts.items():
-            registry.counter(f"{prefix}_messages", node=node_id,
-                             direction=direction).inc(count)
-        for phase, nbytes in events.phase_bytes.items():
-            registry.counter(f"{prefix}_bytes", node=node_id,
-                             phase=phase).inc(nbytes)
-        for part, nbytes in events.part_totals.items():
-            registry.counter(f"{prefix}_part_bytes", node=node_id,
-                             part=part).inc(nbytes)
-        for outcome, count in events.outcome_counts.items():
-            registry.counter(f"{prefix}_outcomes", node=node_id,
-                             outcome=outcome).inc(count)
-        for outcome, nbytes in events.outcome_bytes.items():
-            registry.counter(f"{prefix}_outcome_bytes", node=node_id,
-                             outcome=outcome).inc(nbytes)
-        return
-    for event in events:
-        registry.counter(f"{prefix}_messages", node=node_id,
-                         direction=event.direction).inc()
-        registry.counter(f"{prefix}_bytes", node=node_id,
-                         phase=event.phase).inc(event.wire_bytes)
-        for part, nbytes in event.parts.items():
-            registry.counter(f"{prefix}_part_bytes", node=node_id,
-                             part=part).inc(nbytes)
-        if event.outcome:
-            registry.counter(f"{prefix}_outcomes", node=node_id,
-                             outcome=event.outcome).inc()
-            registry.counter(f"{prefix}_outcome_bytes", node=node_id,
-                             outcome=event.outcome).inc(event.wire_bytes)
+    """Emit one stream's :class:`StreamTotals` into the counters."""
+    totals = StreamTotals.of(events)
+    for series, label, sums in (
+            ("messages", "direction", totals.direction_counts),
+            ("bytes", "phase", totals.phase_bytes),
+            ("part_bytes", "part", totals.part_totals),
+            ("outcomes", "outcome", totals.outcome_counts),
+            ("outcome_bytes", "outcome", totals.outcome_bytes)):
+        for value, amount in sums.items():
+            registry.counter(f"{prefix}_{series}", node=node_id,
+                             **{label: value}).inc(amount)
 
 
 def collect_run_metrics(nodes, tracer=None,

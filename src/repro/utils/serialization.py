@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import struct
 
+from repro.errors import ParameterError
+
 
 def compact_size(n: int) -> bytes:
     """Encode ``n`` as a Bitcoin CompactSize unsigned integer."""
@@ -42,9 +44,13 @@ def compact_size_len(n: int) -> int:
 
 
 def read_compact_size(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a CompactSize at ``offset``; return ``(value, new_offset)``."""
+    """Decode a CompactSize at ``offset``; return ``(value, new_offset)``.
+
+    The buffer comes off the wire, so exhaustion raises inside the
+    :class:`~repro.errors.ReproError` family like every other decoder.
+    """
     if offset >= len(data):
-        raise ValueError("buffer exhausted while reading CompactSize")
+        raise ParameterError("buffer exhausted while reading CompactSize")
     first = data[offset]
     if first < 0xFD:
         return first, offset + 1
@@ -52,6 +58,7 @@ def read_compact_size(data: bytes, offset: int = 0) -> tuple[int, int]:
     fmt, width = widths[first]
     end = offset + 1 + width
     if end > len(data):
-        raise ValueError("buffer exhausted while reading CompactSize payload")
+        raise ParameterError(
+            "buffer exhausted while reading CompactSize payload")
     (value,) = struct.unpack_from(fmt, data, offset + 1)
     return value, end

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
+import repro.core.engine as engine_module
 from repro.chain.scenarios import make_block_scenario
+from repro.codec import (
+    decode_protocol1_payload,
+    decode_protocol3_payload,
+)
 from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
+    P3_GETDATA_MARKER,
     ReceiverPhase,
 )
 from repro.errors import ParameterError, ProtocolFailure
@@ -100,6 +108,77 @@ class TestSenderEngine:
         assert len(txs) == 1 and txs[0].txid == tx.txid
 
 
+def _getdata(m: int, protocol: int = 1) -> bytes:
+    if protocol == 3:
+        return struct.pack("<IB", m, P3_GETDATA_MARKER)
+    return struct.pack("<I", m)
+
+
+class TestServedOpeningCache:
+    """One ``(protocol, m)``-keyed cache of served openings per sender."""
+
+    @pytest.mark.parametrize("protocol,builder", [
+        (1, "build_protocol1"), (3, "build_protocol3")])
+    def test_same_m_is_built_once_and_served_verbatim(self, monkeypatch,
+                                                      protocol, builder):
+        calls = []
+        real = getattr(engine_module, builder)
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, builder, counted)
+        sc = make_block_scenario(n=50, extra=50, fraction=1.0, seed=93)
+        sender = GrapheneSenderEngine(sc.block)
+        first = sender.on_getdata(_getdata(100, protocol))
+        again = sender.on_getdata(_getdata(100, protocol))
+        assert calls == [100]
+        assert again.message == first.message
+        assert again.event.parts == first.event.parts
+        assert again.event.parts is not first.event.parts
+        sender.on_getdata(_getdata(101, protocol))
+        assert calls == [100, 101]
+
+    def test_protocols_do_not_share_an_entry(self):
+        sc = make_block_scenario(n=50, extra=50, fraction=1.0, seed=93)
+        sender = GrapheneSenderEngine(sc.block)
+        p1 = sender.on_getdata(_getdata(100, 1))
+        p3 = sender.on_getdata(_getdata(100, 3))
+        assert (p1.command, p3.command) \
+            == ("graphene_block", "graphene_p3_block")
+        assert p1.message != p3.message
+        assert "iblt_i" in p1.event.parts and "riblt" in p3.event.parts
+        assert sorted(sender._openings) == [(1, 100), (3, 100)]
+        # Each is still what its own receiver decodes.
+        assert decode_protocol1_payload(p1.message, 80)[0].n == 50
+        assert decode_protocol3_payload(p3.message, 80)[0].n == 50
+
+    def test_cache_is_bounded_and_keeps_the_newest(self):
+        sc = make_block_scenario(n=20, extra=20, fraction=1.0, seed=94)
+        sender = GrapheneSenderEngine(sc.block)
+        cap = sender.P1_CACHE_CAP
+        for m in range(40, 40 + cap + 1):
+            sender.on_getdata(_getdata(m, 1 if m % 2 else 3))
+        assert len(sender._openings) <= cap
+        newest = 40 + cap
+        assert (1 if newest % 2 else 3, newest) in sender._openings
+
+    @pytest.mark.parametrize("protocol,decode", [
+        (1, decode_protocol1_payload), (3, decode_protocol3_payload)])
+    def test_mempool_mode_serves_no_header(self, protocol, decode):
+        sc = make_block_scenario(n=30, extra=30, fraction=1.0, seed=95)
+        served = GrapheneSenderEngine(txs=list(sc.block.txs)).on_getdata(
+            _getdata(60, protocol)).message
+        payload, end = decode(served, 0)
+        assert end == len(served) and payload.n == 30
+        assert not payload.prefilled  # no coinbase prefill either
+        with_header = GrapheneSenderEngine(sc.block).on_getdata(
+            _getdata(60, protocol)).message
+        assert with_header[:80] == sc.block.header.serialize()
+        assert len(with_header) >= 80 + len(served)
+
+
 class TestPhaseDiscipline:
     def test_cannot_start_twice(self):
         sc = make_block_scenario(n=10, extra=10, fraction=1.0, seed=89)
@@ -135,16 +214,16 @@ class TestPhaseDiscipline:
 class TestHeaderParsing:
     def test_header_roundtrip(self):
         from repro.chain.block import BlockHeader
-        from repro.core.engine import _parse_header
+        from repro.codec import decode_block_header
         header = BlockHeader(version=3, prev_hash=bytes(range(32)),
                              merkle_root=bytes(reversed(range(32))),
                              timestamp=12345, bits=0x1D00FFFF, nonce=777)
-        parsed = _parse_header(header.serialize())
+        parsed = decode_block_header(header.serialize())
         assert parsed == header
 
     def test_wrong_length_rejected(self):
         import pytest as _pytest
-        from repro.core.engine import _parse_header
+        from repro.codec import decode_block_header
         from repro.errors import ParameterError
         with _pytest.raises(ParameterError):
-            _parse_header(b"\x00" * 79)
+            decode_block_header(b"\x00" * 79)

@@ -225,17 +225,16 @@ class TestAggregateRecorder:
         for event in events:
             full.append(event)
             aggregate.append(event)
-        assert aggregate.part_totals == full.part_totals
-        assert aggregate.direction_counts == full.direction_counts
-        assert aggregate.phase_bytes == full.phase_bytes
-        assert aggregate.outcome_counts == full.outcome_counts
-        assert aggregate.outcome_bytes == full.outcome_bytes
+        assert aggregate.totals == full.totals
+        assert full.totals.part_totals == {"iblt_i": 100, "bloom_s": 40,
+                                           "fetched_tx_bytes": 500,
+                                           "counts": 8}
 
     def test_events_are_not_retained(self):
         aggregate = AggregateRecorder()
         aggregate.append(_event())
         assert len(aggregate) == 0
-        assert aggregate.consistent()
+        assert aggregate.totals.direction_counts == {"received": 1}
 
     def test_cost_breakdown_fast_path_reads_aggregates(self):
         full, aggregate = EventRecorder(), AggregateRecorder()

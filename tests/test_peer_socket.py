@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import struct
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.net.peer import (
     PROTOCOL_VERSION,
     PeerConnection,
     derive_sync_nonce,
+    encode_inv,
     encode_version,
     fetch_block,
 )
@@ -168,6 +171,139 @@ class TestHandshake:
                 await server.wait_closed()
 
         asyncio.run(run())
+
+
+async def _mallory(port, frames, handshake=True):
+    """Connect as "mallory", send ``frames``, read until the server
+    hangs up (its inv first, then EOF)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    conn = PeerConnection(reader, writer, "mallory")
+    if handshake:
+        await conn.handshake()
+    for command, payload in frames:
+        conn.send(command, payload)
+    await conn.drain()
+    while await asyncio.wait_for(conn.read_frame(), 5):
+        pass
+    await conn.close()
+
+
+class TestHostilePayloads:
+    """Hostile bytes from a live peer drop *that peer*, through the
+    connection loop's "misbehaving peer" branch: nothing reaches the
+    event loop's exception handler and everyone else is still served."""
+
+    #: (command, bytes after the exchange root) a handshaken client
+    #: sends to a BlockServer, and the error family member each trips.
+    TO_SERVER = [
+        ("getdata", b"\x01\x02\x03"),                # engine: too short
+        ("graphene_p2_request", bytes(5) + b"\xfd"),   # truncated CompactSize
+        ("getdata_shortids", bytes(7)),                # not a multiple of 8
+        ("graphene_p3_request", b"\x00"),              # codec: too short
+    ]
+
+    @pytest.mark.parametrize("command,message", TO_SERVER,
+                             ids=[row[0] for row in TO_SERVER])
+    def test_server_drops_the_peer_and_keeps_serving(self, command,
+                                                     message, caplog):
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=3)
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = BlockServer(sc.block)
+            port = await server.start()
+            try:
+                await _mallory(port, [(command, server.root + message)])
+                await asyncio.wait_for(server.wait_served(1), 5)
+                result = await fetch_block("127.0.0.1", port,
+                                           sc.receiver_mempool)
+            finally:
+                await server.close()
+            return unhandled, result
+
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.net.peer.manager"):
+            unhandled, result = asyncio.run(run())
+        assert unhandled == []
+        assert "dropping misbehaving peer mallory" in caplog.text
+        sc2 = make_block_scenario(n=60, extra=60, fraction=1.0, seed=3)
+        loop = BlockRelaySession().relay(sc2.block, sc2.receiver_mempool)
+        assert result.success
+        assert json.dumps([e.as_dict() for e in result.events]) \
+            == json.dumps([e.as_dict() for e in loop.events])
+
+    @pytest.mark.parametrize("version", [
+        struct.pack("<IQ", PROTOCOL_VERSION, 1),                 # no id
+        struct.pack("<IQ", PROTOCOL_VERSION, 1) + b"\x02\xff\xfe",
+    ], ids=["truncated", "not-utf8"])
+    def test_server_turns_away_a_malformed_version(self, version):
+        sc = make_block_scenario(n=30, extra=30, fraction=1.0, seed=1)
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = BlockServer(sc.block)
+            port = await server.start()
+            try:
+                await _mallory(port, [("version", version)],
+                               handshake=False)
+                await asyncio.wait_for(server.wait_served(1), 5)
+            finally:
+                await server.close()
+            return unhandled
+
+        assert asyncio.run(run()) == []
+
+    #: Frames a hostile *server* answers an honest fetch with.
+    TO_FETCHER = [
+        ("graphene_block", b"garbage"),   # header too short
+        ("graphene_block", bytes(80)),    # header, then no CompactSize
+        ("block", b"garbage"),            # decode_full_block
+    ]
+
+    @pytest.mark.parametrize("command,message", TO_FETCHER,
+                             ids=["short-header", "no-counts", "block"])
+    def test_fetcher_drops_the_server_and_abandons(self, command, message,
+                                                   caplog):
+        sc = make_block_scenario(n=30, extra=30, fraction=1.0, seed=1)
+        root = sc.block.header.merkle_root
+
+        async def hostile_server(reader, writer):
+            conn = PeerConnection(reader, writer, "mallory")
+            await conn.handshake()
+            conn.send("inv", encode_inv(root))
+            await conn.drain()
+            while True:
+                frame = await conn.read_frame()
+                if frame is None:
+                    break
+                if frame[0] == "getdata":
+                    payload = message if command == "block" \
+                        else root + message
+                    conn.send(command, payload)
+                    await conn.drain()
+            await conn.close()
+
+        async def run():
+            server = await asyncio.start_server(hostile_server,
+                                                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await asyncio.wait_for(
+                    fetch_block("127.0.0.1", port, sc.receiver_mempool),
+                    10)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.net.peer.manager"):
+            result = asyncio.run(run())
+        assert "dropping misbehaving peer mallory" in caplog.text
+        assert result.abandoned and not result.success
 
 
 class TestRecoveryLadder:

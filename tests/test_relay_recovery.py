@@ -9,6 +9,8 @@ the recovery trail visible in telemetry.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.engine import (
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
 )
+from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
 from repro.core.sizing import CostBreakdown, getdata_bytes
 from repro.errors import ParameterError, ProtocolFailure
@@ -381,6 +384,63 @@ class TestSyncRecovery:
         state = b.sync_result(nonce)
         assert state.done and not state.succeeded
         assert b.relay_timeouts == b.recovery.max_retries + 1
+
+    #: (protocol, fault) -> (relay_timeouts, relay_retries, events,
+    #: sha256 of the events' as_dict() list, span marks, done,
+    #: succeeded, simulator.now), read off the private resend ->
+    #: abandon ladder sync had before it moved onto recovery.on_timeout.
+    #: "once" loses the first opening, "forever" every one, and
+    #: "unpeered" also drops the peering after the first timeout -- the
+    #: one case where a timeout is counted and no retry is.
+    FINGERPRINT = {
+        (1, "once"): (1, 1, 9, "7c812ab539dcbc39",
+                      [("done", {"pushed": "90"})],
+                      True, True, 2.397498999999999),
+        (1, "forever"): (4, 3, 8, "c2f88c26a6d2b10a",
+                         [("abandon", {"attempts": "3"})],
+                         True, False, 30.0),
+        (1, "unpeered"): (2, 1, 4, "524c4cbaafac3661",
+                          [("abandon", {"attempts": "1"})],
+                          True, False, 6.0),
+        (3, "once"): (1, 1, 27, "30937110805d6200",
+                      [("done", {"pushed": "90"})],
+                      True, True, 3.301720999999998),
+        (3, "forever"): (4, 3, 8, "a5b50fc49f60eed0",
+                         [("abandon", {"attempts": "3"})],
+                         True, False, 30.0),
+        (3, "unpeered"): (2, 1, 4, "19b85a71bec85082",
+                          [("abandon", {"attempts": "1"})],
+                          True, False, 6.0),
+    }
+
+    @pytest.mark.parametrize("protocol,fault", sorted(FINGERPRINT))
+    def test_sync_ladder_fingerprint(self, protocol, fault):
+        sc = make_sync_scenario(n=300, fraction_common=0.7, seed=5)
+        sim = Simulator()
+        config = GrapheneConfig(protocol=protocol)
+        a = Node("a", sim, config=config)
+        b = Node("b", sim, config=config)
+        a.connect(b)
+        tracer = Tracer(sim).attach(a, b)
+        a.mempool.add_many(sc.sender_mempool.transactions())
+        b.mempool.add_many(sc.receiver_mempool.transactions())
+        opening = {1: "mempool_sync_p1", 3: "mempool_sync_p3"}[protocol]
+        a.inject_fault(b, FaultInjector(drop_nth=frozenset({0}))
+                       if fault == "once" else
+                       FaultInjector(drop_commands=frozenset({opening})))
+        if fault == "unpeered":
+            # Between the first timeout (t=2) and the second (t=6).
+            sim.schedule(2.5, lambda: b.peers.__delitem__(a))
+        nonce = b.initiate_mempool_sync(a)
+        sim.run()
+        state = b.sync_result(nonce)
+        events = [e.as_dict() for e in state.events]
+        digest = hashlib.sha256(
+            json.dumps(events, sort_keys=True).encode()).hexdigest()[:16]
+        marks = [(m.name, dict(m.detail)) for m in tracer.marks]
+        assert (b.relay_timeouts, b.relay_retries, len(events), digest,
+                marks, state.done, state.succeeded, sim.now) \
+            == self.FINGERPRINT[protocol, fault]
 
 
 class _Tally:
