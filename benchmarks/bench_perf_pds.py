@@ -26,7 +26,8 @@ def test_perf_pds_suite(benchmark, record_rows):
     BENCH_PDS_PATH.write_text(json.dumps(
         {"units": "seconds",
          "note": ("seed_s times the scalar repro.pds.reference "
-                  "implementations, columnar_s the live structures, "
+                  "implementations (riblt_*: the structure's own "
+                  "scalar walk), columnar_s the live structures, "
                   "in one process on one machine"),
          "cases": rows}, indent=1) + "\n")
 

@@ -13,6 +13,14 @@ Cases (per n in 200 / 2 000 / 10 000):
 * ``iblt_build_decode``   -- the full reconciliation: build both, subtract, peel
 * ``bloom_build``         -- insert n txids at FPR 0.001
 * ``bloom_probe``         -- probe 2n txids (half present, half absent)
+* ``riblt_encode``        -- n keys into the first 256 coded symbols
+* ``riblt_reconcile``     -- stream, subtract and peel a difference of ~n/20
+  keys on the Protocol 3 receiver's window schedule
+
+The rateless IBLT has no class in ``repro.pds.reference``: its scalar
+specification lives beside the batch kernel (``RIBLTEncoder._extend_py``),
+so its ``seed_s`` column is the same code with the kernel switched off
+(``_BATCH_MIN`` out of reach) -- still one process, one machine.
 
 plus one end-to-end ``protocol1_session`` at n = 2 000: sender builds
 S + I for a block, receiver sweeps an (n + 10%) mempool through S,
@@ -27,14 +35,17 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from typing import Callable
 
 from repro.core.params import GrapheneConfig, optimize_a
 from repro.core.protocol1 import build_protocol1, receive_protocol1
+from repro.core.protocol3 import OVERHEAD, first_batch_size, next_batch_size
 from repro.chain.transaction import TransactionGenerator
 from repro.chain.mempool import Mempool
 from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
+from repro.pds import riblt
 from repro.pds.param_table import default_param_table
 from repro.pds.reference import (
     ReferenceBloomFilter,
@@ -203,6 +214,61 @@ def bench_bloom_probe(n: int, rng: random.Random) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Rateless IBLT cases
+# ---------------------------------------------------------------------------
+
+#: Symbols the encode case generates: past the ~1.35 d any row of this
+#: suite decodes at, so the case covers what a relay ever asks for.
+RIBLT_SYMBOLS = 256
+
+
+@contextmanager
+def _scalar_walk():
+    """Run the rateless IBLT on its scalar specification alone."""
+    saved = riblt._BATCH_MIN
+    riblt._BATCH_MIN = float("inf")
+    try:
+        yield
+    finally:
+        riblt._BATCH_MIN = saved
+
+
+def bench_riblt_encode(n: int, rng: random.Random) -> tuple[float, float]:
+    def run_new(keys, seed):
+        riblt.RIBLTEncoder(keys, seed=seed).extend(RIBLT_SYMBOLS)
+
+    def run_ref(keys, seed):
+        with _scalar_walk():
+            run_new(keys, seed)
+
+    return _timed_pair(lambda: (_keys(n, rng), rng.getrandbits(30)),
+                       run_new, run_ref)
+
+
+def bench_riblt_reconcile(n: int, rng: random.Random) -> tuple[float, float]:
+    def make_args():
+        return (*_split_sets(n, rng), rng.getrandbits(30))
+
+    def run_new(xs, ys, d, seed):
+        # The Protocol 3 schedule with the receiver-only half of the
+        # difference standing in for Bloom false positives at their
+        # bound: an opening of 1.35 a*, then one window to the target.
+        stream = riblt.RIBLTEncoder(xs, seed=seed)
+        decoder = riblt.RIBLTDecoder(ys, seed=seed)
+        target = round(OVERHEAD * (d // 2 + 2 * (d - d // 2)))
+        count = first_batch_size(d - d // 2)
+        while not decoder.add_symbols(*stream.window(decoder.size, count)):
+            count = next_batch_size(decoder.size, target)
+        assert len(decoder.local) + len(decoder.remote) == d
+
+    def run_ref(xs, ys, d, seed):
+        with _scalar_walk():
+            run_new(xs, ys, d, seed)
+
+    return _timed_pair(make_args, run_new, run_ref)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end Protocol 1 session
 # ---------------------------------------------------------------------------
 
@@ -271,6 +337,8 @@ CASES = {
     "iblt_build_decode": bench_iblt_build_decode,
     "bloom_build": bench_bloom_build,
     "bloom_probe": bench_bloom_probe,
+    "riblt_encode": bench_riblt_encode,
+    "riblt_reconcile": bench_riblt_reconcile,
 }
 
 E2E_N = 2_000

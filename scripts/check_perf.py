@@ -147,7 +147,8 @@ def run_pds(args: argparse.Namespace) -> int:
             {"units": "seconds",
              "machine": machine_stanza(),
              "note": ("seed_s times the scalar repro.pds.reference "
-                      "implementations, columnar_s the live structures, "
+                      "implementations (riblt_*: the structure's own "
+                      "scalar walk), columnar_s the live structures, "
                       "in one process on one machine"),
              "cases": rows}, indent=1) + "\n")
         print(f"baseline rewritten: {PDS_BASELINE_PATH}")

@@ -592,9 +592,7 @@ class GrapheneReceiverEngine:
         self.p3_symbols = self._p3_state.symbols
         if self._p3_state.decoder.complete:
             return self._finish_p3("graphene_p3_block", parts, 1)
-        self._record("graphene_p3_block", "received", "p3", 1, parts,
-                     outcome="continue")
-        return self._request_more_symbols()
+        return self._request_more_symbols("graphene_p3_block", parts, 1)
 
     def on_p3_symbols(self, message: bytes) -> EngineAction:
         """Process a continuation batch; decode, ask again, or give up."""
@@ -617,19 +615,24 @@ class GrapheneReceiverEngine:
         self.p3_symbols = state.symbols
         if complete:
             return self._finish_p3("graphene_p3_symbols", parts, roundtrip)
-        if state.symbols >= state.cap:
-            # The stream has run far past any honest decode point.
-            self._record("graphene_p3_symbols", "received", "p3",
-                         roundtrip, parts, outcome="failed")
-            return self._fail()
-        self._record("graphene_p3_symbols", "received", "p3", roundtrip,
-                     parts, outcome="continue")
-        return self._request_more_symbols()
+        return self._request_more_symbols("graphene_p3_symbols", parts,
+                                          roundtrip)
 
-    def _request_more_symbols(self) -> EngineAction:
+    def _request_more_symbols(self, command: str, parts: dict,
+                              roundtrip: int) -> EngineAction:
+        """Record an undecoded batch and ask for the next window -- or
+        give up at once where the stream already fills the cap."""
         state = self._p3_state
         start = state.symbols
-        count = min(next_batch_size(start), state.cap - start, 0xFFFF)
+        if start >= state.cap:
+            # The stream has run far past any honest decode point.
+            self._record(command, "received", "p3", roundtrip, parts,
+                         outcome="failed")
+            return self._fail()
+        self._record(command, "received", "p3", roundtrip, parts,
+                     outcome="continue")
+        count = min(next_batch_size(start, state.target),
+                    state.cap - start, 0xFFFF)
         self.phase = ReceiverPhase.WAIT_P3_SYMBOLS
         self.roundtrips += 1.0
         message = encode_protocol3_request(start, count)

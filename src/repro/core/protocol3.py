@@ -25,9 +25,15 @@ Message flow::
 The first batch is provisioned like Protocol 1's IBLT -- ``~1.35 a*``
 symbols for the Theorem-1 bound ``a*`` on Bloom false positives -- so
 the no-missing-transactions case usually decodes in a single round
-trip, byte-competitive with Protocol 1.  Follow-up batches grow
-geometrically, bounding the worst case at a constant factor of the
-true difference.
+trip, byte-competitive with Protocol 1.  Where transactions *are*
+missing the receiver does not ask blind: after the sweep the size of
+the difference is an identity, ``d = n - z + 2y``, and ``y <= a*`` with
+beta-assurance, so one continuation request aims at ``~1.35 (n - z +
+2 a*)`` symbols (:attr:`Protocol3ReceiverState.target`).  Batches past
+that grow geometrically, bounding the worst case at a constant factor
+of the true difference.  The target is receiver policy, not wire
+format, and can only raise a request: there is still no estimate to
+get wrong.
 
 The opening is Protocol 1's with a symbol batch where IBLT I was, and a
 complete decode settles as Protocol 1's does: ``Opening``,
@@ -70,8 +76,9 @@ OVERHEAD = 1.35
 #: Floor on any batch -- tiny batches waste round trips on headers.
 MIN_BATCH = 4
 
-#: Each continuation batch grows the stream by this factor, bounding
-#: total symbols at ~1.5x the count the decode actually needed.
+#: Past the receiver's target each continuation batch grows the stream
+#: by this factor, bounding total symbols at ~1.5x the count the decode
+#: actually needed.
 GROWTH = 0.5
 
 #: Hard ceiling on the stream, as a multiple of the union bound
@@ -97,9 +104,15 @@ def first_batch_size(recover: int) -> int:
     return max(MIN_BATCH, math.ceil(OVERHEAD * max(1, recover)))
 
 
-def next_batch_size(streamed: int) -> int:
-    """Symbols to request after ``streamed`` symbols did not decode."""
-    return max(MIN_BATCH, math.ceil(streamed * GROWTH))
+def next_batch_size(streamed: int, target: int = 0) -> int:
+    """Symbols to request after ``streamed`` symbols did not decode.
+
+    Half the stream so far, or whatever is still short of ``target``
+    (:attr:`Protocol3ReceiverState.target`), whichever is more: the
+    target can only raise a request, so one that falls short costs
+    another round, never a failure.
+    """
+    return max(MIN_BATCH, math.ceil(streamed * GROWTH), target - streamed)
 
 
 @dataclass(frozen=True)
@@ -143,13 +156,17 @@ class Protocol3ReceiverState:
 
     ``candidate_set`` holds the mempool snapshot Z was swept from, so
     the exchange finishes against the set it began with even if the
-    mempool changes between round trips.
+    mempool changes between round trips.  ``target`` is the stream
+    length the sweep says the difference will take (see
+    :func:`begin_protocol3`); :func:`next_batch_size` aims the first
+    continuation at it.
     """
 
     decoder: RIBLTDecoder
     candidate_set: CandidateSet      # the set Z, columnar
     n: int
     cap: int                         # hard bound on total symbols
+    target: int                      # symbols the sweep says d will take
 
     @property
     def symbols(self) -> int:
@@ -209,9 +226,15 @@ def begin_protocol3(payload: Protocol3Payload, mempool: Mempool,
     config = config or GrapheneConfig()
     candidates = sweep(payload, mempool, config)
     decoder = RIBLTDecoder(candidates.sids, seed=config.seed ^ SEED_R)
-    cap = STREAM_CAP_FACTOR * max(16, payload.n + len(candidates))
+    z = len(candidates)
+    cap = STREAM_CAP_FACTOR * max(16, payload.n + z)
+    # After the sweep the difference is an identity, not an estimate:
+    # z = x + y (x block transactions held, y false positives), the
+    # block lacks n - x, so d = (n - x) + y = n - z + 2y -- and y <= a*
+    # with beta-assurance (Theorem 1; a* rides in the opening).
+    target = math.ceil(OVERHEAD * max(0, payload.n - z + 2 * payload.recover))
     state = Protocol3ReceiverState(decoder=decoder, candidate_set=candidates,
-                                   n=payload.n, cap=cap)
+                                   n=payload.n, cap=cap, target=target)
     ingest_symbols(state, payload.symbols)
     return state
 

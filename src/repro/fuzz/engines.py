@@ -794,6 +794,11 @@ class PDSEngine(Engine):
             return self.fail("riblt-window-invariance",
                              "chunked windows differ from one straight "
                              "read of the stream", params)
+        if (whole._states, whole._next) != (chunked._states, chunked._next):
+            return self.fail("riblt-one-shot-vs-incremental",
+                             "one read of the stream and the same prefix "
+                             "grown in pieces leave different per-key "
+                             "states or next indices", params)
         packed = RIBLTEncoder(_np.array(sender, dtype=_np.uint64), seed=seed)
         if packed.window(0, total) != reference:
             return self.fail("riblt-packed-vs-list",

@@ -21,22 +21,35 @@ The tentpole claims, pinned here:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import math
 
 import pytest
 
 from repro.chain.block import Block
 from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.chain.transaction import TransactionGenerator
+from repro.codec import (
+    decode_protocol3_request,
+    encode_protocol3_payload,
+    encode_symbol_batch,
+)
 from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
     ReceiverPhase,
+    SENDER_STEPS,
 )
 from repro.core.params import GrapheneConfig
 from repro.core.protocol3 import (
+    GROWTH,
+    MIN_BATCH,
+    OVERHEAD,
     SymbolBatch,
+    begin_protocol3,
+    build_protocol3,
     first_batch_size,
     next_batch_size,
     sender_stream_cap,
@@ -153,6 +166,112 @@ class TestTransportParity:
         loop = _relay(self._scenario())
         assert json.dumps(sim_cost.as_dict(), sort_keys=True) \
             == json.dumps(loop.cost.as_dict(), sort_keys=True)
+
+
+def _pump(scenario, config=CFG):
+    """One loopback relay by hand; returns ``(final action, receiver,
+    requests)`` with every continuation request as ``(start, count,
+    cap)``."""
+    sender = GrapheneSenderEngine(scenario.block, config)
+    receiver = GrapheneReceiverEngine(scenario.receiver_mempool, config)
+    action = receiver.start()
+    requests = []
+    while action.kind is ActionKind.SEND:
+        if action.command == "graphene_p3_request":
+            start, count, _ = decode_protocol3_request(action.message)
+            requests.append((start, count, receiver._p3_state.cap))
+        side = sender if action.command in SENDER_STEPS else receiver
+        action = side.handle(action.command, action.message)
+    return action, receiver, requests
+
+
+class TestOneContinuation:
+    """The receiver sizes its continuation from the sweep: d = n - z + 2y
+    is an identity and y <= a* with beta-assurance, so one request
+    almost always finishes the stream."""
+
+    def test_target_is_the_identity_at_the_fp_bound(self):
+        sc = make_block_scenario(n=2000, extra=2000, fraction=0.95, seed=7)
+        payload, _ = build_protocol3(sc.block.txs, len(sc.receiver_mempool),
+                                     CFG)
+        state = begin_protocol3(payload, sc.receiver_mempool, CFG)
+        z = len(state.candidate_set)
+        assert state.target == math.ceil(
+            OVERHEAD * (payload.n - z + 2 * payload.recover))
+        # The bound it stands on: what S let through beyond the block.
+        held = len(sc.block.txs) - len(sc.missing)
+        assert z - held <= payload.recover
+        d = len(sc.missing) + (z - held)
+        assert OVERHEAD * d <= state.target
+
+    def test_one_request_finishes_the_benchmark_cell(self):
+        """Seeded pin: 100 relays at (2 000, 2 000, 0.95), the shape
+        ``rateless_p3_2000`` times.  All complete; at least 95 send at
+        most one continuation request (98 measured; 0 at the parent,
+        whose half-growth schedule takes three or four).  (Under either
+        schedule a relay in a few thousand peels a key twice on a
+        16-bit checksum coincidence and fails -- seed 40 049 does; the
+        hundred below hold none.)"""
+        one_or_none = 0
+        for seed in range(100):
+            sc = make_block_scenario(n=2000, extra=2000, fraction=0.95,
+                                     seed=41_000 + seed)
+            final, receiver, requests = _pump(sc)
+            assert final.kind is ActionKind.DONE
+            assert [tx.txid for tx in final.txs] == list(sc.block.txids)
+            one_or_none += len(requests) <= 1
+        assert one_or_none >= 95, one_or_none
+
+    @pytest.mark.parametrize("n,fraction", [(2000, 0.8), (2000, 0.2),
+                                            (200, 0.95), (200, 0.2)])
+    def test_requests_stay_inside_both_fences(self, n, fraction):
+        sc = make_block_scenario(n=n, extra=n, fraction=fraction, seed=11)
+        final, receiver, requests = _pump(sc)
+        assert final.kind is ActionKind.DONE and receiver.protocol_used == 3
+        assert [tx.txid for tx in final.txs] == list(sc.block.txids)
+        assert requests, "scenario must need a continuation round"
+        for start, count, cap in requests:
+            assert 1 <= count <= min(cap - start, 0xFFFF)
+        # The sweep said how much was missing, so the stream is not
+        # sipped: two requests at the very most.
+        assert len(requests) <= 2
+
+    @pytest.mark.parametrize("field,rounds", [("recover", None), ("n", 3)])
+    def test_hostile_announcement_cannot_widen_a_request(self, field, rounds):
+        """An opening announcing n = 10^7 or recover = 10^7 over a tiny
+        S raises ``target`` as far as it likes; every request still
+        sits inside ``cap - start`` and the u16 frame, and a stream that
+        never decodes still ends at the cap.  (Announcing n also raises
+        the cap -- to 8 * 10^7 symbols, which only a sender willing to
+        ship 1.1 GB reaches -- so that case checks the first requests.)"""
+        sc = make_block_scenario(n=12, extra=12, fraction=0.5, seed=3)
+        receiver = GrapheneReceiverEngine(sc.receiver_mempool, CFG)
+        receiver.start()
+        payload, _ = build_protocol3(sc.block.txs, len(sc.receiver_mempool),
+                                     CFG)
+        forged = dataclasses.replace(payload, **{field: 10 ** 7})
+        action = receiver.handle(
+            "graphene_p3_block",
+            sc.block.header.serialize() + encode_protocol3_payload(forged))
+        cap = receiver._p3_state.cap
+        assert receiver._p3_state.target > 10 ** 7
+        served = 0
+        while action.kind is ActionKind.SEND and served != rounds:
+            assert action.command == "graphene_p3_request"
+            start, count, _ = decode_protocol3_request(action.message)
+            assert start == receiver.p3_symbols
+            assert 1 <= count <= min(cap - start, 0xFFFF)
+            garbage = SymbolBatch(start=start, counts=[7] * count,
+                                  key_sums=[0xDEAD] * count,
+                                  check_sums=[1] * count)
+            action = receiver.handle("graphene_p3_symbols",
+                                     encode_symbol_batch(garbage))
+            served += 1
+        if rounds is None:
+            assert action.kind is ActionKind.FAILED
+            assert receiver.p3_symbols == cap
+        else:
+            assert count == 0xFFFF and action.kind is ActionKind.SEND
 
 
 class TestRecoveryLadder:
@@ -280,6 +399,29 @@ class TestHostileStreams:
                 return  # rejected outright: also a clean ending
         assert action.kind is ActionKind.FAILED
 
+    def test_opening_that_fills_the_cap_fails_at_once(self):
+        """An opening already carrying ``cap`` symbols leaves nothing to
+        ask for: the receiver must fail there and then, not send a
+        ``count=0`` request and wait a round trip for an empty batch."""
+        sc = make_block_scenario(n=20, extra=20, fraction=1.0, seed=4)
+        payload, _ = build_protocol3(sc.block.txs, len(sc.receiver_mempool),
+                                     CFG)
+        cap = begin_protocol3(payload, sc.receiver_mempool, CFG).cap
+        junk = SymbolBatch(start=0, counts=[7] * cap,
+                           key_sums=[0xDEAD] * cap, check_sums=[1] * cap)
+        receiver = GrapheneReceiverEngine(sc.receiver_mempool, CFG)
+        receiver.start()
+        action = receiver.handle(
+            "graphene_p3_block", sc.block.header.serialize()
+            + encode_protocol3_payload(
+                dataclasses.replace(payload, symbols=junk)))
+        assert action.kind is ActionKind.FAILED
+        assert receiver.p3_symbols == cap
+        assert [e.outcome for e in receiver.telemetry
+                if e.command == "graphene_p3_block"] == ["failed"]
+        assert all(e.command != "graphene_p3_request"
+                   for e in receiver.telemetry)
+
     def test_sender_refuses_window_beyond_cap(self):
         sc = make_block_scenario(n=30, extra=0, fraction=1.0, seed=1)
         sender = GrapheneSenderEngine(sc.block, CFG)
@@ -299,6 +441,22 @@ class TestBatchSizing:
     def test_continuation_grows_geometrically(self):
         assert next_batch_size(100) == 50
         assert next_batch_size(2) == 4  # floor
+
+    @pytest.mark.parametrize("streamed,target,want", [
+        (100, 0, 50),      # no target: half-growth, as before
+        (49, 206, 157),    # the benchmark cell: one request to the target
+        (100, 120, 50),    # a target nearly met never shrinks the window
+        (300, 206, 150),   # ... nor does one already passed
+        (2, 5, 4),         # MIN_BATCH still floors both
+        (0, 3, 4),
+        (4, 10 ** 9, 10 ** 9 - 4),   # fenced by the caller, not here
+    ])
+    def test_target_only_raises_a_request(self, streamed, target, want):
+        got = next_batch_size(streamed, target)
+        assert got == want
+        assert got >= next_batch_size(streamed) >= MIN_BATCH
+        assert got >= math.ceil(streamed * GROWTH)
+        assert streamed + got >= target
 
     def test_sender_cap_scales_with_keys(self):
         assert sender_stream_cap(10) == 1 << 16
