@@ -290,11 +290,15 @@ def run_p3(args: argparse.Namespace) -> int:
     problems = check_bounds(rows)
     for problem in problems:
         print(f"BOUND VIOLATION: {problem}", file=sys.stderr)
+    committed_rows = {}
+    if P3_BASELINE_PATH.exists():
+        committed_rows = {r["case"]: r for r in json.loads(
+            P3_BASELINE_PATH.read_text())["cases"]}
 
     if args.update:
         if problems:
-            print("refusing update: the bytes-vs-oracle acceptance bound "
-                  "regressed", file=sys.stderr)
+            print("refusing update: an acceptance bound regressed",
+                  file=sys.stderr)
             return 1
         P3_BASELINE_PATH.write_text(json.dumps(
             {"units": "bytes",
@@ -308,10 +312,15 @@ def run_p3(args: argparse.Namespace) -> int:
              "cases": rows}, indent=1) + "\n")
         write_results(rows)
         print(f"baseline rewritten: {P3_BASELINE_PATH}")
+        # Bytes are deterministic: say which rows the rewrite moved.
+        for row in rows:
+            was = committed_rows.get(row["case"])
+            print(f"{row['case']:20s} "
+                  + ("unchanged" if was == row else "new" if was is None
+                     else f"p3_bytes {was['p3_bytes']} -> "
+                          f"{row['p3_bytes']}"))
         return 0
 
-    baseline = json.loads(P3_BASELINE_PATH.read_text())
-    committed_rows = {r["case"]: r for r in baseline["cases"]}
     failures = []
     for row in rows:
         committed = committed_rows.get(row["case"])

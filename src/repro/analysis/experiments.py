@@ -12,7 +12,6 @@ and results are reproducible.
 from __future__ import annotations
 
 import random
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -461,36 +460,6 @@ def sec532_rows(block_sizes: Sequence[int] = (200, 2000),
                          "difference_digest_bytes": digest_total / trials,
                          "digest_success_rate": digest_ok / trials})
     return rows
-
-
-def run_all(fast: bool = True) -> dict:
-    """Run every experiment (small trial counts when ``fast``).
-
-    Returns ``{experiment id: rows}`` plus per-experiment wall time;
-    used by the EXPERIMENTS.md generator.
-    """
-    t = 2 if fast else 10
-    jobs = {
-        "fig07": lambda: fig07_rows(trials=400 if fast else 4000),
-        "fig10": fig10_rows,
-        "fig11": lambda: fig11_rows(trials=60 if fast else 1000),
-        "fig12": lambda: fig12_rows(trials=t),
-        "fig13": lambda: fig13_rows(trials=t),
-        "fig14": lambda: fig14_rows(trials=t),
-        "fig15": lambda: fig15_rows(trials=40 if fast else 1000),
-        "fig16": lambda: fig16_rows(trials=20 if fast else 400),
-        "fig17": lambda: fig17_rows(trials=t),
-        "fig18": lambda: fig18_rows(trials=t),
-        "fig19": lambda: fig19_rows(trials=400 if fast else 4000),
-        "fig20": lambda: fig20_rows(trials=400 if fast else 4000),
-        "sec51": sec51_rows,
-        "sec532": lambda: sec532_rows(trials=t),
-    }
-    results = {}
-    for name, job in jobs.items():
-        start = time.time()
-        results[name] = {"rows": job(), "seconds": time.time() - start}
-    return results
 
 
 # ---------------------------------------------------------------------------

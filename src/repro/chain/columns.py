@@ -57,6 +57,9 @@ class TxColumns:
     def __len__(self) -> int:
         return len(self.txs)
 
+    def __iter__(self):
+        return iter(self.txs)
+
     def short_ids(self, width: int = 8):
         """Column of ``tx.short_id(width)``, ``uint64``, ``1 <= width <= 8``.
 
@@ -72,6 +75,15 @@ class TxColumns:
         # that a handful of keys never earns back.
         return _np.flatnonzero(
             _np.isin(self.short_ids(width), wanted, kind="sort"))
+
+    def outside(self, bloom) -> "TxColumns":
+        """The snapshot of the rows whose ID ``bloom`` does not hold."""
+        return self.take(_np.flatnonzero(~bloom.contains_packed(self.ids)))
+
+    def plus(self, txs) -> "TxColumns":
+        """This snapshot followed by the transactions ``txs``."""
+        return TxColumns((*self.txs, *txs),
+                         self.ids + b"".join([tx.txid for tx in txs]))
 
     def take(self, rows) -> "TxColumns":
         """The snapshot of ``rows`` (an index array), in that order."""

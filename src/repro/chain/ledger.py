@@ -92,12 +92,6 @@ class Blockchain:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def block_at(self, bhash: bytes) -> Block:
-        return self._entries[bhash].block
-
-    def height_of(self, bhash: bytes) -> int:
-        return self._entries[bhash].height
-
     def main_chain(self) -> Iterator[Block]:
         """Yield the best chain, genesis first."""
         path = []

@@ -258,17 +258,20 @@ def _encode_symbols(batch) -> bytes:
     return body.tobytes()
 
 
-def encode_symbol_batch(batch) -> bytes:
+def encode_symbol_batch(batch, pushed=None) -> bytes:
     """Serialize a :class:`~repro.core.protocol3.SymbolBatch`.
 
     Layout: ``start u32 | count u16`` then ``count`` coded symbols;
-    length equals ``batch.wire_size()``.
+    length equals ``batch.wire_size()``.  ``pushed`` (the answer to a
+    request that carried filter R) appends a tx list, read by
+    :func:`decode_tx_list` at the offset ``decode_symbol_batch`` returns.
     """
     n = len(batch.counts)
     if n > 0xFFFF:
         raise ParameterError(f"symbol batch of {n} exceeds u16 framing")
     header = struct.pack("<IH", batch.start & _U32, n)
-    return header + _encode_symbols(batch)
+    tail = b"" if pushed is None else encode_tx_list(pushed)
+    return header + _encode_symbols(batch) + tail
 
 
 def decode_symbol_batch(data, offset: int = 0):
@@ -308,11 +311,14 @@ def decode_symbol_batch(data, offset: int = 0):
                        check_sums=check_sums), offset + body
 
 
-def encode_protocol3_request(start: int, count: int) -> bytes:
-    """Serialize a continuation request for symbols ``[start, start+count)``."""
+def encode_protocol3_request(start: int, count: int, bloom_r=None) -> bytes:
+    """Serialize a continuation request for symbols ``[start, start+count)``;
+    ``bloom_r`` appends filter R over the receiver's candidates, read by
+    :func:`decode_bloom` at the offset ``decode_protocol3_request`` returns."""
     if not 0 <= count <= 0xFFFF:
         raise ParameterError(f"symbol request count {count} outside u16")
-    return struct.pack("<IH", start & _U32, count)
+    tail = b"" if bloom_r is None else encode_bloom(bloom_r)
+    return struct.pack("<IH", start & _U32, count) + tail
 
 
 def decode_protocol3_request(data, offset: int = 0) -> tuple[int, int, int]:

@@ -67,6 +67,10 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def ids(self) -> bytes:
+        """Z's 32-byte txids end to end, in candidate order."""
+        return self._source.words[self._rows].tobytes()
+
     def columns(self, keep=None) -> TxColumns:
         """Z as a snapshot, or only the candidates ``keep`` (a mask) marks."""
         return self._source.take(self._rows if keep is None

@@ -52,6 +52,7 @@ from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.codec import (
     decode_block_header,
+    decode_bloom,
     decode_protocol1_payload,
     decode_protocol2_request,
     decode_protocol2_response,
@@ -77,12 +78,14 @@ from repro.core.protocol2 import (
 )
 from repro.core.protocol3 import (
     Protocol3ReceiverState,
+    SymbolBatch,
     begin_protocol3,
     build_protocol3,
+    continuation,
     finish_protocol3,
     ingest_symbols,
     make_encoder,
-    next_batch_size,
+    sender_stream_cap,
 )
 from repro.core.sizing import (
     getdata_bytes,
@@ -92,6 +95,7 @@ from repro.core.sizing import (
 )
 from repro.core.telemetry import EventRecorder, MessageEvent
 from repro.errors import MalformedIBLTError, ParameterError, ProtocolFailure
+from repro.utils.serialization import compact_size_len
 
 
 logger = logging.getLogger(__name__)
@@ -189,6 +193,14 @@ def _p2_response_parts(response) -> dict:
             "pushed_tx_bytes": response.txs_bytes,
             "counts": (response.wire_size() - response.iblt_bytes
                        - response.bloom_f_bytes - response.txs_bytes)}
+
+
+def _p3_symbols_parts(batch, pushed) -> dict:
+    parts = {"riblt": batch.wire_size()}
+    if pushed is not None:
+        parts["pushed_tx_bytes"] = sum(tx.size for tx in pushed)
+        parts["counts"] = compact_size_len(len(pushed))
+    return parts
 
 
 class GrapheneSenderEngine:
@@ -293,15 +305,14 @@ class GrapheneSenderEngine:
         return self._p3_encoder
 
     def on_p3_request(self, message: bytes) -> EngineAction:
-        """Serve a continuation window of coded symbols.
+        """Serve a continuation window of coded symbols and, where the
+        request carries filter R, the transactions that miss it.
 
-        The stream is a pure function of the block, so any window can
-        be served to any peer at any time -- including verbatim
+        Both are pure functions of the block (and R): any window can be
+        served to any peer at any time -- including verbatim
         retransmissions after a receiver-side timeout.
         """
-        from repro.core.protocol3 import SymbolBatch, sender_stream_cap
-
-        start, count, _ = decode_protocol3_request(message)
+        start, count, offset = decode_protocol3_request(message)
         stream = self._symbol_stream()
         if start + count > sender_stream_cap(stream.key_count):
             raise ParameterError(
@@ -310,8 +321,13 @@ class GrapheneSenderEngine:
         counts, key_sums, check_sums = stream.window(start, count)
         batch = SymbolBatch(start=start, counts=counts, key_sums=key_sums,
                             check_sums=check_sums)
-        return self._emit("graphene_p3_symbols", encode_symbol_batch(batch),
-                          "p3", 2, {"riblt": batch.wire_size()})
+        pushed = None
+        if offset < len(message):
+            bloom_r, _ = decode_bloom(message, offset)
+            pushed = self.columns.outside(bloom_r).txs
+        return self._emit("graphene_p3_symbols",
+                          encode_symbol_batch(batch, pushed), "p3", 2,
+                          _p3_symbols_parts(batch, pushed))
 
     def on_p2_request(self, message: bytes) -> EngineAction:
         """Handle a Protocol 2 request (R, y*, b)."""
@@ -390,9 +406,9 @@ class GrapheneReceiverEngine:
         #: Last outbound request, kept so a recovery driver can re-emit
         #: it verbatim after a timeout (see :meth:`reemit_last_request`).
         self._last_send: Optional[EngineAction] = None
-        #: Candidates a P1/P3 decode kept, and the txid-keyed view of
-        #: them (see :attr:`reconciled`), built on first read.
-        self._survivors: list = []
+        #: What a decode kept (candidates, pushed and fetched repairs) and
+        #: the txid-keyed view of it (:attr:`reconciled`), built on read.
+        self._survivors = TxColumns(())
         self._reconciled: Optional[dict] = None
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -416,8 +432,8 @@ class GrapheneReceiverEngine:
         """Transactions recovered so far, keyed by txid.
 
         On DONE this is the reconciled view drivers adopt (mempool
-        sync's union).  A block relay that decodes outright never reads
-        it, so the dict is only built when someone does.
+        sync's union).  A block relay never reads it, so the dict is
+        only built when someone does.
         """
         if self._reconciled is None:
             self._reconciled = {tx.txid: tx for tx in self._survivors}
@@ -492,16 +508,22 @@ class GrapheneReceiverEngine:
 
     def _adopt(self, result) -> EngineAction:
         """Keep a settled P1/P3 decode: DONE, or fetch what it lacks."""
-        self._survivors = result.reconciled
+        # Kept for the fetch to join or a sync driver to adopt; a block
+        # relay that decodes outright holds on to nothing past this step.
+        if result.missing_short_ids or self.mode == "mempool":
+            self._survivors = result.reconciled
         if result.missing_short_ids:
             return self._request_short_ids(result.missing_short_ids)
         return self._complete(result.txs)
 
     def _request_short_ids(self, missing) -> EngineAction:
+        width = self.config.short_id_bytes
+        if any(sid >> (8 * width) for sid in missing):
+            # A decoded key no short ID can equal: a malformed decode.
+            return self._fail()
         self.missing_short_ids = frozenset(missing)
         self.phase = ReceiverPhase.WAIT_TXS
         self.roundtrips += 1.0
-        width = self.config.short_id_bytes
         out = b"".join(sid.to_bytes(width, "little")
                        for sid in sorted(missing))
         return self._send(
@@ -569,7 +591,7 @@ class GrapheneReceiverEngine:
                      outcome=outcome)
         if outcome == "failed":
             return self._fail()
-        self._reconciled = dict(result.recovered)
+        self._survivors = TxColumns.of(result.recovered.values())
         if outcome == "fetch":
             return self._request_short_ids(result.missing_short_ids)
         return self._complete(result.txs)
@@ -599,16 +621,21 @@ class GrapheneReceiverEngine:
         if self.phase is not ReceiverPhase.WAIT_P3_SYMBOLS:
             raise ProtocolFailure(f"unexpected P3 symbols in {self.phase}")
         self.bytes_received += len(message)
-        batch, _ = decode_symbol_batch(message)
-        parts = {"riblt": batch.wire_size()}
-        roundtrip = int(self.roundtrips)
+        batch, offset = decode_symbol_batch(message)
         state = self._p3_state
+        # The pushed tail answers filter R; unasked for, it is not read.
+        pushed = None
+        if state.pushed is not None and offset < len(message):
+            pushed, _ = decode_tx_list(message, offset)
+        parts = _p3_symbols_parts(batch, pushed)
+        roundtrip = int(self.roundtrips)
         try:
-            complete = ingest_symbols(state, batch)
+            complete = ingest_symbols(state, batch, pushed or (),
+                                      self.config)
         except MalformedIBLTError:
-            # A key peeled twice: the stream is malformed (replayed or
-            # corrupted).  Fail cleanly; the recovery ladder treats it
-            # like any other dead exchange.
+            # A key peeled twice: the stream is malformed (replayed,
+            # corrupted, or a pushed transaction was not the block's).
+            # Fail cleanly; the ladder treats it like any dead exchange.
             self._record("graphene_p3_symbols", "received", "p3",
                          roundtrip, parts, outcome="failed")
             return self._fail()
@@ -631,14 +658,16 @@ class GrapheneReceiverEngine:
             return self._fail()
         self._record(command, "received", "p3", roundtrip, parts,
                      outcome="continue")
-        count = min(next_batch_size(start, state.target),
-                    state.cap - start, 0xFFFF)
+        count, bloom_r = continuation(state, self.config)
         self.phase = ReceiverPhase.WAIT_P3_SYMBOLS
         self.roundtrips += 1.0
-        message = encode_protocol3_request(start, count)
+        message = encode_protocol3_request(
+            start, min(count, state.cap - start, 0xFFFF), bloom_r)
+        parts = {"getdata": p3_request_bytes()}
+        if bloom_r is not None:
+            parts["bloom_r"] = bloom_r.serialized_size()
         return self._send("graphene_p3_request", message, "p3",
-                          int(self.roundtrips),
-                          {"getdata": p3_request_bytes()})
+                          int(self.roundtrips), parts)
 
     def _finish_p3(self, command: str, parts: dict,
                    roundtrip: int) -> EngineAction:
@@ -665,14 +694,10 @@ class GrapheneReceiverEngine:
         self.fetched_count = len(txs)
         parts = {"fetched_tx_bytes": sum(tx.size for tx in txs)}
         roundtrip = int(self.roundtrips)
-        for tx in txs:
-            self.reconciled[tx.txid] = tx
-        if self.mode == "mempool":
-            ordered = sorted(self.reconciled.values(),
-                             key=lambda tx: tx.txid)
-        else:
-            ordered = self._probe().validated_order(
-                list(self.reconciled.values()))
+        merged = self._survivors = self._survivors.plus(txs)
+        self._reconciled = None
+        ordered = merged.canonical().txs if self.mode == "mempool" \
+            else self._probe().validated_order(merged)
         self._record("block_txs", "received", "fetch", roundtrip, parts,
                      outcome="failed" if ordered is None else "done")
         if ordered is None:

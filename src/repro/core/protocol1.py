@@ -27,7 +27,7 @@ there: :class:`Opening`, :func:`open_exchange`, :func:`sweep` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.chain.block import Block
@@ -109,9 +109,10 @@ class Protocol1Result:
     decode_complete: bool = False
     merkle_ok: bool = False
     missing_short_ids: frozenset = frozenset()
-    #: Candidate transactions surviving false-positive removal (only
-    #: meaningful when decode_complete; used by mempool synchronization).
-    reconciled: list = field(default_factory=list)
+    #: Candidates surviving false-positive removal, plus any the sender
+    #: pushed (only meaningful when decode_complete; what a later fetch
+    #: joins and mempool synchronization adopts).
+    reconciled: Sequence[Transaction] = ()   # a TxColumns once settled
 
     @property
     def candidates(self) -> dict:
@@ -206,12 +207,15 @@ def receive_protocol1(payload: Protocol1Payload, mempool: Mempool,
 
 
 def settle(result: Protocol1Result, local, remote, n: int,
-           validate_block: Optional[Block]) -> Protocol1Result:
+           validate_block: Optional[Block],
+           pushed: Optional[dict] = None) -> Protocol1Result:
     """Turn a complete decode into the reconciled transaction set.
 
     ``local``: short IDs in the block but not in Z -- transactions the
     receiver is missing, for the caller to escalate or fetch.
     ``remote``: Bloom false positives to strip from Z.
+    ``pushed``: ``short ID -> transaction`` for the part of ``local``
+    already received in full (Protocol 3's answer to filter R).
     """
     surviving = result.candidate_set.without(remote)
     # Consistency: |block| must equal surviving candidates plus the
@@ -225,7 +229,10 @@ def settle(result: Protocol1Result, local, remote, n: int,
     if n != len(surviving) + len(local):
         result.decode_complete = False
         return result
-    result.reconciled = surviving.txs
+    if pushed:
+        surviving = surviving.plus(pushed.values())
+        local = local - pushed.keys()
+    result.reconciled = surviving
     if local:
         result.missing_short_ids = frozenset(local)
         return result

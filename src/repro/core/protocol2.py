@@ -167,7 +167,7 @@ def build_protocol2_request(
                                      seed=config.seed ^ 0xF00D)
         request = Protocol2Request(bloom_r=bloom, b=plan.a, ystar=ystar, z=z,
                                    xstar=xstar, special_case=False, plan=plan)
-    bloom.update_packed(p1_result.candidate_set.columns().ids)
+    bloom.update_packed(p1_result.candidate_set.ids())
     state = Protocol2ReceiverState(
         candidates=p1_result.candidates,
         iblt_p1_diff=p1_result.iblt_diff, payload_n=n, fpr_s=fpr_s,

@@ -18,8 +18,9 @@ Message flow::
       getdata(m, proto=3)          ---->      opening: n + prefilled
                                                 + S + first batch
       [peel...]  not decoded yet
-      p3_request(start, count)     ---->      symbols [start, start+count)
-      [peel...]  decoded
+      p3_request(start, count [, R]) -->      symbols [start, start+count)
+                                                [+ txs that miss R]
+      [subtract pushed, peel...]  decoded
       getdata_shortids(missing)    ---->      block_txs   (if any missing)
 
 The first batch is provisioned like Protocol 1's IBLT -- ``~1.35 a*``
@@ -29,11 +30,15 @@ trip, byte-competitive with Protocol 1.  Where transactions *are*
 missing the receiver does not ask blind: after the sweep the size of
 the difference is an identity, ``d = n - z + 2y``, and ``y <= a*`` with
 beta-assurance, so one continuation request aims at ``~1.35 (n - z +
-2 a*)`` symbols (:attr:`Protocol3ReceiverState.target`).  Batches past
-that grow geometrically, bounding the worst case at a constant factor
-of the true difference.  The target is receiver policy, not wire
-format, and can only raise a request: there is still no estimate to
-get wrong.
+2 a*)`` symbols (:attr:`Protocol3ReceiverState.target`) -- or, where
+much is missing, names it first (section 3.2: a filter plus a small
+structure beats the structure alone): the request carries Bloom filter
+R over Z, the sender pushes the block transactions that miss it, the
+receiver subtracts them out of the symbols it holds, and the window
+covers only S's and R's false positives (:func:`plan_filter_r`).
+Batches past that grow geometrically.  Target and R are receiver policy
+in optional tails and can only shorten the exchange: there is still no
+estimate to get wrong.
 
 The opening is Protocol 1's with a symbol batch where IBLT I was, and a
 complete decode settles as Protocol 1's does: ``Opening``,
@@ -54,7 +59,9 @@ from repro.chain.block import Block
 from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.core.candidates import CandidateSet
-from repro.core.params import FilterIBLTPlan, GrapheneConfig
+from repro.core.bounds import a_star
+from repro.core.params import (BLOOM_HEADER_BYTES, FilterIBLTPlan,
+                               GrapheneConfig, closed_form_a)
 from repro.core.protocol1 import (
     Opening,
     Protocol1Result,
@@ -63,7 +70,9 @@ from repro.core.protocol1 import (
     sweep,
 )
 from repro.errors import ParameterError
-from repro.pds.riblt import RIBLTDecoder, RIBLTEncoder, symbol_stream_bytes
+from repro.pds.bloom import BloomFilter, bloom_size_bytes
+from repro.pds.riblt import (SYMBOL_BYTES, RIBLTDecoder, RIBLTEncoder,
+                             symbol_stream_bytes)
 
 #: Seed offset keeping the symbol stream's hash family independent of
 #: the S/I/J families (see protocol1.SEED_S et al.).
@@ -157,9 +166,10 @@ class Protocol3ReceiverState:
     ``candidate_set`` holds the mempool snapshot Z was swept from, so
     the exchange finishes against the set it began with even if the
     mempool changes between round trips.  ``target`` is the stream
-    length the sweep says the difference will take (see
-    :func:`begin_protocol3`); :func:`next_batch_size` aims the first
-    continuation at it.
+    length the sweep says the difference will take by symbols alone,
+    ``fpr_r`` / ``target_r`` filter R's rate and the shorter stream it
+    leaves (:func:`plan_filter_r`; zero where R does not pay);
+    :func:`continuation` aims the one request at them.
     """
 
     decoder: RIBLTDecoder
@@ -167,6 +177,9 @@ class Protocol3ReceiverState:
     n: int
     cap: int                         # hard bound on total symbols
     target: int                      # symbols the sweep says d will take
+    fpr_r: float = 0.0               # f_R where filter R pays, else 0
+    target_r: int = 0                # symbols once R's misses are pushed
+    pushed: Optional[dict] = None    # short ID -> pushed tx; None till R rode
 
     @property
     def symbols(self) -> int:
@@ -233,20 +246,82 @@ def begin_protocol3(payload: Protocol3Payload, mempool: Mempool,
     # block lacks n - x, so d = (n - x) + y = n - z + 2y -- and y <= a*
     # with beta-assurance (Theorem 1; a* rides in the opening).
     target = math.ceil(OVERHEAD * max(0, payload.n - z + 2 * payload.recover))
+    fpr_r, target_r = plan_filter_r(payload, z, len(mempool), target,
+                                    config)
     state = Protocol3ReceiverState(decoder=decoder, candidate_set=candidates,
-                                   n=payload.n, cap=cap, target=target)
+                                   n=payload.n, cap=cap, target=target,
+                                   fpr_r=fpr_r, target_r=target_r)
     ingest_symbols(state, payload.symbols)
     return state
 
 
-def ingest_symbols(state: Protocol3ReceiverState,
-                   batch: SymbolBatch) -> bool:
+def plan_filter_r(payload: Opening, z: int, m: int, target: int,
+                  config: GrapheneConfig) -> tuple[float, int]:
+    """Whether filter R pays on the continuation: ``(f_R, target_r)``,
+    or ``(0.0, 0)`` where it does not.
+
+    The receiver lacks ``n - z + y`` block transactions and ``y <= a*``
+    with beta-assurance, so ``bound = n - z + a*`` caps them; ``b`` is
+    Eq. 3 with a coded symbol for the IBLT cell, ``f_R = b / bound``.
+    The sender pushes what misses R, leaving the stream S's false
+    positives and R's, each bounded by Theorem 1.  R rides only when
+    its request -- R, the shorter window, its false positives' short
+    IDs -- is smaller than the one ``target`` makes, counted on the
+    ``n - z`` certainly missing: a floor, so R can only be under-used.
+    (``recover`` is ``a*`` over the ``m - n`` strangers of a mempool
+    holding the block; one short of it holds ``m - z + y``, so Theorem 1
+    is retaken over ``y = f_S (m - z + y)`` and the larger bound kept.)
+    """
+    missing = payload.n - z
+    if missing <= 0:
+        return 0.0, 0
+    recover = payload.recover
+    fpr_s = payload.bloom_s.actual_fpr()
+    if 0.0 < fpr_s < 1.0 and m > z:
+        recover = max(recover, math.ceil(
+            a_star(fpr_s * (m - z) / (1.0 - fpr_s), config.beta)))
+    b = closed_form_a(z, OVERHEAD, SYMBOL_BYTES)
+    fpr = b / (missing + recover)
+    target_r = math.ceil(
+        OVERHEAD * (recover + math.ceil(a_star(b, config.beta))))
+    streamed = len(payload.symbols)
+    spared = (SYMBOL_BYTES * (next_batch_size(streamed, target)
+                              - next_batch_size(streamed, target_r))
+              + (1.0 - fpr) * missing * config.short_id_bytes)
+    if fpr >= 1.0 or bloom_size_bytes(z, fpr) + BLOOM_HEADER_BYTES >= spared:
+        return 0.0, 0
+    return fpr, target_r
+
+
+def continuation(state: Protocol3ReceiverState,
+                 config: GrapheneConfig) -> tuple[int, Optional[BloomFilter]]:
+    """The next request: symbols to ask for, and filter R over Z on the
+    one request (the first) that carries it.  A sender that pushed
+    nothing leaves ``target`` standing; else growth is by halves."""
+    start = state.symbols
+    if state.fpr_r and state.pushed is None:
+        state.pushed = {}
+        bloom_r = BloomFilter.from_fpr(len(state.candidate_set), state.fpr_r,
+                                       seed=config.seed ^ 0xF00D)  # as P2's R
+        bloom_r.update_packed(state.candidate_set.ids())
+        return next_batch_size(start, state.target_r), bloom_r
+    return next_batch_size(start, 0 if state.pushed else state.target), None
+
+
+def ingest_symbols(state: Protocol3ReceiverState, batch: SymbolBatch,
+                   pushed: Sequence = (),
+                   config: Optional[GrapheneConfig] = None) -> bool:
     """Feed one wire batch to the decoder; returns decode completion.
 
     The stream is strictly sequential: a batch whose ``start`` is not
     the next expected symbol is a framing violation (retransmissions
     re-serve the identical window, so an honest sender never
     desynchronizes).
+
+    ``pushed`` are the transactions that missed filter R: sender-only
+    keys, subtracted out of the symbols already held
+    (:meth:`RIBLTDecoder.add_known`).  One whose short ID Z holds is
+    ignored -- R has no false negatives, an honest sender pushes none.
     """
     if batch.start != state.decoder.size:
         raise ParameterError(
@@ -255,6 +330,16 @@ def ingest_symbols(state: Protocol3ReceiverState,
     if batch.start + len(batch) > state.cap:
         raise ParameterError(
             f"symbol stream exceeds cap of {state.cap} symbols")
+    if pushed:
+        if state.pushed is None or len(pushed) > state.n:
+            raise ParameterError(f"{len(pushed)} pushed transactions: unasked "
+                                 f"for, or more than the block's {state.n}")
+        width = (config or GrapheneConfig()).short_id_bytes
+        held = set(state.candidate_set.sids.tolist())
+        fresh = {sid: tx for tx in pushed
+                 if (sid := tx.short_id(width)) not in held}
+        state.pushed.update(fresh)
+        state.decoder.add_known(fresh)
     return state.decoder.add_symbols(batch.counts, batch.key_sums,
                                      batch.check_sums)
 
@@ -282,4 +367,4 @@ def finish_protocol3(state: Protocol3ReceiverState,
     if not decoder.complete:
         return result
     return settle(result, decoder.local, decoder.remote, state.n,
-                  validate_block)
+                  validate_block, state.pushed)

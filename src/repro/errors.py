@@ -64,10 +64,3 @@ class MerkleValidationError(ReproError):
 class ProtocolFailure(ReproError):
     """A Graphene protocol round failed and cannot be retried further."""
 
-
-class MissingTransactionsError(ProtocolFailure):
-    """The receiver is missing block transactions Protocol 1 cannot repair.
-
-    Protocol 1 assumes the receiver's mempool is a superset of the block;
-    when that assumption is violated the session escalates to Protocol 2.
-    """

@@ -44,6 +44,7 @@ from repro.codec import (
     decode_protocol2_request,
     decode_protocol2_response,
     decode_protocol3_payload,
+    decode_protocol3_request,
     decode_symbol_batch,
     decode_transaction,
     decode_tx_list,
@@ -53,6 +54,7 @@ from repro.codec import (
     encode_protocol2_request,
     encode_protocol2_response,
     encode_protocol3_payload,
+    encode_protocol3_request,
     encode_symbol_batch,
     encode_transaction,
     encode_tx_list,
@@ -146,7 +148,8 @@ class CodecEngine(Engine):
               "p1", "p1", "p2", "p2", "p3", "p3_stream",
               "mutation", "mutation", "mutation", "frame", "frame")
     _MUTATION_BASES = ("bloom", "iblt", "transaction", "p1", "p3",
-                       "p2_request", "p2_response")
+                       "p2_request", "p2_response", "p3_request",
+                       "p3_symbols")
     #: Frame-level corruption modes ("split" is the invariance check;
     #: the rest must raise FrameError, never mis-parse or stall).
     _FRAME_MODES = ("split", "split", "split", "bad_magic", "bad_length",
@@ -431,8 +434,8 @@ class CodecEngine(Engine):
         from repro.core.protocol3 import (
             SymbolBatch,
             begin_protocol3,
+            continuation,
             ingest_symbols,
-            next_batch_size,
         )
         from repro.errors import MalformedIBLTError, ParameterError
 
@@ -476,22 +479,51 @@ class CodecEngine(Engine):
             return self.fail("p3-receiver-parity",
                              f"loopback {mine} vs wire {theirs}", params)
         if state is not None and not state.decoder.complete:
-            # One continuation round, exactly as the engines serve it.
+            # One continuation round, exactly as the engines serve it:
+            # the request with filter R where it pays, the answer with
+            # the transactions that miss R, each tail read at the offset
+            # the version-2 prefix parser returns.
             start = state.symbols
-            count = min(next_batch_size(start), state.cap - start)
+            count, bloom_r = continuation(state, config)
+            count = min(count, state.cap - start)
+            request = encode_protocol3_request(start, count, bloom_r)
+            *window, off = decode_protocol3_request(request)
+            pushed = None
+            if bloom_r is not None:
+                wire_r, off = decode_bloom(request, off)
+                pushed = sc.block.columns.outside(wire_r).txs
+            if (*window, off) != (start, count, len(request)) \
+                    or (continuation(wire_state, config)[1] is None) \
+                    != (bloom_r is None) or (pushed is not None and
+                                             encode_bloom(wire_r)
+                                             != encode_bloom(bloom_r)):
+                return self.fail("p3-request-tail",
+                                 f"window {window} to offset {off} of "
+                                 f"{len(request)}, or filter R drifts on "
+                                 "the wire", params)
             counts, key_sums, check_sums = encoder.window(start, count)
             batch = SymbolBatch(start=start, counts=counts,
                                 key_sums=key_sums, check_sums=check_sums)
-            batch_blob = encode_symbol_batch(batch)
-            wire_batch, batch_off = decode_symbol_batch(batch_blob)
-            if batch_off != len(batch_blob):
-                return self.fail("p3-batch-offset",
-                                 f"{batch_off} != {len(batch_blob)}", params)
-            if encode_symbol_batch(wire_batch) != batch_blob:
-                return self.fail("p3-batch-fixed-point",
-                                 "encode(decode(encode)) differs", params)
-            if ingest_symbols(state, batch) \
-                    != ingest_symbols(wire_state, wire_batch):
+            for tail in ([], None, pushed):
+                # A present-but-empty tail, none at all, R's misses.
+                batch_blob = encode_symbol_batch(batch, tail)
+                wire_batch, batch_off = decode_symbol_batch(batch_blob)
+                wire_tail = None
+                if tail is not None:
+                    wire_tail, batch_off = decode_tx_list(batch_blob,
+                                                          batch_off)
+                if batch_off != len(batch_blob):
+                    return self.fail("p3-batch-offset",
+                                     f"{batch_off} != {len(batch_blob)}",
+                                     params)
+                if encode_symbol_batch(wire_batch, wire_tail) != batch_blob:
+                    return self.fail("p3-batch-fixed-point",
+                                     "encode(decode(encode)) differs",
+                                     params)
+            if ingest_symbols(state, batch, pushed or (), config) \
+                    != ingest_symbols(wire_state, wire_batch,
+                                      wire_tail or (), config) \
+                    or state.pushed != wire_state.pushed:
                 return self.fail("p3-ingest-parity",
                                  "wire-decoded batch decodes differently",
                                  params)
@@ -610,6 +642,15 @@ class CodecEngine(Engine):
         if base == "p3":
             payload, _, _ = gen.make_p3(p1_params)
             return encode_protocol3_payload(payload)
+        if base == "p3_request":
+            bloom, _ = gen.make_bloom(rng, params["n"], 0.2, 7)
+            return encode_protocol3_request(5, params["n"], bloom)
+        if base == "p3_symbols":
+            from repro.core.protocol3 import SymbolBatch
+            columns = ([3, -1, 0], [7, 1 << 63, 0], [9, 0xFFFF, 0])
+            return encode_symbol_batch(
+                SymbolBatch(5, *columns),
+                gen.make_transactions(rng, params["n"] % 7))
         p1_params["fraction"] = min(p1_params["fraction"], 0.9)
         built = gen.make_p2(p1_params)
         if built is None:
@@ -708,7 +749,12 @@ class CodecEngine(Engine):
                 "p1": decode_protocol1_payload,
                 "p2_request": decode_protocol2_request,
                 "p2_response": decode_protocol2_response,
-                "p3": decode_protocol3_payload}[base]
+                "p3": decode_protocol3_payload,
+                # The tailed messages: prefix parser, then the tail.
+                "p3_request": lambda blob: decode_bloom(
+                    blob, decode_protocol3_request(blob)[2]),
+                "p3_symbols": lambda blob: decode_tx_list(
+                    blob, decode_symbol_batch(blob)[1])}[base]
 
     def shrink_candidates(self, params: dict) -> Iterable[dict]:
         yield from super().shrink_candidates(params)
@@ -761,7 +807,7 @@ class PDSEngine(Engine):
 
     def _check_riblt(self, params) -> Optional[FuzzFailure]:
         from repro.errors import MalformedIBLTError
-        from repro.pds.riblt import RIBLTEncoder, reconcile
+        from repro.pds.riblt import RIBLTDecoder, RIBLTEncoder, reconcile
 
         rng = rng_from("pds-riblt", params["seed"])
         shared = gen.make_keys(rng, params["n_shared"])
@@ -820,6 +866,22 @@ class PDSEngine(Engine):
             return self.fail("riblt-remote-oracle",
                              f"decoded {len(decoder.remote)} receiver-only "
                              f"keys, expected {len(only_b)}", params)
+
+        # Additivity: sender-only keys told mid-stream are keys a fresh
+        # decoder was seeded with (same remote, local, completion).
+        known = only_a[::2]
+        told = RIBLTDecoder(receiver, seed=seed)
+        seeded = RIBLTDecoder(receiver + known, seed=seed)
+        while told.size < used:
+            window = whole.window(told.size, params["batch"])
+            told.add_symbols(*window)
+            seeded.add_symbols(*window)
+            if told.add_known(known) != seeded.complete or (
+                    told.remote, told.local) != (
+                    seeded.remote, seeded.local | set(known)):
+                return self.fail("riblt-known-keys-vs-seeded",
+                                 f"told and seeded decoders part at "
+                                 f"symbol {told.size}", params)
         return None
 
     def _check_iblt(self, params) -> Optional[FuzzFailure]:

@@ -197,11 +197,6 @@ class PeerManager:
         """Snapshot of the announcer registry (root -> cids, in order)."""
         return {root: list(cids) for root, cids in self._announcers.items()}
 
-    @property
-    def serving_exchanges(self) -> List[Tuple[int, bytes]]:
-        """Live ``(connection, root)`` sender-engine keys."""
-        return list(self._serving.keys())
-
     # -- lifecycle ------------------------------------------------------
 
     async def listen(self, host: str = "127.0.0.1", port: int = 0) -> int:

@@ -41,7 +41,10 @@ from repro.utils.serialization import compact_size, read_compact_size
 #: 2: the keyed-mixing hash family (PROTOCOL.md 1.1/1.2).  A version-1
 #: peer places every key in different cells and bits, so every decode
 #: against it would fail silently into a full-block fetch.
-PROTOCOL_VERSION = 2
+#: 3: Protocol 3's continuation may carry filter R and its answer the
+#: transactions that miss it (PROTOCOL.md 2.6); both are tails behind
+#: the version-2 messages, which stay valid as they are.
+PROTOCOL_VERSION = 3
 
 #: Merkle roots are 32 bytes on the wire, prefixed to engine messages.
 ROOT_BYTES = 32

@@ -58,10 +58,6 @@ class IBLTParams:
     cells: int
     k: int
 
-    @property
-    def partition_width(self) -> int:
-        return self.cells // self.k
-
 
 class IBLTParamTable:
     """Maps a symmetric-difference size ``j`` to an optimal IBLT shape."""
@@ -158,8 +154,3 @@ def default_param_table(denom: int = DEFAULT_DENOM) -> IBLTParamTable:
              else IBLTParamTable.fallback(denom))
     _CACHE[denom] = table
     return table
-
-
-def clear_cache() -> None:
-    """Drop cached tables (used by tests that swap data files)."""
-    _CACHE.clear()

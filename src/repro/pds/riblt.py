@@ -397,6 +397,33 @@ class RIBLTDecoder:
         self._peel(stack)
         return self.complete
 
+    def add_known(self, keys: Iterable[int]) -> bool:
+        """Take ``keys`` as sender-only, learnt outside the stream (the
+        short IDs of pushed transactions); returns ``complete``.
+
+        Coded symbols are additive: the keys' own stream over the held
+        prefix is subtracted out of it, each key is left as a recovered
+        ``+1`` key is (later windows are corrected on ingest) and what
+        became pure is peeled.  A key already peeled is skipped; one the
+        sender lacks peels again as ``-1``: :class:`MalformedIBLTError`.
+        """
+        known = RIBLTEncoder([key for key in keys if key not in self._peeled],
+                             seed=self.seed)
+        known.extend(self.size)
+        _np.frombuffer(self._counts, dtype=_np.int64)[:] -= \
+            _np.frombuffer(known._counts, dtype=_np.int64)
+        for sub, theirs in ((self._key_sums, known._key_sums),
+                            (self._check_sums, known._check_sums)):
+            _np.frombuffer(sub, dtype=_np.uint64)[:] ^= \
+                _np.frombuffer(theirs, dtype=_np.uint64)
+        self.local.update(known._keys)
+        for key, *position in zip(known._keys, known._csums, known._states,
+                                  known._next):
+            self._peeled[key] = [1, *position]
+        self._peel([i for i, count in enumerate(self._counts)
+                    if count in (1, -1)])
+        return self.complete
+
     def _peel(self, stack: list) -> None:
         sub_c = self._counts
         sub_k = self._key_sums

@@ -103,7 +103,7 @@ class TestSenderEngine:
         sender = GrapheneSenderEngine(sc.block)
         tx = sc.block.txs[3]
         message = tx.short_id().to_bytes(8, "little")
-        from repro.net.wire import decode_tx_list
+        from repro.codec import decode_tx_list
         txs, _ = decode_tx_list(sender.on_shortid_request(message).message)
         assert len(txs) == 1 and txs[0].txid == tx.txid
 

@@ -306,6 +306,84 @@ class TestHostilePayloads:
         assert result.abandoned and not result.success
 
 
+    @pytest.mark.parametrize("width", [6, 8])
+    def test_fetcher_survives_a_key_wider_than_a_short_id(self, width):
+        """A Protocol 3 opening whose stream carries one extra key >=
+        2^48 peels complete and passes the arithmetic.  At
+        ``short_id_bytes=6`` no short ID can equal it: the engine fails
+        the exchange and the fetcher escalates to the full block -- the
+        connection task does not die of an ``OverflowError``.  At width
+        8 the key is asked for like any other and the Merkle root
+        settles it."""
+        import dataclasses
+
+        from repro.codec import encode_protocol3_payload, encode_tx_list
+        from repro.core.params import GrapheneConfig
+        from repro.core.protocol3 import (SEED_R, SymbolBatch,
+                                          build_protocol3)
+        from repro.net.peer import encode_full_block
+        from repro.pds.riblt import RIBLTEncoder
+
+        config = GrapheneConfig(short_id_bytes=width, protocol=3)
+        sc = make_block_scenario(n=40, extra=40, fraction=1.0, seed=6)
+        root = sc.block.header.merkle_root
+        payload, _ = build_protocol3(sc.block.txs, len(sc.receiver_mempool),
+                                     config)
+        keys = sc.block.columns.short_ids(width).tolist() + [(1 << 50) | 5]
+        stream = RIBLTEncoder(keys, seed=config.seed ^ SEED_R)
+        forged = dataclasses.replace(
+            payload, n=payload.n + 1, symbols=SymbolBatch(
+                0, *stream.window(0, len(payload.symbols))))
+        answers = {
+            "getdata": ("graphene_p3_block",
+                        root + sc.block.header.serialize()
+                        + encode_protocol3_payload(forged)),
+            "getdata_shortids": ("block_txs", root + encode_tx_list([])),
+            "getdata_block": ("block", encode_full_block(sc.block)),
+        }
+        asked = []
+
+        async def hostile_server(reader, writer):
+            conn = PeerConnection(reader, writer, "mallory")
+            await conn.handshake()
+            conn.send("inv", encode_inv(root))
+            await conn.drain()
+            while True:
+                frame = await conn.read_frame()
+                if frame is None:
+                    break
+                asked.append(frame[0])
+                conn.send(*answers[frame[0]])
+                await conn.drain()
+            await conn.close()
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = await asyncio.start_server(hostile_server,
+                                                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                result = await asyncio.wait_for(
+                    fetch_block("127.0.0.1", port, sc.receiver_mempool,
+                                config, policy=RecoveryPolicy(**FAST)), 10)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return unhandled, result
+
+        unhandled, result = asyncio.run(run())
+        assert unhandled == []
+        assert result.success and result.block.txids == sc.block.txids
+        if width == 6:
+            assert asked == ["getdata", "getdata_block"]
+            assert result.escalated and result.via_fullblock
+        else:
+            assert asked == ["getdata", "getdata_shortids"]
+            assert not result.escalated
+
+
 class TestRecoveryLadder:
     """The simulator's timeout ladder, mapped onto asyncio timeouts."""
 

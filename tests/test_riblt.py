@@ -325,6 +325,73 @@ class TestDecoder:
         assert symbol_stream_bytes(10) == 6 + 10 * SYMBOL_BYTES
 
 
+class TestKnownKeys:
+    """Coded symbols are additive: a sender-only key learnt outside the
+    stream is subtracted out of the symbols already held, so telling a
+    decoder K mid-stream equals having seeded it with K."""
+
+    BATCH = 16
+
+    def _sets(self, known, seed=5):
+        shared = _keys(600, seed=seed)
+        strangers = _keys(600 + known + 70, seed=seed + 1) - shared
+        pool = sorted(strangers)
+        k = set(pool[:known])
+        sender_only = set(pool[known:known + 40])
+        receiver_only = set(pool[known + 40:known + 70])
+        return (shared | k | sender_only, shared | receiver_only, k,
+                sender_only, receiver_only)
+
+    @pytest.mark.parametrize("known", [0, 1, 79, 400])
+    @pytest.mark.parametrize("tell_at", [0, 2])
+    def test_told_equals_seeded(self, known, tell_at):
+        sender, receiver, k, sender_only, receiver_only = self._sets(known)
+        stream = RIBLTEncoder(sender, seed=9)
+        told = RIBLTDecoder(receiver, seed=9)
+        seeded = RIBLTDecoder(receiver | k, seed=9)
+        for batch in range(200):
+            if batch == tell_at:
+                told.add_known(k)       # before, or after, later windows
+            window = stream.window(told.size, self.BATCH)
+            done = told.add_symbols(*window)
+            assert seeded.add_symbols(*window) == done or batch < tell_at
+            if done:
+                break
+        assert told.complete and seeded.complete
+        assert told.size == seeded.size, "complete at the same symbol"
+        assert told.remote == seeded.remote == receiver_only
+        assert seeded.local == sender_only
+        assert told.local == sender_only | k
+
+    def test_telling_completes_a_stream_that_was_waiting(self):
+        sender, receiver, k, _, _ = self._sets(400)
+        stream = RIBLTEncoder(sender, seed=9)
+        told = RIBLTDecoder(receiver, seed=9)
+        assert not told.add_symbols(*stream.window(0, 160))
+        assert told.add_known(k) and told.complete
+
+    def test_a_known_key_already_peeled_is_skipped(self):
+        sender, receiver, k, sender_only, _ = self._sets(0)
+        decoder, _ = reconcile(sender, receiver, seed=9)
+        before = (decoder._counts[:], decoder._key_sums[:],
+                  dict(decoder._peeled))
+        assert decoder.add_known(sender_only) and decoder.complete
+        assert (decoder._counts, decoder._key_sums,
+                decoder._peeled) == before
+
+    def test_a_known_key_recovered_again_is_malformed(self):
+        """A key told as the sender's that the sender does not hold
+        leaves a -1 residual: it peels as itself a second time."""
+        sender, receiver, _, _, _ = self._sets(0)
+        stranger = max(sender | receiver) + 12345
+        decoder = RIBLTDecoder(receiver, seed=9)
+        stream = RIBLTEncoder(sender, seed=9)
+        decoder.add_known([stranger])
+        with pytest.raises(MalformedIBLTError, match="decoded twice"):
+            for _ in range(40):
+                decoder.add_symbols(*stream.window(decoder.size, self.BATCH))
+
+
 class TestOverhead:
     def test_symbol_overhead_near_paper_rate(self):
         # Yang et al. report ~1.35d symbols for moderate d; allow a

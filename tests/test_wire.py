@@ -18,7 +18,7 @@ from repro.core.protocol2 import (
     respond_protocol2,
 )
 from repro.errors import ParameterError
-from repro.net.wire import (
+from repro.codec import (
     decode_bloom,
     decode_iblt,
     decode_protocol1_payload,
