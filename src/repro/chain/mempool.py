@@ -48,18 +48,47 @@ class Mempool:
         return True
 
     def add_many(self, txs: Iterable[Transaction]) -> int:
-        """Insert many; return how many were new."""
-        return sum(1 for tx in txs if self.add(tx))
+        """Insert many; return how many were new (first insertion wins)."""
+        pool = self._txs
+        before = len(pool)
+        for tx in txs:
+            pool.setdefault(tx.txid, tx)
+        gained = len(pool) - before
+        if gained:
+            self._columns = None
+        return gained
 
     def remove(self, txid: bytes) -> Optional[Transaction]:
         """Remove and return a transaction, or None if absent."""
-        self._columns = None
-        return self._txs.pop(txid, None)
+        tx = self._txs.pop(txid, None)
+        if tx is not None:
+            self._columns = None
+        return tx
 
     def remove_block(self, txids: Iterable[bytes]) -> int:
         """Evict confirmed transactions after a block connects."""
-        self._columns = None
-        return sum(1 for txid in txids if self._txs.pop(txid, None) is not None)
+        pool = self._txs
+        before = len(pool)
+        for txid in txids:
+            pool.pop(txid, None)
+        removed = before - len(pool)
+        if removed:
+            self._columns = None
+        return removed
+
+    def copy(self) -> "Mempool":
+        """An independent mempool over the same transactions.
+
+        The cached :meth:`columns` snapshot is shared, not rebuilt: it
+        is immutable and describes both sets until one of them changes,
+        at which point that mempool alone drops its reference.  The
+        per-peer inv log is *not* copied -- it is the owner's
+        conversation history, not set content.
+        """
+        clone = Mempool()
+        clone._txs = dict(self._txs)
+        clone._columns = self._columns
+        return clone
 
     def get(self, txid: bytes) -> Optional[Transaction]:
         return self._txs.get(txid)

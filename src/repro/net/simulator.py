@@ -168,13 +168,12 @@ class Link:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ParameterError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        # The loss stream is resolved at construction: an explicit seed
-        # pins it, and a standalone lossy link (never wired through
-        # Node.connect) falls back to seed 0 -- so drops() is a pure
-        # query that never mutates config fields as a side effect.
-        if self.loss_rate:
-            self._loss_rng = random.Random(
-                self.loss_seed if self.loss_seed is not None else 0)
+        # The loss stream is built where its seed is known: here when
+        # it is explicit, in ensure_loss_seed when Node.connect derives
+        # one, and on the first drops() of a lossy link that was never
+        # wired (seed 0) -- one Mersenne-Twister seeding per link.
+        if self.loss_rate and self.loss_seed is not None:
+            self._loss_rng = random.Random(self.loss_seed)
 
     def ensure_loss_seed(self, seed: int) -> None:
         """Adopt ``seed`` unless an explicit seed was already chosen.
@@ -195,14 +194,17 @@ class Link:
         one is attached; the random loss stream is only consulted for
         messages the fault plan lets through, so attaching a plan does
         not perturb the seeded loss sequence of surviving traffic.
-        Read-only on the link's configuration (the stream itself is
-        resolved in ``__post_init__`` / :meth:`ensure_loss_seed`).
+        Read-only on the link's configuration (``loss_seed`` stays None
+        on a standalone link; only the private stream is created).
         """
         if self.fault is not None and self.fault.should_drop(now, command):
             return True
         if not self.loss_rate:
             return False
-        return self._loss_rng.random() < self.loss_rate
+        rng = self._loss_rng
+        if rng is None:
+            rng = self._loss_rng = random.Random(0)
+        return rng.random() < self.loss_rate
 
     def transmit_schedule(self, now: float, nbytes: int) -> float:
         """Return the delivery time of ``nbytes`` sent at ``now``."""

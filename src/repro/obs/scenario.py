@@ -81,8 +81,9 @@ def run_block_relay_scenario(nodes: int = 20, degree: int = 4,
     """Propagate one block across a lossy random-regular topology.
 
     The default parameters reproduce the smoke test's chaos scenario
-    (20 Graphene nodes, degree 4, 5% loss per link) so the recovery
-    ladder is genuinely exercised and traces show timeouts, retries
+    (20 Graphene nodes, degree 4, 5% loss on the forward direction of
+    each peering -- see ``Node.connect``) so the recovery ladder is
+    genuinely exercised and traces show timeouts, retries
     and failovers.  ``sync_rounds`` additionally runs that many
     post-relay mempool syncs between the first node pairs, so sync
     spans appear in the trace too.  Everything is seeded: the same
@@ -97,8 +98,11 @@ def run_block_relay_scenario(nodes: int = 20, degree: int = 4,
     tracer = Tracer(simulator).attach(*peers) if trace else None
     scenario = make_block_scenario(n=block_size, extra=extra, fraction=1.0,
                                    seed=seed % 997)
+    # Every receiver holds the same pool: pack it once, and each copy
+    # shares that snapshot until its own set changes.
+    scenario.receiver_mempool.columns()
     for node in peers[1:]:
-        node.mempool.add_many(scenario.receiver_mempool.transactions())
+        node.mempool = scenario.receiver_mempool.copy()
     peers[0].mine_block(scenario.block)
     simulator.run(until=until)
     for i in range(sync_rounds):

@@ -161,3 +161,68 @@ def test_replay_return_shapes():
     assert encode_symbol_batch(again) == encode_symbol_batch(batch)
     result = finish_protocol3(state, config, validate_block=None)
     assert hasattr(result, "success")
+
+
+def test_simulator_workload_shapes():
+    """What ``simlossy.py`` passes to the scenario builder and reads off
+    the run and its nodes."""
+    from repro.core.sizing import CostBreakdown
+    from repro.obs.scenario import run_block_relay_scenario
+
+    _binds(run_block_relay_scenario, nodes=20, degree=4, block_size=200,
+           extra=200, loss=0.05, seed=1, trace=False)
+    run = run_block_relay_scenario(nodes=4, degree=2, block_size=20,
+                                   extra=20, loss=0.05, seed=1, trace=True)
+    assert run.block.header.merkle_root == run.root
+    assert run.covered == len(run.nodes) == 4
+    assert all(isinstance(mark.name, str) for mark in run.tracer.marks)
+    assert run.simulator.events_processed > 0
+    streams = run.relay_streams()
+    assert {root for _, root in streams} == {run.root}
+    for events in streams.values():
+        assert CostBreakdown.from_events(events).total() > 0
+        assert all(hasattr(event, "outcome") and hasattr(event, "phase")
+                   for event in events)
+    for node in run.nodes:
+        assert node.blocks[run.root].header == run.block.header
+        assert node.block_arrival[run.root] >= 0.0
+        assert node.relay_retries >= 0 and node.relay_timeouts >= 0
+    untraced = run_block_relay_scenario(nodes=4, degree=2, block_size=20,
+                                        extra=20, loss=0.05, seed=1,
+                                        trace=False)
+    assert untraced.tracer is None
+
+
+def test_input_records_round_trip():
+    """``inputs.py`` builds ``Mempool(list_of_txs)`` from
+    ``.transactions()`` and pickles ``(block, mempool)`` /
+    ``(block, [mempools])`` records; ``loopback.py`` hands the thawed
+    mempool to a receiver engine."""
+    import pickle
+
+    from repro.chain.mempool import Mempool
+    from repro.chain.scenarios import make_block_scenario
+    from repro.core.engine import (GrapheneReceiverEngine,
+                                   GrapheneSenderEngine)
+    from repro.core.params import GrapheneConfig
+    from repro.net.transport import LoopbackTransport
+
+    sc = make_block_scenario(60, 80, 1.0, seed=3)
+    pool = sc.receiver_mempool.transactions()
+    ring = [Mempool(pool[:60 + extra]) for extra in (20, 80)]
+    assert [len(mempool) for mempool in ring] == [80, 140]
+    assert ring[1].transactions() == pool
+    config = GrapheneConfig()
+    for original in (sc.receiver_mempool, *ring):
+        block, mempool = pickle.loads(pickle.dumps(
+            (sc.block, original), protocol=pickle.HIGHEST_PROTOCOL))
+        assert block.header == sc.block.header
+        assert block.txids == sc.block.txids
+        assert mempool.transactions() == original.transactions()
+        assert mempool.columns().ids == original.columns().ids
+        final = LoopbackTransport(
+            GrapheneSenderEngine(block, config),
+            GrapheneReceiverEngine(mempool, config)).run()
+        assert [tx.txid for tx in final.block.txs] == sc.block.txids
+    thawed = pickle.loads(pickle.dumps((sc.block, ring)))[1]
+    assert [len(mempool) for mempool in thawed] == [80, 140]

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import pickle
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
+from repro.chain.transaction import Transaction, TransactionGenerator
 from repro.errors import ParameterError
 
 
@@ -82,3 +88,121 @@ class TestInvLog:
     def test_empty_peer_id_rejected(self, txgen):
         with pytest.raises(ParameterError):
             Mempool().note_inv("", txgen.make().txid)
+
+
+class TestSnapshotLifetime:
+    """The cached ``TxColumns`` is dropped when the set changed and only
+    then: a hit invalidates, a miss keeps the same object."""
+
+    @pytest.fixture
+    def pool(self, txgen):
+        return Mempool(txgen.make_batch(6))
+
+    def test_a_hit_invalidates(self, pool, txgen):
+        held = pool.txids
+        for change in (lambda: pool.add(txgen.make()),
+                       lambda: pool.add_many(txgen.make_batch(2)),
+                       lambda: pool.remove(held[0]),
+                       lambda: pool.remove_block(held[1:3])):
+            before = pool.columns()
+            assert change()
+            after = pool.columns()
+            assert after is not before
+            assert after.ids == b"".join(pool.txids)
+            assert before.ids != after.ids
+
+    def test_a_miss_keeps_the_snapshot(self, pool, txgen):
+        stranger = txgen.make()
+        before = pool.columns()
+        assert not pool.add(pool.transactions()[0])
+        assert pool.add_many(pool.transactions()) == 0
+        assert pool.add_many([]) == 0
+        assert pool.remove(stranger.txid) is None
+        assert pool.remove_block([stranger.txid, b"\x00" * 32]) == 0
+        assert pool.remove_block([]) == 0
+        assert pool.columns() is before
+
+
+_KNOWN = TransactionGenerator(seed=77).make_batch(12)
+#: Same txid, different object: first insertion must win.
+_TWINS = [Transaction(txid=tx.txid, size=tx.size + 1, fee_rate=tx.fee_rate)
+          for tx in _KNOWN[:4]]
+#: Short draws from a small population: repeats and members already held.
+_TXS = st.lists(st.sampled_from(_KNOWN + _TWINS), max_size=30)
+
+
+class TestBulkEqualsItemByItem:
+    """``add_many`` / ``remove_block`` / ``copy`` against the per-item
+    calls they replace, on sequences with repeats, pre-existing members
+    and unknown txids."""
+
+    @staticmethod
+    def _same(a: Mempool, b: Mempool) -> None:
+        assert a.txids == b.txids
+        assert all(x is y for x, y in zip(a.transactions(),
+                                          b.transactions()))
+
+    @given(_TXS, _TXS)
+    @settings(max_examples=150, deadline=None)
+    def test_add_many(self, initial, batch):
+        bulk, single = Mempool(), Mempool()
+        for pool in (bulk, single):
+            for tx in initial:
+                pool.add(tx)
+        assert bulk.add_many(iter(batch)) == \
+            sum(single.add(tx) for tx in batch)
+        self._same(bulk, single)
+        self._same(Mempool(initial + batch), single)
+
+    @given(_TXS, _TXS)
+    @settings(max_examples=150, deadline=None)
+    def test_remove_block(self, initial, batch):
+        bulk, single = Mempool(initial), Mempool(initial)
+        txids = [tx.txid for tx in batch] + [b"\xee" * 32]
+        assert bulk.remove_block(iter(txids)) == \
+            sum(single.remove(txid) is not None for txid in txids)
+        self._same(bulk, single)
+
+    @given(_TXS, _TXS)
+    @settings(max_examples=100, deadline=None)
+    def test_copy_is_independent(self, initial, batch):
+        original = Mempool(initial)
+        original.note_inv("peer", b"\x01" * 32)
+        snapshot = original.columns()
+        content = original.transactions()
+        clone = original.copy()
+        self._same(clone, original)
+        assert clone.columns() is snapshot
+        assert not clone.inv_exchanged("peer", b"\x01" * 32)
+        clone.note_inv("other", b"\x02" * 32)
+        assert not original.inv_exchanged("other", b"\x02" * 32)
+
+        clone.add_many(batch)
+        clone.add(TransactionGenerator(seed=5).make())
+        for txid in clone.txids[:2]:
+            clone.remove(txid)
+        clone.remove_block(tx.txid for tx in batch)
+        assert original.transactions() == content
+        assert original.columns() is snapshot
+        assert snapshot.ids == b"".join(original.txids)
+        assert clone.columns().ids == b"".join(clone.txids)
+        assert list(clone.columns().txs) == clone.transactions()
+        # The other direction: the original changes, the copy does not.
+        second = original.copy()
+        original.remove_block(original.txids)
+        assert second.transactions() == content
+        assert second.columns() is snapshot
+
+    @given(_TXS)
+    @settings(max_examples=50, deadline=None)
+    def test_copy_survives_pickle(self, initial):
+        original = Mempool(initial)
+        original.columns()
+        thawed = pickle.loads(pickle.dumps(
+            original.copy(), protocol=pickle.HIGHEST_PROTOCOL))
+        assert thawed.transactions() == original.transactions()
+        fresh = TxColumns(tuple(thawed.transactions()))
+        assert thawed.columns().ids == fresh.ids
+        assert list(thawed.columns().txs) == list(fresh.txs)
+        assert thawed.add(TransactionGenerator(seed=6).make())
+        assert len(thawed.columns()) == len(original) + 1
