@@ -14,7 +14,7 @@ shared interpreter state:
    port: the peer asserts its CostBreakdown and telemetry stream are
    byte-identical to the loopback relay of the same seeded scenario.
 3. Both processes must exit 0, and the server must report exactly one
-   served connection.
+   served connection and exactly one opening built for it.
 
 Both processes rebuild the identical scenario from (n, extra,
 fraction, seed), so nothing but protocol bytes crosses the wire.
@@ -83,8 +83,9 @@ def main() -> int:
         if server.returncode != 0:
             print(f"FAIL: server exited {server.returncode}")
             return 1
-        if "served 1 connection(s)" not in out:
-            print("FAIL: server did not report exactly one connection")
+        if "served 1 connection(s), built 1 opening(s)" not in out:
+            print("FAIL: server did not report exactly one connection "
+                  "served from exactly one opening")
             return 1
     finally:
         if server.poll() is None:

@@ -370,7 +370,10 @@ def _cmd_serve(args) -> int:
         else:
             await asyncio.Event().wait()  # forever; Ctrl-C to stop
         await server.close()
-        print(f"served {server.connections_served} connection(s)")
+        built = sum(engine.openings_built
+                    for engine in server.serving_engines.values())
+        print(f"served {server.connections_served} connection(s), "
+              f"built {built} opening(s)")
         return 0
 
     try:

@@ -241,6 +241,8 @@ class GrapheneSenderEngine:
         #: block out to many peers whose counts repeat.  Bounded; oldest
         #: half evicted at the cap.
         self._openings: dict = {}
+        #: Openings built, i.e. ``_openings`` misses (read-only counter).
+        self.openings_built = 0
         #: The one shared Protocol 3 symbol stream -- it depends only on
         #: (txs, seed), so every peer and every continuation reads the
         #: same prefix.
@@ -294,6 +296,7 @@ class GrapheneSenderEngine:
         if len(self._openings) >= self.P1_CACHE_CAP:
             for stale in list(self._openings)[:self.P1_CACHE_CAP // 2]:
                 del self._openings[stale]
+        self.openings_built += 1
         cached = self._openings[protocol, m] = (
             blob, _opening_parts(payload, protocol))
         return cached

@@ -142,6 +142,26 @@ def _candidate_values(closed_form: int, upper: int) -> list[int]:
     return sorted(candidates)
 
 
+def _cheapest_plan(candidates: list[int], upper: int, items: int,
+                   recover_of, table: IBLTParamTable,
+                   config: GrapheneConfig) -> FilterIBLTPlan:
+    """The candidate ``a`` whose filter (``items`` at FPR ``a / upper``)
+    plus IBLT (``recover_of(a)`` items) is smallest; first minimum wins.
+    Only the winner becomes a plan: the sweep compares two integers."""
+    best = None
+    for a in candidates:
+        fpr = min(1.0, a / upper)
+        recover = recover_of(a)
+        params, iblt_cost = _iblt_cost(recover, table, config)
+        bloom_cost = _bloom_cost(items, fpr)
+        total = bloom_cost + iblt_cost
+        if best is None or total < best[0]:
+            best = (total, a, fpr, recover, params, bloom_cost, iblt_cost)
+    _, a, fpr, recover, params, bloom_cost, iblt_cost = best
+    return FilterIBLTPlan(a=a, fpr=fpr, recover=recover, iblt=params,
+                          bloom_bytes=bloom_cost, iblt_bytes=iblt_cost)
+
+
 def closed_form_a(n: int, tau: float, cell_bytes: int) -> int:
     """Eq. 3 / Eq. 5: ``a = n / (8 r tau ln^2 2)`` with delta = 0."""
     if tau <= 0 or cell_bytes <= 0:
@@ -200,17 +220,9 @@ def _optimize_a_uncached(n: int, m: int,
 
     hint = closed_form_a(n, table.tau_for(max(1, min(excess, n) // 2)),
                          config.cell_bytes)
-    best: Optional[FilterIBLTPlan] = None
-    for a in _candidate_values(hint, excess):
-        fpr = min(1.0, a / excess)
-        recover = math.ceil(a_star(a, config.beta))
-        params, iblt_cost = _iblt_cost(recover, table, config)
-        plan = FilterIBLTPlan(a=a, fpr=fpr, recover=recover, iblt=params,
-                              bloom_bytes=_bloom_cost(n, fpr),
-                              iblt_bytes=iblt_cost)
-        if best is None or plan.total_bytes < best.total_bytes:
-            best = plan
-    return best
+    return _cheapest_plan(
+        _candidate_values(hint, excess), excess, n,
+        lambda a: math.ceil(a_star(a, config.beta)), table, config)
 
 
 def optimize_b(z: int, missing_bound: int, ystar: int,
@@ -235,14 +247,6 @@ def optimize_b(z: int, missing_bound: int, ystar: int,
 
     hint = closed_form_a(z, table.tau_for(max(1, ystar + 1)),
                          config.cell_bytes) if z else 1
-    best: Optional[FilterIBLTPlan] = None
-    for b in _candidate_values(hint, missing_bound):
-        fpr = min(1.0, b / missing_bound)
-        recover = b + ystar
-        params, iblt_cost = _iblt_cost(recover, table, config)
-        plan = FilterIBLTPlan(a=b, fpr=fpr, recover=recover, iblt=params,
-                              bloom_bytes=_bloom_cost(z, fpr),
-                              iblt_bytes=iblt_cost)
-        if best is None or plan.total_bytes < best.total_bytes:
-            best = plan
-    return best
+    return _cheapest_plan(
+        _candidate_values(hint, missing_bound), missing_bound, z,
+        lambda b: b + ystar, table, config)

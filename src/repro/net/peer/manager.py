@@ -13,9 +13,10 @@ mapping, here:
 * Exchanges are demultiplexed by the 32-byte Merkle root the engine
   frames already carry (`root | message`, PROTOCOL.md §4.3): fetches
   live in a per-root registry (several roots in flight on one
-  connection), serving engines in a per-``(connection, root)``
-  registry (several peers fetching the same block, or one peer
-  fetching several blocks, never share engine state).
+  connection), and so do serving engines: one per held block answers
+  every connection, as :class:`~repro.net.node.Node` does (a sender
+  engine is stateless per request, so the opening, its encoded blob
+  and the Protocol 3 symbol stream are built once per block).
 * Every ``inv`` is recorded in a per-root *announcer registry* in
   arrival order; only the first opens an exchange, duplicates across
   connections are suppressed.  That registry is what the ladder's
@@ -50,7 +51,7 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
@@ -137,8 +138,8 @@ class PeerManager:
     """Concurrent peer group: listener + dial list in one event loop.
 
     A manager both **serves** (:meth:`serve_block` registers a block;
-    every connection gets an ``inv`` and per-``(connection, root)``
-    sender engines answer its requests) and **fetches** (an ``inv``
+    every connection gets an ``inv`` and the block's one sender
+    engine answers their requests) and **fetches** (an ``inv``
     for an unknown root opens a receiver exchange under the recovery
     ladder; completed fetches surface through :meth:`fetch_next`).
     Give it a mempool to fetch with; a pure server can omit it.
@@ -177,9 +178,7 @@ class PeerManager:
         self._closing = False
         self._announcers: Dict[bytes, List[int]] = {}
         self._fetches: Dict[bytes, _SocketFetch] = {}
-        self._serving: Dict[Tuple[int, bytes],
-                            Tuple[GrapheneSenderEngine,
-                                  AsyncioTransport]] = {}
+        self._tx_engines: Dict[bytes, GrapheneSenderEngine] = {}
         self._fetched_roots: Dict[bytes, bool] = {}
         self._completed: deque = deque()
         self._done_event = asyncio.Event()
@@ -196,6 +195,12 @@ class PeerManager:
     def announced_roots(self) -> Dict[bytes, List[int]]:
         """Snapshot of the announcer registry (root -> cids, in order)."""
         return {root: list(cids) for root, cids in self._announcers.items()}
+
+    @property
+    def serving_engines(self) -> Dict[bytes, GrapheneSenderEngine]:
+        """Snapshot of the serving registry (root -> the one sender
+        engine every connection is answered from)."""
+        return dict(self._tx_engines)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -319,8 +324,6 @@ class PeerManager:
 
     def _on_disconnect(self, mc: MeshConnection) -> None:
         self.connections.pop(mc.cid, None)
-        for key in [k for k in self._serving if k[0] == mc.cid]:
-            del self._serving[key]
         if self._closing:
             return
         # A dead announcer is a lost cause immediately: no point waiting
@@ -410,8 +413,8 @@ class PeerManager:
         root, message = split_keyed(payload)
         if root not in self.blocks:
             return  # exchange we are not serving
-        engine, transport = self._serving_engine(mc, root)
-        transport.deliver(engine.handle(command, message))
+        action = self._serving_engine(root).handle(command, message)
+        AsyncioTransport(mc.conn.writer, root).deliver(action)
         await mc.conn.drain()
 
     async def _on_getdata_block(self, mc: MeshConnection,
@@ -439,18 +442,20 @@ class PeerManager:
         self._finish(state, success=True, txs=list(block.txs),
                      block=block, via_fullblock=True)
 
-    def _serving_engine(self, mc: MeshConnection, root: bytes):
-        key = (mc.cid, root)
-        entry = self._serving.get(key)
-        if entry is None:
+    def _serving_engine(self, root: bytes) -> GrapheneSenderEngine:
+        engine = self._tx_engines.get(root)
+        if engine is None:
+            # An engine lives no longer than its block: one whose root
+            # left ``self.blocks`` is unreachable (its frames are turned
+            # away above) and would only pin the block's transactions.
+            for stale in self._tx_engines.keys() - self.blocks.keys():
+                del self._tx_engines[stale]
             telemetry = self.tracer.stream(self.node_id, "serve", root) \
                 if self.tracer is not None else None
-            engine = GrapheneSenderEngine(self.blocks[root], self.config,
-                                          telemetry=telemetry)
-            entry = (engine, AsyncioTransport(mc.conn.writer, root))
-            self._serving[key] = entry
-            prune_oldest(self._serving, self.policy.serving_cap)
-        return entry
+            engine = self._tx_engines[root] = GrapheneSenderEngine(
+                self.blocks[root], self.config, telemetry=telemetry)
+            prune_oldest(self._tx_engines, self.policy.serving_cap)
+        return engine
 
     # -- the fetch ladder -----------------------------------------------
 

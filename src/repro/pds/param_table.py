@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -68,6 +69,7 @@ class IBLTParamTable:
             raise ParameterError("parameter table must not be empty")
         self.denom = denom
         self.rows = sorted(rows)
+        self._row_js = [row_j for row_j, _, _ in self.rows]
         self._max_j, max_k, max_cells = self.rows[-1]
         self._tail_tau = max_cells / self._max_j
         self._tail_k = max_k
@@ -107,9 +109,9 @@ class IBLTParamTable:
             row_j, k, cells = self.rows[0]
             return IBLTParams(cells=cells, k=k)
         if j <= self._max_j:
-            for row_j, k, cells in self.rows:
-                if row_j >= j:
-                    return IBLTParams(cells=cells, k=k)
+            # The first row certified for at least ``j`` items.
+            _, k, cells = self.rows[bisect_left(self._row_js, j)]
+            return IBLTParams(cells=cells, k=k)
         k = self._tail_k
         cells = math.ceil(j * self._tail_tau * _EXTRAPOLATION_MARGIN)
         cells += -cells % k

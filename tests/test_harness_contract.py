@@ -193,6 +193,87 @@ def test_simulator_workload_shapes():
     assert untraced.tracer is None
 
 
+def test_socket_workload_shapes():
+    """What ``socketpair.py`` calls on its three managers, the result
+    fields it reads, and the one thing it does to retire a served block:
+    ``server.blocks.pop(root, None)``.  That call alone must leave the
+    block unreachable (a late request for it goes unanswered) and
+    unretained (no serving state pins the ``Block`` past the next one)."""
+    import asyncio
+    import gc
+    import weakref
+
+    from repro.chain.mempool import Mempool
+    from repro.chain.scenarios import make_block_scenario
+    from repro.core.engine import GrapheneReceiverEngine
+    from repro.core.params import GrapheneConfig
+    from repro.net.peer import (PeerConnection, PeerFetchResult, PeerManager,
+                                encode_keyed, split_keyed)
+
+    x = object()
+    _binds(PeerManager, "server", config=x)
+    _binds(PeerManager, "fetcher0", mempool=x, config=x)
+    _binds(PeerManager.listen, x)
+    _binds(PeerManager.connect, x, "127.0.0.1", 1)
+    _binds(PeerManager.serve_block, x, x)
+    _binds(PeerManager.fetch_next, x, timeout=60.0)
+    _binds(PeerManager.close, x)
+    assert {"success", "root", "block", "cost", "events", "roundtrips",
+            "via_fullblock", "wire_overhead", "retries", "failovers"} \
+        <= set(PeerFetchResult.__dataclass_fields__)
+
+    config = GrapheneConfig(protocol=1)
+
+    async def run():
+        server = PeerManager("server", config=config)
+        fetchers = [PeerManager(f"fetcher{i}", mempool=Mempool(),
+                                config=config) for i in range(2)]
+        port = await server.listen()
+        for fetcher in fetchers:
+            await fetcher.connect("127.0.0.1", port)
+        served, results = [], []
+        try:
+            for seed in (1, 2, 3):
+                sc = make_block_scenario(40, 40, 1.0, seed=seed)
+                for fetcher in fetchers:
+                    fetcher.mempool = sc.receiver_mempool
+                root = server.serve_block(sc.block)
+                results += await asyncio.gather(
+                    *(fetcher.fetch_next(timeout=60.0)
+                      for fetcher in fetchers), return_exceptions=True)
+                server.blocks.pop(root, None)
+                served.append((root, weakref.ref(sc.block)))
+            # A request for a retired root, then one for a live root:
+            # replies keep their order, and only the second comes.
+            live = server.serve_block(sc.block)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            late = PeerConnection(reader, writer, "late")
+            await late.handshake()
+            getdata = GrapheneReceiverEngine(sc.receiver_mempool,
+                                             config).start().message
+            for root in (served[0][0], live):
+                late.send("getdata", encode_keyed(root, getdata))
+            await late.drain()
+            command = "inv"
+            while command == "inv":
+                command, payload = await asyncio.wait_for(
+                    late.read_frame(), 5)
+            await late.close()
+            del sc
+            gc.collect()
+            return (results, served, live, split_keyed(payload)[0],
+                    list(server.serving_engines))
+        finally:
+            for manager in fetchers + [server]:
+                await manager.close()
+
+    results, served, live, answered, retained = asyncio.run(run())
+    assert [result.success and result.root for result in results] \
+        == [root for root, _ in served for _ in range(2)]
+    assert answered == live == served[-1][0] and retained == [live]
+    assert [ref() is None for _, ref in served] == [True, True, False]
+
+
 def test_input_records_round_trip():
     """``inputs.py`` builds ``Mempool(list_of_txs)`` from
     ``.transactions()`` and pickles ``(block, mempool)`` /

@@ -14,7 +14,34 @@ from repro.pds.param_table import (
 )
 
 
+def _linear_params_for(table, j):
+    """The lookup as a scan, the specification the bisect must equal:
+    the first row certified for at least ``j`` items (the first row for
+    ``j == 0``), past the last row whatever ``params_for`` extrapolates."""
+    for row_j, k, cells in table.rows:
+        if row_j >= j:
+            return (cells, k)
+    return None
+
+
 class TestLookup:
+    @pytest.mark.parametrize("table", [
+        default_param_table(DEFAULT_DENOM),
+        IBLTParamTable.fallback(DEFAULT_DENOM),
+        IBLTParamTable([(5, 3, 15), (5, 4, 20), (9, 4, 28)], 240),
+    ], ids=["csv", "fallback", "repeated-j"])
+    def test_bisect_equals_the_linear_scan(self, table):
+        max_j = table.rows[-1][0]
+        for j in range(max_j + 51):
+            params = table.params_for(j)
+            expected = _linear_params_for(table, j)
+            if j <= max_j:
+                assert (params.cells, params.k) == expected, j
+            else:
+                assert expected is None
+                assert params.k == table.rows[-1][1]
+                assert params.cells >= table.params_for(max_j).cells
+
     def test_exact_grid_hit(self):
         table = IBLTParamTable([(10, 4, 40), (20, 4, 60)], 240)
         assert table.params_for(10).cells == 40

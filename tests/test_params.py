@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from repro.core import params as params_module
+from repro.core.bounds import a_star
 from repro.core.params import (
     EXHAUSTIVE_LIMIT,
+    FilterIBLTPlan,
     GrapheneConfig,
     closed_form_a,
     optimize_a,
@@ -248,3 +252,52 @@ class TestParamTableEdges:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             default_param_table(240).params_for(-1)
+
+
+class TestWinnerOnlyPlan:
+    """``optimize_a`` / ``optimize_b`` build a plan for the winning
+    candidate only; the sweep that built one per candidate is kept here
+    as the reference (first minimum wins)."""
+
+    @staticmethod
+    def _reference(candidates, upper, items, recover_of, config):
+        table = config.table()
+        best = None
+        for a in candidates:
+            fpr, recover = min(1.0, a / upper), recover_of(a)
+            params, iblt_cost = params_module._iblt_cost(
+                recover, table, config)
+            plan = FilterIBLTPlan(
+                a=a, fpr=fpr, recover=recover, iblt=params,
+                bloom_bytes=params_module._bloom_cost(items, fpr),
+                iblt_bytes=iblt_cost)
+            if best is None or plan.total_bytes < best.total_bytes:
+                best = plan
+        return best
+
+    @pytest.mark.parametrize("config", [
+        GrapheneConfig(), GrapheneConfig(beta=0.99, cell_bytes=17)],
+        ids=["default", "beta99-cell17"])
+    def test_field_identical_on_seeded_inputs(self, config):
+        rng = random.Random(20190819)
+        table = config.table()
+        differing = 0
+        for _ in range(1300):  # x 2 calls x 2 configs = 5 200 plans
+            n, excess = rng.randrange(1, 3000), rng.randrange(1, 6000)
+            hint = closed_form_a(
+                n, table.tau_for(max(1, min(excess, n) // 2)),
+                config.cell_bytes)
+            expected = self._reference(
+                params_module._candidate_values(hint, excess), excess, n,
+                lambda a: math.ceil(a_star(a, config.beta)), config)
+            differing += params_module._optimize_a_uncached(
+                n, n + excess, config) != expected
+            z, bound, ystar = (rng.randrange(0, 600), rng.randrange(1, 200),
+                               rng.randrange(0, 60))
+            hint = closed_form_a(z, table.tau_for(max(1, ystar + 1)),
+                                 config.cell_bytes) if z else 1
+            expected = self._reference(
+                params_module._candidate_values(hint, bound), bound, z,
+                lambda b: b + ystar, config)
+            differing += optimize_b(z, bound, ystar, config) != expected
+        assert differing == 0

@@ -17,10 +17,16 @@ these tests prove the *group* semantics on top of the same frames:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import weakref
+
+import pytest
 
 from repro.chain.scenarios import make_block_scenario
 from repro.codec import encode_tx_list
+from repro.core.engine import GrapheneReceiverEngine
+from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
 from repro.net.peer import (
     BlockServer,
@@ -28,6 +34,7 @@ from repro.net.peer import (
     PeerConnection,
     PeerManager,
     encode_inv,
+    encode_keyed,
 )
 from repro.net.recovery import RecoveryPolicy
 from repro.obs import Tracer, WallClock
@@ -512,6 +519,208 @@ class TestMeshRelay:
         # The re-relay is a fresh clean exchange: byte-identical to the
         # loopback relay of the same block against the same mempool.
         _assert_event_parity(second.events, _loopback(111))
+
+
+async def _fan_out(server, block, fetchers):
+    """Dial ``server`` (listening) from every fetcher not yet connected,
+    serve ``block`` and return each fetcher's result, in order."""
+    for fetcher in fetchers:
+        if not fetcher.connections:
+            await fetcher.connect("127.0.0.1", server.port)
+    server.serve_block(block)
+    return await asyncio.gather(
+        *(fetcher.fetch_next(timeout=15) for fetcher in fetchers))
+
+
+def _serve_once(block, mempools, config=None, policy=None):
+    """One serving manager, one fetcher per mempool, one block: returns
+    the (closed) server -- its registry outlives it -- and the results."""
+    async def run():
+        server = PeerManager("server", config=config, policy=policy)
+        await server.listen()
+        fetchers = [PeerManager(f"fetcher{i}", mempool=mempool,
+                                config=config)
+                    for i, mempool in enumerate(mempools)]
+        try:
+            return server, await _fan_out(server, block, fetchers)
+        finally:
+            for manager in fetchers + [server]:
+                await manager.close()
+
+    return asyncio.run(run())
+
+
+def _assert_loopback_twin(result, block, mempool, config=None):
+    loop = BlockRelaySession(config).relay(block, mempool)
+    assert result.success and not result.escalated
+    assert result.block.txids == block.txids
+    assert result.cost.as_dict() == loop.cost.as_dict()
+    _assert_event_parity(result.events, loop)
+    return loop
+
+
+class TestServedOnce:
+    """A block is opened once per node: one sender engine per held root
+    answers every connection (as ``Node._tx_engines`` does), and it
+    lives no longer than its block."""
+
+    @pytest.mark.parametrize("fetchers", [2, 5])
+    def test_equal_m_is_one_opening(self, fetchers):
+        sc = _scenario(301, n=120)
+        pools = [sc.receiver_mempool.copy() for _ in range(fetchers)]
+        server, results = _serve_once(sc.block, pools)
+        (engine,) = server.serving_engines.values()
+        assert engine.openings_built == 1
+        assert [event.command for event in engine.telemetry] \
+            == ["graphene_block"] * fetchers
+        for result, pool in zip(results, pools):
+            _assert_loopback_twin(result, sc.block, pool)
+
+    def test_protocol3_shares_one_symbol_stream(self):
+        """5 % of the block missing: opening, one continuation each --
+        all five peers read the one engine's one ``RIBLTEncoder``."""
+        config = GrapheneConfig(protocol=3)
+        sc = _scenario(302, fraction=0.95, n=200)
+        pools = [sc.receiver_mempool.copy() for _ in range(5)]
+        server, results = _serve_once(sc.block, pools, config=config)
+        (engine,) = server.serving_engines.values()
+        assert engine.openings_built == 1
+        served = [event.command for event in engine.telemetry]
+        assert served.count("graphene_p3_block") == 5
+        assert served.count("graphene_p3_symbols") >= 5
+        for result, pool in zip(results, pools):
+            loop = _assert_loopback_twin(result, sc.block, pool, config)
+            assert result.protocol_used == loop.protocol_used == 3
+
+    def test_different_m_is_two_openings_both_correct(self):
+        sc = _scenario(303, n=120)
+        small = sc.receiver_mempool.copy()
+        large = sc.receiver_mempool.copy()
+        large.add_many(_scenario(304, n=40).receiver_mempool.transactions())
+        assert len(small) != len(large)
+        server, results = _serve_once(sc.block, [small, large, small.copy()])
+        (engine,) = server.serving_engines.values()
+        assert engine.openings_built == 2
+        for result, pool in zip(results, (small, large, small)):
+            _assert_loopback_twin(result, sc.block, pool)
+
+    def test_multi_frame_exchanges_survive_a_serving_cap_of_one(self):
+        """The bug the re-keying closes: per ``(connection, root)`` a
+        cap of 1 (or > 64 connections at the default) evicted the first
+        fetcher's engine when the second's ``getdata`` arrived and
+        rebuilt it on the next frame.  P1 fails, P2, short-id fetch --
+        three serves per fetcher, all from the one engine."""
+        sc = _scenario(305, fraction=0.9, n=200)
+        pools = [sc.receiver_mempool.copy() for _ in range(2)]
+        server, results = _serve_once(
+            sc.block, pools, policy=RecoveryPolicy(serving_cap=1))
+        (engine,) = server.serving_engines.values()
+        assert engine.openings_built == 1
+        assert sorted(event.command for event in engine.telemetry) \
+            == sorted(["graphene_block", "graphene_p2_response",
+                       "block_txs"] * 2)
+        for result, pool in zip(results, pools):
+            loop = _assert_loopback_twin(result, sc.block, pool)
+            assert result.roundtrips == loop.roundtrips > 2
+
+    def test_an_engine_lives_no_longer_than_its_block(self):
+        """``blocks.pop(root)`` is all a caller does to retire a block
+        (``benchmarks/e2e/socketpair.py``): the next served block sweeps
+        the unreachable engine, and nothing else pins the ``Block``."""
+        pool = _scenario(306).receiver_mempool
+        pool.add_many(_scenario(307).receiver_mempool.transactions())
+
+        async def run():
+            server = PeerManager("server")
+            await server.listen()
+            fetcher = PeerManager("fetcher", mempool=pool)
+            try:
+                block = _scenario(306).block
+                gone = weakref.ref(block)
+                (first,) = await _fan_out(server, block, [fetcher])
+                del block
+                server.blocks.pop(first.root, None)
+                (second,) = await _fan_out(server, _scenario(307).block,
+                                           [fetcher])
+                gc.collect()
+                return server, first, second, gone()
+            finally:
+                await fetcher.close()
+                await server.close()
+
+        server, first, second, popped = asyncio.run(run())
+        assert first.success and second.success
+        assert popped is None
+        assert list(server.serving_engines) == [second.root] != [first.root]
+
+    def test_serving_cap_bounds_blocks(self):
+        scenarios = [_scenario(310 + i, n=20) for i in range(4)]
+        pool = scenarios[0].receiver_mempool
+        for sc in scenarios[1:]:
+            pool.add_many(sc.receiver_mempool.transactions())
+
+        async def run():
+            server = PeerManager("server",
+                                 policy=RecoveryPolicy(serving_cap=2))
+            await server.listen()
+            fetcher = PeerManager("fetcher", mempool=pool)
+            try:
+                sizes = []
+                for sc in scenarios:  # every block stays held
+                    (result,) = await _fan_out(server, sc.block, [fetcher])
+                    assert result.success
+                    sizes.append(len(server.serving_engines))
+                return sizes, list(server.serving_engines)
+            finally:
+                await fetcher.close()
+                await server.close()
+
+        sizes, roots = asyncio.run(run())
+        assert sizes == [1, 2, 2, 2]
+        assert roots == [sc.block.header.merkle_root
+                         for sc in scenarios[2:]]
+
+    def test_a_fetcher_leaving_mid_exchange_leaves_the_engine(self):
+        """A disconnect touches no serving state: the quitter opens the
+        exchange and hangs up; the others are served from the engine it
+        opened."""
+        sc = _scenario(320, n=120)
+        pools = [sc.receiver_mempool.copy() for _ in range(2)]
+        root = sc.block.header.merkle_root
+        getdata = GrapheneReceiverEngine(sc.receiver_mempool).start().message
+
+        async def run():
+            server = PeerManager("server")
+            port = await server.listen()
+            server.serve_block(sc.block)  # announced as each peer connects
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            quitter = PeerConnection(reader, writer, "quitter")
+            await quitter.handshake()
+            quitter.send("getdata", encode_keyed(root, getdata))
+            await quitter.drain()
+            while (await asyncio.wait_for(quitter.read_frame(), 5))[0] \
+                    != "graphene_block":
+                pass
+            opened = server.serving_engines[root]
+            await quitter.close()
+            await asyncio.wait_for(server.wait_served(1), 5)
+            fetchers = [PeerManager(f"fetcher{i}", mempool=pool)
+                        for i, pool in enumerate(pools)]
+            try:
+                for fetcher in fetchers:
+                    await fetcher.connect("127.0.0.1", port)
+                results = await asyncio.gather(
+                    *(fetcher.fetch_next(timeout=15) for fetcher in fetchers))
+                return opened, server.serving_engines, results
+            finally:
+                for manager in fetchers + [server]:
+                    await manager.close()
+
+        opened, engines, results = asyncio.run(run())
+        assert engines == {root: opened}
+        assert opened.openings_built == 1 and len(opened.telemetry) == 3
+        for result, pool in zip(results, pools):
+            _assert_loopback_twin(result, sc.block, pool)
 
 
 def _rebuild_combined():

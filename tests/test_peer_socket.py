@@ -24,6 +24,7 @@ import pytest
 
 from repro.chain.scenarios import make_block_scenario
 from repro.core.session import BlockRelaySession
+from repro.core.sizing import CostBreakdown
 from repro.errors import ParameterError, ProtocolFailure
 from repro.net.peer import (
     AsyncioTransport,
@@ -34,6 +35,7 @@ from repro.net.peer import (
     encode_inv,
     encode_version,
     fetch_block,
+    split_keyed,
 )
 from repro.net.recovery import RecoveryPolicy
 from repro.net.transport import LoopbackTransport
@@ -233,6 +235,73 @@ class TestHostilePayloads:
         assert result.success
         assert json.dumps([e.as_dict() for e in result.events]) \
             == json.dumps([e.as_dict() for e in loop.events])
+
+    @pytest.mark.parametrize("command,message", [
+        row for row in TO_SERVER if row[0].startswith("graphene_p")],
+        ids=["graphene_p2_request", "graphene_p3_request"])
+    def test_hostile_frame_leaves_the_shared_engine_serving(
+            self, command, message, caplog):
+        """Every connection is answered from the block's one sender
+        engine.  Bob opens a P1 -> P2 -> short-id exchange and holds it
+        after the first reply; mallory's malformed request for the same
+        root passes through that engine and drops mallory alone; Bob
+        finishes at the loopback cost and a later fetch is served by
+        the same engine object, from the opening Bob's getdata built."""
+        def scenario():
+            return make_block_scenario(n=200, extra=200, fraction=0.9,
+                                       seed=5)
+        sc = scenario()
+
+        async def run():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            server = BlockServer(sc.block)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            bob = PeerConnection(reader, writer, "bob")
+            engine = GrapheneReceiverEngine(scenario().receiver_mempool)
+            transport = AsyncioTransport(writer, server.root)
+            try:
+                await bob.handshake()
+                action, shared = engine.start(), None
+                while action.kind is ActionKind.SEND:
+                    transport.deliver(action)
+                    await bob.drain()
+                    reply, payload = await asyncio.wait_for(
+                        bob.read_frame(), 5)
+                    while reply == "inv":
+                        reply, payload = await asyncio.wait_for(
+                            bob.read_frame(), 5)
+                    if shared is None:  # mid-exchange: one reply in
+                        shared = server.serving_engines[server.root]
+                        await _mallory(port,
+                                       [(command, server.root + message)])
+                        await asyncio.wait_for(server.wait_served(1), 5)
+                    action = engine.handle(reply, split_keyed(payload)[1])
+                carol = await fetch_block("127.0.0.1", port,
+                                          scenario().receiver_mempool)
+                return (unhandled, action, engine, carol, shared,
+                        server.serving_engines)
+            finally:
+                await bob.close()
+                await server.close()
+
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.net.peer.manager"):
+            unhandled, final, bob, carol, shared, engines = asyncio.run(run())
+        assert unhandled == []
+        assert caplog.text.count("dropping misbehaving peer") == 1
+        assert "dropping misbehaving peer mallory" in caplog.text
+        loop = BlockRelaySession().relay(scenario().block,
+                                         scenario().receiver_mempool)
+        assert loop.roundtrips > 2  # the multi-frame path
+        assert final.kind is ActionKind.DONE
+        assert CostBreakdown.from_events(bob.telemetry).as_dict() \
+            == loop.cost.as_dict()
+        assert carol.success and carol.cost.as_dict() == loop.cost.as_dict()
+        assert engines == {sc.block.header.merkle_root: shared}
+        assert shared.openings_built == 1
 
     @pytest.mark.parametrize("version", [
         struct.pack("<IQ", PROTOCOL_VERSION, 1),                 # no id
