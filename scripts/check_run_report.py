@@ -34,6 +34,9 @@ DEFAULT_REPORT = REPO / "results" / "run_report.json"
 REQUIRED = {
     "net": (
         "graphene_line_coverage",
+        "compact_blocks_line_coverage",
+        "xthin_line_coverage",
+        "full_block_line_coverage",
         "loopback_parity_n1",
         "relay_parts_fold_to_costbreakdown",
         "relay_retry_bytes_within_total",

@@ -7,8 +7,8 @@ wiring hold together outside the unit-test harness:
 * a five-node Graphene network (one lossy link) propagates a block to
   every node and the loopback session accounts byte-for-byte the same
   cost as the simulated relay's telemetry stream;
-* the same block propagates over a Compact Blocks network (baseline
-  protocol wiring stays healthy);
+* the same block propagates over Compact Blocks, XThin and full-block
+  networks (every baseline protocol's wiring stays healthy);
 * a mempool sync over the wire converges two diverged pools;
 * a 20-node Graphene topology with 5% loss on every link converges
   through the recovery ladder (timeouts/retries visible, no stranded
@@ -225,8 +225,8 @@ def main(argv=None) -> int:
 
     report = RunReport(name="smoke_net",
                        context={"seed_chaos": 2024, "loss_chaos": 0.05})
-    smoke_relay(RelayProtocol.GRAPHENE, report)
-    smoke_relay(RelayProtocol.COMPACT_BLOCKS, report)
+    for protocol in RelayProtocol:
+        smoke_relay(protocol, report)
     smoke_mempool_sync(report)
     smoke_chaos(report)
     smoke_scale(report)

@@ -5,19 +5,22 @@ transaction ID shortened to 6 bytes (SipHash-keyed in deployment; the
 paper's simulations use 8-byte IDs "in expectation of being applied to
 large blocks and mempools", which we mirror via ``short_id_bytes``).
 A receiver missing transactions requests them by *index into the
-block's ordered transaction list* -- 1- or 3-byte indexes depending on
-block size, exactly the accounting of section 5.3 -- costing one extra
-roundtrip.
+short-ID list* -- 1- or 3-byte indexes depending on block size, exactly
+the accounting of section 5.3 -- costing one extra roundtrip.
+
+The steps are pure functions, driven on loopback by
+:class:`CompactBlocksRelay` and over simulated links by
+:class:`~repro.net.node.Node`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
+from repro.chain.transaction import Transaction
 from repro.core.sizing import MSG_HEADER_BYTES, getdata_bytes, inv_bytes
 from repro.errors import ParameterError
 from repro.utils.serialization import compact_size_len
@@ -33,6 +36,12 @@ def index_width(n: int) -> int:
     return 1 if n <= 0xFF else 3
 
 
+def getblocktxn_bytes(n: int, missing: int) -> int:
+    """The repair request for ``missing`` indexes into a block of ``n``."""
+    return (MSG_HEADER_BYTES + compact_size_len(missing)
+            + index_width(n) * missing)
+
+
 def compact_blocks_bytes(n: int, short_id_bytes: int = 8,
                          missing: int = 0,
                          include_header: bool = True) -> int:
@@ -46,9 +55,41 @@ def compact_blocks_bytes(n: int, short_id_bytes: int = 8,
     if include_header:
         size += 80
     if missing > 0:
-        size += (MSG_HEADER_BYTES + compact_size_len(missing)
-                 + index_width(n) * missing)
+        size += getblocktxn_bytes(n, missing)
     return size
+
+
+def send_cmpctblock(block: Block, sid=Transaction.short_id,
+                    short_id_bytes: int = 8):
+    """Sender: ``(short IDs, prefilled, bytes)``.  The coinbase, which
+    the receiver cannot have, is prefilled in full; the rest by ``sid``."""
+    prefilled = tuple(tx for tx in block.txs if tx.is_coinbase)
+    sids = tuple(sid(tx) for tx in block.txs if not tx.is_coinbase)
+    return sids, prefilled, (compact_blocks_bytes(len(sids), short_id_bytes)
+                             + sum(tx.size for tx in prefilled))
+
+
+def send_blocktxn(block: Block, indexes) -> tuple:
+    """Sender: the transactions at ``indexes`` of the short-ID list."""
+    listed = [tx for tx in block.txs if not tx.is_coinbase]
+    return tuple(listed[i] for i in indexes if i < len(listed))
+
+
+def match_short_ids(sids, pool, sid=Transaction.short_id):
+    """Receiver: ``(matched txs, missing indexes, collisions)`` of
+    ``sids`` against ``pool``.  A short ID two pool transactions share
+    is missing, in either order (Bitcoin Core: "two mempool txns match
+    the short id, just request it"), and counts as one collision."""
+    pool_by_sid: dict = {}
+    collided: set = set()
+    for tx in pool:
+        key = sid(tx)
+        if pool_by_sid.setdefault(key, tx).txid != tx.txid:
+            collided.add(key)
+    slots = [None if key in collided else pool_by_sid.get(key)
+             for key in sids]
+    missing = [idx for idx, tx in enumerate(slots) if tx is None]
+    return [tx for tx in slots if tx is not None], missing, len(collided)
 
 
 @dataclass
@@ -86,55 +127,21 @@ class CompactBlocksRelay:
             return tx.keyed_short_id(self.siphash_key, self.short_id_bytes)
         return tx.short_id(self.short_id_bytes)
 
-    def relay(self, block: Block, receiver_mempool: Mempool,
-              coinbase: Optional[bytes] = None) -> CompactBlocksOutcome:
-        n = block.n
-        # BIP-152 prefills the coinbase (and any other transactions the
-        # sender knows the receiver cannot have) in full.
-        prefilled = [tx for tx in block.txs if tx.is_coinbase]
-        prefilled_ids = {tx.txid for tx in prefilled}
-        shortid_bytes = (compact_blocks_bytes(
-            n - len(prefilled), self.short_id_bytes, missing=0)
-            + sum(tx.size for tx in prefilled))
-        base = inv_bytes() + getdata_bytes(0) + shortid_bytes
-
-        block_sids = [self._sid(tx) for tx in block.txs]
-        pool_by_sid: dict = {}
-        collisions = 0
-        for tx in receiver_mempool:
-            sid = self._sid(tx)
-            if sid in pool_by_sid and pool_by_sid[sid].txid != tx.txid:
-                collisions += 1
-            pool_by_sid[sid] = tx
-
-        matched: dict = {}
-        missing_indexes: list = []
-        for idx, (tx, sid) in enumerate(zip(block.txs, block_sids)):
-            if tx.txid in prefilled_ids:
-                matched[idx] = tx  # delivered in full, no lookup
-                continue
-            found = pool_by_sid.get(sid)
-            if found is None:
-                missing_indexes.append(idx)
-            else:
-                matched[idx] = found
-
-        outcome = CompactBlocksOutcome(
-            success=False, total_bytes=base, shortid_bytes=shortid_bytes,
-            collisions=collisions)
-        repair_txs = []
-        if missing_indexes:
-            outcome.missing_count = len(missing_indexes)
-            outcome.repair_request_bytes = (
-                MSG_HEADER_BYTES + compact_size_len(len(missing_indexes))
-                + index_width(n) * len(missing_indexes))
-            outcome.total_bytes += outcome.repair_request_bytes
-            outcome.roundtrips += 1.0
-            repair_txs = [block.txs[i] for i in missing_indexes]
-            outcome.repair_tx_bytes = sum(tx.size for tx in repair_txs)
-
-        candidate = list(matched.values()) + repair_txs
+    def relay(self, block: Block,
+              receiver_mempool: Mempool) -> CompactBlocksOutcome:
+        sids, prefilled, shortid_bytes = send_cmpctblock(
+            block, self._sid, self.short_id_bytes)
+        matched, missing, collisions = match_short_ids(
+            sids, receiver_mempool, self._sid)
+        repair = send_blocktxn(block, missing)
+        request = getblocktxn_bytes(block.n, len(missing)) if missing else 0
         # A short-ID collision that matched the *wrong* mempool txn makes
         # the Merkle check fail; BIP-152 then falls back to a full block.
-        outcome.success = block.validate_candidate(candidate)
-        return outcome
+        return CompactBlocksOutcome(
+            success=block.validate_candidate([*matched, *prefilled, *repair]),
+            total_bytes=inv_bytes() + getdata_bytes(0) + shortid_bytes
+            + request,
+            shortid_bytes=shortid_bytes, repair_request_bytes=request,
+            repair_tx_bytes=sum(tx.size for tx in repair),
+            roundtrips=2.5 if missing else 1.5, missing_count=len(missing),
+            collisions=collisions)

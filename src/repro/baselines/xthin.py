@@ -10,12 +10,16 @@ which is likely a multiple of the block size").
 ``xthin_star_bytes`` is the paper's XThin* variant (Fig. 12): the
 receiver-side Bloom filter cost removed, making the comparison to
 Graphene Protocol 1 deliberately generous to XThin.
+
+The steps are pure functions (the receiver's is Compact Blocks' short-ID
+matcher), driven by :class:`XThinRelay` and :class:`~repro.net.node.Node`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.compact_blocks import match_short_ids
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.core.sizing import getdata_bytes, inv_bytes
@@ -43,6 +47,21 @@ def xthin_bytes(n: int, m: int, fpr: float = XTHIN_MEMPOOL_FPR) -> int:
     return bloom_size_bytes(m, fpr) + 9 + xthin_star_bytes(n)
 
 
+def mempool_filter(mempool: Mempool,
+                   fpr: float = XTHIN_MEMPOOL_FPR) -> BloomFilter:
+    """Receiver: the Bloom filter of her whole mempool the getdata carries."""
+    bloom = BloomFilter.from_fpr(max(1, len(mempool)), fpr, seed=0x7417)
+    bloom.update_packed(mempool.columns().ids)
+    return bloom
+
+
+def send_xthinblock(block: Block, bloom: BloomFilter):
+    """Sender: ``(short IDs, pushed)`` -- every transaction's 8-byte ID,
+    and in full the transactions that miss the receiver's ``bloom``."""
+    return (tuple(tx.short_id(XTHIN_SHORT_ID_BYTES) for tx in block.txs),
+            tuple(block.columns.outside(bloom).txs))
+
+
 @dataclass
 class XThinOutcome:
     """Result of one XThin relay."""
@@ -67,46 +86,19 @@ class XThinRelay:
     mempool_fpr: float = XTHIN_MEMPOOL_FPR
 
     def relay(self, block: Block, receiver_mempool: Mempool) -> XThinOutcome:
-        m = len(receiver_mempool)
-        # Receiver: Bloom filter over her whole mempool rides the getdata.
-        bloom = BloomFilter.from_fpr(max(1, m), self.mempool_fpr, seed=0x7417)
-        bloom.update(tx.txid for tx in receiver_mempool)
+        bloom = mempool_filter(receiver_mempool, self.mempool_fpr)
+        sids, pushed = send_xthinblock(block, bloom)
+        # Any missing slot fails the thinblock -- a short ID two
+        # transactions share included -- and the receiver falls back to
+        # the full block (paper 6.1: the attack "always" defeats XThin).
+        matched, missing, collisions = match_short_ids(
+            sids, [*receiver_mempool, *pushed])
         bloom_cost = bloom.serialized_size()
-
-        # Sender: 8-byte ID list plus proactive push of filter misses.
-        pushed = [tx for tx, hit in zip(block.txs, bloom.contains_many(
-            tx.txid for tx in block.txs)) if not hit]
         shortid_cost = xthin_star_bytes(block.n)
-
-        # Receiver reconstructs from mempool short IDs plus pushed txs.
-        # Two distinct transactions sharing a short ID make the 8-byte
-        # list ambiguous; like the deployed client, the thinblock then
-        # fails and the receiver falls back (paper 6.1: the attack
-        # "always" defeats XThin).
-        pool_by_sid: dict = {}
-        collided: set = set()
-        for tx in list(receiver_mempool) + pushed:
-            sid = tx.short_id(XTHIN_SHORT_ID_BYTES)
-            if sid in pool_by_sid and pool_by_sid[sid].txid != tx.txid:
-                collided.add(sid)
-            pool_by_sid[sid] = tx
-        collisions = len(collided)
-
-        candidate = []
-        complete = True
-        for tx in block.txs:
-            sid = tx.short_id(XTHIN_SHORT_ID_BYTES)
-            found = pool_by_sid.get(sid)
-            if found is None or sid in collided:
-                complete = False
-                continue
-            candidate.append(found)
-
-        success = complete and block.validate_candidate(candidate)
-        total = inv_bytes() + getdata_bytes(0) + bloom_cost + shortid_cost
-        return XThinOutcome(success=success, total_bytes=total,
-                            bloom_bytes=bloom_cost,
-                            shortid_bytes=shortid_cost,
-                            pushed_tx_bytes=sum(tx.size for tx in pushed),
-                            pushed_count=len(pushed),
-                            collisions=collisions)
+        return XThinOutcome(
+            success=not missing and block.validate_candidate(matched),
+            total_bytes=inv_bytes() + getdata_bytes(0) + bloom_cost
+            + shortid_cost,
+            bloom_bytes=bloom_cost, shortid_bytes=shortid_cost,
+            pushed_tx_bytes=sum(tx.size for tx in pushed),
+            pushed_count=len(pushed), collisions=collisions)

@@ -96,13 +96,12 @@ def synchronize_mempools(sender: Mempool, receiver: Mempool,
     # The reconciled view holds everything recovered from the sender's
     # side (fetched repairs included); anything new joins the receiver.
     reconciled = rx_engine.reconciled
-    sender_ids = set(sender.txids)
     result.receiver_gained = receiver.add_many(reconciled.values())
 
     # Receiver pushes H: her transactions the sender provably lacks --
     # failed S outright, or recovered as remote keys (false passes).
-    h_txs = [tx for tx in receiver
-             if tx.txid not in reconciled and tx.txid not in sender_ids]
+    # She reads only the reconciled view; the sender's mempool is not hers.
+    h_txs = [tx for tx in receiver if tx.txid not in reconciled]
     cost.fetched_tx_bytes += sum(tx.size for tx in h_txs)
     events.append(MessageEvent(
         command="sync_push", direction="sent", role="receiver",

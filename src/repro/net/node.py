@@ -18,11 +18,10 @@ import struct
 import zlib
 from typing import Optional
 
-from repro.baselines.compact_blocks import compact_blocks_bytes, index_width
-from repro.baselines.xthin import XTHIN_MEMPOOL_FPR, xthin_star_bytes
+from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
-from repro.chain.transaction import SHORT_ID_BYTES, Transaction
+from repro.chain.transaction import Transaction
 from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
@@ -36,6 +35,7 @@ from repro.core.sizing import (
     INV_ENTRY_BYTES,
     MSG_HEADER_BYTES,
     getdata_bytes,
+    inv_bytes,
 )
 from repro.errors import ParameterError
 from repro.net.messages import NetMessage
@@ -50,8 +50,6 @@ from repro.net.recovery import (
 from repro.net.simulator import FaultInjector, Link, Simulator
 from repro.net.sync import MempoolSyncMixin, SYNC_ROUTES
 from repro.net.transport import SimulatorTransport
-from repro.pds.bloom import BloomFilter
-from repro.utils.serialization import compact_size_len
 
 #: Graphene wire commands dispatched straight to an engine (the plain
 #: ``getdata`` stays multiplexed with tx gossip and baseline relay).
@@ -67,6 +65,13 @@ def derive_loss_seed(src_id: str, dst_id: str) -> int:
     loss across the whole topology), yet runs stay reproducible.
     """
     return zlib.crc32(f"{src_id}->{dst_id}".encode())
+
+
+def _enveloped(command: str, payload, wire_bytes: int) -> NetMessage:
+    """A message whose size model (``getdata_bytes``, ``inv_bytes``,
+    ``getblocktxn_bytes``) already counts the envelope that
+    :attr:`NetMessage.total_size` adds to every ad-hoc payload."""
+    return NetMessage(command, payload, wire_bytes - MSG_HEADER_BYTES)
 
 
 class RelayProtocol(enum.Enum):
@@ -354,15 +359,14 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
                 if txid not in self.mempool and txid not in self._seen_inv)
             if wanted:
                 self._seen_inv.update(wanted)
-                self._send(sender, NetMessage(
-                    "getdata", ("txs", wanted),
-                    MSG_HEADER_BYTES + compact_size_len(len(wanted))
-                    + INV_ENTRY_BYTES * len(wanted)))
+                # A getdata's inventory vector is laid out like an inv's.
+                self._send(sender, _enveloped("getdata", ("txs", wanted),
+                                              inv_bytes(len(wanted))))
             return
         txid = payload
         if txid not in self.mempool and txid not in self._seen_inv:
             self._seen_inv.add(txid)
-            self._send(sender, NetMessage("getdata", ("tx", txid),
+            self._send(sender, _enveloped("getdata", ("tx", txid),
                                           getdata_bytes(0)))
 
     # ------------------------------------------------------------------
@@ -399,18 +403,12 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
                 len(action.message), event=action.event))
             return
         if self.protocol is RelayProtocol.XTHIN:
-            # XThin's getdata carries a Bloom filter of the whole
-            # mempool (paper 2.2).
-            bloom = BloomFilter.from_fpr(
-                max(1, len(self.mempool)), XTHIN_MEMPOOL_FPR,
-                seed=0x7417)
-            for tx in self.mempool:
-                bloom.insert(tx.txid)
-            self._send(peer, NetMessage(
+            bloom = xthin.mempool_filter(self.mempool)
+            self._send(peer, _enveloped(
                 "xthin_getdata", (root, bloom),
                 getdata_bytes(0) + bloom.serialized_size()))
             return
-        self._send(peer, NetMessage(
+        self._send(peer, _enveloped(
             "getdata", ("block", root, len(self.mempool)),
             getdata_bytes(len(self.mempool))))
 
@@ -430,7 +428,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         SimulatorTransport(self, peer, root).deliver(action)
 
     def _send_fullblock_getdata(self, peer: "Node", root: bytes) -> None:
-        self._send(peer, NetMessage(
+        self._send(peer, _enveloped(
             "getdata", ("fullblock", root, 0), getdata_bytes(0)))
 
     def _on_getdata(self, sender: "Node", payload) -> None:
@@ -449,9 +447,8 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
             return
         if kind == "block":
             block = self.blocks.get(payload[1])
-            if block is None:
-                return
-            self._relay_block(sender, block, payload[2])
+            if block is not None:
+                self._relay_block(sender, block, payload[2])
             return
         if kind == "fullblock":
             # Fallback after a failed reconciliation: ship everything.
@@ -480,9 +477,8 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         """Serve a block with the configured relay protocol.
 
         Graphene runs its real message exchange (the core engines over
-        actual encoded bytes); the baselines compute their outcome with
-        the same structures the benchmarks use and ship one message of
-        the corresponding size.  Either way the simulator adds transport
+        actual encoded bytes); Compact Blocks runs the sender step its
+        loopback relay runs.  Either way the simulator adds transport
         costs on top.
         """
         proto = self.protocol
@@ -506,18 +502,11 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
             SimulatorTransport(self, peer, root).deliver(action)
             return
         if proto is RelayProtocol.COMPACT_BLOCKS:
-            # BIP-152 cmpctblock: short IDs plus prefilled coinbase.
-            prefilled = tuple(tx for tx in block.txs if tx.is_coinbase)
-            sids = tuple(tx.short_id(SHORT_ID_BYTES) for tx in block.txs
-                         if not tx.is_coinbase)
-            size = (compact_blocks_bytes(len(sids), SHORT_ID_BYTES)
-                    + sum(tx.size for tx in prefilled))
+            sids, prefilled, size = compact_blocks.send_cmpctblock(block)
             self._send(peer, NetMessage(
-                "cmpctblock",
-                (root, block.header, sids, prefilled), size))
+                "cmpctblock", (root, block.header, sids, prefilled), size))
             return
-        size = block.serialized_size()
-        self._send(peer, NetMessage("block", block, size))
+        self._send(peer, NetMessage("block", block, block.serialized_size()))
 
     def _on_block(self, sender: "Node", block: Block) -> None:
         self._accept_block(block, origin=sender)
@@ -568,7 +557,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self._note_block_progress(root)
 
     # ------------------------------------------------------------------
-    # Compact Blocks wire handlers (BIP-152 message flow)
+    # Compact Blocks and XThin wire handlers (steps: repro.baselines)
     # ------------------------------------------------------------------
 
     def _fallback_full_block(self, sender: "Node", root: bytes) -> None:
@@ -576,45 +565,30 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self.relay_failures += 1
         self._escalate_block_fetch(root, sender, "decode_failed")
 
-    def _try_accept_candidate(self, sender: "Node", root: bytes,
-                              header, txs) -> bool:
-        probe = Block(header=header, txs=())
-        ordered = probe.validated_order(list(txs))
-        if ordered is not None:
-            self._accept_block(Block(header=header, txs=tuple(ordered)),
-                               origin=sender)
-            return True
-        return False
+    def _accept_candidate(self, sender: "Node", root: bytes, header,
+                          txs) -> None:
+        """Accept ``txs`` if they hash to ``header``'s root, else fall back."""
+        ordered = Block(header=header, txs=()).validated_order(list(txs))
+        if ordered is None:
+            self._fallback_full_block(sender, root)
+            return
+        self._accept_block(Block(header=header, txs=tuple(ordered)),
+                           origin=sender)
 
     def _on_cmpctblock(self, sender: "Node", payload) -> None:
         root, header, sids, prefilled = payload
         if root in self.blocks:
             return
-        pool_by_sid: dict = {}
-        collided: set = set()
-        for tx in self.mempool:
-            sid = tx.short_id(SHORT_ID_BYTES)
-            if sid in pool_by_sid and pool_by_sid[sid].txid != tx.txid:
-                collided.add(sid)
-            pool_by_sid[sid] = tx
-        matched: dict = {}
-        missing: list = []
-        for idx, sid in enumerate(sids):
-            found = pool_by_sid.get(sid)
-            if found is None or sid in collided:
-                missing.append(idx)
-            else:
-                matched[idx] = found
-        txs = list(matched.values()) + list(prefilled)
+        txs, missing, _ = compact_blocks.match_short_ids(sids, self.mempool)
+        txs += prefilled
         if not missing:
-            if not self._try_accept_candidate(sender, root, header, txs):
-                self._fallback_full_block(sender, root)
+            self._accept_candidate(sender, root, header, txs)
             return
         self._cb_pending[root] = (header, txs)
-        size = (MSG_HEADER_BYTES + compact_size_len(len(missing))
-                + index_width(len(sids)) * len(missing))
-        self._send(sender, NetMessage("getblocktxn",
-                                      (root, tuple(missing)), size))
+        self._send(sender, _enveloped(
+            "getblocktxn", (root, tuple(missing)),
+            compact_blocks.getblocktxn_bytes(len(sids) + len(prefilled),
+                                             len(missing))))
         # The exchange advanced; give the blocktxn reply a fresh timer
         # (a timeout restarts the whole cmpctblock request).
         self._note_block_progress(root)
@@ -624,9 +598,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         block = self.blocks.get(root)
         if block is None:
             return
-        non_prefilled = [tx for tx in block.txs if not tx.is_coinbase]
-        txs = tuple(non_prefilled[i] for i in indexes
-                    if i < len(non_prefilled))
+        txs = compact_blocks.send_blocktxn(block, indexes)
         self._send(sender, NetMessage("blocktxn", (root, txs),
                                       sum(tx.size for tx in txs)))
 
@@ -636,48 +608,28 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         if pending is None:
             return
         header, partial = pending
-        if not self._try_accept_candidate(sender, root, header,
-                                          partial + list(txs)):
-            self._fallback_full_block(sender, root)
-
-    # ------------------------------------------------------------------
-    # XThin wire handlers
-    # ------------------------------------------------------------------
+        self._accept_candidate(sender, root, header, partial + list(txs))
 
     def _on_xthin_getdata(self, sender: "Node", payload) -> None:
         root, bloom = payload
         block = self.blocks.get(root)
         if block is None:
             return
-        pushed = tuple(tx for tx in block.txs if tx.txid not in bloom)
-        sids = tuple(tx.short_id(SHORT_ID_BYTES) for tx in block.txs)
-        size = xthin_star_bytes(block.n) + sum(tx.size for tx in pushed)
+        sids, pushed = xthin.send_xthinblock(block, bloom)
         self._send(sender, NetMessage(
-            "xthinblock", (root, block.header, sids, pushed), size))
+            "xthinblock", (root, block.header, sids, pushed),
+            xthin.xthin_star_bytes(block.n) + sum(tx.size for tx in pushed)))
 
     def _on_xthinblock(self, sender: "Node", payload) -> None:
         root, header, sids, pushed = payload
         if root in self.blocks:
             return
-        pool_by_sid: dict = {}
-        collided: set = set()
-        for tx in list(self.mempool) + list(pushed):
-            sid = tx.short_id(SHORT_ID_BYTES)
-            if sid in pool_by_sid and pool_by_sid[sid].txid != tx.txid:
-                collided.add(sid)
-            pool_by_sid[sid] = tx
-        txs = []
-        complete = True
-        for sid in sids:
-            found = pool_by_sid.get(sid)
-            if found is None or sid in collided:
-                complete = False
-                break
-            txs.append(found)
-        if complete and self._try_accept_candidate(sender, root, header,
-                                                   txs):
-            return
-        self._fallback_full_block(sender, root)
+        txs, missing, _ = compact_blocks.match_short_ids(
+            sids, [*self.mempool, *pushed])
+        if missing:
+            self._fallback_full_block(sender, root)
+        else:
+            self._accept_candidate(sender, root, header, txs)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.scenarios import make_sync_scenario
 from repro.chain.transaction import TransactionGenerator
+from repro.core.mempool_sync import synchronize_mempools
+from repro.core.params import GrapheneConfig
 from repro.errors import ParameterError
 from repro.net.node import Node
 from repro.net.simulator import Link, Simulator
@@ -156,3 +159,34 @@ class TestP1PathWithMissing:
             assert tx.txid in a.mempool
         # And b received a's extras via the H push.
         assert len(b.mempool) == len(a.mempool)
+
+
+class TestOneRuleForH:
+    """The pushed set H is read off the reconciled view alone -- what a
+    receiver knows -- by the loopback and the simulated sync alike."""
+
+    @pytest.mark.parametrize("protocol", [1, 3])
+    @pytest.mark.parametrize("common", [0.2, 0.8, 0.95])
+    def test_loopback_and_simulated_sync_push_the_same_h(self, protocol,
+                                                         common):
+        config = GrapheneConfig(protocol=protocol)
+        for seed in range(3):
+            sc = make_sync_scenario(200, common, seed=seed)
+            sender = sc.sender_mempool.copy()
+            before = set(sender.txids)
+            result = synchronize_mempools(sender,
+                                          sc.receiver_mempool.copy(), config)
+            assert result.synchronized
+            loopback_h = set(sender.txids) - before
+
+            sim = Simulator()
+            a = Node("a", sim, config=config)   # responder = sender
+            b = Node("b", sim, config=config)   # initiator = receiver
+            a.connect(b)
+            a.mempool.add_many(sc.sender_mempool.transactions())
+            b.mempool.add_many(sc.receiver_mempool.transactions())
+            nonce = b.initiate_mempool_sync(a)
+            sim.run()
+            assert b.sync_result(nonce).succeeded
+            assert set(a.mempool.txids) - before == loopback_h
+            assert len(loopback_h) == result.sender_gained > 0
