@@ -162,9 +162,8 @@ def smoke_chaos(report: RunReport) -> None:
                  f"{timeouts} timeouts, {retries} retries"
                  if timeouts else "the loss never bit -- scenario is not "
                  "exercising recovery, repin the seeds")
-    stranded = (sum(len(n._rx_engines) for n in nodes)
-                + sum(len(n._block_recovery) for n in nodes)
-                + sum(len(n._block_sources) for n in nodes))
+    stranded = (sum(n.pending_fetches for n in nodes)
+                + sum(len(n.announced_roots) for n in nodes))
     report.check("chaos_no_stranded_state", stranded == 0,
                  f"{stranded} stale fetch-state entries left behind")
     # Accounting: the metrics fold must equal CostBreakdown.from_events

@@ -1136,7 +1136,7 @@ class RelayEngine(Engine):
                              f"{covered}/{len(peers)} nodes hold the block "
                              "on a lossless run", params)
         for node in peers:
-            if root not in node.blocks and root in node._block_recovery:
+            if root not in node.blocks and root in node.announced_roots:
                 return self.fail("relay-dangling-state",
                                  f"{node.node_id} neither holds the block "
                                  "nor abandoned the fetch", params)

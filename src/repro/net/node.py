@@ -2,13 +2,18 @@
 
 A :class:`Node` owns a mempool, gossips transactions with inv/getdata
 like Bitcoin's p2p layer (section 2.2), and relays blocks with a
-pluggable :class:`RelayProtocol`.  Graphene relay is the canonical
-engines of :mod:`repro.core.engine` driven over a
-:class:`~repro.net.transport.SimulatorTransport`: wire commands route
-to engine steps through the engines' own command tables, and every
-engine message carries its telemetry event, so the simulator charges
-exactly the bytes the standalone benchmarks account -- plus latency,
-bandwidth and multi-hop propagation on top.
+pluggable :class:`RelayProtocol`.  What a node keeps about blocks in
+flight -- announcers, fetches, the recovery ladder, serving engines,
+span marks -- is its :class:`~repro.net.host.RelayHost`, the same host
+:class:`~repro.net.peer.manager.PeerManager` runs on sockets; a node is
+the host's driver on the :class:`~repro.net.simulator.Simulator` clock.
+Its verbs map onto :meth:`Node._send` and ``simulator.schedule``, with
+peer handles being registry node ids.  Graphene relay is the canonical
+engines of :mod:`repro.core.engine`; every engine message crosses a
+:class:`~repro.net.transport.SimulatorTransport` carrying its telemetry
+event, so the simulator charges exactly the bytes the standalone
+benchmarks account -- plus latency, bandwidth and multi-hop propagation
+on top.  The node keeps tx gossip and the Compact Blocks / XThin steps.
 """
 
 from __future__ import annotations
@@ -22,15 +27,8 @@ from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
-from repro.core.engine import (
-    ActionKind,
-    GrapheneReceiverEngine,
-    GrapheneSenderEngine,
-    RECEIVER_STEPS,
-    SENDER_STEPS,
-)
+from repro.core.engine import RECEIVER_STEPS, SENDER_STEPS
 from repro.core.params import GrapheneConfig
-from repro.core.telemetry import AggregateRecorder, EventRecorder
 from repro.core.sizing import (
     INV_ENTRY_BYTES,
     MSG_HEADER_BYTES,
@@ -38,15 +36,10 @@ from repro.core.sizing import (
     inv_bytes,
 )
 from repro.errors import ParameterError
+from repro.net.host import HostViews, RelayHost
 from repro.net.messages import NetMessage
 from repro.net.netstate import InvView, NodeStats
-from repro.net.recovery import (
-    RecoveryPolicy,
-    RelayRecoveryMixin,
-    STAGE_ENGINE,
-    STAGE_REQUEST,
-    prune_oldest,
-)
+from repro.net.recovery import RecoveryPolicy, STAGE_ENGINE, STAGE_REQUEST
 from repro.net.simulator import FaultInjector, Link, Simulator
 from repro.net.sync import MempoolSyncMixin, SYNC_ROUTES
 from repro.net.transport import SimulatorTransport
@@ -83,7 +76,7 @@ class RelayProtocol(enum.Enum):
     FULL_BLOCK = "full_block"
 
 
-class Node(RelayRecoveryMixin, MempoolSyncMixin):
+class Node(HostViews, MempoolSyncMixin):
     """One peer in the simulated network."""
 
     def __init__(self, node_id: str, simulator: Simulator,
@@ -118,8 +111,8 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self.recovery = recovery or RecoveryPolicy()
         #: Optional :class:`~repro.obs.trace.Tracer`.  When set (here or
         #: via ``Tracer.attach``), telemetry streams are created through
-        #: it so every event gets a simulator-clock timestamp, and span
-        #: marks (done / escalate / failover / abandon) are emitted at
+        #: it so every event gets a simulator-clock timestamp, and the
+        #: host marks spans (done / escalate / failover / abandon) at
         #: exchange lifecycle points.  A pure observer: traced runs are
         #: byte- and clock-identical to untraced ones.
         self.tracer = tracer
@@ -138,50 +131,22 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self.stats = NodeStats(self)
         self.block_arrival: dict = {}   # merkle root -> sim time
         #: Transaction-inv dedup (txids only; block roots live in the
-        #: recovery source registry so stalled fetches can fail over).
+        #: host's announcer registry so stalled fetches can fail over).
         #: Set-like view over the registry's shared txid bitmask table.
         self._seen_inv = InvView(self._net, self.nid)
-        # Graphene wire engines, keyed by block Merkle root.
-        self._rx_engines: dict = {}
-        self._tx_engines: dict = {}
-        #: Telemetry streams per received block relay (merkle root ->
-        #: list of MessageEvent); kept after the engine completes so
-        #: experiments can fold them into cost breakdowns, retained up
-        #: to ``recovery.telemetry_cap`` streams.
-        self.relay_telemetry: dict = {}
+        #: Announcers, fetches, the ladder and serving engines, keyed by
+        #: root; read through the :class:`HostViews` properties.
+        self.host = RelayHost(
+            self, stage=STAGE_ENGINE if protocol is RelayProtocol.GRAPHENE
+            else STAGE_REQUEST, aggregate=telemetry_mode == "aggregate")
         # Compact Blocks repair state: root -> (header, matched txs).
         self._cb_pending: dict = {}
-        # Mempool sync sessions (see repro.net.sync).
-        self._sync_sessions: dict = {}
+        # Mempool sync serving engines (see repro.net.sync).
         self._sync_serving: dict = {}
-        # Recovery subsystem state (see repro.net.recovery): per-root
-        # fetch ladders and the root -> announcing-peers registry.
-        self._block_recovery: dict = {}
-        self._block_sources: dict = {}
-        self.relay_failures = 0
-        self.relay_retries = 0
-        self.relay_timeouts = 0
         #: Wire command -> bound handler, filled lazily by
         #: :meth:`receive` so bursts skip the per-message
         #: frozenset test + ``getattr`` name lookup.
         self._handlers: dict = {}
-
-    # ------------------------------------------------------------------
-    # Observability (see repro.obs)
-    # ------------------------------------------------------------------
-
-    def _telemetry_stream(self, kind: str, key) -> list:
-        """A telemetry stream for one exchange, traced when a tracer is set."""
-        if self.tracer is not None:
-            return self.tracer.stream(self.node_id, kind, key)
-        if self.telemetry_mode == "aggregate":
-            return AggregateRecorder()
-        return EventRecorder()
-
-    def _trace_mark(self, kind: str, key, name: str, **detail) -> None:
-        """Annotate an exchange span (no-op without a tracer)."""
-        if self.tracer is not None:
-            self.tracer.mark(self.node_id, kind, key, name, **detail)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -292,24 +257,64 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self._accept_block(block, origin=None)
 
     def _accept_block(self, block: Block, origin: Optional["Node"]) -> None:
+        """Hold ``block`` and announce it to every peer but ``origin``."""
         root = block.header.merkle_root
         if root in self.blocks:
             return
         self.blocks[root] = block
         self.block_arrival[root] = self.simulator.now
-        if root in self.relay_telemetry:
-            self._trace_mark("relay", root, "done",
-                             origin=origin.node_id if origin else "mined")
         self.mempool.remove_block(block.txids)
-        # The block is here -- however it got here.  Cancel any pending
-        # recovery ladder and evict every bit of in-flight fetch state
-        # tied to this root (engines, CB repair, source registry).
-        self._gc_block_state(root)
         for peer in self.peers:
             if peer is origin:
                 continue
             self._send(peer, NetMessage("inv", ("block", root),
                                         INV_ENTRY_BYTES + 1))
+
+    # ------------------------------------------------------------------
+    # The host's driver verbs (see repro.net.host)
+    # ------------------------------------------------------------------
+
+    def send_action(self, peer: int, key, action, wire=None) -> None:
+        node = self._net.nodes[peer]
+        if wire is None and action.command == "getdata":
+            # Graphene's opening rides the getdata that tx gossip and
+            # the baselines share; it carries m (paper Fig. 2).
+            self._send(node, NetMessage(
+                "getdata", ("block", key, action.message),
+                len(action.message), event=action.event))
+            return
+        SimulatorTransport(self, node, key, command_map=wire).deliver(action)
+
+    def request_block(self, peer: int, root: bytes, full: bool) -> None:
+        node = self._net.nodes[peer]
+        if full:
+            self._send(node, _enveloped(
+                "getdata", ("fullblock", root, 0), getdata_bytes(0)))
+        elif self.protocol is RelayProtocol.XTHIN:
+            bloom = xthin.mempool_filter(self.mempool)
+            self._send(node, _enveloped(
+                "xthin_getdata", (root, bloom),
+                getdata_bytes(0) + bloom.serialized_size()))
+        else:
+            self._send(node, _enveloped(
+                "getdata", ("block", root, len(self.mempool)),
+                getdata_bytes(len(self.mempool))))
+
+    def call_later(self, delay: float, fn):
+        return self.simulator.schedule(delay, fn)
+
+    def is_alive(self, peer: int) -> bool:
+        return self._net.nodes[peer] in self.peers
+
+    def peer_label(self, peer: int) -> str:
+        return self._net.nodes[peer].node_id
+
+    def fetch_finished(self, peer, block, fetch) -> None:
+        self._cb_pending.pop(fetch.key if block is None
+                             else block.header.merkle_root, None)
+        if block is not None:
+            self._accept_block(block, None if peer is None
+                               else self._net.nodes[peer])
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -320,8 +325,9 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         handler = self._handlers.get(command)
         if handler is None:
             if command in _ENGINE_COMMANDS:
-                def handler(peer, payload, _command=command):
-                    self._on_graphene_wire(peer, _command, payload)
+                def handler(peer, payload, _command=command,
+                            _frame=self.host.on_frame):
+                    _frame(peer.nid, _command, *payload)
             elif command in SYNC_ROUTES:
                 name, step = SYNC_ROUTES[command]
                 def handler(peer, payload, _route=getattr(self, name),
@@ -336,20 +342,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
 
     def _on_inv(self, sender: "Node", payload) -> None:
         if isinstance(payload, tuple) and payload[0] == "block":
-            root = payload[1]
-            if root in self.blocks:
-                return
-            # Register every announcer so a stalled fetch can fail over
-            # (the recovery ladder's rung 3); only the first inv opens
-            # an exchange.
-            # Sources are stored as integer nids (resolved back through
-            # the registry at failover time) so 1000 announcers cost a
-            # flat int list, not a list of object references.
-            sources = self._block_sources.setdefault(root, [])
-            if sender.nid not in sources:
-                sources.append(sender.nid)
-            if root not in self._block_recovery:
-                self._begin_block_fetch(sender, root, self._initial_stage())
+            self.host.on_inv(sender.nid, payload[1])
             return
         if isinstance(payload, tuple) and payload[0] == "txs":
             # A trickled batch announcement: request all news in one
@@ -368,68 +361,6 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
             self._seen_inv.add(txid)
             self._send(sender, _enveloped("getdata", ("tx", txid),
                                           getdata_bytes(0)))
-
-    # ------------------------------------------------------------------
-    # Block fetch primitives (driven by the recovery ladder)
-    # ------------------------------------------------------------------
-
-    def _initial_stage(self) -> str:
-        """Opening recovery-ladder stage for this node's protocol."""
-        return STAGE_ENGINE if self.protocol is RelayProtocol.GRAPHENE \
-            else STAGE_REQUEST
-
-    def _request_block(self, peer: "Node", root: bytes) -> None:
-        """Issue this protocol's opening block request to ``peer``.
-
-        Called for the first inv, for a request-stage retry, and when
-        failing over to an alternate announcer (which restarts the
-        exchange with a fresh engine appending to the same telemetry
-        stream).
-        """
-        if self.protocol is RelayProtocol.GRAPHENE:
-            # Spin up a receiver engine; the getdata carries m (the
-            # engine's own start message, paper Fig. 2).
-            stream = self.relay_telemetry.get(root)
-            if stream is None:
-                stream = self._telemetry_stream("relay", root)
-                self.relay_telemetry[root] = stream
-            prune_oldest(self.relay_telemetry, self.recovery.telemetry_cap)
-            engine = GrapheneReceiverEngine(self.mempool, self.config,
-                                            telemetry=stream)
-            action = engine.start()
-            self._rx_engines[root] = engine
-            self._send(peer, NetMessage(
-                "getdata", ("block", root, action.message),
-                len(action.message), event=action.event))
-            return
-        if self.protocol is RelayProtocol.XTHIN:
-            bloom = xthin.mempool_filter(self.mempool)
-            self._send(peer, _enveloped(
-                "xthin_getdata", (root, bloom),
-                getdata_bytes(0) + bloom.serialized_size()))
-            return
-        self._send(peer, _enveloped(
-            "getdata", ("block", root, len(self.mempool)),
-            getdata_bytes(len(self.mempool))))
-
-    def _resend_engine_request(self, peer: "Node", root: bytes) -> None:
-        """Retransmit the receiver engine's last request (rung 1)."""
-        engine = self._rx_engines.get(root)
-        if engine is None:
-            # The engine went away (e.g. evicted); restart from scratch.
-            self._request_block(peer, root)
-            return
-        action = engine.reemit_last_request()
-        if action.command == "getdata":
-            self._send(peer, NetMessage(
-                "getdata", ("block", root, action.message),
-                len(action.message), event=action.event))
-            return
-        SimulatorTransport(self, peer, root).deliver(action)
-
-    def _send_fullblock_getdata(self, peer: "Node", root: bytes) -> None:
-        self._send(peer, _enveloped(
-            "getdata", ("fullblock", root, 0), getdata_bytes(0)))
 
     def _on_getdata(self, sender: "Node", payload) -> None:
         kind = payload[0]
@@ -476,30 +407,19 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
                      receiver_m) -> None:
         """Serve a block with the configured relay protocol.
 
-        Graphene runs its real message exchange (the core engines over
-        actual encoded bytes); Compact Blocks runs the sender step its
-        loopback relay runs.  Either way the simulator adds transport
-        costs on top.
+        Graphene's getdata goes to the host's one serving engine for
+        the block; Compact Blocks runs the sender step its loopback
+        relay runs.  Either way the simulator adds transport costs on
+        top.
         """
         proto = self.protocol
         root = block.header.merkle_root
         if proto is RelayProtocol.GRAPHENE:
-            engine = self._tx_engines.get(root)
-            if engine is None:
-                engine = GrapheneSenderEngine(
-                    block, self.config,
-                    telemetry=self._telemetry_stream("serve", root))
-                self._tx_engines[root] = engine
-                # Serving engines are stateless per request; retain a
-                # bounded working set of recent roots (a peer whose
-                # engine was evicted recovers via its timeout ladder).
-                prune_oldest(self._tx_engines, self.recovery.serving_cap)
             # A graphene receiver's getdata carries the engine's start
             # message; accept a bare count from non-graphene peers.
             blob = receiver_m if isinstance(receiver_m, bytes) \
                 else struct.pack("<I", receiver_m)
-            action = engine.handle("getdata", blob)
-            SimulatorTransport(self, peer, root).deliver(action)
+            self.host.on_frame(peer.nid, "getdata", root, blob)
             return
         if proto is RelayProtocol.COMPACT_BLOCKS:
             sids, prefilled, size = compact_blocks.send_cmpctblock(block)
@@ -509,71 +429,21 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         self._send(peer, NetMessage("block", block, block.serialized_size()))
 
     def _on_block(self, sender: "Node", block: Block) -> None:
-        self._accept_block(block, origin=sender)
-
-    # ------------------------------------------------------------------
-    # Graphene wire dispatch (engine-driven, real encoded messages)
-    # ------------------------------------------------------------------
-
-    def _on_graphene_wire(self, sender: "Node", command: str,
-                          payload) -> None:
-        """Route a Graphene wire command to the matching engine.
-
-        The command tables in :mod:`repro.core.engine` decide whether
-        the message belongs to a receiver or sender engine; the node
-        adds no protocol logic of its own.
-        """
-        root, blob = payload
-        if command in RECEIVER_STEPS:
-            engine = self._rx_engines.get(root)
-            if engine is None:
-                return  # already assembled via another peer
-            if not engine.accepts(command):
-                return  # late duplicate after a recovery retransmission
-            self._dispatch_receiver_action(sender, root,
-                                           engine.handle(command, blob))
-            return
-        engine = self._tx_engines.get(root)
-        if engine is None:
-            return
-        SimulatorTransport(self, sender, root).deliver(
-            engine.handle(command, blob))
-
-    def _dispatch_receiver_action(self, sender: "Node", root: bytes,
-                                  action) -> None:
-        if action.kind is ActionKind.DONE:
-            self._rx_engines.pop(root, None)
-            # Keep the received header so chain linkage survives.
-            block = action.block if action.block is not None \
-                else Block.assemble(action.txs)
-            self._accept_block(block, origin=sender)
-            return
-        if action.kind is ActionKind.FAILED:
-            # Deployed clients fall back to a full-block request.
-            self._rx_engines.pop(root, None)
-            self._fallback_full_block(sender, root)
-            return
-        SimulatorTransport(self, sender, root).deliver(action)
-        self._note_block_progress(root)
+        self.host.on_block(sender.nid, block)
 
     # ------------------------------------------------------------------
     # Compact Blocks and XThin wire handlers (steps: repro.baselines)
     # ------------------------------------------------------------------
-
-    def _fallback_full_block(self, sender: "Node", root: bytes) -> None:
-        """Decode failure: request the whole block, with recovery armed."""
-        self.relay_failures += 1
-        self._escalate_block_fetch(root, sender, "decode_failed")
 
     def _accept_candidate(self, sender: "Node", root: bytes, header,
                           txs) -> None:
         """Accept ``txs`` if they hash to ``header``'s root, else fall back."""
         ordered = Block(header=header, txs=()).validated_order(list(txs))
         if ordered is None:
-            self._fallback_full_block(sender, root)
+            self.host.decode_failed(sender.nid, root)
             return
-        self._accept_block(Block(header=header, txs=tuple(ordered)),
-                           origin=sender)
+        self.host.complete(sender.nid,
+                           Block(header=header, txs=tuple(ordered)))
 
     def _on_cmpctblock(self, sender: "Node", payload) -> None:
         root, header, sids, prefilled = payload
@@ -591,7 +461,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
                                              len(missing))))
         # The exchange advanced; give the blocktxn reply a fresh timer
         # (a timeout restarts the whole cmpctblock request).
-        self._note_block_progress(root)
+        self.host.progress(root)
 
     def _on_getblocktxn(self, sender: "Node", payload) -> None:
         root, indexes = payload
@@ -627,7 +497,7 @@ class Node(RelayRecoveryMixin, MempoolSyncMixin):
         txs, missing, _ = compact_blocks.match_short_ids(
             sids, [*self.mempool, *pushed])
         if missing:
-            self._fallback_full_block(sender, root)
+            self.host.decode_failed(sender.nid, root)
         else:
             self._accept_candidate(sender, root, header, txs)
 

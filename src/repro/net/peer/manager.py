@@ -1,44 +1,37 @@
-"""PeerManager: the one socket path, and the ladder's asyncio driver.
+"""PeerManager: the one socket path, a relay host on asyncio's clock.
 
-Every frame this package reads off a socket is read here, every
-sender/receiver engine that runs behind a socket is held here, and the
-recovery ladder of :mod:`repro.net.recovery` has exactly one asyncio
-mapping, here:
+Every frame this package reads off a socket is read here:
 
 * :class:`PeerManager` holds *many* connections in one event loop --
   a dial list of outbound peers (:meth:`PeerManager.connect`) and an
   optional listener for inbound ones (:meth:`PeerManager.listen`) --
   and is symmetric: every connection both serves the blocks this node
   holds and fetches the blocks its peers announce.
-* Exchanges are demultiplexed by the 32-byte Merkle root the engine
-  frames already carry (`root | message`, PROTOCOL.md §4.3): fetches
-  live in a per-root registry (several roots in flight on one
-  connection), and so do serving engines: one per held block answers
-  every connection, as :class:`~repro.net.node.Node` does (a sender
-  engine is stateless per request, so the opening, its encoded blob
-  and the Protocol 3 symbol stream are built once per block).
-* Every ``inv`` is recorded in a per-root *announcer registry* in
-  arrival order; only the first opens an exchange, duplicates across
-  connections are suppressed.  That registry is what the ladder's
-  third rung walks: re-emit with backoff, escalate to a full-block
-  ``getdata_block``, then **fail over to the next announcer on a
-  different connection** (fresh engine, same telemetry stream --
-  exactly the simulator's failover), and abandon with full state GC
-  once every announcer has been tried.  A connection dying mid-fetch
-  fails over immediately.
+* Engine frames are demultiplexed by the 32-byte Merkle root they
+  carry (``root | message``, PROTOCOL.md §4.3) and handed, with the
+  connection id as the peer handle, to the node's
+  :class:`~repro.net.host.RelayHost` -- the host the simulator's
+  :class:`~repro.net.node.Node` runs too.  It keeps the announcer,
+  fetch and serving registries, climbs the recovery ladder of
+  :mod:`repro.net.recovery` (re-emit with backoff, escalate to a
+  full-block ``getdata_block``, fail over to the next announcer on a
+  different connection, abandon) and marks the relay span.
+* This module maps the host's verbs onto sockets: an engine action is
+  framed by an :class:`~repro.net.peer.transport.AsyncioTransport`, a
+  timer is ``loop.call_later``, a connection that dies mid-fetch is a
+  peer gone (the fetch fails over at once), and a finished fetch is a
+  :class:`~repro.net.peer.peer.PeerFetchResult`.  What only sockets
+  have stays here: the handshake, the ``drop`` knob, envelope bytes and
+  the results queue.
 * :class:`BlockServer` and :func:`fetch_block` are the two one-line
   uses of a manager that the point-to-point call sites want: a
   listener that serves one block, and a one-entry dial list that
   returns its first fetch.
 
-The ladder's decisions, counters and recovery events come from
-:mod:`repro.net.recovery`, shared with the simulator's nodes; this
-module only sends frames, arms ``loop.call_later``, looks up the next
-live announcer and marks the relay span (``escalate`` / ``failover`` /
-``abandon`` / ``done``).  Only engines and the ladder append to
-streams; ``inv``/handshake/envelope bytes stay out of the analytic
-accounting.  :attr:`PeerFetchResult.surviving_events` is the slice of
-the stream produced by the attempt that actually completed, which is
+Only engines and the ladder append to streams; ``inv``/handshake/
+envelope bytes stay out of the analytic accounting.
+:attr:`PeerFetchResult.surviving_events` is the slice of the stream
+produced by the attempt that actually completed, which is
 byte-identical to the loopback relay of the same scenario -- pinned by
 ``tests/test_peer_socket.py``, ``tests/test_peer_mesh.py`` and the
 ``make smoke-socket`` / ``make smoke-mesh`` CI stages.
@@ -51,22 +44,16 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
-from repro.chain.merkle import merkle_root
-from repro.core.engine import (
-    ActionKind,
-    GrapheneReceiverEngine,
-    GrapheneSenderEngine,
-    RECEIVER_STEPS,
-    SENDER_STEPS,
-)
+from repro.core.engine import RECEIVER_STEPS, SENDER_STEPS
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
-from repro.core.telemetry import EventRecorder
+from repro.core.telemetry import StreamTotals
 from repro.errors import ProtocolFailure, ReproError
+from repro.net.host import HostViews, RelayHost
 from repro.net.peer.peer import PeerConnection, PeerFetchResult
 from repro.net.peer.protocol import (
     decode_full_block,
@@ -76,24 +63,15 @@ from repro.net.peer.protocol import (
     split_keyed,
 )
 from repro.net.peer.transport import AsyncioTransport
-from repro.net.recovery import (
-    ABANDON,
-    ESCALATE,
-    FetchState,
-    RESEND,
-    RecoveryPolicy,
-    STAGE_ENGINE,
-    STAGE_FULLBLOCK,
-    escalate,
-    fail_over,
-    on_timeout,
-    prune_oldest,
-)
+from repro.net.recovery import RecoveryPolicy
 
 logger = logging.getLogger(__name__)
 
 #: A fetch over many sockets and a fetch over one report the same facts.
 MeshFetchResult = PeerFetchResult
+
+#: Commands whose payload is ``root | engine message``.
+_ENGINE_COMMANDS = frozenset(RECEIVER_STEPS) | frozenset(SENDER_STEPS)
 
 
 @dataclass
@@ -114,27 +92,7 @@ class MeshConnection:
         return info.node_id if info is not None else self.address
 
 
-@dataclass
-class _SocketFetch(FetchState):
-    """The ladder state of one fetch (``peer`` is the serving
-    connection's id) plus what only a socket fetch carries: the live
-    engine and transport, and the facts its result reports."""
-
-    root: bytes = b""
-    stream: Optional[list] = None  # telemetry, reused across failovers
-    engine: Optional[GrapheneReceiverEngine] = None
-    transport: Optional[AsyncioTransport] = None
-    generation: int = 0          # stale-timer guard
-    attempt_start: int = 0       # stream index where this attempt began
-    wire_overhead: int = 0       # overhead of *retired* transports
-    relay_timeouts: int = 0      # counted by the ladder, per fetch
-    relay_retries: int = 0
-    failovers: int = 0
-    escalated: bool = False
-    abandoned: bool = False
-
-
-class PeerManager:
+class PeerManager(HostViews):
     """Concurrent peer group: listener + dial list in one event loop.
 
     A manager both **serves** (:meth:`serve_block` registers a block;
@@ -159,48 +117,29 @@ class PeerManager:
         self.node_id = node_id
         self.mempool = mempool
         self.config = config or GrapheneConfig()
-        self.policy = policy or RecoveryPolicy()
+        self.recovery = policy or RecoveryPolicy()
         self.tracer = tracer
         self.drop = dict(drop or {})
         #: Blocks this node serves, by Merkle root.
         self.blocks: Dict[bytes, Block] = {}
         self.connections: Dict[int, MeshConnection] = {}
         self.port: Optional[int] = None
-        #: Dedup / demux telemetry for tests and the CLI.
+        #: Dedup telemetry for tests and the CLI.
         self.invs_seen = 0
         self.inv_duplicates = 0
-        self.frames_shed = 0
         #: Inbound connections that have ended (a failed handshake
         #: counts: the peer was turned away, which is service too).
         self.connections_served = 0
+        #: Announcers, fetches, the ladder and serving engines, keyed by
+        #: root; read through the :class:`HostViews` properties.
+        self.host = RelayHost(self)
         self._cids = itertools.count()
         self._listener: Optional[asyncio.AbstractServer] = None
         self._closing = False
-        self._announcers: Dict[bytes, List[int]] = {}
-        self._fetches: Dict[bytes, _SocketFetch] = {}
-        self._tx_engines: Dict[bytes, GrapheneSenderEngine] = {}
-        self._fetched_roots: Dict[bytes, bool] = {}
+        self._overhead: Dict[bytes, int] = {}  # per fetch, envelope bytes
         self._completed: deque = deque()
         self._done_event = asyncio.Event()
         self._served_event = asyncio.Event()
-
-    # -- introspection (tests, CLI) -------------------------------------
-
-    @property
-    def pending_fetches(self) -> int:
-        """In-flight fetch exchanges (recovery state still live)."""
-        return len(self._fetches)
-
-    @property
-    def announced_roots(self) -> Dict[bytes, List[int]]:
-        """Snapshot of the announcer registry (root -> cids, in order)."""
-        return {root: list(cids) for root, cids in self._announcers.items()}
-
-    @property
-    def serving_engines(self) -> Dict[bytes, GrapheneSenderEngine]:
-        """Snapshot of the serving registry (root -> the one sender
-        engine every connection is answered from)."""
-        return dict(self._tx_engines)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -262,10 +201,7 @@ class PeerManager:
             self._listener.close()
             await self._listener.wait_closed()
             self._listener = None
-        for state in self._fetches.values():
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
+        self.host.cancel_timers()
         tasks = [mc.task for mc in list(self.connections.values())
                  if mc.task is not None]
         for mc in list(self.connections.values()):
@@ -308,7 +244,8 @@ class PeerManager:
                 frame = await mc.conn.read_frame()
                 if frame is None:
                     break
-                await self._dispatch(mc, *frame)
+                self._dispatch(mc, *frame)
+                await mc.conn.drain()
         except ReproError as exc:
             # Envelope, handshake-discipline and engine/codec errors
             # alike: hostile bytes raise somewhere in the family.
@@ -320,20 +257,11 @@ class PeerManager:
         finally:
             mc.alive = False
             await mc.conn.close()
-            self._on_disconnect(mc)
-
-    def _on_disconnect(self, mc: MeshConnection) -> None:
-        self.connections.pop(mc.cid, None)
-        if self._closing:
-            return
-        # A dead announcer is a lost cause immediately: no point waiting
-        # out the backoff rungs on a socket the kernel already closed.
-        for state in [s for s in self._fetches.values()
-                      if s.peer == mc.cid]:
-            logger.info("%s: announcer %s vanished mid-fetch of %s; "
-                        "failing over", self.node_id, mc.label,
-                        state.root.hex()[:12])
-            self._failover(state)
+            self.connections.pop(mc.cid, None)
+            if not self._closing:
+                # A dead announcer is a lost cause immediately: no point
+                # waiting out the backoff on a closed socket.
+                self.host.on_peer_gone(mc.cid)
 
     def _should_drop(self, command: str) -> bool:
         remaining = self.drop.get(command, 0)
@@ -344,263 +272,82 @@ class PeerManager:
             return True
         return False
 
-    # -- frame demultiplexing -------------------------------------------
-
-    async def _dispatch(self, mc: MeshConnection, command: str,
-                        payload: bytes) -> None:
+    def _dispatch(self, mc: MeshConnection, command: str,
+                  payload: bytes) -> None:
         if self._should_drop(command):
             return
-        if command == "inv":
-            self._on_inv(mc, decode_inv(payload))
-        elif command in RECEIVER_STEPS:
-            await self._on_receiver_frame(mc, command, payload)
-        elif command in SENDER_STEPS:
-            await self._on_sender_frame(mc, command, payload)
+        if command in _ENGINE_COMMANDS:
+            self.host.on_frame(mc.cid, command, *split_keyed(payload))
+        elif command == "inv":
+            root = decode_inv(payload)
+            self.invs_seen += 1
+            # A pure server never fetches: nothing to register.
+            if self.mempool is not None \
+                    and not self.host.on_inv(mc.cid, root):
+                self.inv_duplicates += 1
         elif command == "getdata_block":
-            await self._on_getdata_block(mc, decode_inv(payload))
+            block = self.blocks.get(decode_inv(payload))
+            if block is not None:
+                mc.conn.send("block", encode_full_block(block))
         elif command == "block":
-            self._on_full_block(mc, payload)
+            self.host.on_block(mc.cid, decode_full_block(payload))
         # anything else: tolerated and ignored, like bitcoind
 
-    def _on_inv(self, mc: MeshConnection, root: bytes) -> None:
-        self.invs_seen += 1
-        if self.mempool is None:
-            return  # a pure server never fetches: nothing to register
-        if root in self.blocks or root in self._fetched_roots:
-            self.inv_duplicates += 1
+    # -- the host's driver verbs (see repro.net.host) -------------------
+
+    def send_action(self, peer: int, key, action, wire=None) -> None:
+        transport = AsyncioTransport(self.connections[peer].conn.writer, key)
+        transport.deliver(action)
+        if action.command in SENDER_STEPS:  # a request of our own fetch
+            self._overhead[key] = \
+                self._overhead.get(key, 0) + transport.wire_overhead
+
+    def request_block(self, peer: int, root: bytes, full: bool) -> None:
+        self.connections[peer].conn.send("getdata_block", encode_inv(root))
+
+    def call_later(self, delay: float, fn):
+        return asyncio.get_running_loop().call_later(delay, fn)
+
+    def is_alive(self, peer: int) -> bool:
+        mc = self.connections.get(peer)
+        return mc is not None and mc.alive
+
+    def peer_label(self, peer: int) -> str:
+        mc = self.connections.get(peer)
+        return mc.label if mc is not None else f"conn#{peer}"
+
+    def fetch_finished(self, peer, block, fetch) -> None:
+        """Publish the fetch's result.  A fetched block is served onward
+        (and announced on every connection) when this node listens."""
+        if block is not None and self._listener is not None:
+            self.serve_block(block)
+        if fetch is None:
             return
-        sources = self._announcers.setdefault(root, [])
-        if mc.cid in sources:
-            self.inv_duplicates += 1
-            return
-        # Register every announcer, in arrival order: that order is the
-        # failover schedule (PROTOCOL.md §5.3).
-        sources.append(mc.cid)
-        if root not in self._fetches:
-            self._begin_fetch(root, mc)
-
-    async def _on_receiver_frame(self, mc: MeshConnection, command: str,
-                                 payload) -> None:
-        root, message = split_keyed(payload)
-        state = self._fetches.get(root)
-        if state is None or state.peer != mc.cid \
-                or state.stage != STAGE_ENGINE \
-                or not state.engine.accepts(command):
-            # A late duplicate from a retransmission, a frame from an
-            # announcer we failed away from, or an exchange we are not
-            # running: shed it here, exactly where the simulated nodes
-            # shed theirs.
-            self.frames_shed += 1
-            return
-        action = state.engine.handle(command, message)
-        state.attempts = 0  # progress resets the backoff ladder
-        if action.kind is ActionKind.SEND:
-            state.transport.deliver(action)
-            self._arm_timer(state)
-            await mc.conn.drain()
-        elif action.kind is ActionKind.FAILED:
-            # Even Protocol 2 could not complete: same escalation the
-            # simulated nodes take on a decode failure.
-            self._escalate(state, mc, why="decode_failed")
-            await mc.conn.drain()
-        else:
-            self._mark(root, "done")
-            self._finish(state, success=True, txs=action.txs,
-                         block=action.block, via_fullblock=False)
-
-    async def _on_sender_frame(self, mc: MeshConnection, command: str,
-                               payload) -> None:
-        root, message = split_keyed(payload)
-        if root not in self.blocks:
-            return  # exchange we are not serving
-        action = self._serving_engine(root).handle(command, message)
-        AsyncioTransport(mc.conn.writer, root).deliver(action)
-        await mc.conn.drain()
-
-    async def _on_getdata_block(self, mc: MeshConnection,
-                                root: bytes) -> None:
-        block = self.blocks.get(root)
-        if block is not None:
-            mc.conn.send("block", encode_full_block(block))
-            await mc.conn.drain()
-
-    def _on_full_block(self, mc: MeshConnection, payload) -> None:
-        block = decode_full_block(payload)
-        root = block.header.merkle_root
-        state = self._fetches.get(root)
-        if state is None or state.peer != mc.cid \
-                or state.stage != STAGE_FULLBLOCK:
-            self.frames_shed += 1  # unsolicited full block: ignore
-            return
-        # The header only *claims* the awaited root; hold the body to
-        # it, as the engines' DONE path does through validated_order.
-        if merkle_root(block.txids) != root:
-            raise ProtocolFailure(
-                f"full block from {mc.label} does not hash to its "
-                f"header's Merkle root {root.hex()[:12]}")
-        self._mark(root, "done", via="fullblock")
-        self._finish(state, success=True, txs=list(block.txs),
-                     block=block, via_fullblock=True)
-
-    def _serving_engine(self, root: bytes) -> GrapheneSenderEngine:
-        engine = self._tx_engines.get(root)
-        if engine is None:
-            # An engine lives no longer than its block: one whose root
-            # left ``self.blocks`` is unreachable (its frames are turned
-            # away above) and would only pin the block's transactions.
-            for stale in self._tx_engines.keys() - self.blocks.keys():
-                del self._tx_engines[stale]
-            telemetry = self.tracer.stream(self.node_id, "serve", root) \
-                if self.tracer is not None else None
-            engine = self._tx_engines[root] = GrapheneSenderEngine(
-                self.blocks[root], self.config, telemetry=telemetry)
-            prune_oldest(self._tx_engines, self.policy.serving_cap)
-        return engine
-
-    # -- the fetch ladder -----------------------------------------------
-
-    def _mark(self, root: bytes, name: str, **detail) -> None:
-        if self.tracer is not None:
-            self.tracer.mark(self.node_id, "relay", root, name, **detail)
-
-    def _begin_fetch(self, root: bytes, mc: MeshConnection) -> None:
-        stream = self.tracer.stream(self.node_id, "relay", root) \
-            if self.tracer is not None else EventRecorder()
-        state = _SocketFetch(peer=mc.cid, stage=STAGE_ENGINE, root=root,
-                             stream=stream)
-        self._fetches[root] = state
-        self._start_attempt(state, mc)
-
-    def _start_attempt(self, state: _SocketFetch,
-                       mc: MeshConnection) -> None:
-        """(Re)start the engine exchange on ``mc`` -- first attempt and
-        every failover: fresh engine, same telemetry stream, exactly
-        like the simulator's ``_request_block``."""
-        state.attempt_start = len(state.stream)
-        if state.transport is not None:
-            state.wire_overhead += state.transport.wire_overhead
-        state.engine = GrapheneReceiverEngine(self.mempool, self.config,
-                                              telemetry=state.stream)
-        state.transport = AsyncioTransport(mc.conn.writer, state.root)
-        state.transport.deliver(state.engine.start())
-        self._arm_timer(state)
-
-    def _arm_timer(self, state: _SocketFetch) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-        state.generation += 1
-        if not self.policy.enabled:
-            state.timer = None
-            return
-        state.timer = asyncio.get_running_loop().call_later(
-            self.policy.timeout_for(state.attempts),
-            self._on_fetch_timeout, state.root, state.generation)
-
-    def _on_fetch_timeout(self, root: bytes, generation: int) -> None:
-        state = self._fetches.get(root)
-        if state is None or state.generation != generation:
-            return  # stale timer; the exchange moved on
-        mc = self.connections.get(state.peer)
-        if mc is None or not mc.alive:
-            # The socket is gone and its read loop has not said so yet.
-            self._failover(state)
-            return
-        rung = on_timeout(
-            state, self.policy, state,
-            state.engine if state.stage == STAGE_ENGINE else None,
-            state.stream)
-        if rung is RESEND:
-            if state.stage == STAGE_FULLBLOCK:
-                mc.conn.send("getdata_block", encode_inv(root))
-            else:
-                state.transport.deliver(state.engine.reemit_last_request())
-            self._arm_timer(state)
-        elif rung is ESCALATE:
-            self._escalate(state, mc, why="timeout")
-        else:
-            self._failover(state)
-
-    def _escalate(self, state: _SocketFetch, mc: MeshConnection,
-                  why: str) -> None:
-        logger.info("%s: exchange for %s with %s stalled; escalating to "
-                    "full block", self.node_id, state.root.hex()[:12],
-                    mc.label)
-        detail = {"why": why}
-        if why == "timeout":
-            detail["peer"] = mc.label
-        self._mark(state.root, "escalate", **detail)
-        state.escalated = True
-        escalate(state, state.stream)
-        mc.conn.send("getdata_block", encode_inv(state.root))
-        self._arm_timer(state)
-
-    def _failover(self, state: _SocketFetch) -> None:
-        live = (cid for cid in self._announcers.get(state.root, ())
-                if cid in self.connections and self.connections[cid].alive)
-        if fail_over(state, live, STAGE_ENGINE) is ABANDON:
-            logger.warning("%s: abandoning fetch of %s (every announcer "
-                           "exhausted); a fresh inv will restart it",
-                           self.node_id, state.root.hex()[:12])
-            self._mark(state.root, "abandon")
-            state.abandoned = True
-            self._finish(state, success=False, txs=None, block=None,
-                         via_fullblock=False)
-            return
-        mc = self.connections[state.peer]
-        logger.info("%s: failing over fetch of %s to %s", self.node_id,
-                    state.root.hex()[:12], mc.label)
-        self._mark(state.root, "failover", to=mc.label)
-        state.failovers += 1
-        self._start_attempt(state, mc)
-
-    def _finish(self, state: _SocketFetch, success: bool, txs, block,
-                via_fullblock: bool) -> None:
-        """Resolve a fetch: GC every bit of in-flight state and publish
-        the result.  After an abandonment nothing is retained, so a
-        fresh ``inv`` from any peer starts the fetch over."""
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-        state.generation += 1  # disarm any already-queued timer callback
-        root = state.root
-        self._fetches.pop(root, None)
-        sources = self._announcers.pop(root, [])
-        labels = [self.connections[cid].label if cid in self.connections
-                  else f"conn#{cid}" for cid in sources]
-        if success:
-            self._fetched_roots[root] = True
-            prune_oldest(self._fetched_roots, self.policy.telemetry_cap)
-            if self._listener is not None and block is not None:
-                # A mesh node relays: once fetched, the block is served
-                # to (and announced on) every connection.
-                self.serve_block(block)
-        mc = self.connections.get(state.peer)
-        engine = state.engine
-        overhead = state.wire_overhead + (state.transport.wire_overhead
-                                          if state.transport else 0)
-        result = PeerFetchResult(
-            success=success,
+        stream, engine = fetch.stream, fetch.engine
+        outcomes = StreamTotals.of(stream).outcome_counts
+        mc = self.connections.get(fetch.peer if peer is None else peer)
+        self._completed.append(PeerFetchResult(
+            success=block is not None,
             protocol_used=engine.protocol_used,
             roundtrips=engine.roundtrips,
-            cost=CostBreakdown.from_events(state.stream),
-            txs=txs,
+            cost=CostBreakdown.from_events(stream),
+            txs=None if block is None else list(block.txs),
             block=block,
             p1_decode_failed=engine.p1_decode_failed,
             p2_used_pingpong=engine.p2_used_pingpong,
             fetched_count=engine.fetched_count,
-            events=list(state.stream),
-            root=root,
+            events=list(stream),
+            root=fetch.key,
             peer=mc.conn.peer_info if mc is not None else None,
-            timeouts=state.relay_timeouts,
-            retries=state.relay_retries,
-            escalated=state.escalated,
-            abandoned=state.abandoned,
-            via_fullblock=via_fullblock,
-            wire_overhead=overhead,
-            failovers=state.failovers,
-            announcers=labels,
-            surviving_events=list(state.stream[state.attempt_start:]))
-        self._completed.append(result)
+            timeouts=outcomes.get("timeout", 0),
+            retries=outcomes.get("retry", 0),
+            escalated=fetch.escalated,
+            abandoned=block is None,
+            via_fullblock=fetch.via_fullblock,
+            wire_overhead=self._overhead.pop(fetch.key, 0),
+            failovers=fetch.failovers,
+            announcers=[self.peer_label(cid) for cid in fetch.announcers],
+            surviving_events=list(stream[fetch.attempt_start:])))
         self._done_event.set()
 
 
@@ -633,7 +380,7 @@ async def fetch_block(host: str, port: int, mempool: Mempool,
     try:
         await manager.connect(host, port)
         try:
-            return await manager.fetch_next(manager.policy.timeout_for(0))
+            return await manager.fetch_next(manager.recovery.timeout_for(0))
         except asyncio.TimeoutError:
             if not manager.invs_seen:
                 raise ProtocolFailure(

@@ -28,9 +28,10 @@ The ladder is written once, without I/O: :class:`FetchState` plus the
 three steps :func:`on_timeout`, :func:`escalate` and :func:`fail_over`
 own the ``attempts``/``stage``/``tried`` bookkeeping, the
 ``relay_timeouts``/``relay_retries`` counting and the recovery events.
-It has two drivers, which only send, arm timers, look up live
-announcers and mark spans: :class:`RelayRecoveryMixin` on the
-:class:`~repro.net.simulator.Simulator` clock (below) and
+Their one caller is :class:`~repro.net.host.RelayHost`, which sends,
+arms timers, looks up live announcers and marks spans through its
+driver -- the :class:`~repro.net.node.Node` on the
+:class:`~repro.net.simulator.Simulator` clock or the
 :class:`~repro.net.peer.manager.PeerManager` on asyncio's.  Mempool
 sync (:mod:`repro.net.sync`) climbs rung 1 through :func:`on_timeout`
 too; it has no full-block rung and one responder, so it abandons there.
@@ -40,8 +41,8 @@ Recovery is observable: timeouts and retransmissions append
 telemetry stream (retries carry the resent byte decomposition, so
 :meth:`CostBreakdown.from_events
 <repro.core.sizing.CostBreakdown.from_events>` charges them honestly)
-and bump the driver's ``relay_timeouts`` / ``relay_retries`` counters.
-With a :class:`~repro.obs.trace.Tracer` attached, the drivers mark the
+and bump the host's ``relay_timeouts`` / ``relay_retries`` counters.
+With a :class:`~repro.obs.trace.Tracer` attached, the host marks the
 exchange's span at each transition (``escalate`` / ``failover`` /
 ``abandon``) so a trace timeline shows *why* a fetch moved between
 rungs, not just that bytes were re-spent.
@@ -49,15 +50,12 @@ rungs, not just that bytes were re-spent.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
 from repro.core.sizing import getdata_bytes
 from repro.core.telemetry import MessageEvent
 from repro.errors import ParameterError
-
-logger = logging.getLogger(__name__)
 
 #: Ladder stages of one in-flight block fetch.
 STAGE_ENGINE = "engine"        # Graphene engine exchange in progress
@@ -104,12 +102,14 @@ class RecoveryPolicy:
 
 @dataclass
 class FetchState:
-    """Recovery-ladder state of one in-flight block fetch.
+    """Recovery-ladder state of one in-flight exchange (a block fetch
+    or a mempool sync).
 
-    Shared by both drivers: ``peer`` is the serving
-    :class:`~repro.net.node.Node` in the simulator and the connection
-    id on sockets; ``timer`` is whatever the driver's clock hands back
-    (an ``EventHandle`` or an ``asyncio.TimerHandle``).
+    ``peer`` is a peer handle: the node id in the simulator, the
+    connection id on sockets.  ``key`` tags the exchange on the wire
+    (the block's Merkle root, the sync nonce); ``engine`` is its
+    receiver engine; ``timer`` is whatever the driver's clock hands
+    back (an ``EventHandle`` or an ``asyncio.TimerHandle``).
     """
 
     peer: object                    # announcer currently serving the fetch
@@ -117,9 +117,11 @@ class FetchState:
     attempts: int = 0               # resends on the current rung
     timer: Optional[object] = None  # handle of the armed timeout
     tried: Set[object] = field(default_factory=set)  # exhausted peers
+    key: object = None
+    engine: Optional[object] = None
 
 
-#: What a ladder step asks its driver to do next.
+#: What a ladder step asks the host to do next.
 RESEND = "resend"        # same request again, to the same peer
 ESCALATE = "escalate"    # give up on the exchange, fetch the full block
 FAILOVER = "failover"    # restart the exchange at the next announcer
@@ -146,7 +148,7 @@ def on_timeout(state: FetchState, policy: RecoveryPolicy, tally,
                engine, stream) -> str:
     """The armed timer of ``state`` fired: count it, record it, and
     pick the rung -- :data:`RESEND` (bookkept here), :data:`ESCALATE`
-    or :data:`FAILOVER` (the driver marks the span, then calls
+    or :data:`FAILOVER` (the host marks the span, then calls
     :func:`escalate` / :func:`fail_over`).
 
     ``tally`` carries the ``relay_timeouts`` / ``relay_retries``
@@ -171,7 +173,7 @@ def on_timeout(state: FetchState, policy: RecoveryPolicy, tally,
 
 
 def escalate(state: FetchState, stream) -> None:
-    """Rung 2, entered from a timeout or a decode failure: the driver
+    """Rung 2, entered from a timeout or a decode failure: the host
     sends a full-block getdata to ``state.peer``; this records it."""
     state.stage = STAGE_FULLBLOCK
     state.attempts = 0
@@ -182,7 +184,7 @@ def escalate(state: FetchState, stream) -> None:
 def fail_over(state: FetchState, announcers, stage: str) -> str:
     """Rung 3: ``state.peer`` is a lost cause.  Move to the first of
     ``announcers`` (the root's live announcers, in arrival order) not
-    yet tried and return :data:`FAILOVER` -- the driver restarts the
+    yet tried and return :data:`FAILOVER` -- the host restarts the
     exchange there at ``stage`` -- or :data:`ABANDON`."""
     state.tried.add(state.peer)
     alternate = next((peer for peer in announcers
@@ -200,105 +202,3 @@ def prune_oldest(registry: dict, cap: int) -> None:
     while len(registry) > cap:
         registry.pop(next(iter(registry)))
 
-
-class RelayRecoveryMixin:
-    """The simulator driver of the ladder, mixed into
-    :class:`~repro.net.node.Node`.
-
-    The node provides the protocol-specific sends (``_request_block``,
-    ``_resend_engine_request``, ``_send_fullblock_getdata``,
-    ``_initial_stage``); this mixin arms ``simulator.schedule`` timers,
-    keeps the source registry, marks the span and GCs stale state.
-    """
-
-    # -- fetch lifecycle ------------------------------------------------
-
-    def _begin_block_fetch(self, peer, root, stage: str) -> None:
-        """Open a fetch for ``root`` from ``peer`` and arm its timer."""
-        self._block_recovery[root] = FetchState(peer=peer, stage=stage)
-        self._request_block(peer, root)
-        self._arm_block_timer(root)
-
-    def _arm_block_timer(self, root) -> None:
-        state = self._block_recovery.get(root)
-        if state is None or not self.recovery.enabled:
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.simulator.schedule(
-            self.recovery.timeout_for(state.attempts),
-            lambda: self._on_block_timeout(root))
-
-    def _note_block_progress(self, root) -> None:
-        """An outbound step advanced: reset backoff, re-arm the timer."""
-        state = self._block_recovery.get(root)
-        if state is None:
-            return
-        state.attempts = 0
-        self._arm_block_timer(root)
-
-    def _gc_block_state(self, root) -> None:
-        """The block is here (or hopeless): drop all in-flight state."""
-        state = self._block_recovery.pop(root, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
-        self._block_sources.pop(root, None)
-        self._rx_engines.pop(root, None)
-        self._cb_pending.pop(root, None)
-
-    # -- driving the ladder ---------------------------------------------
-
-    def _on_block_timeout(self, root) -> None:
-        state = self._block_recovery.get(root)
-        if state is None or root in self.blocks:
-            return
-        rung = on_timeout(state, self.recovery, self,
-                          self._rx_engines.get(root),
-                          self.relay_telemetry.get(root))
-        if rung is ESCALATE:
-            logger.info("%s: fetch of %s from %s stalled; escalating to "
-                        "full block", self.node_id, root.hex()[:12],
-                        state.peer.node_id)
-            self._escalate_block_fetch(root, state.peer, "timeout")
-            return
-        if rung is RESEND:
-            if state.stage == STAGE_FULLBLOCK:
-                self._send_fullblock_getdata(state.peer, root)
-            elif state.stage == STAGE_ENGINE:
-                self._resend_engine_request(state.peer, root)
-            else:  # STAGE_REQUEST: re-issue the protocol's opening request
-                self._request_block(state.peer, root)
-        else:
-            # The source registry stores integer nids; resolve them back
-            # to Node objects through the run's columnar registry.
-            nodes = self._net.nodes
-            live = (peer for peer in (nodes[nid] for nid in
-                                      self._block_sources.get(root, ()))
-                    if peer in self.peers)
-            if fail_over(state, live, self._initial_stage()) is ABANDON:
-                logger.warning("%s: abandoning fetch of %s (every announcer "
-                               "exhausted); a fresh inv will restart it",
-                               self.node_id, root.hex()[:12])
-                self._trace_mark("relay", root, "abandon")
-                self._gc_block_state(root)
-                return
-            logger.info("%s: failing over fetch of %s to %s", self.node_id,
-                        root.hex()[:12], state.peer.node_id)
-            self._trace_mark("relay", root, "failover",
-                             to=state.peer.node_id)
-            self._rx_engines.pop(root, None)
-            self._request_block(state.peer, root)
-        self._arm_block_timer(root)
-
-    def _escalate_block_fetch(self, root, peer, why: str) -> None:
-        """Stop nursing the exchange with ``peer`` (it stalled, or its
-        reply would not decode) and request the whole block instead."""
-        self._trace_mark("relay", root, "escalate", why=why,
-                         peer=peer.node_id)
-        self._rx_engines.pop(root, None)
-        state = self._block_recovery.get(root)
-        if state is not None:
-            state.peer = peer
-            escalate(state, self.relay_telemetry.get(root))
-        self._send_fullblock_getdata(peer, root)
-        self._arm_block_timer(root)

@@ -17,8 +17,9 @@ The protocol itself is the relay engines of :mod:`repro.core.engine`
 run in ``mode="mempool"`` -- the exact state machines block relay and
 :func:`~repro.core.mempool_sync.synchronize_mempools` use -- with this
 mixin only translating engine commands to the sync wire vocabulary
-(via :class:`~repro.net.transport.SimulatorTransport`) and moving the
-H set at the end.
+(:data:`WIRE_BY_STEP`) and moving the H set at the end.  The node's
+:class:`~repro.net.host.RelayHost` keeps the sessions and times their
+rounds on the same ladder block fetches climb.
 
 Each in-flight sync is tracked by a nonce so concurrent syncs with
 different peers cannot interfere.  Nonces are per-node deterministic
@@ -43,21 +44,14 @@ from repro.core.engine import (
 from repro.core.telemetry import MessageEvent
 from repro.errors import ParameterError
 from repro.net.messages import NetMessage
-from repro.net.recovery import (
-    FetchState,
-    RESEND,
-    STAGE_ENGINE,
-    on_timeout,
-    prune_oldest,
-)
-from repro.net.transport import SimulatorTransport
+from repro.net.recovery import FetchState, STAGE_ENGINE, prune_oldest
 
 logger = logging.getLogger(__name__)
 
 #: Engine step command -> sync wire command.  The engines speak the
 #: relay vocabulary; the wire tags sync traffic distinctly so a node can
 #: serve block relay and mempool sync concurrently.
-_WIRE_BY_STEP = {
+WIRE_BY_STEP = {
     "getdata": "mempool_sync_request",
     "graphene_block": "mempool_sync_p1",
     "graphene_p2_request": "mempool_sync_p2_req",
@@ -72,20 +66,18 @@ _WIRE_BY_STEP = {
 #: Sync wire command -> (handler, engine step), the table
 #: :meth:`Node.receive <repro.net.node.Node.receive>` routes through:
 #: sender steps feed the responder's serving engine, receiver steps
-#: advance the initiator's.  A new step costs one ``_WIRE_BY_STEP`` row.
+#: advance the initiator's.  A new step costs one ``WIRE_BY_STEP`` row.
 SYNC_ROUTES = {
     wire: ("_sync_serve" if step in SENDER_STEPS else "_sync_advance", step)
-    for step, wire in _WIRE_BY_STEP.items()}
+    for step, wire in WIRE_BY_STEP.items()}
 
 
 @dataclass
 class SyncState(FetchState):
     """Initiator-side state for one in-flight sync: the ladder's
-    :class:`~repro.net.recovery.FetchState` (``peer`` is the responder
-    Node, kept for resends) plus the session's own facts."""
+    :class:`~repro.net.recovery.FetchState` (``peer`` is the responder's
+    handle, ``key`` the nonce) plus the session's own facts."""
 
-    nonce: int = 0
-    engine: Optional[GrapheneReceiverEngine] = None
     done: bool = False
     succeeded: bool = False
 
@@ -105,7 +97,9 @@ class MempoolSyncMixin:
 
     ``Node`` inherits this mixin; its dispatcher routes the engine-step
     commands through :data:`SYNC_ROUTES` and finds ``_on_sync_push`` by
-    name like any other command.
+    name like any other command.  Sessions live in the node's
+    :class:`~repro.net.host.RelayHost`, whose timers drive their
+    recovery ladder.
     """
 
     def _next_sync_nonce(self) -> int:
@@ -127,16 +121,15 @@ class MempoolSyncMixin:
         nonce = self._next_sync_nonce()
         engine = GrapheneReceiverEngine(
             self.mempool, self.config, mode="mempool",
-            telemetry=self._telemetry_stream("sync", nonce))
-        state = SyncState(peer=peer, stage=STAGE_ENGINE, nonce=nonce,
+            telemetry=self.host.stream("sync", nonce))
+        state = SyncState(peer=peer.nid, stage=STAGE_ENGINE, key=nonce,
                           engine=engine)
-        self._sync_sessions[nonce] = state
-        prune_oldest(self._sync_sessions, self.recovery.telemetry_cap)
-        self._dispatch_sync_action(peer, state, engine.start())
+        self.host.open_sync(state)
+        self._dispatch_sync_action(state, engine.start())
         return nonce
 
     def sync_result(self, nonce: int) -> Optional[SyncState]:
-        return self._sync_sessions.get(nonce)
+        return self.host.syncs.get(nonce)
 
     # -- responder side -------------------------------------------------
 
@@ -150,15 +143,14 @@ class MempoolSyncMixin:
                 return  # late message for a finished or unknown sync
             engine = GrapheneSenderEngine(
                 txs=self.mempool.columns(), config=self.config,
-                telemetry=self._telemetry_stream("sync-serve", nonce))
+                telemetry=self.host.stream("sync-serve", nonce))
             self._sync_serving[key] = engine
             # A lost sync_push would leak this engine forever; retain a
             # bounded working set instead (evicted syncs restart via
             # the initiator's timeout ladder).
             prune_oldest(self._sync_serving, self.recovery.serving_cap)
-        SimulatorTransport(self, sender, nonce,
-                           command_map=_WIRE_BY_STEP).deliver(
-            engine.handle(step, blob))
+        self.send_action(sender.nid, nonce, engine.handle(step, blob),
+                         WIRE_BY_STEP)
 
     def _on_sync_push(self, sender, payload) -> None:
         nonce, txs = payload
@@ -169,72 +161,28 @@ class MempoolSyncMixin:
 
     def _sync_advance(self, sender, step: str, payload) -> None:
         nonce, blob = payload
-        state = self._sync_sessions.get(nonce)
-        if state is None or state.done:
-            return
-        if not state.engine.accepts(step):
-            return  # late duplicate after a recovery retransmission
-        self._dispatch_sync_action(sender, state,
-                                   state.engine.handle(step, blob))
+        state = self.host.syncs.get(nonce)
+        if state is None or state.done or state.peer != sender.nid \
+                or not state.engine.accepts(step):
+            return  # late duplicate after a retransmission, or not ours
+        self._dispatch_sync_action(state, state.engine.handle(step, blob))
 
-    def _dispatch_sync_action(self, peer, state: SyncState,
-                              action) -> None:
+    def _dispatch_sync_action(self, state: SyncState, action) -> None:
         if action.kind is ActionKind.SEND:
-            SimulatorTransport(self, peer, state.nonce,
-                               command_map=_WIRE_BY_STEP).deliver(action)
+            self.send_action(state.peer, state.key, action, WIRE_BY_STEP)
             state.attempts = 0  # progress resets the backoff
-            self._arm_sync_timer(state)
+            self.host.arm(state)
             return
-        self._cancel_sync_timer(state)
+        self.host.cancel(state)
         if action.kind is ActionKind.DONE:
-            self._finish_sync(peer, state)
+            self._finish_sync(state)
             return
         logger.info("mempool sync %d with %s failed to decode",
-                    state.nonce, state.peer.node_id)
-        self._trace_mark("sync", state.nonce, "failed", why="decode")
+                    state.key, self.peer_label(state.peer))
+        self.host.mark("sync", state.key, "failed", why="decode")
         state.done = True
 
-    # -- recovery (timeout ladder for lost sync rounds) -----------------
-
-    def _arm_sync_timer(self, state: SyncState) -> None:
-        """(Re)arm the round timer."""
-        if not self.recovery.enabled:
-            return
-        self._cancel_sync_timer(state)
-        state.timer = self.simulator.schedule(
-            self.recovery.timeout_for(state.attempts),
-            lambda: self._on_sync_timeout(state.nonce))
-
-    def _cancel_sync_timer(self, state: SyncState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-
-    def _on_sync_timeout(self, nonce: int) -> None:
-        state = self._sync_sessions.get(nonce)
-        if state is None or state.done:
-            return
-        resends = state.attempts
-        if state.peer not in self.peers:
-            # A gone peer has no resends left: the timeout is counted,
-            # no retry is.
-            state.attempts = self.recovery.max_retries
-        # A sync has no full-block rung and one responder, so any rung
-        # but RESEND abandons.
-        if on_timeout(state, self.recovery, self, state.engine,
-                      None) is not RESEND:
-            logger.info("mempool sync %d with %s abandoned after %d "
-                        "resends", nonce, state.peer.node_id, resends)
-            self._trace_mark("sync", nonce, "abandon", attempts=resends)
-            state.done = True
-            self._cancel_sync_timer(state)
-            return
-        SimulatorTransport(self, state.peer, nonce,
-                           command_map=_WIRE_BY_STEP).deliver(
-            state.engine.reemit_last_request())
-        self._arm_sync_timer(state)
-
-    def _finish_sync(self, peer, state: SyncState) -> None:
+    def _finish_sync(self, state: SyncState) -> None:
         engine = state.engine
         reconciled = engine.reconciled
         self.mempool.add_many(reconciled.values())
@@ -248,10 +196,10 @@ class MempoolSyncMixin:
             phase="push", roundtrip=int(engine.roundtrips),
             parts={"fetched_tx_bytes": nbytes}, outcome="done")
         engine.telemetry.append(event)
-        self._send(peer, NetMessage("sync_push", (state.nonce, h_txs),
-                                    nbytes, event=event))
+        self._send(self._net.nodes[state.peer], NetMessage(
+            "sync_push", (state.key, h_txs), nbytes, event=event))
         state.done = True
         state.succeeded = True
-        self._trace_mark("sync", state.nonce, "done", pushed=len(h_txs))
+        self.host.mark("sync", state.key, "done", pushed=len(h_txs))
         logger.debug("mempool sync %d with %s complete: pushed %d txns",
-                     state.nonce, state.peer.node_id, len(h_txs))
+                     state.key, self.peer_label(state.peer), len(h_txs))

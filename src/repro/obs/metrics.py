@@ -239,7 +239,7 @@ def collect_run_metrics(nodes, tracer=None,
         node_id = node.node_id
         for events in node.relay_telemetry.values():
             _fold_stream(registry, "relay", node_id, events)
-        for state in node._sync_sessions.values():
+        for state in node.sync_sessions.values():
             _fold_stream(registry, "sync", node_id, state.events)
         registry.counter("relay_timeouts", node=node_id).inc(
             node.relay_timeouts)

@@ -124,11 +124,10 @@ class TestBlockRelayUnderLoss:
         for seed in range(12):
             root, a, b = self._relay_once(0.25, 2 * seed, 2 * seed + 1)
             # Converged or abandoned, no fetch state may linger.
-            assert root not in b._rx_engines
-            assert root not in b._block_recovery
+            assert b.pending_fetches == 0
             assert b._cb_pending == {}
             if root in b.blocks:
-                assert root not in b._block_sources
+                assert root not in b.announced_roots
 
     def test_heavy_loss_relay_still_converges_when_inv_lands(self):
         recovered = 0

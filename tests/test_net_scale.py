@@ -309,7 +309,7 @@ class TestColumnarState:
         root = scenario.block.header.merkle_root
         assert all(root in node.blocks for node in nodes)
         # Registries were GCed after acceptance.
-        assert all(not node._block_sources for node in nodes)
+        assert all(not node.announced_roots for node in nodes)
 
 
 class TestPropagationScenario:

@@ -86,7 +86,7 @@ class TestMultiHop:
         root = block.header.merkle_root
         assert root in nodes[2].blocks
         # The middle node re-served the block with its own engine.
-        assert root in nodes[1]._tx_engines or root in nodes[1].blocks
+        assert root in nodes[1].serving_engines or root in nodes[1].blocks
 
     def test_arrival_times_increase_along_path(self, txgen):
         sim = Simulator()

@@ -34,7 +34,12 @@ from repro.net import (
     Simulator,
     connect_random_regular,
 )
-from repro.net.peer import BlockServer, PeerManager
+from repro.net.peer import (
+    BlockServer,
+    PeerConnection,
+    PeerManager,
+    encode_full_block,
+)
 from repro.net.recovery import (
     ABANDON,
     ESCALATE,
@@ -237,8 +242,7 @@ class TestRetryLadder:
         root = sc.block.header.merkle_root
         assert root in b.blocks
         assert b.relay_timeouts > b.recovery.max_retries  # climbed rung 1
-        assert root not in b._rx_engines
-        assert root not in b._block_recovery
+        assert b.pending_fetches == 0
 
     def test_dead_peer_fails_over_to_alternate_announcer(self):
         sc = make_block_scenario(n=100, extra=100, fraction=1.0, seed=7)
@@ -258,8 +262,7 @@ class TestRetryLadder:
         root = sc.block.header.merkle_root
         assert root in c.blocks
         assert c.relay_timeouts > 0
-        assert root not in c._rx_engines
-        assert root not in c._block_recovery
+        assert c.pending_fetches == 0
 
     def test_total_blackout_abandons_and_new_inv_restarts(self):
         fault = FaultInjector(
@@ -269,14 +272,48 @@ class TestRetryLadder:
         sim.run()
         root = sc.block.header.merkle_root
         assert root not in b.blocks           # sole announcer was dead
-        assert root not in b._rx_engines      # ...but nothing stranded
-        assert root not in b._block_recovery
-        assert root not in b._block_sources
+        assert b.pending_fetches == 0         # ...but nothing stranded
+        assert root not in b.announced_roots
         # The link heals and a re-announces: the fetch starts over.
         a.peers[b].fault = None
         a._send(b, NetMessage("inv", ("block", root), 37))
         sim.run()
         assert root in b.blocks
+
+    def test_late_reply_from_an_announcer_left_behind_is_shed(self):
+        """dark answers after 5 s, bright after 1.5 s: the fetch climbs
+        to rung 3 and restarts at bright before dark's reply to the
+        first retry lands.  That reply must not feed bright's fresh
+        engine; the block comes from bright, so the surviving path is
+        one peer's, as on sockets."""
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=55)
+        sim = Simulator()
+        policy = RecoveryPolicy(timeout_base=1, max_retries=1)
+        dark, bright, leaf = (Node(name, sim, recovery=policy)
+                              for name in ("dark", "bright", "leaf"))
+        dark.connect(leaf)
+        bright.connect(leaf)
+        leaf.mempool.add_many(sc.receiver_mempool.transactions())
+        tracer = Tracer(sim).attach(leaf)
+        dark.mine_block(sc.block)
+        bright.mine_block(sc.block)
+        sim.run(until=0.07)  # both invs are in; no reply has left yet
+        dark.peers[leaf].latency = 5.0
+        bright.peers[leaf].latency = 1.5
+        sim.run()
+        root = sc.block.header.merkle_root
+        assert root in leaf.blocks
+        assert [(m.name, dict(m.detail)) for m in tracer.marks] == [
+            ("escalate", {"why": "timeout", "peer": "dark"}),
+            ("failover", {"to": "bright"}),
+            ("done", {"origin": "bright"})]
+        assert leaf.frames_shed >= 1
+        loop = BlockRelaySession().relay(sc.block, sc.receiver_mempool)
+        surviving = [(e.command, e.outcome)
+                     for e in leaf.relay_telemetry[root][-5:]]
+        assert surviving == [("inv", ""), ("getdata", ""),
+                             ("getdata", "timeout"), ("getdata", "retry"),
+                             ("graphene_block", loop.events[-1].outcome)]
 
     def test_retry_trail_is_bounded_by_policy(self):
         fault = FaultInjector(
@@ -308,15 +345,14 @@ class TestStaleStateGC:
         a.blocks[root] = block  # a can serve but its payloads are lost
         a._send(b, NetMessage("inv", ("block", root), 37))
         sim.run(until=0.5)      # inv + getdata flow; P1 payload lost
-        assert root in b._rx_engines
-        assert root in b._block_recovery
+        assert b.pending_fetches == 1
+        assert root in b.announced_roots
         c.blocks[root] = block
         c._send(b, NetMessage("block", block, block.serialized_size()))
         sim.run()
         assert root in b.blocks
-        assert root not in b._rx_engines
-        assert root not in b._block_recovery
-        assert root not in b._block_sources
+        assert b.pending_fetches == 0
+        assert root not in b.announced_roots
         assert b.relay_timeouts == 0  # timer was cancelled, never fired
 
     def test_serving_engines_bounded(self, txgen):
@@ -330,7 +366,7 @@ class TestStaleStateGC:
                 node.mempool.add_many(txs)
             a.mine_block(Block.assemble(txs))
             sim.run()
-        assert len(a._tx_engines) <= 2
+        assert len(a.serving_engines) <= 2
         assert len(b.blocks) == 4
 
     def test_zero_loss_run_identical_with_recovery_disabled(self):
@@ -646,6 +682,73 @@ class TestCrossDriverParity:
         assert self._shape(sim_events[-len(loop.events):]) \
             == self._shape(loop.events)
 
+    def test_same_marks_same_counts(self):
+        """One host, one mark shape: every detail and both ladder
+        counts agree across the two clocks, not just the names."""
+        sim_events, sim_tracer = self._simulated()
+        result, socket_tracer = self._socketed()
+        expected = [("escalate", {"why": "timeout", "peer": "dark"}),
+                    ("failover", {"to": "bright"}),
+                    ("done", {"origin": "bright"})]
+        for tracer in (sim_tracer, socket_tracer):
+            assert [(m.name, dict(m.detail)) for m in tracer.marks] \
+                == expected
+        outcomes = [e.outcome for e in sim_events]
+        # Two rungs at dark, each one retry plus the timeout past it.
+        assert (result.timeouts, result.retries) \
+            == (outcomes.count("timeout"), outcomes.count("retry")) \
+            == (4, 2)
+
+
+class TestFullBlockRule:
+    """A full block the node lacks is taken from any peer whose body
+    hashes to its header's root -- on sockets as in the simulator
+    (``TestStaleStateGC::test_block_via_other_path_cancels_recovery``)."""
+
+    def test_unsolicited_block_from_a_second_connection_completes(self):
+        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=55)
+        root = sc.block.header.merkle_root
+        tracer = Tracer(WallClock())
+
+        async def push_block(reader, writer):
+            conn = PeerConnection(reader, writer, "pusher")
+            await conn.handshake()
+            conn.send("block", encode_full_block(sc.block))
+            await conn.drain()
+            while await conn.read_frame() is not None:
+                pass
+            await conn.close()
+
+        async def run():
+            dark = BlockServer(sc.block, node_id="dark", drop={
+                c: 10 ** 9 for c in TestCrossDriverParity.REQUESTS})
+            dark_port = await dark.start()
+            pusher = await asyncio.start_server(push_block, "127.0.0.1", 0)
+            leaf = PeerManager(node_id="leaf", mempool=sc.receiver_mempool,
+                               policy=RecoveryPolicy(timeout_base=30.0),
+                               tracer=tracer)
+            try:
+                await leaf.connect("127.0.0.1", dark_port)
+                await asyncio.sleep(0.05)  # the fetch opens at dark
+                opened = leaf.announced_roots
+                await leaf.connect("127.0.0.1",
+                                   pusher.sockets[0].getsockname()[1])
+                return opened, await leaf.fetch_next(timeout=5), leaf
+            finally:
+                await leaf.close()
+                await dark.close()
+                pusher.close()
+                await pusher.wait_closed()
+
+        opened, result, leaf = asyncio.run(run())
+        assert list(opened) == [root]
+        assert result.success and result.block.txids == sc.block.txids
+        assert not result.escalated and not result.via_fullblock
+        assert result.failovers == 0 and result.timeouts == 0
+        assert leaf.pending_fetches == 0 and not leaf.announced_roots
+        assert [(m.name, dict(m.detail)) for m in tracer.marks] \
+            == [("done", {"origin": "pusher"})]
+
 
 class TestChaosTopology:
     """Acceptance: 20 Graphene nodes, 5% per-link loss, all converge."""
@@ -671,6 +774,5 @@ class TestChaosTopology:
             if e.outcome in ("timeout", "retry")]
         assert recovery_events
         # And nothing was left stranded anywhere.
-        assert sum(len(n._rx_engines) for n in nodes) == 0
-        assert sum(len(n._block_recovery) for n in nodes) == 0
-        assert sum(len(n._block_sources) for n in nodes) == 0
+        assert sum(n.pending_fetches for n in nodes) == 0
+        assert sum(len(n.announced_roots) for n in nodes) == 0

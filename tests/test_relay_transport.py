@@ -16,7 +16,6 @@ from repro.chain.scenarios import make_block_scenario
 from repro.codec import encode_tx_list
 from repro.core.engine import (
     ActionKind,
-    EngineAction,
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
     ReceiverPhase,
@@ -24,7 +23,7 @@ from repro.core.engine import (
 from repro.core.session import BlockRelaySession
 from repro.core.sizing import CostBreakdown
 from repro.core.telemetry import total_wire_bytes
-from repro.net import Link, Node, Simulator
+from repro.net import FaultInjector, Link, Node, Simulator
 from repro.net.node import derive_loss_seed
 
 # A 10%-lossy link pair whose first eight draws all survive: the link
@@ -128,26 +127,28 @@ class TestFallbackChainToFailed:
         assert receiver.telemetry[-1].outcome == "failed"
 
     def test_node_falls_back_to_full_block_on_failure(self):
-        sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=3)
+        # The P1 -> P2 -> short-id path of TestCostParity, with the
+        # repair answer held back until the request is out.
+        sc = make_block_scenario(n=120, extra=120, fraction=0.4, seed=2736)
         sim = Simulator()
         alpha = Node("alpha", sim)
         beta = Node("beta", sim)
         alpha.connect(beta)
+        beta.mempool.add_many(sc.receiver_mempool.transactions())
+        alpha.inject_fault(beta, FaultInjector(
+            drop_commands=frozenset({"block_txs"})))
         alpha.mine_block(sc.block)
         root = sc.block.header.merkle_root
-        # Force the receiver's relay to fail after engine setup: the
-        # node must count the failure and refetch the full block.
-        sim.run()
-        assert root in beta.blocks  # sanity: normal path worked
-        beta.blocks.clear()
-        beta._seen_inv.clear()
-        beta._rx_engines[root] = GrapheneReceiverEngine(beta.mempool)
-        beta._dispatch_receiver_action(
-            alpha, root, EngineAction(ActionKind.FAILED))
+        sim.run(until=1.0)  # getdata_shortids sent, its answer lost
+        alpha.peers[beta].fault = None
+        # Force the receiver's relay to fail through the host's frame
+        # entry: a repair short of the block fails its Merkle check, and
+        # the node must count the failure and refetch the full block.
+        beta.host.on_frame(alpha.nid, "block_txs", root, encode_tx_list([]))
         sim.run()
         assert beta.relay_failures == 1
         assert root in beta.blocks
-        assert root not in beta._rx_engines
+        assert beta.pending_fetches == 0
 
 
 class TestLossSeedDerivation:
