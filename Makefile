@@ -3,20 +3,22 @@
 # relay-throughput perf guard (baseline compare + profile budget), the
 # network-scale perf guard (100/1000-node propagation vs BENCH_NET),
 # the Protocol 3 byte-accounting guard (head-to-head vs BENCH_P3),
+# the figure ledger (every figure driver's rows vs BENCH_FIGS),
 # the end-to-end network smoke test plus its run-report invariants,
 # the two-process socket relay smoke (byte parity with loopback), the
 # four-process mesh smoke (3 servers, failover, N:1 run-report
-# invariants), the fixed-seed fuzz smoke, the executable-docs check,
-# and the end-to-end benchmark's smoke (spec limits plus a traced
-# --quick pass over every workload).
+# invariants), every other CLI subcommand once, the fixed-seed fuzz
+# smoke, the docs check (executable snippets, every example, and the
+# call census's static gate), and the end-to-end benchmark's smoke
+# (spec limits plus a traced --quick pass over every workload).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test perf perf-check perf-update perf-relay perf-relay-update \
-	perf-net perf-net-update perf-p3 perf-p3-update profile-relay \
-	bench bench-smoke smoke smoke-socket smoke-mesh report-check \
-	fuzz-smoke fuzz docs-check ci
+	perf-net perf-net-update perf-p3 perf-p3-update perf-figs \
+	perf-figs-update profile-relay bench bench-smoke smoke smoke-socket \
+	smoke-mesh smoke-cli report-check fuzz-smoke fuzz docs-check census ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -32,11 +34,20 @@ smoke-mesh:
 	$(PYTHON) scripts/check_run_report.py --profile mesh \
 		--report results/mesh_report.json
 
+smoke-cli:
+	$(PYTHON) scripts/smoke_cli.py
+
 report-check: smoke
 	$(PYTHON) scripts/check_run_report.py
 
 docs-check:
 	$(PYTHON) scripts/check_docs_snippets.py
+	$(PYTHON) scripts/census.py --check
+
+# Regenerates docs/CENSUS.md by running every `make ci` stage but the
+# tests under a call hook (about a minute).
+census:
+	$(PYTHON) scripts/census.py
 
 fuzz-smoke:
 	$(PYTHON) scripts/fuzz_smoke.py
@@ -72,6 +83,12 @@ perf-p3:
 perf-p3-update:
 	$(PYTHON) scripts/check_perf.py --suite p3 --update
 
+perf-figs:
+	$(PYTHON) scripts/check_perf.py --suite figs
+
+perf-figs-update:
+	$(PYTHON) scripts/check_perf.py --suite figs --update
+
 profile-relay:
 	$(PYTHON) benchmarks/profile_relay.py
 
@@ -88,5 +105,5 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q \
 		--deselect benchmarks/e2e/test_e2e_smoke.py::test_replay_survives_a_key_peeled_twice
 
-ci: test perf-check perf-relay perf-net perf-p3 report-check smoke-socket \
-	smoke-mesh fuzz-smoke docs-check bench-smoke
+ci: test perf-check perf-relay perf-net perf-p3 perf-figs report-check \
+	smoke-socket smoke-mesh smoke-cli fuzz-smoke docs-check bench-smoke

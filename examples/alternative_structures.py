@@ -1,12 +1,8 @@
-"""Swapping Graphene's data structures (paper 2.1 and 3.3.1).
+"""Swapping Graphene's reconciliation structure (paper 2.1).
 
-The paper notes that "any alternative can be used if Eqs. 2, 3, 4 and 5
-are updated appropriately" (for the Bloom filter) and that IBLT
-alternatives trade CPU for size.  This example measures those swaps on
-one concrete reconciliation task:
-
-* filter S:  Bloom  vs  Golomb-coded set  vs  cuckoo filter
-* the IBLT:  IBLT   vs  CPISync (characteristic polynomials)
+The paper notes that IBLT alternatives trade CPU for size.  This example
+measures that swap on one concrete reconciliation task: the IBLT against
+CPISync (characteristic polynomials).
 
 Run:  python examples/alternative_structures.py
 """
@@ -16,32 +12,11 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core.params import GrapheneConfig, optimize_a
-from repro.pds.bloom import bloom_size_bytes
 from repro.pds.cpisync import cpisync_size_bytes, make_digest, reconcile
-from repro.pds.cuckoo import cuckoo_size_bytes
-from repro.pds.gcs import gcs_size_bytes
 from repro.pds.iblt import IBLT
 from repro.pds.param_table import default_param_table
 
-N, M = 2000, 4000
 DIFF = 40
-
-
-def filter_comparison() -> None:
-    plan = optimize_a(N, M, GrapheneConfig())
-    print(f"filter S for a {N}-txn block at f_S = {plan.fpr:.4f} "
-          f"(the Eq. 3 optimum):")
-    rows = [
-        ("Bloom filter", bloom_size_bytes(N, plan.fpr) + 9,
-         "O(1) queries, the paper's choice"),
-        ("Golomb-coded set", gcs_size_bytes(N, plan.fpr),
-         "~30% smaller, full decode per query"),
-        ("Cuckoo filter", cuckoo_size_bytes(N, plan.fpr),
-         "supports deletion, wins at low FPR"),
-    ]
-    for name, size, note in rows:
-        print(f"  {name:<18} {size:>7,} B   {note}")
 
 
 def reconciler_comparison() -> None:
@@ -50,7 +25,7 @@ def reconciler_comparison() -> None:
     mine = [rng.getrandbits(64) for _ in range(DIFF // 2)]
     theirs = [rng.getrandbits(64) for _ in range(DIFF - DIFF // 2)]
 
-    print(f"\nreconciling a {DIFF}-item symmetric difference:")
+    print(f"reconciling a {DIFF}-item symmetric difference:")
     params = default_param_table(240).params_for(DIFF)
     start = time.perf_counter()
     a = IBLT(params.cells, k=params.k, seed=2)
@@ -77,7 +52,6 @@ def reconciler_comparison() -> None:
 
 
 def main() -> None:
-    filter_comparison()
     reconciler_comparison()
 
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Execute every fenced ``python`` snippet in the docs and README.
+"""Execute every fenced ``python`` snippet in the docs and README, and
+every example.
 
 Documentation that cannot run is documentation that has drifted.  This
 checker extracts each ` ```python ` fenced block from ``README.md`` and
-``docs/*.md`` and executes it.  Blocks within one file share a single
+``docs/*.md`` and executes it, then runs each script under
+``examples/`` and requires exit 0.  Blocks within one file share a single
 namespace, in document order, so a tutorial can build state across
 snippets exactly the way a reader following along would.  Files are
 independent of one another.
@@ -18,7 +20,7 @@ exception and exits nonzero.
 
 Usage::
 
-    python scripts/check_docs_snippets.py [files...]
+    python scripts/check_docs_snippets.py [files...]   # files: snippets only
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "scripts"))
 
 # Snippets run lossy simulations whose recovery steps log warnings by
 # design; only errors matter to a docs check.
@@ -102,7 +105,12 @@ def main(argv=None) -> int:
     if failures:
         return 1
     print("docs snippets: all python blocks execute")
-    return 0
+    if argv:
+        return 0
+    from smoke_cli import run_each
+    print("running the examples:")
+    return run_each([(str(path.relative_to(REPO)),)
+                     for path in sorted((REPO / "examples").glob("*.py"))])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Guard the hot paths against performance regressions.
 
-Three suites, selected with ``--suite``:
+Five suites, selected with ``--suite``:
 
 * ``pds`` (default) -- re-runs :mod:`perf_pds` and compares each case's
   live (``columnar_s``) time against the committed ``BENCH_PDS.json``.
@@ -18,6 +18,10 @@ Three suites, selected with ``--suite``:
   clock, so it is machine-independent: any drift beyond
   ``P3_BYTES_DRIFT`` is a hard failure everywhere, and the 2.5x
   bytes-vs-oracle acceptance bound is re-enforced on every run.
+* ``figs`` -- re-runs :mod:`figs_ledger` (every figure driver at fixed
+  small arguments, the seeded baseline outcomes, the collision-attack
+  tallies) and requires every row to equal the committed
+  ``BENCH_FIGS.json``; no clock is read, so any drift fails everywhere.
 
 Either comparison exits nonzero when a case regresses by more than
 ``--threshold`` (default 1.5x).  The comparison is to wall clock on the
@@ -55,6 +59,7 @@ PDS_BASELINE_PATH = REPO / "BENCH_PDS.json"
 RELAY_BASELINE_PATH = REPO / "BENCH_RELAY.json"
 NET_BASELINE_PATH = REPO / "BENCH_NET.json"
 P3_BASELINE_PATH = REPO / "BENCH_P3.json"
+FIGS_BASELINE_PATH = REPO / "BENCH_FIGS.json"
 
 #: The p3 suite is deterministic byte accounting (fixed seeds, no wall
 #: clock), so the compare tolerance is tight: a case fails when its
@@ -348,9 +353,63 @@ def run_p3(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_figs(args: argparse.Namespace) -> int:
+    from figs_ledger import run_suite
+
+    if not FIGS_BASELINE_PATH.exists() and not args.update:
+        print(f"no baseline at {FIGS_BASELINE_PATH}; run with --update "
+              "first", file=sys.stderr)
+        return 2
+
+    cases = run_suite()
+    committed = {}
+    if FIGS_BASELINE_PATH.exists():
+        committed = {c["case"]: c for c in json.loads(
+            FIGS_BASELINE_PATH.read_text())["cases"]}
+
+    moved = []
+    for case in cases:
+        was = committed.get(case["case"])
+        flag = ("new" if was is None else "unchanged" if was == case
+                else "MOVED")
+        print(f"{case['case']:18s} {len(case['rows']):4d} rows  {flag}")
+        if was is not None and was != case:
+            moved.append(case["case"])
+            for i, (old, new) in enumerate(zip(was["rows"], case["rows"])):
+                if old != new:
+                    print(f"  first moved row {i}: {old} -> {new}")
+                    break
+
+    if args.update:
+        FIGS_BASELINE_PATH.write_text(json.dumps(
+            {"units": "figure rows",
+             "machine": machine_stanza(),
+             "note": ("every analysis.experiments figure driver at fixed "
+                      "small arguments and seeds, 240 seeded Compact "
+                      "Blocks / XThin outcomes and the collision-attack "
+                      "tallies; no wall clock, so machine-independent "
+                      "and any drift is a hard failure on any host"),
+             "cases": cases}, indent=1) + "\n")
+        print(f"baseline rewritten: {FIGS_BASELINE_PATH}")
+        return 0
+
+    missing = sorted(set(committed) - {c["case"] for c in cases})
+    for name in missing:
+        print(f"{name:18s} in the baseline but no longer run", file=sys.stderr)
+    if moved or missing:
+        print(f"\n{len(moved) + len(missing)} figure case(s) differ from "
+              "the committed ledger; the rows are deterministic, so this "
+              "is a real change -- name it and re-run with --update",
+              file=sys.stderr)
+        return 1
+    print("\nevery figure case identical to the committed ledger")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=("pds", "relay", "net", "p3"),
+    parser.add_argument("--suite", choices=("pds", "relay", "net", "p3",
+                                            "figs"),
                         default="pds",
                         help="which baseline to check (default: pds)")
     parser.add_argument("--threshold", type=float, default=1.5,
@@ -371,6 +430,8 @@ def main() -> int:
         return run_net(args)
     if args.suite == "p3":
         return run_p3(args)
+    if args.suite == "figs":
+        return run_figs(args)
     return run_pds(args)
 
 

@@ -36,7 +36,6 @@ from repro.core import (
 from repro.errors import (
     DecodeFailure,
     MalformedIBLTError,
-    MerkleValidationError,
     ParameterError,
     ProtocolFailure,
     ReproError,
@@ -60,7 +59,6 @@ __all__ = [
     "synchronize_mempools",
     "DecodeFailure",
     "MalformedIBLTError",
-    "MerkleValidationError",
     "ParameterError",
     "ProtocolFailure",
     "ReproError",

@@ -2,9 +2,7 @@
 
 * The information-theoretic bound for describing an unordered
   ``n``-subset of ``m`` elements: ``ceil(log2 C(m, n))`` bits.
-* Carter et al.'s lower bound for *approximate* membership with false
-  positive rate ``f``: ``-n log2 f`` bits.
-* Graphene Protocol 1's cost model ``T(a)`` (Eq. 2) and the gain over a
+* Graphene Protocol 1's optimized size and its gain over a
   Bloom filter at the 1/(144 (m-n)) budget, which Theorem 4 proves is
   ``Omega(n log2 n)`` bits when the IBLT uses k >= 3 hash functions.
 """
@@ -13,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.bounds import BETA_DEFAULT, a_star
+from repro.core.bounds import BETA_DEFAULT
 from repro.core.params import GrapheneConfig, optimize_a
 from repro.errors import ParameterError
 
@@ -27,15 +25,6 @@ def exact_membership_bound_bytes(n: int, m: int) -> float:
     bits = (math.lgamma(m + 1) - math.lgamma(n + 1)
             - math.lgamma(m - n + 1)) / math.log(2.0)
     return math.ceil(bits) / 8.0
-
-
-def bloom_approx_lower_bound_bytes(n: int, fpr: float) -> float:
-    """Carter's ``-n log2 f`` bits for approximate membership, in bytes."""
-    if n < 0:
-        raise ParameterError(f"n must be non-negative, got {n}")
-    if not 0.0 < fpr < 1.0:
-        raise ParameterError(f"fpr must be in (0, 1), got {fpr}")
-    return -n * math.log2(fpr) / 8.0
 
 
 def graphene_protocol1_bytes(n: int, m: int,
@@ -65,19 +54,3 @@ def graphene_vs_bloom_gain_bits(n: int, m: int,
     plan = optimize_a(n, m, config)
     graphene_bits = 8.0 * plan.total_bytes
     return bloom_bits - graphene_bits
-
-
-def protocol1_cost_model_bytes(n: int, m: int, a: float, tau: float,
-                               delta: float | None = None,
-                               cell_bytes: int = 12,
-                               beta: float = BETA_DEFAULT) -> float:
-    """The continuous ``T(a)`` of Eq. 2, for verifying the optimizer.
-
-    ``T(a) = -n ln(a / (m-n)) / (8 ln^2 2) + r tau (1 + delta) a``.
-    """
-    if a <= 0 or m <= n:
-        raise ParameterError("need a > 0 and m > n")
-    if delta is None:
-        delta = a_star(a, beta) / a - 1.0
-    bloom = -n * math.log(a / (m - n)) / (8.0 * math.log(2.0) ** 2)
-    return max(0.0, bloom) + cell_bytes * tau * (1.0 + delta) * a

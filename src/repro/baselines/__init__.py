@@ -22,7 +22,7 @@ from repro.baselines.compact_blocks import (
     compact_blocks_bytes,
 )
 from repro.baselines.xthin import XThinRelay, xthin_bytes, xthin_star_bytes
-from repro.baselines.bloom_only import BloomOnlyRelay, bloom_only_bytes
+from repro.baselines.bloom_only import bloom_only_bytes
 from repro.baselines.difference_digest import (
     DifferenceDigestRelay,
     StrataEstimator,
@@ -36,7 +36,6 @@ __all__ = [
     "XThinRelay",
     "xthin_bytes",
     "xthin_star_bytes",
-    "BloomOnlyRelay",
     "bloom_only_bytes",
     "DifferenceDigestRelay",
     "StrataEstimator",

@@ -11,13 +11,8 @@ Blocks for any realistic mempool -- but Graphene Protocol 1 beats it by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.chain.block import Block
-from repro.chain.mempool import Mempool
-from repro.core.sizing import getdata_bytes, inv_bytes
 from repro.errors import ParameterError
-from repro.pds.bloom import BloomFilter, bloom_size_bytes
+from repro.pds.bloom import bloom_size_bytes
 
 #: The paper's choice: one expected false transaction per 144 blocks.
 DEFAULT_BLOCKS_PER_FAILURE = 144
@@ -37,47 +32,3 @@ def bloom_only_bytes(n: int, m: int,
     if n < 0 or m < 0:
         raise ParameterError(f"n and m must be non-negative: {n}, {m}")
     return bloom_size_bytes(n, bloom_only_fpr(m, n, blocks_per_failure)) + 9
-
-
-@dataclass
-class BloomOnlyOutcome:
-    """Result of one Bloom-only relay."""
-
-    success: bool
-    total_bytes: int
-    bloom_bytes: int
-    false_positives: int
-    roundtrips: float = 1.5
-
-
-class BloomOnlyRelay:
-    """Simulate the Bloom-filter-alone protocol with a real filter.
-
-    The relay *fails* whenever any mempool transaction outside the block
-    passes the filter (the Merkle root then cannot validate and there is
-    no repair mechanism short of refetching).
-    """
-
-    def __init__(self,
-                 blocks_per_failure: int = DEFAULT_BLOCKS_PER_FAILURE):
-        self.blocks_per_failure = blocks_per_failure
-
-    def relay(self, block: Block, receiver_mempool: Mempool) -> BloomOnlyOutcome:
-        n, m = block.n, len(receiver_mempool)
-        fpr = bloom_only_fpr(m, n, self.blocks_per_failure)
-        bloom = BloomFilter.from_fpr(max(1, n), fpr, seed=0xB100)
-        block_ids = block.txid_set()
-        bloom.update(tx.txid for tx in block.txs)
-
-        pool = list(receiver_mempool)
-        candidate = [tx for tx, hit in zip(pool, bloom.contains_many(
-            tx.txid for tx in pool)) if hit]
-        false_positives = sum(
-            1 for tx in candidate if tx.txid not in block_ids)
-        success = (false_positives == 0
-                   and block.validate_candidate(candidate))
-        cost = bloom.serialized_size()
-        return BloomOnlyOutcome(
-            success=success,
-            total_bytes=inv_bytes() + getdata_bytes(0) + cost,
-            bloom_bytes=cost, false_positives=false_positives)

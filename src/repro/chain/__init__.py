@@ -4,19 +4,16 @@ Graphene is evaluated in the paper as a block-propagation protocol for
 Bitcoin Cash / Ethereum-like chains.  This package provides the pieces of
 such a chain that the protocols touch: transactions with cryptographic
 IDs, blocks with headers whose Merkle root lets a receiver verify a
-decoded transaction set exactly, mempools with per-peer inventory
-bookkeeping, canonical transaction ordering (CTOR, paper 6.2), and
-workload generators for every experimental scenario in section 5.
+decoded transaction set exactly, mempools, canonical transaction
+ordering (CTOR, paper 6.2) and its cost model, and workload generators
+for every experimental scenario in section 5.
 """
 
 from repro.chain.transaction import Transaction, TransactionGenerator
-from repro.chain.merkle import merkle_root, merkle_proof_size
+from repro.chain.merkle import merkle_root
 from repro.chain.block import Block, BlockHeader, BLOCK_HEADER_BYTES
 from repro.chain.mempool import Mempool
-from repro.chain.ordering import (
-    canonical_order,
-    ordering_info_bytes,
-)
+from repro.chain.ordering import ordering_info_bytes
 from repro.chain.scenarios import (
     BlockScenario,
     MempoolSyncScenario,
@@ -28,12 +25,10 @@ __all__ = [
     "Transaction",
     "TransactionGenerator",
     "merkle_root",
-    "merkle_proof_size",
     "Block",
     "BlockHeader",
     "BLOCK_HEADER_BYTES",
     "Mempool",
-    "canonical_order",
     "ordering_info_bytes",
     "BlockScenario",
     "MempoolSyncScenario",

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from repro.chain.columns import TxColumns
 from repro.chain.merkle import merkle_root_packed
 from repro.chain.transaction import Transaction
-from repro.errors import MerkleValidationError, ParameterError
+from repro.errors import ParameterError
 
 #: Serialized header size: version(4) prev(32) merkle(32) time(4) bits(4) nonce(4).
 BLOCK_HEADER_BYTES = 80
@@ -82,9 +82,6 @@ class Block:
     def txids(self) -> list[bytes]:
         return [tx.txid for tx in self.txs]
 
-    def txid_set(self) -> set[bytes]:
-        return {tx.txid for tx in self.txs}
-
     def serialized_size(self) -> int:
         """Full wire size: header + all transaction payloads."""
         return BLOCK_HEADER_BYTES + sum(tx.size for tx in self.txs)
@@ -118,12 +115,3 @@ class Block:
     def validate_candidate(self, candidate: Sequence[Transaction]) -> bool:
         """Check a decoded transaction set against this block's Merkle root."""
         return self.validated_order(candidate) is not None
-
-    def require_valid(self, candidate: Sequence[Transaction]) -> list[Transaction]:
-        """Return the canonically ordered candidate or raise on mismatch."""
-        ordered = self.validated_order(candidate)
-        if ordered is None:
-            raise MerkleValidationError(
-                f"candidate set of {len(candidate)} txs does not match "
-                f"Merkle root {self.header.merkle_root.hex()[:16]}...")
-        return ordered

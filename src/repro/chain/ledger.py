@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.chain.block import Block
 from repro.errors import ParameterError
@@ -53,10 +53,6 @@ class ReorgInfo:
     disconnected: list = field(default_factory=list)  # hashes, old branch
     connected: list = field(default_factory=list)     # hashes, new branch
 
-    @property
-    def depth(self) -> int:
-        return len(self.disconnected)
-
 
 class Blockchain:
     """A block tree rooted at a genesis block."""
@@ -91,16 +87,6 @@ class Blockchain:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def main_chain(self) -> Iterator[Block]:
-        """Yield the best chain, genesis first."""
-        path = []
-        cursor = self.tip_hash
-        while cursor:
-            entry = self._entries[cursor]
-            path.append(entry.block)
-            cursor = entry.parent
-        return iter(reversed(path))
 
     def main_chain_hashes(self) -> set:
         hashes = set()

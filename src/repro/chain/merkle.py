@@ -10,7 +10,6 @@ or IBLT mistake is caught here.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Sequence
 
 from repro.errors import ParameterError
@@ -75,10 +74,3 @@ def merkle_root_packed(ids: bytes) -> bytes:
             del _ROOT_CACHE[stale]
     _ROOT_CACHE[ids] = level
     return level
-
-
-def merkle_proof_size(n: int) -> int:
-    """Bytes of a single inclusion proof in a tree of ``n`` leaves."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return 32 * max(1, math.ceil(math.log2(n))) if n > 1 else 32

@@ -4,28 +4,15 @@ Bloom filters and IBLTs reconcile *unordered* sets, but a Merkle root
 commits to an *ordered* list.  Without an agreed order the sender must
 ship one, costing ``n log2 n`` bits -- asymptotically more than Graphene
 itself.  Bitcoin Cash eliminated this with a Canonical Transaction
-Ordering (CTOR): sort by txid.  We implement both the canonical order
-and the cost model for shipping an explicit permutation, so benchmarks
-can report Graphene with and without ordering overhead (Fig. 13 includes
-it; the BCH deployment does not need it).
+Ordering (CTOR): sort by txid, which ``Block.assemble`` does.  This is
+the cost model for shipping an explicit permutation instead, so
+benchmarks can report Graphene with and without ordering overhead
+(Fig. 13 includes it; the BCH deployment does not need it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-from repro.chain.transaction import Transaction
-
-
-def canonical_order(txs: Sequence[Transaction]) -> list[Transaction]:
-    """Return ``txs`` in canonical (CTOR) order: lexicographic by txid."""
-    return sorted(txs, key=lambda tx: tx.txid)
-
-
-def is_canonically_ordered(txs: Sequence[Transaction]) -> bool:
-    """True when ``txs`` is already in canonical order."""
-    return all(txs[i].txid <= txs[i + 1].txid for i in range(len(txs) - 1))
 
 
 def ordering_info_bytes(n: int) -> int:

@@ -101,11 +101,6 @@ class MempoolSyncScenario:
     sender_only: tuple
     receiver_only: tuple
 
-    @property
-    def union_size(self) -> int:
-        return (len(self.common) + len(self.sender_only)
-                + len(self.receiver_only))
-
 
 def make_sync_scenario(n: int, fraction_common: float,
                        seed: int = 0,

@@ -337,11 +337,6 @@ def decode_protocol3_request(data, offset: int = 0) -> tuple[int, int, int]:
 BLOCK_HEADER_BYTES = 80
 
 
-def encode_block_header(header: BlockHeader) -> bytes:
-    """Serialize a block header (Bitcoin's 80-byte layout)."""
-    return header.serialize()
-
-
 def decode_block_header(blob: bytes, offset: int = 0) -> BlockHeader:
     """Parse the 80-byte header prefixed to a Protocol 1 message."""
     if offset + BLOCK_HEADER_BYTES > len(blob):

@@ -100,20 +100,3 @@ def y_star(z: int, m: int, fpr: float, beta: float = BETA_DEFAULT,
         return 0
     delta = chernoff_delta(mu, beta)
     return math.ceil((1.0 + delta) * mu)
-
-
-def theorem2_tail(z: int, m: int, fpr: float, k: int) -> float:
-    """The Theorem 2 bound ``Pr[x <= k; z, m, f_S]`` (for validation tests)."""
-    if k < 0:
-        return 0.0
-    total = 0.0
-    for i in range(0, k + 1):
-        mu = (m - i) * fpr
-        y_needed = z - i
-        if mu <= 0.0:
-            total += 1.0 if y_needed <= 0 else 0.0
-        elif y_needed <= mu:
-            total += 1.0
-        else:
-            total += chernoff_poisson_tail(mu, y_needed / mu - 1.0)
-    return min(1.0, total)

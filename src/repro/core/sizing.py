@@ -76,12 +76,6 @@ class CostBreakdown:
             base += self.pushed_tx_bytes + self.fetched_tx_bytes
         return base
 
-    def graphene_core(self) -> int:
-        """Just the probabilistic structures: S + I + R + J + F (+ the
-        Protocol 3 symbol stream, which plays I's role)."""
-        return (self.bloom_s + self.iblt_i + self.bloom_r + self.iblt_j
-                + self.bloom_f + self.riblt)
-
     def merge(self, other: "CostBreakdown") -> "CostBreakdown":
         """Element-wise sum (for aggregating over many relays)."""
         merged = CostBreakdown()

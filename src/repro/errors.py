@@ -57,10 +57,6 @@ class SimulationBudgetError(ReproError):
     """
 
 
-class MerkleValidationError(ReproError):
-    """The decoded transaction set does not hash to the header's Merkle root."""
-
-
 class ProtocolFailure(ReproError):
     """A Graphene protocol round failed and cannot be retried further."""
 

@@ -4,8 +4,8 @@ The paper motivates Graphene with network-level effects: propagation
 delay grows linearly with block size, and slow relay causes forks.
 This package provides the simulation substrate to observe those
 effects end-to-end: an event-driven simulator with latency/bandwidth
-links (:mod:`~repro.net.simulator`), peers that gossip transactions
-and relay blocks with a pluggable protocol (:mod:`~repro.net.node`),
+links (:mod:`~repro.net.simulator`), peers that relay blocks with a
+pluggable protocol (:mod:`~repro.net.node`),
 and topology builders (:mod:`~repro.net.topology`).
 """
 

@@ -21,7 +21,7 @@ _SEQ = itertools.count()
 
 #: Commands understood by :class:`repro.net.node.Node`.
 COMMANDS = frozenset({
-    "inv", "getdata", "tx",
+    "inv", "getdata",
     "graphene_block", "graphene_p2_request", "graphene_p2_response",
     "graphene_p3_block", "graphene_p3_request", "graphene_p3_symbols",
     "getdata_shortids", "block_txs",

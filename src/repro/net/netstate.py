@@ -1,8 +1,8 @@
 """Flat, columnar network-wide state shared by the nodes of one run.
 
-At 20 nodes, per-node dicts of Python objects (``Node -> stats``,
-per-node inv sets) are fine; at 1000 nodes they are O(network) small
-objects *per node* -- O(network^2) overall -- and dominate memory.
+At 20 nodes, per-node dicts of Python objects (``Node -> stats``) are
+fine; at 1000 nodes they are O(network) small objects *per node* --
+O(network^2) overall -- and dominate memory.
 This module centralizes that bookkeeping in one :class:`NetIndex` per
 :class:`~repro.net.simulator.Simulator`:
 
@@ -11,17 +11,12 @@ This module centralizes that bookkeeping in one :class:`NetIndex` per
   (``array('i'/'q')`` for endpoints and byte/message counters), keyed
   once by ``(src_nid, dst_nid)`` and addressed by integer ``eid``
   thereafter (the id is cached on the :class:`Link` itself, so the
-  steady-state send path is two array increments);
-* transaction-inv dedup becomes one shared ``txid -> bitmask`` table
-  where node ``nid`` owns bit ``1 << nid`` -- one dict entry per
-  transaction for the whole network instead of one set entry per
-  (transaction, node) pair.
+  steady-state send path is two array increments).
 
-The views (:class:`InvView`, :class:`NodeStats`, :class:`EdgeStats`)
-keep the established per-node API -- ``node._seen_inv.add(txid)``,
-``node.stats[peer].bytes_sent`` -- working unchanged over the columnar
-backing, so tests and scenario code written against 20-node runs read
-identically at 1000.
+The views (:class:`NodeStats`, :class:`EdgeStats`) keep the established
+per-node API -- ``node.stats[peer].bytes_sent`` -- working unchanged
+over the columnar backing, so tests and scenario code written against
+20-node runs read identically at 1000.
 """
 
 from __future__ import annotations
@@ -31,10 +26,10 @@ from typing import Dict, List, Tuple
 
 
 class NetIndex:
-    """Integer node ids plus flat edge/inv columns for one simulator."""
+    """Integer node ids plus flat edge columns for one simulator."""
 
     __slots__ = ("nodes", "edge_src", "edge_dst", "edge_bytes",
-                 "edge_msgs", "_edge_ids", "_out_edges", "inv_masks")
+                 "edge_msgs", "_edge_ids", "_out_edges")
 
     def __init__(self):
         #: nid -> Node (the only Node references this index holds).
@@ -45,8 +40,6 @@ class NetIndex:
         self.edge_msgs = array("q")   #: eid -> messages sent
         self._edge_ids: Dict[Tuple[int, int], int] = {}
         self._out_edges: List[List[int]] = []  #: nid -> [eid, ...]
-        #: txid -> bitmask of nids that have marked the inv as seen.
-        self.inv_masks: Dict = {}
 
     def register(self, node) -> int:
         """Assign the next integer id to ``node``."""
@@ -171,58 +164,3 @@ class NodeStats:
     def items(self):
         return [(peer, self[peer]) for peer in self._node.peers]
 
-
-class InvView:
-    """One node's transaction-inv dedup set over the shared bit table.
-
-    Set-like enough for the gossip path and the tests that poke it:
-    ``in``, ``add``, ``update``, ``discard``, ``clear``, ``len``.
-    ``clear`` drops only this node's bit; table entries whose mask
-    reaches zero are deleted so a cleared network frees the memory.
-    """
-
-    __slots__ = ("_masks", "_bit")
-
-    def __init__(self, net: NetIndex, nid: int):
-        self._masks = net.inv_masks
-        self._bit = 1 << nid
-
-    def __contains__(self, txid) -> bool:
-        return bool(self._masks.get(txid, 0) & self._bit)
-
-    def add(self, txid) -> None:
-        self._masks[txid] = self._masks.get(txid, 0) | self._bit
-
-    def update(self, txids) -> None:
-        masks, bit = self._masks, self._bit
-        for txid in txids:
-            masks[txid] = masks.get(txid, 0) | bit
-
-    def discard(self, txid) -> None:
-        mask = self._masks.get(txid, 0) & ~self._bit
-        if mask:
-            self._masks[txid] = mask
-        else:
-            self._masks.pop(txid, None)
-
-    def clear(self) -> None:
-        dead = []
-        for txid, mask in self._masks.items():
-            mask &= ~self._bit
-            if mask:
-                self._masks[txid] = mask
-            else:
-                dead.append(txid)
-        for txid in dead:
-            del self._masks[txid]
-
-    def __len__(self) -> int:
-        bit = self._bit
-        return sum(1 for mask in self._masks.values() if mask & bit)
-
-    def __iter__(self):
-        bit = self._bit
-        return (txid for txid, mask in self._masks.items() if mask & bit)
-
-    def __repr__(self) -> str:
-        return f"InvView({len(self)} seen)"

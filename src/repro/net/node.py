@@ -1,8 +1,8 @@
-"""Simulated peers that gossip transactions and relay blocks.
+"""Simulated peers that relay blocks.
 
-A :class:`Node` owns a mempool, gossips transactions with inv/getdata
-like Bitcoin's p2p layer (section 2.2), and relays blocks with a
-pluggable :class:`RelayProtocol`.  What a node keeps about blocks in
+A :class:`Node` owns a mempool and relays blocks with a pluggable
+:class:`RelayProtocol`, announcing them with inv/getdata like Bitcoin's
+p2p layer (section 2.2).  What a node keeps about blocks in
 flight -- announcers, fetches, the recovery ladder, serving engines,
 span marks -- is its :class:`~repro.net.host.RelayHost`, the same host
 :class:`~repro.net.peer.manager.PeerManager` runs on sockets; a node is
@@ -13,7 +13,7 @@ engines of :mod:`repro.core.engine`; every engine message crosses a
 :class:`~repro.net.transport.SimulatorTransport` carrying its telemetry
 event, so the simulator charges exactly the bytes the standalone
 benchmarks account -- plus latency, bandwidth and multi-hop propagation
-on top.  The node keeps tx gossip and the Compact Blocks / XThin steps.
+on top.  The node keeps the Compact Blocks / XThin wire handlers.
 """
 
 from __future__ import annotations
@@ -26,26 +26,20 @@ from typing import Optional
 from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
-from repro.chain.transaction import Transaction
 from repro.core.engine import RECEIVER_STEPS, SENDER_STEPS
 from repro.core.params import GrapheneConfig
-from repro.core.sizing import (
-    INV_ENTRY_BYTES,
-    MSG_HEADER_BYTES,
-    getdata_bytes,
-    inv_bytes,
-)
+from repro.core.sizing import INV_ENTRY_BYTES, MSG_HEADER_BYTES, getdata_bytes
 from repro.errors import ParameterError
 from repro.net.host import HostViews, RelayHost
 from repro.net.messages import NetMessage
-from repro.net.netstate import InvView, NodeStats
+from repro.net.netstate import NodeStats
 from repro.net.recovery import RecoveryPolicy, STAGE_ENGINE, STAGE_REQUEST
 from repro.net.simulator import FaultInjector, Link, Simulator
 from repro.net.sync import MempoolSyncMixin, SYNC_ROUTES
 from repro.net.transport import SimulatorTransport
 
 #: Graphene wire commands dispatched straight to an engine (the plain
-#: ``getdata`` stays multiplexed with tx gossip and baseline relay).
+#: ``getdata`` stays multiplexed with baseline relay).
 _ENGINE_COMMANDS = (frozenset(RECEIVER_STEPS)
                     | frozenset(SENDER_STEPS)) - {"getdata"}
 
@@ -61,7 +55,7 @@ def derive_loss_seed(src_id: str, dst_id: str) -> int:
 
 
 def _enveloped(command: str, payload, wire_bytes: int) -> NetMessage:
-    """A message whose size model (``getdata_bytes``, ``inv_bytes``,
+    """A message whose size model (``getdata_bytes``,
     ``getblocktxn_bytes``) already counts the envelope that
     :attr:`NetMessage.total_size` adds to every ad-hoc payload."""
     return NetMessage(command, payload, wire_bytes - MSG_HEADER_BYTES)
@@ -82,14 +76,10 @@ class Node(HostViews, MempoolSyncMixin):
     def __init__(self, node_id: str, simulator: Simulator,
                  protocol: RelayProtocol = RelayProtocol.GRAPHENE,
                  config: Optional[GrapheneConfig] = None,
-                 trickle_interval: float = 0.0,
                  recovery: Optional[RecoveryPolicy] = None,
                  tracer=None, telemetry_mode: str = "full"):
         if not node_id:
             raise ParameterError("node_id must be non-empty")
-        if trickle_interval < 0:
-            raise ParameterError(
-                f"trickle_interval must be >= 0, got {trickle_interval}")
         if telemetry_mode not in ("full", "aggregate"):
             raise ParameterError(
                 f"telemetry_mode must be 'full' or 'aggregate', "
@@ -102,7 +92,7 @@ class Node(HostViews, MempoolSyncMixin):
         #: is what bounds memory at 1000-node scale.
         self.telemetry_mode = telemetry_mode
         #: Columnar per-run network registry (integer node ids, flat
-        #: edge/inv columns); shared by every node of one simulator.
+        #: edge columns); shared by every node of one simulator.
         self._net = simulator.net
         #: This node's integer id in the registry.
         self.nid = self._net.register(self)
@@ -116,13 +106,6 @@ class Node(HostViews, MempoolSyncMixin):
         #: exchange lifecycle points.  A pure observer: traced runs are
         #: byte- and clock-identical to untraced ones.
         self.tracer = tracer
-        #: Bitcoin-style inv trickling: queue announcements per peer and
-        #: flush them in batches every ``trickle_interval`` seconds
-        #: (0 = announce immediately).  Trickling is why mempools lag
-        #: blocks -- the Protocol 2 motivation of paper 3.2.
-        self.trickle_interval = trickle_interval
-        self._trickle_queues: dict = {}
-        self._trickle_scheduled: set = set()
         self.mempool = Mempool()
         self.blocks: dict = {}          # merkle root -> Block
         self.peers: dict = {}           # node -> Link
@@ -130,10 +113,6 @@ class Node(HostViews, MempoolSyncMixin):
         #: (``stats[peer].bytes_sent`` / ``.messages_sent``).
         self.stats = NodeStats(self)
         self.block_arrival: dict = {}   # merkle root -> sim time
-        #: Transaction-inv dedup (txids only; block roots live in the
-        #: host's announcer registry so stalled fetches can fail over).
-        #: Set-like view over the registry's shared txid bitmask table.
-        self._seen_inv = InvView(self._net, self.nid)
         #: Announcers, fetches, the ladder and serving engines, keyed by
         #: root; read through the :class:`HostViews` properties.
         self.host = RelayHost(
@@ -216,39 +195,6 @@ class Node(HostViews, MempoolSyncMixin):
         link.fault = fault
 
     # ------------------------------------------------------------------
-    # Transaction gossip (inv / getdata / tx)
-    # ------------------------------------------------------------------
-
-    def submit_transaction(self, tx: Transaction) -> None:
-        """Inject a fresh transaction at this node (a local wallet)."""
-        if self.mempool.add(tx):
-            self._announce_tx(tx, exclude=None)
-
-    def _announce_tx(self, tx: Transaction, exclude: Optional["Node"]) -> None:
-        for peer in self.peers:
-            if peer is exclude:
-                continue
-            self.mempool.note_inv(peer.node_id, tx.txid)
-            if self.trickle_interval > 0:
-                self._trickle_queues.setdefault(peer, []).append(tx.txid)
-                if peer not in self._trickle_scheduled:
-                    self._trickle_scheduled.add(peer)
-                    self.simulator.schedule(
-                        self.trickle_interval,
-                        lambda p=peer: self._flush_trickle(p))
-            else:
-                self._send(peer, NetMessage("inv", tx.txid,
-                                            INV_ENTRY_BYTES + 1))
-
-    def _flush_trickle(self, peer: "Node") -> None:
-        self._trickle_scheduled.discard(peer)
-        queued = self._trickle_queues.pop(peer, [])
-        if not queued or peer not in self.peers:
-            return
-        self._send(peer, NetMessage("inv", ("txs", tuple(queued)),
-                                    1 + INV_ENTRY_BYTES * len(queued)))
-
-    # ------------------------------------------------------------------
     # Block relay
     # ------------------------------------------------------------------
 
@@ -277,8 +223,8 @@ class Node(HostViews, MempoolSyncMixin):
     def send_action(self, peer: int, key, action, wire=None) -> None:
         node = self._net.nodes[peer]
         if wire is None and action.command == "getdata":
-            # Graphene's opening rides the getdata that tx gossip and
-            # the baselines share; it carries m (paper Fig. 2).
+            # Graphene's opening rides the getdata the baselines share;
+            # it carries m (paper Fig. 2).
             self._send(node, NetMessage(
                 "getdata", ("block", key, action.message),
                 len(action.message), event=action.event))
@@ -341,41 +287,10 @@ class Node(HostViews, MempoolSyncMixin):
         handler(sender, message.payload)
 
     def _on_inv(self, sender: "Node", payload) -> None:
-        if isinstance(payload, tuple) and payload[0] == "block":
-            self.host.on_inv(sender.nid, payload[1])
-            return
-        if isinstance(payload, tuple) and payload[0] == "txs":
-            # A trickled batch announcement: request all news in one
-            # batched getdata, like deployed clients.
-            wanted = tuple(
-                txid for txid in payload[1]
-                if txid not in self.mempool and txid not in self._seen_inv)
-            if wanted:
-                self._seen_inv.update(wanted)
-                # A getdata's inventory vector is laid out like an inv's.
-                self._send(sender, _enveloped("getdata", ("txs", wanted),
-                                              inv_bytes(len(wanted))))
-            return
-        txid = payload
-        if txid not in self.mempool and txid not in self._seen_inv:
-            self._seen_inv.add(txid)
-            self._send(sender, _enveloped("getdata", ("tx", txid),
-                                          getdata_bytes(0)))
+        self.host.on_inv(sender.nid, payload[1])
 
     def _on_getdata(self, sender: "Node", payload) -> None:
         kind = payload[0]
-        if kind == "tx":
-            tx = self.mempool.get(payload[1])
-            if tx is not None:
-                self._send(sender, NetMessage("tx", tx, tx.size))
-            return
-        if kind == "txs":
-            found = [self.mempool.get(txid) for txid in payload[1]]
-            found = tuple(tx for tx in found if tx is not None)
-            if found:
-                self._send(sender, NetMessage(
-                    "tx", ("batch", found), sum(tx.size for tx in found)))
-            return
         if kind == "block":
             block = self.blocks.get(payload[1])
             if block is not None:
@@ -389,15 +304,6 @@ class Node(HostViews, MempoolSyncMixin):
                                               block.serialized_size()))
             return
         raise ParameterError(f"unknown getdata kind {kind!r}")
-
-    def _on_tx(self, sender: "Node", payload) -> None:
-        if isinstance(payload, tuple) and payload[0] == "batch":
-            for tx in payload[1]:
-                if self.mempool.add(tx):
-                    self._announce_tx(tx, exclude=sender)
-            return
-        if self.mempool.add(payload):
-            self._announce_tx(payload, exclude=sender)
 
     # ------------------------------------------------------------------
     # Block relay bodies

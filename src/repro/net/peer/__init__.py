@@ -22,7 +22,6 @@ their loopback twins.
 from repro.net.peer.framing import (
     FrameDecoder,
     FrameError,
-    decode_frames,
     encode_frame,
     frame_overhead,
     iter_splits,
@@ -81,7 +80,6 @@ __all__ = [
     "PeerFetchResult",
     "ROOT_BYTES",
     "VersionInfo",
-    "decode_frames",
     "decode_full_block",
     "decode_inv",
     "decode_version",

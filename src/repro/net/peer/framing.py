@@ -162,16 +162,6 @@ class FrameDecoder:
         return (command, payload), start + length
 
 
-def decode_frames(data) -> List[Tuple[str, bytes]]:
-    """Whole-buffer parse: every frame in ``data``, which must end on a
-    frame boundary.  The reference the incremental decoder is pinned
-    against."""
-    decoder = FrameDecoder()
-    frames = decoder.feed(data)
-    decoder.eof()
-    return frames
-
-
 def iter_splits(data: bytes, sizes: Iterator[int]):
     """Yield ``data`` in chunks of the given sizes (test helper)."""
     pos = 0

@@ -13,10 +13,10 @@ overheads that cap a naive heap-of-tuples loop at a few dozen peers:
   columns indexed by ``slot``, and freed slots are pooled for reuse, so
   a long run recycles a small working set of records instead of
   allocating one garbage tuple + handle per message.
-* **A handle-free fast path.**  :meth:`Simulator.post` /
-  :meth:`Simulator.post_at` schedule events that can never be cancelled
-  -- the overwhelmingly common case of message deliveries -- without
-  allocating an :class:`EventHandle` at all.
+* **A handle-free fast path.**  :meth:`Simulator.post_at` schedules
+  events that can never be cancelled -- the overwhelmingly common case
+  of message deliveries -- without allocating an :class:`EventHandle`
+  at all.
 * **Heap compaction.**  Cancelled events are lazily skipped, but a
   1000-node run arms (and immediately cancels) one recovery timer per
   relay, which otherwise leaves the heap mostly debris.  When the
@@ -319,17 +319,6 @@ class Simulator:
         handle = EventHandle(_sim=self)
         self._push(when, callback, handle)
         return handle
-
-    def post(self, delay: float, callback: Callable[[], None]) -> None:
-        """Like :meth:`schedule`, but uncancellable: no handle is made.
-
-        The fast path for message deliveries -- the bulk of a large
-        run's events -- where the returned handle would be discarded
-        anyway.
-        """
-        if delay < 0:
-            raise ParameterError(f"delay must be >= 0, got {delay}")
-        self._push(self.now + delay, callback, None)
 
     def post_at(self, when: float, callback: Callable[[], None]) -> None:
         """Like :meth:`schedule_at`, but uncancellable (no handle)."""

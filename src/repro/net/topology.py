@@ -138,11 +138,6 @@ class GeoLinkModel:
             raise ParameterError(
                 "bandwidth_classes and bandwidth_weights lengths differ")
 
-    def max_latency(self) -> float:
-        """Upper bound on any generated link latency (unit-square)."""
-        return ((self.base_latency + math.sqrt(2) * self.latency_per_unit)
-                * (1 + self.jitter / 2))
-
     def positions(self, n: int,
                   rng: random.Random) -> List[Tuple[float, float]]:
         """Seeded node positions on the unit square."""

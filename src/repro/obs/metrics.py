@@ -23,7 +23,6 @@ same series.  By construction its byte counters agree with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -102,20 +101,6 @@ class Histogram:
         self.total += value
         self.count += 1
         self.max_seen = max(self.max_seen, value)
-
-    def quantile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ParameterError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                return (self.bounds[i] if i < len(self.bounds)
-                        else self.max_seen)
-        return self.max_seen
 
     def as_dict(self) -> dict:
         buckets = {str(bound): self.counts[i]
@@ -202,9 +187,6 @@ class MetricsRegistry:
                 for (name, labels), metric in sorted(self._histograms.items())
             },
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
 def _fold_stream(registry: MetricsRegistry, prefix: str, node_id: str,

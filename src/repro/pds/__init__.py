@@ -18,7 +18,7 @@ Everything in this package is implemented from scratch:
 """
 
 from repro.pds.bloom import BloomFilter, bloom_size_bytes, optimal_hash_count
-from repro.pds.iblt import IBLT, IBLTCell, DecodeResult
+from repro.pds.iblt import IBLT, DecodeResult
 from repro.pds.param_table import IBLTParamTable, default_param_table
 from repro.pds.pingpong import pingpong_decode
 
@@ -27,7 +27,6 @@ __all__ = [
     "bloom_size_bytes",
     "optimal_hash_count",
     "IBLT",
-    "IBLTCell",
     "DecodeResult",
     "IBLTParamTable",
     "default_param_table",

@@ -108,13 +108,6 @@ def poly_gcd(a: Sequence[int], b: Sequence[int],
     return a
 
 
-def poly_from_roots(roots: Iterable[int], p: int = FIELD_PRIME) -> list:
-    poly = [1]
-    for root in roots:
-        poly = poly_mul(poly, [(-root) % p, 1], p)
-    return poly
-
-
 def _poly_powmod(base: list, exponent: int, modulus: list,
                  p: int = FIELD_PRIME) -> list:
     """``base^exponent mod modulus`` by square-and-multiply."""

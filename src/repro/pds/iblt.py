@@ -30,8 +30,7 @@ of candidate pure cells rather than cloning a cell-object table.  Cell
 positions and checksums are the keyed mixes of
 :class:`~repro.utils.hashing.DerivedHasher` -- a handful of integer
 multiplies per key, no SHA-256 and no per-key cache; the scalar
-specification of both is :mod:`repro.pds.reference`.  :class:`IBLTCell`
-survives as a snapshot value object for introspection (``cell_at``).
+specification of both is :mod:`repro.pds.reference`.
 
 The decode loop includes the section 6.1 mitigation for adversarially
 malformed IBLTs: if the same key is peeled twice, decoding halts with
@@ -69,22 +68,6 @@ _FOLD_CACHE_CAP = 64
 #: ``cells u32 | k u8 | seed u32 | cell_bytes u8 | pad u16``
 #: (see :func:`repro.codec.encode_iblt` and docs/PROTOCOL.md section 1.2).
 IBLT_HEADER_BYTES = 12
-
-
-@dataclass
-class IBLTCell:
-    """Snapshot of one IBLT cell: signed count, xor-of-keys, xor-of-checksums.
-
-    The live table is columnar; instances of this class are copies handed
-    out by :meth:`IBLT.cell_at` -- mutating one does not touch the IBLT.
-    """
-
-    count: int = 0
-    key_sum: int = 0
-    check_sum: int = 0
-
-    def is_empty(self) -> bool:
-        return self.count == 0 and self.key_sum == 0 and self.check_sum == 0
 
 
 @dataclass(frozen=True)
@@ -407,11 +390,6 @@ class IBLT:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def cell_at(self, idx: int) -> IBLTCell:
-        """Return a snapshot of cell ``idx`` (mutations do not write back)."""
-        return IBLTCell(self._counts[idx], self._key_sums[idx],
-                        self._check_sums[idx])
 
     def xor_cell(self, idx: int, key: int, delta: int) -> None:
         """Fold ``key`` (with checksum) into the single cell ``idx``.

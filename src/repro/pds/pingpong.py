@@ -12,9 +12,6 @@ several orders of magnitude (Fig. 16).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.errors import ParameterError
 from repro.pds.iblt import IBLT, DecodeResult
 
 
@@ -59,43 +56,3 @@ def pingpong_decode(first: IBLT, second: IBLT) -> DecodeResult:
         if not progressed:
             return DecodeResult(False, frozenset(known[0]), frozenset(known[1]))
 
-
-def pingpong_decode_many(diffs: Sequence[IBLT]) -> DecodeResult:
-    """Jointly decode any number of sibling difference IBLTs.
-
-    The paper (end of section 4.2) suggests this extension: "a receiver
-    could ask many neighbors for the same block and the IBLTs can be
-    jointly decoded with this approach."  Each round, every IBLT is
-    partially decoded and all newly recovered items are peeled out of
-    every sibling; the loop ends when any IBLT empties (full recovery
-    certified) or no sibling makes progress.
-
-    All inputs must be difference IBLTs over the same symmetric
-    difference, built with mutually independent hash seeds.
-    """
-    if not diffs:
-        raise ParameterError("need at least one IBLT")
-    sides = [iblt.copy() for iblt in diffs]
-    known_local: set = set()
-    known_remote: set = set()
-    while True:
-        progressed = False
-        for side in sides:
-            result = side.decode()
-            if result.complete:
-                return DecodeResult(
-                    True,
-                    frozenset(known_local | result.local),
-                    frozenset(known_remote | result.remote))
-            for sign, keys, bucket in ((1, result.local, known_local),
-                                       (-1, result.remote, known_remote)):
-                for key in keys:
-                    if key in bucket:
-                        continue
-                    bucket.add(key)
-                    progressed = True
-                    for other in sides:
-                        other.peel(key, sign)
-        if not progressed:
-            return DecodeResult(False, frozenset(known_local),
-                                frozenset(known_remote))

@@ -10,13 +10,11 @@
 from repro.security.malformed_iblt import make_malformed_iblt
 from repro.security.collision_attack import (
     CollisionAttackResult,
-    find_short_id_collision,
     run_collision_attack,
 )
 
 __all__ = [
     "make_malformed_iblt",
     "CollisionAttackResult",
-    "find_short_id_collision",
     "run_collision_attack",
 ]

@@ -25,31 +25,8 @@ from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TransactionGenerator
 from repro.core.params import GrapheneConfig, optimize_a
-from repro.errors import ParameterError
 from repro.pds.bloom import BloomFilter
 from repro.utils.hashing import sha256
-
-
-def find_short_id_collision(nbytes: int = 2,
-                            max_attempts: int = 1 << 22,
-                            seed: int = 0) -> tuple[bytes, bytes]:
-    """Birthday-search two txids sharing their first ``nbytes`` bytes.
-
-    Feasible in-process for small ``nbytes`` (tests use 2-3); a real
-    adversary spends ~2^(4*nbytes) work offline for 8-byte IDs.
-    """
-    if nbytes < 1 or nbytes > 8:
-        raise ParameterError(f"nbytes must be in [1, 8], got {nbytes}")
-    rng = random.Random(seed)
-    seen: dict = {}
-    for _ in range(max_attempts):
-        txid = sha256(rng.getrandbits(64).to_bytes(8, "little"))
-        prefix = txid[:nbytes]
-        if prefix in seen and seen[prefix] != txid:
-            return seen[prefix], txid
-        seen[prefix] = txid
-    raise ParameterError(
-        f"no collision within {max_attempts} attempts for {nbytes} bytes")
 
 
 def craft_colliding_pair(seed: int = 0) -> tuple[Transaction, Transaction]:

@@ -32,17 +32,6 @@ def chernoff_delta(mu: float, beta: float) -> float:
     return 0.5 * (s + math.sqrt(s * s + 8.0 * s))
 
 
-def chernoff_upper_tail(mu: float, delta: float) -> float:
-    """Return the Lemma 1 bound ``exp(-delta^2 mu / (2 + delta))``."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
-    if mu == 0.0:
-        return 1.0 if delta == 0.0 else 0.0
-    return math.exp(-delta * delta * mu / (2.0 + delta))
-
-
 def chernoff_poisson_tail(mu: float, delta: float) -> float:
     """Return the classic bound ``(e^d / (1+d)^(1+d))^mu`` used by Thm 2."""
     if mu < 0.0:

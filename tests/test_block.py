@@ -5,8 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import BLOCK_HEADER_BYTES, Block, BlockHeader
-from repro.chain.ordering import is_canonically_ordered
-from repro.errors import MerkleValidationError, ParameterError
+from repro.errors import ParameterError
+
+
+def _is_canonical(txs) -> bool:
+    ids = [tx.txid for tx in txs]
+    return ids == sorted(ids)
 
 
 class TestBlockHeader:
@@ -29,7 +33,7 @@ class TestBlockHeader:
 class TestBlockAssembly:
     def test_assemble_orders_canonically(self, txgen):
         block = Block.assemble(txgen.make_batch(50))
-        assert is_canonically_ordered(block.txs)
+        assert _is_canonical(block.txs)
 
     def test_n_and_txids(self, txgen):
         txs = txgen.make_batch(10)
@@ -72,16 +76,15 @@ class TestCandidateValidation:
         swapped = txs[:-1] + [txgen.make()]
         assert not block.validate_candidate(swapped)
 
-    def test_require_valid_returns_ordered(self, txgen):
+    def test_validated_order_is_canonical(self, txgen):
         txs = txgen.make_batch(20)
         block = Block.assemble(txs)
-        ordered = block.require_valid(list(reversed(txs)))
-        assert is_canonically_ordered(ordered)
+        ordered = block.validated_order(list(reversed(txs)))
+        assert _is_canonical(ordered)
 
-    def test_require_valid_raises_on_mismatch(self, txgen):
+    def test_validated_order_is_none_on_mismatch(self, txgen):
         block = Block.assemble(txgen.make_batch(5))
-        with pytest.raises(MerkleValidationError):
-            block.require_valid([txgen.make()])
+        assert block.validated_order([txgen.make()]) is None
 
     def test_empty_block_validates_empty(self):
         block = Block.assemble([])

@@ -10,7 +10,6 @@ import pytest
 from repro.core.bounds import (
     BETA_DEFAULT,
     a_star,
-    theorem2_tail,
     x_star,
     y_star,
 )
@@ -94,18 +93,6 @@ class TestXStar:
             x_star(z=1, m=5, fpr=0.0)
         with pytest.raises(ParameterError):
             x_star(z=1, m=5, fpr=0.1, beta=1.0)
-
-
-class TestTheorem2Tail:
-    def test_negative_k_is_zero(self):
-        assert theorem2_tail(10, 100, 0.1, -1) == 0.0
-
-    def test_monotone_in_k(self):
-        values = [theorem2_tail(50, 1000, 0.01, k) for k in (0, 10, 30, 50)]
-        assert values == sorted(values)
-
-    def test_capped_at_one(self):
-        assert theorem2_tail(100, 100, 1.0, 100) == 1.0
 
 
 class TestYStar:

@@ -221,8 +221,7 @@ class TestMemoryviewInputs:
         return {
             "bloom": (codec.decode_bloom, codec.encode_bloom(bloom)),
             "iblt": (codec.decode_iblt, codec.encode_iblt(iblt)),
-            "block_header": (codec.decode_block_header,
-                             codec.encode_block_header(header)),
+            "block_header": (codec.decode_block_header, header.serialize()),
             "transaction": (codec.decode_transaction,
                             codec.encode_transaction(txs[0])),
             "tx_list": (codec.decode_tx_list, codec.encode_tx_list(txs)),

@@ -132,14 +132,13 @@ class TestMempoolColumns:
         columns = pool.columns()
         assert pool.columns() is columns
         assert not pool.add(txs[0])          # already present: no change
-        pool.note_inv("peer", txs[0].txid)   # the inv log is not the set
         assert pool.columns() is columns
 
     def test_every_mutation_drops_the_snapshot(self, txgen):
         txs = txgen.make_batch(8)
         pool = Mempool(txs[:6])
         mutations = (lambda: pool.add(txs[6]),
-                     lambda: pool.remove(txs[0].txid),
+                     lambda: pool.remove_block([txs[0].txid]),
                      lambda: pool.remove_block([txs[1].txid, txs[2].txid]),
                      lambda: pool.add_many(txs[7:]))
         for mutate in mutations:
@@ -155,7 +154,7 @@ class TestMempoolColumns:
         txs = txgen.make_batch(6)
         pool = Mempool(txs[:5])
         before = pool.columns()
-        pool.remove(txs[0].txid)
+        pool.remove_block([txs[0].txid])
         pool.add(txs[5])
         assert list(before.txs) == txs[:5]
         assert before.ids == b"".join(tx.txid for tx in txs[:5])
@@ -164,12 +163,10 @@ class TestMempoolColumns:
     @pytest.mark.parametrize("warm", [False, True])
     def test_pickle_round_trip(self, txgen, warm):
         pool = Mempool(txgen.make_batch(12))
-        pool.note_inv("peer", pool.txids[0])
         if warm:
             pool.columns()
         clone = pickle.loads(pickle.dumps(pool))
         assert list(clone) == list(pool)
-        assert clone.inv_exchanged("peer", pool.txids[0])
         assert clone.columns().ids == pool.columns().ids
         assert list(clone.columns().txs) == list(pool)
         clone.add(txgen.make())

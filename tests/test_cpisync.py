@@ -15,7 +15,6 @@ from repro.pds.cpisync import (
     make_digest,
     poly_divmod,
     poly_eval,
-    poly_from_roots,
     poly_gcd,
     poly_mul,
     poly_roots,
@@ -24,6 +23,14 @@ from repro.pds.cpisync import (
 )
 
 P = FIELD_PRIME
+
+
+def _from_roots(roots):
+    """The characteristic polynomial with ``roots``, lowest degree first."""
+    poly = [1]
+    for root in roots:
+        poly = poly_mul(poly, [(-root) % FIELD_PRIME, 1])
+    return poly
 
 
 class TestFieldPolynomials:
@@ -45,14 +52,14 @@ class TestFieldPolynomials:
         assert recombined == a
 
     def test_gcd_of_shared_roots(self):
-        a = poly_from_roots([10, 20, 30])
-        b = poly_from_roots([20, 30, 40])
+        a = _from_roots([10, 20, 30])
+        b = _from_roots([20, 30, 40])
         g = poly_gcd(a, b)
         assert sorted(poly_roots(g)) == [20, 30]
 
     def test_roots_of_characteristic_polynomial(self):
         roots = [7, 99, 12345, 2**63]
-        recovered = poly_roots(poly_from_roots(roots))
+        recovered = poly_roots(_from_roots(roots))
         assert sorted(recovered) == sorted(roots)
 
     def test_roots_of_constant_is_empty(self):
@@ -65,7 +72,7 @@ class TestFieldPolynomials:
     @given(st.sets(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
     def test_from_roots_evaluates_to_zero_at_roots(self, roots):
-        poly = poly_from_roots(roots)
+        poly = _from_roots(roots)
         assert all(poly_eval(poly, r) == 0 for r in roots)
 
 

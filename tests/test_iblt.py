@@ -227,7 +227,6 @@ class TestPropertyBased:
         for key in keys:
             iblt.erase(key)
         assert iblt.is_empty()
-        assert all(iblt.cell_at(i).is_empty() for i in range(iblt.cells))
 
     @given(KEYS, KEYS)
     @settings(max_examples=25, deadline=None)

@@ -1,12 +1,14 @@
-"""Tests for lossy links and the sync-repairs-gossip story."""
+"""Tests for lossy links: dropped sends, sync repair, relay recovery."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.chain.block import Block
 from repro.chain.scenarios import make_block_scenario
-from repro.chain.transaction import TransactionGenerator
+from repro.core.sizing import MSG_HEADER_BYTES
 from repro.errors import ParameterError
+from repro.net.messages import NetMessage
 from repro.net.node import Node
 from repro.net.simulator import Link, Simulator
 
@@ -34,7 +36,10 @@ class TestLinkLoss:
             [b.drops() for _ in range(50)]
 
 
-class TestGossipUnderLoss:
+class TestSendUnderLoss:
+    """What a lossy link does to a node's sends, and what a wire mempool
+    sync repairs afterwards."""
+
     def _lossy_pair(self, loss):
         sim = Simulator()
         a = Node("a", sim)
@@ -44,19 +49,28 @@ class TestGossipUnderLoss:
                   Link(latency=0.01, loss_rate=loss, loss_seed=4))
         return sim, a, b
 
-    def test_lossy_gossip_diverges_mempools(self, txgen):
-        sim, a, b = self._lossy_pair(0.4)
-        for tx in txgen.make_batch(300):
-            a.submit_transaction(tx)
-        sim.run()
-        # With 40% loss, a substantial fraction of invs/txs never land.
-        assert len(b.mempool) < 300
+    def _send_blocks(self, a, b, txs):
+        """Push each transaction to ``b`` as a one-transaction full
+        block; return the bytes the sends were charged."""
+        blocks = [Block.assemble([tx]) for tx in txs]
+        for block in blocks:
+            a._send(b, NetMessage("block", block, block.serialized_size()))
+        return sum(block.serialized_size() + MSG_HEADER_BYTES
+                   for block in blocks)
 
-    def test_sync_repairs_lossy_gossip(self, txgen):
+    def test_lossy_link_drops_a_share_of_sends(self, txgen):
         sim, a, b = self._lossy_pair(0.4)
-        for tx in txgen.make_batch(300):
-            a.submit_transaction(tx)
+        self._send_blocks(a, b, txgen.make_batch(300))
         sim.run()
+        # With 40% loss, a substantial fraction never lands.
+        assert 0 < len(b.blocks) < 300
+
+    def test_sync_repairs_what_a_lossy_link_lost(self, txgen):
+        sim, a, b = self._lossy_pair(0.4)
+        txs = txgen.make_batch(300)
+        a.mempool.add_many(txs)
+        # b holds what a 40%-lossy link would have let through.
+        b.mempool.add_many(tx for tx in txs if not a.peers[b].drops())
         missing_before = 300 - len(b.mempool)
         assert missing_before > 0
 
@@ -71,10 +85,11 @@ class TestGossipUnderLoss:
 
     def test_bytes_spent_even_on_drops(self, txgen):
         sim, a, b = self._lossy_pair(0.9)
-        for tx in txgen.make_batch(50):
-            a.submit_transaction(tx)
+        charged = self._send_blocks(a, b, txgen.make_batch(50))
         sim.run()
-        assert a.total_bytes_sent() > 0  # sender pays for lost traffic
+        assert len(b.blocks) < 50
+        # The sender pays for lost traffic: every send is charged.
+        assert a.total_bytes_sent() == charged
 
 
 class TestBlockRelayUnderLoss:

@@ -1,4 +1,4 @@
-"""Tests for the mempool and its per-peer inventory log."""
+"""Tests for the mempool."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TransactionGenerator
-from repro.errors import ParameterError
 
 
 class TestSetOperations:
@@ -39,13 +38,6 @@ class TestSetOperations:
         pool = Mempool(txs[:2])
         assert pool.add_many(txs) == 3
 
-    def test_remove(self, txgen):
-        tx = txgen.make()
-        pool = Mempool([tx])
-        assert pool.remove(tx.txid) is tx
-        assert pool.remove(tx.txid) is None
-        assert len(pool) == 0
-
     def test_remove_block_evicts_confirmed(self, txgen):
         txs = txgen.make_batch(10)
         pool = Mempool(txs)
@@ -64,32 +56,6 @@ class TestSetOperations:
         assert set(pool.txids) == {tx.txid for tx in txs}
 
 
-class TestInvLog:
-    def test_note_and_query(self, txgen):
-        pool = Mempool()
-        tx = txgen.make()
-        pool.note_inv("peer-1", tx.txid)
-        assert pool.inv_exchanged("peer-1", tx.txid)
-        assert not pool.inv_exchanged("peer-2", tx.txid)
-
-    def test_unannounced_to(self, txgen):
-        pool = Mempool()
-        txs = txgen.make_batch(4)
-        pool.note_inv("peer", txs[0].txid)
-        pool.note_inv("peer", txs[2].txid)
-        unannounced = pool.unannounced_to("peer", [tx.txid for tx in txs])
-        assert unannounced == [txs[1].txid, txs[3].txid]
-
-    def test_unknown_peer_all_unannounced(self, txgen):
-        pool = Mempool()
-        txs = txgen.make_batch(2)
-        assert len(pool.unannounced_to("ghost", [t.txid for t in txs])) == 2
-
-    def test_empty_peer_id_rejected(self, txgen):
-        with pytest.raises(ParameterError):
-            Mempool().note_inv("", txgen.make().txid)
-
-
 class TestSnapshotLifetime:
     """The cached ``TxColumns`` is dropped when the set changed and only
     then: a hit invalidates, a miss keeps the same object."""
@@ -102,7 +68,7 @@ class TestSnapshotLifetime:
         held = pool.txids
         for change in (lambda: pool.add(txgen.make()),
                        lambda: pool.add_many(txgen.make_batch(2)),
-                       lambda: pool.remove(held[0]),
+                       lambda: pool.remove_block(held[:1]),
                        lambda: pool.remove_block(held[1:3])):
             before = pool.columns()
             assert change()
@@ -117,7 +83,6 @@ class TestSnapshotLifetime:
         assert not pool.add(pool.transactions()[0])
         assert pool.add_many(pool.transactions()) == 0
         assert pool.add_many([]) == 0
-        assert pool.remove(stranger.txid) is None
         assert pool.remove_block([stranger.txid, b"\x00" * 32]) == 0
         assert pool.remove_block([]) == 0
         assert pool.columns() is before
@@ -132,9 +97,9 @@ _TXS = st.lists(st.sampled_from(_KNOWN + _TWINS), max_size=30)
 
 
 class TestBulkEqualsItemByItem:
-    """``add_many`` / ``remove_block`` / ``copy`` against the per-item
-    calls they replace, on sequences with repeats, pre-existing members
-    and unknown txids."""
+    """``add_many`` / ``copy`` against the per-item calls they replace,
+    ``remove_block`` against a filter of the set, on sequences with
+    repeats, pre-existing members and unknown txids."""
 
     @staticmethod
     def _same(a: Mempool, b: Mempool) -> None:
@@ -157,30 +122,26 @@ class TestBulkEqualsItemByItem:
     @given(_TXS, _TXS)
     @settings(max_examples=150, deadline=None)
     def test_remove_block(self, initial, batch):
-        bulk, single = Mempool(initial), Mempool(initial)
+        bulk = Mempool(initial)
         txids = [tx.txid for tx in batch] + [b"\xee" * 32]
+        kept = Mempool(tx for tx in bulk if tx.txid not in set(txids))
         assert bulk.remove_block(iter(txids)) == \
-            sum(single.remove(txid) is not None for txid in txids)
-        self._same(bulk, single)
+            len(Mempool(initial)) - len(kept)
+        self._same(bulk, kept)
 
     @given(_TXS, _TXS)
     @settings(max_examples=100, deadline=None)
     def test_copy_is_independent(self, initial, batch):
         original = Mempool(initial)
-        original.note_inv("peer", b"\x01" * 32)
         snapshot = original.columns()
         content = original.transactions()
         clone = original.copy()
         self._same(clone, original)
         assert clone.columns() is snapshot
-        assert not clone.inv_exchanged("peer", b"\x01" * 32)
-        clone.note_inv("other", b"\x02" * 32)
-        assert not original.inv_exchanged("other", b"\x02" * 32)
 
         clone.add_many(batch)
         clone.add(TransactionGenerator(seed=5).make())
-        for txid in clone.txids[:2]:
-            clone.remove(txid)
+        clone.remove_block(clone.txids[:2])
         clone.remove_block(tx.txid for tx in batch)
         assert original.transactions() == content
         assert original.columns() is snapshot

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import merkle
-from repro.chain.merkle import (merkle_proof_size, merkle_root,
-                                merkle_root_packed)
+from repro.chain.merkle import merkle_root, merkle_root_packed
 from repro.errors import ParameterError
 from repro.utils.hashing import sha256
 
@@ -97,14 +96,3 @@ class TestRootMemo:
         assert list(merkle._ROOT_CACHE) == [newest[:64]]
         merkle._ROOT_CACHE.clear()
 
-
-class TestProofSize:
-    def test_single_leaf(self):
-        assert merkle_proof_size(1) == 32
-
-    def test_grows_logarithmically(self):
-        assert merkle_proof_size(1024) == 32 * 10
-
-    def test_rejects_zero(self):
-        with pytest.raises(ParameterError):
-            merkle_proof_size(0)

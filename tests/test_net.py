@@ -87,48 +87,12 @@ class TestNetMessage:
         assert msg.total_size == 37 + 24
 
 
-class TestNodeGossip:
-    def _pair(self):
-        sim = Simulator()
-        a = Node("a", sim)
-        b = Node("b", sim)
-        a.connect(b, Link(latency=0.01, bandwidth=10_000_000))
-        return sim, a, b
-
-    def test_transaction_propagates(self, txgen):
-        sim, a, b = self._pair()
-        tx = txgen.make()
-        a.submit_transaction(tx)
-        sim.run()
-        assert tx.txid in b.mempool
-
+class TestNodeWiring:
     def test_no_self_peering(self):
         sim = Simulator()
         node = Node("x", sim)
         with pytest.raises(ParameterError):
             node.connect(node)
-
-    def test_bytes_accounted(self, txgen):
-        sim, a, b = self._pair()
-        a.submit_transaction(txgen.make())
-        sim.run()
-        assert a.total_bytes_sent() > 0
-        assert b.total_bytes_sent() > 0  # getdata back
-
-    def test_duplicate_inv_not_rerequested(self, txgen):
-        sim = Simulator()
-        a, b, c = (Node(i, sim) for i in "abc")
-        a.connect(c)
-        b.connect(c)
-        a.connect(b)
-        tx = txgen.make()
-        a.submit_transaction(tx)
-        sim.run()
-        assert tx.txid in c.mempool
-        # c asked for the tx exactly once despite two inv paths.
-        getdatas = sum(
-            stats.messages_sent for stats in c.stats.values())
-        assert getdatas <= 3  # getdata + its own inv relays
 
 
 class TestBlockRelayOverNetwork:
@@ -174,6 +138,32 @@ class TestBlockRelayOverNetwork:
         a.mine_block(Block.assemble(txs))
         sim.run()
         assert len(b.mempool) == 0
+
+    def test_block_outruns_its_transactions(self, txgen):
+        """The paper 3.2 scenario: the block reaches a peer before 50 of
+        its transactions do, so Protocol 1 cannot suffice -- yet the
+        peer still reconstructs the exact block (Protocol 2 / pushed
+        transactions)."""
+        sim = Simulator()
+        miner = Node("m", sim, protocol=RelayProtocol.GRAPHENE)
+        peer = Node("p", sim, protocol=RelayProtocol.GRAPHENE)
+        miner.connect(peer, Link(latency=0.01))
+
+        base = txgen.make_batch(150)
+        miner.mempool.add_many(base)
+        peer.mempool.add_many(base)
+
+        fresh = txgen.make_batch(50)
+        miner.mempool.add_many(fresh)
+        block = Block.assemble(base + fresh)
+        miner.mine_block(block)
+        sim.run(until=5.0)
+
+        assert block.header.merkle_root in peer.blocks
+        arrived = peer.blocks[block.header.merkle_root]
+        assert arrived.txids == block.txids
+        # The exchange needed more than the single P1 message.
+        assert miner.stats[peer].messages_sent >= 3
 
 
 class TestTopologies:

@@ -71,14 +71,14 @@ class TestPostFastPath:
         sim = Simulator()
         order = []
         sim.schedule(2.0, lambda: order.append("handle"))
-        sim.post(1.0, lambda: order.append("fast"))
+        sim.post_at(1.0, lambda: order.append("fast"))
         sim.post_at(3.0, lambda: order.append("fast_at"))
         sim.run()
         assert order == ["fast", "handle", "fast_at"]
 
     def test_post_counts_as_pending(self):
         sim = Simulator()
-        sim.post(1.0, lambda: None)
+        sim.post_at(1.0, lambda: None)
         assert sim.pending == 1
         sim.run()
         assert sim.pending == 0
@@ -86,7 +86,7 @@ class TestPostFastPath:
     def test_post_validation(self):
         sim = Simulator()
         with pytest.raises(ParameterError):
-            sim.post(-1.0, lambda: None)
+            sim.post_at(-1.0, lambda: None)
         sim.schedule(5.0, lambda: None)
         sim.run()
         with pytest.raises(ParameterError):
@@ -95,10 +95,10 @@ class TestPostFastPath:
     def test_slots_are_recycled(self):
         sim = Simulator()
         for i in range(100):
-            sim.post(float(i), lambda: None)
+            sim.post_at(float(i), lambda: None)
         sim.run()
         for i in range(100):
-            sim.post(float(i), lambda: None)
+            sim.post_at(sim.now + i, lambda: None)
         sim.run()
         # The pool never grew beyond the first wave's peak.
         assert len(sim._slot_cb) <= 100
@@ -112,7 +112,7 @@ class TestHeapCompaction:
         for handle in handles:
             handle.cancel()
         # Trigger the push-time compaction check.
-        sim.post(1.0, lambda: None)
+        sim.post_at(1.0, lambda: None)
         assert len(sim._queue) == 1
         assert sim.pending == 1
 
@@ -129,7 +129,7 @@ class TestHeapCompaction:
                       for i in range(cancel_bulk)]
             for handle in doomed:
                 handle.cancel()
-            sim.post(1.0, lambda: order.append(("first", sim.now)))
+            sim.post_at(1.0, lambda: order.append(("first", sim.now)))
             sim.run(until=200.0)
             return order
 
@@ -146,7 +146,7 @@ class TestHeapCompaction:
         for i, handle in enumerate(handles):
             if i % 7:
                 handle.cancel()
-        sim.post(1.0, lambda: None)
+        sim.post_at(1.0, lambda: None)
         sim.run()
         assert fired == keep
 
@@ -155,7 +155,7 @@ class TestRunCycles:
     def test_cycles_advance_in_fixed_steps(self):
         sim = Simulator()
         for i in range(10):
-            sim.post(float(i), lambda: None)
+            sim.post_at(float(i), lambda: None)
         stats = []
         ran = sim.run_cycles(cycle=2.5, cycles=4, on_cycle=stats.append)
         assert ran == 4
@@ -165,7 +165,7 @@ class TestRunCycles:
 
     def test_unbounded_cycles_stop_when_drained(self):
         sim = Simulator()
-        sim.post(7.0, lambda: None)
+        sim.post_at(7.0, lambda: None)
         ran = sim.run_cycles(cycle=2.0)
         assert ran == 4  # 0-2, 2-4, 4-6, 6-8
         assert sim.pending == 0
@@ -173,7 +173,7 @@ class TestRunCycles:
     def test_cycle_budget_raises_by_default(self):
         sim = Simulator()
         for i in range(10):
-            sim.post(0.1 * i, lambda: None)
+            sim.post_at(0.1 * i, lambda: None)
         with pytest.raises(SimulationBudgetError):
             sim.run_cycles(cycle=5.0, cycles=1, max_events_per_cycle=3)
 
@@ -252,7 +252,7 @@ class TestColumnarState:
         a, b = Node("a", sim), Node("b", sim)
         a.connect(b)
         assert a.stats[b].bytes_sent == 0
-        a.submit_transaction(_make_tx(0))
+        a.mine_block(_make_block(0))
         sim.run()
         assert a.stats[b].messages_sent >= 1
         assert a.stats[b].bytes_sent > 0
@@ -267,32 +267,16 @@ class TestColumnarState:
         sim = Simulator()
         a, b = Node("a", sim), Node("b", sim)
         a.connect(b)
-        a.submit_transaction(_make_tx(1))
+        a.mine_block(_make_block(1))
         sim.run()
         before = a.stats[b].bytes_sent
         assert before > 0
         a.peers[b] = Link(latency=0.01)
         b.peers[a] = Link(latency=0.01)
-        a.submit_transaction(_make_tx(2))
+        a.mine_block(_make_block(2))
         sim.run()
         # Same ordered pair -> same edge row: counters accumulate.
         assert a.stats[b].bytes_sent > before
-
-    def test_inv_view_is_shared_but_per_node(self):
-        sim = Simulator()
-        a, b = Node("a", sim), Node("b", sim)
-        a._seen_inv.add(b"t1")
-        assert b"t1" in a._seen_inv
-        assert b"t1" not in b._seen_inv
-        b._seen_inv.update([b"t1", b"t2"])
-        assert len(b._seen_inv) == 2
-        # One shared table entry for t1, owned by two bits.
-        assert len(sim.net.inv_masks) == 2
-        a._seen_inv.clear()
-        assert b"t1" not in a._seen_inv
-        assert b"t1" in b._seen_inv
-        b._seen_inv.clear()
-        assert len(sim.net.inv_masks) == 0
 
     def test_block_sources_resolve_through_registry(self):
         from repro.chain.scenarios import make_block_scenario
@@ -373,6 +357,7 @@ class TestPropagationScenario:
             run_propagation_scenario(nodes=4, topology="torus")
 
 
-def _make_tx(i):
+def _make_block(i):
+    from repro.chain.block import Block
     from repro.chain.transaction import TransactionGenerator
-    return TransactionGenerator(seed=1000 + i).make_batch(1)[0]
+    return Block.assemble(TransactionGenerator(seed=1000 + i).make_batch(1))

@@ -165,15 +165,13 @@ class TestMetricsRegistry:
             registry.counter("bytes", node=node).inc()
         assert registry.label_values("bytes", "node") == ["a", "b"]
 
-    def test_histogram_buckets_and_quantile(self):
+    def test_histogram_buckets(self):
         hist = Histogram(bounds=(1.0, 2.0, 4.0))
         for value in (0.5, 1.5, 3.0, 8.0):
             hist.observe(value)
         assert hist.count == 4
         assert hist.counts == [1, 1, 1, 1]
         assert hist.max_seen == 8.0
-        assert hist.quantile(0.25) == 1.0
-        assert hist.quantile(1.0) == 8.0
         assert hist.as_dict()["buckets"]["+Inf"] == 1
 
     def test_snapshot_is_deterministic_and_json_safe(self):

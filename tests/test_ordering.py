@@ -1,4 +1,4 @@
-"""Tests for canonical transaction ordering and ordering-cost model."""
+"""Tests for the ordering-cost model (CTOR itself: tests/test_block.py)."""
 
 from __future__ import annotations
 
@@ -6,37 +6,7 @@ import math
 
 import pytest
 
-from repro.chain.ordering import (
-    canonical_order,
-    is_canonically_ordered,
-    ordering_info_bytes,
-)
-
-
-class TestCanonicalOrder:
-    def test_sorted_by_txid(self, txgen):
-        txs = txgen.make_batch(30)
-        ordered = canonical_order(txs)
-        assert [t.txid for t in ordered] == sorted(t.txid for t in txs)
-
-    def test_idempotent(self, txgen):
-        txs = canonical_order(txgen.make_batch(10))
-        assert canonical_order(txs) == txs
-
-    def test_is_canonically_ordered(self, txgen):
-        txs = canonical_order(txgen.make_batch(10))
-        assert is_canonically_ordered(txs)
-        assert not is_canonically_ordered(list(reversed(txs)))
-
-    def test_empty_and_single(self, txgen):
-        assert is_canonically_ordered([])
-        assert is_canonically_ordered([txgen.make()])
-
-    def test_does_not_mutate_input(self, txgen):
-        txs = txgen.make_batch(5)
-        snapshot = list(txs)
-        canonical_order(txs)
-        assert txs == snapshot
+from repro.chain.ordering import ordering_info_bytes
 
 
 class TestOrderingCost:

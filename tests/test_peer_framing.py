@@ -24,12 +24,21 @@ from repro.net.peer.framing import (
     FrameError,
     MAGIC,
     MAX_PAYLOAD,
-    decode_frames,
     encode_frame,
     frame_overhead,
     iter_splits,
 )
 from repro.net.peer.protocol import encode_keyed, encode_version
+
+
+def _decode_frames(data):
+    """Whole-buffer parse: every frame in ``data``, which must end on a
+    frame boundary -- the reference the incremental decoder is pinned
+    against."""
+    decoder = FrameDecoder()
+    frames = decoder.feed(data)
+    decoder.eof()
+    return frames
 
 
 def _engine_stream(seed: int = 133) -> bytes:
@@ -56,7 +65,7 @@ class TestSplitInvariance:
     """Any fragmentation decodes to the whole-buffer reference parse."""
 
     def _assert_invariant(self, stream: bytes, sizes) -> None:
-        reference = decode_frames(stream)
+        reference = _decode_frames(stream)
         assert len(reference) >= 2
         decoder = FrameDecoder()
         collected = []
@@ -108,7 +117,7 @@ class TestHostileFrames:
     def test_bad_magic(self):
         bad = b"\x00\x00\x00\x00" + encode_frame("inv", b"x" * 32)[4:]
         with pytest.raises(FrameError, match="magic"):
-            decode_frames(bad)
+            _decode_frames(bad)
 
     def test_bad_magic_detected_before_body_arrives(self):
         decoder = FrameDecoder()
@@ -117,17 +126,17 @@ class TestHostileFrames:
 
     def test_zero_command_length(self):
         with pytest.raises(FrameError, match="command length"):
-            decode_frames(struct.pack("<IB", MAGIC, 0) + b"\x00" * 8)
+            _decode_frames(struct.pack("<IB", MAGIC, 0) + b"\x00" * 8)
 
     def test_oversized_command_length(self):
         with pytest.raises(FrameError, match="command length"):
-            decode_frames(struct.pack("<IB", MAGIC, 255))
+            _decode_frames(struct.pack("<IB", MAGIC, 255))
 
     def test_non_ascii_command(self):
         frame = bytearray(encode_frame("inv", b"x" * 32))
         frame[5] = 0xC3  # first command byte -> invalid ASCII
         with pytest.raises(FrameError, match="non-ASCII"):
-            decode_frames(bytes(frame))
+            _decode_frames(bytes(frame))
 
     def test_hostile_length_rejected_without_buffering(self):
         # A 4 GiB claimed length must be rejected from the header
@@ -141,7 +150,7 @@ class TestHostileFrames:
         frame = bytearray(encode_frame("inv", b"x" * 32))
         frame[-1] ^= 0x01  # corrupt the payload, keep the header
         with pytest.raises(FrameError, match="checksum"):
-            decode_frames(bytes(frame))
+            _decode_frames(bytes(frame))
 
     def test_midframe_eof(self):
         frame = encode_frame("graphene_block", b"y" * 100)

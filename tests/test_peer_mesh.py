@@ -561,8 +561,8 @@ def _assert_loopback_twin(result, block, mempool, config=None):
 
 class TestServedOnce:
     """A block is opened once per node: one sender engine per held root
-    answers every connection (as ``Node._tx_engines`` does), and it
-    lives no longer than its block."""
+    answers every connection (the host's ``serving_engines``, as on a
+    simulated ``Node``), and it lives no longer than its block."""
 
     @pytest.mark.parametrize("fetchers", [2, 5])
     def test_equal_m_is_one_opening(self, fetchers):

@@ -102,63 +102,3 @@ class TestPingPong:
         assert isinstance(result.local, frozenset)
         assert isinstance(result.remote, frozenset)
 
-
-class TestPingPongMany:
-    """The multi-neighbor extension at the end of paper 4.2."""
-
-    def _diffs(self, items, shapes):
-        from repro.pds.iblt import IBLT
-        diffs = []
-        for seed, cells in shapes:
-            full = IBLT(cells, seed=seed)
-            empty = IBLT(cells, seed=seed)
-            full.update(items)
-            diffs.append(full.subtract(empty))
-        return diffs
-
-    def test_three_undersized_iblts_jointly_decode(self, rng):
-        from repro.pds.pingpong import pingpong_decode_many
-        items = [rng.getrandbits(64) for _ in range(60)]
-        # Each alone is too small for 60 items (tau = 1.0).
-        diffs = self._diffs(items, [(1, 60), (2, 60), (3, 60)])
-        assert not diffs[0].decode().complete
-        result = pingpong_decode_many(diffs)
-        assert result.complete
-        assert result.local == set(items)
-
-    def test_single_iblt_degenerates_to_plain_decode(self, rng):
-        from repro.pds.pingpong import pingpong_decode_many
-        items = [rng.getrandbits(64) for _ in range(10)]
-        diffs = self._diffs(items, [(1, 60)])
-        result = pingpong_decode_many(diffs)
-        assert result.complete and result.local == set(items)
-
-    def test_empty_input_rejected(self):
-        import pytest as _pytest
-        from repro.errors import ParameterError
-        from repro.pds.pingpong import pingpong_decode_many
-        with _pytest.raises(ParameterError):
-            pingpong_decode_many([])
-
-    def test_hopeless_ensemble_reports_partial(self, rng):
-        from repro.pds.pingpong import pingpong_decode_many
-        items = [rng.getrandbits(64) for _ in range(300)]
-        diffs = self._diffs(items, [(1, 12), (2, 12), (3, 12)])
-        result = pingpong_decode_many(diffs)
-        assert not result.complete
-
-    def test_more_neighbors_help_statistically(self):
-        import random as _random
-        from repro.pds.pingpong import pingpong_decode_many
-        rng = _random.Random(4)
-        j, cells = 50, 56  # tau ~ 1.12: often undecodable alone
-        solo_fail = trio_fail = 0
-        for _ in range(60):
-            items = [rng.getrandbits(64) for _ in range(j)]
-            diffs = self._diffs(
-                items, [(rng.getrandbits(20), cells) for _ in range(3)])
-            if not diffs[0].decode().complete:
-                solo_fail += 1
-            if not pingpong_decode_many(diffs).complete:
-                trio_fail += 1
-        assert trio_fail < solo_fail

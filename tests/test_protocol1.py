@@ -62,7 +62,7 @@ class TestReceiveHappyPath:
         result = receive_protocol1(payload, small_scenario.receiver_mempool,
                                    config, validate_block=small_scenario.block)
         # No Bloom false negatives: all block txns must be candidates.
-        for txid in small_scenario.block.txid_set():
+        for txid in set(small_scenario.block.txids):
             assert txid in result.candidates
 
     def test_mempool_sync_mode_no_merkle(self, small_scenario, config):
@@ -72,7 +72,7 @@ class TestReceiveHappyPath:
                                    config, validate_block=None)
         assert result.success
         assert not result.merkle_ok  # merkle was never checked
-        assert {t.txid for t in result.txs} == small_scenario.block.txid_set()
+        assert {t.txid for t in result.txs} == set(small_scenario.block.txids)
 
     def test_exact_mempool_equals_block(self, config):
         # m == n: degenerate filter, IBLT-only, must still succeed.

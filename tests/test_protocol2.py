@@ -75,7 +75,7 @@ class TestRespond:
         pushed_ids = {tx.txid for tx in response.missing_txs}
         missing_ids = {tx.txid for tx in sc.missing}
         # Everything pushed is genuinely in the block and missed R.
-        assert pushed_ids <= sc.block.txid_set()
+        assert pushed_ids <= set(sc.block.txids)
         # Most missing transactions fail R and get pushed; at most b slip.
         assert len(missing_ids - pushed_ids) <= max(2 * request.b, 10)
 
@@ -106,7 +106,7 @@ class TestFinish:
             still = {tx for tx in sc.block.txs
                      if tx.short_id() in result.missing_short_ids}
             recovered_ids |= {tx.txid for tx in still}
-        assert recovered_ids == sc.block.txid_set()
+        assert recovered_ids == set(sc.block.txids)
 
     def test_success_without_residual_missing(self, config):
         # With fraction 0.95 and roomy mempool, usually nothing slips R.

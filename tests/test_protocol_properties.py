@@ -108,7 +108,9 @@ class TestCostInvariants:
                                        seed=seed)
         outcome = BlockRelaySession().relay(scenario.block,
                                             scenario.receiver_mempool)
-        assert outcome.cost.graphene_core() <= 8 * n + 200
+        cost = outcome.cost
+        assert cost.bloom_s + cost.iblt_i + cost.bloom_r + cost.iblt_j \
+            <= 8 * n + 200
 
 
 class TestConfigMonotonicity:

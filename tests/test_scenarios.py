@@ -18,7 +18,7 @@ class TestBlockScenario:
         assert sc.n == 100
         assert sc.m == 150
         assert not sc.missing
-        block_ids = sc.block.txid_set()
+        block_ids = set(sc.block.txids)
         assert all(txid in sc.receiver_mempool for txid in block_ids)
 
     def test_partial_overlap_counts(self):
@@ -33,14 +33,14 @@ class TestBlockScenario:
 
     def test_extra_disjoint_from_block(self):
         sc = make_block_scenario(n=50, extra=30, fraction=1.0, seed=4)
-        block_ids = sc.block.txid_set()
+        block_ids = set(sc.block.txids)
         extra_count = sum(
             1 for tx in sc.receiver_mempool if tx.txid not in block_ids)
         assert extra_count == 30
 
     def test_sender_mempool_covers_block(self):
         sc = make_block_scenario(n=40, extra=10, fraction=0.5, seed=5)
-        for txid in sc.block.txid_set():
+        for txid in set(sc.block.txids):
             assert txid in sc.sender_mempool
 
     def test_deterministic_by_seed(self):
@@ -80,10 +80,6 @@ class TestSyncScenario:
             assert tx.txid not in sc.receiver_mempool
         for tx in sc.receiver_only:
             assert tx.txid not in sc.sender_mempool
-
-    def test_union_size(self):
-        sc = make_sync_scenario(n=100, fraction_common=0.25, seed=11)
-        assert sc.union_size == 175
 
     def test_full_overlap_identical(self):
         sc = make_sync_scenario(n=50, fraction_common=1.0, seed=12)

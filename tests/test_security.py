@@ -7,7 +7,6 @@ import pytest
 from repro.errors import MalformedIBLTError, ParameterError
 from repro.security.collision_attack import (
     craft_colliding_pair,
-    find_short_id_collision,
     run_collision_attack,
 )
 from repro.security.malformed_iblt import make_malformed_iblt
@@ -40,19 +39,6 @@ class TestMalformedIBLT:
 
 
 class TestCollisionSearch:
-    def test_finds_small_collision(self):
-        a, b = find_short_id_collision(nbytes=2, seed=1)
-        assert a != b
-        assert a[:2] == b[:2]
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ParameterError):
-            find_short_id_collision(nbytes=0)
-
-    def test_gives_up_gracefully(self):
-        with pytest.raises(ParameterError):
-            find_short_id_collision(nbytes=8, max_attempts=10)
-
     def test_crafted_pair_collides_on_short_id(self):
         t1, t2 = craft_colliding_pair(seed=2)
         assert t1.txid != t2.txid

@@ -100,7 +100,7 @@ class TestSettle:
         assert [tx.txid for tx in result.txs] == sc.block.txids
         assert not result.missing_short_ids
         assert {tx.txid for tx in result.reconciled} \
-            == sc.block.txid_set()
+            == set(sc.block.txids)
 
     def test_mempool_mode_skips_the_merkle_check(self, settle):
         sc = make_block_scenario(**SYNCED)
@@ -117,7 +117,7 @@ class TestSettle:
         assert result.missing_short_ids \
             == frozenset(tx.short_id() for tx in sc.missing)
         assert isinstance(result.missing_short_ids, frozenset)
-        held = sc.block.txid_set() - {tx.txid for tx in sc.missing}
+        held = set(sc.block.txids) - {tx.txid for tx in sc.missing}
         assert {tx.txid for tx in result.reconciled} == held
 
     def test_all_zero_replay_is_a_decode_failure(self, settle):
@@ -135,4 +135,4 @@ class TestSettle:
         assert result.decode_complete and not result.merkle_ok
         assert result.txs is None
         assert {tx.txid for tx in result.reconciled} \
-            == sc.block.txid_set()
+            == set(sc.block.txids)

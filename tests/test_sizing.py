@@ -36,11 +36,6 @@ class TestCostBreakdown:
         assert cost.total() == 150
         assert cost.total(include_txs=True) == 1150
 
-    def test_graphene_core(self):
-        cost = CostBreakdown(inv=10, getdata=10, bloom_s=1, iblt_i=2,
-                             bloom_r=3, iblt_j=4, bloom_f=5)
-        assert cost.graphene_core() == 15
-
     def test_merge_elementwise(self):
         a = CostBreakdown(bloom_s=1, iblt_i=2)
         b = CostBreakdown(bloom_s=10, iblt_j=5)

@@ -13,9 +13,13 @@ from repro.utils.stats import (
     binomial_sample,
     chernoff_delta,
     chernoff_poisson_tail,
-    chernoff_upper_tail,
     wilson_interval,
 )
+
+
+def _lemma1_tail(mu: float, delta: float) -> float:
+    """Lemma 1's bound ``exp(-delta^2 mu / (2 + delta))``."""
+    return math.exp(-delta * delta * mu / (2.0 + delta))
 
 
 class TestChernoffDelta:
@@ -23,7 +27,7 @@ class TestChernoffDelta:
         # delta is defined so exp(-d^2 mu / (2+d)) == 1 - beta exactly.
         mu, beta = 20.0, 239.0 / 240.0
         delta = chernoff_delta(mu, beta)
-        assert chernoff_upper_tail(mu, delta) == pytest.approx(1.0 - beta)
+        assert _lemma1_tail(mu, delta) == pytest.approx(1.0 - beta)
 
     def test_decreases_with_mu(self):
         beta = 0.99
@@ -57,25 +61,16 @@ class TestChernoffDelta:
 
 
 class TestTailBounds:
-    def test_upper_tail_at_zero_delta(self):
-        assert chernoff_upper_tail(5.0, 0.0) == 1.0
-
-    def test_upper_tail_monotone_in_delta(self):
-        values = [chernoff_upper_tail(10.0, d) for d in (0.1, 0.5, 1.0, 2.0)]
-        assert values == sorted(values, reverse=True)
-
     def test_poisson_tail_bounds_upper_tail(self):
         # The (e^d/(1+d)^(1+d))^mu form is tighter than Lemma 1's form.
         for delta in (0.5, 1.0, 3.0):
             assert (chernoff_poisson_tail(10.0, delta)
-                    <= chernoff_upper_tail(10.0, delta) + 1e-12)
+                    <= _lemma1_tail(10.0, delta) + 1e-12)
 
     def test_poisson_tail_zero_mu(self):
         assert chernoff_poisson_tail(0.0, 1.0) == 1.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            chernoff_upper_tail(-1.0, 0.5)
         with pytest.raises(ValueError):
             chernoff_poisson_tail(1.0, -1.5)
 

@@ -7,13 +7,23 @@ import math
 import pytest
 
 from repro.analysis.theory import (
-    bloom_approx_lower_bound_bytes,
     exact_membership_bound_bytes,
     graphene_protocol1_bytes,
     graphene_vs_bloom_gain_bits,
-    protocol1_cost_model_bytes,
 )
+from repro.core.bounds import BETA_DEFAULT, a_star
 from repro.errors import ParameterError
+
+
+def _cost_model_bytes(n, m, a, tau, delta=None, cell_bytes=12,
+                      beta=BETA_DEFAULT):
+    """The continuous ``T(a)`` of Eq. 2, the oracle the optimizer is
+    checked against:
+    ``T(a) = -n ln(a / (m-n)) / (8 ln^2 2) + r tau (1 + delta) a``."""
+    if delta is None:
+        delta = a_star(a, beta) / a - 1.0
+    bloom = -n * math.log(a / (m - n)) / (8.0 * math.log(2.0) ** 2)
+    return max(0.0, bloom) + cell_bytes * tau * (1.0 + delta) * a
 
 
 class TestInformationBounds:
@@ -29,14 +39,10 @@ class TestInformationBounds:
         with pytest.raises(ParameterError):
             exact_membership_bound_bytes(5, 3)
 
-    def test_carter_bound(self):
-        # -n log2 f bits.
-        assert bloom_approx_lower_bound_bytes(100, 1 / 1024) == pytest.approx(
-            100 * 10 / 8)
-
     def test_carter_bound_below_exact_for_loose_fpr(self):
+        # Carter et al.'s -n log2 f bits for approximate membership.
         n, m = 100, 10_000
-        approx = bloom_approx_lower_bound_bytes(n, 0.01)
+        approx = -n * math.log2(0.01) / 8.0
         exact = exact_membership_bound_bytes(n, m)
         assert approx < exact
 
@@ -70,13 +76,13 @@ class TestCostModel:
         n, m = 2000, 4000
         plan = optimize_a(n, m, config)
         tau = plan.iblt.cells / max(1, plan.recover)
-        model = protocol1_cost_model_bytes(n, m, plan.a, tau)
+        model = _cost_model_bytes(n, m, plan.a, tau)
         assert model == pytest.approx(plan.total_bytes, rel=0.25)
 
     def test_convex_in_a(self):
         # The continuous cost has a single interior minimum.
         n, m = 2000, 4000
-        costs = [protocol1_cost_model_bytes(n, m, a, 1.4)
+        costs = [_cost_model_bytes(n, m, a, 1.4)
                  for a in (1, 5, 20, 60, 200, 1000, 1999)]
         minimum = min(costs)
         idx = costs.index(minimum)
@@ -86,17 +92,13 @@ class TestCostModel:
         from repro.core.params import closed_form_a
         n, m, tau, r = 5000, 10_000, 1.4, 12
         a_hint = closed_form_a(n, tau, r)
-        here = protocol1_cost_model_bytes(n, m, a_hint, tau, delta=0.0,
-                                          cell_bytes=r)
+        here = _cost_model_bytes(n, m, a_hint, tau, delta=0.0,
+                                 cell_bytes=r)
         for factor in (0.5, 2.0):
-            there = protocol1_cost_model_bytes(
+            there = _cost_model_bytes(
                 n, m, max(1, int(a_hint * factor)), tau, delta=0.0,
                 cell_bytes=r)
             assert here <= there + 1e-9
-
-    def test_rejects_bad(self):
-        with pytest.raises(ParameterError):
-            protocol1_cost_model_bytes(10, 5, 1, 1.4)
 
     def test_graphene_protocol1_bytes_positive(self):
         assert graphene_protocol1_bytes(100, 300) > 0

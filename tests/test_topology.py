@@ -96,7 +96,9 @@ class TestGeoLinkModel:
     def test_link_parameter_ranges(self):
         model = GeoLinkModel(loss_rate=0.02)
         nodes = build(120, m=4, seed=13, link_model=model)
-        ceiling = model.max_latency()
+        # Unit-square geometry: no two nodes are more than sqrt 2 apart.
+        ceiling = ((model.base_latency + math.sqrt(2) * model.latency_per_unit)
+                   * (1 + model.jitter / 2))
         floor = model.base_latency * (1 - model.jitter / 2)
         classes = set(model.bandwidth_classes)
         for node in nodes:
