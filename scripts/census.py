@@ -5,7 +5,10 @@ The roots are the stages of ``make ci`` other than the tier-1 tests:
 the perf and figure gates, the smoke runs, the CLI and example runs,
 the fuzz smoke, the docs check and the end-to-end benchmark smoke (see
 :func:`roots`).  ``perf-net`` stands in at 100 nodes and 4 blocks,
-since its 1000-node case walks the same code for two minutes.
+since its 1000-node case walks the same code for two minutes, and
+``perf-check`` / ``perf-relay`` run their suites with the wall-clock
+comparison off (``--threshold inf``), which the tracing overhead
+would trip.  Every root must exit 0.
 
 ``make census`` runs each root as ``make <stage>`` with a
 ``sitecustomize`` module first on ``PYTHONPATH``, so every Python
@@ -13,19 +16,25 @@ process a stage starts -- the ``repro serve`` / ``peer`` subprocesses
 of the socket smokes included -- records the code objects it calls
 (``sys.settrace`` call events; no line tracing) and dumps them at exit.
 To the functions reached it adds those referenced by name from live
-code: module-level code under ``src/``, anything under ``scripts/`` and
-``benchmarks/`` that is not a test, and the bodies of functions already
-live, to a fixpoint.  That keeps dispatch by name, error and recovery
-branches no root happened to take, and the wrappers a script calls.
+code: module-level code under ``src/``, anything under ``scripts/``,
+``benchmarks/`` and ``examples/`` that is not a test, and the bodies
+of functions already live, to a fixpoint.  That keeps dispatch by
+name, error and recovery branches no root happened to take, and the
+wrappers a script calls.
 Every other function is *test-only*, and the generated table
 ``docs/CENSUS.md`` says which.
 
 ``--check`` is the static gate ``make docs-check`` runs (no root is
 executed): it fails when a ``src/repro`` function is missing from the
 table or a row names one that no longer exists (re-run ``make census``),
-when a ``make ci`` stage is not a root here, or when a test-only
-function is not named in DESIGN.md section 1 with the paper section it
-reproduces and the CI-run figure or example that exercises it.
+when a ``make ci`` stage is not a root here or a root exited nonzero,
+when a row marked reached or referenced is no longer live by the
+static half alone (its last caller was deleted: re-run ``make
+census``), or when a test-only function is not named in DESIGN.md
+section 1 with the paper section it reproduces and the CI-run figure
+or example that exercises it.  What it cannot see is a function whose
+last *root* stopped calling it while live code still names it; only
+``make census`` finds that.
 
 Usage::
 
@@ -53,12 +62,22 @@ TABLE = Path("docs") / "CENSUS.md"
 WORK = Path("results") / "census"
 
 #: ``make ci`` stages that do not run as themselves: the tier-1 tests
-#: are not a root, and ``perf-net``'s 1000-node case is replaced by a
-#: small run of the same driver.
+#: are not a root, ``perf-net``'s 1000-node case is replaced by a small
+#: run of the same driver, the wall-clock gates compare nothing
+#: (traced, they run several times slower than their baselines), and
+#: ``docs-check`` leaves out its last step, this script's ``--check``,
+#: which calls no ``src/repro`` code and would judge the table being
+#: rewritten.  Each stand-in is a list of interpreter argument lists,
+#: run in turn.
 NOT_ROOTS = ("test",)
 STAND_INS = {
-    "perf-net": ("-c", "import bench_net; bench_net.bench_propagation("
-                       "100, 4, interval=1.0, block_txns=16)"),
+    "docs-check": [("scripts/check_docs_snippets.py",)],
+    "perf-check": [("scripts/check_perf.py", "--threshold", "inf")],
+    "perf-relay": [("scripts/check_perf.py", "--suite", "relay",
+                    "--threshold", "inf"),
+                   ("benchmarks/profile_relay.py", "--check")],
+    "perf-net": [("-c", "import bench_net; bench_net.bench_propagation("
+                        "100, 4, interval=1.0, block_txns=16)")],
 }
 
 #: Parallel roots.  The stages are single-threaded; two fit this
@@ -124,6 +143,14 @@ def _parse(src: Path) -> tuple:
                 functions[key] = (functions.get(key, 0)
                                   + node.end_lineno - first + 1)
                 bodies.setdefault(key, []).append(node)
+                # A called decorator (``@_model("xthin")``) runs with the
+                # module and is handed the function to register: that
+                # names it.
+                calls = [d for d in node.decorator_list
+                         if isinstance(d, ast.Call)]
+                if calls:
+                    top.extend(calls)
+                    top.append(ast.Name(id=node.name, ctx=ast.Load()))
             elif isinstance(node, ast.ClassDef):
                 top.extend([*node.bases, *node.keywords,
                             *node.decorator_list])
@@ -184,21 +211,32 @@ def _names(nodes) -> tuple:
                 names.add(node.value)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "getattr" and len(node.args) >= 2
-              and isinstance(node.args[1], ast.JoinedStr)):
-            parts = node.args[1].values
-            if isinstance(parts[0], ast.Constant):
-                prefixes.add(parts[0].value)
-            if isinstance(parts[-1], ast.Constant):
-                suffixes.add(parts[-1].value)
+              and isinstance(node.args[1], (ast.JoinedStr, ast.BinOp))):
+            first, last = _ends(node.args[1])
+            if isinstance(first, ast.Constant):
+                prefixes.add(first.value)
+            if isinstance(last, ast.Constant):
+                suffixes.add(last.value)
         stack.extend(ast.iter_child_nodes(node))
     return names, prefixes, suffixes
 
 
+def _ends(node) -> tuple:
+    """The first and last piece of a string built by an f-string or by
+    ``+`` (``"_check_" + kind``)."""
+    if isinstance(node, ast.JoinedStr):
+        return node.values[0], node.values[-1]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _ends(node.left)[0], _ends(node.right)[1]
+    return node, node
+
+
 def _live_files(repo: Path) -> dict:
-    """``path -> [module]`` for every non-test file under ``scripts/`` and
-    ``benchmarks/``, all of whose code counts as live."""
+    """``path -> [module]`` for every non-test file under ``scripts/``,
+    ``benchmarks/`` and ``examples/`` (``make docs-check`` runs each
+    example), all of whose code counts as live."""
     live = {}
-    for folder in ("scripts", "benchmarks"):
+    for folder in ("scripts", "benchmarks", "examples"):
         for path in sorted((repo / folder).rglob("*.py")):
             # This script names code without calling it.
             if (path.name.startswith("test_") or path.name == "conftest.py"
@@ -285,17 +323,18 @@ def ci_stages(makefile: Path) -> list:
 
 
 def roots(repo: Path) -> dict:
-    """``name -> argv`` for every root: a ``make ci`` stage, or its
-    stand-in (run with ``benchmarks/`` importable)."""
+    """``name -> [argv]`` for every root: a ``make ci`` stage, or its
+    stand-in's commands (run with ``benchmarks/`` importable)."""
     out = {}
     for stage in ci_stages(repo / "Makefile"):
         if stage in NOT_ROOTS:
             continue
         if stage in STAND_INS:
-            out[stage] = (sys.executable, *STAND_INS[stage])
+            out[stage] = [(sys.executable, *args)
+                          for args in STAND_INS[stage]]
         else:
-            out[stage] = ("make", "-s", "--no-print-directory", stage,
-                          f"PYTHON={sys.executable}")
+            out[stage] = [("make", "-s", "--no-print-directory", stage,
+                           f"PYTHON={sys.executable}")]
     return out
 
 
@@ -310,7 +349,7 @@ def run_roots(repo: Path, work: Path) -> tuple:
     src = repo / "src" / "repro"
 
     def run(item):
-        name, argv = item
+        name, argvs = item
         out = work / name
         out.mkdir()
         env = dict(os.environ,
@@ -319,13 +358,18 @@ def run_roots(repo: Path, work: Path) -> tuple:
                    PYTHONPATH=os.pathsep.join(
                        [str(hook), str(repo / "src"),
                         str(repo / "benchmarks")]))
-        if argv[0] == "make":
-            # A command-line variable outranks the Makefile's export.
-            argv = (*argv, f"PYTHONPATH={env['PYTHONPATH']}")
         started = time.perf_counter()
+        code = 0
         with open(work / f"{name}.log", "w") as log:
-            code = subprocess.call(argv, cwd=repo, env=env, stdout=log,
-                                   stderr=subprocess.STDOUT)
+            for argv in argvs:
+                if argv[0] == "make":
+                    # A command-line variable outranks the Makefile's
+                    # export.
+                    argv = (*argv, f"PYTHONPATH={env['PYTHONPATH']}")
+                code = subprocess.call(argv, cwd=repo, env=env, stdout=log,
+                                       stderr=subprocess.STDOUT)
+                if code:
+                    break
         took = time.perf_counter() - started
         hits = set()
         for dump in out.glob("*.hits"):
@@ -348,7 +392,7 @@ def run_roots(repo: Path, work: Path) -> tuple:
 # ---------------------------------------------------------------------------
 
 _ROW = re.compile(r"^\| `([^`]+)` \| \d+ \| ([a-z-]+) \| .* \|$", re.M)
-_ROOT = re.compile(r"^\| `([a-z0-9-]+)` \| -?\d+ \| \d+ \|$", re.M)
+_ROOT = re.compile(r"^\| `([a-z0-9-]+)` \| (-?\d+) \| \d+ \|$", re.M)
 
 
 def render(classes: dict, lines: dict, hits: dict, codes: dict) -> str:
@@ -360,14 +404,17 @@ def render(classes: dict, lines: dict, hits: dict, codes: dict) -> str:
         "",
         "Generated by `scripts/census.py` (`make census`); do not edit.",
         "`make docs-check` runs `scripts/census.py --check`, which fails "
-        "on a `src/repro` function missing from this table and on a "
-        "test-only row that DESIGN.md §1 does not name.",
+        "on a `src/repro` function missing from this table, on a root "
+        "that exited nonzero, on a reached or referenced row that no "
+        "live code names any more, and on a test-only row that "
+        "DESIGN.md §1 does not name.",
         "",
         "A function is *reached* when a root calls it, *referenced* when "
         "live code names it (the first such referrer is given), and "
         "*test-only* otherwise.  A root's exit code is its exit under "
-        "the call hook, where a wall-clock gate can trip on the tracing "
-        "overhead.",
+        "the call hook; the wall-clock gates run there with their "
+        "comparison off, so a root that stopped early did not reach "
+        "everything it calls.",
         "",
         "| root | exit | functions reached |",
         "|---|---|---|",
@@ -392,9 +439,9 @@ def read_table(path: Path) -> dict:
     return dict(_ROW.findall(path.read_text()))
 
 
-def read_roots(path: Path) -> list:
-    """The root names of a generated table."""
-    return _ROOT.findall(path.read_text())
+def read_roots(path: Path) -> dict:
+    """``name -> exit code`` of every root of a generated table."""
+    return {name: int(code) for name, code in _ROOT.findall(path.read_text())}
 
 
 def design_section_1(design: Path) -> str:
@@ -414,11 +461,24 @@ def check(repo: Path) -> list:
     for key in sorted(set(table) - set(functions)):
         problems.append(f"{key}: in {TABLE} but gone from src/repro "
                         "(run `make census`)")
-    known = set(read_roots(repo / TABLE))
+    known = read_roots(repo / TABLE)
     for stage in ci_stages(repo / "Makefile"):
         if stage not in NOT_ROOTS and stage not in known:
             problems.append(f"make ci stage {stage!r} is not a root of "
                             f"{TABLE} (run `make census`)")
+    for name, code in known.items():
+        if code != 0:
+            problems.append(f"root {name!r} exited {code} under the call "
+                            f"hook, so its reach is incomplete (see "
+                            f"{WORK}/{name}.log, then run `make census`)")
+    # A root reaches a function through code that names it, so a row
+    # the static half alone no longer finds live has lost its last
+    # caller, whatever the committed table says.
+    static = classify(repo / "src" / "repro", set())
+    for key, status in sorted(table.items()):
+        if status != "test-only" and static.get(key, ("",))[0] == "test-only":
+            problems.append(f"{key}: {status} in {TABLE}, but no live code "
+                            "names it any more (run `make census`)")
     section = design_section_1(repo / "DESIGN.md")
     for key, status in sorted(table.items()):
         if status != "test-only" or key not in functions:
@@ -436,8 +496,9 @@ def check(repo: Path) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="static gate only: table complete, test-only "
-                             "rows named in DESIGN.md section 1")
+                        help="static gate only: table complete, roots "
+                             "clean, no row lost its last caller, "
+                             "test-only rows named in DESIGN.md section 1")
     args = parser.parse_args(argv)
     if args.check:
         started = time.perf_counter()
@@ -463,8 +524,10 @@ def main(argv=None) -> int:
         + f" ({time.perf_counter() - started:.0f}s)")
     failed = [name for name, code in codes.items() if code != 0]
     if failed:
-        print(f"note: {', '.join(failed)} exited nonzero under the hook; "
-              f"see {WORK}/<root>.log", file=sys.stderr)
+        print(f"{', '.join(failed)} exited nonzero under the hook, so "
+              f"the table is incomplete; see {WORK}/<root>.log",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -72,10 +72,7 @@ class Histogram:
     """Fixed-bucket histogram with cumulative-style snapshots.
 
     ``bounds`` are upper bucket edges; observations above the last
-    bound land in the implicit ``+Inf`` bucket.  ``quantile(q)``
-    returns the upper edge of the bucket holding the q-th observation
-    (the observed maximum for the overflow bucket) -- coarse, but
-    bias-free and dependency-free.
+    bound land in the implicit ``+Inf`` bucket.
     """
 
     bounds: Tuple[float, ...] = LATENCY_BUCKETS

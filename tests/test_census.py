@@ -1,6 +1,7 @@
 """The census gate (``scripts/census.py --check``): the committed table
-covers every ``src/repro`` function, and a test-only one must be named in
-DESIGN.md section 1."""
+covers every ``src/repro`` function, every root exited 0, no reached or
+referenced row has lost its last caller, and a test-only one must be
+named in DESIGN.md section 1."""
 
 from __future__ import annotations
 
@@ -26,10 +27,13 @@ census = _load_census()
 
 @pytest.fixture
 def tree(tmp_path):
-    """A copy of what the gate reads: ``src/repro``, the table, DESIGN.md
+    """A copy of what the gate reads: ``src/repro``, the live code under
+    ``scripts/``, ``benchmarks/`` and ``examples/``, the table, DESIGN.md
     and the Makefile."""
-    shutil.copytree(REPO / "src" / "repro", tmp_path / "src" / "repro",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    for folder in ("src/repro", "scripts", "benchmarks", "examples"):
+        shutil.copytree(REPO / folder, tmp_path / folder,
+                        ignore=shutil.ignore_patterns("__pycache__",
+                                                      "results", "*.json"))
     (tmp_path / "docs").mkdir()
     for name in (census.TABLE, Path("DESIGN.md"), Path("Makefile")):
         shutil.copy(REPO / name, tmp_path / name)
@@ -78,3 +82,26 @@ def test_a_ci_stage_must_be_a_root(tree):
     problems = census.check(tree)
     assert problems == ["make ci stage 'smoke-planted' is not a root of "
                         "docs/CENSUS.md (run `make census`)"]
+
+
+def test_a_root_must_exit_clean(tree):
+    table = tree / census.TABLE
+    text = table.read_text()
+    table.write_text(text.replace("| `perf-check` | 0 |",
+                                  "| `perf-check` | 2 |", 1))
+    problems = census.check(tree)
+    assert len(problems) == 1
+    assert problems[0].startswith("root 'perf-check' exited 2")
+
+
+def test_a_row_whose_last_caller_is_deleted_fails(tree):
+    # The committed table still says reached / referenced; the static
+    # half finds neither named by live code once the one example that
+    # measures decode rates is gone.
+    (tree / "examples" / "iblt_tuning.py").unlink()
+    problems = census.check(tree)
+    for key, status in (
+            ("pds/param_search.py::measure_decode_rate", "reached"),
+            ("pds/hypergraph.py::decode_once", "referenced")):
+        assert (f"{key}: {status} in docs/CENSUS.md, but no live code "
+                "names it any more (run `make census`)") in problems

@@ -75,8 +75,8 @@ class TestHugeMempoolRatios:
         assert outcome.success
         # Still beats the 8n short-ID list despite the huge mempool.
         cost = outcome.cost
-        assert cost.bloom_s + cost.iblt_i + cost.bloom_r + cost.iblt_j \
-            < 8 * 100 * 4
+        assert (cost.bloom_s + cost.iblt_i + cost.bloom_r + cost.iblt_j
+                + cost.bloom_f + cost.riblt) < 8 * 100 * 4
 
     def test_block_larger_than_claimed_mempool(self, gen):
         # Receiver understates m (claims 10, holds the full block):

@@ -109,8 +109,8 @@ class TestCostInvariants:
         outcome = BlockRelaySession().relay(scenario.block,
                                             scenario.receiver_mempool)
         cost = outcome.cost
-        assert cost.bloom_s + cost.iblt_i + cost.bloom_r + cost.iblt_j \
-            <= 8 * n + 200
+        assert (cost.bloom_s + cost.iblt_i + cost.bloom_r + cost.iblt_j
+                + cost.bloom_f + cost.riblt) <= 8 * n + 200
 
 
 class TestConfigMonotonicity:
