@@ -95,22 +95,27 @@ class Block:
         """
         return TxColumns(self.txs)
 
-    def validated_order(self, candidate) -> list[Transaction] | None:
+    def validated_order(self, candidate,
+                        rows=None) -> list[Transaction] | None:
         """Order and Merkle-check a candidate set in one packed pass.
 
         ``candidate`` is a transaction sequence or its
-        :class:`~repro.chain.columns.TxColumns`.  Returns the
-        canonically ordered list when it hashes to this block's root,
-        else ``None`` -- what a CTOR receiver does at Protocol 1 step 4
-        / Protocol 2 step 5.  The sorted rows' bytes go straight into
-        the packed Merkle tree, whose root memo turns a repeat
-        validation (one per hop of a relay) into one lookup of the
-        leaves.
+        :class:`~repro.chain.columns.TxColumns`; ``rows`` (an index
+        array) picks the candidates out of it, every row by default.
+        Returns the canonically ordered list when it hashes to this
+        block's root, else ``None`` -- what a CTOR receiver does at
+        Protocol 1 step 4 / Protocol 2 step 5.  The sorted rows' IDs are
+        gathered into the one buffer the packed Merkle tree reads, whose
+        root memo turns a repeat validation (one per hop of a relay)
+        into one lookup of the leaves; the transactions are gathered
+        only once the root matches.
         """
-        ordered = TxColumns.of(candidate).canonical()
-        if merkle_root_packed(ordered.ids) != self.header.merkle_root:
+        columns = TxColumns.of(candidate)
+        order = columns.canonical_rows(rows)
+        if merkle_root_packed(columns.words[order].tobytes()) \
+                != self.header.merkle_root:
             return None
-        return ordered.txs
+        return columns.gather(order)
 
     def validate_candidate(self, candidate: Sequence[Transaction]) -> bool:
         """Check a decoded transaction set against this block's Merkle root."""

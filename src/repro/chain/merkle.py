@@ -12,7 +12,10 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
+import numpy as _np
+
 from repro.errors import ParameterError
+from repro.utils.memo import BoundedMemo
 
 
 #: Memoized roots keyed by the packed (ordered) leaves themselves.  A
@@ -20,11 +23,11 @@ from repro.errors import ParameterError
 #: per-receiver Merkle checks), and looking the leaves up is one pass of
 #: the dict's own hash plus one ``memcmp`` where the tree itself is
 #: ~2(n-1) double-SHA calls.  The key is exact -- no fingerprint stands
-#: in for the leaves -- so it is bounded by the bytes it pins: once
-#: the keys would exceed the budget, oldest entries go until half of it
-#: is free (a single buffer larger than the budget is kept alone).
-_ROOT_CACHE: dict = {}
+#: in for the leaves -- so it is bounded by the bytes its keys pin.
 _ROOT_CACHE_BYTES = 1 << 20
+_ROOT_CACHE = BoundedMemo(_ROOT_CACHE_BYTES, lambda leaves, root: len(leaves))
+
+_DIGEST = type(hashlib.sha256()).digest
 
 
 def merkle_root(txids: Sequence[bytes]) -> bytes:
@@ -45,7 +48,9 @@ def merkle_root_packed(ids: bytes) -> bytes:
     Follows Bitcoin's convention: an odd node at any level is paired with
     itself.  No leaves yield 32 zero bytes (only possible for an empty
     block, which real chains forbid but tests exercise).  Every level
-    is one buffer, so a node is hashed from a 64-byte slice of it.
+    is one buffer; viewed as 64-byte ``V64`` rows it lists its node
+    pairs as ``bytes`` in one call, and the double SHA-256 of each pair
+    runs through ``map`` chains, so no Python frame runs per node.
     """
     if len(ids) % 32:
         raise ParameterError(
@@ -56,21 +61,13 @@ def merkle_root_packed(ids: bytes) -> bytes:
     cached = _ROOT_CACHE.get(ids)
     if cached is not None:
         return cached
-    sha256 = hashlib.sha256
+    sha256, digest = hashlib.sha256, _DIGEST
     level = ids
     while len(level) > 32:
         if len(level) % 64:
             level += level[-32:]
-        level = b"".join([
-            sha256(sha256(level[i:i + 64]).digest()).digest()
-            for i in range(0, len(level), 64)
-        ])
-    pinned = sum(map(len, _ROOT_CACHE)) + len(ids)
-    if pinned > _ROOT_CACHE_BYTES:
-        for stale in list(_ROOT_CACHE):
-            if pinned <= _ROOT_CACHE_BYTES // 2:
-                break
-            pinned -= len(stale)
-            del _ROOT_CACHE[stale]
-    _ROOT_CACHE[ids] = level
+        pairs = _np.frombuffer(level, dtype="V64").tolist()
+        level = b"".join(map(digest, map(sha256, map(digest,
+                                                     map(sha256, pairs)))))
+    _ROOT_CACHE.remember(ids, level)
     return level

@@ -32,11 +32,16 @@ class CandidateSet:
 
     Attributes
     ----------
+    source:
+        The snapshot Z's rows index: the mempool's own, or a copy of it
+        behind the prefilled transactions.
+    rows:
+        Z as row indices into ``source``, in candidate order.
     sids:
         ``uint64`` short-ID column of Z, in candidate order.
     """
 
-    __slots__ = ("_source", "_rows", "sids", "_by_txid")
+    __slots__ = ("source", "rows", "sids", "_by_txid")
 
     def __init__(self, prefilled: Sequence, mempool: Mempool,
                  bloom_s: BloomFilter, width: int):
@@ -57,36 +62,34 @@ class CandidateSet:
                                b"".join(first) + source.ids)
             rows = _np.concatenate([_np.arange(len(first)),
                                     rows + len(first)])
-        #: Z is ``_rows`` of ``_source``: the mempool's own snapshot, or
-        #: a copy of it behind the prefilled transactions.
-        self._source = source
-        self._rows = rows
+        self.source = source
+        self.rows = rows
         self.sids = source.short_ids(width)[rows]
         self._by_txid: Optional[dict] = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def ids(self) -> bytes:
         """Z's 32-byte txids end to end, in candidate order."""
-        return self._source.words[self._rows].tobytes()
+        return self.source.words[self.rows].tobytes()
 
-    def columns(self, keep=None) -> TxColumns:
-        """Z as a snapshot, or only the candidates ``keep`` (a mask) marks."""
-        return self._source.take(self._rows if keep is None
-                                 else self._rows[keep])
+    def columns(self) -> TxColumns:
+        """Z as a snapshot of its own."""
+        return self.source.take(self.rows)
 
-    def without(self, remote: Iterable[int]) -> TxColumns:
-        """Z minus the candidates whose short ID is in ``remote``.
+    def rows_without(self, remote: Iterable[int]):
+        """Z's rows minus the candidates whose short ID is in ``remote``.
 
         ``remote`` holds the keys a decode attributed to the receiver
-        alone: Bloom false positives to strip, a handful at most.
+        alone: Bloom false positives to strip, a handful at most.  The
+        rows index ``source``, in candidate order.
         """
         if not remote:
-            return self.columns()
+            return self.rows
         strip = _np.fromiter(remote, dtype=_np.uint64, count=len(remote))
         # kind="sort" skips the integer table method's fixed set-up.
-        return self.columns(~_np.isin(self.sids, strip, kind="sort"))
+        return self.rows[~_np.isin(self.sids, strip, kind="sort")]
 
     def as_dict(self) -> dict:
         """``txid -> Transaction`` over Z in candidate order (built once)."""

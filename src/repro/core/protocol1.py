@@ -28,6 +28,7 @@ there: :class:`Opening`, :func:`open_exchange`, :func:`sweep` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.chain.block import Block
@@ -109,10 +110,25 @@ class Protocol1Result:
     decode_complete: bool = False
     merkle_ok: bool = False
     missing_short_ids: frozenset = frozenset()
-    #: Candidates surviving false-positive removal, plus any the sender
-    #: pushed (only meaningful when decode_complete; what a later fetch
-    #: joins and mempool synchronization adopts).
-    reconciled: Sequence[Transaction] = ()   # a TxColumns once settled
+    #: What :func:`settle` kept: the rows of Z surviving false-positive
+    #: removal (into ``candidate_set.source``) and the transactions the
+    #: sender pushed, as a ``(rows, pushed)`` pair; None until settled.
+    kept: Optional[tuple] = None
+
+    @cached_property
+    def reconciled(self) -> Sequence[Transaction]:
+        """Candidates surviving false-positive removal, plus any the
+        sender pushed: a :class:`TxColumns` once settled, else ``()``.
+
+        Only meaningful when decode_complete; what a later fetch joins
+        and mempool synchronization adopts.  Built on first read: a
+        block relay that decodes outright never reads it.
+        """
+        if self.kept is None:
+            return ()
+        rows, pushed = self.kept
+        survivors = self.candidate_set.source.take(rows)
+        return survivors.plus(pushed) if pushed else survivors
 
     @property
     def candidates(self) -> dict:
@@ -216,8 +232,14 @@ def settle(result: Protocol1Result, local, remote, n: int,
     ``remote``: Bloom false positives to strip from Z.
     ``pushed``: ``short ID -> transaction`` for the part of ``local``
     already received in full (Protocol 3's answer to filter R).
+
+    Z stays row indices into its snapshot throughout: the strip, the
+    canonical order and the Merkle check's one ID buffer are all taken
+    over rows, and the transactions are gathered once, after the root
+    matches.
     """
-    surviving = result.candidate_set.without(remote)
+    candidates = result.candidate_set
+    rows = candidates.rows_without(remote)
     # Consistency: |block| must equal surviving candidates plus the
     # missing transactions the decode claims.  A difference that is
     # all-zero after the subtract (e.g. a replay of the receiver's own
@@ -226,23 +248,27 @@ def settle(result: Protocol1Result, local, remote, n: int,
     # report a decode failure instead.  (Short-id collisions can also
     # trip this; they break the exchange regardless, and in block mode
     # the Merkle check is the backstop.)
-    if n != len(surviving) + len(local):
+    if n != len(rows) + len(local):
         result.decode_complete = False
         return result
+    extra = ()
     if pushed:
-        surviving = surviving.plus(pushed.values())
+        extra = tuple(pushed.values())
         local = local - pushed.keys()
-    result.reconciled = surviving
+    result.kept = (rows, extra)
     if local:
         result.missing_short_ids = frozenset(local)
         return result
+    source = candidates.source
+    if extra:
+        source, rows = result.reconciled, None
     if validate_block is not None:
-        ordered = validate_block.validated_order(surviving)
+        ordered = validate_block.validated_order(source, rows)
         if ordered is None:
             return result
         result.merkle_ok = True
         result.txs = ordered
     else:
-        result.txs = surviving.canonical().txs
+        result.txs = source.gather(source.canonical_rows(rows))
     result.success = True
     return result

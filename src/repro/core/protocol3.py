@@ -55,6 +55,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from repro.chain.block import Block
 from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
@@ -335,9 +337,11 @@ def ingest_symbols(state: Protocol3ReceiverState, batch: SymbolBatch,
             raise ParameterError(f"{len(pushed)} pushed transactions: unasked "
                                  f"for, or more than the block's {state.n}")
         width = (config or GrapheneConfig()).short_id_bytes
-        held = set(state.candidate_set.sids.tolist())
-        fresh = {sid: tx for tx in pushed
-                 if (sid := tx.short_id(width)) not in held}
+        sids = [tx.short_id(width) for tx in pushed]
+        held = _np.isin(_np.array(sids, dtype=_np.uint64),
+                        state.candidate_set.sids, kind="sort").tolist()
+        fresh = {sid: tx for sid, tx, dup in zip(sids, pushed, held)
+                 if not dup}
         state.pushed.update(fresh)
         state.decoder.add_known(fresh)
     return state.decoder.add_symbols(batch.counts, batch.key_sums,

@@ -51,7 +51,8 @@ import numpy as _np
 
 from repro.errors import ParameterError
 from repro.utils.hashing import (
-    family_salts, mix64, mix64_array, sha256, split_digest)
+    family_salts, mix64, mix64_array, reduce_mod, sha256, split_digest)
+from repro.utils.memo import BoundedMemo
 
 _LN2 = math.log(2.0)
 _LN2_SQ = _LN2 * _LN2
@@ -66,21 +67,24 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _SALT_TAG = b"graphene/bloom"
 
 #: Below this many items the scalar loop beats numpy's fixed call overhead
-#: (measured, seeded probe of never-seen items: 34 vs 36 us at 10 items,
-#: 41 vs 40 at 12, 103 vs 38 at 31; a memo hit costs 3-6 us at any size).
+#: (re-measured against the uint32 kernel, scalar vs batch, seeded probe
+#: of never-seen items: 39 vs 43 us at 10 items, 42 vs 43 at 11, 45 vs 42
+#: at 12, 54 vs 44 at 14; inserts into a fresh filter cross at 10-11).
 _BATCH_MIN = 12
 
-#: Finished ``(k, n)`` cell matrices of seeded packed sweeps, keyed
-#: ``(seed, nbits, k, ids)`` with ``ids`` the packed 32-byte rows.  A
-#: relay sweeps the *same* mempool snapshot through a filter of the same
-#: geometry for every peer that announces the block, so the matrix
-#: repeats sweep for sweep.  The matrix is a pure function of exactly
-#: those bytes (rows are fixed-width, so no two row lists share a key);
-#: a ``bytes`` key caches its own hash, so a reused snapshot looks up in
-#: O(1), and equal content held by another object still hits.  Bounded;
-#: oldest half evicted at the cap.
-_INDEX_MEMO: dict = {}
-_INDEX_MEMO_CAP = 64
+#: Finished ``(k, n)`` ``uint32`` bit-index matrices of seeded packed
+#: sweeps, keyed ``(seed, nbits, k, ids)`` with ``ids`` the packed
+#: 32-byte rows.  A relay sweeps the *same* mempool snapshot through a
+#: filter of the same geometry for every peer that announces the block,
+#: so the matrix repeats sweep for sweep.  The matrix is a pure function
+#: of exactly those bytes (rows are fixed-width, so no two row lists
+#: share a key); a ``bytes`` key caches its own hash, so a reused
+#: snapshot looks up in O(1), and equal content held by another object
+#: still hits.  Bounded by the bytes its keys and matrices pin: the
+#: budget holds a fan-out's eight 4 000-row mempools and eight S builds
+#: (≈ 3 MiB).
+_INDEX_MEMO = BoundedMemo(
+    3 << 20, lambda key, steps: len(key[3]) + steps.nbytes)
 
 
 def bloom_size_bits(n: int, f: float) -> int:
@@ -211,8 +215,8 @@ class BloomFilter:
         return b"".join([item if len(item) == 32 else sha256(item)
                          for item in items])
 
-    def _packed_cells(self, ids: bytes):
-        """Return ``(byte_index, bit_mask)`` matrices, ``(k, len(ids)/32)``.
+    def _packed_indices(self, ids: bytes):
+        """Return the ``(k, len(ids)/32)`` ``uint32`` bit-index matrix.
 
         The one batch kernel: ``ids`` is 32-byte rows laid end to end
         (:attr:`repro.chain.columns.TxColumns.ids`).  Bit positions
@@ -227,43 +231,43 @@ class BloomFilter:
                 f"packed ids must be 32-byte rows, got {len(ids)} bytes")
         if not self.seed:
             words = _np.frombuffer(ids, dtype="<u4")
-            return _cells(self._split_words(words.reshape(-1, 8)))
+            return self._split_words(words.reshape(-1, 8))
         memo_key = (self.seed, self.nbits, self.k, ids)
-        cells = _INDEX_MEMO.get(memo_key)
-        if cells is None:
-            words = _np.frombuffer(ids, dtype="<u8").reshape(-1, 4)
-            mixed = mix64_array(words[:, 0] ^ _np.uint64(self._salt))
+        steps = _INDEX_MEMO.get(memo_key)
+        if steps is None:
+            # The four ID words as one contiguous (4, n) copy, each row
+            # absorbed into the one before it in place.
+            words = _np.frombuffer(ids, dtype="<u8").reshape(-1, 4).T.copy()
+            scratch = _np.empty_like(words[0])
+            words[0] ^= _np.uint64(self._salt)
+            mix64_array(words[0], out=words[0], scratch=scratch)
             for j in (1, 2, 3):
-                mixed = mix64_array(mixed ^ words[:, j])
-            lo = mixed.astype(_np.uint32)
-            hi = (mixed >> _np.uint64(32)).astype(_np.uint32) | _np.uint32(1)
+                words[j] ^= words[j - 1]
+                mix64_array(words[j], out=words[j], scratch=scratch)
+            halves = words[3].view("<u4")        # lo, hi, lo, hi, ...
+            hi = halves[1::2] | _np.uint32(1)
             # u32 arithmetic wraps mod 2^32, the scalar path's ``& _U32``.
             steps = _np.multiply.outer(
                 _np.arange(self.k, dtype=_np.uint32), hi)
-            steps += lo
-            steps %= _np.uint32(self.nbits)
-            cells = _cells(steps.astype(_np.intp))
-            if len(_INDEX_MEMO) >= _INDEX_MEMO_CAP:
-                for stale in list(_INDEX_MEMO)[:_INDEX_MEMO_CAP // 2]:
-                    del _INDEX_MEMO[stale]
-            _INDEX_MEMO[memo_key] = cells
-        return cells
+            steps += halves[0::2]
+            reduce_mod(steps, self.nbits)
+            steps.flags.writeable = False   # shared by every later hit
+            _INDEX_MEMO.remember(memo_key, steps)
+        return steps
 
     def _split_words(self, words):
         """Map a ``(batch, 8)`` u32 digest-word matrix to ``(k, batch)``
-        bit indices."""
+        ``uint32`` bit indices."""
         k, nbits = self.k, self.nbits
+        direct = words.T[:k].copy()
+        reduce_mod(direct, nbits)
         if k <= 8:
-            # order="C": ``words.T`` is Fortran-ordered and would
-            # otherwise hand its layout on.
-            return (words.T[:k] % _np.uint32(nbits)).astype(_np.intp,
-                                                          order="C")
+            return direct
         h1 = words[:, 0].astype(_np.uint64)
         h2 = words[:, 1].astype(_np.uint64) | _np.uint64(1)
         derived = [((h1 + _np.uint64(i) * h2) & _np.uint64(_U64))
                    % _np.uint64(nbits) for i in range(8, k)]
-        direct = words.T % _np.uint32(nbits)
-        return _np.vstack([direct] + derived).astype(_np.intp)
+        return _np.vstack([direct] + derived).astype(_np.uint32)
 
     def insert(self, item: bytes) -> None:
         """Insert ``item`` (a byte string, typically a 32-byte txid)."""
@@ -295,11 +299,19 @@ class BloomFilter:
         self.count += len(items)
 
     def update_packed(self, ids: bytes) -> None:
-        """Insert every 32-byte row of ``ids`` (``bytes``, rows end to end)."""
+        """Insert every 32-byte row of ``ids`` (``bytes``, rows end to end).
+
+        Bits are set one per byte in an unpacked copy of the filter,
+        which is packed back: a plain scatter, where an in-place OR into
+        shared bytes would need ``bitwise_or.at``.
+        """
         if self.nbits == 0 or not ids:
             return
-        _np.bitwise_or.at(_np.frombuffer(self._bits, dtype=_np.uint8),
-                          *self._packed_cells(ids))
+        idx = self._packed_indices(ids)
+        bits = _np.frombuffer(self._bits, dtype=_np.uint8)
+        unpacked = _np.unpackbits(bits, bitorder="little")
+        unpacked[idx] = 1
+        bits[:] = _np.packbits(unpacked, bitorder="little")
         self.count += len(ids) // 32
 
     def __contains__(self, item: bytes) -> bool:
@@ -338,14 +350,30 @@ class BloomFilter:
         The sweep of Graphene 6.3 -- a whole mempool through S -- reads
         the mempool's own ID buffer (``mempool.columns().ids``) and
         returns a fresh, writable mask with one entry per row.
+
+        O(k n) in time and memory whatever the filter's size.  A filter
+        with no more bits than 8 per index -- every sweep a relay makes
+        -- is unpacked to a byte per bit and each index reads its byte
+        (2 000 rows through S on a memo hit: 34 us, against 52 for the
+        general form).  A larger one, such as an oversized S off the
+        wire, is never unpacked: each index gathers its byte
+        (``idx >> 3``) and shifts its bit (``idx & 7``) down to bit 0.
         """
         if self.nbits == 0:
             return _np.ones(len(ids) // 32, dtype=bool)
         if not ids:
             return _np.zeros(0, dtype=bool)
-        byte_idx, masks = self._packed_cells(ids)
+        idx = self._packed_indices(ids)
         bits = _np.frombuffer(self._bits, dtype=_np.uint8)
-        return (bits[byte_idx] & masks).all(axis=0)
+        if self.nbits <= 8 * idx.size:
+            return _np.unpackbits(bits, bitorder="little").take(idx).all(
+                axis=0)
+        held = bits.take(idx >> 3)
+        held >>= _np.bitwise_and(idx, _np.uint32(7), dtype=_np.uint8,
+                                 casting="unsafe")
+        held = _np.bitwise_and.reduce(held, axis=0)
+        held &= _np.uint8(1)
+        return held.view(bool)
 
     def actual_fpr(self) -> float:
         """Expected FPR given the current load: ``(1 - e^{-kn/m})^k``."""
@@ -370,8 +398,3 @@ class BloomFilter:
     def __repr__(self) -> str:
         return (f"BloomFilter(nbits={self.nbits}, k={self.k}, "
                 f"count={self.count}, fpr~{self.actual_fpr():.2e})")
-
-
-def _cells(idx):
-    """Split a bit-index matrix into ``(byte index, bit mask)`` matrices."""
-    return idx >> 3, _np.uint8(1) << (idx & 7).astype(_np.uint8)

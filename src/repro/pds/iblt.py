@@ -46,23 +46,33 @@ from typing import Iterable, Iterator
 import numpy as _np
 
 from repro.errors import MalformedIBLTError, ParameterError
-from repro.utils.hashing import DerivedHasher
+from repro.utils.hashing import DerivedHasher, reduce_mod
+from repro.utils.memo import BoundedMemo
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 #: Below this many keys the scalar loop beats numpy's fixed call overhead
-#: (measured: 34 vs 30 us at 7 keys, 38 vs 29 at 8, 135 vs 35 at 31).
-_BATCH_MIN = 8
+#: (re-measured against the in-place mix, scalar vs batch: 22 vs 30 us at
+#: 4 keys, 25 vs 27 at 5, 30 vs 27 at 6, 34 vs 27 at 7, 38 vs 28 at 8).
+_BATCH_MIN = 6
+
+#: From this many keys up, and while cell indices fit in ``uint16``, a
+#: fold scatters by sorting (:func:`scatter`); below it ``bincount`` plus
+#: ``bitwise_xor.at`` wins on fixed cost.  Measured with the caches
+#: stirred between calls as a relay stirs them, k = 4-7, the sort costs
+#: +15 us against ``.at`` at 200 keys, +4 at 400, -10 at 600, -52 at
+#: 1 000 and -139 at 2 000.
+_SCATTER_MIN = 500
 
 #: Default serialized cell width in bytes: 2 (count) + 8 (keySum) + 2 (checkSum).
 DEFAULT_CELL_BYTES = 12
 
 #: Folded-column snapshots for whole-batch :meth:`IBLT.update` calls on
 #: pristine tables, keyed ``(cells, k, seed, column.tobytes())`` -- the
-#: fold is a pure function of exactly those bytes.  Bounded; oldest half
-#: evicted at the cap.
-_FOLD_CACHE: dict = {}
-_FOLD_CACHE_CAP = 64
+#: fold is a pure function of exactly those bytes.  Bounded by the bytes
+#: its keys and columns pin.
+_FOLD_CACHE = BoundedMemo(
+    1 << 18, lambda key, columns: len(key[3]) + 8 * sum(map(len, columns)))
 
 #: Fixed per-IBLT wire header, 12 bytes:
 #: ``cells u32 | k u8 | seed u32 | cell_bytes u8 | pad u16``
@@ -230,9 +240,12 @@ class IBLT:
         """Fold a uint64 key column into the table through numpy views.
 
         The one batch kernel: one vectorized mix via
-        :meth:`DerivedHasher.batch_entries`, then the three columns are
-        updated wholesale (``bincount`` for counts, ``bitwise_xor.at``
-        for the sums).
+        :meth:`DerivedHasher.batch_entries`, each word reduced to its
+        partition in place, then the three columns are updated wholesale
+        -- by :func:`scatter` where the batch is large enough, else by
+        ``bincount`` for counts and ``bitwise_xor.at`` for the sums
+        (``_SCATTER_MIN``).  Both give the same columns: every update
+        is an add or an xor, which commute.
 
         Whole-batch fold memo: a receiver rebuilds I' from the identical
         short-ID column on every relay of a block, so the folded columns
@@ -252,23 +265,29 @@ class IBLT:
         k, cells = self.k, self.cells
         width = cells // k
         words, csums = self.hasher.batch_entries(column)
-        offsets = _np.arange(0, cells, width, dtype=_np.uint64)
-        idx = (words % _np.uint64(width) + offsets).ravel().astype(_np.intp)
-        counts = _np.frombuffer(self._counts, dtype=_np.int64)
-        counts += _np.bincount(idx, minlength=cells)
-        _np.bitwise_xor.at(
-            _np.frombuffer(self._key_sums, dtype=_np.uint64), idx,
-            _np.repeat(column, k))
-        _np.bitwise_xor.at(
-            _np.frombuffer(self._check_sums, dtype=_np.uint64), idx,
-            _np.repeat(csums & _np.uint64(0xFFFF), k))
+        csums &= _np.uint64(0xFFFF)
+        idx = words.T                      # (k, n), C-contiguous
+        reduce_mod(idx, width)
+        columns = (self._counts, self._key_sums, self._check_sums)
+        if column.size >= _SCATTER_MIN and cells <= 0x10000:
+            rel = idx.astype(_np.uint16)
+            rel += _np.arange(0, cells, width, dtype=_np.uint16)[:, None]
+            scatter(columns, rel.ravel(), _tile(_np.arange(column.size), k),
+                    column, csums)
+        else:
+            idx += _np.arange(0, cells, width, dtype=_np.uint64)[:, None]
+            idx = idx.ravel().astype(_np.intp)
+            counts = _np.frombuffer(self._counts, dtype=_np.int64)
+            counts += _np.bincount(idx, minlength=cells)
+            _np.bitwise_xor.at(
+                _np.frombuffer(self._key_sums, dtype=_np.uint64), idx,
+                _tile(column, k))
+            _np.bitwise_xor.at(
+                _np.frombuffer(self._check_sums, dtype=_np.uint64), idx,
+                _tile(csums, k))
         if fkey is not None:
-            if len(_FOLD_CACHE) >= _FOLD_CACHE_CAP:
-                for stale in list(_FOLD_CACHE)[:_FOLD_CACHE_CAP // 2]:
-                    del _FOLD_CACHE[stale]
-            _FOLD_CACHE[fkey] = (array("q", self._counts),
-                                 array("Q", self._key_sums),
-                                 array("Q", self._check_sums))
+            _FOLD_CACHE.remember(fkey, tuple(array(col.typecode, col)
+                                             for col in columns))
 
     @classmethod
     def from_keys(cls, keys: Iterable[int], cells: int, k: int = 4,
@@ -421,6 +440,41 @@ class IBLT:
     def __repr__(self) -> str:
         return (f"IBLT(cells={self.cells}, k={self.k}, seed={self.seed}, "
                 f"count={self.count})")
+
+
+def scatter(columns, cells, rows, keys, csums, offset: int = 0) -> None:
+    """Fold hits into a table's ``(counts, key_sums, check_sums)``.
+
+    Hit ``i`` adds one to the count of cell ``offset + cells[i]`` and
+    xors ``keys[rows[i]]`` and ``csums[rows[i]]`` into its sums.  The
+    one scatter of the IBLT fold and the rateless encoder: a stable
+    ``argsort`` of ``cells`` (numpy's radix sort for ``uint16``) puts
+    each cell's hits in one run, ``diff`` of the run starts gives the
+    counts and ``bitwise_xor.reduceat`` both sums -- where
+    ``bitwise_xor.at`` would walk the hits one by one, slowest when many
+    share few cells.
+    """
+    counts, key_sums, check_sums = columns
+    order = _np.argsort(cells, kind="stable")
+    cells = cells[order]
+    src = rows[order]
+    edge = _np.ones(cells.size + 1, dtype=bool)
+    _np.not_equal(cells[1:], cells[:-1], out=edge[1:-1])
+    runs = _np.flatnonzero(edge)
+    starts = runs[:-1]
+    at = cells[starts].astype(_np.intp)
+    at += offset
+    _np.frombuffer(counts, dtype=_np.int64)[at] += _np.diff(runs)
+    _np.frombuffer(key_sums, dtype=_np.uint64)[at] ^= \
+        _np.bitwise_xor.reduceat(keys[src], starts)
+    _np.frombuffer(check_sums, dtype=_np.uint64)[at] ^= \
+        _np.bitwise_xor.reduceat(csums[src], starts)
+
+
+def _tile(row, k: int):
+    """``np.tile(row, k)`` for a 1-D array, minus the Python-level
+    overhead of ``np.tile`` (≈ 2.5 us a call)."""
+    return row[None, :].repeat(k, axis=0).ravel()
 
 
 def _xor_column(a: array, b: array) -> array:

@@ -58,18 +58,41 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(z):
+def mix64_array(z, out=None, scratch=None):
     """:func:`mix64` over a numpy ``uint64`` array, element for element.
 
-    Returns a fresh array; array multiplication wraps mod 2^64, which is
-    exactly the ``& _U64`` of the scalar body.
+    Writes into ``out`` -- a fresh array by default; pass ``z`` itself to
+    mix in place -- and takes all three shifts through one ``scratch``
+    buffer of ``z``'s shape (allocated when not given), so a caller
+    mixing several rows in turn allocates nothing per row.  Array
+    multiplication wraps mod 2^64, which is exactly the ``& _U64`` of the
+    scalar body.
     """
-    z = z ^ (z >> _NP_30)
-    z *= _NP_C1
-    z ^= z >> _NP_27
-    z *= _NP_C2
-    z ^= z >> _NP_31
-    return z
+    if scratch is None:
+        scratch = _np.empty_like(z)
+    _np.right_shift(z, _NP_30, out=scratch)
+    out = _np.bitwise_xor(z, scratch, out=out)
+    out *= _NP_C1
+    _np.right_shift(out, _NP_27, out=scratch)
+    out ^= scratch
+    out *= _NP_C2
+    _np.right_shift(out, _NP_31, out=scratch)
+    out ^= scratch
+    return out
+
+
+def reduce_mod(words, modulus: int) -> None:
+    """``words %= modulus`` in place, for an unsigned integer array.
+
+    Through ``floor_divide``: numpy divides an integer array by a scalar
+    with libdivide (a multiply and a shift), where ``%`` takes a
+    hardware divide per element -- a third of the time over 28 000
+    ``uint32`` words, half over 10 000 ``uint64`` ones.
+    """
+    modulus = words.dtype.type(modulus)
+    quotient = _np.floor_divide(words, modulus)
+    quotient *= modulus
+    words -= quotient
 
 
 def family_salts(tag: bytes, seed: int, count: int) -> tuple:
@@ -143,7 +166,7 @@ class DerivedHasher:
     state.
     """
 
-    __slots__ = ("seed", "k", "_salts")
+    __slots__ = ("seed", "k", "_salts", "_salt_column")
 
     #: Domain tag separating this family from the Bloom filter's.
     TAG = b"graphene/hasher"
@@ -154,6 +177,9 @@ class DerivedHasher:
         self.k = k
         self.seed = seed
         self._salts = family_salts(self.TAG, seed, k + 1)
+        #: The same salts as a ``(k + 1, 1)`` ``uint64`` column, which
+        #: broadcasts against a key row in :meth:`batch_entries`.
+        self._salt_column = _np.array(self._salts, dtype=_np.uint64)[:, None]
 
     def entry(self, key: int) -> tuple:
         """Return ``(words, checksum_base)`` for ``key``.
@@ -171,11 +197,13 @@ class DerivedHasher:
 
         Returns ``(words, csums)`` -- a ``(len(keys), k)`` uint64 array of
         index words and a ``(len(keys),)`` uint64 array of unmasked
-        checksum bases.  Keys must already be masked to 64 bits.
+        checksum bases.  Keys must already be masked to 64 bits.  Both
+        are views of one ``(k + 1, len(keys))`` matrix, mixed in place
+        one salt to a row, so ``words.T`` is C-contiguous.
         """
-        column = _np.asarray(keys, dtype=_np.uint64).reshape(-1, 1)
-        mixed = mix64_array(column ^ _np.array(self._salts, dtype=_np.uint64))
-        return mixed[:, :self.k], mixed[:, self.k]
+        mixed = _np.asarray(keys, dtype=_np.uint64) ^ self._salt_column
+        mix64_array(mixed, out=mixed)
+        return mixed[:self.k].T, mixed[self.k]
 
     def indices(self, key: int, modulus: int) -> list[int]:
         """Return ``k`` independent indices in ``[0, modulus)`` for ``key``."""

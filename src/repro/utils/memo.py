@@ -1,0 +1,44 @@
+"""One eviction rule for the process-wide whole-batch memos.
+
+The seeded Bloom index matrices (:mod:`repro.pds.bloom`), the IBLT
+folded columns (:mod:`repro.pds.iblt`) and the Merkle roots
+(:mod:`repro.chain.merkle`) are each keyed by the packed bytes their
+value is a pure function of, so a single entry can pin a whole
+mempool's ID buffer.  They are therefore bounded by the bytes they pin,
+not by how many entries they hold.
+"""
+
+from __future__ import annotations
+
+
+class BoundedMemo(dict):
+    """A memo ``dict`` bounded by the bytes its entries pin.
+
+    ``size(key, value)`` is the bytes one entry pins.  :meth:`remember`
+    stores a missed entry; once the entries, the new one included, would
+    pin more than ``budget``, the oldest go until half of it is free.  An
+    entry larger than the whole budget is kept alone, and is the first
+    to go at the next insertion.  The running total makes an insertion
+    O(1) but for the evictions; write only through :meth:`remember`
+    (and :meth:`clear`).
+    """
+
+    def __init__(self, budget: int, size):
+        super().__init__()
+        self.budget = budget
+        self.size = size
+        self.pinned = 0
+
+    def remember(self, key, value) -> None:
+        """Store ``value`` under ``key``, which the memo does not hold."""
+        self.pinned += self.size(key, value)
+        if self.pinned > self.budget:
+            for stale in list(self):
+                if self.pinned <= self.budget // 2:
+                    break
+                self.pinned -= self.size(stale, self.pop(stale))
+        self[key] = value
+
+    def clear(self) -> None:
+        super().clear()
+        self.pinned = 0

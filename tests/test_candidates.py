@@ -216,10 +216,12 @@ class TestCandidateSet:
         z = CandidateSet((head,), Mempool(txs),
                          BloomFilter.from_fpr(10, 1.0, seed=1), 8)
         assert z.sids.tolist() == [tx.short_id() for tx in [head] + txs]
-        kept = z.without({head.short_id(), txs[4].short_id(), 12345})
+        kept = z.source.take(
+            z.rows_without({head.short_id(), txs[4].short_id(), 12345}))
         assert kept.txs == txs[:4] + txs[5:]
         assert kept.ids == b"".join(tx.txid for tx in kept.txs)
-        assert z.without(frozenset()).txs == [head] + txs
+        assert z.source.take(z.rows_without(frozenset())).txs \
+            == [head] + txs
 
     def test_view_is_built_once(self, txgen):
         z = CandidateSet((), Mempool(txgen.make_batch(5)),
