@@ -105,9 +105,6 @@ class CompactBlocksOutcome:
     missing_count: int = 0
     collisions: int = 0
 
-    def total(self, include_txs: bool = False) -> int:
-        return self.total_bytes + (self.repair_tx_bytes if include_txs else 0)
-
 
 @dataclass
 class CompactBlocksRelay:

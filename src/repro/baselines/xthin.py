@@ -75,9 +75,6 @@ class XThinOutcome:
     roundtrips: float = 1.5
     collisions: int = 0
 
-    def total(self, include_txs: bool = False) -> int:
-        return self.total_bytes + (self.pushed_tx_bytes if include_txs else 0)
-
 
 @dataclass
 class XThinRelay:

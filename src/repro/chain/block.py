@@ -45,10 +45,6 @@ class BlockHeader:
                               self.bits & 0xFFFFFFFF,
                               self.nonce & 0xFFFFFFFF))
 
-    @property
-    def serialized_size(self) -> int:
-        return BLOCK_HEADER_BYTES
-
 
 @dataclass(frozen=True)
 class Block:

@@ -74,9 +74,6 @@ class Mempool:
         clone._columns = self._columns
         return clone
 
-    def get(self, txid: bytes) -> Optional[Transaction]:
-        return self._txs.get(txid)
-
     def __contains__(self, txid: bytes) -> bool:
         return txid in self._txs
 

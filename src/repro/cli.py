@@ -26,18 +26,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from repro.baselines.compact_blocks import CompactBlocksRelay
 from repro.baselines.full_block import FullBlockRelay
 from repro.baselines.xthin import XThinRelay
-from repro.chain.block import Block
 from repro.chain.scenarios import make_block_scenario, make_sync_scenario
-from repro.chain.transaction import TransactionGenerator
+from repro.core.engine import SENDER_STEPS
 from repro.core.mempool_sync import synchronize_mempools
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
+from repro.net.node import RelayProtocol
+
+#: ``--protocol`` choices: the relay protocols a simulated node speaks.
+_PROTOCOLS = [protocol.value for protocol in RelayProtocol]
 
 
 def _cmd_relay(args) -> int:
@@ -142,39 +144,23 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_netsim(args) -> int:
-    from repro.net import (
-        Node,
-        RelayProtocol,
-        Simulator,
-        connect_random_regular,
-    )
-    protocol = RelayProtocol(args.protocol)
-    sim = Simulator()
-    nodes = [Node(f"n{i}", sim, protocol=protocol)
-             for i in range(args.nodes)]
-    connect_random_regular(nodes, degree=args.degree,
-                           latency=args.latency,
-                           bandwidth=args.bandwidth,
-                           rng=random.Random(args.seed))
-    gen = TransactionGenerator(seed=args.seed)
-    txs = gen.make_batch(args.block_size)
-    for node in nodes:
-        node.mempool.add_many(txs)
-    block = Block.assemble(txs)
-    nodes[0].mine_block(block)
-    sim.run()
-    root = block.header.merkle_root
-    covered = sum(1 for node in nodes if root in node.blocks)
-    coverage = max(node.block_arrival[root] for node in nodes
-                   if root in node.block_arrival)
-    traffic = sum(node.total_bytes_sent() for node in nodes)
-    print(f"{args.protocol}: {covered}/{args.nodes} nodes in "
-          f"{coverage:.3f} s, {traffic:,} bytes total")
-    return 0 if covered == args.nodes else 1
+    from repro.analysis.forks import measure_propagation_delay
+    from repro.errors import ParameterError
+
+    try:
+        run = measure_propagation_delay(
+            RelayProtocol(args.protocol), args.block_size, nodes=args.nodes,
+            degree=args.degree, latency=args.latency,
+            bandwidth=args.bandwidth, extra_mempool=0, seed=args.seed)
+    except ParameterError as exc:
+        print(f"netsim: {exc}", file=sys.stderr)
+        return 1
+    print(f"{args.protocol}: {run.nodes}/{args.nodes} nodes in "
+          f"{run.coverage_delay:.3f} s, {run.total_bytes:,} bytes total")
+    return 0
 
 
 def _cmd_net(args) -> int:
-    from repro.net import RelayProtocol
     from repro.obs import run_propagation_scenario
 
     verbose_cycles = args.verbose
@@ -226,7 +212,6 @@ def _cmd_net(args) -> int:
 
 
 def _observed_run(args):
-    from repro.net import RelayProtocol
     from repro.obs import run_block_relay_scenario
     return run_block_relay_scenario(
         nodes=args.nodes, degree=args.degree, block_size=args.block_size,
@@ -329,9 +314,7 @@ def _cmd_fuzz(args) -> int:
 #: ``--blackhole`` drops every request command forever: the server
 #: handshakes and announces, then never answers -- the deterministic
 #: stand-in for a peer that went dark mid-exchange.
-_REQUEST_COMMANDS = ("getdata", "graphene_p2_request",
-                     "graphene_p3_request", "getdata_shortids",
-                     "getdata_block")
+_REQUEST_COMMANDS = (*SENDER_STEPS, "getdata_block")
 
 
 def _parse_drops(specs, blackhole: bool) -> dict:
@@ -348,22 +331,21 @@ def _parse_drops(specs, blackhole: bool) -> dict:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.net.peer import PeerManager
+    from repro.net.peer import BlockServer
 
     scenario = make_block_scenario(n=args.n, extra=args.extra,
                                    fraction=args.fraction, seed=args.seed)
     drops = _parse_drops(args.drop, args.blackhole)
 
     async def run() -> int:
-        server = PeerManager(node_id=args.node_id,
+        server = BlockServer(scenario.block,
                              config=GrapheneConfig(
                                  protocol=3 if args.p3 else 1),
-                             drop=drops)
-        root = server.serve_block(scenario.block)
-        port = await server.listen(args.host, args.port)
+                             node_id=args.node_id, drop=drops)
+        port = await server.start(args.host, args.port)
         # Parseable by scripts that pass --port 0 and need the real one.
         print(f"listening on {args.host}:{port}", flush=True)
-        print(f"serving block {root.hex()[:12]} ({scenario.n} txns, "
+        print(f"serving block {server.root.hex()[:12]} ({scenario.n} txns, "
               f"seed {args.seed})", flush=True)
         if args.once:
             await server.wait_served(1)
@@ -382,7 +364,7 @@ def _cmd_serve(args) -> int:
         return 0
 
 
-def _run_mesh_peer(args, scenario, policy, config=None) -> int:
+def _cmd_peer(args) -> int:
     """``repro peer``: every ``--connect`` target (``--port`` names
     one) is dialed into one :class:`~repro.net.peer.PeerManager`, the
     first announced block is fetched under the full recovery ladder
@@ -391,8 +373,21 @@ def _run_mesh_peer(args, scenario, policy, config=None) -> int:
     import asyncio
 
     from repro.net.peer import PeerManager
+    from repro.net.recovery import RecoveryPolicy
     from repro.obs import Tracer, WallClock
 
+    if not args.connect:
+        if args.port is None:
+            print("peer: give --port for one server or --connect HOST:PORT "
+                  "(repeatable) for a node group", file=sys.stderr)
+            return 2
+        # One server is a one-entry dial list.
+        args.connect = [f"{args.host}:{args.port}"]
+    scenario = make_block_scenario(n=args.n, extra=args.extra,
+                                   fraction=args.fraction, seed=args.seed)
+    policy = RecoveryPolicy(timeout_base=args.timeout_base,
+                            max_retries=args.max_retries)
+    config = GrapheneConfig(protocol=3 if args.p3 else 1)
     tracer = Tracer(WallClock())
     out = sys.stderr if args.json else sys.stdout
 
@@ -484,24 +479,6 @@ def _run_mesh_peer(args, scenario, policy, config=None) -> int:
     return 0 if ok else 1
 
 
-def _cmd_peer(args) -> int:
-    from repro.net.recovery import RecoveryPolicy
-
-    if not args.connect:
-        if args.port is None:
-            print("peer: give --port for one server or --connect HOST:PORT "
-                  "(repeatable) for a node group", file=sys.stderr)
-            return 2
-        # One server is a one-entry dial list.
-        args.connect = [f"{args.host}:{args.port}"]
-    scenario = make_block_scenario(n=args.n, extra=args.extra,
-                                   fraction=args.fraction, seed=args.seed)
-    policy = RecoveryPolicy(timeout_base=args.timeout_base,
-                            max_retries=args.max_retries)
-    config = GrapheneConfig(protocol=3 if args.p3 else 1)
-    return _run_mesh_peer(args, scenario, policy, config)
-
-
 def _add_scenario_args(parser) -> None:
     """Shared knobs for the observed-run commands (trace, report)."""
     parser.add_argument("--nodes", type=int, default=20)
@@ -510,9 +487,7 @@ def _add_scenario_args(parser) -> None:
     parser.add_argument("--loss", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--protocol", default="graphene",
-                        choices=[p.value for p in __import__(
-                            "repro.net.node", fromlist=["RelayProtocol"]
-                        ).RelayProtocol])
+                        choices=_PROTOCOLS)
     parser.add_argument("--until", type=float, default=120.0)
     parser.add_argument("--sync-rounds", type=int, default=0,
                         help="post-relay mempool syncs to run and observe")
@@ -578,9 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     netsim.add_argument("--latency", type=float, default=0.05)
     netsim.add_argument("--bandwidth", type=float, default=1_000_000.0)
     netsim.add_argument("--protocol", default="graphene",
-                        choices=[p.value for p in __import__(
-                            "repro.net.node", fromlist=["RelayProtocol"]
-                        ).RelayProtocol])
+                        choices=_PROTOCOLS)
     netsim.add_argument("--seed", type=int, default=0)
     netsim.set_defaults(func=_cmd_netsim)
 
@@ -600,9 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--loss", type=float, default=0.0)
     net.add_argument("--seed", type=int, default=2026)
     net.add_argument("--protocol", default="graphene",
-                     choices=[p.value for p in __import__(
-                         "repro.net.node", fromlist=["RelayProtocol"]
-                     ).RelayProtocol])
+                     choices=_PROTOCOLS)
     net.add_argument("--verbose", action="store_true",
                      help="print per-cycle progress")
     net.add_argument("--json", default=None, metavar="PATH",

@@ -133,35 +133,55 @@ def restore_bloom_load(bloom: BloomFilter, count: int) -> BloomFilter:
 _FULL_CELL_BYTES = 18
 
 
-#: Bounds of the on-wire ``count i16`` field.
-_I16_MIN, _I16_MAX = -0x8000, 0x7FFF
+def _pack_rows(counts, key_sums, check_sums, count_bytes: int,
+               check_bytes: int) -> bytes:
+    """Lay three columns into ``count | keySum u64 | checkSum`` rows.
 
-
-def _encode_cells(iblt: IBLT, check_width: int, full: bool) -> bytes:
-    """Cell serialization: columnar arrays -> one byte grid.
-
-    Builds a ``(cells, width)`` uint8 matrix whose columns are the
-    little-endian byte views of the three cell fields and ships it with
-    one ``tobytes()``.
+    IBLT cells and coded symbols share this grid at different widths:
+    the count is a signed ``count_bytes``-wide integer (raising when one
+    does not fit), the checksum its low ``check_bytes`` bytes, all
+    little-endian.  Builds one ``(rows, width)`` uint8 matrix from the
+    fields' byte views and ships it with one ``tobytes()``.
     """
-    counts = _np.frombuffer(iblt._counts, dtype=_np.int64)
-    if counts.size and ((counts < _I16_MIN) | (counts > _I16_MAX)).any():
+    counts = _np.asarray(counts, dtype=_np.int64)
+    bound = 1 << (8 * count_bytes - 1)
+    if counts.size and ((counts < -bound) | (counts >= bound)).any():
         raise ParameterError(
-            "cell count overflows i16: count outside [-32768, 32767]")
-    keys = _np.frombuffer(iblt._key_sums, dtype=_np.uint64)
-    checks = _np.frombuffer(iblt._check_sums, dtype=_np.uint64)
-    cells = iblt.cells
-    width = _FULL_CELL_BYTES if full else iblt.cell_bytes
-    out_width = 8 if full else check_width
-    if not full and check_width < 8:
-        checks = checks & _np.uint64((1 << (8 * check_width)) - 1)
-    body = _np.empty((cells, width), dtype=_np.uint8)
-    body[:, 0:2] = counts.astype("<i2").view(_np.uint8).reshape(cells, 2)
-    body[:, 2:10] = keys.astype("<u8", copy=False) \
-        .view(_np.uint8).reshape(cells, 8)
-    body[:, 10:10 + out_width] = checks.astype("<u8", copy=False) \
-        .view(_np.uint8).reshape(cells, 8)[:, :out_width]
+            f"count overflows i{8 * count_bytes}: count outside "
+            f"[{-bound}, {bound - 1}]")
+    n, head = len(counts), count_bytes + 8
+    body = _np.empty((n, head + check_bytes), dtype=_np.uint8)
+    body[:, :count_bytes] = counts.astype(f"<i{count_bytes}") \
+        .view(_np.uint8).reshape(n, count_bytes)
+    body[:, count_bytes:head] = _np.asarray(key_sums, dtype="<u8") \
+        .view(_np.uint8).reshape(n, 8)
+    body[:, head:] = _np.asarray(check_sums, dtype="<u8") \
+        .view(_np.uint8).reshape(n, 8)[:, :check_bytes]
     return body.tobytes()
+
+
+def _unpack_rows(data, offset: int, count_bytes: int, check_bytes: int,
+                 counts, key_sums, check_sums) -> None:
+    """Fill the columns (``array('q')``, ``array('Q')``, ``array('Q')``
+    of one length) from :func:`_pack_rows`'s grid at ``offset``.
+
+    Reads the wire bytes in place (no body-slice copy, any bytes-like
+    buffer) through one ``frombuffer`` view, and writes the columns
+    through writable numpy views.  The caller has bounded the body by
+    the buffer.
+    """
+    n, head = len(counts), count_bytes + 8
+    width = head + check_bytes
+    grid = _np.frombuffer(data, dtype=_np.uint8, count=n * width,
+                          offset=offset).reshape(n, width)
+    _np.frombuffer(counts, dtype=_np.int64)[:] = _np.ascontiguousarray(
+        grid[:, :count_bytes]).view(f"<i{count_bytes}").ravel()
+    _np.frombuffer(key_sums, dtype=_np.uint64)[:] = _np.ascontiguousarray(
+        grid[:, count_bytes:head]).view("<u8").ravel()
+    padded = _np.zeros((n, 8), dtype=_np.uint8)
+    padded[:, :check_bytes] = grid[:, head:]
+    _np.frombuffer(check_sums, dtype=_np.uint64)[:] = \
+        padded.view("<u8").ravel()
 
 
 def encode_iblt(iblt: IBLT) -> bytes:
@@ -171,28 +191,9 @@ def encode_iblt(iblt: IBLT) -> bytes:
     full = check_width < 2 or check_width > 8
     header = struct.pack("<IBIBH", iblt.cells, iblt.k, _wire_seed(iblt.seed),
                          iblt.cell_bytes, _FULL_CELL_BYTES if full else 0)
-    return header + _encode_cells(iblt, check_width, full)
-
-
-def _decode_cells(iblt: IBLT, data, offset: int, body: int,
-                  check_width: int, full: bool) -> None:
-    """Cell parse: one ``frombuffer`` view, three column fills.
-
-    Reads the wire bytes in place (no body-slice copy, any bytes-like
-    buffer) and writes the columnar arrays through writable numpy views.
-    """
-    width = _FULL_CELL_BYTES if full else iblt.cell_bytes
-    out_width = 8 if full else check_width
-    grid = _np.frombuffer(data, dtype=_np.uint8, count=body,
-                          offset=offset).reshape(iblt.cells, width)
-    _np.frombuffer(iblt._counts, dtype=_np.int64)[:] = \
-        _np.ascontiguousarray(grid[:, 0:2]).view("<i2").ravel()
-    _np.frombuffer(iblt._key_sums, dtype=_np.uint64)[:] = \
-        _np.ascontiguousarray(grid[:, 2:10]).view("<u8").ravel()
-    padded = _np.zeros((iblt.cells, 8), dtype=_np.uint8)
-    padded[:, :out_width] = grid[:, 10:10 + out_width]
-    _np.frombuffer(iblt._check_sums, dtype=_np.uint64)[:] = \
-        padded.view("<u8").ravel()
+    return header + _pack_rows(iblt._counts, iblt._key_sums,
+                               iblt._check_sums, 2,
+                               8 if full else check_width)
 
 
 def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
@@ -225,8 +226,8 @@ def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
     iblt = IBLT(cells, k=k, seed=seed, cell_bytes=cell_bytes)
     iblt._pristine = False  # columns are written below, outside IBLT
     full = pad == _FULL_CELL_BYTES
-    check_width = cell_bytes - 10
-    _decode_cells(iblt, data, offset, body, check_width, full)
+    _unpack_rows(data, offset, 2, 8 if full else cell_bytes - 10,
+                 iblt._counts, iblt._key_sums, iblt._check_sums)
     return iblt, offset + body
 
 
@@ -234,28 +235,9 @@ def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
 # Rateless IBLT coded-symbol batches (Protocol 3)
 # ---------------------------------------------------------------------------
 
-#: Bounds of the on-wire symbol ``count i32`` field (a coded symbol is
-#: ``count i32 | keySum u64 | checkSum u16``).
-_I32_MIN, _I32_MAX = -0x80000000, 0x7FFFFFFF
-
-
-def _encode_symbols(batch) -> bytes:
-    """Symbol serialization: the three columns laid into one byte grid."""
-    n = len(batch.counts)
-    counts = _np.asarray(batch.counts, dtype=_np.int64)
-    if counts.size and ((counts < _I32_MIN) | (counts > _I32_MAX)).any():
-        raise ParameterError(
-            "symbol count overflows i32: count outside +-2^31")
-    keys = _np.asarray(batch.key_sums, dtype=_np.uint64)
-    checks = _np.asarray(batch.check_sums, dtype=_np.uint64) \
-        & _np.uint64(0xFFFF)
-    body = _np.empty((n, SYMBOL_BYTES), dtype=_np.uint8)
-    body[:, 0:4] = counts.astype("<i4").view(_np.uint8).reshape(n, 4)
-    body[:, 4:12] = keys.astype("<u8", copy=False) \
-        .view(_np.uint8).reshape(n, 8)
-    body[:, 12:14] = checks.astype("<u8", copy=False) \
-        .view(_np.uint8).reshape(n, 8)[:, :2]
-    return body.tobytes()
+#: A coded symbol is ``count i32 | keySum u64 | checkSum u16``
+#: (``SYMBOL_BYTES``).
+_SYMBOL_COUNT_BYTES, _SYMBOL_CHECK_BYTES = 4, 2
 
 
 def encode_symbol_batch(batch, pushed=None) -> bytes:
@@ -271,7 +253,9 @@ def encode_symbol_batch(batch, pushed=None) -> bytes:
         raise ParameterError(f"symbol batch of {n} exceeds u16 framing")
     header = struct.pack("<IH", batch.start & _U32, n)
     tail = b"" if pushed is None else encode_tx_list(pushed)
-    return header + _encode_symbols(batch) + tail
+    return header + _pack_rows(batch.counts, batch.key_sums,
+                               batch.check_sums, _SYMBOL_COUNT_BYTES,
+                               _SYMBOL_CHECK_BYTES) + tail
 
 
 def decode_symbol_batch(data, offset: int = 0):
@@ -297,16 +281,8 @@ def decode_symbol_batch(data, offset: int = 0):
     counts = array("q", bytes(8 * n))
     key_sums = array("Q", bytes(8 * n))
     check_sums = array("Q", bytes(8 * n))
-    grid = _np.frombuffer(data, dtype=_np.uint8, count=body,
-                          offset=offset).reshape(n, SYMBOL_BYTES)
-    _np.frombuffer(counts, dtype=_np.int64)[:] = \
-        _np.ascontiguousarray(grid[:, 0:4]).view("<i4").ravel()
-    _np.frombuffer(key_sums, dtype=_np.uint64)[:] = \
-        _np.ascontiguousarray(grid[:, 4:12]).view("<u8").ravel()
-    padded = _np.zeros((n, 8), dtype=_np.uint8)
-    padded[:, :2] = grid[:, 12:14]
-    _np.frombuffer(check_sums, dtype=_np.uint64)[:] = \
-        padded.view("<u8").ravel()
+    _unpack_rows(data, offset, _SYMBOL_COUNT_BYTES, _SYMBOL_CHECK_BYTES,
+                 counts, key_sums, check_sums)
     return SymbolBatch(start=start, counts=counts, key_sums=key_sums,
                        check_sums=check_sums), offset + body
 

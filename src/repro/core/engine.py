@@ -95,6 +95,7 @@ from repro.core.sizing import (
 )
 from repro.core.telemetry import EventRecorder, MessageEvent
 from repro.errors import MalformedIBLTError, ParameterError, ProtocolFailure
+from repro.utils.memo import BoundedMemo
 from repro.utils.serialization import compact_size_len
 
 
@@ -238,9 +239,9 @@ class GrapheneSenderEngine:
         #: Served openings keyed by ``(protocol, m)``, m the requester's
         #: mempool count: ``build_protocol1`` / ``build_protocol3`` are
         #: deterministic in (txs, m, config), and a sender fans the same
-        #: block out to many peers whose counts repeat.  Bounded; oldest
-        #: half evicted at the cap.
-        self._openings: dict = {}
+        #: block out to many peers whose counts repeat.  Bounded at 64
+        #: openings (each entry counts 1).
+        self._openings = BoundedMemo(64, lambda key, opening: 1)
         #: Openings built, i.e. ``_openings`` misses (read-only counter).
         self.openings_built = 0
         #: The one shared Protocol 3 symbol stream -- it depends only on
@@ -255,9 +256,6 @@ class GrapheneSenderEngine:
                              roundtrip=roundtrip, parts=parts)
         self.telemetry.append(event)
         return EngineAction(ActionKind.SEND, command, message, event=event)
-
-    #: Bound on the per-engine served-opening cache.
-    P1_CACHE_CAP = 64
 
     def on_getdata(self, message: bytes) -> EngineAction:
         """Handle a getdata carrying the receiver's mempool count.
@@ -293,12 +291,9 @@ class GrapheneSenderEngine:
             blob = encode_protocol1_payload(payload)
         if not self.mempool_mode:
             blob = self.block.header.serialize() + blob
-        if len(self._openings) >= self.P1_CACHE_CAP:
-            for stale in list(self._openings)[:self.P1_CACHE_CAP // 2]:
-                del self._openings[stale]
         self.openings_built += 1
-        cached = self._openings[protocol, m] = (
-            blob, _opening_parts(payload, protocol))
+        cached = (blob, _opening_parts(payload, protocol))
+        self._openings.remember((protocol, m), cached)
         return cached
 
     def _symbol_stream(self):

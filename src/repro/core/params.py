@@ -27,6 +27,7 @@ from repro.pds.param_table import (
     IBLTParams,
     default_param_table,
 )
+from repro.utils.memo import BoundedMemo
 
 #: Wire overhead of a serialized Bloom filter (see BloomFilter.serialized_size).
 BLOOM_HEADER_BYTES = 9
@@ -173,9 +174,8 @@ def closed_form_a(n: int, tau: float, cell_bytes: int) -> int:
 #: Memoized Protocol 1 plans keyed ``(n, m, config)``.  The sweep over
 #: candidate ``a`` values re-runs for every relay of the same block to
 #: a similarly-sized mempool; plans are frozen, so sharing the result
-#: is safe.  Bounded: oldest half evicted at the cap.
-_PLAN_CACHE: dict = {}
-_PLAN_CACHE_CAP = 4096
+#: is safe.  Bounded at 4 096 plans (each entry counts 1).
+_PLAN_CACHE = BoundedMemo(4096, lambda key, plan: 1)
 
 
 def optimize_a(n: int, m: int, config: Optional[GrapheneConfig] = None) -> FilterIBLTPlan:
@@ -191,14 +191,10 @@ def optimize_a(n: int, m: int, config: Optional[GrapheneConfig] = None) -> Filte
     if n < 0 or m < 0:
         raise ParameterError(f"n and m must be non-negative: {n}, {m}")
     key = (n, m, config)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    plan = _optimize_a_uncached(n, m, config)
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        for stale in list(_PLAN_CACHE)[:_PLAN_CACHE_CAP // 2]:
-            del _PLAN_CACHE[stale]
-    _PLAN_CACHE[key] = plan
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _optimize_a_uncached(n, m, config)
+        _PLAN_CACHE.remember(key, plan)
     return plan
 
 

@@ -37,6 +37,7 @@ from typing import Iterable, List, Optional
 
 import numpy as _np
 
+from repro import codec
 from repro.codec import (
     decode_bloom,
     decode_iblt,
@@ -60,7 +61,15 @@ from repro.codec import (
     encode_tx_list,
     restore_bloom_load,
 )
-from repro.errors import ReproError
+from repro.core.params import GrapheneConfig
+from repro.core.protocol3 import (
+    SymbolBatch,
+    begin_protocol3,
+    continuation,
+    ingest_symbols,
+    next_batch_size,
+)
+from repro.errors import MalformedIBLTError, ParameterError, ReproError
 from repro.fuzz import gen
 from repro.fuzz.gen import rng_from
 from repro.net.peer.framing import (
@@ -73,10 +82,63 @@ from repro.net.peer.framing import (
 )
 from repro.utils.hashing import sha256
 
-_DECODERS = (decode_bloom, decode_iblt, decode_transaction, decode_tx_list,
-             decode_protocol1_payload, decode_protocol2_request,
-             decode_protocol2_response, decode_protocol3_payload,
-             decode_symbol_batch)
+#: Every decoder the codec exports; each reads every mutated blob.
+_DECODERS = tuple(decoder for name, decoder in vars(codec).items()
+                  if name.startswith("decode_"))
+
+
+def _tailed(head, tail):
+    """Parse a message whose ``tail`` is read at the offset ``head``
+    returns (``tail=None``: a message that carries none) into
+    ``((*head fields, tail value), offset)``."""
+    def parse(blob):
+        *fields, offset = head(blob)
+        value = None
+        if tail is not None:
+            value, offset = tail(blob, offset)
+        return (*fields, value), offset
+    return parse
+
+
+def _p2(params: dict, index: int):
+    """The request (0) or response (1) of a Protocol 2 exchange, or
+    None where Protocol 1 succeeds."""
+    built = gen.make_p2({**params, "fraction": min(params["fraction"], 0.9)})
+    return None if built is None else built[index]
+
+
+#: The wire messages, ``kind -> (build, encode, parse)``.
+#: ``build(params, rng)`` makes a valid value (None: the scenario has no
+#: such message), ``encode`` puts it on the wire, and ``parse(blob)``
+#: reads a whole message back, tail included, as ``(value, offset)``.
+#: The order is part of every campaign: the mutation check draws its
+#: base from it by position.
+WIRE = {
+    "bloom": (lambda p, rng: gen.make_bloom(rng, p["n"], 0.02, 7)[0],
+              encode_bloom, decode_bloom),
+    "iblt": (lambda p, rng: gen.make_iblt(rng, max(4, p["n"] // 2), 4, 11,
+                                          12, p["n"], 0)[0],
+             encode_iblt, decode_iblt),
+    "transaction": (lambda p, rng: gen.make_transactions(rng, 1)[0],
+                    encode_transaction, decode_transaction),
+    "p1": (lambda p, rng: gen.make_p1(p)[0],
+           encode_protocol1_payload, decode_protocol1_payload),
+    "p3": (lambda p, rng: gen.make_p3(p)[0],
+           encode_protocol3_payload, decode_protocol3_payload),
+    "p2_request": (lambda p, rng: _p2(p, 0),
+                   encode_protocol2_request, decode_protocol2_request),
+    "p2_response": (lambda p, rng: _p2(p, 1),
+                    encode_protocol2_response, decode_protocol2_response),
+    "p3_request": (lambda p, rng: (5, p["n"],
+                                   gen.make_bloom(rng, p["n"], 0.2, 7)[0]),
+                   lambda value: encode_protocol3_request(*value),
+                   _tailed(decode_protocol3_request, decode_bloom)),
+    "p3_symbols": (lambda p, rng: (
+        SymbolBatch(5, [3, -1, 0], [7, 1 << 63, 0], [9, 0xFFFF, 0]),
+        gen.make_transactions(rng, p["n"] % 7)),
+        lambda value: encode_symbol_batch(*value),
+        _tailed(decode_symbol_batch, decode_tx_list)),
+}
 
 
 @dataclass
@@ -111,12 +173,14 @@ class Engine:
     cost: int = 1
     #: ``{param_key: minimum}`` for the generic integer shrinker.
     shrink_floors: dict = {}
+    #: The parameter whose value names a case's ``_check_<value>``.
+    case_key: str = "kind"
 
     def draw(self, rng: random.Random) -> dict:
         raise NotImplementedError
 
     def check(self, params: dict) -> Optional[FuzzFailure]:
-        raise NotImplementedError
+        return getattr(self, "_check_" + params[self.case_key])(params)
 
     def shrink_candidates(self, params: dict) -> Iterable[dict]:
         """Yield strictly-simpler variants of ``params`` to retry."""
@@ -129,6 +193,15 @@ class Engine:
     def fail(self, check: str, detail: str, params: dict) -> FuzzFailure:
         return FuzzFailure(engine=self.name, check=check, detail=detail,
                            params=dict(params))
+
+    def first_mismatch(self, checks, params) -> Optional[FuzzFailure]:
+        """The first ``(check, got, want)`` with ``got != want``, as a
+        failure; the list order decides which check names it."""
+        for check, got, want in checks:
+            if got != want:
+                return self.fail(check, f"got {got!r:.80}, want {want!r:.80}",
+                                 params)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +220,6 @@ class CodecEngine(Engine):
     _KINDS = ("bloom", "bloom", "iblt", "iblt", "transaction", "tx_list",
               "p1", "p1", "p2", "p2", "p3", "p3_stream",
               "mutation", "mutation", "mutation", "frame", "frame")
-    _MUTATION_BASES = ("bloom", "iblt", "transaction", "p1", "p3",
-                       "p2_request", "p2_response", "p3_request",
-                       "p3_symbols")
     #: Frame-level corruption modes ("split" is the invariance check;
     #: the rest must raise FrameError, never mis-parse or stall).
     _FRAME_MODES = ("split", "split", "split", "bad_magic", "bad_length",
@@ -160,6 +230,8 @@ class CodecEngine(Engine):
                        "graphene_p3_request", "graphene_p3_symbols",
                        "getdata_shortids", "block_txs", "getdata_block",
                        "block")
+    #: What every opening carries ahead of its body, besides S.
+    _OPENING_FIELDS = ("n", "recover", "prefilled")
     #: Symbol-stream corruption modes for ``p3_stream`` cases.
     _P3_STREAM_MODES = ("truncate_boundary", "bad_header", "midstream_eof")
 
@@ -203,7 +275,7 @@ class CodecEngine(Engine):
                           mode=rng.choice(self._FRAME_MODES),
                           split_seed=rng.getrandbits(16))
         else:  # mutation
-            params.update(base=rng.choice(self._MUTATION_BASES),
+            params.update(base=rng.choice(tuple(WIRE)),
                           n=rng.randint(30, 150),
                           extra=rng.randint(0, 150),
                           fraction=rng.choice([1.0, 0.9, 0.8]),
@@ -211,8 +283,20 @@ class CodecEngine(Engine):
                           mut_seed=rng.getrandbits(24))
         return params
 
-    def check(self, params: dict) -> Optional[FuzzFailure]:
-        return getattr(self, "_check_" + params["kind"])(params)
+    def _round_trip(self, tag, value, encode, parse, params) -> tuple:
+        """Encode ``value`` and parse it back: the parse must read the
+        whole blob, and the decoded value must encode to the same bytes.
+        Returns ``(blob, decoded, failure)``."""
+        blob = encode(value)
+        decoded, offset = parse(blob)
+        failure = None
+        if offset != len(blob):
+            failure = self.fail(f"{tag}-offset", f"{offset} != {len(blob)}",
+                                params)
+        elif encode(decoded) != blob:
+            failure = self.fail(f"{tag}-fixed-point",
+                                "encode(decode(encode)) differs", params)
+        return blob, decoded, failure
 
     # -- structures -----------------------------------------------------
 
@@ -220,101 +304,70 @@ class CodecEngine(Engine):
         rng = rng_from("bloom", params["seed"])
         bloom, items = gen.make_bloom(rng, params["n"], params["fpr"],
                                       params["filter_seed"])
-        blob = encode_bloom(bloom)
+        blob, decoded, failure = self._round_trip(
+            "bloom", bloom, encode_bloom, decode_bloom, params)
         if len(blob) != bloom.serialized_size():
             return self.fail("bloom-size-model",
                              f"wire {len(blob)}B != model "
                              f"{bloom.serialized_size()}B", params)
-        decoded, offset = decode_bloom(blob)
-        if offset != len(blob):
-            return self.fail("bloom-offset", f"{offset} != {len(blob)}",
-                             params)
-        if encode_bloom(decoded) != blob:
-            return self.fail("bloom-fixed-point",
-                             "encode(decode(encode)) differs", params)
         probes = items + gen.make_items(rng, 64)
-        if ([p in bloom for p in probes]
-                != [p in decoded for p in probes]):
-            return self.fail("bloom-membership",
-                             "decoded filter answers differently", params)
+        failure = failure or self.first_mismatch(
+            [("bloom-membership", [p in decoded for p in probes],
+              [p in bloom for p in probes])], params)
+        if failure is not None:
+            return failure
         if not bloom.is_degenerate and decoded.target_fpr >= 1.0:
             return self.fail("bloom-target-fpr",
                              "decoded non-degenerate filter claims "
                              f"target_fpr={decoded.target_fpr}", params)
         restore_bloom_load(decoded, bloom.count)
-        if decoded.count != bloom.count:
-            return self.fail("bloom-load-restore",
-                             f"count {decoded.count} != {bloom.count}",
-                             params)
-        if decoded.actual_fpr() != bloom.actual_fpr():
-            return self.fail("bloom-actual-fpr",
-                             f"{decoded.actual_fpr()} != "
-                             f"{bloom.actual_fpr()}", params)
-        if bloom.count and not bloom.is_degenerate:
-            # Sizing inverts to within the ceil() applied to nbits.
-            lo, hi = bloom.target_fpr * 0.59, bloom.target_fpr * 1.000001
-            if not lo <= decoded.target_fpr <= hi:
-                return self.fail("bloom-target-fpr-estimate",
-                                 f"{decoded.target_fpr} outside "
-                                 f"[{lo}, {hi}]", params)
-        return None
+        return self._bloom_parity("bloom-restored", bloom, decoded, params)
 
     def _check_iblt(self, params) -> Optional[FuzzFailure]:
         rng = rng_from("iblt", params["seed"])
         iblt, _, _ = gen.make_iblt(
             rng, params["cells"], params["k"], params["iblt_seed"],
             params["cell_bytes"], params["n_insert"], params["n_erase"])
-        blob = encode_iblt(iblt)
-        decoded, offset = decode_iblt(blob)
-        if offset != len(blob):
-            return self.fail("iblt-offset", f"{offset} != {len(blob)}",
-                             params)
+        blob, decoded, failure = self._round_trip(
+            "iblt", iblt, encode_iblt, decode_iblt, params)
+        if failure is not None:
+            return failure
         if 12 <= params["cell_bytes"] <= 18 \
                 and len(blob) != iblt.serialized_size():
             return self.fail("iblt-size-model",
                              f"wire {len(blob)}B != model "
                              f"{iblt.serialized_size()}B", params)
-        if encode_iblt(decoded) != blob:
-            return self.fail("iblt-fixed-point",
-                             "encode(decode(encode)) differs", params)
         mine, theirs = iblt.decode(), decoded.decode()
-        if (mine.complete, mine.local, mine.remote) != \
-                (theirs.complete, theirs.local, theirs.remote):
-            return self.fail("iblt-decode-parity",
-                             "decoded IBLT peels differently", params)
-        return None
+        return self.first_mismatch([
+            ("iblt-decode-parity", (theirs.complete, theirs.local,
+                                    theirs.remote),
+             (mine.complete, mine.local, mine.remote))], params)
 
     def _check_transaction(self, params) -> Optional[FuzzFailure]:
         rng = rng_from("tx", params["seed"])
         txs = gen.make_transactions(rng, params["n"])
         for tx in txs:
-            decoded, offset = decode_transaction(encode_transaction(tx))
-            if offset != 41:
-                return self.fail("tx-offset", f"{offset} != 41", params)
-            if decoded != tx:
-                return self.fail("tx-roundtrip",
-                                 f"decoded {decoded} != original {tx}",
-                                 params)
+            _, decoded, failure = self._round_trip(
+                "tx", tx, encode_transaction, decode_transaction, params)
+            failure = failure or self.first_mismatch(
+                [("tx-roundtrip", decoded, tx)], params)
+            if failure is not None:
+                return failure
         # Fee-rate ordering must survive the wire: a mempool sorted on
         # decoded transactions must order like its loopback twin.
         decoded = decode_tx_list(encode_tx_list(txs))[0]
         order = lambda ts: [t.txid for t in  # noqa: E731
                             sorted(ts, key=lambda t: (t.fee_rate, t.txid))]
-        if order(txs) != order(decoded):
-            return self.fail("tx-fee-ordering",
-                             "wire round-trip reorders the mempool",
-                             params)
-        return None
+        return self.first_mismatch(
+            [("tx-fee-ordering", order(decoded), order(txs))], params)
 
     def _check_tx_list(self, params) -> Optional[FuzzFailure]:
         rng = rng_from("txlist", params["seed"])
         txs = gen.make_transactions(rng, params["n"])
-        blob = encode_tx_list(txs)
-        decoded, offset = decode_tx_list(blob)
-        if offset != len(blob) or list(decoded) != list(txs):
-            return self.fail("tx-list-roundtrip",
-                             "decoded list differs", params)
-        return None
+        _, decoded, failure = self._round_trip(
+            "tx-list", txs, encode_tx_list, decode_tx_list, params)
+        return failure or self.first_mismatch(
+            [("tx-list-roundtrip", list(decoded), list(txs))], params)
 
     # -- protocol messages ----------------------------------------------
 
@@ -338,63 +391,56 @@ class CodecEngine(Engine):
                                  f"[{lo}, {hi}]", params)
         return None
 
+    def _check_message(self, tag, message, kind, fields, bloom,
+                       params) -> tuple:
+        """Round-trip a protocol message of ``kind`` and compare its head:
+        each of ``fields``, then the filter ``bloom = (check, attribute)``
+        by :meth:`_bloom_parity`.  Returns ``(decoded, failure)``."""
+        _, encode, parse = WIRE[kind]
+        _, decoded, failure = self._round_trip(tag, message, encode, parse,
+                                               params)
+        for name in fields:
+            if failure is None \
+                    and getattr(decoded, name) != getattr(message, name):
+                failure = self.fail(f"{tag}-fields", f"{name} drifts", params)
+        if failure is None:
+            check, name = bloom
+            failure = self._bloom_parity(check, getattr(message, name),
+                                         getattr(decoded, name), params)
+        return decoded, failure
+
     def _check_p1(self, params) -> Optional[FuzzFailure]:
-        from repro.core.params import GrapheneConfig
         from repro.core.protocol1 import receive_protocol1
 
         payload, sc = gen.make_p1(params)
-        blob = encode_protocol1_payload(payload)
-        decoded, offset = decode_protocol1_payload(blob)
-        if offset != len(blob):
-            return self.fail("p1-offset", f"{offset} != {len(blob)}", params)
-        if encode_protocol1_payload(decoded) != blob:
-            return self.fail("p1-fixed-point",
-                             "encode(decode(encode)) differs", params)
-        if (decoded.n, decoded.recover) != (payload.n, payload.recover):
-            return self.fail("p1-counts", "n/recover drift", params)
-        if tuple(decoded.prefilled) != tuple(payload.prefilled):
-            return self.fail("p1-prefilled", "prefilled txns drift", params)
-        failure = self._bloom_parity("p1-bloom-s", payload.bloom_s,
-                                     decoded.bloom_s, params)
+        decoded, failure = self._check_message(
+            "p1", payload, "p1", self._OPENING_FIELDS,
+            ("p1-bloom-s", "bloom_s"), params)
         if failure is not None:
             return failure
-        if encode_iblt(decoded.iblt_i) != encode_iblt(payload.iblt_i):
-            return self.fail("p1-iblt", "IBLT I drifts on the wire", params)
         config = GrapheneConfig()
         mine = receive_protocol1(payload, sc.receiver_mempool, config,
                                  validate_block=sc.block)
         theirs = receive_protocol1(decoded, sc.receiver_mempool, config,
                                    validate_block=sc.block)
-        if (mine.success, mine.z) != (theirs.success, theirs.z):
-            return self.fail("p1-receiver-parity",
-                             f"loopback (success={mine.success}, "
-                             f"z={mine.z}) vs wire "
-                             f"(success={theirs.success}, z={theirs.z})",
-                             params)
-        return None
+        return self.first_mismatch([
+            ("p1-iblt", encode_iblt(decoded.iblt_i),
+             encode_iblt(payload.iblt_i)),
+            ("p1-receiver-parity", (theirs.success, theirs.z),
+             (mine.success, mine.z)),
+        ], params)
 
     def _check_p2(self, params) -> Optional[FuzzFailure]:
-        from repro.core.params import GrapheneConfig
         from repro.core.protocol2 import finish_protocol2, respond_protocol2
 
         built = gen.make_p2(params)
         if built is None:  # Protocol 1 succeeded; nothing to check.
             return None
         request, response, state, sc = built
-        req_blob = encode_protocol2_request(request)
-        arrived_req, offset = decode_protocol2_request(req_blob)
-        if offset != len(req_blob):
-            return self.fail("p2-req-offset", f"{offset} != {len(req_blob)}",
-                             params)
-        if encode_protocol2_request(arrived_req) != req_blob:
-            return self.fail("p2-req-fixed-point",
-                             "encode(decode(encode)) differs", params)
-        fields = ("b", "ystar", "z", "xstar", "special_case")
-        for name in fields:
-            if getattr(arrived_req, name) != getattr(request, name):
-                return self.fail("p2-req-fields", f"{name} drifts", params)
-        failure = self._bloom_parity("p2-bloom-r", request.bloom_r,
-                                     arrived_req.bloom_r, params)
+        arrived_req, failure = self._check_message(
+            "p2-req", request, "p2_request",
+            ("b", "ystar", "z", "xstar", "special_case"),
+            ("p2-bloom-r", "bloom_r"), params)
         if failure is not None:
             return failure
         # The responder must behave identically whether the request
@@ -402,57 +448,31 @@ class CodecEngine(Engine):
         config = GrapheneConfig()
         wire_response = respond_protocol2(arrived_req, sc.block.txs, sc.m,
                                           config)
-        resp_blob = encode_protocol2_response(response)
+        resp_blob, arrived_resp, failure = self._round_trip(
+            "p2-resp", response, encode_protocol2_response,
+            decode_protocol2_response, params)
         if encode_protocol2_response(wire_response) != resp_blob:
             return self.fail("p2-responder-parity",
                              "wire-decoded request yields a different "
                              "response", params)
-        arrived_resp, offset = decode_protocol2_response(resp_blob)
-        if offset != len(resp_blob):
-            return self.fail("p2-resp-offset",
-                             f"{offset} != {len(resp_blob)}", params)
-        if encode_protocol2_response(arrived_resp) != resp_blob:
-            return self.fail("p2-resp-fixed-point",
-                             "encode(decode(encode)) differs", params)
-        if tuple(arrived_resp.missing_txs) != tuple(response.missing_txs):
-            return self.fail("p2-resp-txs", "pushed T drifts", params)
+        if failure is not None:
+            return failure
         mine = finish_protocol2(response, state, sc.receiver_mempool,
                                 config, validate_block=sc.block)
         theirs = finish_protocol2(arrived_resp, state, sc.receiver_mempool,
                                   config, validate_block=sc.block)
-        if (mine.success, mine.decode_complete) != \
-                (theirs.success, theirs.decode_complete):
-            return self.fail("p2-finish-parity",
-                             f"loopback ({mine.success}, "
-                             f"{mine.decode_complete}) vs wire "
-                             f"({theirs.success}, {theirs.decode_complete})",
-                             params)
-        return None
+        return self.first_mismatch([
+            ("p2-resp-txs", tuple(arrived_resp.missing_txs),
+             tuple(response.missing_txs)),
+            ("p2-finish-parity", (theirs.success, theirs.decode_complete),
+             (mine.success, mine.decode_complete)),
+        ], params)
 
     def _check_p3(self, params) -> Optional[FuzzFailure]:
-        from repro.core.params import GrapheneConfig
-        from repro.core.protocol3 import (
-            SymbolBatch,
-            begin_protocol3,
-            continuation,
-            ingest_symbols,
-        )
-        from repro.errors import MalformedIBLTError, ParameterError
-
         payload, encoder, sc = gen.make_p3(params)
-        blob = encode_protocol3_payload(payload)
-        decoded, offset = decode_protocol3_payload(blob)
-        if offset != len(blob):
-            return self.fail("p3-offset", f"{offset} != {len(blob)}", params)
-        if encode_protocol3_payload(decoded) != blob:
-            return self.fail("p3-fixed-point",
-                             "encode(decode(encode)) differs", params)
-        if (decoded.n, decoded.recover) != (payload.n, payload.recover):
-            return self.fail("p3-counts", "n/recover drift", params)
-        if tuple(decoded.prefilled) != tuple(payload.prefilled):
-            return self.fail("p3-prefilled", "prefilled txns drift", params)
-        failure = self._bloom_parity("p3-bloom-s", payload.bloom_s,
-                                     decoded.bloom_s, params)
+        decoded, failure = self._check_message(
+            "p3", payload, "p3", self._OPENING_FIELDS,
+            ("p3-bloom-s", "bloom_s"), params)
         if failure is not None:
             return failure
         for col in ("counts", "key_sums", "check_sums"):
@@ -486,40 +506,28 @@ class CodecEngine(Engine):
             start = state.symbols
             count, bloom_r = continuation(state, config)
             count = min(count, state.cap - start)
-            request = encode_protocol3_request(start, count, bloom_r)
-            *window, off = decode_protocol3_request(request)
-            pushed = None
-            if bloom_r is not None:
-                wire_r, off = decode_bloom(request, off)
-                pushed = sc.block.columns.outside(wire_r).txs
-            if (*window, off) != (start, count, len(request)) \
-                    or (continuation(wire_state, config)[1] is None) \
-                    != (bloom_r is None) or (pushed is not None and
-                                             encode_bloom(wire_r)
-                                             != encode_bloom(bloom_r)):
-                return self.fail("p3-request-tail",
-                                 f"window {window} to offset {off} of "
-                                 f"{len(request)}, or filter R drifts on "
-                                 "the wire", params)
-            counts, key_sums, check_sums = encoder.window(start, count)
-            batch = SymbolBatch(start=start, counts=counts,
-                                key_sums=key_sums, check_sums=check_sums)
+            _, (*_, wire_r), failure = self._round_trip(
+                "p3-request", (start, count, bloom_r), WIRE["p3_request"][1],
+                _tailed(decode_protocol3_request,
+                        None if bloom_r is None else decode_bloom), params)
+            if failure is None and (continuation(wire_state, config)[1]
+                                    is None) != (bloom_r is None):
+                failure = self.fail("p3-request-tail",
+                                    "filter R rides one request and not "
+                                    "the other", params)
+            if failure is not None:
+                return failure
+            pushed = None if wire_r is None \
+                else sc.block.columns.outside(wire_r).txs
+            batch = SymbolBatch(start, *encoder.window(start, count))
             for tail in ([], None, pushed):
                 # A present-but-empty tail, none at all, R's misses.
-                batch_blob = encode_symbol_batch(batch, tail)
-                wire_batch, batch_off = decode_symbol_batch(batch_blob)
-                wire_tail = None
-                if tail is not None:
-                    wire_tail, batch_off = decode_tx_list(batch_blob,
-                                                          batch_off)
-                if batch_off != len(batch_blob):
-                    return self.fail("p3-batch-offset",
-                                     f"{batch_off} != {len(batch_blob)}",
-                                     params)
-                if encode_symbol_batch(wire_batch, wire_tail) != batch_blob:
-                    return self.fail("p3-batch-fixed-point",
-                                     "encode(decode(encode)) differs",
-                                     params)
+                _, (wire_batch, wire_tail), failure = self._round_trip(
+                    "p3-batch", (batch, tail), WIRE["p3_symbols"][1],
+                    _tailed(decode_symbol_batch,
+                            None if tail is None else decode_tx_list), params)
+                if failure is not None:
+                    return failure
             if ingest_symbols(state, batch, pushed or (), config) \
                     != ingest_symbols(wire_state, wire_batch,
                                       wire_tail or (), config) \
@@ -530,10 +538,8 @@ class CodecEngine(Engine):
         if state is not None:
             # The stream is strictly sequential: a desynchronized start
             # is a framing violation, never a silent resync.
-            counts, key_sums, check_sums = encoder.window(
-                state.symbols + 1, 4)
-            shifted = SymbolBatch(start=state.symbols + 1, counts=counts,
-                                  key_sums=key_sums, check_sums=check_sums)
+            shifted = SymbolBatch(state.symbols + 1,
+                                  *encoder.window(state.symbols + 1, 4))
             try:
                 ingest_symbols(state, shifted)
             except ParameterError:
@@ -545,9 +551,6 @@ class CodecEngine(Engine):
         return None
 
     def _check_p3_stream(self, params) -> Optional[FuzzFailure]:
-        import struct as _struct
-
-        from repro.core.protocol3 import SymbolBatch, next_batch_size
         from repro.pds.riblt import SYMBOL_BYTES
 
         payload, encoder, _ = gen.make_p3(params)
@@ -557,16 +560,22 @@ class CodecEngine(Engine):
         start = len(payload.symbols)
         for _ in range(2):
             count = next_batch_size(start)
-            counts, key_sums, check_sums = encoder.window(start, count)
-            batches.append(SymbolBatch(start=start, counts=counts,
-                                       key_sums=key_sums,
-                                       check_sums=check_sums))
+            batches.append(SymbolBatch(start, *encoder.window(start, count)))
             start += count
         blobs = [encode_symbol_batch(b) for b in batches]
         stream = b"".join(blobs)
         boundaries = [0]
         for blob in blobs:
             boundaries.append(boundaries[-1] + len(blob))
+
+        def parse(data) -> list:
+            """The counts of each batch in ``data``, read back to back."""
+            parsed, off = [], 0
+            while off < len(data):
+                batch, off = decode_symbol_batch(data, off)
+                parsed.append(list(batch.counts))
+            return parsed
+
         rng = rng_from("p3cut", params["cut_seed"])
         mode = params["mode"]
         if mode == "truncate_boundary":
@@ -575,19 +584,12 @@ class CodecEngine(Engine):
             # and the recovery ladder treats it as a timeout.  A
             # boundary cut must never raise or mis-frame.
             for k, cut in enumerate(boundaries):
-                prefix, off, parsed = stream[:cut], 0, 0
-                while off < len(prefix):
-                    batch, off = decode_symbol_batch(prefix, off)
-                    if list(batch.counts) != list(batches[parsed].counts):
-                        return self.fail(
-                            "p3-boundary-reparse",
-                            f"batch {parsed} drifts after a cut at {cut}",
-                            params)
-                    parsed += 1
-                if off != cut or parsed != k:
+                parsed = parse(stream[:cut])
+                if parsed != [list(b.counts) for b in batches[:k]]:
                     return self.fail("p3-boundary-framing",
-                                     f"cut at {cut}: consumed {off} bytes, "
-                                     f"{parsed} batches", params)
+                                     f"cut at {cut} parses to {len(parsed)} "
+                                     f"batches, not the {k} before it",
+                                     params)
             return None
         if mode == "midstream_eof":
             # A disconnect strictly inside a batch leaves a partial
@@ -596,9 +598,7 @@ class CodecEngine(Engine):
             k = rng.randrange(len(blobs))
             cut = boundaries[k] + rng.randint(1, len(blobs[k]) - 1)
             try:
-                off = 0
-                while off < cut:
-                    _, off = decode_symbol_batch(stream[:cut], off)
+                parse(stream[:cut])
             except ReproError:
                 return None
             return self.fail("p3-midstream-eof",
@@ -608,7 +608,7 @@ class CodecEngine(Engine):
         # buffer holds must be bounds-checked before any allocation.
         target = blobs[rng.randrange(len(blobs))]
         for claimed in (len(target) // SYMBOL_BYTES + 1, 0xFFFF):
-            forged = target[:4] + _struct.pack("<H", claimed) + target[6:]
+            forged = target[:4] + struct.pack("<H", claimed) + target[6:]
             try:
                 batch, _ = decode_symbol_batch(forged)
             except ReproError:
@@ -621,49 +621,12 @@ class CodecEngine(Engine):
 
     # -- hostile input --------------------------------------------------
 
-    def _base_blob(self, params) -> bytes:
-        """A valid encoding of the mutation target."""
-        base = params["base"]
-        rng = rng_from("mutbase", params["seed"])
-        if base == "bloom":
-            bloom, _ = gen.make_bloom(rng, params["n"], 0.02, 7)
-            return encode_bloom(bloom)
-        if base == "iblt":
-            iblt, _, _ = gen.make_iblt(rng, max(4, params["n"] // 2), 4,
-                                       11, 12, params["n"], 0)
-            return encode_iblt(iblt)
-        if base == "transaction":
-            return encode_transaction(gen.make_transactions(rng, 1)[0])
-        p1_params = {"n": params["n"], "extra": params["extra"],
-                     "fraction": params["fraction"], "seed": params["seed"]}
-        if base == "p1":
-            payload, _ = gen.make_p1(p1_params)
-            return encode_protocol1_payload(payload)
-        if base == "p3":
-            payload, _, _ = gen.make_p3(p1_params)
-            return encode_protocol3_payload(payload)
-        if base == "p3_request":
-            bloom, _ = gen.make_bloom(rng, params["n"], 0.2, 7)
-            return encode_protocol3_request(5, params["n"], bloom)
-        if base == "p3_symbols":
-            from repro.core.protocol3 import SymbolBatch
-            columns = ([3, -1, 0], [7, 1 << 63, 0], [9, 0xFFFF, 0])
-            return encode_symbol_batch(
-                SymbolBatch(5, *columns),
-                gen.make_transactions(rng, params["n"] % 7))
-        p1_params["fraction"] = min(p1_params["fraction"], 0.9)
-        built = gen.make_p2(p1_params)
-        if built is None:
-            return b""
-        request, response = built[0], built[1]
-        if base == "p2_request":
-            return encode_protocol2_request(request)
-        return encode_protocol2_response(response)
-
     def _check_mutation(self, params) -> Optional[FuzzFailure]:
-        blob = self._base_blob(params)
-        if not blob:
+        build, encode, parse = WIRE[params["base"]]
+        value = build(params, rng_from("mutbase", params["seed"]))
+        if value is None:
             return None
+        blob = encode(value)
         mut_rng = rng_from("mut", params["mut_seed"])
         mutated = gen.mutate(blob, mut_rng, params["n_ops"])
         for decoder in _DECODERS:
@@ -671,7 +634,9 @@ class CodecEngine(Engine):
                 result = decoder(mutated)
             except (ReproError, ValueError):
                 continue
-            offset = result[1] if isinstance(result, tuple) else len(mutated)
+            # A decoder returns its offset last; the block header decoder
+            # returns none, having bounded its 80 bytes by the buffer.
+            offset = result[-1] if isinstance(result, tuple) else len(mutated)
             if offset > len(mutated):
                 return self.fail("mutation-overrun",
                                  f"{decoder.__name__} consumed {offset} of "
@@ -681,7 +646,7 @@ class CodecEngine(Engine):
         for cut in sorted(mut_rng.sample(range(len(blob)),
                                          min(8, len(blob)))):
             try:
-                self._prefix_decoder(params["base"])(blob[:cut])
+                parse(blob[:cut])
             except (ReproError, ValueError):
                 continue
             return self.fail("truncation-accepted",
@@ -712,11 +677,8 @@ class CodecEngine(Engine):
             except FrameError as exc:
                 return self.fail("frame-split-invariance",
                                  f"valid stream rejected: {exc}", params)
-            if collected != frames:
-                return self.fail("frame-split-invariance",
-                                 f"split parse yielded {len(collected)} "
-                                 f"frames, expected {len(frames)}", params)
-            return None
+            return self.first_mismatch(
+                [("frame-split-invariance", collected, frames)], params)
         # Hostile modes: a corruption of the first (or truncation of the
         # last) frame must surface as FrameError, never a mis-parse.
         buf = bytearray(stream)
@@ -742,20 +704,6 @@ class CodecEngine(Engine):
                          "corrupted stream accepted without FrameError",
                          params)
 
-    @staticmethod
-    def _prefix_decoder(base: str):
-        return {"bloom": decode_bloom, "iblt": decode_iblt,
-                "transaction": decode_transaction,
-                "p1": decode_protocol1_payload,
-                "p2_request": decode_protocol2_request,
-                "p2_response": decode_protocol2_response,
-                "p3": decode_protocol3_payload,
-                # The tailed messages: prefix parser, then the tail.
-                "p3_request": lambda blob: decode_bloom(
-                    blob, decode_protocol3_request(blob)[2]),
-                "p3_symbols": lambda blob: decode_tx_list(
-                    blob, decode_symbol_batch(blob)[1])}[base]
-
     def shrink_candidates(self, params: dict) -> Iterable[dict]:
         yield from super().shrink_candidates(params)
         if params["kind"] == "mutation":
@@ -775,6 +723,7 @@ class PDSEngine(Engine):
 
     name = "pds"
     cost = 2
+    case_key = "struct"
     shrink_floors = {"n_a": 0, "n_b": 0, "n_shared": 0, "cells": 4,
                      "k": 2, "n": 0, "probes": 1, "batch": 1}
 
@@ -800,13 +749,7 @@ class PDSEngine(Engine):
                           width=rng.choice([32, 32, 32, 20]))
         return params
 
-    def check(self, params: dict) -> Optional[FuzzFailure]:
-        checker = {"iblt": self._check_iblt, "bloom": self._check_bloom,
-                   "riblt": self._check_riblt}[params["struct"]]
-        return checker(params)
-
     def _check_riblt(self, params) -> Optional[FuzzFailure]:
-        from repro.errors import MalformedIBLTError
         from repro.pds.riblt import RIBLTDecoder, RIBLTEncoder, reconcile
 
         rng = rng_from("pds-riblt", params["seed"])
@@ -836,20 +779,17 @@ class PDSEngine(Engine):
             for acc, col in zip(pieces, chunked.window(offset, step)):
                 acc.extend(col)
             offset += step
-        if tuple(map(list, pieces)) != tuple(map(list, reference)):
-            return self.fail("riblt-window-invariance",
-                             "chunked windows differ from one straight "
-                             "read of the stream", params)
-        if (whole._states, whole._next) != (chunked._states, chunked._next):
-            return self.fail("riblt-one-shot-vs-incremental",
-                             "one read of the stream and the same prefix "
-                             "grown in pieces leave different per-key "
-                             "states or next indices", params)
         packed = RIBLTEncoder(_np.array(sender, dtype=_np.uint64), seed=seed)
-        if packed.window(0, total) != reference:
-            return self.fail("riblt-packed-vs-list",
-                             "a uint64 key column and the same keys as a "
-                             "list give different streams", params)
+        failure = self.first_mismatch([
+            ("riblt-window-invariance", tuple(map(list, pieces)),
+             tuple(map(list, reference))),
+            # The same prefix grown in pieces: the same per-key states.
+            ("riblt-one-shot-vs-incremental",
+             (chunked._states, chunked._next), (whole._states, whole._next)),
+            ("riblt-packed-vs-list", packed.window(0, total), reference),
+        ], params)
+        if failure is not None:
+            return failure
 
         # Differential decode: the recovered difference must equal the
         # set-algebra oracle exactly, in both directions.
@@ -858,14 +798,12 @@ class PDSEngine(Engine):
                                       batch=params["batch"])
         except MalformedIBLTError as exc:
             return self.fail("riblt-no-convergence", str(exc), params)
-        if set(decoder.local) != set(only_a):
-            return self.fail("riblt-local-oracle",
-                             f"decoded {len(decoder.local)} sender-only "
-                             f"keys, expected {len(only_a)}", params)
-        if set(decoder.remote) != set(only_b):
-            return self.fail("riblt-remote-oracle",
-                             f"decoded {len(decoder.remote)} receiver-only "
-                             f"keys, expected {len(only_b)}", params)
+        failure = self.first_mismatch([
+            ("riblt-local-oracle", set(decoder.local), set(only_a)),
+            ("riblt-remote-oracle", set(decoder.remote), set(only_b)),
+        ], params)
+        if failure is not None:
+            return failure
 
         # Additivity: sender-only keys told mid-stream are keys a fresh
         # decoder was seeded with (same remote, local, completion).
@@ -901,45 +839,31 @@ class PDSEngine(Engine):
         scalar = IBLT(cells, **shape)
         for key in shared + only_a:
             scalar.insert(key)
-        for name in ("_counts", "_key_sums", "_check_sums"):
-            if getattr(batch, name).tobytes() != \
-                    getattr(scalar, name).tobytes():
-                return self.fail("iblt-batch-vs-scalar",
-                                 f"column {name} differs between update() "
-                                 "and repeated insert()", params)
-
         packed = IBLT(cells, **shape)
         packed.update(_np.array(shared + only_a, dtype=_np.uint64))
-        if encode_iblt(packed) != encode_iblt(batch):
-            return self.fail("iblt-packed-vs-list",
-                             "a uint64 key column and the same keys as a "
-                             "list fold differently", params)
-
         ref = ReferenceIBLT(cells, **shape)
         ref.update(shared + only_a)
-        if encode_iblt(batch) != encode_reference_iblt(ref):
-            return self.fail("iblt-vs-reference",
-                             "wire bytes differ from the scalar reference "
-                             "implementation", params)
 
         other = IBLT(cells, **shape)
         other.update(shared + only_b)
         ref_other = ReferenceIBLT(cells, **shape)
         ref_other.update(shared + only_b)
         diff, ref_diff = batch.subtract(other), ref.subtract(ref_other)
-        if encode_iblt(diff) != encode_reference_iblt(ref_diff):
-            return self.fail("iblt-subtract-vs-reference",
-                             "subtracted columns differ from reference",
-                             params)
         mine, theirs = diff.decode(), ref_diff.decode()
-        if (mine.complete, mine.local, mine.remote) != \
-                (theirs.complete, theirs.local, theirs.remote):
-            return self.fail("iblt-decode-vs-reference",
-                             f"live ({mine.complete}, {len(mine.local)}, "
-                             f"{len(mine.remote)}) vs reference "
-                             f"({theirs.complete}, {len(theirs.local)}, "
-                             f"{len(theirs.remote)})", params)
-        return None
+        columns = ("_counts", "_key_sums", "_check_sums")
+        return self.first_mismatch([
+            ("iblt-batch-vs-scalar",
+             [getattr(batch, name).tobytes() for name in columns],
+             [getattr(scalar, name).tobytes() for name in columns]),
+            ("iblt-packed-vs-list", encode_iblt(packed), encode_iblt(batch)),
+            ("iblt-vs-reference", encode_iblt(batch),
+             encode_reference_iblt(ref)),
+            ("iblt-subtract-vs-reference", encode_iblt(diff),
+             encode_reference_iblt(ref_diff)),
+            ("iblt-decode-vs-reference",
+             (mine.complete, mine.local, mine.remote),
+             (theirs.complete, theirs.local, theirs.remote)),
+        ], params)
 
     def _check_bloom(self, params) -> Optional[FuzzFailure]:
         from repro.pds.bloom import BloomFilter
@@ -960,15 +884,11 @@ class PDSEngine(Engine):
                                       seed=params["fseed"])
         for item in items:
             scalar.insert(item)
-        if bytes(batch._bits) != bytes(scalar._bits) \
-                or batch.count != scalar.count:
-            return self.fail("bloom-batch-vs-scalar",
-                             "update() and repeated insert() disagree",
-                             params)
-        if batch.contains_many(probes) != [p in scalar for p in probes]:
-            return self.fail("bloom-contains-many",
-                             "contains_many() differs from __contains__",
-                             params)
+        answers = batch.contains_many(probes)
+        checks = [
+            ("bloom-batch-vs-scalar", (bytes(batch._bits), batch.count),
+             (bytes(scalar._bits), scalar.count)),
+            ("bloom-contains-many", answers, [p in scalar for p in probes])]
 
         if params["fseed"] or params["width"] == 32:
             # The packed entry points take 32-byte rows: the items
@@ -979,34 +899,24 @@ class PDSEngine(Engine):
             packed = BloomFilter.from_fpr(params["n"], params["fpr"],
                                           seed=params["fseed"])
             packed.update_packed(rows(items))
-            if bytes(packed._bits) != bytes(batch._bits) \
-                    or packed.count != batch.count:
-                return self.fail("bloom-packed-vs-list",
-                                 "update_packed() and update() disagree",
-                                 params)
-            if packed.contains_packed(rows(probes)).tolist() \
-                    != batch.contains_many(probes):
-                return self.fail("bloom-contains-packed",
-                                 "contains_packed() differs from "
-                                 "contains_many()", params)
+            checks += [
+                ("bloom-packed-vs-list", (bytes(packed._bits), packed.count),
+                 (bytes(batch._bits), batch.count)),
+                ("bloom-contains-packed",
+                 packed.contains_packed(rows(probes)).tolist(), answers)]
 
         ref = ReferenceBloomFilter.from_fpr(params["n"], params["fpr"],
                                             seed=params["fseed"])
         for item in items:
             ref.insert(item)
-        if (batch.nbits, batch.k) != (ref.nbits, ref.k):
-            return self.fail("bloom-shape-vs-reference",
-                             f"(nbits, k) = ({batch.nbits}, {batch.k}) vs "
-                             f"reference ({ref.nbits}, {ref.k})", params)
-        if encode_bloom(batch) != encode_reference_bloom(ref):
-            return self.fail("bloom-vs-reference",
-                             "wire bytes differ from the scalar reference "
-                             "implementation", params)
-        if [p in batch for p in probes] != [p in ref for p in probes]:
-            return self.fail("bloom-membership-vs-reference",
-                             "membership answers differ from reference",
-                             params)
-        return None
+        return self.first_mismatch(checks + [
+            ("bloom-shape-vs-reference", (batch.nbits, batch.k),
+             (ref.nbits, ref.k)),
+            ("bloom-vs-reference", encode_bloom(batch),
+             encode_reference_bloom(ref)),
+            ("bloom-membership-vs-reference", [p in batch for p in probes],
+             [p in ref for p in probes]),
+        ], params)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,8 +973,6 @@ class RelayEngine(Engine):
             yield {**params, "protocol": 1}
 
     def check(self, params: dict) -> Optional[FuzzFailure]:
-        import random as _random
-
         from repro.chain.scenarios import make_block_scenario
         from repro.net import (
             FaultInjector,
@@ -1094,8 +1002,6 @@ class RelayEngine(Engine):
                            if fault_spec["blackhole"] else None))
 
         def build_and_run(trace: bool):
-            from repro.core.params import GrapheneConfig
-
             config = GrapheneConfig(protocol=params.get("protocol", 1))
             simulator = Simulator()
             peers = [Node(f"f{i:02d}", simulator,
@@ -1103,7 +1009,7 @@ class RelayEngine(Engine):
                      for i in range(params["nodes"])]
             connect_random_regular(peers, degree=params["degree"],
                                    latency=0.05, bandwidth=1_000_000.0,
-                                   rng=_random.Random(params["seed"]),
+                                   rng=random.Random(params["seed"]),
                                    loss_rate=params["loss"])
             if injector is not None:
                 node = peers[fault_spec["node"] % len(peers)]
@@ -1157,20 +1063,14 @@ class RelayEngine(Engine):
             first = (covered, injector.dropped, simulator.now,
                      simulator.events_processed)
             injector.reset()
-            if injector.dropped or injector._index:
-                return self.fail("relay-fault-reset",
-                                 "reset() left injector state behind",
-                                 params)
+            left_behind = (injector.dropped, injector._index)
             sim2, peers2, _, _ = build_and_run(trace=False)
             covered2 = sum(1 for node in peers2 if root in node.blocks)
             second = (covered2, injector.dropped, sim2.now,
                       sim2.events_processed)
-            if first != second:
-                return self.fail(
-                    "relay-repeat-divergence",
-                    f"repeated topology diverged: first "
-                    f"(covered, dropped, now, events)={first}, "
-                    f"second={second}", params)
+            return self.first_mismatch([
+                ("relay-fault-reset", left_behind, (0, 0)),
+                ("relay-repeat-divergence", second, first)], params)
         return None
 
 

@@ -107,9 +107,6 @@ class EdgeStats:
     def messages_sent(self, value: int) -> None:
         self._net.edge_msgs[self._eid] = value
 
-    def record(self, message) -> None:
-        self._net.charge(self._eid, message.total_size)
-
     def __repr__(self) -> str:
         return (f"EdgeStats(bytes_sent={self.bytes_sent}, "
                 f"messages_sent={self.messages_sent})")
@@ -118,9 +115,9 @@ class EdgeStats:
 class NodeStats:
     """``peer -> EdgeStats`` mapping view over a node's out-edges.
 
-    Lives at ``node.stats`` and behaves like the dict it replaced:
-    ``node.stats[peer].bytes_sent``, iteration over peers, ``len``,
-    ``values()``.  Lookup registers the edge on first touch, so peers
+    Lives at ``node.stats`` and reads like the dict it replaced:
+    ``node.stats[peer].bytes_sent``, iteration over peers, ``len``.
+    Lookup registers the edge on first touch, so peers
     wired up by direct ``node.peers[other] = Link(...)`` assignment
     (bypassing ``connect``) are handled too.
     """
@@ -154,13 +151,3 @@ class NodeStats:
 
     def __len__(self) -> int:
         return len(self._node.peers)
-
-    def keys(self):
-        return self._node.peers.keys()
-
-    def values(self):
-        return [self[peer] for peer in self._node.peers]
-
-    def items(self):
-        return [(peer, self[peer]) for peer in self._node.peers]
-

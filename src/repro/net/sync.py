@@ -82,11 +82,6 @@ class SyncState(FetchState):
     succeeded: bool = False
 
     @property
-    def reconciled(self) -> dict:
-        """txid -> Transaction view of the responder's mempool."""
-        return self.engine.reconciled
-
-    @property
     def events(self) -> list:
         """Telemetry stream of the exchange (initiator perspective)."""
         return self.engine.telemetry

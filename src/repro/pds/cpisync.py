@@ -216,10 +216,6 @@ class CPISyncDigest:
     evaluations: tuple
     mbar: int
 
-    def serialized_size(self) -> int:
-        """Wire bytes: the evaluations plus a small header."""
-        return FIELD_BYTES * len(self.evaluations) + 9
-
 
 def make_digest(items: Iterable[int], mbar: int,
                 p: int = FIELD_PRIME) -> CPISyncDigest:

@@ -12,11 +12,11 @@ random edges are a faithful model, and simulating the hypergraph is an
 order of magnitude faster than exercising a real IBLT (the paper reports
 29 s vs 426 s for j=100).  This module provides:
 
-* :func:`decode_once` -- one peeling trial in pure Python.
+* :func:`decode_once` -- one peeling trial in pure Python, the
+  specification the batch is tested against.
 * :func:`decode_many` -- a numpy-vectorized batch of trials that peels
-  all trials round-by-round in parallel.
-
-Both are used by Algorithm 1 (:mod:`repro.pds.param_search`).
+  all trials round-by-round in parallel; Algorithm 1
+  (:mod:`repro.pds.param_search`) runs this one.
 """
 
 from __future__ import annotations

@@ -180,15 +180,9 @@ def optimal_parameters(j: int, p: float,
 
 
 def measure_decode_rate(j: int, k: int, c: int, trials: int,
-                        rng: Optional[random.Random] = None,
-                        use_numpy: bool = True) -> float:
+                        rng: Optional[random.Random] = None) -> float:
     """Empirical decode success rate of an IBLT shape, for validation."""
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
-    if use_numpy:
-        seed = rng.getrandbits(32) if rng is not None else None
-        nprng = np.random.default_rng(seed)
-        return decode_many(j, k, c, trials, nprng) / trials
-    from repro.pds.hypergraph import decode_once
-    rng = rng if rng is not None else random.Random()
-    return sum(decode_once(j, k, c, rng) for _ in range(trials)) / trials
+    seed = rng.getrandbits(32) if rng is not None else None
+    return decode_many(j, k, c, trials, np.random.default_rng(seed)) / trials

@@ -205,10 +205,6 @@ class DerivedHasher:
         mix64_array(mixed, out=mixed)
         return mixed[:self.k].T, mixed[self.k]
 
-    def indices(self, key: int, modulus: int) -> list[int]:
-        """Return ``k`` independent indices in ``[0, modulus)`` for ``key``."""
-        return [w % modulus for w in self.entry(key)[0]]
-
     def partitioned_indices(self, key: int, cells: int) -> list[int]:
         """Return one index per partition for an IBLT with ``cells`` cells.
 

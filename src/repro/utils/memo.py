@@ -1,11 +1,13 @@
-"""One eviction rule for the process-wide whole-batch memos.
+"""One eviction rule for every memo in the package.
 
 The seeded Bloom index matrices (:mod:`repro.pds.bloom`), the IBLT
 folded columns (:mod:`repro.pds.iblt`) and the Merkle roots
 (:mod:`repro.chain.merkle`) are each keyed by the packed bytes their
 value is a pure function of, so a single entry can pin a whole
 mempool's ID buffer.  They are therefore bounded by the bytes they pin,
-not by how many entries they hold.
+not by how many entries they hold.  The Protocol 1 plans
+(:mod:`repro.core.params`) and a sender's served openings
+(:mod:`repro.core.engine`) pin little each and count every entry as 1.
 """
 
 from __future__ import annotations

@@ -69,12 +69,6 @@ class TestCompactBlocks:
         b = CompactBlocksRelay(use_siphash=True)
         assert a.siphash_key != b.siphash_key  # fresh per connection
 
-    def test_total_include_txs(self, missing_scenario):
-        outcome = CompactBlocksRelay().relay(
-            missing_scenario.block, missing_scenario.receiver_mempool)
-        assert outcome.total(include_txs=True) == (
-            outcome.total_bytes + outcome.repair_tx_bytes)
-
 
 class TestXThin:
     def test_star_is_8_bytes_per_txn(self):

@@ -97,11 +97,15 @@ def test_a_root_must_exit_clean(tree):
 def test_a_row_whose_last_caller_is_deleted_fails(tree):
     # The committed table still says reached / referenced; the static
     # half finds neither named by live code once the one example that
-    # measures decode rates is gone.
+    # measures decode rates is gone and `repro trace` no longer exports
+    # spans.
     (tree / "examples" / "iblt_tuning.py").unlink()
+    cli = tree / "src" / "repro" / "cli.py"
+    cli.write_text(cli.read_text().replace(
+        "tracer.to_jsonl(kind=args.kind)", "''"))
     problems = census.check(tree)
     for key, status in (
             ("pds/param_search.py::measure_decode_rate", "reached"),
-            ("pds/hypergraph.py::decode_once", "referenced")):
+            ("obs/trace.py::Tracer.to_jsonl", "referenced")):
         assert (f"{key}: {status} in docs/CENSUS.md, but no live code "
                 "names it any more (run `make census`)") in problems

@@ -157,7 +157,7 @@ class TestServedOpeningCache:
     def test_cache_is_bounded_and_keeps_the_newest(self):
         sc = make_block_scenario(n=20, extra=20, fraction=1.0, seed=94)
         sender = GrapheneSenderEngine(sc.block)
-        cap = sender.P1_CACHE_CAP
+        cap = sender._openings.budget
         for m in range(40, 40 + cap + 1):
             sender.on_getdata(_getdata(m, 1 if m % 2 else 3))
         assert len(sender._openings) <= cap

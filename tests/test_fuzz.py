@@ -49,6 +49,15 @@ class TestDeterminism:
         assert a.per_engine == b.per_engine
         assert [str(f) for f in a.failures] == [str(f) for f in b.failures]
 
+    def test_every_decoder_gets_hostile_bytes(self):
+        # The mutation check hands each corrupted blob to these; a
+        # decoder the codec exports and the list lacks is never fuzzed.
+        import repro.codec as codec
+        from repro.fuzz.engines import _DECODERS
+        exported = {name for name in dir(codec)
+                    if name.startswith("decode_")}
+        assert exported <= {decoder.__name__ for decoder in _DECODERS}
+
     def test_mutate_is_deterministic(self):
         blob = bytes(range(64))
         assert mutate(blob, rng_from("m", 1), 4) \

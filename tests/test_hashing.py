@@ -121,7 +121,7 @@ class TestDerivedHasher:
 
     def test_deterministic(self):
         h = DerivedHasher(6, seed=7)
-        assert h.indices(99, 1000) == h.indices(99, 1000)
+        assert h.entry(99) == h.entry(99)
 
     def test_checksum_bits(self):
         h = DerivedHasher(3, seed=0)
@@ -139,7 +139,7 @@ class TestDerivedHasher:
         h = DerivedHasher(4, seed=3)
         progressions = 0
         for key in range(500):
-            a, b, c, d = h.indices(key, 10_000)
+            a, b, c, d = (word % 10_000 for word in h.entry(key)[0])
             if b - a == c - b == d - c:
                 progressions += 1
         assert progressions <= 1

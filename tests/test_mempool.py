@@ -19,7 +19,6 @@ class TestSetOperations:
         tx = txgen.make()
         assert pool.add(tx)
         assert tx.txid in pool
-        assert pool.get(tx.txid) is tx
 
     def test_double_add_returns_false(self, txgen):
         pool = Mempool()

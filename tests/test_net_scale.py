@@ -259,7 +259,7 @@ class TestColumnarState:
         assert b in a.stats
         assert len(a.stats) == 1
         assert a.total_bytes_sent() == sum(
-            s.bytes_sent for s in a.stats.values())
+            a.stats[peer].bytes_sent for peer in a.stats)
 
     def test_direct_link_assignment_reuses_edge(self):
         # tests/test_lossy_links.py wires links by assigning into

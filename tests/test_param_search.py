@@ -95,10 +95,6 @@ class TestMeasureDecodeRate:
         rate = measure_decode_rate(20, 4, 60, 200)
         assert 0.0 <= rate <= 1.0
 
-    def test_pure_python_path(self, rng):
-        rate = measure_decode_rate(10, 4, 60, 50, rng=rng, use_numpy=False)
-        assert rate == pytest.approx(1.0, abs=0.1)
-
     def test_rejects_zero_trials(self):
         with pytest.raises(ParameterError):
             measure_decode_rate(10, 4, 40, 0)
