@@ -408,8 +408,6 @@ class GrapheneReceiverEngine:
         #: the txid-keyed view of it (:attr:`reconciled`), built on read.
         self._survivors = TxColumns(())
         self._reconciled: Optional[dict] = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
         # Exchange summary, valid once the engine reaches DONE/FAILED.
         self.roundtrips = 0.0
         self.protocol_used = 1
@@ -450,8 +448,7 @@ class GrapheneReceiverEngine:
     def _send(self, command: str, message: bytes, phase: str,
               roundtrip: int, parts: dict,
               outcome: str = "") -> EngineAction:
-        """Count, record and remember (``_last_send``) one request."""
-        self.bytes_sent += len(message)
+        """Record and remember (``_last_send``) one request."""
         event = self._record(command, "sent", phase, roundtrip, parts,
                              outcome)
         action = self._last_send = EngineAction(
@@ -535,7 +532,6 @@ class GrapheneReceiverEngine:
         if not self.accepts(command):
             raise ProtocolFailure(
                 f"unexpected P{protocol} payload in {self.phase}")
-        self.bytes_received += len(message)
         offset = 0
         if self.mode == "block":
             self.header = decode_block_header(message)
@@ -574,7 +570,6 @@ class GrapheneReceiverEngine:
         """Process T + J (+ F); finish, fetch leftovers, or fail."""
         if self.phase is not ReceiverPhase.WAIT_P2:
             raise ProtocolFailure(f"unexpected P2 response in {self.phase}")
-        self.bytes_received += len(message)
         response, _ = decode_protocol2_response(message)
         result = finish_protocol2(response, self._p2_state, self.mempool,
                                   self.config, validate_block=self._probe())
@@ -618,7 +613,6 @@ class GrapheneReceiverEngine:
         """Process a continuation batch; decode, ask again, or give up."""
         if self.phase is not ReceiverPhase.WAIT_P3_SYMBOLS:
             raise ProtocolFailure(f"unexpected P3 symbols in {self.phase}")
-        self.bytes_received += len(message)
         batch, offset = decode_symbol_batch(message)
         state = self._p3_state
         # The pushed tail answers filter R; unasked for, it is not read.
@@ -687,7 +681,6 @@ class GrapheneReceiverEngine:
         """Process the final repair transactions; validate in block mode."""
         if self.phase is not ReceiverPhase.WAIT_TXS:
             raise ProtocolFailure(f"unexpected tx list in {self.phase}")
-        self.bytes_received += len(message)
         txs, _ = decode_tx_list(message)
         self.fetched_count = len(txs)
         parts = {"fetched_tx_bytes": sum(tx.size for tx in txs)}

@@ -21,13 +21,14 @@ The exchange itself is the relay engines of :mod:`repro.core.engine`
 run in ``mode="mempool"`` over a loopback transport -- the same state
 machines block relay and the network simulator use -- with this driver
 only moving transactions and folding the telemetry stream into a
-:class:`CostBreakdown`.
+:class:`CostBreakdown`.  :func:`adopt_reconciled` is the end of every
+sync, here and on the relay host of :mod:`repro.net.host`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.chain.mempool import Mempool
 from repro.core.engine import (
@@ -38,7 +39,6 @@ from repro.core.engine import (
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
 from repro.core.telemetry import MessageEvent
-from repro.net.transport import LoopbackTransport
 
 
 @dataclass
@@ -62,6 +62,31 @@ class MempoolSyncResult:
         return self.cost.total()
 
 
+def adopt_reconciled(mempool: Mempool, engine: GrapheneReceiverEngine
+                     ) -> Tuple[int, tuple, MessageEvent]:
+    """End a sync whose mempool-mode ``engine`` is DONE: add its
+    reconciled view to ``mempool`` and return how many transactions
+    were new, H and the ``sync_push`` event (appended to the engine's
+    stream) that charges sending H.
+
+    H is the receiver's transactions the sender provably lacks -- failed
+    S outright, or recovered as remote keys (false passes).  It is read
+    off the reconciled view alone, which holds everything recovered from
+    the sender's side (fetched repairs included): the sender's mempool
+    is not the receiver's to read.
+    """
+    reconciled = engine.reconciled
+    gained = mempool.add_many(reconciled.values())
+    h_txs = tuple(tx for tx in mempool if tx.txid not in reconciled)
+    event = MessageEvent(
+        command="sync_push", direction="sent", role="receiver",
+        phase="push", roundtrip=int(engine.roundtrips),
+        parts={"fetched_tx_bytes": sum(tx.size for tx in h_txs)},
+        outcome="done")
+    engine.telemetry.append(event)
+    return gained, h_txs, event
+
+
 def synchronize_mempools(sender: Mempool, receiver: Mempool,
                          config: Optional[GrapheneConfig] = None,
                          transfer_missing: bool = True) -> MempoolSyncResult:
@@ -71,44 +96,29 @@ def synchronize_mempools(sender: Mempool, receiver: Mempool,
     charging their bytes), which matches the encoding-size accounting of
     Fig. 18 while still exercising the full reconciliation logic.
     """
+    # Imported here: repro.net's relay host imports this module.
+    from repro.net.transport import LoopbackTransport
+
     config = config or GrapheneConfig()
 
     tx_engine = GrapheneSenderEngine(txs=sender.columns(), config=config)
     rx_engine = GrapheneReceiverEngine(receiver, config, mode="mempool")
     final = LoopbackTransport(tx_engine, rx_engine).run()
 
-    events = rx_engine.telemetry
-    cost = CostBreakdown.from_events(events)
     result = MempoolSyncResult(
         success=final.kind is ActionKind.DONE,
         protocol_used=rx_engine.protocol_used,
         roundtrips=rx_engine.roundtrips,
-        cost=cost, events=events)
-    if not result.success:
-        return result
-
-    if not transfer_missing:
+        events=rx_engine.telemetry)
+    if result.success and transfer_missing:
+        result.receiver_gained, h_txs, _ = adopt_reconciled(receiver,
+                                                            rx_engine)
+        result.sender_gained = sender.add_many(h_txs)
+        result.synchronized = (
+            {tx.txid for tx in sender} == {tx.txid for tx in receiver})
+    result.cost = CostBreakdown.from_events(result.events)
+    if result.success and not transfer_missing:
         # Fig. 18 accounting: reconciliation-structure bytes only.
-        cost.pushed_tx_bytes = 0
-        cost.fetched_tx_bytes = 0
-        return result
-
-    # The reconciled view holds everything recovered from the sender's
-    # side (fetched repairs included); anything new joins the receiver.
-    reconciled = rx_engine.reconciled
-    result.receiver_gained = receiver.add_many(reconciled.values())
-
-    # Receiver pushes H: her transactions the sender provably lacks --
-    # failed S outright, or recovered as remote keys (false passes).
-    # She reads only the reconciled view; the sender's mempool is not hers.
-    h_txs = [tx for tx in receiver if tx.txid not in reconciled]
-    cost.fetched_tx_bytes += sum(tx.size for tx in h_txs)
-    events.append(MessageEvent(
-        command="sync_push", direction="sent", role="receiver",
-        phase="push", roundtrip=int(rx_engine.roundtrips),
-        parts={"fetched_tx_bytes": sum(tx.size for tx in h_txs)},
-        outcome="done"))
-    result.sender_gained = sender.add_many(h_txs)
-    result.synchronized = (
-        {tx.txid for tx in sender} == {tx.txid for tx in receiver})
+        result.cost.pushed_tx_bytes = 0
+        result.cost.fetched_tx_bytes = 0
     return result

@@ -19,7 +19,7 @@ from repro.net.simulator import (
 )
 from repro.net.netstate import NetIndex
 from repro.net.recovery import RecoveryPolicy
-from repro.net.transport import LoopbackTransport, SimulatorTransport, Transport
+from repro.net.transport import LoopbackTransport
 from repro.net.node import Node, RelayProtocol
 from repro.net.topology import (
     GeoLinkModel,
@@ -38,9 +38,7 @@ __all__ = [
     "Simulator",
     "NetIndex",
     "RecoveryPolicy",
-    "Transport",
     "LoopbackTransport",
-    "SimulatorTransport",
     "Node",
     "RelayProtocol",
     "GeoLinkModel",

@@ -14,24 +14,31 @@ without I/O, for both drivers -- the simulator's
 * the **ladder dispatch**: the only caller of
   :func:`~repro.net.recovery.on_timeout`,
   :func:`~repro.net.recovery.escalate` and
-  :func:`~repro.net.recovery.fail_over`.  Mempool-sync sessions
-  (:mod:`repro.net.sync`) use the same arm / cancel / timeout path;
+  :func:`~repro.net.recovery.fail_over`;
 * the **serving registry**: one sender engine per held root, answering
   every peer, dropped once its root leaves the driver's ``blocks`` and
   capped at ``serving_cap``;
+* **mempool sync** (paper 3.2.1) on both sides: the sessions this node
+  opened (:meth:`RelayHost.open_sync`, keyed by a nonce, timed on the
+  same ladder as fetches, ending in the push of H) and the sender
+  engines it serves other nodes' sessions from, keyed by
+  ``(peer, nonce)``.  The engines are the relay engines in
+  ``mode="mempool"``; only the wire names differ (:data:`WIRE_BY_STEP`);
 * the **span marks**: ``escalate`` (``why``, ``peer``), ``failover``
   (``to``), ``abandon`` and ``done`` (``origin``, plus
-  ``via="fullblock"`` when rung 2 delivered the block).
+  ``via="fullblock"`` when rung 2 delivered the block); a sync's span
+  ends in ``done`` (``pushed``), ``failed`` or ``abandon``
+  (``attempts``).
 
-The host takes events -- an ``inv``, an engine frame, a full block, a
-timer firing, a peer gone -- each with a peer handle, an ``int`` on both
-drivers (the simulator's node id, the socket's connection id), and acts
-through the verbs of its :class:`Driver`.  One rule per event binds both
-drivers:
+The host takes events -- an ``inv``, an engine frame, a sync frame, a
+full block, a timer firing, a peer gone -- each with a peer handle, an
+``int`` on both drivers (the simulator's node id, the socket's
+connection id), and acts through the verbs of its :class:`Driver`.  One
+rule per event binds both drivers:
 
-* an engine frame is processed only from the peer the fetch is at, on
-  the engine rung, in the phase that awaits it; anything else is shed
-  (``frames_shed``);
+* an engine reply is processed only from the peer the fetch (or sync)
+  is at, on the engine rung, in the phase that awaits it; anything else
+  is shed (``frames_shed``);
 * a full block the node lacks is accepted from any peer if it hashes to
   its header's root, and raises :class:`~repro.errors.ProtocolFailure`
   otherwise;
@@ -42,9 +49,11 @@ drivers:
 
 from __future__ import annotations
 
+import itertools
 import logging
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, ClassVar, Dict, List, Optional, Protocol
 
 from repro.chain.block import Block
 from repro.chain.merkle import merkle_root_packed
@@ -53,7 +62,9 @@ from repro.core.engine import (
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
     RECEIVER_STEPS,
+    SENDER_STEPS,
 )
+from repro.core.mempool_sync import adopt_reconciled
 from repro.core.telemetry import AggregateRecorder, EventRecorder
 from repro.errors import ProtocolFailure
 from repro.net.recovery import (
@@ -69,9 +80,28 @@ from repro.net.recovery import (
     on_timeout,
     prune_oldest,
 )
-from repro.net.sync import WIRE_BY_STEP, SyncState
 
 logger = logging.getLogger(__name__)
+
+#: Engine step command -> sync wire command.  The engines speak the
+#: relay vocabulary; the wire tags sync traffic distinctly so a node can
+#: serve block relay and mempool sync concurrently.
+WIRE_BY_STEP = {
+    "getdata": "mempool_sync_request",
+    "graphene_block": "mempool_sync_p1",
+    "graphene_p2_request": "mempool_sync_p2_req",
+    "graphene_p2_response": "mempool_sync_p2_resp",
+    "graphene_p3_block": "mempool_sync_p3",
+    "graphene_p3_request": "mempool_sync_p3_req",
+    "graphene_p3_symbols": "mempool_sync_p3_sym",
+    "getdata_shortids": "sync_fetch",
+    "block_txs": "sync_txs",
+}
+_STEP_BY_WIRE = {wire: step for step, wire in WIRE_BY_STEP.items()}
+
+#: Every command :meth:`RelayHost.on_sync_frame` takes: the renamed
+#: engine steps and the closing push of H.
+SYNC_COMMANDS = frozenset(_STEP_BY_WIRE) | {"sync_push"}
 
 
 class Driver(Protocol):
@@ -87,6 +117,10 @@ class Driver(Protocol):
     def send_action(self, peer: int, key, action, wire=None) -> None:
         """Carry an engine SEND ``action`` tagged ``key`` to ``peer``;
         ``wire`` renames engine commands (mempool sync)."""
+
+    def push_txs(self, peer: int, nonce: int, txs: tuple, event) -> None:
+        """End the mempool sync ``nonce`` by sending ``peer`` the
+        transactions it lacks (H), charged as ``event``."""
 
     def request_block(self, peer: int, root: bytes, full: bool) -> None:
         """Ask ``peer`` for the whole block (``full``), else send the
@@ -119,11 +153,28 @@ class Fetch(FetchState):
     failovers: int = 0
     escalated: bool = False
     via_fullblock: bool = False    # rung 2 delivered the block
+    wire: ClassVar[Optional[dict]] = None  # engine commands go as named
+
+
+@dataclass
+class SyncState(FetchState):
+    """Initiator-side state for one in-flight sync: the ladder's
+    :class:`~repro.net.recovery.FetchState` (``peer`` is the responder's
+    handle, ``key`` the nonce) plus the session's own facts."""
+
+    done: bool = False
+    succeeded: bool = False
+    wire: ClassVar[Optional[dict]] = WIRE_BY_STEP
+
+    @property
+    def events(self) -> list:
+        """Telemetry stream of the exchange (initiator perspective)."""
+        return self.engine.telemetry
 
 
 class RelayHost:
-    """The announcer, fetch and serving registries of one node, and the
-    one driver of the recovery ladder; see the module docstring.
+    """The announcer, fetch, serving and sync registries of one node,
+    and the one driver of the recovery ladder; see the module docstring.
 
     ``stage`` is the rung an exchange opens (and restarts after a
     failover) at: the engine exchange for Graphene, the baseline's own
@@ -139,6 +190,12 @@ class RelayHost:
         self.fetches: Dict[bytes, Fetch] = {}
         self.serving: Dict[bytes, GrapheneSenderEngine] = {}
         self.syncs: Dict[int, SyncState] = {}
+        self.sync_serving: Dict[tuple, GrapheneSenderEngine] = {}
+        # Seeded from the node id: deterministic per node, distinct
+        # across nodes, so runs reproduce and two nodes syncing with the
+        # same responder never collide.
+        self._sync_nonces = itertools.count(
+            zlib.crc32(driver.node_id.encode()) * 100_000 + 1)
         #: Root -> telemetry stream of its relay, kept after the fetch
         #: ends so runs can fold it (newest ``telemetry_cap`` roots).
         self.relay_telemetry: dict = {}
@@ -207,15 +264,72 @@ class RelayHost:
                 or not fetch.engine.accepts(command):
             self.frames_shed += 1
             return
-        action = fetch.engine.handle(command, message)
-        fetch.attempts = 0  # progress resets the backoff
+        self._advance(fetch, fetch.engine.handle(command, message))
+
+    def on_sync_frame(self, peer: int, command: str, nonce: int,
+                      message) -> None:
+        """A mempool-sync frame from ``peer``: a request goes to the
+        ``(peer, nonce)`` serving engine (made only for the opening
+        ``getdata``), a reply advances the session by the rule
+        :meth:`on_frame` applies to fetches, and the push of H ends the
+        sync this node served."""
+        if command == "sync_push":
+            self.driver.mempool.add_many(message)
+            self.sync_serving.pop((peer, nonce), None)
+            return
+        step = _STEP_BY_WIRE[command]
+        if step in SENDER_STEPS:
+            key = (peer, nonce)
+            engine = self.sync_serving.get(key)
+            if engine is None:
+                if step != "getdata":
+                    return  # a late frame of a finished or unknown sync
+                engine = self.sync_serving[key] = GrapheneSenderEngine(
+                    txs=self.driver.mempool.columns(),
+                    config=self.driver.config,
+                    telemetry=self.stream("sync-serve", nonce))
+                # A lost push would leak this engine forever; retain a
+                # bounded working set instead (an evicted sync restarts
+                # through the initiator's ladder).
+                prune_oldest(self.sync_serving,
+                             self.driver.recovery.serving_cap)
+            self.driver.send_action(peer, nonce, engine.handle(step, message),
+                                    WIRE_BY_STEP)
+            return
+        state = self.syncs.get(nonce)
+        if state is None or state.done or state.peer != peer \
+                or not state.engine.accepts(step):
+            self.frames_shed += 1
+            return
+        self._advance(state, state.engine.handle(step, message))
+
+    def open_sync(self, peer: int) -> int:
+        """Open a mempool sync with ``peer`` (the newest
+        ``telemetry_cap`` sessions are kept); returns its nonce."""
+        nonce = next(self._sync_nonces)
+        engine = GrapheneReceiverEngine(
+            self.driver.mempool, self.driver.config, mode="mempool",
+            telemetry=self.stream("sync", nonce))
+        state = self.syncs[nonce] = SyncState(
+            peer=peer, stage=STAGE_ENGINE, key=nonce, engine=engine)
+        prune_oldest(self.syncs, self.driver.recovery.telemetry_cap)
+        self._advance(state, engine.start())
+        return nonce
+
+    def _advance(self, state: FetchState, action) -> None:
+        """Act on the receiver engine's answer in a fetch or a sync:
+        send and re-arm, or end the exchange."""
+        state.attempts = 0  # progress resets the backoff
         if action.kind is ActionKind.SEND:
-            self.driver.send_action(peer, root, action)
-            self.arm(fetch)
+            self.driver.send_action(state.peer, state.key, action,
+                                    state.wire)
+            self.arm(state)
+        elif isinstance(state, SyncState):
+            self._end_sync(state, action.kind is ActionKind.DONE)
         elif action.kind is ActionKind.FAILED:
-            self.decode_failed(peer, root)
+            self.decode_failed(state.peer, state.key)
         else:
-            self.complete(peer, action.block)
+            self.complete(state.peer, action.block)
 
     def on_block(self, peer: int, block: Block) -> None:
         """A full block from ``peer``: news is accepted from anyone
@@ -297,11 +411,6 @@ class RelayHost:
         for state in [*self.fetches.values(), *self.syncs.values()]:
             self.cancel(state)
 
-    def open_sync(self, state: SyncState) -> None:
-        """Register a mempool-sync session (newest ``telemetry_cap``)."""
-        self.syncs[state.key] = state
-        prune_oldest(self.syncs, self.driver.recovery.telemetry_cap)
-
     def _on_timer(self, state: FetchState) -> None:
         state.timer = None
         if isinstance(state, SyncState):
@@ -353,6 +462,25 @@ class RelayHost:
                                 state.engine.reemit_last_request(),
                                 WIRE_BY_STEP)
         self.arm(state)
+
+    def _end_sync(self, state: SyncState, succeeded: bool) -> None:
+        """The session's engine is DONE -- adopt the reconciled view,
+        push H -- or FAILED to decode."""
+        self.cancel(state)
+        state.done = True
+        label = self.driver.peer_label(state.peer)
+        if not succeeded:
+            logger.info("mempool sync %d with %s failed to decode",
+                        state.key, label)
+            self.mark("sync", state.key, "failed", why="decode")
+            return
+        _, h_txs, event = adopt_reconciled(self.driver.mempool,
+                                           state.engine)
+        self.driver.push_txs(state.peer, state.key, h_txs, event)
+        state.succeeded = True
+        self.mark("sync", state.key, "done", pushed=len(h_txs))
+        logger.debug("mempool sync %d with %s complete: pushed %d txns",
+                     state.key, label, len(h_txs))
 
     def _escalate(self, fetch: Fetch, why: str) -> None:
         """Rung 2: stop nursing the exchange and request the block."""

@@ -95,17 +95,9 @@ class EdgeStats:
     def bytes_sent(self) -> int:
         return self._net.edge_bytes[self._eid]
 
-    @bytes_sent.setter
-    def bytes_sent(self, value: int) -> None:
-        self._net.edge_bytes[self._eid] = value
-
     @property
     def messages_sent(self) -> int:
         return self._net.edge_msgs[self._eid]
-
-    @messages_sent.setter
-    def messages_sent(self, value: int) -> None:
-        self._net.edge_msgs[self._eid] = value
 
     def __repr__(self) -> str:
         return (f"EdgeStats(bytes_sent={self.bytes_sent}, "

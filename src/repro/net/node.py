@@ -8,12 +8,13 @@ span marks -- is its :class:`~repro.net.host.RelayHost`, the same host
 :class:`~repro.net.peer.manager.PeerManager` runs on sockets; a node is
 the host's driver on the :class:`~repro.net.simulator.Simulator` clock.
 Its verbs map onto :meth:`Node._send` and ``simulator.schedule``, with
-peer handles being registry node ids.  Graphene relay is the canonical
-engines of :mod:`repro.core.engine`; every engine message crosses a
-:class:`~repro.net.transport.SimulatorTransport` carrying its telemetry
-event, so the simulator charges exactly the bytes the standalone
-benchmarks account -- plus latency, bandwidth and multi-hop propagation
-on top.  The node keeps the Compact Blocks / XThin wire handlers.
+peer handles being registry node ids.  Graphene relay and mempool sync
+(paper 3.2.1) are the canonical engines of :mod:`repro.core.engine`,
+driven by the host; every engine message crosses as a
+:class:`~repro.net.messages.NetMessage` carrying its telemetry event, so
+the simulator charges exactly the bytes the standalone benchmarks
+account -- plus latency, bandwidth and multi-hop propagation on top.
+The node keeps the Compact Blocks / XThin wire handlers.
 """
 
 from __future__ import annotations
@@ -30,18 +31,19 @@ from repro.core.engine import RECEIVER_STEPS, SENDER_STEPS
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import INV_ENTRY_BYTES, MSG_HEADER_BYTES, getdata_bytes
 from repro.errors import ParameterError
-from repro.net.host import HostViews, RelayHost
+from repro.net.host import SYNC_COMMANDS, HostViews, RelayHost, SyncState
 from repro.net.messages import NetMessage
 from repro.net.netstate import NodeStats
 from repro.net.recovery import RecoveryPolicy, STAGE_ENGINE, STAGE_REQUEST
 from repro.net.simulator import FaultInjector, Link, Simulator
-from repro.net.sync import MempoolSyncMixin, SYNC_ROUTES
-from repro.net.transport import SimulatorTransport
 
-#: Graphene wire commands dispatched straight to an engine (the plain
-#: ``getdata`` stays multiplexed with baseline relay).
-_ENGINE_COMMANDS = (frozenset(RECEIVER_STEPS)
-                    | frozenset(SENDER_STEPS)) - {"getdata"}
+#: Wire command -> the host entry its ``(key, message)`` frames go to:
+#: Graphene engine steps (the plain ``getdata`` stays multiplexed with
+#: baseline relay) and mempool-sync frames.
+_FRAME_ENTRIES = {
+    **dict.fromkeys((frozenset(RECEIVER_STEPS) | frozenset(SENDER_STEPS))
+                    - {"getdata"}, "on_frame"),
+    **dict.fromkeys(SYNC_COMMANDS, "on_sync_frame")}
 
 
 def derive_loss_seed(src_id: str, dst_id: str) -> int:
@@ -70,7 +72,7 @@ class RelayProtocol(enum.Enum):
     FULL_BLOCK = "full_block"
 
 
-class Node(HostViews, MempoolSyncMixin):
+class Node(HostViews):
     """One peer in the simulated network."""
 
     def __init__(self, node_id: str, simulator: Simulator,
@@ -113,15 +115,13 @@ class Node(HostViews, MempoolSyncMixin):
         #: (``stats[peer].bytes_sent`` / ``.messages_sent``).
         self.stats = NodeStats(self)
         self.block_arrival: dict = {}   # merkle root -> sim time
-        #: Announcers, fetches, the ladder and serving engines, keyed by
-        #: root; read through the :class:`HostViews` properties.
+        #: Announcers, fetches, the ladder, serving engines and mempool
+        #: syncs; read through the :class:`HostViews` properties.
         self.host = RelayHost(
             self, stage=STAGE_ENGINE if protocol is RelayProtocol.GRAPHENE
             else STAGE_REQUEST, aggregate=telemetry_mode == "aggregate")
         # Compact Blocks repair state: root -> (header, matched txs).
         self._cb_pending: dict = {}
-        # Mempool sync serving engines (see repro.net.sync).
-        self._sync_serving: dict = {}
         #: Wire command -> bound handler, filled lazily by
         #: :meth:`receive` so bursts skip the per-message
         #: frozenset test + ``getattr`` name lookup.
@@ -221,15 +221,21 @@ class Node(HostViews, MempoolSyncMixin):
     # ------------------------------------------------------------------
 
     def send_action(self, peer: int, key, action, wire=None) -> None:
-        node = self._net.nodes[peer]
-        if wire is None and action.command == "getdata":
+        command, payload = action.command, (key, action.message)
+        if wire is not None:
+            command = wire[command]
+        elif command == "getdata":
             # Graphene's opening rides the getdata the baselines share;
             # it carries m (paper Fig. 2).
-            self._send(node, NetMessage(
-                "getdata", ("block", key, action.message),
-                len(action.message), event=action.event))
-            return
-        SimulatorTransport(self, node, key, command_map=wire).deliver(action)
+            payload = ("block", key, action.message)
+        # The event, not the blob, is what the link charges.
+        self._send(self._net.nodes[peer], NetMessage(
+            command, payload, len(action.message), event=action.event))
+
+    def push_txs(self, peer: int, nonce: int, txs: tuple, event) -> None:
+        self._send(self._net.nodes[peer], NetMessage(
+            "sync_push", (nonce, txs), sum(tx.size for tx in txs),
+            event=event))
 
     def request_block(self, peer: int, root: bytes, full: bool) -> None:
         node = self._net.nodes[peer]
@@ -270,15 +276,11 @@ class Node(HostViews, MempoolSyncMixin):
         command = message.command
         handler = self._handlers.get(command)
         if handler is None:
-            if command in _ENGINE_COMMANDS:
+            entry = _FRAME_ENTRIES.get(command)
+            if entry is not None:
                 def handler(peer, payload, _command=command,
-                            _frame=self.host.on_frame):
+                            _frame=getattr(self.host, entry)):
                     _frame(peer.nid, _command, *payload)
-            elif command in SYNC_ROUTES:
-                name, step = SYNC_ROUTES[command]
-                def handler(peer, payload, _route=getattr(self, name),
-                            _step=step):
-                    _route(peer, _step, payload)
             else:
                 handler = getattr(self, f"_on_{command}", None)
                 if handler is None:
@@ -288,6 +290,20 @@ class Node(HostViews, MempoolSyncMixin):
 
     def _on_inv(self, sender: "Node", payload) -> None:
         self.host.on_inv(sender.nid, payload[1])
+
+    # ------------------------------------------------------------------
+    # Mempool sync (paper 3.2.1), run by the host
+    # ------------------------------------------------------------------
+
+    def initiate_mempool_sync(self, peer: "Node") -> int:
+        """Start a sync with ``peer``; returns the session nonce."""
+        if peer not in self.peers:
+            raise ParameterError(
+                f"{self.node_id} is not peered with {peer.node_id}")
+        return self.host.open_sync(peer.nid)
+
+    def sync_result(self, nonce: int) -> Optional[SyncState]:
+        return self.host.syncs.get(nonce)
 
     def _on_getdata(self, sender: "Node", payload) -> None:
         kind = payload[0]

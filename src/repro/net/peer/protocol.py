@@ -15,7 +15,7 @@ payloads; this module defines what goes inside them:
 * engine frames -- every Graphene engine message crosses as
   ``root (32B) | engine message``, so one connection can multiplex
   exchanges for several blocks exactly like the simulator's keyed
-  :class:`~repro.net.transport.SimulatorTransport` messages.
+  :class:`~repro.net.messages.NetMessage` payloads.
 * ``getdata_block`` / ``block`` -- the full-block fallback rung of the
   recovery ladder: the request names the root, the response is the
   80-byte header followed by the transaction list encoding.

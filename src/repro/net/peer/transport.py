@@ -1,9 +1,8 @@
 """AsyncioTransport: engine actions onto a real TCP stream.
 
-Third sibling of :class:`~repro.net.transport.LoopbackTransport` and
-:class:`~repro.net.transport.SimulatorTransport`, behind the same
-:class:`~repro.net.transport.Transport` ABC and the same SEND-only
-``deliver`` contract.  A delivered action is framed as
+The socket sibling of :class:`~repro.net.transport.LoopbackTransport`,
+with the same SEND-only ``deliver`` contract.  A delivered action is
+framed as
 ``command | root | engine message`` and written to the connection's
 ``StreamWriter``; actual flushing (``await writer.drain()``) is the
 connection loop's job, since ``deliver`` is called synchronously from
@@ -24,16 +23,14 @@ from repro.core.engine import ActionKind, EngineAction
 from repro.errors import ParameterError
 from repro.net.peer.framing import encode_frame, frame_overhead
 from repro.net.peer.protocol import encode_keyed
-from repro.net.transport import Transport
 
 
-class AsyncioTransport(Transport):
+class AsyncioTransport:
     """Ships engine actions for one exchange down a ``StreamWriter``.
 
     ``key`` tags the exchange on the wire (the block's Merkle root for
     relay) so the remote peer can find the matching engine, exactly as
-    :class:`~repro.net.transport.SimulatorTransport` does over
-    simulated links.
+    the simulator's keyed messages do over simulated links.
     """
 
     def __init__(self, writer, key: bytes):

@@ -32,9 +32,9 @@ Their one caller is :class:`~repro.net.host.RelayHost`, which sends,
 arms timers, looks up live announcers and marks spans through its
 driver -- the :class:`~repro.net.node.Node` on the
 :class:`~repro.net.simulator.Simulator` clock or the
-:class:`~repro.net.peer.manager.PeerManager` on asyncio's.  Mempool
-sync (:mod:`repro.net.sync`) climbs rung 1 through :func:`on_timeout`
-too; it has no full-block rung and one responder, so it abandons there.
+:class:`~repro.net.peer.manager.PeerManager` on asyncio's.  The host's
+mempool-sync sessions climb rung 1 through :func:`on_timeout` too; a
+sync has no full-block rung and one responder, so it abandons there.
 
 Recovery is observable: timeouts and retransmissions append
 ``outcome="timeout"`` / ``outcome="retry"`` events to the per-relay

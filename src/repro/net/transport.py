@@ -1,62 +1,43 @@
-"""Transports that carry engine actions between relay endpoints.
+"""The in-memory relay: both engines in one process.
 
 The Graphene control flow lives entirely in :mod:`repro.core.engine`;
-a :class:`Transport` only decides *how* a SEND action reaches the other
-side.  Three implementations cover every caller in the package:
+a transport only decides *how* a SEND action reaches the other side.
+:class:`LoopbackTransport` delivers it by a synchronous function call,
+which is what :class:`~repro.core.session.BlockRelaySession` and
+:func:`~repro.core.mempool_sync.synchronize_mempools` run for the
+Monte-Carlo benchmarks.  The two wire drivers need no object per
+exchange: the simulated :class:`~repro.net.node.Node` wraps an action
+in a :class:`~repro.net.messages.NetMessage` in its ``send_action``, and
+the socket's :class:`~repro.net.peer.AsyncioTransport` frames it onto a
+``StreamWriter``.
 
-* :class:`LoopbackTransport` -- both engines in one process, delivery
-  is a synchronous function call.  This is what
-  :class:`~repro.core.session.BlockRelaySession` and
-  :func:`~repro.core.mempool_sync.synchronize_mempools` run for the
-  Monte-Carlo benchmarks.
-* :class:`SimulatorTransport` -- one engine endpoint on a simulated
-  :class:`~repro.net.node.Node`; actions become
-  :class:`~repro.net.messages.NetMessage` objects crossing a
-  latency/bandwidth/loss :class:`~repro.net.simulator.Link`.
-* :class:`~repro.net.peer.AsyncioTransport` -- one engine endpoint on
-  a real TCP connection; actions are framed
-  (:mod:`repro.net.peer.framing`) and written to an asyncio
-  ``StreamWriter``.
-
-All three charge bytes from the action's attached telemetry event, so
+Every one charges bytes from the action's attached telemetry event, so
 a loopback relay, a simulated relay and a socket relay of the same
 block account the same wire bytes by construction.
 
-The shared ``deliver`` contract is SEND-only: passing a terminal
-action (DONE or FAILED) raises :class:`~repro.errors.ParameterError`
-on every transport.  Terminal actions never cross a wire -- they are
-the *local* endpoint's result, and each driver reads them off its own
-engine (``LoopbackTransport`` records the one its internal pump
-reaches as ``final``).
+``deliver`` is SEND-only: passing a terminal action (DONE or FAILED)
+raises :class:`~repro.errors.ParameterError`.  Terminal actions never
+cross a wire -- they are the *local* endpoint's result, and each driver
+reads them off its own engine (``LoopbackTransport`` records the one
+its internal pump reaches as ``final``).
 
 Recovery retransmissions (see :mod:`repro.net.recovery`) flow through
-the same ``deliver`` path as first sends: a re-emitted engine action
-carries a fresh ``outcome="retry"`` event with the original byte
-decomposition, so retried bytes are charged exactly like original
-ones.  Duplicate deliveries that retransmission can cause are shed at
-the receiving end by the engines' ``accepts()`` phase guard, never by
-the transport.
+the same send path as first sends: a re-emitted engine action carries a
+fresh ``outcome="retry"`` event with the original byte decomposition,
+so retried bytes are charged exactly like original ones.  Duplicate
+deliveries that retransmission can cause are shed at the receiving end
+by the engines' ``accepts()`` phase guard, never by the transport.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Optional
 
 from repro.core.engine import ActionKind, EngineAction, SENDER_STEPS
 from repro.errors import ParameterError
-from repro.net.messages import NetMessage
 
 
-class Transport(abc.ABC):
-    """Moves one engine SEND action toward the remote endpoint."""
-
-    @abc.abstractmethod
-    def deliver(self, action: EngineAction) -> None:
-        """Carry ``action`` (kind SEND) to the other side."""
-
-
-class LoopbackTransport(Transport):
+class LoopbackTransport:
     """Drives a sender/receiver engine pair to completion in memory."""
 
     def __init__(self, sender, receiver):
@@ -70,7 +51,7 @@ class LoopbackTransport(Transport):
     def deliver(self, action: EngineAction) -> None:
         """Pump ``action`` (kind SEND) between the engines to completion.
 
-        Like the other transports, only SEND actions are accepted: a
+        Like the socket transport, only SEND actions are accepted: a
         terminal action is an exchange *result*, and silently adopting
         one as ``final`` used to mask driver bugs (and a reused
         transport kept the previous exchange's ``final``).
@@ -89,33 +70,3 @@ class LoopbackTransport(Transport):
         """Run the whole exchange; returns the terminal action."""
         self.deliver(self.receiver.start())
         return self.final
-
-
-class SimulatorTransport(Transport):
-    """Ships engine actions from ``node`` to ``peer`` over their link.
-
-    ``key`` tags the exchange on the wire (the block's Merkle root for
-    relay, the session nonce for mempool sync) so the remote node can
-    find the matching engine.  ``command_map`` optionally renames
-    engine commands to wire commands (mempool sync reuses the engines
-    under its own command vocabulary).
-
-    The :class:`NetMessage` carries the action's telemetry event, so
-    the link and per-peer stats charge the event's analytic wire bytes
-    rather than the encoded blob length.
-    """
-
-    def __init__(self, node, peer, key, command_map: Optional[dict] = None):
-        self.node = node
-        self.peer = peer
-        self.key = key
-        self.command_map = command_map or {}
-
-    def deliver(self, action: EngineAction) -> None:
-        if action.kind is not ActionKind.SEND:
-            raise ParameterError(
-                f"only SEND actions cross the wire, got {action.kind}")
-        command = self.command_map.get(action.command, action.command)
-        self.node._send(self.peer, NetMessage(
-            command, (self.key, action.message), len(action.message),
-            event=action.event))

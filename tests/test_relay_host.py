@@ -6,8 +6,9 @@ a list entry fired by hand, and the Graphene sender engine answering
 the host is called inline.  What the simulator's ``Node`` and the
 sockets' ``PeerManager`` share is pinned once, here: the ladder's rungs
 in order, decode-failed escalation, peer-gone failover, late-frame
-shedding, cancelled timers, the serving sweep and cap, and abandon's
-clean slate.
+shedding, cancelled timers, the serving sweep and cap, abandon's clean
+slate, and a mempool sync between two hosts with its frames pumped by
+hand.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 import pytest
 
-from repro.chain.scenarios import make_block_scenario
+from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.codec import encode_tx_list
 from repro.core.engine import GrapheneSenderEngine
 from repro.core.params import GrapheneConfig
@@ -63,11 +64,14 @@ class FakeClock:
 
 class RecordingDriver(HostViews):
     """A host's driver that only records: ``calls`` holds one tuple per
-    verb (``("send", peer, command)`` or ``("full", peer)``), and the
-    last action sent to each peer waits in ``outbox``."""
+    verb (``("send", peer, wire command)``, ``("full", peer)`` or
+    ``("push", peer, nonce, txs)``), the last action sent to each peer
+    waits in ``outbox``, and ``sent`` queues every frame as a host
+    entry takes it: ``(command, key, message)``."""
 
-    def __init__(self, mempool, recovery=None, blocks=None):
-        self.node_id = "host"
+    def __init__(self, mempool, recovery=None, blocks=None,
+                 node_id="host"):
+        self.node_id = node_id
         self.mempool = mempool
         self.config = GrapheneConfig()
         self.recovery = recovery or RecoveryPolicy(
@@ -79,11 +83,18 @@ class RecordingDriver(HostViews):
         self.calls: list = []
         self.outbox: dict = {}
         self.finished: list = []
+        self.sent: list = []
         self.host = RelayHost(self)
 
     def send_action(self, peer, key, action, wire=None):
-        self.calls.append(("send", peer, action.command))
+        command = action.command if wire is None else wire[action.command]
+        self.calls.append(("send", peer, command))
         self.outbox[peer] = action
+        self.sent.append((command, key, action.message))
+
+    def push_txs(self, peer, nonce, txs, event):
+        self.calls.append(("push", peer, nonce, txs))
+        self.sent.append(("sync_push", nonce, txs))
 
     def request_block(self, peer, root, full):
         self.calls.append(("full" if full else "request", peer))
@@ -289,3 +300,72 @@ class TestServing:
         assert roots[1] not in driver.serving_engines
         assert [c for c in driver.calls if c[0] == "send"] \
             == [("send", p, "graphene_block") for p in (5, 5, 5, 6, 5)]
+
+
+def _sync_pair(**policy):
+    """An initiator and a responder host over a 60-transaction sync
+    scenario; each calls the other peer 0."""
+    sc = make_sync_scenario(n=60, fraction_common=0.8, seed=7)
+    recovery = RecoveryPolicy(**{"timeout_base": 1.0, "backoff": 2.0,
+                                 "max_retries": 1, **policy})
+    initiator = RecordingDriver(sc.receiver_mempool.copy(), recovery,
+                                node_id="a")
+    responder = RecordingDriver(sc.sender_mempool.copy(), recovery,
+                                node_id="b")
+    return sc, initiator, responder
+
+
+def _pump(src, dst, peer=0):
+    """Hand every frame ``src`` has sent to ``dst``, as from ``peer``;
+    returns them."""
+    frames, src.sent = src.sent, []
+    for frame in frames:
+        dst.host.on_sync_frame(peer, *frame)
+    return frames
+
+
+class TestSync:
+    def test_success_pushes_h_last(self):
+        sc, a, b = _sync_pair()
+        before = set(a.mempool.txids)
+        nonce = a.host.open_sync(0)
+        while _pump(a, b) + _pump(b, a):
+            pass
+        state = a.host.syncs[nonce]
+        assert state.done and state.succeeded
+        (push,) = [c for c in a.calls if c[0] == "push"]
+        h = {tx.txid for tx in push[3]}
+        assert push[:3] == ("push", 0, nonce)
+        assert h == before - set(sc.sender_mempool.txids) != set()
+        assert state.events[-1].command == "sync_push"
+        assert a.marks == [("done", {"pushed": str(len(h))})]
+        assert set(a.mempool.txids) == set(b.mempool.txids)
+        assert a.sync_sessions == {nonce: state}
+        assert b.host.sync_serving == {}  # the push ended the serving
+        assert a.clock.live == [] and a.frames_shed == 0
+
+    def test_duplicate_and_third_peer_replies_are_shed(self):
+        _, a, b = _sync_pair()
+        a.host.open_sync(0)
+        _pump(a, b)
+        (reply,) = b.sent
+        a.host.on_sync_frame(7, *reply)  # not the responder
+        assert a.frames_shed == 1
+        _pump(b, a)
+        a.host.on_sync_frame(0, *reply)  # the same reply again
+        assert a.frames_shed == 2
+        while _pump(a, b) + _pump(b, a):
+            pass
+        assert a.marks[-1][0] == "done"
+
+    def test_silent_responder_is_abandoned(self):
+        _, a, _ = _sync_pair(max_retries=2)
+        nonce = a.host.open_sync(0)
+        fired = [a.clock.fire() for _ in range(3)]
+        assert fired == [1.0, 3.0, 7.0]
+        assert a.calls == [("send", 0, "mempool_sync_request")] * 3
+        assert a.marks == [("abandon", {"attempts": "2"})]
+        assert (a.relay_timeouts, a.relay_retries) == (3, 2)
+        state = a.host.syncs[nonce]
+        assert state.done and not state.succeeded
+        assert a.clock.live == []
