@@ -487,8 +487,7 @@ def decode_protocol2_request(data: bytes, offset: int = 0):
     bloom, offset = decode_bloom(data, offset)
     bloom = restore_bloom_load(bloom, z)
     request = Protocol2Request(bloom_r=bloom, b=b, ystar=ystar, z=z,
-                               xstar=xstar, special_case=bool(flags & 1),
-                               plan=None)
+                               xstar=xstar, special_case=bool(flags & 1))
     return request, offset
 
 

@@ -8,12 +8,12 @@ every mempool transaction that passes Bloom filter S.  A
 surviving row indices and the short-ID column the IBLT or the symbol
 decoder is built from -- so no step visits the mempool one
 ``Transaction`` at a time.  Transactions are only materialized for the
-rows that end up in the answer.
+rows that end up in the answer.  Protocol 2 keeps Protocol 1's Z.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as _np
 
@@ -41,7 +41,7 @@ class CandidateSet:
         ``uint64`` short-ID column of Z, in candidate order.
     """
 
-    __slots__ = ("source", "rows", "sids", "_by_txid")
+    __slots__ = ("source", "rows", "sids")
 
     def __init__(self, prefilled: Sequence, mempool: Mempool,
                  bloom_s: BloomFilter, width: int):
@@ -65,7 +65,6 @@ class CandidateSet:
         self.source = source
         self.rows = rows
         self.sids = source.short_ids(width)[rows]
-        self._by_txid: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -73,10 +72,6 @@ class CandidateSet:
     def ids(self) -> bytes:
         """Z's 32-byte txids end to end, in candidate order."""
         return self.source.words[self.rows].tobytes()
-
-    def columns(self) -> TxColumns:
-        """Z as a snapshot of its own."""
-        return self.source.take(self.rows)
 
     def rows_without(self, remote: Iterable[int]):
         """Z's rows minus the candidates whose short ID is in ``remote``.
@@ -91,8 +86,10 @@ class CandidateSet:
         # kind="sort" skips the integer table method's fixed set-up.
         return self.rows[~_np.isin(self.sids, strip, kind="sort")]
 
-    def as_dict(self) -> dict:
-        """``txid -> Transaction`` over Z in candidate order (built once)."""
-        if self._by_txid is None:
-            self._by_txid = {tx.txid: tx for tx in self.columns().txs}
-        return self._by_txid
+    def where(self, mask) -> "CandidateSet":
+        """The candidates ``mask`` (a bool column over Z) keeps, over
+        the same ``source`` (how Protocol 2's filter F narrows Z)."""
+        kept = CandidateSet.__new__(CandidateSet)
+        kept.source, kept.rows, kept.sids = (self.source, self.rows[mask],
+                                             self.sids[mask])
+        return kept

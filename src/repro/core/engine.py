@@ -7,9 +7,9 @@ driver over them:
 
 * :class:`~repro.core.session.BlockRelaySession` runs the pair over an
   in-memory :class:`~repro.net.transport.LoopbackTransport`;
-* :class:`~repro.net.node.Node` routes wire messages to engines through
-  the :data:`SENDER_STEPS` / :data:`RECEIVER_STEPS` tables and ships
-  actions over simulated links;
+* :class:`~repro.net.host.RelayHost` routes frames to engines through
+  the :data:`SENDER_STEPS` / :data:`RECEIVER_STEPS` tables and hands
+  the actions to its drivers (simulated links, sockets);
 * mempool synchronization (paper 3.2.1) is the same engines in
   ``mode="mempool"``: the sender treats its whole mempool as the block,
   the receiver skips Merkle validation, and a Protocol 1 decode that
@@ -404,10 +404,9 @@ class GrapheneReceiverEngine:
         #: Last outbound request, kept so a recovery driver can re-emit
         #: it verbatim after a timeout (see :meth:`reemit_last_request`).
         self._last_send: Optional[EngineAction] = None
-        #: What a decode kept (candidates, pushed and fetched repairs) and
-        #: the txid-keyed view of it (:attr:`reconciled`), built on read.
-        self._survivors = TxColumns(())
-        self._reconciled: Optional[dict] = None
+        #: What a decode kept (candidates, pushed and fetched repairs);
+        #: on DONE in mempool mode, the view a sync adopts.
+        self.reconciled = TxColumns(())
         # Exchange summary, valid once the engine reaches DONE/FAILED.
         self.roundtrips = 0.0
         self.protocol_used = 1
@@ -422,18 +421,6 @@ class GrapheneReceiverEngine:
         self.p3_symbols = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def reconciled(self) -> dict:
-        """Transactions recovered so far, keyed by txid.
-
-        On DONE this is the reconciled view drivers adopt (mempool
-        sync's union).  A block relay never reads it, so the dict is
-        only built when someone does.
-        """
-        if self._reconciled is None:
-            self._reconciled = {tx.txid: tx for tx in self._survivors}
-        return self._reconciled
 
     def _record(self, command: str, direction: str, phase: str,
                 roundtrip: int, parts: dict,
@@ -502,11 +489,11 @@ class GrapheneReceiverEngine:
         return Block(header=self.header, txs=())
 
     def _adopt(self, result) -> EngineAction:
-        """Keep a settled P1/P3 decode: DONE, or fetch what it lacks."""
+        """Keep a settled decode: DONE, or fetch what it lacks."""
         # Kept for the fetch to join or a sync driver to adopt; a block
         # relay that decodes outright holds on to nothing past this step.
         if result.missing_short_ids or self.mode == "mempool":
-            self._survivors = result.reconciled
+            self.reconciled = result.reconciled
         if result.missing_short_ids:
             return self._request_short_ids(result.missing_short_ids)
         return self._complete(result.txs)
@@ -576,18 +563,8 @@ class GrapheneReceiverEngine:
         self.p2_used_pingpong = result.used_pingpong
         self.p2_decode_solo = result.decode_complete_solo
         self.p2_decode_complete = result.decode_complete
-        parts = _p2_response_parts(response)
-        fetch = result.decode_complete and result.missing_short_ids
-        outcome = "decoded" if result.success \
-            else "fetch" if fetch else "failed"
-        self._record("graphene_p2_response", "received", "p2", 2, parts,
-                     outcome=outcome)
-        if outcome == "failed":
-            return self._fail()
-        self._survivors = TxColumns.of(result.recovered.values())
-        if outcome == "fetch":
-            return self._request_short_ids(result.missing_short_ids)
-        return self._complete(result.txs)
+        return self._settled(result, "graphene_p2_response", "p2", 2,
+                             _p2_response_parts(response))
 
     # ------------------------------------------------------------------
     # Protocol 3: the rateless symbol stream
@@ -666,12 +643,18 @@ class GrapheneReceiverEngine:
         """Turn a complete rateless decode into DONE / fetch / FAILED."""
         result = finish_protocol3(self._p3_state, self.config,
                                   validate_block=self._probe())
-        # Neither missing nor success: the peel zeroed out but the
+        return self._settled(result, command, "p3", roundtrip, parts)
+
+    def _settled(self, result, command: str, phase: str, roundtrip: int,
+                 parts: dict) -> EngineAction:
+        """Record what a P2 or P3 decode settled to, then fail, fetch
+        or complete."""
+        # Neither missing nor success: the decode did not complete, its
         # arithmetic does not reconcile with n -- a malformed (e.g.
-        # replayed) stream -- or the set failed the Merkle check.
+        # replayed) difference -- or the set failed the Merkle check.
         outcome = "fetch" if result.missing_short_ids \
             else "decoded" if result.success else "failed"
-        self._record(command, "received", "p3", roundtrip, parts,
+        self._record(command, "received", phase, roundtrip, parts,
                      outcome=outcome)
         if outcome == "failed":
             return self._fail()
@@ -685,8 +668,7 @@ class GrapheneReceiverEngine:
         self.fetched_count = len(txs)
         parts = {"fetched_tx_bytes": sum(tx.size for tx in txs)}
         roundtrip = int(self.roundtrips)
-        merged = self._survivors = self._survivors.plus(txs)
-        self._reconciled = None
+        merged = self.reconciled = self.reconciled.plus(txs)
         ordered = merged.canonical().txs if self.mode == "mempool" \
             else self._probe().validated_order(merged)
         self._record("block_txs", "received", "fetch", roundtrip, parts,

@@ -75,9 +75,9 @@ def adopt_reconciled(mempool: Mempool, engine: GrapheneReceiverEngine
     the sender's side (fetched repairs included): the sender's mempool
     is not the receiver's to read.
     """
-    reconciled = engine.reconciled
-    gained = mempool.add_many(reconciled.values())
-    h_txs = tuple(tx for tx in mempool if tx.txid not in reconciled)
+    gained = mempool.add_many(engine.reconciled)
+    known = {tx.txid for tx in engine.reconciled}
+    h_txs = tuple(tx for tx in mempool if tx.txid not in known)
     event = MessageEvent(
         command="sync_push", direction="sent", role="receiver",
         phase="push", roundtrip=int(engine.roundtrips),

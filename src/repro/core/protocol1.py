@@ -22,7 +22,7 @@ treating the sender's whole mempool as the "block": pass
 
 What Protocol 3 shares with Protocol 1 is written here and imported
 there: :class:`Opening`, :func:`open_exchange`, :func:`sweep` and
-:func:`settle`.
+:func:`settle`.  Protocol 2 settles through the same :func:`settle`.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Protocol1Payload(Opening):
 
 @dataclass
 class Protocol1Result:
-    """Receiver-side outcome of a Protocol 1 or Protocol 3 decode.
+    """Receiver-side outcome of a Protocol 1, 2 or 3 decode.
 
     On success ``txs`` holds the canonically ordered block transactions.
     On failure the fields preserve everything Protocol 2 needs: the
@@ -129,13 +129,6 @@ class Protocol1Result:
         rows, pushed = self.kept
         survivors = self.candidate_set.source.take(rows)
         return survivors.plus(pushed) if pushed else survivors
-
-    @property
-    def candidates(self) -> dict:
-        """``txid -> Transaction`` view of Z, built on first read."""
-        if self.candidate_set is None:
-            return {}
-        return self.candidate_set.as_dict()
 
 
 def open_exchange(txs, receiver_mempool_count: int, config: GrapheneConfig,
@@ -231,7 +224,8 @@ def settle(result: Protocol1Result, local, remote, n: int,
     receiver is missing, for the caller to escalate or fetch.
     ``remote``: Bloom false positives to strip from Z.
     ``pushed``: ``short ID -> transaction`` for the part of ``local``
-    already received in full (Protocol 3's answer to filter R).
+    already received in full (Protocol 3's answer to filter R;
+    Protocol 2's T and the local keys its receiver held after all).
 
     Z stays row indices into its snapshot throughout: the strip, the
     canonical order and the Merkle check's one ID buffer are all taken

@@ -20,12 +20,15 @@ and the *sender* runs Theorems 2/3 in reverse over R, additionally
 sending a third Bloom filter **F** so the receiver can discard candidate
 transactions that are not in the block.  This path is the workhorse of
 mempool synchronization (Fig. 18).
+
+Z stays Protocol 1's :class:`~repro.core.candidates.CandidateSet`, and a
+complete decode settles as Protocols 1 and 3 do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as _np
@@ -34,8 +37,14 @@ from repro.chain.block import Block
 from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.core.bounds import x_star, y_star
-from repro.core.params import FilterIBLTPlan, GrapheneConfig, optimize_b
-from repro.core.protocol1 import Protocol1Payload, Protocol1Result, SEED_J
+from repro.core.candidates import CandidateSet
+from repro.core.params import GrapheneConfig, optimize_b
+from repro.core.protocol1 import (
+    Protocol1Payload,
+    Protocol1Result,
+    SEED_J,
+    settle,
+)
 from repro.errors import ParameterError
 from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
@@ -57,7 +66,6 @@ class Protocol2Request:
     z: int
     xstar: int
     special_case: bool
-    plan: Optional[FilterIBLTPlan]
 
     def wire_size(self) -> int:
         return (self.bloom_r.serialized_size() + compact_size_len(self.b)
@@ -72,12 +80,9 @@ class Protocol2Request:
 class Protocol2ReceiverState:
     """Everything the receiver must remember between steps 2 and 5."""
 
-    candidates: dict  # txid -> Transaction (the set Z)
+    candidate_set: CandidateSet      # the set Z, columnar
     iblt_p1_diff: Optional[IBLT]
-    payload_n: int
-    fpr_s: float
-    xstar: int
-    ystar: int
+    n: int
     special_case: bool
 
 
@@ -108,23 +113,24 @@ class Protocol2Response:
 
 
 @dataclass
-class Protocol2Result:
-    """Receiver-side outcome of Protocol 2."""
+class Protocol2Result(Protocol1Result):
+    """Protocol 2's settled decode (``candidate_set`` is Z as F left
+    it), plus how ``J (-) J'`` got there."""
 
-    success: bool
-    txs: Optional[list] = None
-    decode_complete: bool = False
     #: Whether J (-) J' decoded on its own, before any ping-pong help
     #: (the "without" series of Fig. 16).
     decode_complete_solo: bool = False
     used_pingpong: bool = False
-    merkle_ok: bool = False
-    #: Short IDs of block transactions the receiver still lacks (R's
-    #: false positives); the session fetches these with a final getdata.
-    missing_short_ids: frozenset = frozenset()
-    #: Transactions recovered so far (candidates minus false positives
-    #: plus pushed T), keyed by txid.
-    recovered: dict = field(default_factory=dict)
+
+
+def _bounds(z: int, m: int, fpr: float, beta: float,
+            n: Optional[int] = None) -> tuple[int, int]:
+    """``(x*, y*)`` of Theorems 2 and 3 -- ``(0, z)`` where the filter
+    passed everything, so ``z`` carries no information."""
+    if fpr >= 1.0:
+        return 0, z
+    xstar = x_star(z, m, fpr, beta=beta, n=n)
+    return xstar, y_star(z, m, fpr, beta=beta, xstar=xstar, n=n)
 
 
 def build_protocol2_request(
@@ -138,17 +144,11 @@ def build_protocol2_request(
     z = p1_result.z
     n = payload.n
     fpr_s = payload.plan.fpr if payload.plan else 1.0
-
-    if fpr_s >= 1.0:
-        # Degenerate S passed everything; z carries no information.
-        xstar = 0
-        ystar = z
-    else:
-        xstar = x_star(z, m, fpr_s, beta=config.beta, n=n)
-        ystar = y_star(z, m, fpr_s, beta=config.beta, xstar=xstar, n=n)
+    # Z also holds the prefilled transactions (the coinbase) no mempool
+    # has, so z can exceed m; the bounds count them as pool rows too.
+    xstar, ystar = _bounds(z, max(m, z), fpr_s, config.beta, n)
     missing_bound = max(0, n - xstar)
 
-    plan = optimize_b(z, missing_bound, ystar, config)
     # The m ~ n degeneracy (paper 3.3.2): S carried no information, so
     # z ~ m, x* ~ 0 and y* ~ z -- IBLT J would be sized to the whole
     # mempool.  Pin f_R instead and let the sender bound R's mistakes.
@@ -158,20 +158,17 @@ def build_protocol2_request(
 
     if special:
         fpr_r = config.special_case_fpr
-        bloom = BloomFilter.from_fpr(max(1, z), fpr_r, seed=config.seed ^ 0xF00D)
         b = max(1, math.ceil(fpr_r * max(1, missing_bound)))
-        request = Protocol2Request(bloom_r=bloom, b=b, ystar=ystar, z=z,
-                                   xstar=xstar, special_case=True, plan=None)
     else:
-        bloom = BloomFilter.from_fpr(max(1, z), plan.fpr,
-                                     seed=config.seed ^ 0xF00D)
-        request = Protocol2Request(bloom_r=bloom, b=plan.a, ystar=ystar, z=z,
-                                   xstar=xstar, special_case=False, plan=plan)
+        plan = optimize_b(z, missing_bound, ystar, config)
+        fpr_r, b = plan.fpr, plan.a
+    bloom = BloomFilter.from_fpr(max(1, z), fpr_r, seed=config.seed ^ 0xF00D)
     bloom.update_packed(p1_result.candidate_set.ids())
+    request = Protocol2Request(bloom_r=bloom, b=b, ystar=ystar, z=z,
+                               xstar=xstar, special_case=special)
     state = Protocol2ReceiverState(
-        candidates=p1_result.candidates,
-        iblt_p1_diff=p1_result.iblt_diff, payload_n=n, fpr_s=fpr_s,
-        xstar=xstar, ystar=ystar, special_case=request.special_case)
+        candidate_set=p1_result.candidate_set,
+        iblt_p1_diff=p1_result.iblt_diff, n=n, special_case=special)
     return request, state
 
 
@@ -197,11 +194,9 @@ def respond_protocol2(request: Protocol2Request, txs,
         # mempool size and f_R for the FPR.  f_R is the protocol's
         # fixed special-case constant, known to both sides -- it is
         # not on the wire, so a decoded request cannot carry it.
-        fpr_r = config.special_case_fpr
         z_s = int(_np.count_nonzero(in_r))
-        xstar_s = x_star(z_s, n, fpr_r, beta=config.beta) if fpr_r < 1.0 else 0
-        ystar_s = y_star(z_s, n, fpr_r, beta=config.beta, xstar=xstar_s) \
-            if fpr_r < 1.0 else z_s
+        xstar_s, ystar_s = _bounds(z_s, n, config.special_case_fpr,
+                                   config.beta)
         f_bound = max(0, receiver_mempool_count - xstar_s)
         plan_f = optimize_b(z_s, f_bound, ystar_s, config)
         bloom_f = BloomFilter.from_fpr(max(1, z_s), plan_f.fpr,
@@ -223,88 +218,67 @@ def finish_protocol2(response: Protocol2Response,
                      state: Protocol2ReceiverState, mempool: Mempool,
                      config: Optional[GrapheneConfig] = None,
                      validate_block: Optional[Block] = None) -> Protocol2Result:
-    """Receiver: reconcile J (-) J', strip mistakes, validate (step 5)."""
+    """Receiver: reconcile J (-) J', strip mistakes, validate (step 5).
+
+    A complete decode ends in :func:`~repro.core.protocol1.settle`, with
+    T and the local keys the receiver held after all as what was pushed.
+    """
     config = config or GrapheneConfig()
-    candidates = dict(state.candidates)
+    width = config.short_id_bytes
+    candidates, dropped = state.candidate_set, None
     if response.bloom_f is not None:
         # Special case: F tells the receiver which candidates the sender
         # believes are in the block; the rest are discarded up front.
-        hits = response.bloom_f.contains_many(candidates)
-        candidates = {txid: tx for (txid, tx), hit
-                      in zip(candidates.items(), hits) if hit}
-    dropped_by_f = {txid: tx for txid, tx in state.candidates.items()
-                    if txid not in candidates}
-    for tx in response.missing_txs:
-        candidates[tx.txid] = tx
+        hits = response.bloom_f.contains_packed(candidates.ids())
+        candidates, dropped = candidates.where(hits), candidates.where(~hits)
+    pushed = TxColumns.of(response.missing_txs)
+    pushed_sids = pushed.short_ids(width)
 
-    jprime = IBLT(response.iblt_j.cells, k=response.iblt_j.k,
-                  seed=response.iblt_j.seed,
-                  cell_bytes=response.iblt_j.cell_bytes)
-    jprime.update(tx.short_id(config.short_id_bytes)
-                  for tx in candidates.values())
+    j = response.iblt_j
+    jprime = IBLT(j.cells, k=j.k, seed=j.seed, cell_bytes=j.cell_bytes)
+    jprime.update(_np.concatenate([candidates.sids, pushed_sids]))
 
-    diff = response.iblt_j.subtract(jprime)
+    diff = j.subtract(jprime)
     decode = diff.decode()
-    decode_solo = decode.complete
-    used_pingpong = False
+    result = Protocol2Result(success=False, candidate_set=candidates,
+                             decode_complete_solo=decode.complete)
     if not decode.complete and state.iblt_p1_diff is not None \
             and not state.special_case:
         # Ping-pong (paper 4.2): align the Protocol 1 difference with
         # J's by peeling the known T transactions out of it first --
         # they sit in I (block side) but were absent from Z.
         aligned = state.iblt_p1_diff.copy()
-        for tx in response.missing_txs:
-            aligned.peel(tx.short_id(config.short_id_bytes), +1)
+        for sid in pushed_sids.tolist():
+            aligned.peel(sid, +1)
         decode = pingpong_decode(diff, aligned)
-        used_pingpong = True
-
-    result = Protocol2Result(success=False, decode_complete=decode.complete,
-                             decode_complete_solo=decode_solo,
-                             used_pingpong=used_pingpong)
+        result.used_pingpong = True
+    result.decode_complete = decode.complete
     if not decode.complete:
         return result
-
-    # remote keys: candidates not in the block (false positives through
-    # S, or through F in the special case) -- strip them.
-    surviving = {
-        txid: tx for txid, tx in candidates.items()
-        if tx.short_id(config.short_id_bytes) not in decode.remote
-    }
-    # local keys: block transactions absent from the candidate set.
-    # Some may be resurrectable locally (dropped by F wrongly, or in the
-    # mempool but failed S); the remainder need a final getdata.  One
-    # short-id map per pool replaces the old per-key linear rescans.
-    still_missing = set()
+    # T is block-side like the decode's local keys, and arrived in full;
+    # so may some local keys the receiver turns out to hold.
+    received = dict(zip(pushed_sids.tolist(), pushed.txs))
     if decode.local:
-        dropped_short: dict = {}
-        for cand in dropped_by_f.values():
-            dropped_short.setdefault(cand.short_id(config.short_id_bytes),
-                                     cand)
-        pool = mempool.columns()
-        pool_short: dict = {}
-        for cand in pool.take(pool.rows_with_short_ids(
-                decode.local, config.short_id_bytes)).txs:
-            pool_short.setdefault(cand.short_id(config.short_id_bytes), cand)
-        for key in decode.local:
-            tx = dropped_short.get(key) or pool_short.get(key)
-            if tx is None:
-                still_missing.add(key)
-            else:
-                surviving[tx.txid] = tx
+        received.update(_held_locally(decode.local, dropped, mempool,
+                                      width))
+    return settle(result, decode.local.union(received), decode.remote,
+                  state.n, validate_block, received)
 
-    result.recovered = surviving
-    if still_missing:
-        result.missing_short_ids = frozenset(still_missing)
-        return result
 
-    txs = list(surviving.values())
-    if validate_block is not None:
-        ordered = validate_block.validated_order(txs)
-        if ordered is None:
-            return result
-        result.merkle_ok = True
-        result.txs = ordered
-    else:
-        result.txs = sorted(txs, key=lambda tx: tx.txid)
-    result.success = True
-    return result
+def _held_locally(local, dropped: Optional[CandidateSet], mempool: Mempool,
+                  width: int) -> dict:
+    """``short ID -> transaction``, in ``local``'s order, for the local
+    keys held after all: the first candidate F dropped, else the first
+    mempool row, with that short ID."""
+    pool = mempool.columns()
+    rows = pool.rows_with_short_ids(local, width)
+    holders = [(pool.short_ids(width)[rows], pool.gather(rows))]
+    if dropped is not None:
+        wanted = _np.fromiter(local, dtype=_np.uint64, count=len(local))
+        dropped = dropped.where(_np.isin(dropped.sids, wanted, kind="sort"))
+        holders.insert(0, (dropped.sids, dropped.source.gather(dropped.rows)))
+    found: dict = {}
+    for sids, txs in holders:
+        for sid, tx in zip(sids.tolist(), txs):
+            found.setdefault(sid, tx)
+    return {key: found[key] for key in local if key in found}

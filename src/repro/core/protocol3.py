@@ -187,11 +187,6 @@ class Protocol3ReceiverState:
     def symbols(self) -> int:
         return self.decoder.size
 
-    @property
-    def candidates(self) -> dict:
-        """``txid -> Transaction`` view of Z, built on first read."""
-        return self.candidate_set.as_dict()
-
 
 def make_encoder(txs, config: GrapheneConfig) -> RIBLTEncoder:
     """The sender's symbol stream over a transaction set's short IDs.

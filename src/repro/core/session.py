@@ -46,7 +46,7 @@ class RelayOutcome:
     """Result of relaying one block to one receiver."""
 
     success: bool
-    protocol_used: int  # 1 or 2 (2 implies 1 failed first)
+    protocol_used: int  # 1, 2 (1 failed first) or 3 (rateless)
     roundtrips: float
     cost: CostBreakdown = field(default_factory=CostBreakdown)
     txs: Optional[list] = None

@@ -100,6 +100,14 @@ def _tailed(head, tail):
     return parse
 
 
+def _outcome(result) -> tuple:
+    """What a settled receive decided: the outcome, the short IDs left to
+    fetch and the reconciled txids in order."""
+    return (result.success, result.decode_complete,
+            sorted(result.missing_short_ids),
+            [tx.txid for tx in result.reconciled])
+
+
 def _p2(params: dict, index: int):
     """The request (0) or response (1) of a Protocol 2 exchange, or
     None where Protocol 1 succeeds."""
@@ -464,8 +472,7 @@ class CodecEngine(Engine):
         return self.first_mismatch([
             ("p2-resp-txs", tuple(arrived_resp.missing_txs),
              tuple(response.missing_txs)),
-            ("p2-finish-parity", (theirs.success, theirs.decode_complete),
-             (mine.success, mine.decode_complete)),
+            ("p2-finish-parity", _outcome(theirs), _outcome(mine)),
         ], params)
 
     def _check_p3(self, params) -> Optional[FuzzFailure]:
@@ -491,7 +498,7 @@ class CodecEngine(Engine):
             except MalformedIBLTError:
                 return ("malformed", None, None), None
             return ("ok", state.decoder.complete,
-                    len(state.candidates)), state
+                    len(state.candidate_set)), state
 
         mine, state = begin(payload)
         theirs, wire_state = begin(decoded)

@@ -3,8 +3,11 @@
 ``_oracle_receive`` is the receive path as Protocols 1 and 3 wrote it
 before :class:`~repro.core.candidates.CandidateSet`: a dict filled one
 ``Transaction`` at a time, Python lists of short IDs, ``sorted`` and a
-list-built Merkle root.  It stays here as the reference the packed
-sweep is compared with.
+list-built Merkle root.  ``_oracle_finish_p2`` is Protocol 2's step 5 as
+it was written before it settled through ``settle``: the same dicts, a
+``short_id`` call per candidate and per-key maps to bring local keys
+back.  They stay here as the references the packed paths are compared
+with.
 """
 
 from __future__ import annotations
@@ -16,11 +19,16 @@ from hypothesis import strategies as st
 from repro.chain.block import Block
 from repro.chain.merkle import merkle_root
 from repro.chain.mempool import Mempool
-from repro.chain.scenarios import make_block_scenario
+from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.chain.transaction import Transaction, TransactionGenerator
 from repro.core.candidates import CandidateSet
 from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1, receive_protocol1
+from repro.core.protocol2 import (
+    build_protocol2_request,
+    finish_protocol2,
+    respond_protocol2,
+)
 from repro.core.protocol3 import (
     SEED_R,
     SymbolBatch,
@@ -33,7 +41,13 @@ from repro.core.protocol3 import (
 from repro.errors import MalformedIBLTError
 from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
+from repro.pds.pingpong import pingpong_decode
 from repro.pds.riblt import RIBLTDecoder
+
+
+def _txs(z: CandidateSet) -> list:
+    """Z's transactions, in candidate order."""
+    return z.source.gather(z.rows)
 
 
 def _oracle_receive(payload, mempool, width, decode, block):
@@ -66,6 +80,62 @@ def _oracle_receive(payload, mempool, width, decode, block):
     return out
 
 
+def _oracle_finish_p2(response, candidates, p1_diff, special_case, n,
+                      mempool, width, block):
+    """Step 5 over ``candidates`` (Z, ``txid -> Transaction``); ``block``
+    None is mempool mode.  The one rule it did not have is settle's: a
+    decode whose count does not reconcile with ``n`` is incomplete."""
+    dropped: dict = {}
+    if response.bloom_f is not None:
+        hits = response.bloom_f.contains_many(candidates)
+        dropped = {txid: tx for (txid, tx), hit
+                   in zip(candidates.items(), hits) if not hit}
+        candidates = {txid: tx for txid, tx in candidates.items()
+                      if txid not in dropped}
+    candidates = dict(candidates)
+    for tx in response.missing_txs:
+        candidates[tx.txid] = tx
+    j = response.iblt_j
+    prime = IBLT(j.cells, k=j.k, seed=j.seed, cell_bytes=j.cell_bytes)
+    prime.update([tx.short_id(width) for tx in candidates.values()])
+    diff = j.subtract(prime)
+    decode = diff.decode()
+    pingpong = False
+    if not decode.complete and p1_diff is not None and not special_case:
+        aligned = p1_diff.copy()
+        for tx in response.missing_txs:
+            aligned.peel(tx.short_id(width), +1)
+        decode = pingpong_decode(diff, aligned)
+        pingpong = True
+    out = {"txs": None, "missing": frozenset(), "complete": decode.complete,
+           "pingpong": pingpong, "reconciled": []}
+    if not decode.complete:
+        return out
+    surviving = {txid: tx for txid, tx in candidates.items()
+                 if tx.short_id(width) not in decode.remote}
+    if n != len(surviving) + len(decode.local):
+        out["complete"] = False
+        return out
+    held: dict = {}
+    for tx in [*dropped.values(), *mempool]:
+        held.setdefault(tx.short_id(width), tx)
+    missing = set()
+    for key in decode.local:
+        if key in held:
+            surviving[held[key].txid] = held[key]
+        else:
+            missing.add(key)
+    out["reconciled"] = list(surviving)
+    if missing:
+        out["missing"] = frozenset(missing)
+        return out
+    ordered = sorted(surviving.values(), key=lambda tx: tx.txid)
+    if block is None or merkle_root([tx.txid for tx in ordered]) \
+            == block.header.merkle_root:
+        out["txs"] = ordered
+    return out
+
+
 def _check_p1(block, mempool, config, prefill=None):
     payload = build_protocol1(block.columns, len(mempool), config,
                               prefill=prefill)
@@ -80,7 +150,7 @@ def _check_p1(block, mempool, config, prefill=None):
                            block)
     got = receive_protocol1(payload, mempool, config, validate_block=block)
     assert got.candidate_set.sids.tolist() == want["sids"]
-    assert list(got.candidates.items()) == list(want["candidates"].items())
+    assert _txs(got.candidate_set) == list(want["candidates"].values())
     assert (got.success, got.z, got.txs, got.missing_short_ids) == (
         want["success"], len(want["candidates"]), want["txs"],
         want["missing"])
@@ -126,13 +196,37 @@ def _check_p3(block, mempool, config, prefill=None):
         return None
     state, got = receive()
     assert state.candidate_set.sids.tolist() == want["sids"]
-    assert list(state.candidates.items()) == list(want["candidates"].items())
+    assert _txs(state.candidate_set) == list(want["candidates"].values())
     assert (got.success, got.txs, got.missing_short_ids) == (
         want["success"], want["txs"], want["missing"])
     return got
 
 
-CHECKS = pytest.mark.parametrize("check", [_check_p1, _check_p3])
+def _check_p2(block, mempool, config, prefill=None, validate=True):
+    """Protocol 2 on whatever Protocol 1 left -- run even where Protocol 1
+    decoded, so every case reaches step 5.  ``validate=False`` is
+    mempool mode."""
+    target = block if validate else None
+    width, m = config.short_id_bytes, len(mempool)
+    payload = build_protocol1(block.columns, m, config, prefill=prefill)
+    p1 = receive_protocol1(payload, mempool, config, validate_block=target)
+    request, state = build_protocol2_request(p1, payload, m, config)
+    response = respond_protocol2(request, block.columns, m, config)
+    z = _oracle_receive(payload, mempool, width,
+                        lambda sids: (False, (), ()), block)["candidates"]
+    want = _oracle_finish_p2(response, z, p1.iblt_diff, request.special_case,
+                             payload.n, mempool, width, target)
+    got = finish_protocol2(response, state, mempool, config,
+                           validate_block=target)
+    assert (got.txs, got.missing_short_ids, got.decode_complete,
+            got.used_pingpong, [tx.txid for tx in got.reconciled]) == (
+        want["txs"], want["missing"], want["complete"], want["pingpong"],
+        want["reconciled"])
+    assert got.success is (want["txs"] is not None)
+    return got
+
+
+CHECKS = pytest.mark.parametrize("check", [_check_p1, _check_p2, _check_p3])
 
 
 class TestAgainstThePerObjectOracle:
@@ -167,7 +261,9 @@ class TestAgainstThePerObjectOracle:
         block = Block.assemble(txs)
         mempool = Mempool(txs + [twin])
         got = check(block, mempool, config)
-        assert not got.success
+        # Only Protocol 2's filter F can tell the pair apart: it drops
+        # the twin, and the rest settles.
+        assert got.success is (check is _check_p2)
 
     @CHECKS
     def test_degenerate_filter_passes_the_whole_mempool(self, check, config):
@@ -178,7 +274,9 @@ class TestAgainstThePerObjectOracle:
     @CHECKS
     def test_empty_mempool(self, check, config):
         sc = make_block_scenario(n=20, extra=0, fraction=1.0, seed=15)
-        assert not check(sc.block, Mempool(), config).success
+        # Protocol 2 pushes the whole block as T.
+        got = check(sc.block, Mempool(), config)
+        assert got.success is (check is _check_p2)
 
     @CHECKS
     def test_six_byte_short_ids(self, check):
@@ -200,6 +298,31 @@ class TestAgainstThePerObjectOracle:
               prefill=sc.block.txs[:prefill])
 
 
+class TestProtocol2AgainstItsOracle:
+    """The step-5 paths only Protocol 2 has: F, T, ping-pong, a fetch."""
+
+    def test_standard_case(self, config):
+        sc = make_block_scenario(n=200, extra=200, fraction=0.9, seed=46)
+        assert _check_p2(sc.block, sc.receiver_mempool, config).decode_complete
+
+    def test_special_case_narrows_z_by_filter_f(self, config):
+        # m = n: the special case, so the answer carries F.
+        sc = make_block_scenario(n=150, extra=0, fraction=0.6, seed=47)
+        assert _check_p2(sc.block, sc.receiver_mempool, config).decode_complete
+
+    def test_pingpong_rescue_then_short_id_fetch(self, config):
+        sc = make_block_scenario(n=120, extra=120, fraction=0.4, seed=2736)
+        got = _check_p2(sc.block, sc.receiver_mempool, config)
+        assert got.used_pingpong and got.decode_complete
+        assert got.missing_short_ids and not got.success
+
+    def test_mempool_mode(self, config):
+        sc = make_sync_scenario(n=300, fraction_common=0.5, seed=48)
+        block = Block.assemble(sc.sender_mempool.transactions())
+        got = _check_p2(block, sc.receiver_mempool, config, validate=False)
+        assert got.decode_complete
+
+
 class TestCandidateSet:
     def test_degenerate_filter_is_the_whole_pool_in_order(self, txgen):
         pool = Mempool(txgen.make_batch(15))
@@ -207,8 +330,8 @@ class TestCandidateSet:
         assert everything.nbits == 0
         z = CandidateSet((), pool, everything, 8)
         assert len(z) == 15
-        assert list(z.as_dict().values()) == list(pool)
-        assert z.columns().ids == pool.columns().ids
+        assert _txs(z) == list(pool)
+        assert z.ids() == pool.columns().ids
 
     def test_without_strips_by_short_id_and_keeps_order(self, txgen):
         txs = txgen.make_batch(12)
@@ -224,9 +347,16 @@ class TestCandidateSet:
             == [head] + txs
 
     def test_view_is_built_once(self, txgen):
-        z = CandidateSet((), Mempool(txgen.make_batch(5)),
-                         BloomFilter.from_fpr(10, 1.0, seed=1), 8)
-        assert z.as_dict() is z.as_dict()
+        # Z indexes the mempool's one snapshot, and a narrowed Z (filter
+        # F's) indexes the same one: no view of it is ever rebuilt.
+        pool = Mempool(txgen.make_batch(5))
+        z = CandidateSet((), pool, BloomFilter.from_fpr(10, 1.0, seed=1), 8)
+        assert z.source is pool.columns()
+        mask = z.sids % 2 == 0
+        kept = z.where(mask)
+        assert kept.source is z.source
+        assert kept.rows.tolist() == z.rows[mask].tolist()
+        assert kept.sids.tolist() == z.sids[mask].tolist()
 
 
 class TestNoPerItemPass:
@@ -264,3 +394,37 @@ class TestNoPerItemPass:
         calls = self._calls(monkeypatch, 2000)
         assert calls == {"short_id": 0, "mempool_iter": 0}
         assert self._calls(monkeypatch, 1000) == calls
+
+    @pytest.mark.parametrize("n", [2000, 1000])
+    def test_protocol2_fallback_does_not_walk_z(self, monkeypatch, n):
+        # A tenth of the block missing: P1 fails and P2 pushes T.  The
+        # whole chain never iterates a mempool, and step 5 may name T's
+        # short IDs (|T| calls at most), never Z's.
+        sc = make_block_scenario(n, n, 0.9, seed=17)
+        calls = {"short_id": 0, "mempool_iter": 0}
+        real_short_id, real_iter = Transaction.short_id, Mempool.__iter__
+        counting = {"on": False}
+
+        def short_id(self, nbytes=8):
+            calls["short_id"] += counting["on"]
+            return real_short_id(self, nbytes)
+
+        def mempool_iter(self):
+            calls["mempool_iter"] += 1
+            return real_iter(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Transaction, "short_id", short_id)
+            patch.setattr(Mempool, "__iter__", mempool_iter)
+            payload = build_protocol1(sc.block.columns, sc.m)
+            p1 = receive_protocol1(payload, sc.receiver_mempool,
+                                   validate_block=sc.block)
+            assert not p1.success
+            request, state = build_protocol2_request(p1, payload, sc.m)
+            response = respond_protocol2(request, sc.block.columns, sc.m)
+            counting["on"] = True
+            result = finish_protocol2(response, state, sc.receiver_mempool,
+                                      validate_block=sc.block)
+        assert result.decode_complete and response.missing_txs
+        assert calls["mempool_iter"] == 0
+        assert calls["short_id"] <= len(response.missing_txs)

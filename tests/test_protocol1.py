@@ -62,8 +62,10 @@ class TestReceiveHappyPath:
         result = receive_protocol1(payload, small_scenario.receiver_mempool,
                                    config, validate_block=small_scenario.block)
         # No Bloom false negatives: all block txns must be candidates.
+        z = result.candidate_set
+        candidates = {tx.txid for tx in z.source.gather(z.rows)}
         for txid in set(small_scenario.block.txids):
-            assert txid in result.candidates
+            assert txid in candidates
 
     def test_mempool_sync_mode_no_merkle(self, small_scenario, config):
         payload = build_protocol1(small_scenario.block.txs,
@@ -107,7 +109,7 @@ class TestReceiveFailurePaths:
                                    config,
                                    validate_block=missing_scenario.block)
         assert result.iblt_diff is not None
-        assert result.z == len(result.candidates)
+        assert result.z == len(result.candidate_set)
 
     def test_badly_undersynced_receiver_fails(self, config):
         sc = make_block_scenario(n=200, extra=200, fraction=0.5, seed=32)

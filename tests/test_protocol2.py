@@ -100,7 +100,7 @@ class TestFinish:
         sc = make_block_scenario(n=200, extra=200, fraction=0.9, seed=46)
         request, response, result = _run_full_p2(sc, config)
         assert result.decode_complete
-        recovered_ids = set(result.recovered)
+        recovered_ids = {tx.txid for tx in result.reconciled}
         if result.missing_short_ids:
             # The protocol identified exactly what a final getdata fetches.
             still = {tx for tx in sc.block.txs
@@ -151,4 +151,4 @@ class TestFinish:
         assert result.decode_complete
         # Everything recovered is from the sender's mempool.
         sender_ids = {tx.txid for tx in sender_txs}
-        assert set(result.recovered) <= sender_ids
+        assert {tx.txid for tx in result.reconciled} <= sender_ids

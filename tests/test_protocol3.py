@@ -135,7 +135,7 @@ class TestLoopbackRelay:
                                           mode="mempool")
         final = LoopbackTransport(sender, receiver).run()
         assert final.kind is ActionKind.DONE
-        got = set(receiver.reconciled)
+        got = {tx.txid for tx in receiver.reconciled}
         want = {tx.txid for tx in sc.sender_mempool}
         assert got == want
 

@@ -1,25 +1,32 @@
-"""How a complete decode settles, for Protocol 1 and Protocol 3 alike.
+"""How a complete decode settles, for Protocols 1, 2 and 3 alike.
 
-Both receivers end the same way: strip the decoded false positives from
-Z, hold the arithmetic to the announced ``n``, report what is missing,
-and order + Merkle-check what is left.  One table drives both protocols
-through the four endings; the inputs are the scenarios the per-protocol
-suites already use (``small_scenario`` / ``missing_scenario`` of
-``conftest.py``, the replayed-I' forgery of ``tests/test_iblt.py``, the
-zeroed stream of ``tests/test_protocol3.py``).
+All three receivers end the same way: strip the decoded false positives
+from Z, hold the arithmetic to the announced ``n``, report what is
+missing, and order + Merkle-check what is left.  One table drives the
+three protocols through the four endings; the inputs are the scenarios
+the per-protocol suites already use (``small_scenario`` /
+``missing_scenario`` of ``conftest.py``, the replayed-I' forgery of
+``tests/test_iblt.py``, the zeroed stream of ``tests/test_protocol3.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.chain.block import Block
+from repro.chain.columns import TxColumns
 from repro.chain.scenarios import make_block_scenario
 from repro.core.candidates import CandidateSet
 from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1, receive_protocol1
+from repro.core.protocol2 import (
+    build_protocol2_request,
+    finish_protocol2,
+    respond_protocol2,
+)
 from repro.core.protocol3 import (
     SEED_R,
     SymbolBatch,
@@ -60,6 +67,31 @@ def _settle_p1(scenario, validate_block, replay):
                              validate_block=validate_block)
 
 
+def _settle_p2(scenario, validate_block, replay):
+    """Protocol 2 on Protocol 1's Z, whatever Protocol 1 made of it."""
+    mempool, m = scenario.receiver_mempool, scenario.m
+    payload = build_protocol1(scenario.block.txs, m, CONFIG)
+    p1 = receive_protocol1(payload, mempool, CONFIG,
+                           validate_block=validate_block)
+    request, state = build_protocol2_request(p1, payload, m, CONFIG)
+    # R's false positives are what Protocol 2 leaves to fetch: let every
+    # missing transaction pass R, so the sender pushes none of them.
+    request.bloom_r.update_packed(TxColumns.of(scenario.missing).ids)
+    response = respond_protocol2(request, scenario.block.txs, m, CONFIG)
+    if replay:
+        # J := J', so the subtract cancels to an all-zero table.
+        z = state.candidate_set
+        if response.bloom_f is not None:
+            z = z.where(response.bloom_f.contains_packed(z.ids()))
+        j = response.iblt_j
+        own = IBLT(j.cells, k=j.k, seed=j.seed)
+        own.update(np.concatenate([
+            z.sids, TxColumns.of(response.missing_txs).short_ids()]))
+        response = replace(response, iblt_j=own)
+    return finish_protocol2(response, state, mempool, CONFIG,
+                            validate_block=validate_block)
+
+
 def _settle_p3(scenario, validate_block, replay):
     payload, stream = build_protocol3(scenario.block.txs, scenario.m,
                                       CONFIG)
@@ -89,8 +121,8 @@ MISSING = dict(n=100, extra=100, fraction=0.98, seed=77)
 REPLAYED = dict(n=60, extra=30, fraction=0.8, seed=41)    # test_iblt's
 
 
-@pytest.mark.parametrize("settle", [_settle_p1, _settle_p3],
-                         ids=["p1", "p3"])
+@pytest.mark.parametrize("settle", [_settle_p1, _settle_p2, _settle_p3],
+                         ids=["p1", "p2", "p3"])
 class TestSettle:
     def test_success_orders_and_validates(self, settle):
         sc = make_block_scenario(**SYNCED)
@@ -122,11 +154,14 @@ class TestSettle:
 
     def test_all_zero_replay_is_a_decode_failure(self, settle):
         sc = make_block_scenario(**REPLAYED)
-        result = settle(sc, sc.block, replay=True)
-        assert not result.success
-        assert result.decode_complete is False
-        assert result.txs is None and not result.reconciled
-        assert not result.missing_short_ids
+        # Without a header to check, the arithmetic is the only guard
+        # against adopting the receiver's own Z as the sender's set.
+        for validate_block in (sc.block, None):
+            result = settle(sc, validate_block, replay=True)
+            assert not result.success
+            assert result.decode_complete is False
+            assert result.txs is None and not result.reconciled
+            assert not result.missing_short_ids
 
     def test_merkle_mismatch_fails_but_keeps_the_survivors(self, settle):
         sc = make_block_scenario(**SYNCED)
