@@ -232,10 +232,6 @@ class GrapheneSenderEngine:
         self.config = config or GrapheneConfig()
         self.telemetry = telemetry if telemetry is not None \
             else EventRecorder()
-        #: Wire command -> bound step method, resolved once instead of
-        #: a ``getattr`` per message (see :meth:`handle`).
-        self._steps = {command: getattr(self, step)
-                       for command, step in SENDER_STEPS.items()}
         #: Served openings keyed by ``(protocol, m)``, m the requester's
         #: mempool count: ``build_protocol1`` / ``build_protocol3`` are
         #: deterministic in (txs, m, config), and a sender fans the same
@@ -360,10 +356,10 @@ class GrapheneSenderEngine:
         Inbound ``bytes`` are wrapped in a :class:`memoryview` so the
         decode stack reads the receive buffer in place (zero-copy).
         """
-        step = self._steps.get(command)
+        step = _SENDER_STEP_FUNCTIONS.get(command)
         if step is None:
             raise ParameterError(f"sender cannot handle {command!r}")
-        return step(memoryview(message) if type(message) is bytes
+        return step(self, memoryview(message) if type(message) is bytes
                     else message)
 
 
@@ -395,8 +391,6 @@ class GrapheneReceiverEngine:
         self.mode = mode
         self.telemetry = telemetry if telemetry is not None \
             else EventRecorder()
-        self._steps = {command: getattr(self, step)
-                       for command, step in RECEIVER_STEPS.items()}
         self.phase = ReceiverPhase.IDLE
         self.header: Optional[BlockHeader] = None
         self._p2_state: Optional[Protocol2ReceiverState] = None
@@ -683,10 +677,10 @@ class GrapheneReceiverEngine:
         Inbound ``bytes`` are wrapped in a :class:`memoryview` so the
         decode stack reads the receive buffer in place (zero-copy).
         """
-        step = self._steps.get(command)
+        step = _RECEIVER_STEP_FUNCTIONS.get(command)
         if step is None:
             raise ParameterError(f"receiver cannot handle {command!r}")
-        return step(memoryview(message) if type(message) is bytes
+        return step(self, memoryview(message) if type(message) is bytes
                     else message)
 
     # ------------------------------------------------------------------
@@ -728,3 +722,16 @@ class GrapheneReceiverEngine:
         return self._send(prev.command, prev.message, prev.event.phase,
                           prev.event.roundtrip, dict(prev.event.parts),
                           outcome="retry")
+
+
+#: Wire command -> plain step function ``step(engine, message)``,
+#: resolved once per class.  An engine never stores a bound method of
+#: itself: that would make every engine a reference cycle (engine ->
+#: dict -> bound method -> engine), and everything it reaches would
+#: wait for a full collection instead of going on refcount.
+_SENDER_STEP_FUNCTIONS = {
+    command: getattr(GrapheneSenderEngine, step)
+    for command, step in SENDER_STEPS.items()}
+_RECEIVER_STEP_FUNCTIONS = {
+    command: getattr(GrapheneReceiverEngine, step)
+    for command, step in RECEIVER_STEPS.items()}

@@ -41,17 +41,97 @@ def connect_line(nodes: Sequence[Node], latency: float = 0.05,
         a.connect(b, _link(latency, bandwidth, loss_rate))
 
 
+def _steger_wormald_edges(degree: int, n: int,
+                          rng: random.Random) -> List[Tuple[int, int]]:
+    """A random ``degree``-regular simple graph on ``range(n)``.
+
+    A draw-for-draw port of networkx 3.6.1's ``random_regular_graph``
+    (Steger & Wormald, "Generating random regular graphs quickly",
+    1999): pair shuffled stubs, keep the simple edges, re-pair the
+    stubs of rejected pairs, and start over when no suitable pair is
+    left.  The edges come back in networkx's ``Graph.edges`` order, so a
+    seed wires the same overlay with or without networkx installed.
+    """
+
+    def suitable(edges: set, potential: dict) -> bool:
+        if not potential:
+            return True
+        for s1 in potential:
+            for s2 in potential:
+                # networkx rebinds the outer loop's variable here, and
+                # the next inner test reads the rebound value: kept, or
+                # some (degree, n, seed) draws retry differently.
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def attempt() -> Optional[set]:
+        edges: set = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential: dict = {}
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] = potential.get(s1, 0) + 1
+                    potential[s2] = potential.get(s2, 0) + 1
+            if not suitable(edges, potential):
+                return None
+            stubs = [node for node, count in potential.items()
+                     for _ in range(count)]
+        return edges
+
+    edges = attempt()
+    while edges is None:
+        edges = attempt()
+    # Graph.add_edges_from, then Graph.edges: each node's neighbours in
+    # insertion order, each edge once, from its lower end.
+    adjacency: List[dict] = [{} for _ in range(n)]
+    for a, b in edges:
+        adjacency[a][b] = adjacency[b][a] = None
+    return [(a, b) for a in range(n) for b in adjacency[a] if b > a]
+
+
+def _is_connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
+    neighbours: List[list] = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for peer in neighbours[frontier.pop()]:
+            if peer not in seen:
+                seen.add(peer)
+                frontier.append(peer)
+    return len(seen) == n
+
+
 def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
                            latency: float = 0.05,
                            bandwidth: float = 1_000_000.0,
                            rng: Optional[random.Random] = None,
                            max_retries: int = 100,
                            loss_rate: float = 0.0) -> None:
-    """Wire an (approximately) ``degree``-regular random graph.
+    """Wire a connected ``degree``-regular random graph.
 
-    Uses the pairing model: each node gets ``degree`` stubs, stubs are
-    shuffled and matched; self-loops and duplicate edges are retried.
-    Mirrors Bitcoin's default of 8 outbound connections.
+    Each try seeds a fresh Steger–Wormald draw from ``rng`` -- the
+    algorithm and draw order of networkx's ``random_regular_graph``,
+    ported so the simulator does not import networkx -- and keeps the
+    first connected result (low degrees, e.g. unions of cycles at
+    degree 2, can come out disconnected; a p2p overlay must not).
+    ``max_retries`` tries without one raise.  With ``len(nodes) <=
+    degree`` the graph is a clique.  Mirrors Bitcoin's default of 8
+    outbound connections.
     """
     if degree < 1:
         raise ParameterError(f"degree must be >= 1, got {degree}")
@@ -62,40 +142,17 @@ def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
     if len(nodes) * degree % 2:
         raise ParameterError(
             f"n * degree must be even: n={len(nodes)}, degree={degree}")
-    try:
-        import networkx as nx
-        for _ in range(max_retries):
-            graph = nx.random_regular_graph(degree, len(nodes),
-                                            seed=rng.randrange(2**31))
-            # Low-degree regular graphs (cycle unions at degree 2) can
-            # come out disconnected; a p2p overlay must not.
-            if nx.is_connected(graph):
-                for a, b in graph.edges:
-                    nodes[a].connect(nodes[b], _link(latency, bandwidth, loss_rate))
-                return
-        raise ParameterError(
-            f"no connected {degree}-regular graph on {len(nodes)} nodes "
-            f"in {max_retries} tries")
-    except ImportError:  # pragma: no cover - networkx ships with the env
-        pass
-    # Fallback: pairing model, retried until a simple graph emerges.
     for _ in range(max_retries):
-        stubs = [node for node in nodes for _ in range(degree)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for a, b in zip(stubs[::2], stubs[1::2]):
-            if a is b or (id(a), id(b)) in edges or (id(b), id(a)) in edges:
-                ok = False
-                break
-            edges.add((id(a), id(b)))
-        if ok:
-            by_id = {id(node): node for node in nodes}
-            for ida, idb in edges:
-                by_id[ida].connect(by_id[idb], _link(latency, bandwidth, loss_rate))
+        edges = _steger_wormald_edges(
+            degree, len(nodes), random.Random(rng.randrange(2**31)))
+        if _is_connected(len(nodes), edges):
+            for a, b in edges:
+                nodes[a].connect(nodes[b],
+                                 _link(latency, bandwidth, loss_rate))
             return
     raise ParameterError(
-        f"failed to build a {degree}-regular graph in {max_retries} tries")
+        f"no connected {degree}-regular graph on {len(nodes)} nodes "
+        f"in {max_retries} tries")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,30 @@
-"""Tests for the generated topologies (scale-free + geo link model)."""
+"""Tests for the generated topologies (random-regular, scale-free, geo
+link model)."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 
+import repro
 from repro.errors import ParameterError
 from repro.net.node import Node
 from repro.net.simulator import Simulator
-from repro.net.topology import GeoLinkModel, connect_scale_free
+from repro.net.topology import (
+    GeoLinkModel,
+    _is_connected,
+    _steger_wormald_edges,
+    connect_random_regular,
+    connect_scale_free,
+)
+from tests.test_node_layer import GOLDEN
 
 
 def build(n, m=4, seed=7, link_model=None):
@@ -139,3 +152,116 @@ class TestGeoLinkModel:
         with pytest.raises(ParameterError):
             GeoLinkModel(bandwidth_classes=(1.0,),
                          bandwidth_weights=(0.5, 0.5))
+
+
+#: Node counts of the oracle grid: every small count (where the
+#: Steger-Wormald loop retries most, e.g. degree 8 on 10, 12 or 21
+#: nodes), then a spread up to 300.
+_ORACLE_NS = (*range(4, 14), 16, 21, 33, 64, 101, 150, 300)
+
+
+class TestRandomRegular:
+    """The in-tree Steger-Wormald port against networkx, its oracle.
+
+    networkx stays a dev extra: the package never imports it, and these
+    tests skip without it.
+    """
+
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_edges_and_verdict_equal_networkx(self, degree):
+        nx = pytest.importorskip("networkx")
+        shapes = [n for n in _ORACLE_NS if degree < n and n * degree % 2 == 0]
+        for n in shapes:
+            for seed in range(40):
+                graph = nx.random_regular_graph(degree, n, seed=seed)
+                edges = _steger_wormald_edges(degree, n, random.Random(seed))
+                assert edges == list(graph.edges), (degree, n, seed)
+                assert _is_connected(n, edges) == nx.is_connected(graph)
+
+    @pytest.mark.parametrize("degree,n,seed", [(2, 30, 1), (4, 20, 2024),
+                                               (8, 21, 7), (8, 200, 5)])
+    def test_wiring_equals_the_networkx_loop(self, degree, n, seed):
+        """Node by node, peers in the order networkx's ``Graph.edges``
+        and the first connected draw would have connected them."""
+        nx = pytest.importorskip("networkx")
+        sim = Simulator()
+        nodes = [Node(f"r{i:03d}", sim) for i in range(n)]
+        connect_random_regular(nodes, degree=degree, rng=random.Random(seed))
+        rng = random.Random(seed)
+        while True:
+            graph = nx.random_regular_graph(degree, n,
+                                            seed=rng.randrange(2**31))
+            if nx.is_connected(graph):
+                break
+        expected = [[] for _ in range(n)]
+        for a, b in graph.edges:
+            expected[a].append(b)
+            expected[b].append(a)
+        index = {node: i for i, node in enumerate(nodes)}
+        assert [[index[peer] for peer in node.peers] for node in nodes] \
+            == expected
+
+    def test_degree_two_retries_until_connected(self):
+        """A 2-regular draw is a union of cycles, nearly always more than
+        one at 60 nodes: the builder must keep drawing."""
+        rng = random.Random(3)
+        first = _steger_wormald_edges(2, 60,
+                                      random.Random(rng.randrange(2**31)))
+        assert not _is_connected(60, first)
+        sim = Simulator()
+        nodes = [Node(f"r{i:03d}", sim) for i in range(60)]
+        connect_random_regular(nodes, degree=2, rng=random.Random(3))
+        assert {len(node.peers) for node in nodes} == {2}
+        index = {node: i for i, node in enumerate(nodes)}
+        edges = [(i, index[peer]) for i, node in enumerate(nodes)
+                 for peer in node.peers]
+        assert _is_connected(60, edges)
+
+    def test_odd_stub_count_is_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ParameterError):
+            connect_random_regular([Node(f"o{i}", sim) for i in range(9)],
+                                   degree=3)
+
+    def test_the_relay_scenario_runs_without_networkx(self):
+        """With networkx unimportable, a subprocess reproduces the node
+        layer's golden runs and never tries to import it."""
+        script = """if True:
+            import builtins, json, sys
+            sys.modules["networkx"] = None
+            attempts = []
+            real_import = builtins.__import__
+
+            def watching(name, *args, **kwargs):
+                if name.partition(".")[0] == "networkx":
+                    attempts.append(name)
+                return real_import(name, *args, **kwargs)
+
+            builtins.__import__ = watching
+            from repro.core.sizing import CostBreakdown
+            from repro.obs.scenario import run_block_relay_scenario
+            runs = {}
+            for seed in json.loads(sys.argv[1]):
+                run = run_block_relay_scenario(
+                    nodes=20, degree=4, block_size=200, extra=200,
+                    loss=0.05, seed=seed, trace=False)
+                runs[seed] = [
+                    run.simulator.events_processed,
+                    sum(node.relay_retries for node in run.nodes),
+                    sum(node.relay_timeouts for node in run.nodes),
+                    sum(CostBreakdown.from_events(stream).total()
+                        for stream in run.relay_streams().values()),
+                    sorted(node.block_arrival[run.root]
+                           for node in run.nodes)]
+            print(json.dumps({"runs": runs, "attempts": attempts}))
+        """
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(sorted(GOLDEN))],
+            capture_output=True, text=True, env=env, timeout=120,
+            check=True)
+        out = json.loads(done.stdout)
+        assert out["attempts"] == []
+        assert {int(seed): tuple(row) for seed, row in out["runs"].items()} \
+            == GOLDEN
