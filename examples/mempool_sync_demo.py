@@ -59,6 +59,13 @@ def main() -> None:
     print(f"\ntotals: graphene={total_graphene:,} B, "
           f"naive={total_naive:,} B "
           f"({total_graphene / total_naive:.1%} of naive)")
+
+    # One late, high-fee transaction reaches alice alone.
+    alice.add(gen.make(size=600, fee_rate=25.0))
+    result = synchronize_mempools(bob, alice)
+    assert result.success and result.synchronized
+    print(f"one straggler: graphene={result.cost.total():,} B "
+          f"(protocol {result.protocol_used})")
     assert {t.txid for t in alice} == {t.txid for t in bob}
     print(f"final synchronized mempool: {len(alice):,} transactions")
 

@@ -332,48 +332,66 @@ def decode_block_header(blob: bytes, offset: int = 0) -> BlockHeader:
 # Transactions
 # ---------------------------------------------------------------------------
 
+#: One transaction on the wire, ``txid 32B | size u32 | fee_rate f32 |
+#: flags u8`` with no padding: a tx list's body is an array of these.
+_TX_ROW = _np.dtype([("txid", "V32"), ("size", "<u4"), ("fee_rate", "<f4"),
+                     ("flags", "u1")])
+_TX_BYTES = _TX_ROW.itemsize
+
+
+def _encode_tx_rows(txs) -> bytes:
+    """The transactions' rows end to end, built as one ``_TX_ROW`` array."""
+    if not len(txs):
+        return b""
+    rows = _np.empty(len(txs), dtype=_TX_ROW)
+    rows["txid"] = _np.frombuffer(b"".join([tx.txid for tx in txs]),
+                                  dtype="V32")
+    rows["size"] = [tx.size for tx in txs]
+    rows["fee_rate"] = [tx.fee_rate for tx in txs]
+    rows["flags"] = _np.array([tx.is_coinbase for tx in txs], dtype=bool)
+    return rows.tobytes()
+
+
+def _decode_tx_rows(data, offset: int, count: int) -> tuple[list, int]:
+    """``count`` rows at ``offset``; returns ``(txs, new_offset)``.
+
+    Only the rows the buffer holds are viewed (a claimed count is
+    bounded by the buffer before anything is allocated), and the first
+    bad row in wire order decides the error: a row with ``size == 0``
+    ahead of the buffer's end raises before the exhaustion does.
+    """
+    held = max(0, min(count, (len(data) - offset) // _TX_BYTES))
+    txs = []
+    if held:
+        rows = _np.frombuffer(data, dtype=_TX_ROW, count=held, offset=offset)
+        txs = Transaction.from_columns(rows["txid"].tobytes(), rows["size"],
+                                       rows["fee_rate"],
+                                       (rows["flags"] & 1).view(bool))
+    if held < count:
+        raise ParameterError("buffer exhausted while reading transaction")
+    return txs, offset + _TX_BYTES * count
+
+
 def encode_transaction(tx: Transaction) -> bytes:
     """Serialize a transaction's simulation metadata (41 bytes)."""
-    flags = 1 if tx.is_coinbase else 0
-    return tx.txid + struct.pack("<IfB", tx.size, tx.fee_rate, flags)
+    return _encode_tx_rows([tx])
 
 
 def decode_transaction(data: bytes, offset: int = 0) -> tuple[Transaction, int]:
     """Parse a transaction; returns ``(tx, new_offset)``."""
-    if offset + 41 > len(data):
-        raise ParameterError("buffer exhausted while reading transaction")
-    txid = bytes(data[offset:offset + 32])
-    size, fee_rate, flags = struct.unpack_from("<IfB", data, offset + 32)
-    return Transaction(txid=txid, size=size, fee_rate=fee_rate,
-                       is_coinbase=bool(flags & 1)), offset + 41
+    (tx,), offset = _decode_tx_rows(data, offset, 1)
+    return tx, offset
 
 
 def encode_tx_list(txs) -> bytes:
-    """CompactSize count followed by each transaction.
-
-    Assembled into one preallocated buffer (41 bytes per transaction
-    after the CompactSize head) rather than joining per-tx fragments.
-    """
-    head = compact_size(len(txs))
-    out = bytearray(len(head) + 41 * len(txs))
-    out[:len(head)] = head
-    pos = len(head)
-    pack_meta = struct.pack_into
-    for tx in txs:
-        out[pos:pos + 32] = tx.txid
-        pack_meta("<IfB", out, pos + 32, tx.size, tx.fee_rate,
-                  1 if tx.is_coinbase else 0)
-        pos += 41
-    return bytes(out)
+    """CompactSize count followed by each transaction's 41-byte row."""
+    return compact_size(len(txs)) + _encode_tx_rows(txs)
 
 
 def decode_tx_list(data: bytes, offset: int = 0) -> tuple[list, int]:
+    """Parse a CompactSize count and that many transaction rows."""
     count, offset = read_compact_size(data, offset)
-    txs = []
-    for _ in range(count):
-        tx, offset = decode_transaction(data, offset)
-        txs.append(tx)
-    return txs, offset
+    return _decode_tx_rows(data, offset, count)
 
 
 # ---------------------------------------------------------------------------

@@ -423,13 +423,6 @@ class IBLT:
         self._key_sums[idx] ^= key
         self._check_sums[idx] ^= self.hasher.checksum(key)
 
-    def is_empty(self) -> bool:
-        """True when every cell is all-zero."""
-        zeros = bytes(8 * self.cells)
-        return (self._counts.tobytes() == zeros
-                and self._key_sums.tobytes() == zeros
-                and self._check_sums.tobytes() == zeros)
-
     def serialized_size(self) -> int:
         """Wire size in bytes: header plus ``cells * cell_bytes``."""
         return IBLT_HEADER_BYTES + self.cells * self.cell_bytes
