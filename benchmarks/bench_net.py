@@ -1,7 +1,7 @@
 """Network-scale propagation benchmark (the BENCH_NET trajectory).
 
 Where :mod:`bench_relay_throughput` times one block over 20 nodes, this
-suite times the scaled regime the columnar simulator core exists for:
+suite times the scaled regime the simulator core is built for:
 sustained multi-block propagation across 100- and 1000-node scale-free
 topologies, reported as simulator events per second and wall-clock
 seconds per simulated block.
@@ -71,7 +71,8 @@ def bench_propagation(nodes: int, blocks: int, *, degree: int = 8,
             "p99": round(best.delay_quantile(0.99), 4),
             "fork_rate": round(best.fork_rate, 4),
             "coverage": best.coverage,
-            "wire_bytes": best.simulator.net.total_bytes(),
+            "wire_bytes": sum(node.total_bytes_sent()
+                              for node in best.nodes),
             "simulated_seconds": best.simulator.now,
         },
     }

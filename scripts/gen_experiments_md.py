@@ -395,7 +395,7 @@ def propagation_notes() -> str:
     if rows:
         parts.append(
             "\n*Notes:* full node stack (graphene relay, recovery, "
-            "telemetry) on the columnar simulator core; aggregate "
+            "telemetry) on the event simulator core; aggregate "
             "telemetry above 64 nodes.  Regenerate with "
             "`python benchmarks/bench_net.py`, guard with "
             "`make perf-net` ([BENCH_NET.json](BENCH_NET.json)).")

@@ -194,7 +194,7 @@ def smoke_scale(report: RunReport) -> None:
                  f"({run.coverage:.2%})")
     retained = sum(len(stream) for node in run.nodes
                    for stream in node.relay_telemetry.values())
-    total_bytes = run.simulator.net.total_bytes()
+    total_bytes = sum(node.total_bytes_sent() for node in run.nodes)
     report.check("scale_aggregate_telemetry",
                  retained == 0 and total_bytes > 0,
                  f"{retained} per-message events retained while "

@@ -179,7 +179,7 @@ def _cmd_net(args) -> int:
 
     sim = run.simulator
     registry = run.registry
-    total_bytes = sim.net.total_bytes()
+    total_bytes = sum(node.total_bytes_sent() for node in run.nodes)
     print(f"{args.protocol} on {args.topology}: {args.nodes} nodes "
           f"(degree ~{args.degree}), {len(run.records)} blocks every "
           f"{args.interval:g}s")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -70,7 +71,10 @@ def write_artifact(failure: FuzzFailure, corpus_dir: Path,
     """Persist one minimized failure as a replayable JSON artifact."""
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    digest = abs(hash(json.dumps(failure.params, sort_keys=True))) % 10 ** 8
+    # crc32, not the salted hash(), so a finding keeps its name across
+    # processes.
+    digest = zlib.crc32(
+        json.dumps(failure.params, sort_keys=True).encode()) % 10 ** 8
     name = f"{failure.engine}-{failure.check.replace(':', '_')}-{digest:08d}"
     path = corpus_dir / f"{name}.json"
     payload = {"engine": failure.engine, "check": failure.check,

@@ -17,7 +17,6 @@ from repro.net.simulator import (
     Link,
     Simulator,
 )
-from repro.net.netstate import NetIndex
 from repro.net.recovery import RecoveryPolicy
 from repro.net.transport import LoopbackTransport
 from repro.net.node import Node, RelayProtocol
@@ -36,7 +35,6 @@ __all__ = [
     "FaultInjector",
     "Link",
     "Simulator",
-    "NetIndex",
     "RecoveryPolicy",
     "LoopbackTransport",
     "Node",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,7 +56,9 @@ class MinerNode(Node):
         self.hashrate_share = hashrate_share
         self.block_interval = block_interval
         self.max_block_txns = max_block_txns
-        self.rng = rng or random.Random(hash(node_id) & 0xFFFF)
+        # crc32, not the per-process salted hash(), so a miner built
+        # without ``rng`` finds its blocks at the same times in every run.
+        self.rng = rng or random.Random(zlib.crc32(node_id.encode()) & 0xFFFF)
         self._txgen = TransactionGenerator(seed=self.rng.getrandbits(32))
         self.mined: list = []
         self._mining = False

@@ -8,13 +8,16 @@ span marks -- is its :class:`~repro.net.host.RelayHost`, the same host
 :class:`~repro.net.peer.manager.PeerManager` runs on sockets; a node is
 the host's driver on the :class:`~repro.net.simulator.Simulator` clock.
 Its verbs map onto :meth:`Node._send` and ``simulator.schedule``, with
-peer handles being registry node ids.  Graphene relay and mempool sync
-(paper 3.2.1) are the canonical engines of :mod:`repro.core.engine`,
-driven by the host; every engine message crosses as a
-:class:`~repro.net.messages.NetMessage` carrying its telemetry event, so
-the simulator charges exactly the bytes the standalone benchmarks
-account -- plus latency, bandwidth and multi-hop propagation on top.
-The node keeps the Compact Blocks / XThin wire handlers.
+peer handles being ``nid`` indexes into ``simulator.nodes``.  Graphene
+relay and mempool sync (paper 3.2.1) are the canonical engines of
+:mod:`repro.core.engine`, driven by the host; every engine message
+crosses as a :class:`~repro.net.messages.NetMessage` carrying its
+telemetry event, so the simulator charges exactly the bytes the
+standalone benchmarks account -- plus latency, bandwidth and multi-hop
+propagation on top.
+What each command does on arrival, the Compact Blocks / XThin wire
+handlers included, is the table :data:`repro.net.messages.HANDLERS`.
+Each :class:`~repro.net.simulator.Link` counts the bytes sent on it.
 """
 
 from __future__ import annotations
@@ -27,23 +30,13 @@ from typing import Optional
 from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
-from repro.core.engine import RECEIVER_STEPS, SENDER_STEPS
 from repro.core.params import GrapheneConfig
-from repro.core.sizing import INV_ENTRY_BYTES, MSG_HEADER_BYTES, getdata_bytes
+from repro.core.sizing import INV_ENTRY_BYTES, getdata_bytes
 from repro.errors import ParameterError
-from repro.net.host import SYNC_COMMANDS, HostViews, RelayHost, SyncState
-from repro.net.messages import NetMessage
-from repro.net.netstate import NodeStats
+from repro.net.host import HostViews, RelayHost, SyncState
+from repro.net.messages import HANDLERS, NetMessage, enveloped
 from repro.net.recovery import RecoveryPolicy, STAGE_ENGINE, STAGE_REQUEST
 from repro.net.simulator import FaultInjector, Link, Simulator
-
-#: Wire command -> the host entry its ``(key, message)`` frames go to:
-#: Graphene engine steps (the plain ``getdata`` stays multiplexed with
-#: baseline relay) and mempool-sync frames.
-_FRAME_ENTRIES = {
-    **dict.fromkeys((frozenset(RECEIVER_STEPS) | frozenset(SENDER_STEPS))
-                    - {"getdata"}, "on_frame"),
-    **dict.fromkeys(SYNC_COMMANDS, "on_sync_frame")}
 
 
 def derive_loss_seed(src_id: str, dst_id: str) -> int:
@@ -54,13 +47,6 @@ def derive_loss_seed(src_id: str, dst_id: str) -> int:
     loss across the whole topology), yet runs stay reproducible.
     """
     return zlib.crc32(f"{src_id}->{dst_id}".encode())
-
-
-def _enveloped(command: str, payload, wire_bytes: int) -> NetMessage:
-    """A message whose size model (``getdata_bytes``,
-    ``getblocktxn_bytes``) already counts the envelope that
-    :attr:`NetMessage.total_size` adds to every ad-hoc payload."""
-    return NetMessage(command, payload, wire_bytes - MSG_HEADER_BYTES)
 
 
 class RelayProtocol(enum.Enum):
@@ -93,11 +79,10 @@ class Node(HostViews):
         #: folds each event into running totals and discards it, which
         #: is what bounds memory at 1000-node scale.
         self.telemetry_mode = telemetry_mode
-        #: Columnar per-run network registry (integer node ids, flat
-        #: edge columns); shared by every node of one simulator.
-        self._net = simulator.net
-        #: This node's integer id in the registry.
-        self.nid = self._net.register(self)
+        #: This node's index in ``simulator.nodes``: the integer peer
+        #: handle its relay host keeps.
+        self.nid = len(simulator.nodes)
+        simulator.nodes.append(self)
         self.protocol = protocol
         self.config = config or GrapheneConfig()
         self.recovery = recovery or RecoveryPolicy()
@@ -111,9 +96,6 @@ class Node(HostViews):
         self.mempool = Mempool()
         self.blocks: dict = {}          # merkle root -> Block
         self.peers: dict = {}           # node -> Link
-        #: ``peer -> stats`` view over the registry's flat edge columns
-        #: (``stats[peer].bytes_sent`` / ``.messages_sent``).
-        self.stats = NodeStats(self)
         self.block_arrival: dict = {}   # merkle root -> sim time
         #: Announcers, fetches, the ladder, serving engines and mempool
         #: syncs; read through the :class:`HostViews` properties.
@@ -122,10 +104,6 @@ class Node(HostViews):
             else STAGE_REQUEST, aggregate=telemetry_mode == "aggregate")
         # Compact Blocks repair state: root -> (header, matched txs).
         self._cb_pending: dict = {}
-        #: Wire command -> bound handler, filled lazily by
-        #: :meth:`receive` so bursts skip the per-message
-        #: frozenset test + ``getattr`` name lookup.
-        self._handlers: dict = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -158,25 +136,19 @@ class Node(HostViews):
             derive_loss_seed(self.node_id, other.node_id))
         other.peers[self].ensure_loss_seed(
             derive_loss_seed(other.node_id, self.node_id))
-        self.peers[other].edge = self._net.edge(self.nid, other.nid)
-        other.peers[self].edge = other._net.edge(other.nid, self.nid)
 
     def _send(self, peer: "Node", message: NetMessage) -> None:
         link = self.peers.get(peer)
         if link is None:
             raise ParameterError(
                 f"{self.node_id} is not peered with {peer.node_id}")
-        eid = link.edge
-        if eid < 0:
-            # Link attached by direct `peers[...] = Link(...)` assignment
-            # (bypassing connect); register its edge row on first send.
-            eid = link.edge = self._net.edge(self.nid, peer.nid)
         size = message.total_size
-        self._net.charge(eid, size)
+        link.bytes_sent += size
+        link.messages_sent += 1
         dropped = link.drops(self.simulator.now, message.command)
         # A dropped message still occupied the sender side of the link:
         # the bytes left the NIC before being lost, so the FIFO busy
-        # window advances (and the edge counters charged them) either
+        # window advances (and the link's counters charged them) either
         # way.
         deliver_at = link.transmit_schedule(self.simulator.now, size)
         if dropped:
@@ -185,6 +157,10 @@ class Node(HostViews):
         # skips one EventHandle allocation per message.
         self.simulator.post_at(
             deliver_at, lambda: peer.receive(self, message))
+
+    def receive(self, sender: "Node", message: NetMessage) -> None:
+        """Act on ``message`` from ``sender`` (a delivery event's body)."""
+        HANDLERS[message.command](self, sender, message.payload)
 
     def inject_fault(self, peer: "Node", fault: FaultInjector) -> None:
         """Attach a deterministic fault plan to the link toward ``peer``."""
@@ -229,26 +205,26 @@ class Node(HostViews):
             # it carries m (paper Fig. 2).
             payload = ("block", key, action.message)
         # The event, not the blob, is what the link charges.
-        self._send(self._net.nodes[peer], NetMessage(
+        self._send(self.simulator.nodes[peer], NetMessage(
             command, payload, len(action.message), event=action.event))
 
     def push_txs(self, peer: int, nonce: int, txs: tuple, event) -> None:
-        self._send(self._net.nodes[peer], NetMessage(
+        self._send(self.simulator.nodes[peer], NetMessage(
             "sync_push", (nonce, txs), sum(tx.size for tx in txs),
             event=event))
 
     def request_block(self, peer: int, root: bytes, full: bool) -> None:
-        node = self._net.nodes[peer]
+        node = self.simulator.nodes[peer]
         if full:
-            self._send(node, _enveloped(
+            self._send(node, enveloped(
                 "getdata", ("fullblock", root, 0), getdata_bytes(0)))
         elif self.protocol is RelayProtocol.XTHIN:
             bloom = xthin.mempool_filter(self.mempool)
-            self._send(node, _enveloped(
+            self._send(node, enveloped(
                 "xthin_getdata", (root, bloom),
                 getdata_bytes(0) + bloom.serialized_size()))
         else:
-            self._send(node, _enveloped(
+            self._send(node, enveloped(
                 "getdata", ("block", root, len(self.mempool)),
                 getdata_bytes(len(self.mempool))))
 
@@ -256,40 +232,17 @@ class Node(HostViews):
         return self.simulator.schedule(delay, fn)
 
     def is_alive(self, peer: int) -> bool:
-        return self._net.nodes[peer] in self.peers
+        return self.simulator.nodes[peer] in self.peers
 
     def peer_label(self, peer: int) -> str:
-        return self._net.nodes[peer].node_id
+        return self.simulator.nodes[peer].node_id
 
     def fetch_finished(self, peer, block, fetch) -> None:
         self._cb_pending.pop(fetch.key if block is None
                              else block.header.merkle_root, None)
         if block is not None:
             self._accept_block(block, None if peer is None
-                               else self._net.nodes[peer])
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-
-    def receive(self, sender: "Node", message: NetMessage) -> None:
-        command = message.command
-        handler = self._handlers.get(command)
-        if handler is None:
-            entry = _FRAME_ENTRIES.get(command)
-            if entry is not None:
-                def handler(peer, payload, _command=command,
-                            _frame=getattr(self.host, entry)):
-                    _frame(peer.nid, _command, *payload)
-            else:
-                handler = getattr(self, f"_on_{command}", None)
-                if handler is None:
-                    raise ParameterError(f"no handler for {command!r}")
-            self._handlers[command] = handler
-        handler(sender, message.payload)
-
-    def _on_inv(self, sender: "Node", payload) -> None:
-        self.host.on_inv(sender.nid, payload[1])
+                               else self.simulator.nodes[peer])
 
     # ------------------------------------------------------------------
     # Mempool sync (paper 3.2.1), run by the host
@@ -304,22 +257,6 @@ class Node(HostViews):
 
     def sync_result(self, nonce: int) -> Optional[SyncState]:
         return self.host.syncs.get(nonce)
-
-    def _on_getdata(self, sender: "Node", payload) -> None:
-        kind = payload[0]
-        if kind == "block":
-            block = self.blocks.get(payload[1])
-            if block is not None:
-                self._relay_block(sender, block, payload[2])
-            return
-        if kind == "fullblock":
-            # Fallback after a failed reconciliation: ship everything.
-            block = self.blocks.get(payload[1])
-            if block is not None:
-                self._send(sender, NetMessage("block", block,
-                                              block.serialized_size()))
-            return
-        raise ParameterError(f"unknown getdata kind {kind!r}")
 
     # ------------------------------------------------------------------
     # Block relay bodies
@@ -350,85 +287,12 @@ class Node(HostViews):
             return
         self._send(peer, NetMessage("block", block, block.serialized_size()))
 
-    def _on_block(self, sender: "Node", block: Block) -> None:
-        self.host.on_block(sender.nid, block)
-
-    # ------------------------------------------------------------------
-    # Compact Blocks and XThin wire handlers (steps: repro.baselines)
-    # ------------------------------------------------------------------
-
-    def _accept_candidate(self, sender: "Node", root: bytes, header,
-                          txs) -> None:
-        """Accept ``txs`` if they hash to ``header``'s root, else fall back."""
-        ordered = Block(header=header, txs=()).validated_order(list(txs))
-        if ordered is None:
-            self.host.decode_failed(sender.nid, root)
-            return
-        self.host.complete(sender.nid,
-                           Block(header=header, txs=tuple(ordered)))
-
-    def _on_cmpctblock(self, sender: "Node", payload) -> None:
-        root, header, sids, prefilled = payload
-        if root in self.blocks:
-            return
-        txs, missing, _ = compact_blocks.match_short_ids(sids, self.mempool)
-        txs += prefilled
-        if not missing:
-            self._accept_candidate(sender, root, header, txs)
-            return
-        self._cb_pending[root] = (header, txs)
-        self._send(sender, _enveloped(
-            "getblocktxn", (root, tuple(missing)),
-            compact_blocks.getblocktxn_bytes(len(sids) + len(prefilled),
-                                             len(missing))))
-        # The exchange advanced; give the blocktxn reply a fresh timer
-        # (a timeout restarts the whole cmpctblock request).
-        self.host.progress(root)
-
-    def _on_getblocktxn(self, sender: "Node", payload) -> None:
-        root, indexes = payload
-        block = self.blocks.get(root)
-        if block is None:
-            return
-        txs = compact_blocks.send_blocktxn(block, indexes)
-        self._send(sender, NetMessage("blocktxn", (root, txs),
-                                      sum(tx.size for tx in txs)))
-
-    def _on_blocktxn(self, sender: "Node", payload) -> None:
-        root, txs = payload
-        pending = self._cb_pending.pop(root, None)
-        if pending is None:
-            return
-        header, partial = pending
-        self._accept_candidate(sender, root, header, partial + list(txs))
-
-    def _on_xthin_getdata(self, sender: "Node", payload) -> None:
-        root, bloom = payload
-        block = self.blocks.get(root)
-        if block is None:
-            return
-        sids, pushed = xthin.send_xthinblock(block, bloom)
-        self._send(sender, NetMessage(
-            "xthinblock", (root, block.header, sids, pushed),
-            xthin.xthin_star_bytes(block.n) + sum(tx.size for tx in pushed)))
-
-    def _on_xthinblock(self, sender: "Node", payload) -> None:
-        root, header, sids, pushed = payload
-        if root in self.blocks:
-            return
-        txs, missing, _ = compact_blocks.match_short_ids(
-            sids, [*self.mempool, *pushed])
-        if missing:
-            self.host.decode_failed(sender.nid, root)
-        else:
-            self._accept_candidate(sender, root, header, txs)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def total_bytes_sent(self) -> int:
-        return self._net.bytes_sent_by(self.nid)
+        return sum(link.bytes_sent for link in self.peers.values())
 
     def __repr__(self) -> str:
         return (f"Node({self.node_id!r}, protocol={self.protocol.value}, "

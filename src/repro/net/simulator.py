@@ -6,13 +6,12 @@ measurably faster.  Links are FIFO per direction (a message cannot
 overtake an earlier one on the same link).
 
 The core is built to hold 1000+ nodes' traffic without the per-event
-overheads that cap a naive heap-of-tuples loop at a few dozen peers:
+overheads that cap a naive event loop at a few dozen peers:
 
-* **Slotted event records.**  The heap orders bare ``(when, seq, slot)``
-  triples; callbacks and cancellation handles live in flat parallel
-  columns indexed by ``slot``, and freed slots are pooled for reuse, so
-  a long run recycles a small working set of records instead of
-  allocating one garbage tuple + handle per message.
+* **One tuple per event.**  The heap orders ``(when, seq, callback,
+  handle)`` entries; ``seq`` is unique, so two entries never compare
+  their callbacks, and a popped or discarded entry takes its callback
+  with it.
 * **A handle-free fast path.**  :meth:`Simulator.post_at` schedules
   events that can never be cancelled -- the overwhelmingly common case
   of message deliveries -- without allocating an :class:`EventHandle`
@@ -150,11 +149,10 @@ class Link:
     loss_seed: Optional[int] = None
     #: Optional deterministic fault plan, consulted before random loss.
     fault: Optional[FaultInjector] = None
-    #: Directed-edge id in the simulator's flat
-    #: :class:`~repro.net.netstate.NetIndex` columns; assigned by
-    #: ``Node.connect`` (or lazily on first send).  -1 = unregistered.
-    #: One Link object must not be shared between two peerings.
-    edge: int = field(default=-1, repr=False)
+    #: Wire bytes and messages the sender has put on this link, drops
+    #: included (a lost message still left the sender's NIC).
+    bytes_sent: int = field(default=0, init=False, repr=False)
+    messages_sent: int = field(default=0, init=False, repr=False)
     #: Time at which the sender side of this link frees up (FIFO model).
     _busy_until: float = field(default=0.0, repr=False)
     _loss_rng: Optional[random.Random] = field(default=None, repr=False)
@@ -241,15 +239,13 @@ class Simulator:
     """Discrete-event loop with a virtual clock."""
 
     def __init__(self):
-        #: Heap of (when, seq, slot) -- ordering state only; the event
-        #: body lives in the slot columns below.
+        #: Heap of ``(when, seq, callback, handle)``; ``handle`` is None
+        #: for an uncancellable :meth:`post_at` event.
         self._queue: List[tuple] = []
         self._seq = itertools.count()
-        #: Slotted event-record pool: parallel columns + a freelist, so
-        #: long runs recycle records instead of allocating per event.
-        self._slot_cb: List[Optional[Callable[[], None]]] = []
-        self._slot_handle: List[Optional[EventHandle]] = []
-        self._free: List[int] = []
+        #: Every :class:`~repro.net.node.Node` on this clock, indexed by
+        #: its ``nid`` (the integer peer handle its relay host keeps).
+        self.nodes: List = []
         self.now = 0.0
         #: Cumulative events fired over the simulator's lifetime (the
         #: per-call budget of :meth:`run` is counted separately).
@@ -262,40 +258,13 @@ class Simulator:
         self._live = 0
         #: Cancelled events still sitting in the heap (compaction gauge).
         self._cancelled_pending = 0
-        #: Lazily created flat network-state registry (integer node
-        #: ids, edge/inv columns); see :mod:`repro.net.netstate`.
-        self._net = None
-
-    @property
-    def net(self):
-        """The flat per-simulator network registry (created on demand)."""
-        if self._net is None:
-            from repro.net.netstate import NetIndex
-            self._net = NetIndex()
-        return self._net
 
     # -- scheduling ------------------------------------------------------
 
-    def _alloc_slot(self, callback, handle) -> int:
-        if self._free:
-            slot = self._free.pop()
-            self._slot_cb[slot] = callback
-            self._slot_handle[slot] = handle
-        else:
-            slot = len(self._slot_cb)
-            self._slot_cb.append(callback)
-            self._slot_handle.append(handle)
-        return slot
-
-    def _release_slot(self, slot: int) -> None:
-        self._slot_cb[slot] = None
-        self._slot_handle[slot] = None
-        self._free.append(slot)
-
     def _push(self, when: float, callback: Callable[[], None],
               handle: Optional[EventHandle]) -> None:
-        slot = self._alloc_slot(callback, handle)
-        heapq.heappush(self._queue, (when, next(self._seq), slot))
+        heapq.heappush(self._queue,
+                       (when, next(self._seq), callback, handle))
         self._live += 1
         if (self._cancelled_pending >= _COMPACT_MIN
                 and self._cancelled_pending * 2 > len(self._queue)):
@@ -341,15 +310,8 @@ class Simulator:
         exactly the order lazy deletion would have produced -- runs are
         bit-identical with or without compaction.
         """
-        handles = self._slot_handle
-        keep = []
-        for entry in self._queue:
-            handle = handles[entry[2]]
-            if handle is not None and handle.cancelled:
-                self._release_slot(entry[2])
-            else:
-                keep.append(entry)
-        self._queue[:] = keep
+        self._queue[:] = [entry for entry in self._queue
+                          if entry[3] is None or not entry[3].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -379,13 +341,10 @@ class Simulator:
         self.truncated = False
         processed = 0
         queue = self._queue
-        slot_cb, slot_handle = self._slot_cb, self._slot_handle
         while queue:
-            when, _, slot = queue[0]
-            handle = slot_handle[slot]
+            when, _, callback, handle = queue[0]
             if handle is not None and handle.cancelled:
                 heapq.heappop(queue)
-                self._release_slot(slot)
                 self._cancelled_pending -= 1
                 continue
             if until is not None and when > until:
@@ -398,8 +357,6 @@ class Simulator:
                         f"t={self.now} with {self._live} events pending")
                 break
             heapq.heappop(queue)
-            callback = slot_cb[slot]
-            self._release_slot(slot)
             if handle is not None:
                 handle._done = True
             self._live -= 1

@@ -104,7 +104,7 @@ def test_simulated_relay_is_the_loopback_relay(protocol, n):
             assert a.total_bytes_sent() + b.total_bytes_sent() == expected
             if loop.success:
                 # Round trips: half of one for the inv, one per request.
-                assert 0.5 + b.stats[a].messages_sent == loop.roundtrips
+                assert 0.5 + b.peers[a].messages_sent == loop.roundtrips
 
 
 class TestShortIdCollision:
@@ -165,7 +165,7 @@ class TestEnvelopeChargedOnce:
         assert b.relay_timeouts > b.recovery.max_retries  # escalated
         stream = b.relay_telemetry[root]
         sent = sum(e.wire_bytes for e in stream if e.direction == "sent")
-        assert b.stats[a].bytes_sent == sent == 318
+        assert b.peers[a].bytes_sent == sent == 318
 
     def test_compact_blocks_repair_request_bytes(self):
         sc = make_block_scenario(n=200, extra=200, fraction=0.9, seed=3)
@@ -173,6 +173,6 @@ class TestEnvelopeChargedOnce:
         a, b, _ = _relay(RelayProtocol.COMPACT_BLOCKS, sc.block,
                          sc.sender_mempool.transactions(),
                          sc.receiver_mempool.transactions())
-        assert b.stats[a].bytes_sent == (
+        assert b.peers[a].bytes_sent == (
             getdata_bytes(len(sc.receiver_mempool))
             + loop.repair_request_bytes) == 109

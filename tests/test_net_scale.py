@@ -1,6 +1,8 @@
-"""Tests for the scaled simulator core and columnar network state."""
+"""Tests for the scaled simulator core and per-link traffic counters."""
 
 from __future__ import annotations
+
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.telemetry import (
 )
 from repro.core.sizing import CostBreakdown
 from repro.errors import ParameterError, SimulationBudgetError
+from repro.net.messages import NetMessage
 from repro.net.node import Node
 from repro.net.simulator import FaultInjector, Link, Simulator, _COMPACT_MIN
 
@@ -92,16 +95,32 @@ class TestPostFastPath:
         with pytest.raises(ParameterError):
             sim.post_at(1.0, lambda: None)
 
-    def test_slots_are_recycled(self):
+    def test_spent_callbacks_are_released(self):
+        # A callback that fired, was cancelled (and then skipped by
+        # run) or was compacted away is no longer reachable from the
+        # simulator: the heap entry was its only reference.
         sim = Simulator()
-        for i in range(100):
-            sim.post_at(float(i), lambda: None)
+        refs = []
+
+        def tracked():
+            callback = (lambda: None)
+            refs.append(weakref.ref(callback))
+            return callback
+
+        sim.post_at(1.0, tracked())
+        sim.schedule(2.0, tracked())
+        sim.schedule(3.0, tracked()).cancel()
         sim.run()
-        for i in range(100):
-            sim.post_at(sim.now + i, lambda: None)
-        sim.run()
-        # The pool never grew beyond the first wave's peak.
-        assert len(sim._slot_cb) <= 100
+        assert sim.pending == 0
+        doomed = [sim.schedule(10.0 + i, tracked())
+                  for i in range(2 * _COMPACT_MIN)]
+        for handle in doomed:
+            handle.cancel()
+        # Trigger the push-time compaction check.
+        sim.post_at(sim.now + 1.0, lambda: None)
+        assert len(sim._queue) == 1
+        assert len(refs) == 3 + 2 * _COMPACT_MIN
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestHeapCompaction:
@@ -247,36 +266,79 @@ class TestAggregateRecorder:
 
 
 class TestColumnarState:
+    """Each :class:`Link` counts the traffic its sender put on it."""
+
     def test_stats_view_is_peerstats_compatible(self):
         sim = Simulator()
         a, b = Node("a", sim), Node("b", sim)
         a.connect(b)
-        assert a.stats[b].bytes_sent == 0
+        assert a.peers[b].bytes_sent == 0
         a.mine_block(_make_block(0))
         sim.run()
-        assert a.stats[b].messages_sent >= 1
-        assert a.stats[b].bytes_sent > 0
-        assert b in a.stats
-        assert len(a.stats) == 1
+        assert a.peers[b].messages_sent >= 1
+        assert a.peers[b].bytes_sent > 0
+        assert b in a.peers
+        assert len(a.peers) == 1
         assert a.total_bytes_sent() == sum(
-            a.stats[peer].bytes_sent for peer in a.stats)
+            a.peers[peer].bytes_sent for peer in a.peers)
 
-    def test_direct_link_assignment_reuses_edge(self):
-        # tests/test_lossy_links.py wires links by assigning into
-        # node.peers directly; the edge registry must tolerate that.
+    def test_link_counts_every_send_drops_included(self):
+        sim = Simulator()
+        a, b = Node("a", sim), Node("b", sim)
+        fault = FaultInjector(drop_nth=frozenset({1, 3, 4}))
+        a.connect(b, Link(loss_rate=0.3, fault=fault))
+        messages = [NetMessage("inv", ("block", bytes([i]) * 32), 37)
+                    for i in range(12)]
+        messages.append(NetMessage("block", None, 500))
+        for message in messages:
+            a._send(b, message)
+        link = a.peers[b]
+        assert fault.dropped == 3
+        assert sim.pending < len(messages) - fault.dropped  # random loss
+        assert link.bytes_sent == sum(m.total_size for m in messages)
+        assert link.messages_sent == len(messages)
+        assert b.peers[a].bytes_sent == 0
+
+    def test_total_bytes_sent_sums_the_links(self):
+        from repro.chain.scenarios import make_block_scenario
+        from repro.net import connect_clique
+        sim = Simulator()
+        nodes = [Node(f"n{i}", sim) for i in range(4)]
+        connect_clique(nodes, loss_rate=0.2)
+        scenario = make_block_scenario(n=40, extra=10, fraction=0.9, seed=7)
+        for node in nodes[1:]:
+            node.mempool.add_many(scenario.receiver_mempool.transactions())
+        nodes[0].mine_block(scenario.block)
+        sim.run(until=60.0)
+        for node in nodes:
+            assert node.total_bytes_sent() == sum(
+                link.bytes_sent for link in node.peers.values())
+        assert all(link.bytes_sent > 0 for link in nodes[0].peers.values())
+
+    def test_replacement_link_starts_at_zero(self):
         sim = Simulator()
         a, b = Node("a", sim), Node("b", sim)
         a.connect(b)
         a.mine_block(_make_block(1))
         sim.run()
-        before = a.stats[b].bytes_sent
-        assert before > 0
+        assert a.peers[b].bytes_sent > 0
         a.peers[b] = Link(latency=0.01)
         b.peers[a] = Link(latency=0.01)
+        assert a.peers[b].bytes_sent == 0
+        assert a.peers[b].messages_sent == 0
+        assert a.total_bytes_sent() == 0
         a.mine_block(_make_block(2))
         sim.run()
-        # Same ordered pair -> same edge row: counters accumulate.
-        assert a.stats[b].bytes_sent > before
+        assert a.total_bytes_sent() == a.peers[b].bytes_sent > 0
+
+    def test_unknown_command_raises_before_any_byte_is_charged(self):
+        sim = Simulator()
+        a, b = Node("a", sim), Node("b", sim)
+        a.connect(b)
+        with pytest.raises(ParameterError, match="unknown command"):
+            a._send(b, NetMessage("bogus", None, 10))
+        assert a.peers[b].bytes_sent == a.peers[b].messages_sent == 0
+        assert sim.pending == 0
 
     def test_block_sources_resolve_through_registry(self):
         from repro.chain.scenarios import make_block_scenario
@@ -325,7 +387,7 @@ class TestPropagationScenario:
         assert sum(len(s) for n in run.nodes
                    for s in n.relay_telemetry.values()) == 0
         # Aggregate streams still account nonzero relay bytes.
-        assert run.simulator.net.total_bytes() > 0
+        assert sum(node.total_bytes_sent() for node in run.nodes) > 0
 
     def test_seeded_runs_are_identical(self):
         from repro.obs import run_propagation_scenario

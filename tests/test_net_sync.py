@@ -53,7 +53,7 @@ class TestSyncOverWire:
         sim.run()
         assert a.sync_result(nonce).succeeded
         # Only the request, P1 digest, and an empty push crossed.
-        total = (a.stats[b].bytes_sent + b.stats[a].bytes_sent)
+        total = (a.peers[b].bytes_sent + b.peers[a].bytes_sent)
         assert total < 2000
 
     def test_disjoint_mempools(self):
@@ -81,7 +81,7 @@ class TestSyncOverWire:
         sim.run()
         assert a.sync_result(nonce).succeeded
         naive = 32 * 2050  # shipping every txid one way
-        total = a.stats[b].bytes_sent + b.stats[a].bytes_sent
+        total = a.peers[b].bytes_sent + b.peers[a].bytes_sent
         # Exclude the genuinely-transferred transaction payloads.
         tx_bytes = sum(t.size for t in a.mempool
                        if t.txid not in {x.txid for x in b.mempool})

@@ -29,7 +29,7 @@ class TestCompactBlocksWire:
         sim.run()
         assert block.header.merkle_root in b.blocks
         # inv + cmpctblock only: no repair roundtrip happened.
-        assert a.stats[b].messages_sent == 2
+        assert a.peers[b].messages_sent == 2
 
     def test_missing_txs_cost_extra_roundtrip(self, txgen):
         sim, a, b = _pair(RelayProtocol.COMPACT_BLOCKS)
@@ -43,8 +43,8 @@ class TestCompactBlocksWire:
         arrived = b.blocks[block.header.merkle_root]
         assert arrived.txids == block.txids
         # inv + cmpctblock + blocktxn from a; getdata + getblocktxn from b.
-        assert a.stats[b].messages_sent == 3
-        assert b.stats[a].messages_sent == 2
+        assert a.peers[b].messages_sent == 3
+        assert b.peers[a].messages_sent == 2
 
     def test_coinbase_prefilled(self, txgen):
         sim, a, b = _pair(RelayProtocol.COMPACT_BLOCKS)
@@ -57,7 +57,7 @@ class TestCompactBlocksWire:
         sim.run()
         # The receiver never held the coinbase yet needed no repair.
         assert block.header.merkle_root in b.blocks
-        assert a.stats[b].messages_sent == 2
+        assert a.peers[b].messages_sent == 2
 
     def test_compact_blocks_cheaper_than_full(self, txgen):
         totals = {}
@@ -97,8 +97,8 @@ class TestXThinWire:
         arrived = b.blocks[block.header.merkle_root]
         assert arrived.txids == block.txids
         # inv + xthinblock: the push is proactive, no repair roundtrip.
-        assert a.stats[b].messages_sent == 2
-        assert b.stats[a].messages_sent == 1
+        assert a.peers[b].messages_sent == 2
+        assert b.peers[a].messages_sent == 1
 
     def test_xthin_bloom_rides_getdata(self, txgen):
         sim, a, b = _pair(RelayProtocol.XTHIN)
@@ -110,7 +110,7 @@ class TestXThinWire:
         a.mine_block(block)
         sim.run()
         # Receiver-side bytes include the mempool Bloom filter.
-        assert b.stats[a].bytes_sent > 2000  # ~2.3 KB filter
+        assert b.peers[a].bytes_sent > 2000  # ~2.3 KB filter
 
     def test_multihop_xthin(self, txgen):
         sim = Simulator()

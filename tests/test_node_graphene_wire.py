@@ -40,8 +40,8 @@ class TestWireProtocol1:
         a.mine_block(block)
         sim.run()
         # inv + graphene_block from a; getdata from b: 1.5 roundtrips.
-        assert a.stats[b].messages_sent == 2
-        assert b.stats[a].messages_sent == 1
+        assert a.peers[b].messages_sent == 2
+        assert b.peers[a].messages_sent == 1
 
 
 class TestWireProtocol2:
@@ -56,7 +56,7 @@ class TestWireProtocol2:
         sim.run()
         assert block.header.merkle_root in b.blocks
         # The exchange took extra messages beyond inv/getdata/payload.
-        assert a.stats[b].messages_sent >= 3
+        assert a.peers[b].messages_sent >= 3
 
     def test_block_txs_land_in_blocks_not_duplicated(self, txgen):
         sim, a, b = _pair()
