@@ -9,7 +9,7 @@ seconds per simulated block.
 Cases:
 
 * ``net_100``  -- 100 nodes, 20 blocks at 1 s intervals (the smoke
-  test's aggregate-telemetry regime, sized for repetition).
+  test's multi-block regime, sized for repetition).
 * ``net_1000`` -- 1000 nodes, 200 blocks at 2 s intervals: the
   acceptance-scale run (one repetition; at ~10^5 relay exchanges the
   steady state dominates any warm-up).

@@ -395,8 +395,9 @@ def propagation_notes() -> str:
     if rows:
         parts.append(
             "\n*Notes:* full node stack (graphene relay, recovery, "
-            "telemetry) on the event simulator core; aggregate "
-            "telemetry above 64 nodes.  Regenerate with "
+            "telemetry) on the event simulator core; every relay "
+            "keeps its per-message events at every node count.  "
+            "Regenerate with "
             "`python benchmarks/bench_net.py`, guard with "
             "`make perf-net` ([BENCH_NET.json](BENCH_NET.json)).")
     parts.append("")

@@ -93,7 +93,7 @@ from repro.core.sizing import (
     p3_request_bytes,
     short_id_request_bytes,
 )
-from repro.core.telemetry import EventRecorder, MessageEvent
+from repro.core.telemetry import MessageEvent, message_event
 from repro.errors import MalformedIBLTError, ParameterError, ProtocolFailure
 from repro.utils.memo import BoundedMemo
 from repro.utils.serialization import compact_size_len
@@ -230,8 +230,7 @@ class GrapheneSenderEngine:
             else TxColumns.of(txs)
         self.mempool_mode = block is None
         self.config = config or GrapheneConfig()
-        self.telemetry = telemetry if telemetry is not None \
-            else EventRecorder()
+        self.telemetry = telemetry if telemetry is not None else []
         #: Served openings keyed by ``(protocol, m)``, m the requester's
         #: mempool count: ``build_protocol1`` / ``build_protocol3`` are
         #: deterministic in (txs, m, config), and a sender fans the same
@@ -247,9 +246,8 @@ class GrapheneSenderEngine:
 
     def _emit(self, command: str, message: bytes, phase: str,
               roundtrip: int, parts: dict) -> EngineAction:
-        event = MessageEvent(command=command, direction="sent",
-                             role="sender", phase=phase,
-                             roundtrip=roundtrip, parts=parts)
+        event = message_event(command, "sent", "sender", phase, roundtrip,
+                              parts)
         self.telemetry.append(event)
         return EngineAction(ActionKind.SEND, command, message, event=event)
 
@@ -269,7 +267,7 @@ class GrapheneSenderEngine:
             cached = self._build_opening(protocol, m)
         blob, parts = cached
         command, phase, _ = _OPENINGS[protocol]
-        return self._emit(command, blob, phase, 1, dict(parts))
+        return self._emit(command, blob, phase, 1, parts)
 
     def _build_opening(self, protocol: int, m: int) -> tuple:
         """Build, encode and cache the opening served to mempool count
@@ -373,7 +371,7 @@ class GrapheneReceiverEngine:
     IDs fetches them directly.
 
     ``telemetry`` collects a :class:`MessageEvent` per message in both
-    directions; pass a shared list to aggregate streams externally.
+    directions; pass a shared list to collect streams externally.
     """
 
     def __init__(self, mempool: Mempool,
@@ -389,8 +387,7 @@ class GrapheneReceiverEngine:
                 f"unknown protocol {self.config.protocol}; expected 1 "
                 "(classic, P2 fallback) or 3 (rateless)")
         self.mode = mode
-        self.telemetry = telemetry if telemetry is not None \
-            else EventRecorder()
+        self.telemetry = telemetry if telemetry is not None else []
         self.phase = ReceiverPhase.IDLE
         self.header: Optional[BlockHeader] = None
         self._p2_state: Optional[Protocol2ReceiverState] = None
@@ -419,10 +416,8 @@ class GrapheneReceiverEngine:
     def _record(self, command: str, direction: str, phase: str,
                 roundtrip: int, parts: dict,
                 outcome: str = "") -> MessageEvent:
-        event = MessageEvent(command=command, direction=direction,
-                             role="receiver", phase=phase,
-                             roundtrip=roundtrip, parts=parts,
-                             outcome=outcome)
+        event = message_event(command, direction, "receiver", phase,
+                              roundtrip, parts, outcome)
         self.telemetry.append(event)
         return event
 
@@ -720,7 +715,7 @@ class GrapheneReceiverEngine:
         if prev is None or prev.event is None:
             raise ProtocolFailure("no request in flight to re-emit")
         return self._send(prev.command, prev.message, prev.event.phase,
-                          prev.event.roundtrip, dict(prev.event.parts),
+                          prev.event.roundtrip, prev.event.parts,
                           outcome="retry")
 
 

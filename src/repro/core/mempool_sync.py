@@ -38,7 +38,7 @@ from repro.core.engine import (
 )
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
-from repro.core.telemetry import MessageEvent
+from repro.core.telemetry import MessageEvent, message_event
 
 
 @dataclass
@@ -78,11 +78,9 @@ def adopt_reconciled(mempool: Mempool, engine: GrapheneReceiverEngine
     gained = mempool.add_many(engine.reconciled)
     known = {tx.txid for tx in engine.reconciled}
     h_txs = tuple(tx for tx in mempool if tx.txid not in known)
-    event = MessageEvent(
-        command="sync_push", direction="sent", role="receiver",
-        phase="push", roundtrip=int(engine.roundtrips),
-        parts={"fetched_tx_bytes": sum(tx.size for tx in h_txs)},
-        outcome="done")
+    event = message_event(
+        "sync_push", "sent", "receiver", "push", int(engine.roundtrips),
+        {"fetched_tx_bytes": sum(tx.size for tx in h_txs)}, "done")
     engine.telemetry.append(event)
     return gained, h_txs, event
 

@@ -20,14 +20,23 @@ codec output: the simulation encodes transactions as fixed 41-byte
 metadata records while the size model charges each transaction's
 declared ``tx.size``, and the paper's accounting includes the message
 envelope only where the protocol description does.
+
+A stream is a plain ``list`` at every scale.  Events are built through
+:func:`message_event`, which interns them: a relay's messages repeat
+across peers and blocks (the ``inv``, a getdata, one block's opening
+served to every peer), so a 1000-node run's streams hold references to
+a handful of shared, immutable objects rather than one object per
+message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.errors import ParameterError
+from repro.utils.memo import BoundedMemo
 
 DIRECTIONS = ("sent", "received")
 ROLES = ("receiver", "sender")
@@ -55,7 +64,9 @@ class MessageEvent:
     ``slots=True`` keeps the per-message footprint flat (no instance
     ``__dict__``), and ``wire_bytes`` is computed once at construction
     instead of summing ``parts`` on every consumer read -- relays emit
-    thousands of these, so both matter on the hot path.
+    thousands of these, so both matter on the hot path.  ``parts`` is
+    stored as a read-only copy, so an event shared between streams (see
+    :func:`message_event`) can never be changed through one of them.
     """
 
     command: str
@@ -63,7 +74,8 @@ class MessageEvent:
     role: str       # "receiver" | "sender": which engine recorded it
     phase: str      # see PHASES
     roundtrip: int  # 0 = inv, 1 = getdata/P1, 2 = P2, 3 = fetch
-    #: Byte decomposition, keyed by CostBreakdown field names.
+    #: Byte decomposition, keyed by CostBreakdown field names
+    #: (read-only once built).
     parts: Mapping[str, int] = field(default_factory=dict)
     #: Outcome, set on the messages that resolve a phase ("decoded",
     #: "fallback", "fetch", "done", "failed") or mark a recovery step
@@ -89,6 +101,7 @@ class MessageEvent:
                 raise ParameterError(
                     f"negative byte count for part {name!r}: {nbytes}")
             total += nbytes
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
         object.__setattr__(self, "wire_bytes", total)
 
     def as_dict(self) -> dict:
@@ -110,9 +123,8 @@ class StreamTotals:
     """The one fold of an event stream: bytes per part, messages per
     direction, bytes per phase, count and bytes per outcome.
 
-    :meth:`add` is the only code that sums an event's parts.  A recorder
-    keeps one, updated in O(parts) per append; :meth:`of` returns that,
-    or folds any other iterable through the same :meth:`add`, so
+    :meth:`add` is the only code that sums an event's parts, and
+    :meth:`of` folds any iterable of events through it, so
     ``CostBreakdown.from_events``, :func:`total_wire_bytes` and the
     ``repro.obs`` metrics fold read identical numbers off any stream.
     """
@@ -140,49 +152,34 @@ class StreamTotals:
 
     @classmethod
     def of(cls, events) -> "StreamTotals":
-        """The totals of ``events``: a recorder's own, else a fresh fold."""
-        if isinstance(events, EventRecorder):
-            return events.totals
+        """The fold of ``events``, any iterable of :class:`MessageEvent`."""
         totals = cls()
         for event in events:
             totals.add(event)
         return totals
 
 
-class EventRecorder(list):
-    """An event stream that keeps its :class:`StreamTotals` as it grows.
-
-    The engines, nodes and recovery ladder only ever ``append`` to
-    their telemetry streams, so that is the one operation folded;
-    everything else behaves like the plain list the rest of the package
-    expects.
-    """
-
-    __slots__ = ("totals",)
-
-    def __init__(self):
-        super().__init__()
-        self.totals = StreamTotals()
-
-    def append(self, event: MessageEvent) -> None:
-        super().append(event)
-        self.totals.add(event)
+#: Every event :func:`message_event` built, keyed by all its fields.
+#: Bounded at 1 024 events, each counted 1 (a four-part event and its
+#: key pin about 0.9 KB): the repeats a relay makes (inv, getdata, a
+#: block's opening, a timeout) are hit again long before they age out,
+#: while a Protocol 2 or 3 exchange's one-off sizes only cost a miss.
+_EVENTS = BoundedMemo(1024, lambda key, event: 1)
 
 
-class AggregateRecorder(EventRecorder):
-    """An event stream that keeps only its :class:`StreamTotals`.
-
-    At network scale, retaining one :class:`MessageEvent` per message is
-    O(messages) memory per node; above the scenario layer's node-count
-    threshold each relay stream is one of these instead.  ``append``
-    folds the event and discards it, so every consumer of the totals
-    sees identical numbers while per-event walks see an empty list.
-    """
-
-    __slots__ = ()
-
-    def append(self, event: MessageEvent) -> None:
-        self.totals.add(event)
+def message_event(command: str, direction: str, role: str, phase: str,
+                  roundtrip: int, parts: Mapping[str, int],
+                  outcome: str = "") -> MessageEvent:
+    """The one :class:`MessageEvent` with these fields, shared by every
+    stream that records it (equal events are one object)."""
+    key = (command, direction, role, phase, roundtrip, outcome,
+           tuple(parts.items()))
+    event = _EVENTS.get(key)
+    if event is None:
+        event = MessageEvent(command, direction, role, phase, roundtrip,
+                             parts, outcome)
+        _EVENTS.remember(key, event)
+    return event
 
 
 def total_wire_bytes(events, include_txs: bool = False) -> int:

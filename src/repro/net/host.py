@@ -65,7 +65,6 @@ from repro.core.engine import (
     SENDER_STEPS,
 )
 from repro.core.mempool_sync import adopt_reconciled
-from repro.core.telemetry import AggregateRecorder, EventRecorder
 from repro.errors import ProtocolFailure
 from repro.net.recovery import (
     ABANDON,
@@ -178,15 +177,12 @@ class RelayHost:
 
     ``stage`` is the rung an exchange opens (and restarts after a
     failover) at: the engine exchange for Graphene, the baseline's own
-    request otherwise.  ``aggregate`` keeps streams as running totals
-    only (see :class:`~repro.core.telemetry.AggregateRecorder`).
+    request otherwise.
     """
 
-    def __init__(self, driver: Driver, stage: str = STAGE_ENGINE,
-                 aggregate: bool = False):
+    def __init__(self, driver: Driver, stage: str = STAGE_ENGINE):
         self.driver = driver
         self.stage = stage
-        self.aggregate = aggregate
         self.fetches: Dict[bytes, Fetch] = {}
         self.serving: Dict[bytes, GrapheneSenderEngine] = {}
         self.syncs: Dict[int, SyncState] = {}
@@ -210,12 +206,12 @@ class RelayHost:
     # -- observability --------------------------------------------------
 
     def stream(self, kind: str, key) -> list:
-        """A telemetry stream for one exchange, traced when a tracer is
-        set, else a recorder (running totals only when ``aggregate``)."""
+        """A telemetry stream for one exchange: traced when a tracer is
+        set, else a plain list."""
         tracer = self.driver.tracer
         if tracer is not None:
             return tracer.stream(self.driver.node_id, kind, key)
-        return AggregateRecorder() if self.aggregate else EventRecorder()
+        return []
 
     def mark(self, kind: str, key, name: str, **detail) -> None:
         """Annotate an exchange span (no-op without a tracer)."""

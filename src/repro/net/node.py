@@ -65,20 +65,11 @@ class Node(HostViews):
                  protocol: RelayProtocol = RelayProtocol.GRAPHENE,
                  config: Optional[GrapheneConfig] = None,
                  recovery: Optional[RecoveryPolicy] = None,
-                 tracer=None, telemetry_mode: str = "full"):
+                 tracer=None):
         if not node_id:
             raise ParameterError("node_id must be non-empty")
-        if telemetry_mode not in ("full", "aggregate"):
-            raise ParameterError(
-                f"telemetry_mode must be 'full' or 'aggregate', "
-                f"got {telemetry_mode!r}")
         self.node_id = node_id
         self.simulator = simulator
-        #: "full" keeps one MessageEvent per relay message (the default;
-        #: required for traces and per-event invariants); "aggregate"
-        #: folds each event into running totals and discards it, which
-        #: is what bounds memory at 1000-node scale.
-        self.telemetry_mode = telemetry_mode
         #: This node's index in ``simulator.nodes``: the integer peer
         #: handle its relay host keeps.
         self.nid = len(simulator.nodes)
@@ -101,7 +92,7 @@ class Node(HostViews):
         #: syncs; read through the :class:`HostViews` properties.
         self.host = RelayHost(
             self, stage=STAGE_ENGINE if protocol is RelayProtocol.GRAPHENE
-            else STAGE_REQUEST, aggregate=telemetry_mode == "aggregate")
+            else STAGE_REQUEST)
         # Compact Blocks repair state: root -> (header, matched txs).
         self._cb_pending: dict = {}
 

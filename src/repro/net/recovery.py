@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Set
 
 from repro.core.sizing import getdata_bytes
-from repro.core.telemetry import MessageEvent
+from repro.core.telemetry import MessageEvent, message_event
 from repro.errors import ParameterError
 
 #: Ladder stages of one in-flight block fetch.
@@ -139,9 +139,8 @@ def fullblock_event(outcome: str = "") -> MessageEvent:
     """
     parts = {} if outcome == "timeout" \
         else {"extra_getdata": getdata_bytes(0)}
-    return MessageEvent(command="getdata", direction="sent",
-                        role="receiver", phase="fetch", roundtrip=4,
-                        parts=parts, outcome=outcome)
+    return message_event("getdata", "sent", "receiver", "fetch", 4, parts,
+                         outcome)
 
 
 def on_timeout(state: FetchState, policy: RecoveryPolicy, tally,

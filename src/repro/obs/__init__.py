@@ -40,7 +40,6 @@ from repro.obs.report import (
     render_outcome_table,
 )
 from repro.obs.scenario import (
-    AGGREGATE_NODE_THRESHOLD,
     BlockRecord,
     ObservedRun,
     PropagationRun,
@@ -72,7 +71,6 @@ __all__ = [
     "check_stream_invariants",
     "render_byte_table",
     "render_outcome_table",
-    "AGGREGATE_NODE_THRESHOLD",
     "BlockRecord",
     "ObservedRun",
     "PropagationRun",

@@ -24,6 +24,7 @@ same series.  By construction its byte counters agree with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.telemetry import StreamTotals
@@ -186,10 +187,11 @@ class MetricsRegistry:
         }
 
 
-def _fold_stream(registry: MetricsRegistry, prefix: str, node_id: str,
-                 events) -> None:
-    """Emit one stream's :class:`StreamTotals` into the counters."""
-    totals = StreamTotals.of(events)
+def _fold_streams(registry: MetricsRegistry, prefix: str, node_id: str,
+                  streams) -> None:
+    """Emit the one :class:`StreamTotals` of a node's ``streams`` into
+    its counters."""
+    totals = StreamTotals.of(chain.from_iterable(streams))
     for series, label, sums in (
             ("messages", "direction", totals.direction_counts),
             ("bytes", "phase", totals.phase_bytes),
@@ -216,10 +218,10 @@ def collect_run_metrics(nodes, tracer=None,
     registry = registry or MetricsRegistry()
     for node in nodes:
         node_id = node.node_id
-        for events in node.relay_telemetry.values():
-            _fold_stream(registry, "relay", node_id, events)
-        for state in node.sync_sessions.values():
-            _fold_stream(registry, "sync", node_id, state.events)
+        _fold_streams(registry, "relay", node_id,
+                      node.relay_telemetry.values())
+        _fold_streams(registry, "sync", node_id,
+                      (state.events for state in node.sync_sessions.values()))
         registry.counter("relay_timeouts", node=node_id).inc(
             node.relay_timeouts)
         registry.counter("relay_retries", node=node_id).inc(

@@ -36,12 +36,6 @@ from repro.net import (
 from repro.obs.metrics import MetricsRegistry, collect_run_metrics
 from repro.obs.trace import Tracer
 
-#: Node count at or above which :func:`run_propagation_scenario`
-#: switches relay telemetry to aggregate-only recording
-#: (:class:`~repro.core.telemetry.AggregateRecorder`): totals stay
-#: exact, per-event lists are not retained, memory stays bounded.
-AGGREGATE_NODE_THRESHOLD = 64
-
 #: Histogram bounds (seconds) for block propagation delay at scale.
 PROPAGATION_BUCKETS = (0.05, 0.1, 0.15, 0.25, 0.4, 0.6, 1.0, 1.5,
                        2.5, 4.0, 6.0, 10.0, 20.0, 60.0)
@@ -191,7 +185,6 @@ def run_propagation_scenario(
         latency: float = 0.05, bandwidth: float = 1_000_000.0,
         protocol: RelayProtocol = RelayProtocol.GRAPHENE,
         link_model: Optional[GeoLinkModel] = None,
-        aggregate_threshold: int = AGGREGATE_NODE_THRESHOLD,
         drain: float = 30.0, max_events_per_cycle: int = 5_000_000,
         on_cycle: Optional[Callable[[CycleStats], None]] = None
 ) -> PropagationRun:
@@ -211,10 +204,10 @@ def run_propagation_scenario(
     extended a stale tip).  Slower relay protocols therefore show
     higher fork rates, the paper's section 2.2 motivation.
 
-    At or above ``aggregate_threshold`` nodes, relay telemetry is
-    recorded aggregate-only (exact totals, no per-event lists) so
-    memory stays bounded; below it, full per-message streams are kept
-    as in every small scenario.
+    Every relay keeps its full per-message stream at any node count.
+    Streams hold shared, interned events
+    (:func:`~repro.core.telemetry.message_event`), so a message that
+    repeats across peers and blocks costs one list slot.
 
     Results fold into ``registry``: the ``net_propagation_seconds``
     histogram, ``net_blocks_mined`` / ``net_forks`` counters,
@@ -234,9 +227,8 @@ def run_propagation_scenario(
             f"got {topology!r}")
 
     simulator = Simulator()
-    mode = "aggregate" if nodes >= aggregate_threshold else "full"
-    peers = [Node(f"n{i:04d}", simulator, protocol=protocol,
-                  telemetry_mode=mode) for i in range(nodes)]
+    peers = [Node(f"n{i:04d}", simulator, protocol=protocol)
+             for i in range(nodes)]
     rng = random.Random(seed)
     if topology == "scale_free":
         model = link_model or GeoLinkModel(loss_rate=loss)
@@ -287,7 +279,7 @@ def run_propagation_scenario(
         params={"nodes": nodes, "degree": degree, "blocks": blocks,
                 "block_txns": block_txns, "interval": interval,
                 "topology": topology, "loss": loss, "seed": seed,
-                "protocol": protocol.value, "telemetry_mode": mode})
+                "protocol": protocol.value})
     histogram = registry.histogram("net_propagation_seconds",
                                    buckets=PROPAGATION_BUCKETS)
     for delay in run.delays:

@@ -10,8 +10,8 @@ and as a human-readable timeline.
 
 The tracer is a pure observer.  It never schedules events, never
 consumes link randomness, and records through
-:class:`TracedStream` -- an ``EventRecorder`` subclass the nodes use
-*in place of* the plain telemetry streams, so every consumer of them
+:class:`TracedStream` -- a ``list`` subclass the nodes use *in place
+of* the plain telemetry lists, so every consumer of them
 (``CostBreakdown.from_events``, the experiment drivers, the retention
 caps) is oblivious to it.  A traced run is therefore byte- and
 clock-identical to an untraced one (pinned by ``tests/test_obs.py``).
@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.telemetry import EventRecorder, MessageEvent
+from repro.core.telemetry import MessageEvent
 
 #: Exchange kinds the node layer emits (manual streams may add more).
 SPAN_KINDS = ("relay", "serve", "sync", "sync-serve")
@@ -80,14 +80,13 @@ class TraceMark:
         return {"t": self.t, "name": self.name, "detail": dict(self.detail)}
 
 
-class TracedStream(EventRecorder):
+class TracedStream(list):
     """A telemetry stream that also reports appends to its tracer.
 
     Engines and the recovery subsystem only ever ``append`` to their
     telemetry lists, so that is the one traced operation; everything
-    else (iteration, folding, pruning) behaves like the
-    :class:`~repro.core.telemetry.EventRecorder` the untraced nodes
-    use, keeping traced and untraced runs on the same fast folds.
+    else (iteration, folding, pruning) behaves like the plain list the
+    untraced nodes use, keeping traced and untraced runs on one fold.
     """
 
     __slots__ = ("tracer", "node", "kind", "key")

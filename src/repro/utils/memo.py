@@ -6,8 +6,10 @@ folded columns (:mod:`repro.pds.iblt`) and the Merkle roots
 value is a pure function of, so a single entry can pin a whole
 mempool's ID buffer.  They are therefore bounded by the bytes they pin,
 not by how many entries they hold.  The Protocol 1 plans
-(:mod:`repro.core.params`) and a sender's served openings
-(:mod:`repro.core.engine`) pin little each and count every entry as 1.
+(:mod:`repro.core.params`), a sender's served openings
+(:mod:`repro.core.engine`) and the interned telemetry events
+(:mod:`repro.core.telemetry`) pin little each and count every entry
+as 1.
 """
 
 from __future__ import annotations

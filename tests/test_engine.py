@@ -130,7 +130,9 @@ class TestServedOpeningCache:
         assert calls == [100]
         assert again.message == first.message
         assert again.event.parts == first.event.parts
-        assert again.event.parts is not first.event.parts
+        # A served event is shared, so its parts cannot be changed.
+        with pytest.raises(TypeError):
+            again.event.parts["counts"] = 0
         sender.on_getdata(_getdata(101, protocol))
         assert calls == [100, 101]
 

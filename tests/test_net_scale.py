@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 
 import pytest
 
-from repro.core.telemetry import (
-    AggregateRecorder,
-    EventRecorder,
-    MessageEvent,
-    total_wire_bytes,
-)
+from repro.core.telemetry import MessageEvent, message_event
 from repro.core.sizing import CostBreakdown
 from repro.errors import ParameterError, SimulationBudgetError
 from repro.net.messages import NetMessage
@@ -224,45 +220,16 @@ class TestFaultInjectorReset:
         assert fault.should_drop(1.5, "inv")
 
 
-def _event(command="graphene_block", direction="received",
-           role="receiver", phase="p1", parts=None, outcome=""):
-    return MessageEvent(command=command, direction=direction, role=role,
-                        phase=phase, roundtrip=1,
-                        parts=parts or {"iblt_i": 100, "bloom_s": 40},
-                        outcome=outcome)
-
-
-class TestAggregateRecorder:
-    def test_aggregates_match_full_recorder(self):
-        full, aggregate = EventRecorder(), AggregateRecorder()
-        events = [
-            _event(),
-            _event(direction="sent", phase="fetch",
-                   parts={"fetched_tx_bytes": 500}, outcome="fetch"),
-            _event(parts={"counts": 8}, outcome="decoded"),
-        ]
-        for event in events:
-            full.append(event)
-            aggregate.append(event)
-        assert aggregate.totals == full.totals
-        assert full.totals.part_totals == {"iblt_i": 100, "bloom_s": 40,
-                                           "fetched_tx_bytes": 500,
-                                           "counts": 8}
-
-    def test_events_are_not_retained(self):
-        aggregate = AggregateRecorder()
-        aggregate.append(_event())
-        assert len(aggregate) == 0
-        assert aggregate.totals.direction_counts == {"received": 1}
-
-    def test_cost_breakdown_fast_path_reads_aggregates(self):
-        full, aggregate = EventRecorder(), AggregateRecorder()
-        for _ in range(3):
-            full.append(_event())
-            aggregate.append(_event())
-        assert (CostBreakdown.from_events(aggregate).as_dict()
-                == CostBreakdown.from_events(full).as_dict())
-        assert total_wire_bytes(aggregate) == total_wire_bytes(full)
+class TestInternedEvents:
+    def test_equal_events_are_one_object(self):
+        fields = ("graphene_block", "received", "receiver", "p1", 1,
+                  {"iblt_i": 100, "bloom_s": 40})
+        first = message_event(*fields, outcome="decoded")
+        assert message_event(*fields, outcome="decoded") is first
+        assert message_event(*fields) is not first
+        assert first == MessageEvent(*fields, outcome="decoded")
+        with pytest.raises(TypeError):
+            first.parts["iblt_i"] = 0
 
 
 class TestColumnarState:
@@ -369,25 +336,29 @@ class TestPropagationScenario:
         assert run.fork_rate == 0.0
         assert run.delay_quantile(0.5) > 0.0
         assert len(run.delays) == 3 * 11
-        # Below the threshold, full per-event telemetry is kept.
-        assert run.params["telemetry_mode"] == "full"
         retained = sum(len(s) for n in run.nodes
                        for s in n.relay_telemetry.values())
         assert retained > 0
         histogram = run.registry.histogram("net_propagation_seconds")
         assert histogram.count == len(run.delays)
 
-    def test_aggregate_threshold_switches_mode(self):
+    def test_large_run_retains_events_and_folds_the_same(self):
         from repro.obs import run_propagation_scenario
-        run = run_propagation_scenario(nodes=12, degree=4, blocks=2,
+        run = run_propagation_scenario(nodes=64, degree=4, blocks=2,
                                        block_txns=8, interval=1.0,
-                                       seed=3, drain=5.0,
-                                       aggregate_threshold=10)
-        assert run.params["telemetry_mode"] == "aggregate"
-        assert sum(len(s) for n in run.nodes
-                   for s in n.relay_telemetry.values()) == 0
-        # Aggregate streams still account nonzero relay bytes.
-        assert sum(node.total_bytes_sent() for node in run.nodes) > 0
+                                       seed=3, drain=5.0)
+        streams = [stream for node in run.nodes
+                   for stream in node.relay_telemetry.values()]
+        assert len(streams) == 2 * 63
+        assert all(streams)
+        cost = CostBreakdown.from_events(chain.from_iterable(streams))
+        # The totals the aggregate-only recording of 64+ nodes folded.
+        assert {part: nbytes for part, nbytes in cost.as_dict().items()
+                if nbytes} == {"inv": 7686, "getdata": 7812,
+                               "bloom_s": 1134, "iblt_i": 9072,
+                               "counts": 378}
+        for part, nbytes in cost.as_dict().items():
+            assert run.registry.sum("relay_part_bytes", part=part) == nbytes
 
     def test_seeded_runs_are_identical(self):
         from repro.obs import run_propagation_scenario

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.core.sizing import CostBreakdown
-from repro.core.telemetry import MessageEvent
+from repro.core.telemetry import MessageEvent, StreamTotals
 from repro.errors import ParameterError
 from repro.obs import (
     Counter,
@@ -34,6 +34,7 @@ from repro.obs import (
     render_byte_table,
     render_outcome_table,
     run_block_relay_scenario,
+    run_propagation_scenario,
 )
 
 
@@ -210,6 +211,51 @@ class TestMetricsMatchCosts:
                 == merged.total(include_txs=True))
         inv = check_metrics_match_costs(registry, streams)
         assert inv.ok, inv.detail
+
+    def test_each_node_counts_the_sum_of_its_streams_folds(self, lossy_run,
+                                                           monkeypatch):
+        # One block with a sync round, and three blocks: several relay
+        # streams per node.
+        runs = [lossy_run.nodes, run_propagation_scenario(
+            nodes=12, degree=4, blocks=3, block_txns=8, interval=1.0,
+            seed=3, drain=10.0).nodes]
+        calls = []
+        counter = MetricsRegistry.counter
+
+        def counted(registry, name, **labels):
+            calls.append(name)
+            return counter(registry, name, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counted)
+        views = (("messages", "direction", "direction_counts"),
+                 ("bytes", "phase", "phase_bytes"),
+                 ("part_bytes", "part", "part_totals"),
+                 ("outcomes", "outcome", "outcome_counts"),
+                 ("outcome_bytes", "outcome", "outcome_bytes"))
+        for nodes in runs:
+            calls.clear()
+            registry = collect_run_metrics(nodes)
+            # Each node's counters are emitted once: one lookup a series.
+            assert len(calls) == len(registry.snapshot()["counters"])
+            for node in nodes:
+                for prefix, streams in (
+                        ("relay", list(node.relay_telemetry.values())),
+                        ("sync", [state.events for state
+                                  in node.sync_sessions.values()])):
+                    for series, label, view in views:
+                        expected = {}
+                        for events in streams:
+                            for key, amount in getattr(
+                                    StreamTotals.of(events), view).items():
+                                expected[key] = \
+                                    expected.get(key, 0) + amount
+                        found = {labels[label]: metric.value
+                                 for labels, metric in registry.series(
+                                     f"{prefix}_{series}",
+                                     node=node.node_id)}
+                        assert found == expected
+        assert any(len(node.relay_telemetry) > 1 for node in runs[1])
+        assert any(node.sync_sessions for node in runs[0])
 
     def test_tables_render_every_receiver_and_agree_on_total(self, lossy_run):
         registry = collect_run_metrics(lossy_run.nodes)

@@ -1,10 +1,11 @@
 """One fold of the event stream, read by every consumer.
 
-``StreamTotals`` is the only code that sums an event's parts: a recorder
-keeps one as events are appended, and ``StreamTotals.of`` hands that
-back or folds any other iterable -- a slice, a plain list -- through
-the same ``add``.  ``CostBreakdown.from_events``, ``total_wire_bytes``
-and the ``repro.obs`` metrics fold all read it, so they cannot disagree
+``StreamTotals`` is the only code that sums an event's parts: every
+stream is a plain list of shared events (a ``TracedStream`` when a
+tracer watches it), and ``StreamTotals.of`` folds whatever it is given
+-- a list, a traced stream, a slice, an iterator -- through the same
+``add``.  ``CostBreakdown.from_events``, ``total_wire_bytes`` and the
+``repro.obs`` metrics fold all read it, so they cannot disagree
 whichever kind of stream they are given.
 """
 
@@ -21,8 +22,6 @@ from repro.core.telemetry import (
     OUTCOMES,
     PHASES,
     ROLES,
-    AggregateRecorder,
-    EventRecorder,
     MessageEvent,
     StreamTotals,
     total_wire_bytes,
@@ -47,11 +46,36 @@ events = st.builds(
     outcome=st.sampled_from(OUTCOMES))
 
 
-def _recorded(kind, stream_events):
-    stream = kind()
+def _traced(stream_events):
+    stream = Tracer(Simulator()).stream("n0", "relay", b"k")
     for event in stream_events:
         stream.append(event)
     return stream
+
+
+def _sliced(stream_events):
+    """``stream_events`` as the tail slice of a longer stream."""
+    head = [MessageEvent("inv", "received", "receiver", "inv", 0,
+                         {"inv": 37})]
+    return (head + list(stream_events))[len(head):]
+
+
+#: Every kind of stream a consumer may be handed, built from the events
+#: it holds; an iterator is single-use, so each call builds a fresh one.
+STREAM_KINDS = {
+    "list": list,
+    "TracedStream": _traced,
+    "slice": _sliced,
+    "iterator": iter,
+}
+
+
+def _running(stream_events) -> StreamTotals:
+    """The totals kept up event by event, through ``add``."""
+    totals = StreamTotals()
+    for event in stream_events:
+        totals.add(event)
+    return totals
 
 
 def _metrics(stream) -> dict:
@@ -70,30 +94,25 @@ class TestStreamTotals:
     @given(st.lists(events, max_size=12), st.data())
     def test_of_a_list_or_a_slice_equals_the_running_totals(self, drawn,
                                                             data):
-        stream = _recorded(EventRecorder, drawn)
-        assert StreamTotals.of(stream) is stream.totals
-        assert StreamTotals.of(list(stream)) == stream.totals
-        assert StreamTotals.of(iter(drawn)) == stream.totals
+        for make in STREAM_KINDS.values():
+            assert StreamTotals.of(make(drawn)) == _running(drawn)
+        stream = _traced(drawn)
         cut = data.draw(st.integers(0, len(drawn)))
-        assert StreamTotals.of(stream[cut:]) \
-            == _recorded(EventRecorder, drawn[cut:]).totals
+        assert StreamTotals.of(stream[cut:]) == _running(drawn[cut:])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(events, max_size=12))
     def test_every_consumer_agrees_on_every_kind_of_stream(self, drawn):
-        tracer = Tracer(Simulator())
-        streams = [_recorded(EventRecorder, drawn),
-                   _recorded(AggregateRecorder, drawn),
-                   _recorded(lambda: tracer.stream("n0", "relay", b"k"),
-                             drawn),
-                   list(drawn)]
-        costs = [CostBreakdown.from_events(s).as_dict() for s in streams]
+        makers = STREAM_KINDS.values()
+        costs = [CostBreakdown.from_events(make(drawn)).as_dict()
+                 for make in makers]
         assert all(cost == costs[0] for cost in costs)
         for include_txs in (False, True):
-            totals = [total_wire_bytes(s, include_txs) for s in streams]
+            totals = [total_wire_bytes(make(drawn), include_txs)
+                      for make in makers]
             assert all(total == totals[0] for total in totals)
             assert totals[0] == CostBreakdown(**costs[0]).total(include_txs)
-        metrics = [_metrics(s) for s in streams]
+        metrics = [_metrics(make(drawn)) for make in makers]
         assert all(found == metrics[0] for found in metrics)
         assert sum(value for name, value in metrics[0].items()
                    if name.startswith("relay_part_bytes")) \
@@ -113,11 +132,10 @@ class TestStreamTotals:
         assert totals.outcome_counts == {"decoded": 1}
         assert totals.outcome_bytes == {"decoded": 140}
 
-    @pytest.mark.parametrize("kind", [EventRecorder, AggregateRecorder,
-                                      list])
+    @pytest.mark.parametrize("kind", list(STREAM_KINDS))
     def test_unknown_part_is_refused_by_the_cost_fold(self, kind):
-        stream = kind()
-        stream.append(MessageEvent("getdata", "sent", "receiver", "p1", 1,
-                                   {"not_a_costbreakdown_field": 9}))
+        stream = STREAM_KINDS[kind]([MessageEvent(
+            "getdata", "sent", "receiver", "p1", 1,
+            {"not_a_costbreakdown_field": 9})])
         with pytest.raises(ParameterError, match="not_a_costbreakdown"):
             CostBreakdown.from_events(stream)
