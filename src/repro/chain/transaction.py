@@ -1,7 +1,7 @@
 """Transactions and synthetic transaction generation.
 
 A transaction's identity is the SHA-256 hash of its payload, exactly the
-property the hash-splitting optimization (paper 6.3) and the 8-byte
+property the Bloom filters' reuse of the ID (paper 6.3) and the 8-byte
 short-ID truncation rely on.  The payload itself is opaque to every
 protocol here; only its size matters (for full-block and missing-
 transaction transfer costs), so synthetic payloads are modelled as a

@@ -33,7 +33,6 @@ payload containing S and I) parse zero-copy off one receive buffer.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as _np
@@ -47,8 +46,6 @@ from repro.pds.riblt import SYMBOL_BATCH_HEADER_BYTES, SYMBOL_BYTES
 from repro.utils.serialization import compact_size, read_compact_size
 
 _U32 = 0xFFFFFFFF
-_LN2 = math.log(2.0)
-_LN2_SQ = _LN2 * _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +74,9 @@ def decode_bloom(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
     """Parse a Bloom filter; returns ``(filter, new_offset)``.
 
     The decoded filter answers membership identically to the encoded
-    one (inserted-item count is not on the wire and is left at 0; use
-    :func:`restore_bloom_load` when a protocol message supplies it).
-
-    The target FPR is likewise not on the wire, but an optimally sized
-    filter satisfies ``f = 2^-k``, so that is restored rather than the
+    one.  Its inserted-item count is not on the wire and is left at 0;
+    use :func:`restore_bloom_load` when a protocol message supplies it.
+    Its target FPR is inferred (:meth:`BloomFilter.from_wire`), not the
     constructor default of 1.0 -- which would make every decoded
     non-degenerate filter claim it matches everything when sizing math
     consults ``target_fpr``.
@@ -93,20 +88,16 @@ def decode_bloom(data: bytes, offset: int = 0) -> tuple[BloomFilter, int]:
     nbytes = (nbits + 7) // 8
     if offset + nbytes > len(data):
         raise ParameterError("buffer exhausted while reading Bloom bits")
-    bloom = BloomFilter(nbits, k, seed=seed)
-    bloom._bits[:] = data[offset:offset + nbytes]
-    if nbits:
-        bloom._target_fpr = 0.5 ** k
-    return bloom, offset + nbytes
+    bits = data[offset:offset + nbytes]
+    return BloomFilter.from_wire(nbits, k, seed, bits), offset + nbytes
 
 
 def restore_bloom_load(bloom: BloomFilter, count: int) -> BloomFilter:
     """Restore a decoded filter's load from a protocol-carried count.
 
-    With the load known, the construction-time target FPR can be
-    recovered from the sizing ``nbits = ceil(-n ln f / ln^2 2)``
-    (inverted: ``f = exp(-nbits ln^2 2 / n)``), which refines the
-    ``2^-k`` estimate :func:`decode_bloom` starts from.
+    With the load known, the filter's inferred target FPR inverts the
+    sender's sizing, refining the ``2^-k`` estimate :func:`decode_bloom`
+    starts from (:attr:`BloomFilter.target_fpr`).
 
     Degenerate filters are left untouched: inserts into them are
     no-ops (count stays 0 on the loopback side), so restoring a count
@@ -115,7 +106,6 @@ def restore_bloom_load(bloom: BloomFilter, count: int) -> BloomFilter:
     if bloom.nbits == 0 or count <= 0:
         return bloom
     bloom.count = count
-    bloom._target_fpr = math.exp(-bloom.nbits * _LN2_SQ / count)
     return bloom
 
 
@@ -160,28 +150,27 @@ def _pack_rows(counts, key_sums, check_sums, count_bytes: int,
     return body.tobytes()
 
 
-def _unpack_rows(data, offset: int, count_bytes: int, check_bytes: int,
-                 counts, key_sums, check_sums) -> None:
-    """Fill the columns (``array('q')``, ``array('Q')``, ``array('Q')``
-    of one length) from :func:`_pack_rows`'s grid at ``offset``.
+def _unpack_rows(data, offset: int, n: int, count_bytes: int,
+                 check_bytes: int) -> tuple:
+    """Read ``n`` rows of :func:`_pack_rows`'s grid at ``offset`` as
+    ``(counts, key_sums, check_sums)`` numpy columns.
 
     Reads the wire bytes in place (no body-slice copy, any bytes-like
-    buffer) through one ``frombuffer`` view, and writes the columns
-    through writable numpy views.  The caller has bounded the body by
-    the buffer.
+    buffer) through one ``frombuffer`` view; each column is one
+    contiguous copy out of it.  The caller has bounded the body by the
+    buffer.
     """
-    n, head = len(counts), count_bytes + 8
+    head = count_bytes + 8
     width = head + check_bytes
     grid = _np.frombuffer(data, dtype=_np.uint8, count=n * width,
                           offset=offset).reshape(n, width)
-    _np.frombuffer(counts, dtype=_np.int64)[:] = _np.ascontiguousarray(
-        grid[:, :count_bytes]).view(f"<i{count_bytes}").ravel()
-    _np.frombuffer(key_sums, dtype=_np.uint64)[:] = _np.ascontiguousarray(
-        grid[:, count_bytes:head]).view("<u8").ravel()
+    counts = _np.ascontiguousarray(grid[:, :count_bytes]).view(
+        f"<i{count_bytes}").ravel()
+    key_sums = _np.ascontiguousarray(grid[:, count_bytes:head]).view(
+        "<u8").ravel()
     padded = _np.zeros((n, 8), dtype=_np.uint8)
     padded[:, :check_bytes] = grid[:, head:]
-    _np.frombuffer(check_sums, dtype=_np.uint64)[:] = \
-        padded.view("<u8").ravel()
+    return counts, key_sums, padded.view("<u8").ravel()
 
 
 def encode_iblt(iblt: IBLT) -> bytes:
@@ -223,11 +212,9 @@ def decode_iblt(data, offset: int = 0) -> tuple[IBLT, int]:
                     else cell_bytes)
     if offset + body > len(data):
         raise ParameterError("buffer exhausted while reading IBLT cells")
-    iblt = IBLT(cells, k=k, seed=seed, cell_bytes=cell_bytes)
-    iblt._pristine = False  # columns are written below, outside IBLT
     full = pad == _FULL_CELL_BYTES
-    _unpack_rows(data, offset, 2, 8 if full else cell_bytes - 10,
-                 iblt._counts, iblt._key_sums, iblt._check_sums)
+    iblt = IBLT.from_wire(cells, k, seed, cell_bytes, *_unpack_rows(
+        data, offset, cells, 2, 8 if full else cell_bytes - 10))
     return iblt, offset + body
 
 
@@ -278,13 +265,13 @@ def decode_symbol_batch(data, offset: int = 0):
     if offset + body > len(data):
         raise ParameterError(
             "buffer exhausted while reading coded symbols")
-    counts = array("q", bytes(8 * n))
-    key_sums = array("Q", bytes(8 * n))
-    check_sums = array("Q", bytes(8 * n))
-    _unpack_rows(data, offset, _SYMBOL_COUNT_BYTES, _SYMBOL_CHECK_BYTES,
-                 counts, key_sums, check_sums)
-    return SymbolBatch(start=start, counts=counts, key_sums=key_sums,
-                       check_sums=check_sums), offset + body
+    counts, key_sums, check_sums = _unpack_rows(
+        data, offset, n, _SYMBOL_COUNT_BYTES, _SYMBOL_CHECK_BYTES)
+    batch = SymbolBatch(start=start,
+                        counts=array("q", counts.astype("<i8").tobytes()),
+                        key_sums=array("Q", key_sums.tobytes()),
+                        check_sums=array("Q", check_sums.tobytes()))
+    return batch, offset + body
 
 
 def encode_protocol3_request(start: int, count: int, bloom_r=None) -> bytes:

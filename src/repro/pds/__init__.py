@@ -3,8 +3,9 @@
 Everything in this package is implemented from scratch:
 
 * :class:`~repro.pds.bloom.BloomFilter` -- classic Bloom filter with the
-  size/FPR relationship the paper uses (Eq. 2), plus the hash-splitting
-  optimization of section 6.3.
+  size/FPR relationship the paper uses (Eq. 2); its indices come from
+  the transaction ID itself through one keyed mix, never from a fresh
+  hash per item (section 6.3).
 * :class:`~repro.pds.iblt.IBLT` -- Invertible Bloom Lookup Table with
   subtraction and peeling decode, including the malformed-IBLT guard of
   section 6.1.

@@ -12,13 +12,12 @@ equations use:
   where Graphene has an FPR of 1 is equivalent to not sending a Bloom
   filter at all").
 
-An unseeded filter inserts an item by slicing its digest into ``k``
-index words (hash-splitting, section 6.3).  A seeded filter -- every
-filter the protocols build, so that S, R and F make independent
-mistakes -- never re-hashes either: it absorbs the four 64-bit words of
-the digest through the keyed mixer (:func:`repro.utils.hashing.mix64`,
-starting from the seed's salt) and derives the ``k`` indices from the
-two 32-bit halves of the result by Kirsch-Mitzenmacher double hashing.
+A filter never re-hashes a transaction ID (section 6.3).  Whatever its
+seed -- 0 is an ordinary seed -- it absorbs the four 64-bit words of the
+ID through the keyed mixer (:func:`repro.utils.hashing.mix64`, starting
+from the seed's salt) and derives the ``k`` indices from the two 32-bit
+halves of the result by Kirsch-Mitzenmacher double hashing.  Different
+seeds give S, R and F independent mistakes.
 
 Two properties of that derivation are load-bearing:
 
@@ -36,9 +35,10 @@ Batches have one kernel, and it reads packed input:
 take 32-byte rows laid end to end -- a mempool's or a block's own ID
 buffer (:class:`repro.chain.columns.TxColumns`) -- and
 :meth:`~BloomFilter.update` / :meth:`~BloomFilter.contains_many` pack
-their list (digesting any item that is not 32 bytes, as the scalar path
-does) and call it.  The mempool sweep of section 6.3 is therefore one
-vectorized pass over a buffer the mempool already holds.
+their list (digesting any item that is not 32 bytes, as the per-item
+path does) and call it, at every length.  The mempool sweep of section
+6.3 is therefore one vectorized pass over a buffer the mempool already
+holds.
 """
 
 from __future__ import annotations
@@ -51,30 +51,22 @@ import numpy as _np
 
 from repro.errors import ParameterError
 from repro.utils.hashing import (
-    family_salts, mix64, mix64_array, reduce_mod, sha256, split_digest)
+    family_salts, mix64, mix64_array, reduce_mod, sha256)
 from repro.utils.memo import BoundedMemo
 
 _LN2 = math.log(2.0)
 _LN2_SQ = _LN2 * _LN2
 
-_UNPACK_8I = struct.Struct("<8I").unpack
 _UNPACK_4Q = struct.Struct("<4Q").unpack
 
 _U32 = 0xFFFFFFFF
-_U64 = 0xFFFFFFFFFFFFFFFF
 
-#: Domain tag of the seeded filter's salt (see ``family_salts``).
+#: Domain tag of the filter's salt (see ``family_salts``).
 _SALT_TAG = b"graphene/bloom"
 
-#: Below this many items the scalar loop beats numpy's fixed call overhead
-#: (re-measured against the uint32 kernel, scalar vs batch, seeded probe
-#: of never-seen items: 39 vs 43 us at 10 items, 42 vs 43 at 11, 45 vs 42
-#: at 12, 54 vs 44 at 14; inserts into a fresh filter cross at 10-11).
-_BATCH_MIN = 12
-
-#: Finished ``(k, n)`` ``uint32`` bit-index matrices of seeded packed
-#: sweeps, keyed ``(seed, nbits, k, ids)`` with ``ids`` the packed
-#: 32-byte rows.  A relay sweeps the *same* mempool snapshot through a
+#: Finished ``(k, n)`` ``uint32`` bit-index matrices of packed sweeps,
+#: keyed ``(seed, nbits, k, ids)`` with ``ids`` the packed 32-byte
+#: rows.  A relay sweeps the *same* mempool snapshot through a
 #: filter of the same geometry for every peer that announces the block,
 #: so the matrix repeats sweep for sweep.  The matrix is a pure function
 #: of exactly those bytes (rows are fixed-width, so no two row lists
@@ -85,6 +77,19 @@ _BATCH_MIN = 12
 #: (≈ 3 MiB).
 _INDEX_MEMO = BoundedMemo(
     3 << 20, lambda key, steps: len(key[3]) + steps.nbytes)
+
+
+def _pack(items: list) -> bytes:
+    """``items`` as packed 32-byte rows, each item that is not 32 bytes
+    replaced by its digest first, as :meth:`BloomFilter._indices` does."""
+    joined = b"".join(items)
+    # Sum and maximum together establish that *every* item is 32 bytes;
+    # only then is the join a row buffer.
+    if (len(joined) == 32 * len(items)
+            and max(map(len, items), default=32) == 32):
+        return joined
+    return b"".join([item if len(item) == 32 else sha256(item)
+                     for item in items])
 
 
 def bloom_size_bits(n: int, f: float) -> int:
@@ -121,8 +126,9 @@ class BloomFilter:
     k:
         Number of hash functions.
     seed:
-        Mixed into the item digest so that independent filters (S, R, F in
-        the protocols) make independent mistakes.
+        Selects the salt of the keyed hash family (any value, 0
+        included), so that independent filters (S, R, F in the
+        protocols) make independent mistakes.
     """
 
     __slots__ = ("nbits", "k", "seed", "count", "_bits", "_target_fpr",
@@ -139,8 +145,7 @@ class BloomFilter:
         self.count = 0
         self._bits = bytearray((nbits + 7) // 8)
         self._target_fpr = 1.0
-        #: Salt of the seeded family; unseeded filters split the digest.
-        self._salt = family_salts(_SALT_TAG, seed, 1)[0] if seed else None
+        self._salt = family_salts(_SALT_TAG, seed, 1)[0]
 
     @classmethod
     def from_fpr(cls, n: int, fpr: float, seed: int = 0) -> "BloomFilter":
@@ -169,51 +174,53 @@ class BloomFilter:
         """True when the filter matches everything (zero-bit filter)."""
         return self.nbits == 0
 
+    @classmethod
+    def from_wire(cls, nbits: int, k: int, seed: int,
+                  bits) -> "BloomFilter":
+        """Rebuild a filter from its wire fields (docs/PROTOCOL.md 1.1).
+
+        ``bits`` is the bit array, ``ceil(nbits / 8)`` bytes.  Neither
+        the load nor the target FPR travels: ``count`` starts at 0 (a
+        protocol message that carries the load restores it) and
+        :attr:`target_fpr` is inferred from the geometry and the load.
+        """
+        filt = cls(nbits, k, seed=seed)
+        if len(bits) != len(filt._bits):
+            raise ParameterError(
+                f"{nbits} bits take {len(filt._bits)} bytes, "
+                f"got {len(bits)}")
+        filt._bits[:] = bits
+        filt._target_fpr = None
+        return filt
+
     @property
     def target_fpr(self) -> float:
-        """The FPR this filter was sized for (1.0 when degenerate)."""
-        return self._target_fpr
+        """The FPR this filter was sized for (1.0 when degenerate).
+
+        A filter off the wire (:meth:`from_wire`) infers it.  An
+        optimally sized filter satisfies ``f = 2^-k``, which is all the
+        geometry tells; once the load ``n`` is known, the sizing
+        ``nbits = ceil(-n ln f / ln^2 2)`` inverts to
+        ``f = exp(-nbits ln^2 2 / n)``, which refines that estimate.
+        """
+        if self._target_fpr is not None:
+            return self._target_fpr
+        if self.nbits == 0:
+            return 1.0
+        if self.count <= 0:
+            return 0.5 ** self.k
+        return math.exp(-self.nbits * _LN2_SQ / self.count)
 
     def _indices(self, item: bytes) -> list:
         """Return the ``k`` bit indices for ``item``."""
+        if len(item) != 32:
+            item = sha256(item)
+        mixed = self._salt
+        for word in _UNPACK_4Q(item):
+            mixed = mix64(mixed ^ word)
+        lo, hi = mixed & _U32, mixed >> 32 | 1
         k, nbits = self.k, self.nbits
-        if self.seed:
-            if len(item) != 32:
-                item = sha256(item)
-            mixed = self._salt
-            for word in _UNPACK_4Q(item):
-                mixed = mix64(mixed ^ word)
-            lo, hi = mixed & _U32, mixed >> 32 | 1
-            return [((lo + j * hi) & _U32) % nbits for j in range(k)]
-        # Transaction IDs are already cryptographic hashes; reuse them
-        # directly (hash-splitting, paper 6.3) when no reseeding is needed.
-        digest = item if len(item) >= 32 else sha256(item)
-        if k <= 8 and len(digest) == 32:
-            # Inline hash splitting: identical to split_digest for a
-            # 32-byte digest and k direct words, minus the generator.
-            return [w % nbits for w in _UNPACK_8I(digest)[:k]]
-        return list(split_digest(digest, k, nbits))
-
-    def _pack(self, items: list):
-        """``items`` as packed 32-byte rows, or ``None`` for the scalar loop.
-
-        Short batches stay scalar (see ``_BATCH_MIN``).  A seeded filter
-        digests any item that is not 32 bytes first, as :meth:`_indices`
-        does; an unseeded one splits the item itself, and a longer item
-        has words a 32-byte row cannot carry, so such lists have no
-        packed form.
-        """
-        if len(items) < _BATCH_MIN:
-            return None
-        joined = b"".join(items)
-        # Sum and maximum together establish that *every* item is
-        # 32 bytes; only then is the join a row buffer.
-        if len(joined) == 32 * len(items) and max(map(len, items)) == 32:
-            return joined
-        if not self.seed:
-            return None
-        return b"".join([item if len(item) == 32 else sha256(item)
-                         for item in items])
+        return [((lo + j * hi) & _U32) % nbits for j in range(k)]
 
     def _packed_indices(self, ids: bytes):
         """Return the ``(k, len(ids)/32)`` ``uint32`` bit-index matrix.
@@ -229,9 +236,6 @@ class BloomFilter:
         if len(ids) % 32:
             raise ParameterError(
                 f"packed ids must be 32-byte rows, got {len(ids)} bytes")
-        if not self.seed:
-            words = _np.frombuffer(ids, dtype="<u4")
-            return self._split_words(words.reshape(-1, 8))
         memo_key = (self.seed, self.nbits, self.k, ids)
         steps = _INDEX_MEMO.get(memo_key)
         if steps is None:
@@ -255,20 +259,6 @@ class BloomFilter:
             _INDEX_MEMO.remember(memo_key, steps)
         return steps
 
-    def _split_words(self, words):
-        """Map a ``(batch, 8)`` u32 digest-word matrix to ``(k, batch)``
-        ``uint32`` bit indices."""
-        k, nbits = self.k, self.nbits
-        direct = words.T[:k].copy()
-        reduce_mod(direct, nbits)
-        if k <= 8:
-            return direct
-        h1 = words[:, 0].astype(_np.uint64)
-        h2 = words[:, 1].astype(_np.uint64) | _np.uint64(1)
-        derived = [((h1 + _np.uint64(i) * h2) & _np.uint64(_U64))
-                   % _np.uint64(nbits) for i in range(8, k)]
-        return _np.vstack([direct] + derived).astype(_np.uint32)
-
     def insert(self, item: bytes) -> None:
         """Insert ``item`` (a byte string, typically a 32-byte txid)."""
         if self.nbits == 0:
@@ -284,19 +274,8 @@ class BloomFilter:
 
     def update(self, items: Iterable[bytes]) -> None:
         """Insert every item of ``items``: pack, then :meth:`update_packed`."""
-        if self.nbits == 0:
-            return
-        items = list(items)
-        ids = self._pack(items)
-        if ids is not None:
-            self.update_packed(ids)
-            return
-        bits = self._bits
-        indices = self._indices
-        for item in items:
-            for idx in indices(item):
-                bits[idx >> 3] |= 1 << (idx & 7)
-        self.count += len(items)
+        if self.nbits:
+            self.update_packed(_pack(list(items)))
 
     def update_packed(self, ids: bytes) -> None:
         """Insert every 32-byte row of ``ids`` (``bytes``, rows end to end).
@@ -327,22 +306,7 @@ class BloomFilter:
         """Return ``[item in self for item in items]`` in one sweep."""
         if self.nbits == 0:
             return [True for _ in items]
-        items = list(items)
-        ids = self._pack(items)
-        if ids is not None:
-            return self.contains_packed(ids).tolist()
-        bits = self._bits
-        indices = self._indices
-        out = []
-        append = out.append
-        for item in items:
-            for idx in indices(item):
-                if not bits[idx >> 3] & (1 << (idx & 7)):
-                    append(False)
-                    break
-            else:
-                append(True)
-        return out
+        return self.contains_packed(_pack(list(items))).tolist()
 
     def contains_packed(self, ids: bytes):
         """Membership of every 32-byte row of ``ids``, as a bool array.

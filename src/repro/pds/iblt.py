@@ -51,11 +51,6 @@ from repro.utils.memo import BoundedMemo
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-#: Below this many keys the scalar loop beats numpy's fixed call overhead
-#: (re-measured against the in-place mix, scalar vs batch: 22 vs 30 us at
-#: 4 keys, 25 vs 27 at 5, 30 vs 27 at 6, 34 vs 27 at 7, 38 vs 28 at 8).
-_BATCH_MIN = 6
-
 #: From this many keys up, and while cell indices fit in ``uint16``, a
 #: fold scatters by sorting (:func:`scatter`); below it ``bincount`` plus
 #: ``bitwise_xor.at`` wins on fixed cost.  Measured with the caches
@@ -151,8 +146,8 @@ class IBLT:
         self.count = 0
         #: True while the columns are untouched since construction; the
         #: guard for the whole-batch fold cache in :meth:`update`.  Every
-        #: path that writes the columns -- in this class or outside it
-        #: (the wire codec, fuzz corruption) -- must clear it.
+        #: method that writes the columns clears it; nothing outside
+        #: this class writes them.
         self._pristine = True
 
     @property
@@ -199,42 +194,20 @@ class IBLT:
 
         The array form is the packed entry point (a short-ID column,
         :meth:`repro.chain.columns.TxColumns.short_ids`); any other
-        iterable is masked to 64 bits and packed into one.  Batches of
-        ``_BATCH_MIN`` keys or more take the vectorized fold, smaller
-        ones the scalar loop; both orders of operation commute (cell
-        updates are adds and xors), so the resulting columns are
-        identical.
+        iterable is masked to 64 bits and packed into one.  Every batch,
+        whatever its length, takes the one vectorized fold; cell updates
+        are adds and xors, which commute, so the columns equal those of
+        the same keys inserted one at a time.
         """
-        packed = isinstance(keys, _np.ndarray)
-        if not packed:
+        if not isinstance(keys, _np.ndarray):
             keys = [key & _U64 for key in keys]
         if not len(keys):
             return
         if not self.cells:
             raise ParameterError("cannot store keys in a 0-cell IBLT")
-        if len(keys) >= _BATCH_MIN:
-            self._fold_column(_np.asarray(keys, dtype=_np.uint64))
-        else:
-            self._fold_scalar(keys.astype(_np.uint64).tolist() if packed
-                              else keys)
+        self._fold_column(_np.asarray(keys, dtype=_np.uint64))
         self.count += len(keys)
         self._pristine = False
-
-    def _fold_scalar(self, keys: list) -> None:
-        entry = self.hasher.entry
-        width = self.cells // self.k
-        counts, key_sums, check_sums = \
-            self._counts, self._key_sums, self._check_sums
-        for key in keys:
-            words, csum = entry(key)
-            csum &= 0xFFFF
-            base = 0
-            for w in words:
-                idx = base + w % width
-                counts[idx] += 1
-                key_sums[idx] ^= key
-                check_sums[idx] ^= csum
-                base += width
 
     def _fold_column(self, column) -> None:
         """Fold a uint64 key column into the table through numpy views.
@@ -288,6 +261,22 @@ class IBLT:
         if fkey is not None:
             _FOLD_CACHE.remember(fkey, tuple(array(col.typecode, col)
                                              for col in columns))
+
+    @classmethod
+    def from_wire(cls, cells: int, k: int, seed: int, cell_bytes: int,
+                  counts, key_sums, check_sums) -> "IBLT":
+        """Rebuild a table from its wire fields (docs/PROTOCOL.md 1.2).
+
+        ``counts``, ``key_sums`` and ``check_sums`` are the three cell
+        columns, ``cells`` values each, in any form numpy reads (the
+        codec passes the arrays it parsed); they are copied in.
+        """
+        iblt = cls(cells, k=k, seed=seed, cell_bytes=cell_bytes)
+        _np.frombuffer(iblt._counts, dtype=_np.int64)[:] = counts
+        _np.frombuffer(iblt._key_sums, dtype=_np.uint64)[:] = key_sums
+        _np.frombuffer(iblt._check_sums, dtype=_np.uint64)[:] = check_sums
+        iblt._pristine = False
+        return iblt
 
     @classmethod
     def from_keys(cls, keys: Iterable[int], cells: int, k: int = 4,

@@ -4,9 +4,9 @@ The live :mod:`repro.pds.iblt` / :mod:`repro.pds.bloom` structures are
 columnar and batch-first; these classes are the same structures written
 one object, one probe, one hash derivation at a time, straight from
 docs/PROTOCOL.md sections 1.1 and 1.2.  Nothing is cached and nothing is
-shared with :mod:`repro.utils.hashing` beyond SHA-256 and the unseeded
-digest split: the mixing kernel and the salt derivation are written out
-again here, so a slip in either copy shows up as a byte difference.
+shared with :mod:`repro.utils.hashing` beyond SHA-256: the mixing kernel
+and the salt derivation are written out again here, so a slip in either
+copy shows up as a byte difference.
 They exist for two reasons:
 
 * **Equivalence testing** -- property tests, the golden vectors and the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import MalformedIBLTError, ParameterError
-from repro.utils.hashing import sha256, split_digest
+from repro.utils.hashing import sha256
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _U32 = 0xFFFFFFFF
@@ -230,9 +230,6 @@ class ReferenceBloomFilter:
         return cls(nbits, k, seed=seed)
 
     def _indices(self, item: bytes) -> list[int]:
-        if not self.seed:
-            digest = item if len(item) >= 32 else sha256(item)
-            return list(split_digest(digest, self.k, self.nbits))
         if len(item) != 32:
             item = sha256(item)
         mixed = _salt(b"graphene/bloom", self.seed, 0)

@@ -85,16 +85,15 @@ def run_collision_attack(n: int = 200, extra: int = 200, seed: int = 0,
     m = len(receiver)
     plan_s = optimize_a(n, m, config)
     bloom_s = BloomFilter.from_fpr(n, plan_s.fpr, seed=seed ^ 0x51)
-    for tx in block.txs:
-        bloom_s.insert(tx.txid)
-    t2_passed_s = t2.txid in bloom_s
+    bloom_s.update_packed(block.columns.ids)
+    t2_passed_s = bool(bloom_s.contains_packed(t2.txid)[0])
 
     fr = min(1.0, max(config.special_case_fpr, plan_s.fpr))
     bloom_r = BloomFilter.from_fpr(max(1, n), fr, seed=seed ^ 0x52)
-    for tx in receiver:
-        if tx.txid in bloom_s:
-            bloom_r.insert(tx.txid)
-    t1_passed_r = t1.txid in bloom_r
+    pool = receiver.columns()
+    passed = pool.words[bloom_s.contains_packed(pool.ids)]
+    bloom_r.update_packed(passed.tobytes())
+    t1_passed_r = bool(bloom_r.contains_packed(t1.txid)[0])
 
     return CollisionAttackResult(
         xthin_failed=not xthin.success,

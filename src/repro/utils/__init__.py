@@ -4,7 +4,6 @@ from repro.utils.hashing import (
     DerivedHasher,
     sha256,
     short_id,
-    split_digest,
 )
 from repro.utils.siphash import siphash24
 from repro.utils.serialization import (
@@ -21,7 +20,6 @@ __all__ = [
     "DerivedHasher",
     "sha256",
     "short_id",
-    "split_digest",
     "siphash24",
     "compact_size",
     "compact_size_len",

@@ -1,25 +1,19 @@
 """Hashing helpers used by every probabilistic data structure in the package.
 
 Transaction IDs are already the output of a cryptographic hash (paper
-6.3), so no structure hashes them again item by item.  Two idioms:
-
-* **Hash splitting**: an unseeded Bloom filter slices the 32-byte
-  digest into ``k`` index words.  :func:`split_digest` implements the
-  slicing and falls back to cheap derived hashing when ``k`` pieces do
-  not fit.
-
-* **Keyed mixing**: every seeded structure (each filter and table the
-  protocols build) passes the ID, 64 bits at a time, through one
-  bijective multiply-xorshift finalizer, :func:`mix64`, keyed by XORing
-  a per-family *salt* into the input.  Salts come from SHA-256 over
-  ``(domain tag, seed, index)`` -- once per family, never per item
-  (:func:`family_salts`).  :func:`mix64` (Python ints) and
-  :func:`mix64_array` (numpy ``uint64``) are bit-identical.
-  :class:`DerivedHasher` packages ``k`` independently salted index
-  words plus a checksum word for the IBLT and the rateless IBLT;
-  different seeds give different salts and therefore (statistically)
-  independent families, which ping-pong decoding requires of its two
-  IBLTs (paper 4.2).
+6.3), so no structure hashes them again item by item.  One idiom,
+**keyed mixing**, serves every structure (each filter and table, of
+any seed, 0 included): it passes the ID, 64 bits at a time, through one
+bijective multiply-xorshift finalizer, :func:`mix64`, keyed by XORing
+a per-family *salt* into the input.  Salts come from SHA-256 over
+``(domain tag, seed, index)`` -- once per family, never per item
+(:func:`family_salts`).  :func:`mix64` (Python ints) and
+:func:`mix64_array` (numpy ``uint64``) are bit-identical.
+:class:`DerivedHasher` packages ``k`` independently salted index words
+plus a checksum word for the IBLT and the rateless IBLT; different
+seeds give different salts and therefore (statistically) independent
+families, which ping-pong decoding requires of its two IBLTs (paper
+4.2).
 
 Nothing here is secret: seeds are public configuration, so the salts
 buy independence between structures, not unpredictability.  Collision
@@ -31,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterator
 
 import numpy as _np
 
@@ -51,7 +44,7 @@ _NP_30, _NP_27, _NP_31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
 def mix64(z: int) -> int:
     """Mix one 64-bit word: a bijection with full avalanche.
 
-    ``mix64(x ^ salt)`` is the keyed hash every seeded structure uses.
+    ``mix64(x ^ salt)`` is the keyed hash every structure uses.
     """
     z = ((z ^ (z >> 30)) * _MIX_C1) & _U64
     z = ((z ^ (z >> 27)) * _MIX_C2) & _U64
@@ -100,7 +93,7 @@ def family_salts(tag: bytes, seed: int, count: int) -> tuple:
 
     Salts are hash-split, four to a digest: salt ``i`` is little-endian
     u64 word ``i mod 4`` of ``SHA256(tag | seed_u64 | (i div 4)_u32)``.
-    This is the only place a seeded structure touches SHA-256: per
+    This is the only place a structure touches SHA-256: per
     family, not per item.
     """
     prefix = tag + _PACK_Q(seed & _U64)
@@ -123,30 +116,6 @@ def short_id(txid: bytes, nbytes: int = 8) -> int:
     if not 1 <= nbytes <= len(txid):
         raise ValueError(f"nbytes must be in [1, {len(txid)}], got {nbytes}")
     return int.from_bytes(txid[:nbytes], "little")
-
-
-def split_digest(digest: bytes, k: int, modulus: int) -> Iterator[int]:
-    """Yield ``k`` hash values in ``[0, modulus)`` by slicing ``digest``.
-
-    Implements the hash-splitting optimization of paper section 6.3: the
-    32-byte digest is broken into 4-byte words, each word serving as one
-    hash value.  When more than ``len(digest) // 4`` values are requested,
-    the remainder are produced with derived hashing seeded from the first
-    two words, preserving the "no extra cryptographic hashing" property.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    nwords = len(digest) // 4
-    words = struct.unpack(f"<{nwords}I", digest[: 4 * nwords])
-    direct = min(k, nwords)
-    for i in range(direct):
-        yield words[i] % modulus
-    if k > nwords:
-        h1, h2 = words[0], words[1] | 1
-        for i in range(nwords, k):
-            yield ((h1 + i * h2) & _U64) % modulus
 
 
 class DerivedHasher:

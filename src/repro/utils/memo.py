@@ -1,6 +1,6 @@
 """One eviction rule for every memo in the package.
 
-The seeded Bloom index matrices (:mod:`repro.pds.bloom`), the IBLT
+The Bloom index matrices (:mod:`repro.pds.bloom`), the IBLT
 folded columns (:mod:`repro.pds.iblt`) and the Merkle roots
 (:mod:`repro.chain.merkle`) are each keyed by the packed bytes their
 value is a pure function of, so a single entry can pin a whole

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.pds.bloom import (
-    _BATCH_MIN,
     BloomFilter,
     bloom_size_bits,
     bloom_size_bytes,
@@ -144,7 +143,8 @@ class TestConstruction:
 
 
 class TestBatchPaths:
-    """The vectorized batch entry points must match the scalar loops."""
+    """The vectorized batch entry points must match per-item inserts
+    and probes."""
 
     def test_update_matches_scalar_inserts(self):
         items = _ids(200)
@@ -157,14 +157,17 @@ class TestBatchPaths:
         assert len(batched) == len(single) == 200
 
     def test_update_matches_scalar_unseeded(self):
-        # seed=0 reuses 32-byte txids as digests (hash splitting).
+        # A filter built without a seed takes seed 0, an ordinary seed
+        # of the keyed family: the same bits as the reference's.
         items = _ids(150)
         batched = BloomFilter.from_fpr(150, 0.02)
         batched.update(items)
         single = BloomFilter.from_fpr(150, 0.02)
+        ref = ReferenceBloomFilter.from_fpr(150, 0.02)
         for item in items:
             single.insert(item)
-        assert batched._bits == single._bits
+            ref.insert(item)
+        assert batched._bits == single._bits == ref._bits
 
     def test_update_matches_scalar_high_k(self):
         # More indices than the digest has 32-bit words, seeded.
@@ -177,15 +180,16 @@ class TestBatchPaths:
         assert batched._bits == single._bits
 
     def test_update_matches_scalar_high_k_unseeded(self):
-        # k > 8 exercises the derived-hashing continuation of the
-        # splitting rule in both paths.
+        # More indices than the digest has 32-bit words, at seed 0.
         items = _ids(100)
         batched = BloomFilter(503, 11)
         batched.update(items)
         single = BloomFilter(503, 11)
+        ref = ReferenceBloomFilter(503, 11)
         for item in items:
             single.insert(item)
-        assert batched._bits == single._bits
+            ref.insert(item)
+        assert batched._bits == single._bits == ref._bits
 
     def test_contains_many_matches_scalar(self):
         items = _ids(120)
@@ -194,12 +198,14 @@ class TestBatchPaths:
         probes = items[:60] + _ids(100, tag=b"q")
         assert filt.contains_many(probes) == [p in filt for p in probes]
 
-    @pytest.mark.parametrize("count", [_BATCH_MIN - 1, _BATCH_MIN,
-                                       _BATCH_MIN + 1, 200])
+    @pytest.mark.parametrize("count", [11, 12, 13, 200])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_both_sides_of_the_batch_threshold(self, count, seed):
-        # Scalar loop below _BATCH_MIN, numpy at and above it, and the
-        # cache-free reference: one set of bits, one set of answers.
+        # 11/12/13 straddle the size (12 items) below which a scalar
+        # list loop used to take over, and stay pinned: every length
+        # takes the kernel, and the kernel, per-item inserts and probes
+        # and the cache-free reference give one set of bits and one set
+        # of answers.
         items = _ids(count)
         batched = BloomFilter(1021, 5, seed=seed)
         batched.update(items)
@@ -228,14 +234,14 @@ class TestBatchPaths:
         assert batched._bits == single._bits == rehashed._bits == ref._bits
         assert batched.contains_many(items) == [True] * len(items)
 
-    @pytest.mark.parametrize("count", [0, 1, _BATCH_MIN - 1, _BATCH_MIN,
-                                       200])
+    @pytest.mark.parametrize("count", [0, 1, 11, 12, 200])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_packed_equals_list_equals_scalar_equals_reference(
             self, count, seed):
-        # The packed entry points are the batch kernel itself, so they
-        # must agree with the list wrappers, the scalar loop and the
-        # reference at every size, seeded (mixing) and not (splitting).
+        # The packed entry points are the batch kernel itself, and the
+        # list wrappers reach it at every length, so both must agree
+        # with per-item inserts and probes and with the reference at
+        # every size and seed, 0 included.
         items = _ids(count)
         probes = items[::2] + _ids(count + 3, tag=b"q")
         packed = BloomFilter(1021, 5, seed=seed)
@@ -255,30 +261,22 @@ class TestBatchPaths:
             == [p in single for p in probes] == [p in ref for p in probes]
 
     def test_a_31_byte_item_is_digested_on_the_way_into_the_kernel(self):
-        # Seeded: the list wrapper packs sha256(item) for the odd item,
-        # so packing by hand gives the same bits.  Unseeded: a list with
-        # an odd-width item has no packed form and takes the scalar loop.
+        # The list wrapper packs sha256(item) for the odd item, so
+        # packing by hand gives the same bits, at every seed.
         items = _ids(20) + [bytes(31)] + _ids(20, tag=b"r")
         rows = b"".join(item if len(item) == 32 else sha256(item)
                         for item in items)
-        listed = BloomFilter(2039, 4, seed=11)
-        listed.update(items)
-        packed = BloomFilter(2039, 4, seed=11)
-        packed.update_packed(rows)
-        ref = ReferenceBloomFilter(2039, 4, seed=11)
-        for item in items:
-            ref.insert(item)
-        assert listed._bits == packed._bits == ref._bits
-        assert listed.contains_many(items) == [True] * 41 \
-            == packed.contains_packed(rows).tolist()
-        unseeded = BloomFilter(2039, 4)
-        assert unseeded._pack(items) is None
-        unseeded.update(items)
-        single = BloomFilter(2039, 4)
-        for item in items:
-            single.insert(item)
-        assert unseeded._bits == single._bits
-        assert unseeded.contains_many(items) == [True] * 41
+        for seed in (0, 11):
+            listed = BloomFilter(2039, 4, seed=seed)
+            listed.update(items)
+            packed = BloomFilter(2039, 4, seed=seed)
+            packed.update_packed(rows)
+            ref = ReferenceBloomFilter(2039, 4, seed=seed)
+            for item in items:
+                ref.insert(item)
+            assert listed._bits == packed._bits == ref._bits
+            assert listed.contains_many(items) == [True] * 41 \
+                == packed.contains_packed(rows).tolist()
 
     def test_degenerate_and_ragged_packed_input(self):
         everything = BloomFilter.from_fpr(10, 1.0, seed=3)

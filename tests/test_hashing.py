@@ -19,7 +19,6 @@ from repro.utils.hashing import (
     mix64_array,
     sha256,
     short_id,
-    split_digest,
 )
 
 #: Keys every scalar/batch comparison covers: the extremes of the key
@@ -62,42 +61,6 @@ class TestShortId:
     def test_rejects_bad_width(self, bad):
         with pytest.raises(ValueError):
             short_id(bytes(32), bad)
-
-
-class TestSplitDigest:
-    def test_yields_k_values(self):
-        digest = sha256(b"tx")
-        assert len(list(split_digest(digest, 5, 1000))) == 5
-
-    def test_values_within_modulus(self):
-        digest = sha256(b"tx")
-        assert all(0 <= v < 97 for v in split_digest(digest, 8, 97))
-
-    def test_deterministic(self):
-        digest = sha256(b"tx")
-        assert (list(split_digest(digest, 6, 500))
-                == list(split_digest(digest, 6, 500)))
-
-    def test_extends_beyond_digest_words(self):
-        digest = sha256(b"tx")
-        values = list(split_digest(digest, 12, 10_000))
-        assert len(values) == 12
-        assert all(0 <= v < 10_000 for v in values)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            list(split_digest(sha256(b"t"), 0, 10))
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            list(split_digest(sha256(b"t"), 3, 0))
-
-    def test_spread_over_modulus(self):
-        # With many digests, every cell of a small modulus gets hit.
-        seen = set()
-        for i in range(200):
-            seen.update(split_digest(sha256(bytes([i])), 4, 16))
-        assert seen == set(range(16))
 
 
 class TestDerivedHasher:
@@ -218,7 +181,7 @@ class TestScalarBatchParity:
 
 
 class TestNoPerItemSha:
-    """Graphene 6.3: structures slice or mix a txid, never re-hash it.
+    """Graphene 6.3: structures mix a txid, never re-hash it.
 
     A counting wrapper stands in for ``hashlib.sha256`` while each
     structure ingests ``count`` items.  The budget is the family salts

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.codec import encode_iblt
 from repro.errors import MalformedIBLTError, ParameterError
 from repro.pds.iblt import (
-    _BATCH_MIN,
     DEFAULT_CELL_BYTES,
     IBLT,
     IBLT_HEADER_BYTES,
@@ -262,8 +261,7 @@ class TestPropertyBased:
         assert batched.count == single.count
 
     def test_large_batch_update_matches_single_inserts(self):
-        # Large enough to force the vectorized path (hypothesis sets
-        # above rarely clear the batch threshold).
+        # Far larger than the hypothesis sets above (40 keys at most).
         keys = _keys(300, seed=5)
         batched = IBLT(96, k=4, seed=33)
         batched.update(keys)
@@ -275,13 +273,14 @@ class TestPropertyBased:
         assert batched._check_sums == single._check_sums
         assert batched.count == single.count
 
-    @pytest.mark.parametrize("count", sorted({
-        _BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1, 7, 8, 9, 40}))
+    @pytest.mark.parametrize("count", [5, 6, 7, 8, 9, 40])
     def test_both_sides_of_the_batch_threshold(self, count):
-        # Scalar loop below _BATCH_MIN, one vectorized mix at and above
-        # it, and the cache-free reference, over the extremes of the
-        # key space and the small integers docs/TUTORIAL.md inserts.
-        # 7/8/9 straddle the earlier threshold of 8 and stay pinned.
+        # 5/6/7 straddle the size (6 keys) below which a scalar loop
+        # used to take over, 7/8/9 the threshold of 8 before it; both
+        # stay pinned.  Every length takes the one vectorized fold,
+        # which must match per-key inserts and the cache-free
+        # reference over the extremes of the key space and the small
+        # integers docs/TUTORIAL.md inserts.
         edge = [0, 2**64 - 1, 2**63, *range(1, 10)]
         keys = (edge + _keys(40, seed=11))[:count]
         batched = IBLT(96, k=4, seed=33)
@@ -297,14 +296,12 @@ class TestPropertyBased:
         assert encode_iblt(batched) == encode_reference_iblt(ref)
         assert batched.decode().local == set(keys)
 
-    @pytest.mark.parametrize("count", sorted({
-        0, 1, _BATCH_MIN - 1, _BATCH_MIN, _BATCH_MIN + 1, 7, 8, 9, 60}))
+    @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 8, 9, 60])
     def test_key_column_equals_iterable(self, count):
         # The uint64 array is the packed entry point; a list, a
         # generator and a strided view of the same keys (duplicates
-        # included) must fold to the same table on both sides of
-        # _BATCH_MIN (and of the earlier threshold of 8), and to the
-        # reference's.
+        # included) must fold to the same table at every length, the
+        # smallest batches included, and to the reference's.
         edge = [0, 2**64 - 1, 2**63, 7, 7, 2**63]
         keys = (edge + _keys(60, seed=12))[:count]
         column = np.array(keys, dtype=np.uint64)

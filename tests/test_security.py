@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import MalformedIBLTError, ParameterError
+from repro.pds.bloom import BloomFilter
 from repro.security.collision_attack import (
     craft_colliding_pair,
     run_collision_attack,
@@ -43,6 +46,39 @@ class TestCollisionSearch:
         t1, t2 = craft_colliding_pair(seed=2)
         assert t1.txid != t2.txid
         assert t1.short_id() == t2.short_id()
+
+
+def _binomial_upper(trials: int, p: float, alpha: float = 1e-6) -> int:
+    """Smallest ``c`` with ``Pr[Binomial(trials, p) > c] <= alpha``."""
+    tail = 1.0
+    for c in range(trials + 1):
+        tail -= math.comb(trials, c) * p ** c * (1 - p) ** (trials - c)
+        if tail <= alpha:
+            return c
+    return trials
+
+
+class TestSeedZeroFilter:
+    def test_a_short_id_twin_passes_only_at_the_false_positive_rate(self):
+        """Seed 0 is an ordinary seed: S and R absorb the whole ID.
+
+        ``GrapheneConfig(seed=SEED_S)`` gives S the seed ``0`` (every
+        structure's seed is ``config.seed ^`` its constant), and R or F
+        likewise at ``0xF00D`` / ``0xFEED``.  A filter there must still
+        tell a manufactured 8-byte short-ID twin from its partner
+        (paper 6.1); one that read only a prefix of the ID would pass
+        every twin.
+        """
+        trials, passed, fpr = 200, 0, 0.0
+        for seed in range(trials):
+            t1, t2 = craft_colliding_pair(seed=seed)
+            filt = BloomFilter.from_fpr(200, 0.3, seed=0)
+            assert filt.k == 2
+            filt.insert(t1.txid)
+            passed += t2.txid in filt
+            fpr = filt.actual_fpr()
+        assert passed <= _binomial_upper(trials, fpr), \
+            f"{passed} of {trials} twins passed at FPR {fpr:.2e}"
 
 
 class TestCollisionAttack:
