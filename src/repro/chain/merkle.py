@@ -58,7 +58,7 @@ def merkle_root_packed(ids: bytes) -> bytes:
     if not ids:
         return bytes(32)
     ids = bytes(ids)
-    cached = _ROOT_CACHE.get(ids)
+    cached = _ROOT_CACHE.lookup(ids)
     if cached is not None:
         return cached
     sha256, digest = hashlib.sha256, _DIGEST

@@ -32,7 +32,7 @@ from repro.baselines.compact_blocks import CompactBlocksRelay
 from repro.baselines.full_block import FullBlockRelay
 from repro.baselines.xthin import XThinRelay
 from repro.chain.scenarios import make_block_scenario, make_sync_scenario
-from repro.core.engine import SENDER_STEPS
+from repro.core.engine import ENCODED_OPENINGS, SENDER_STEPS
 from repro.core.mempool_sync import synchronize_mempools
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
@@ -338,6 +338,8 @@ def _cmd_serve(args) -> int:
     drops = _parse_drops(args.drop, args.blackhole)
 
     async def run() -> int:
+        # Openings this process builds (not first serves per engine).
+        built_before = ENCODED_OPENINGS.misses
         server = BlockServer(scenario.block,
                              config=GrapheneConfig(
                                  protocol=3 if args.p3 else 1),
@@ -352,8 +354,7 @@ def _cmd_serve(args) -> int:
         else:
             await asyncio.Event().wait()  # forever; Ctrl-C to stop
         await server.close()
-        built = sum(engine.openings_built
-                    for engine in server.serving_engines.values())
+        built = ENCODED_OPENINGS.misses - built_before
         print(f"served {server.connections_served} connection(s), "
               f"built {built} opening(s)")
         return 0

@@ -151,6 +151,25 @@ _AWAITED_BY_PHASE = {
 _OPENINGS = {1: ("graphene_block", "p1", "iblt_i"),
              3: ("graphene_p3_block", "p3", "riblt")}
 
+#: Encoded openings, ``(blob, parts)``, shared by every sender engine in
+#: the process.  A blob is a pure function of what the key holds --
+#: protocol, the requester's mempool count ``m``, the config, block or
+#: mempool mode, the header bytes, the ID buffer and the prefilled
+#: coinbase rows -- so each sender of one block to one ``m`` serves the
+#: bytes the first of them built.  Bounded at 8 openings (each counts 1);
+#: ``misses`` is the number built.
+ENCODED_OPENINGS = BoundedMemo(8, lambda key, opening: 1)
+
+#: Decoded openings, ``(payload, parts)``, keyed by ``(protocol, the
+#: blob after the header)``: every receiver of one blob reads the one
+#: payload.  Decoded structures own their bytes (copy-on-retain) and no
+#: receive path writes them, so sharing them is safe.  Bounded at 8
+#: openings; a blob counts one more per 64 KiB, so a peer's oversized
+#: opening is kept alone and goes at the next insertion.  ``misses`` is
+#: the number decoded.
+DECODED_OPENINGS = BoundedMemo(
+    8, lambda key, decoded: 1 + (len(key[1]) >> 16))
+
 
 class ActionKind(enum.Enum):
     """What the caller should do with an engine step's result."""
@@ -232,13 +251,22 @@ class GrapheneSenderEngine:
         self.config = config or GrapheneConfig()
         self.telemetry = telemetry if telemetry is not None else []
         #: Served openings keyed by ``(protocol, m)``, m the requester's
-        #: mempool count: ``build_protocol1`` / ``build_protocol3`` are
-        #: deterministic in (txs, m, config), and a sender fans the same
-        #: block out to many peers whose counts repeat.  Bounded at 64
-        #: openings (each entry counts 1).
+        #: mempool count: a sender fans the same block out to many peers
+        #: whose counts repeat.  An index into :data:`ENCODED_OPENINGS`
+        #: by the engine's own short key; bounded at 64 openings (each
+        #: entry counts 1).
         self._openings = BoundedMemo(64, lambda key, opening: 1)
-        #: Openings built, i.e. ``_openings`` misses (read-only counter).
+        #: This engine's first serves of a ``(protocol, m)``, i.e.
+        #: ``_openings`` misses (read-only counter).  The openings the
+        #: process actually built are ``ENCODED_OPENINGS.misses``.
         self.openings_built = 0
+        #: What every opening starts with (nothing in mempool mode) and
+        #: the transactions it prefills (the block's coinbase), found
+        #: once: with the mode, the ID buffer and ``(protocol, m,
+        #: config)``, all an opening is a function of.
+        self._header = b"" if block is None else block.header.serialize()
+        self._prefill = () if block is None else tuple(
+            tx for tx in self.columns.txs if tx.is_coinbase)
         #: The one shared Protocol 3 symbol stream -- it depends only on
         #: (txs, seed), so every peer and every continuation reads the
         #: same prefix.
@@ -262,33 +290,40 @@ class GrapheneSenderEngine:
         (m,) = struct.unpack_from("<I", message, 0)
         protocol = 3 if len(message) >= 5 \
             and message[4] == P3_GETDATA_MARKER else 1
-        cached = self._openings.get((protocol, m))
+        cached = self._openings.lookup((protocol, m))
         if cached is None:
-            cached = self._build_opening(protocol, m)
+            cached = self._first_serve(protocol, m)
         blob, parts = cached
         command, phase, _ = _OPENINGS[protocol]
         return self._emit(command, blob, phase, 1, parts)
 
+    def _first_serve(self, protocol: int, m: int) -> tuple:
+        """The opening for this engine's first serve of ``(protocol,
+        m)``: the process's, built only where no engine built it yet."""
+        key = (protocol, m, self.config, self.mempool_mode, self._header,
+               self.columns.ids, self._prefill)
+        cached = ENCODED_OPENINGS.lookup(key)
+        if cached is None:
+            cached = self._build_opening(protocol, m)
+            ENCODED_OPENINGS.remember(key, cached)
+        self.openings_built += 1
+        self._openings.remember((protocol, m), cached)
+        return cached
+
     def _build_opening(self, protocol: int, m: int) -> tuple:
-        """Build, encode and cache the opening served to mempool count
-        ``m``: [header +] counts + prefilled + S + (I | first symbols)."""
+        """Build and encode the opening served to mempool count ``m``:
+        [header +] counts + prefilled + S + (I | first symbols)."""
         if protocol == 3:
             payload, _ = build_protocol3(
-                self.columns, m, self.config,
-                auto_prefill_coinbase=not self.mempool_mode,
-                encoder=self._symbol_stream())
+                self.columns, m, self.config, prefill=self._prefill,
+                auto_prefill_coinbase=False, encoder=self._symbol_stream())
             blob = encode_protocol3_payload(payload)
         else:
             payload = build_protocol1(
-                self.columns, m, self.config,
-                auto_prefill_coinbase=not self.mempool_mode)
+                self.columns, m, self.config, prefill=self._prefill,
+                auto_prefill_coinbase=False)
             blob = encode_protocol1_payload(payload)
-        if not self.mempool_mode:
-            blob = self.block.header.serialize() + blob
-        self.openings_built += 1
-        cached = (blob, _opening_parts(payload, protocol))
-        self._openings.remember((protocol, m), cached)
-        return cached
+        return self._header + blob, _opening_parts(payload, protocol)
 
     def _symbol_stream(self):
         """The sender's one shared rateless symbol stream, built lazily."""
@@ -503,7 +538,8 @@ class GrapheneReceiverEngine:
 
     def _read_opening(self, message, protocol: int, decode) -> tuple:
         """Prologue of both openings: phase check, byte count, [header]
-        and payload; returns ``(payload, parts)``."""
+        and payload; returns ``(payload, parts)``, decoded once per
+        distinct blob in the process (:data:`DECODED_OPENINGS`)."""
         command, _, _ = _OPENINGS[protocol]
         if not self.accepts(command):
             raise ProtocolFailure(
@@ -512,8 +548,14 @@ class GrapheneReceiverEngine:
         if self.mode == "block":
             self.header = decode_block_header(message)
             offset = 80
-        payload, _ = decode(message, offset)
-        return payload, _opening_parts(payload, protocol)
+        # A copy, never the receive buffer: the key outlives the frame.
+        key = (protocol, bytes(message[offset:]))
+        decoded = DECODED_OPENINGS.lookup(key)
+        if decoded is None:
+            payload, _ = decode(message, offset)
+            decoded = (payload, _opening_parts(payload, protocol))
+            DECODED_OPENINGS.remember(key, decoded)
+        return decoded
 
     def on_p1_payload(self, message: bytes) -> EngineAction:
         """Process [header +] S + I; decode, fetch, or escalate."""

@@ -191,7 +191,7 @@ def optimize_a(n: int, m: int, config: Optional[GrapheneConfig] = None) -> Filte
     if n < 0 or m < 0:
         raise ParameterError(f"n and m must be non-negative: {n}, {m}")
     key = (n, m, config)
-    plan = _PLAN_CACHE.get(key)
+    plan = _PLAN_CACHE.lookup(key)
     if plan is None:
         plan = _optimize_a_uncached(n, m, config)
         _PLAN_CACHE.remember(key, plan)

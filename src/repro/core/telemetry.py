@@ -174,7 +174,7 @@ def message_event(command: str, direction: str, role: str, phase: str,
     stream that records it (equal events are one object)."""
     key = (command, direction, role, phase, roundtrip, outcome,
            tuple(parts.items()))
-    event = _EVENTS.get(key)
+    event = _EVENTS.lookup(key)
     if event is None:
         event = MessageEvent(command, direction, role, phase, roundtrip,
                              parts, outcome)

@@ -237,7 +237,7 @@ class BloomFilter:
             raise ParameterError(
                 f"packed ids must be 32-byte rows, got {len(ids)} bytes")
         memo_key = (self.seed, self.nbits, self.k, ids)
-        steps = _INDEX_MEMO.get(memo_key)
+        steps = _INDEX_MEMO.lookup(memo_key)
         if steps is None:
             # The four ID words as one contiguous (4, n) copy, each row
             # absorbed into the one before it in place.

@@ -229,7 +229,7 @@ class IBLT:
         fkey = None
         if self._pristine:
             fkey = (self.cells, self.k, self.seed, column.tobytes())
-            snap = _FOLD_CACHE.get(fkey)
+            snap = _FOLD_CACHE.lookup(fkey)
             if snap is not None:
                 self._counts[:] = snap[0]
                 self._key_sums[:] = snap[1]

@@ -19,12 +19,15 @@ from __future__ import annotations
 import pytest
 
 from repro import codec
-from repro.chain.scenarios import make_block_scenario
+from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.core.engine import (
+    DECODED_OPENINGS,
+    SENDER_STEPS,
     ActionKind,
     GrapheneReceiverEngine,
     GrapheneSenderEngine,
 )
+from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1
 from repro.core.protocol2 import build_protocol2_request, respond_protocol2
 from repro.core.protocol1 import receive_protocol1
@@ -212,3 +215,97 @@ def test_socket_path_survives_buffer_clobbering(fraction, seed):
             == [e.as_dict() for e in loop.events]
 
     asyncio.run(run())
+
+
+def _relay_clobbering(sender, receiver):
+    """Drive a relay to its end, every inbound buffer a ``bytearray``
+    clobbered right after its step; returns ``(final, opening blob)``."""
+    action = receiver.start()
+    blob = None
+    while action.kind is ActionKind.SEND:
+        engine = sender if action.command in SENDER_STEPS else receiver
+        if blob is None and engine is receiver:
+            blob = bytes(action.message)
+        buf = bytearray(bytes(action.message))
+        action = engine.handle(action.command, memoryview(buf))
+        _clobber(buf)
+    return action, blob
+
+
+class TestSharedOpeningIsReadOnly:
+    """Every receiver of one opening blob reads one decoded payload
+    (``DECODED_OPENINGS``).  Sharing is safe only while the payload owns
+    its bytes and nothing downstream writes it: clobber every receive
+    buffer, run each path that reads an opening twice, and re-encode
+    the shared payload after each."""
+
+    P3 = GrapheneConfig(protocol=3)
+
+    @staticmethod
+    def _cached_encoding(protocol: int, body: bytes) -> bytes:
+        payload, _ = DECODED_OPENINGS[(protocol, body)]
+        encode = (codec.encode_protocol1_payload if protocol == 1
+                  else codec.encode_protocol3_payload)
+        return encode(payload)
+
+    def _twice(self, make_sender, pools, config=None, mode="block"):
+        """Two relays of one sender's opening; the second must hit."""
+        DECODED_OPENINGS.clear()
+        sender = make_sender()
+        protocol = (config or GrapheneConfig()).protocol
+        finals, receivers = [], []
+        for i, pool in enumerate(pools):
+            receiver = GrapheneReceiverEngine(pool, config=config, mode=mode)
+            final, blob = _relay_clobbering(sender, receiver)
+            assert (DECODED_OPENINGS.misses, DECODED_OPENINGS.hits) \
+                == (1, i)
+            body = blob[80:] if mode == "block" else blob
+            assert self._cached_encoding(protocol, body) == body
+            finals.append(final)
+            receivers.append(receiver)
+        return finals, receivers
+
+    def test_a_clobbered_first_decode_serves_the_second_receiver(self):
+        sc = _scenario(fraction=1.0, seed=134)
+        (first, second), _ = self._twice(
+            lambda: GrapheneSenderEngine(sc.block),
+            [sc.receiver_mempool.copy(), sc.receiver_mempool.copy()])
+        assert first.kind is ActionKind.DONE is second.kind
+        assert [tx.txid for tx in second.txs] == sc.block.txids
+
+    @pytest.mark.parametrize("fraction,seed,protocol_used", [
+        (1.0, 135, 1), (0.4, 133, 2)], ids=["p1", "p1-p2"])
+    def test_protocol1_paths(self, fraction, seed, protocol_used):
+        sc = _scenario(fraction=fraction, seed=seed)
+        finals, receivers = self._twice(
+            lambda: GrapheneSenderEngine(sc.block),
+            [sc.receiver_mempool.copy(), sc.receiver_mempool.copy()])
+        for final, receiver in zip(finals, receivers):
+            assert final.kind is ActionKind.DONE
+            assert receiver.protocol_used == protocol_used
+            assert [tx.txid for tx in final.txs] == sc.block.txids
+
+    def test_protocol3_with_filter_r_and_pushed_transactions(self):
+        sc = make_block_scenario(n=200, extra=200, fraction=0.8, seed=11)
+        finals, receivers = self._twice(
+            lambda: GrapheneSenderEngine(sc.block, self.P3),
+            [sc.receiver_mempool.copy(), sc.receiver_mempool.copy()],
+            config=self.P3)
+        for final, receiver in zip(finals, receivers):
+            assert final.kind is ActionKind.DONE
+            assert [tx.txid for tx in final.txs] == sc.block.txids
+            assert receiver._p3_state.pushed  # R rode, its misses came
+            assert any("bloom_r" in event.parts
+                       for event in receiver.telemetry)
+
+    def test_mempool_sync(self):
+        sc = make_sync_scenario(n=120, fraction_common=0.7, seed=56)
+        finals, receivers = self._twice(
+            lambda: GrapheneSenderEngine(
+                txs=sc.sender_mempool.columns()),
+            [sc.receiver_mempool.copy(), sc.receiver_mempool.copy()],
+            mode="mempool")
+        want = {tx.txid for tx in sc.sender_mempool.transactions()}
+        for final in finals:
+            assert final.kind is ActionKind.DONE
+            assert want <= {tx.txid for tx in final.txs}

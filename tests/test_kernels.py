@@ -247,6 +247,20 @@ class TestBoundedMemo:
         memo.clear()
         assert not memo and memo.pinned == 0
 
+    def test_lookup_counts_hits_and_misses_and_clear_zeroes_them(self):
+        memo = BoundedMemo(2, lambda key, value: 1)
+        assert memo.lookup("a") is None
+        memo.remember("a", 1)
+        assert memo.lookup("a") == 1 and memo.lookup("a") == 1
+        assert memo.lookup("b") is None
+        assert (memo.hits, memo.misses) == (2, 2)
+        memo.remember("b", 2)
+        memo.remember("c", 3)   # past the cap: "a" and "b" go
+        assert memo.lookup("a") is None and memo.lookup("c") == 3
+        assert (memo.hits, memo.misses) == (3, 3)
+        memo.clear()
+        assert (memo.hits, memo.misses, memo.pinned) == (0, 0, 0)
+
 
 def _tx(txid: bytes) -> Transaction:
     return Transaction(txid=txid)
