@@ -13,6 +13,7 @@ import math
 from repro.core.bounds import a_star
 from repro.core.params import GrapheneConfig, closed_form_a, optimize_a
 from repro.pds.bloom import bloom_size_bytes
+from repro.pds.param_table import default_param_table
 
 SCENARIOS = (
     (200, 400), (200, 1200),        # small blocks: a < 100 regime
@@ -21,7 +22,7 @@ SCENARIOS = (
 
 
 def _total_for_a(n: int, m: int, a: int, config: GrapheneConfig) -> int:
-    table = config.table()
+    table = default_param_table()
     recover = math.ceil(a_star(a, config.beta))
     params = table.params_for(recover)
     fpr = min(1.0, a / (m - n))
@@ -34,7 +35,7 @@ def _sweep():
     rows = []
     for n, m in SCENARIOS:
         discrete = optimize_a(n, m, config)
-        hint = min(m - n, closed_form_a(n, config.table().tau_for(
+        hint = min(m - n, closed_form_a(n, default_param_table().tau_for(
             max(1, discrete.recover)), config.cell_bytes))
         continuous_total = _total_for_a(n, m, hint, config)
         rows.append({

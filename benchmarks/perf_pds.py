@@ -313,7 +313,7 @@ def bench_protocol1_session(n: int, rng: random.Random) -> tuple[float, float]:
 
     def run_new(txs, mempool, plan):
         payload = build_protocol1(txs, len(mempool), config, plan=plan,
-                                  auto_prefill_coinbase=False)
+                                  prefill=())
         result = receive_protocol1(payload, mempool, config,
                                    validate_block=None)
         assert result.decode_complete

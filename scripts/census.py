@@ -24,17 +24,23 @@ wrappers a script calls.
 Every other function is *test-only*, and the generated table
 ``docs/CENSUS.md`` says which.
 
+Its second table, the knobs (:func:`knobs`, static, no root run),
+lists every defaulted parameter of a public ``src/repro`` callable and
+every defaulted dataclass field ``src/`` never reassigns, each with the
+first live file that sets it, or "tests only" / "nothing".
+
 ``--check`` is the static gate ``make docs-check`` runs (no root is
 executed): it fails when a ``src/repro`` function is missing from the
 table or a row names one that no longer exists (re-run ``make census``),
 when a ``make ci`` stage is not a root here or a root exited nonzero,
 when a row marked reached or referenced is no longer live by the
 static half alone (its last caller was deleted: re-run ``make
-census``), or when a test-only function is not named in DESIGN.md
+census``), when a test-only function is not named in DESIGN.md
 section 1 with the paper section it reproduces and the CI-run figure
-or example that exercises it.  What it cannot see is a function whose
-last *root* stopped calling it while live code still names it; only
-``make census`` finds that.
+or example that exercises it, or when a knob no live code sets is not
+already listed so in the knob table.  What it cannot see is a function
+whose last *root* stopped calling it while live code still names it;
+only ``make census`` finds that.
 
 Usage::
 
@@ -312,6 +318,337 @@ def classify(src: Path, reached: set) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The knob table: who sets each defaulted parameter and field
+# ---------------------------------------------------------------------------
+
+#: What a knob row says when no live code sets it.
+UNSET = ("tests only", "nothing")
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class _Callable:
+    """One function, method, class or dataclass as a call binds it:
+    ``names`` in binding order, the first ``positional`` of them by
+    position, ``defaulted`` the ones with a default, ``key`` the knob
+    key of each."""
+
+    def __init__(self, names, positional, defaulted, key,
+                 star=(False, False)):
+        self.names = names
+        self.positional = positional
+        self.defaulted = defaulted
+        self.key = key
+        self.star = star  # takes (*args, **kwargs)
+
+    def accepts(self, args, keywords) -> bool:
+        """Whether a call of this shape could be a call of this."""
+        if not self.star[0] and len(args) > self.positional and not any(
+                isinstance(arg, ast.Starred) for arg in args):
+            return False
+        return self.star[1] or set(keywords) <= set(self.names)
+
+
+def _dataclass(node: ast.ClassDef):
+    """``None`` unless ``node`` is a dataclass, else ``(kw_only,
+    frozen)``."""
+    for deco in node.decorator_list:
+        call = deco if isinstance(deco, ast.Call) else None
+        target = call.func if call else deco
+        if getattr(target, "id", getattr(target, "attr", "")) == "dataclass":
+            words = {k.arg: getattr(k.value, "value", False)
+                     for k in (call.keywords if call else ())}
+            return bool(words.get("kw_only")), bool(words.get("frozen"))
+    return None
+
+
+def _assigned(nodes, on_self: bool) -> set:
+    """Attribute names assigned to in ``nodes`` -- on ``self`` only, or
+    on anything else (``setattr`` and ``object.__setattr__`` too)."""
+    names = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign,
+                                               ast.AnnAssign)) else []
+        leaves = [(leaf.value, leaf.attr) for target in targets
+                  for leaf in ast.walk(target)
+                  if isinstance(leaf, ast.Attribute)]
+        if (isinstance(node, ast.Call) and len(node.args) > 1
+                and ast.unparse(node.func) in ("object.__setattr__",
+                                               "setattr")
+                and isinstance(node.args[1], ast.Constant)):
+            leaves.append((node.args[0], node.args[1].value))
+        names.update(name for owner, name in leaves
+                     if (getattr(owner, "id", None) == "self") == on_self)
+    return names
+
+
+def _field(stmt) -> tuple:
+    """``(name, defaulted)`` of a dataclass ``__init__`` field, or
+    ``None`` for a class variable or an ``init=False`` field."""
+    if not (isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)) \
+            or "ClassVar" in ast.unparse(stmt.annotation):
+        return None
+    value = stmt.value
+    if isinstance(value, ast.Call) \
+            and getattr(value.func, "id", "") == "field":
+        words = {k.arg: k.value for k in value.keywords}
+        if getattr(words.get("init"), "value", True) is False:
+            return None
+        # A fresh container per object is state the object fills.
+        return stmt.target.id, "default" in words
+    return stmt.target.id, value is not None
+
+
+def _signature(node, method: bool, key) -> _Callable:
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    statics = {getattr(d, "id", "") for d in node.decorator_list}
+    if method and "staticmethod" not in statics:
+        positional = positional[1:]
+    defaulted = set(positional[len(positional) - len(args.defaults):]
+                    if args.defaults else ())
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None}
+    names = positional + [a.arg for a in args.kwonlyargs]
+    return _Callable(names, len(positional), defaulted,
+                     {n: key(n) for n in names},
+                     (args.vararg is not None, args.kwarg is not None))
+
+
+def _callables(files: dict) -> tuple:
+    """``(by_name, of_def, public)`` over ``label -> tree``: ``call name
+    -> [_Callable]`` (a class is called by its name, a method by its
+    attribute name), ``id(def node) -> _Callable``, and the knob keys of
+    the public ``src/repro`` ones."""
+    reassigned = _assigned([tree for label, tree in files.items()
+                            if label.startswith("src/")], False)
+    by_name: dict = {}
+    of_def: dict = {}
+    public: set = set()
+    dataclasses: dict = {}
+    fields: dict = {}
+
+    def add(name, callable_, listed):
+        by_name.setdefault(name, []).append(callable_)
+        if listed:
+            public.update(callable_.key[n] for n in callable_.defaulted)
+
+    def function(node, label, prefix, listed, cls):
+        init = cls is not None and node.name == "__init__"
+        base = f"{label}::{prefix[:-1]}" if init \
+            else f"{label}::{prefix}{node.name}"
+        callable_ = of_def[id(node)] = _signature(
+            node, cls is not None, lambda n: f"{base}({n}=)")
+        add(cls if init else node.name, callable_,
+            listed and (init or not node.name.startswith("_")))
+        body(node.body, label, f"{prefix}{node.name}.<locals>.", False, None)
+
+    def klass(node, label, prefix, listed):
+        listed = listed and not node.name.startswith("_")
+        if _dataclass(node) is not None:
+            dataclasses[node.name] = (node, f"{label}::{prefix}{node.name}",
+                                      listed)
+        body(node.body, label, f"{prefix}{node.name}.", listed, node.name)
+
+    def dataclass(name) -> _Callable:
+        """The ``__init__`` of dataclass ``name``: inherited fields
+        first, each keyed by the class that declares it."""
+        if name in fields:
+            return fields[name]
+        node, own, listed = dataclasses[name]
+        kw_only, frozen = _dataclass(node)
+        names, defaulted, key = [], set(), {}
+        for base in node.bases:
+            if getattr(base, "id", None) in dataclasses:
+                inherited = dataclass(base.id)
+                names += inherited.names
+                defaulted |= inherited.defaulted
+                key.update(inherited.key)
+        for stmt in node.body:
+            field = _field(stmt)
+            if field is not None:
+                names.append(field[0])
+                key[field[0]] = f"{own}.{field[0]}"
+                (defaulted.add if field[1] else defaulted.discard)(field[0])
+        callable_ = fields[name] = _Callable(
+            names, 0 if kw_only else len(names), defaulted, key)
+        by_name.setdefault(name, []).append(callable_)
+        # A field the class's own methods (``__post_init__`` included)
+        # or any other ``src/`` code reassign is state, not a knob.
+        state = _assigned([stmt for stmt in node.body
+                           if isinstance(stmt, _DEFS)
+                           and stmt.name != "__init__"], True)
+        if not frozen:
+            state |= reassigned
+        if listed:
+            public.update(key[n] for n in defaulted
+                          if key[n].startswith(f"{own}.")
+                          and n not in state)
+        return callable_
+
+    def body(stmts, label, prefix, listed, cls):
+        for node in stmts:
+            if isinstance(node, _DEFS):
+                function(node, label, prefix, listed, cls)
+            elif isinstance(node, ast.ClassDef):
+                klass(node, label, prefix, listed)
+            else:  # if / try / with: the defs in its blocks
+                body([child for child in ast.iter_child_nodes(node)
+                      if isinstance(child, ast.stmt)],
+                     label, prefix, listed, cls)
+
+    for label, tree in files.items():
+        rel = label.removeprefix("src/repro/")
+        listed = label.startswith("src/repro/") and not any(
+            part.startswith("_") and part not in ("__init__.py",
+                                                  "__main__.py")
+            for part in rel.split("/"))
+        body(tree.body, rel if listed or label.startswith("src/") else label,
+             "", listed, None)
+    for name in dataclasses:
+        dataclass(name)
+    return by_name, of_def, public
+
+
+def _keywords(node):
+    """The keywords of a literal ``dict(k=v)`` / ``{"k": v}``, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "dict" \
+            and not node.args and all(k.arg for k in node.keywords):
+        return {k.arg: k.value for k in node.keywords}
+    if isinstance(node, ast.Dict) and node.keys and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in node.keys):
+        return dict(zip((k.value for k in node.keys), node.values))
+    return None
+
+
+def _bindings(tree, by_name: dict) -> list:
+    """``(callable, name, value, enclosing def)`` for every argument a
+    call in ``tree`` binds to a defaulted parameter.  A callee is matched
+    by name, so a call binds that parameter of every callable so named;
+    ``super().__init__`` is the first base's.  A ``**`` splat of a
+    literal dict binds its keys and any other splat binds everything; a
+    dispatch-table entry ``"name": dict(k=v)`` calls ``name``;
+    ``replace(obj, k=v)`` sets field ``k`` of every dataclass."""
+    literals = {node.targets[0].id: node.value for node in tree.body
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)}
+    out = []
+
+    def bind(name, args, keywords, splats, scope):
+        for callable_ in by_name.get(name, ()):
+            if not callable_.accepts(args, keywords):
+                continue
+            bound = {}
+            for index, arg in enumerate(args[:callable_.positional]):
+                if isinstance(arg, ast.Starred):
+                    bound.update((n, arg) for n in callable_.names[
+                        index:callable_.positional])
+                    break
+                bound[callable_.names[index]] = arg
+            bound.update(keywords)
+            for splat in splats:
+                given = _keywords(literals.get(getattr(splat, "id", None),
+                                               splat))
+                bound.update(given if given is not None else
+                             {n: splat for n in callable_.names
+                              if n not in bound})
+            out.extend((callable_, n, value, scope)
+                       for n, value in bound.items()
+                       if n in callable_.defaulted)
+
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if (name == "__init__" and cls is not None and cls.bases
+                        and isinstance(func.value, ast.Call)
+                        and getattr(func.value.func, "id", "") == "super"):
+                    name = getattr(cls.bases[0], "id", name)
+                elif name == "cls" and cls is not None:
+                    name = cls.name
+                keywords = {k.arg: k.value for k in child.keywords if k.arg}
+                splats = [k.value for k in child.keywords if not k.arg]
+                if name == "replace" and child.args:
+                    # A field's key is ``Class.field``, a parameter's
+                    # ``callable(name=)``.
+                    for callable_ in [c for cs in by_name.values()
+                                      for c in cs]:
+                        out.extend((callable_, n, value, scope)
+                                   for n, value in keywords.items()
+                                   if n in callable_.defaulted
+                                   and "(" not in callable_.key[n])
+                elif name is not None:
+                    bind(name, child.args, keywords, splats, scope)
+            elif isinstance(child, ast.Dict):
+                for key, value in zip(child.keys, child.values):
+                    given = _keywords(value)
+                    if isinstance(key, ast.Constant) and given:
+                        bind(key.value, [], given, [], scope)
+            visit(child, child if isinstance(child, _DEFS) else scope,
+                  child if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None, None)
+    return out
+
+
+def knobs(repo: Path) -> dict:
+    """``knob key -> setter`` for every defaulted parameter of a public
+    ``src/repro`` callable and every defaulted field of a public
+    dataclass that ``src/`` never reassigns after construction (state
+    and result fields are not knobs).  The setter is the first live
+    file -- ``src/``, then the non-test code under ``scripts/``,
+    ``benchmarks/`` and ``examples/`` -- that binds it, else ``tests
+    only`` or ``nothing``.  An argument that is a defaulted parameter of
+    the calling function is forwarded: it sets the knob where, and only
+    where, that parameter is set."""
+    src = repo / "src" / "repro"
+    live = {f"src/repro/{path.relative_to(src).as_posix()}":
+            ast.parse(path.read_text(), str(path))
+            for path in sorted(src.rglob("*.py"))}
+    live.update((label, nodes[0])
+                for label, nodes in _live_files(repo).items())
+    tests = {path.relative_to(repo).as_posix():
+             ast.parse(path.read_text(), str(path))
+             for folder in ("tests", "benchmarks")
+             for path in sorted((repo / folder).rglob("*.py"))
+             if folder == "tests" or path.name.startswith("test_")
+             or path.name == "conftest.py"}
+    by_name, of_def, public = _callables({**live, **tests})
+
+    setter: dict = {}
+    forwards: dict = {}
+    for files, is_live in ((live, True), (tests, False)):
+        for label, tree in files.items():
+            by = label if is_live else "tests only"
+            for callable_, name, value, scope in _bindings(tree, by_name):
+                key = callable_.key[name]
+                outer = of_def.get(id(scope))
+                if (outer is not None and isinstance(value, ast.Name)
+                        and value.id in outer.defaulted):
+                    forwards.setdefault(outer.key[value.id], []).append(key)
+                elif key not in setter:
+                    setter[key] = by
+    def rank(by):
+        return 0 if by is None else 1 if by in UNSET else 2
+
+    # Forwarding to a fixpoint: a live setter outranks the tests.
+    changed = True
+    while changed:
+        changed = False
+        for outer, inner in forwards.items():
+            by = setter.get(outer)
+            for key in inner:
+                if rank(by) > rank(setter.get(key)):
+                    setter[key] = by
+                    changed = True
+    return {key: setter.get(key, "nothing") for key in sorted(public)}
+
+
+# ---------------------------------------------------------------------------
 # The dynamic pass: run the roots under the call hook
 # ---------------------------------------------------------------------------
 
@@ -392,10 +729,12 @@ def run_roots(repo: Path, work: Path) -> tuple:
 # ---------------------------------------------------------------------------
 
 _ROW = re.compile(r"^\| `([^`]+)` \| \d+ \| ([a-z-]+) \| .* \|$", re.M)
+_KNOB = re.compile(r"^\| `([^`]+)` \| ([^|`]+) \|$", re.M)
 _ROOT = re.compile(r"^\| `([a-z0-9-]+)` \| (-?\d+) \| \d+ \|$", re.M)
 
 
-def render(classes: dict, lines: dict, hits: dict, codes: dict) -> str:
+def render(classes: dict, lines: dict, hits: dict, codes: dict,
+           knob_setters: dict) -> str:
     counts = Counter(status for status, _ in classes.values())
     sizes = {s: sum(lines[k] for k, (st, _) in classes.items() if st == s)
              for s in STATUSES}
@@ -406,8 +745,9 @@ def render(classes: dict, lines: dict, hits: dict, codes: dict) -> str:
         "`make docs-check` runs `scripts/census.py --check`, which fails "
         "on a `src/repro` function missing from this table, on a root "
         "that exited nonzero, on a reached or referenced row that no "
-        "live code names any more, and on a test-only row that "
-        "DESIGN.md §1 does not name.",
+        "live code names any more, on a test-only row that "
+        "DESIGN.md §1 does not name, and on a knob that no live code "
+        "sets unless the knob table below already lists it so.",
         "",
         "A function is *reached* when a root calls it, *referenced* when "
         "live code names it (the first such referrer is given), and "
@@ -431,12 +771,40 @@ def render(classes: dict, lines: dict, hits: dict, codes: dict) -> str:
         elif status == "test-only":
             by = "DESIGN.md §1"
         out.append(f"| `{key}` | {lines[key]} | {status} | {by} |")
+    unset = Counter(by for by in knob_setters.values() if by in UNSET)
+    out += [
+        "",
+        "## Knobs: who sets each default",
+        "",
+        "Every defaulted parameter of a public `src/repro` function, "
+        "method or class, and every defaulted field of a public "
+        "dataclass that `src/` does not reassign after construction "
+        "(`Class.field`).  *Set by* names the first live file that "
+        "passes it -- `src/`, then the non-test code under `scripts/`, "
+        "`benchmarks/` and `examples/` -- directly or through a "
+        "parameter of its own that a caller sets; otherwise "
+        "*tests only* or *nothing*.  Callees are matched by name and "
+        "call shape, so a name two callables share can read as set.  "
+        f"{len(knob_setters)} knobs, {unset['tests only']} set by tests "
+        f"only, {unset['nothing']} by nothing: a new one of those fails "
+        "`--check`; turn it into a constant, delete it, or give it a "
+        "live caller.",
+        "",
+        "| knob | set by |",
+        "|---|---|",
+    ]
+    out += [f"| `{key}` | {by} |" for key, by in knob_setters.items()]
     return "\n".join(out) + "\n"
 
 
 def read_table(path: Path) -> dict:
     """``key -> status`` of every function row of a generated table."""
     return dict(_ROW.findall(path.read_text()))
+
+
+def read_knobs(path: Path) -> dict:
+    """``knob key -> setter`` of every knob row of a generated table."""
+    return dict(_KNOB.findall(path.read_text()))
 
 
 def read_roots(path: Path) -> dict:
@@ -479,6 +847,12 @@ def check(repo: Path) -> list:
         if status != "test-only" and static.get(key, ("",))[0] == "test-only":
             problems.append(f"{key}: {status} in {TABLE}, but no live code "
                             "names it any more (run `make census`)")
+    listed = read_knobs(repo / TABLE)
+    for key, by in knobs(repo).items():
+        if by in UNSET and listed.get(key) not in UNSET:
+            problems.append(
+                f"{key}: a knob that {by} sets -- make it a constant, "
+                "delete it, or give it a live caller")
     section = design_section_1(repo / "DESIGN.md")
     for key, status in sorted(table.items()):
         if status != "test-only" or key not in functions:
@@ -498,7 +872,8 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="static gate only: table complete, roots "
                              "clean, no row lost its last caller, "
-                             "test-only rows named in DESIGN.md section 1")
+                             "test-only rows named in DESIGN.md section 1, "
+                             "no new knob without a live setter")
     args = parser.parse_args(argv)
     if args.check:
         started = time.perf_counter()
@@ -517,7 +892,7 @@ def main(argv=None) -> int:
     reached = set().union(*hits.values())
     classes = classify(src, reached)
     (REPO / TABLE).write_text(
-        render(classes, src_functions(src), hits, codes))
+        render(classes, src_functions(src), hits, codes, knobs(REPO)))
     counts = Counter(status for status, _ in classes.values())
     print(f"wrote {TABLE}: " + ", ".join(
         f"{counts[s]} {s}" for s in STATUSES)

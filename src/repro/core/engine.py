@@ -316,12 +316,11 @@ class GrapheneSenderEngine:
         if protocol == 3:
             payload, _ = build_protocol3(
                 self.columns, m, self.config, prefill=self._prefill,
-                auto_prefill_coinbase=False, encoder=self._symbol_stream())
+                encoder=self._symbol_stream())
             blob = encode_protocol3_payload(payload)
         else:
             payload = build_protocol1(
-                self.columns, m, self.config, prefill=self._prefill,
-                auto_prefill_coinbase=False)
+                self.columns, m, self.config, prefill=self._prefill)
             blob = encode_protocol1_payload(payload)
         return self._header + blob, _opening_parts(payload, protocol)
 
@@ -417,10 +416,6 @@ class GrapheneReceiverEngine:
             raise ParameterError(f"unknown engine mode {mode!r}")
         self.mempool = mempool
         self.config = config or GrapheneConfig()
-        if self.config.protocol not in (1, 3):
-            raise ParameterError(
-                f"unknown protocol {self.config.protocol}; expected 1 "
-                "(classic, P2 fallback) or 3 (rateless)")
         self.mode = mode
         self.telemetry = telemetry if telemetry is not None else []
         self.phase = ReceiverPhase.IDLE

@@ -22,7 +22,6 @@ from repro.errors import ParameterError
 from repro.pds.bloom import bloom_size_bytes
 from repro.pds.iblt import DEFAULT_CELL_BYTES, IBLT_HEADER_BYTES
 from repro.pds.param_table import (
-    DEFAULT_DENOM,
     IBLTParamTable,
     IBLTParams,
     default_param_table,
@@ -46,18 +45,13 @@ class GrapheneConfig:
     beta:
         Assurance level for Theorems 1-3 (paper default 239/240).
     cell_bytes:
-        Serialized IBLT cell width ``r``.
-    decode_denom:
-        The IBLT parameter table targets a decode failure rate of
-        ``1/decode_denom``.
+        Serialized IBLT cell width ``r``, 1 to 255 (the IBLT wire
+        header carries it as a ``u8``).
     short_id_bytes:
         Width of the short transaction IDs stored in IBLTs, 1 to 8:
         IBLT and coded-symbol keys are 64-bit, so a wider ID would be
         truncated inside the structures and no longer match its
         transaction when false positives are stripped.
-    special_case_fpr:
-        The fixed ``f_R`` used in the ``m ~ n`` special case (paper
-        3.3.2 sets 0.1 and reports 0.001-0.2 all work).
     seed:
         Base of every structure's hash-family seed (each is
         ``seed ^ small-constant``).  Must fit the ``u32`` seed field
@@ -68,17 +62,28 @@ class GrapheneConfig:
         Protocol 1 with Protocol 2 fallback; 3 is the rateless-IBLT
         stream (:mod:`repro.core.protocol3`), which needs no
         difference estimate and has no fallback branch.
+
+    Every IBLT is sized from the shipped table for a decode failure
+    rate of ``1/240`` (:func:`~repro.pds.param_table.default_param_table`,
+    paper 4.1).
     """
 
     beta: float = BETA_DEFAULT
     cell_bytes: int = DEFAULT_CELL_BYTES
-    decode_denom: int = DEFAULT_DENOM
     short_id_bytes: int = 8
-    special_case_fpr: float = 0.1
     seed: int = 0
     protocol: int = 1
 
     def __post_init__(self):
+        if self.protocol not in (1, 3):
+            raise ParameterError(
+                f"unknown protocol {self.protocol}; expected 1 "
+                "(classic, P2 fallback) or 3 (rateless)")
+        if not 0.0 < self.beta < 1.0:
+            raise ParameterError(f"beta must be in (0, 1), got {self.beta}")
+        if not 1 <= self.cell_bytes <= 255:
+            raise ParameterError(
+                f"cell_bytes must be in [1, 255], got {self.cell_bytes}")
         if not 0 <= self.seed < 2 ** 32:
             raise ParameterError(
                 f"seed must be in [0, 2**32), got {self.seed}")
@@ -86,9 +91,6 @@ class GrapheneConfig:
             raise ParameterError(
                 f"short_id_bytes must be in [1, 8], got "
                 f"{self.short_id_bytes}")
-
-    def table(self) -> IBLTParamTable:
-        return default_param_table(self.decode_denom)
 
     def iblt_bytes(self, params: IBLTParams) -> int:
         return IBLT_HEADER_BYTES + params.cells * self.cell_bytes
@@ -200,7 +202,7 @@ def optimize_a(n: int, m: int, config: Optional[GrapheneConfig] = None) -> Filte
 
 def _optimize_a_uncached(n: int, m: int,
                          config: GrapheneConfig) -> FilterIBLTPlan:
-    table = config.table()
+    table = default_param_table()
     excess = m - n
     if n == 0:
         params, cost = _iblt_cost(1, table, config)
@@ -233,7 +235,7 @@ def optimize_b(z: int, missing_bound: int, ystar: int,
     config = config or GrapheneConfig()
     if z < 0 or ystar < 0:
         raise ParameterError(f"z and ystar must be non-negative: {z}, {ystar}")
-    table = config.table()
+    table = default_param_table()
     if missing_bound <= 0:
         # Nothing provably missing; R degenerates, J still repairs y*.
         recover = max(1, ystar)

@@ -132,11 +132,13 @@ class Protocol1Result:
 
 
 def open_exchange(txs, receiver_mempool_count: int, config: GrapheneConfig,
-                  plan: Optional[FilterIBLTPlan], prefill,
-                  auto_prefill_coinbase: bool) -> tuple[TxColumns, dict]:
+                  plan: Optional[FilterIBLTPlan],
+                  prefill) -> tuple[TxColumns, dict]:
     """Sender side of any opening: the packed ``txs`` and the
-    :class:`Opening` fields -- plan, S, and ``prefill`` plus any coinbase.
+    :class:`Opening` fields -- plan, S, and the prefilled transactions.
 
+    ``prefill=None`` prefills the coinbase rows, which no receiver can
+    hold; any other ``prefill`` (``()`` included) is exactly what rides.
     Both protocols size S by the discrete S + I optimization: a false
     positive costs coded symbols just as it costs IBLT cells.
     """
@@ -146,32 +148,29 @@ def open_exchange(txs, receiver_mempool_count: int, config: GrapheneConfig,
         plan = optimize_a(n, receiver_mempool_count, config)
     bloom = BloomFilter.from_fpr(n, plan.fpr, seed=config.seed ^ SEED_S)
     bloom.update_packed(columns.ids)
-    prefilled = list(prefill) if prefill is not None else []
-    if auto_prefill_coinbase:
-        chosen = {tx.txid for tx in prefilled}
-        prefilled += [tx for tx in columns.txs
-                      if tx.is_coinbase and tx.txid not in chosen]
+    if prefill is None:
+        prefill = [tx for tx in columns.txs if tx.is_coinbase]
     return columns, dict(n=n, bloom_s=bloom, recover=plan.recover,
-                         plan=plan, prefilled=tuple(prefilled))
+                         plan=plan, prefilled=tuple(prefill))
 
 
 def build_protocol1(txs, receiver_mempool_count: int,
                     config: Optional[GrapheneConfig] = None,
                     plan: Optional[FilterIBLTPlan] = None,
                     prefill: Optional[Sequence[Transaction]] = None,
-                    auto_prefill_coinbase: bool = True) -> Protocol1Payload:
+                    ) -> Protocol1Payload:
     """Sender side: construct S and I for a block (or a whole mempool).
 
     ``txs`` is the block's :class:`~repro.chain.columns.TxColumns`
     (``block.columns``) or any transaction sequence, packed once here.
     ``plan`` lets callers (and ablation benches) override the optimizer.
-    ``prefill`` transactions ride along in full (step-3 note); coinbase
-    transactions are prefilled automatically since no receiver can hold
-    them (disable with ``auto_prefill_coinbase=False``).
+    ``prefill`` transactions ride along in full (step-3 note); left at
+    None, the coinbase does, since no receiver can hold it
+    (:func:`open_exchange`).
     """
     config = config or GrapheneConfig()
     columns, head = open_exchange(txs, receiver_mempool_count, config, plan,
-                                  prefill, auto_prefill_coinbase)
+                                  prefill)
     plan = head["plan"]
     iblt = IBLT(plan.iblt.cells, k=plan.iblt.k, seed=config.seed ^ SEED_I,
                 cell_bytes=config.cell_bytes)

@@ -48,8 +48,13 @@ from repro.core.protocol1 import (
 from repro.errors import ParameterError
 from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
+from repro.pds.param_table import default_param_table
 from repro.pds.pingpong import pingpong_decode
 from repro.utils.serialization import compact_size_len
+
+#: The fixed ``f_R`` of the ``m ~ n`` special case, known to both sides
+#: (paper 3.3.2 sets 0.1 and reports 0.001-0.2 all work).
+SPECIAL_CASE_FPR = 0.1
 
 #: Receiver-side trigger for the m ~ n special case: both z/m and y*/z
 #: above this ratio mean filter S carried essentially no information.
@@ -157,7 +162,7 @@ def build_protocol2_request(
         and ystar >= _SPECIAL_Z_TRIGGER * max(1, z))
 
     if special:
-        fpr_r = config.special_case_fpr
+        fpr_r = SPECIAL_CASE_FPR
         b = max(1, math.ceil(fpr_r * max(1, missing_bound)))
     else:
         plan = optimize_b(z, missing_bound, ystar, config)
@@ -186,7 +191,7 @@ def respond_protocol2(request: Protocol2Request, txs,
     in_r = request.bloom_r.contains_packed(columns.ids)
     missing = columns.take(_np.flatnonzero(~in_r)).txs
 
-    table = config.table()
+    table = default_param_table()
     bloom_f: Optional[BloomFilter] = None
     if request.special_case:
         # Reverse roles (paper 3.3.2): the sender bounds R's false
@@ -195,7 +200,7 @@ def respond_protocol2(request: Protocol2Request, txs,
         # fixed special-case constant, known to both sides -- it is
         # not on the wire, so a decoded request cannot carry it.
         z_s = int(_np.count_nonzero(in_r))
-        xstar_s, ystar_s = _bounds(z_s, n, config.special_case_fpr,
+        xstar_s, ystar_s = _bounds(z_s, n, SPECIAL_CASE_FPR,
                                    config.beta)
         f_bound = max(0, receiver_mempool_count - xstar_s)
         plan_f = optimize_b(z_s, f_bound, ystar_s, config)

@@ -62,8 +62,8 @@ from repro.chain.columns import TxColumns
 from repro.chain.mempool import Mempool
 from repro.core.candidates import CandidateSet
 from repro.core.bounds import a_star
-from repro.core.params import (BLOOM_HEADER_BYTES, FilterIBLTPlan,
-                               GrapheneConfig, closed_form_a)
+from repro.core.params import (BLOOM_HEADER_BYTES, GrapheneConfig,
+                               closed_form_a)
 from repro.core.protocol1 import (
     Opening,
     Protocol1Result,
@@ -202,20 +202,19 @@ def make_encoder(txs, config: GrapheneConfig) -> RIBLTEncoder:
 
 def build_protocol3(txs, receiver_mempool_count: int,
                     config: Optional[GrapheneConfig] = None,
-                    plan: Optional[FilterIBLTPlan] = None,
-                    prefill=None, auto_prefill_coinbase: bool = True,
+                    prefill=None,
                     encoder: Optional[RIBLTEncoder] = None,
                     ) -> tuple[Protocol3Payload, RIBLTEncoder]:
     """Sender side: Bloom S plus the opening symbol batch.
 
-    The head -- plan, S, prefill -- is Protocol 1's
-    (:func:`~repro.core.protocol1.open_exchange`).  ``encoder`` lets a
-    serving engine share one symbol stream across peers and
-    continuation requests.
+    The head -- plan, S, prefill (the coinbase unless given) -- is
+    Protocol 1's (:func:`~repro.core.protocol1.open_exchange`).
+    ``encoder`` lets a serving engine share one symbol stream across
+    peers and continuation requests.
     """
     config = config or GrapheneConfig()
-    columns, head = open_exchange(txs, receiver_mempool_count, config, plan,
-                                  prefill, auto_prefill_coinbase)
+    columns, head = open_exchange(txs, receiver_mempool_count, config, None,
+                                  prefill)
     if encoder is None:
         encoder = make_encoder(columns, config)
     batch = SymbolBatch(0, *encoder.window(

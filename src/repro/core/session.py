@@ -35,7 +35,6 @@ from repro.core.engine import (
 )
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
-from repro.errors import ProtocolFailure
 from repro.net.transport import LoopbackTransport
 
 logger = logging.getLogger(__name__)
@@ -80,13 +79,13 @@ class BlockRelaySession:
         self.config = config or GrapheneConfig()
         self.include_ordering_cost = include_ordering_cost
 
-    def relay(self, block: Block, receiver_mempool: Mempool,
-              strict: bool = False) -> RelayOutcome:
+    def relay(self, block: Block,
+              receiver_mempool: Mempool) -> RelayOutcome:
         """Relay ``block`` to a receiver holding ``receiver_mempool``.
 
-        ``strict`` raises :class:`ProtocolFailure` when even Protocol 2
-        cannot complete; otherwise a failed outcome is returned (a real
-        client would fall back to a full-block request).
+        When even Protocol 2 cannot complete, a failed outcome is
+        returned (a real client would fall back to a full-block
+        request).
         """
         sender = GrapheneSenderEngine(block, self.config)
         receiver = GrapheneReceiverEngine(receiver_mempool, self.config)
@@ -100,11 +99,6 @@ class BlockRelaySession:
         if not success:
             logger.warning("graphene relay failed: block of %d txns, m=%d",
                            block.n, len(receiver_mempool))
-            if strict:
-                raise ProtocolFailure(
-                    f"Graphene failed for block of {block.n} txs "
-                    f"(m={len(receiver_mempool)}); a real client would "
-                    "request the full block")
         return RelayOutcome(
             success=success,
             protocol_used=receiver.protocol_used,

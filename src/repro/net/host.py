@@ -10,14 +10,14 @@ without I/O, for both drivers -- the simulator's
 * the **fetch registry**: one :class:`Fetch` per root, holding the
   ladder's state, the receiver engine of the current attempt and the
   root's telemetry stream (streams outlive their fetch, up to
-  ``telemetry_cap``);
+  :data:`TELEMETRY_CAP`);
 * the **ladder dispatch**: the only caller of
   :func:`~repro.net.recovery.on_timeout`,
   :func:`~repro.net.recovery.escalate` and
   :func:`~repro.net.recovery.fail_over`;
 * the **serving registry**: one sender engine per held root, answering
   every peer, dropped once its root leaves the driver's ``blocks`` and
-  capped at ``serving_cap``;
+  capped at :data:`SERVING_CAP`;
 * **mempool sync** (paper 3.2.1) on both sides: the sessions this node
   opened (:meth:`RelayHost.open_sync`, keyed by a nonce, timed on the
   same ladder as fetches, ending in the push of H) and the sender
@@ -81,6 +81,13 @@ from repro.net.recovery import (
 )
 
 logger = logging.getLogger(__name__)
+
+#: Retention caps, so long runs do not grow without bound: the newest
+#: ``TELEMETRY_CAP`` relay telemetry streams, settled roots and sync
+#: sessions, and the newest ``SERVING_CAP`` serving engines of each
+#: registry (block relay, and mempool sync by ``(peer, nonce)``).
+TELEMETRY_CAP = 256
+SERVING_CAP = 64
 
 #: Engine step command -> sync wire command.  The engines speak the
 #: relay vocabulary; the wire tags sync traffic distinctly so a node can
@@ -193,9 +200,9 @@ class RelayHost:
         self._sync_nonces = itertools.count(
             zlib.crc32(driver.node_id.encode()) * 100_000 + 1)
         #: Root -> telemetry stream of its relay, kept after the fetch
-        #: ends so runs can fold it (newest ``telemetry_cap`` roots).
+        #: ends so runs can fold it (newest :data:`TELEMETRY_CAP` roots).
         self.relay_telemetry: dict = {}
-        #: Roots that arrived here (newest ``telemetry_cap``): with the
+        #: Roots that arrived here (newest :data:`TELEMETRY_CAP`): with the
         #: driver's ``blocks``, what no ``inv`` or block reopens.
         self.settled: dict = {}
         self.frames_shed = 0
@@ -287,8 +294,7 @@ class RelayHost:
                 # A lost push would leak this engine forever; retain a
                 # bounded working set instead (an evicted sync restarts
                 # through the initiator's ladder).
-                prune_oldest(self.sync_serving,
-                             self.driver.recovery.serving_cap)
+                prune_oldest(self.sync_serving, SERVING_CAP)
             self.driver.send_action(peer, nonce, engine.handle(step, message),
                                     WIRE_BY_STEP)
             return
@@ -301,14 +307,14 @@ class RelayHost:
 
     def open_sync(self, peer: int) -> int:
         """Open a mempool sync with ``peer`` (the newest
-        ``telemetry_cap`` sessions are kept); returns its nonce."""
+        :data:`TELEMETRY_CAP` sessions are kept); returns its nonce."""
         nonce = next(self._sync_nonces)
         engine = GrapheneReceiverEngine(
             self.driver.mempool, self.driver.config, mode="mempool",
             telemetry=self.stream("sync", nonce))
         state = self.syncs[nonce] = SyncState(
             peer=peer, stage=STAGE_ENGINE, key=nonce, engine=engine)
-        prune_oldest(self.syncs, self.driver.recovery.telemetry_cap)
+        prune_oldest(self.syncs, TELEMETRY_CAP)
         self._advance(state, engine.start())
         return nonce
 
@@ -377,7 +383,7 @@ class RelayHost:
         root = block.header.merkle_root
         fetch = self._close(root)
         self.settled[root] = True
-        prune_oldest(self.settled, self.driver.recovery.telemetry_cap)
+        prune_oldest(self.settled, TELEMETRY_CAP)
         if root in self.relay_telemetry:
             detail = {"origin": self.driver.peer_label(peer)}
             if via_fullblock:
@@ -392,11 +398,9 @@ class RelayHost:
     def arm(self, state: FetchState) -> None:
         """(Re)arm the timer of a fetch or sync session at its backoff."""
         self.cancel(state)
-        policy = self.driver.recovery
-        if policy.enabled:
-            state.timer = self.driver.call_later(
-                policy.timeout_for(state.attempts),
-                lambda: self._on_timer(state))
+        state.timer = self.driver.call_later(
+            self.driver.recovery.timeout_for(state.attempts),
+            lambda: self._on_timer(state))
 
     def cancel(self, state: FetchState) -> None:
         if state.timer is not None:
@@ -520,8 +524,7 @@ class RelayHost:
             if stream is None:
                 stream = self.relay_telemetry[root] = \
                     self.stream("relay", root)
-            prune_oldest(self.relay_telemetry,
-                         self.driver.recovery.telemetry_cap)
+            prune_oldest(self.relay_telemetry, TELEMETRY_CAP)
             fetch.stream, fetch.attempt_start = stream, len(stream)
             fetch.engine = GrapheneReceiverEngine(
                 self.driver.mempool, self.driver.config, telemetry=stream)
@@ -546,7 +549,7 @@ class RelayHost:
             engine = self.serving[root] = GrapheneSenderEngine(
                 blocks[root], self.driver.config,
                 telemetry=self.stream("serve", root))
-            prune_oldest(self.serving, self.driver.recovery.serving_cap)
+            prune_oldest(self.serving, SERVING_CAP)
         return engine
 
 

@@ -64,8 +64,7 @@ class Node(HostViews):
     def __init__(self, node_id: str, simulator: Simulator,
                  protocol: RelayProtocol = RelayProtocol.GRAPHENE,
                  config: Optional[GrapheneConfig] = None,
-                 recovery: Optional[RecoveryPolicy] = None,
-                 tracer=None):
+                 recovery: Optional[RecoveryPolicy] = None):
         if not node_id:
             raise ParameterError("node_id must be non-empty")
         self.node_id = node_id
@@ -77,13 +76,13 @@ class Node(HostViews):
         self.protocol = protocol
         self.config = config or GrapheneConfig()
         self.recovery = recovery or RecoveryPolicy()
-        #: Optional :class:`~repro.obs.trace.Tracer`.  When set (here or
-        #: via ``Tracer.attach``), telemetry streams are created through
+        #: Optional :class:`~repro.obs.trace.Tracer`, set by
+        #: ``Tracer.attach``: telemetry streams are then created through
         #: it so every event gets a simulator-clock timestamp, and the
         #: host marks spans (done / escalate / failover / abandon) at
         #: exchange lifecycle points.  A pure observer: traced runs are
         #: byte- and clock-identical to untraced ones.
-        self.tracer = tracer
+        self.tracer = None
         self.mempool = Mempool()
         self.blocks: dict = {}          # merkle root -> Block
         self.peers: dict = {}           # node -> Link

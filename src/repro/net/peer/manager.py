@@ -369,13 +369,13 @@ class BlockServer(PeerManager):
 
 async def fetch_block(host: str, port: int, mempool: Mempool,
                       config: Optional[GrapheneConfig] = None,
-                      node_id: str = "peer",
                       policy: Optional[RecoveryPolicy] = None,
                       tracer=None) -> PeerFetchResult:
-    """Dial one peer with a fresh manager and return its first fetch:
-    the block that peer announces, under the full recovery ladder
-    (with one announcer, rung 3 finds no alternate and abandons)."""
-    manager = PeerManager(node_id=node_id, mempool=mempool, config=config,
+    """Dial one peer with a fresh manager, ``"peer"``, and return its
+    first fetch: the block that peer announces, under the full recovery
+    ladder (with one announcer, rung 3 finds no alternate and
+    abandons)."""
+    manager = PeerManager(node_id="peer", mempool=mempool, config=config,
                           policy=policy, tracer=tracer)
     try:
         await manager.connect(host, port)

@@ -93,16 +93,17 @@ class PeerConnection:
             self._frames.extend(self.decoder.feed(chunk))
         return self._frames.popleft()
 
-    async def handshake(self,
-                        timeout: float = HANDSHAKE_TIMEOUT) -> VersionInfo:
-        """Run the version/verack exchange; returns the peer's info."""
+    async def handshake(self) -> VersionInfo:
+        """Run the version/verack exchange, within
+        :data:`HANDSHAKE_TIMEOUT`; returns the peer's info."""
         self.send("version", encode_version(self.node_id))
         await self.drain()
         try:
-            info = await asyncio.wait_for(self._handshake_steps(), timeout)
+            info = await asyncio.wait_for(self._handshake_steps(),
+                                          HANDSHAKE_TIMEOUT)
         except asyncio.TimeoutError:
             raise ProtocolFailure(
-                f"handshake timed out after {timeout}s") from None
+                f"handshake timed out after {HANDSHAKE_TIMEOUT}s") from None
         self.peer_info = info
         return info
 

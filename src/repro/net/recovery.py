@@ -70,17 +70,14 @@ class RecoveryPolicy:
     ``timeout_base`` is the first-attempt timer; each retry multiplies
     it by ``backoff``.  ``max_retries`` caps resends *per rung* (the
     engine/request rung and the full-block rung each get their own
-    budget).  ``telemetry_cap`` and ``serving_cap`` bound the retention
-    registries (completed relay telemetry streams, sender-side serving
-    engines) so long simulations do not grow without bound.
+    budget).  The retention caps are the host's constants
+    (:data:`~repro.net.host.TELEMETRY_CAP`,
+    :data:`~repro.net.host.SERVING_CAP`).
     """
 
-    enabled: bool = True
     timeout_base: float = 2.0
     backoff: float = 2.0
     max_retries: int = 3
-    telemetry_cap: int = 256
-    serving_cap: int = 64
 
     def __post_init__(self):
         if self.timeout_base <= 0:
@@ -92,8 +89,6 @@ class RecoveryPolicy:
         if self.max_retries < 0:
             raise ParameterError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.telemetry_cap < 1 or self.serving_cap < 1:
-            raise ParameterError("retention caps must be >= 1")
 
     def timeout_for(self, attempts: int) -> float:
         """Timer duration after ``attempts`` resends on this rung."""

@@ -370,8 +370,8 @@ class Simulator:
 
     def run_cycles(self, cycle: float, cycles: Optional[int] = None,
                    max_events_per_cycle: int = 1_000_000,
-                   on_cycle: Optional[Callable[[CycleStats], None]] = None,
-                   on_budget: str = "raise") -> int:
+                   on_cycle: Optional[Callable[[CycleStats], None]] = None
+                   ) -> int:
         """Advance the clock in fixed ``cycle``-second batches.
 
         Runs ``cycles`` batches (or, when ``cycles`` is None, keeps
@@ -380,9 +380,10 @@ class Simulator:
         scale driver: scenario code schedules its workload as ordinary
         events and observes progress per cycle instead of per message.
 
-        Batches default to ``on_budget="raise"`` -- a scaled run that
-        silently truncates mid-cycle would corrupt every statistic
-        collected after it.
+        A batch that spends ``max_events_per_cycle`` raises
+        :class:`SimulationBudgetError` -- a scaled run that silently
+        truncates mid-cycle would corrupt every statistic collected
+        after it.
         """
         if cycle <= 0:
             raise ParameterError(f"cycle must be > 0, got {cycle}")
@@ -395,7 +396,7 @@ class Simulator:
             start = self.now
             before = self.events_processed
             self.run(until=start + cycle, max_events=max_events_per_cycle,
-                     on_budget=on_budget)
+                     on_budget="raise")
             if on_cycle is not None:
                 on_cycle(CycleStats(
                     cycle=index, t_start=start, t_end=self.now,

@@ -116,11 +116,15 @@ def _is_connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
+#: Steger–Wormald draws :func:`connect_random_regular` tries before it
+#: gives up on a connected graph.
+REGULAR_GRAPH_TRIES = 100
+
+
 def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
                            latency: float = 0.05,
                            bandwidth: float = 1_000_000.0,
                            rng: Optional[random.Random] = None,
-                           max_retries: int = 100,
                            loss_rate: float = 0.0) -> None:
     """Wire a connected ``degree``-regular random graph.
 
@@ -129,9 +133,9 @@ def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
     ported so the simulator does not import networkx -- and keeps the
     first connected result (low degrees, e.g. unions of cycles at
     degree 2, can come out disconnected; a p2p overlay must not).
-    ``max_retries`` tries without one raise.  With ``len(nodes) <=
-    degree`` the graph is a clique.  Mirrors Bitcoin's default of 8
-    outbound connections.
+    :data:`REGULAR_GRAPH_TRIES` tries without one raise.  With
+    ``len(nodes) <= degree`` the graph is a clique.  Mirrors Bitcoin's
+    default of 8 outbound connections.
     """
     if degree < 1:
         raise ParameterError(f"degree must be >= 1, got {degree}")
@@ -142,7 +146,7 @@ def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
     if len(nodes) * degree % 2:
         raise ParameterError(
             f"n * degree must be even: n={len(nodes)}, degree={degree}")
-    for _ in range(max_retries):
+    for _ in range(REGULAR_GRAPH_TRIES):
         edges = _steger_wormald_edges(
             degree, len(nodes), random.Random(rng.randrange(2**31)))
         if _is_connected(len(nodes), edges):
@@ -152,7 +156,20 @@ def connect_random_regular(nodes: Sequence[Node], degree: int = 8,
             return
     raise ParameterError(
         f"no connected {degree}-regular graph on {len(nodes)} nodes "
-        f"in {max_retries} tries")
+        f"in {REGULAR_GRAPH_TRIES} tries")
+
+
+#: :class:`GeoLinkModel`'s shape: a link's one-way latency is
+#: ``GEO_BASE_LATENCY + distance * GEO_LATENCY_PER_UNIT`` seconds,
+#: scaled by a seeded jitter of ``+-GEO_JITTER / 2``, and each
+#: direction's bandwidth is drawn from ``GEO_BANDWIDTH_CLASSES``
+#: (bytes/s) with ``GEO_BANDWIDTH_WEIGHTS`` -- a mix that leans
+#: residential, like the networks the paper measures against.
+GEO_BASE_LATENCY = 0.01
+GEO_LATENCY_PER_UNIT = 0.12
+GEO_JITTER = 0.2
+GEO_BANDWIDTH_CLASSES = (2_000_000.0, 10_000_000.0, 50_000_000.0)
+GEO_BANDWIDTH_WEIGHTS = (0.5, 0.35, 0.15)
 
 
 @dataclass(frozen=True)
@@ -162,38 +179,15 @@ class GeoLinkModel:
     Measured p2p networks don't have uniform links: latency tracks
     geographic distance and access bandwidth is skewed across a few
     tiers.  This model places each node at a seeded position on the
-    unit square; a link's one-way latency is ``base_latency + distance
-    * latency_per_unit`` scaled by a small seeded jitter, and each
-    *direction* independently draws its bandwidth from
-    ``bandwidth_classes`` with ``bandwidth_weights`` (the default mix
-    leans residential, like the networks the paper measures against).
+    unit square and draws each link from the ``GEO_*`` shape above;
+    ``loss_rate`` is every link's.
 
     All randomness flows through the ``rng`` handed in by the topology
     builder, so one seed reproduces the whole graph: positions, edges,
     and every link parameter.
     """
 
-    base_latency: float = 0.01          #: seconds, zero-distance floor
-    latency_per_unit: float = 0.12      #: seconds per unit of distance
-    jitter: float = 0.2                 #: +-jitter/2 relative spread
-    bandwidth_classes: Tuple[float, ...] = (
-        2_000_000.0, 10_000_000.0, 50_000_000.0)
-    bandwidth_weights: Tuple[float, ...] = (0.5, 0.35, 0.15)
     loss_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.base_latency <= 0:
-            raise ParameterError(
-                f"base_latency must be > 0, got {self.base_latency}")
-        if self.latency_per_unit < 0:
-            raise ParameterError(
-                f"latency_per_unit must be >= 0, got {self.latency_per_unit}")
-        if not 0.0 <= self.jitter < 2.0:
-            raise ParameterError(
-                f"jitter must be in [0, 2), got {self.jitter}")
-        if len(self.bandwidth_classes) != len(self.bandwidth_weights):
-            raise ParameterError(
-                "bandwidth_classes and bandwidth_weights lengths differ")
 
     def positions(self, n: int,
                   rng: random.Random) -> List[Tuple[float, float]]:
@@ -204,20 +198,17 @@ class GeoLinkModel:
              rng: random.Random) -> Link:
         """One direction of a link between nodes at ``pos_a``/``pos_b``."""
         distance = math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
-        spread = 1 + self.jitter * (rng.random() - 0.5)
-        latency = (self.base_latency
-                   + distance * self.latency_per_unit) * spread
-        bandwidth = rng.choices(self.bandwidth_classes,
-                                weights=self.bandwidth_weights)[0]
+        spread = 1 + GEO_JITTER * (rng.random() - 0.5)
+        latency = (GEO_BASE_LATENCY
+                   + distance * GEO_LATENCY_PER_UNIT) * spread
+        bandwidth = rng.choices(GEO_BANDWIDTH_CLASSES,
+                                weights=GEO_BANDWIDTH_WEIGHTS)[0]
         return Link(latency=latency, bandwidth=bandwidth,
                     loss_rate=self.loss_rate)
 
 
 def connect_scale_free(nodes: Sequence[Node], m: int = 4,
                        rng: Optional[random.Random] = None,
-                       latency: float = 0.05,
-                       bandwidth: float = 1_000_000.0,
-                       loss_rate: float = 0.0,
                        link_model: Optional[GeoLinkModel] = None) -> None:
     """Wire a Barabási–Albert preferential-attachment graph.
 
@@ -229,22 +220,19 @@ def connect_scale_free(nodes: Sequence[Node], m: int = 4,
     (and the one bitcoin-simulator-style studies generate).  Mean
     degree approaches ``2 m``.
 
-    Link parameters are uniform (``latency``/``bandwidth``/
-    ``loss_rate``) unless a :class:`GeoLinkModel` is given, in which
-    case each direction of each edge is drawn from the model using the
-    same ``rng`` -- one seed reproduces the entire weighted graph.
-    With ``len(nodes) <= m`` the graph degenerates to a clique.
+    Each direction of each edge is drawn from ``link_model`` (a
+    loss-free :class:`GeoLinkModel` by default) using the same ``rng``
+    -- one seed reproduces the entire weighted graph.  With
+    ``len(nodes) <= m`` the graph degenerates to a clique.
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     rng = rng or random.Random(0)
+    link_model = link_model or GeoLinkModel()
     n = len(nodes)
-    positions = (link_model.positions(n, rng)
-                 if link_model is not None else None)
+    positions = link_model.positions(n, rng)
 
     def make_link(i: int, j: int) -> Link:
-        if link_model is None:
-            return _link(latency, bandwidth, loss_rate)
         return link_model.link(positions[i], positions[j], rng)
 
     def wire(i: int, j: int) -> None:

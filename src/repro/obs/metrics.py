@@ -203,9 +203,7 @@ def _fold_streams(registry: MetricsRegistry, prefix: str, node_id: str,
                              **{label: value}).inc(amount)
 
 
-def collect_run_metrics(nodes, tracer=None,
-                        registry: Optional[MetricsRegistry] = None
-                        ) -> MetricsRegistry:
+def collect_run_metrics(nodes, tracer=None) -> MetricsRegistry:
     """Fold a finished simulation into a metrics registry.
 
     ``nodes`` are :class:`~repro.net.node.Node` objects after
@@ -215,7 +213,7 @@ def collect_run_metrics(nodes, tracer=None,
     consumes, so totals agree by construction (an invariant
     :func:`repro.obs.report.check_metrics_match_costs` asserts).
     """
-    registry = registry or MetricsRegistry()
+    registry = MetricsRegistry()
     for node in nodes:
         node_id = node.node_id
         _fold_streams(registry, "relay", node_id,

@@ -36,6 +36,10 @@ from repro.net import (
 from repro.obs.metrics import MetricsRegistry, collect_run_metrics
 from repro.obs.trace import Tracer
 
+#: Event budget of one ``interval`` cycle of a propagation run: a cycle
+#: that spends it raises rather than truncate the statistics.
+MAX_EVENTS_PER_CYCLE = 5_000_000
+
 #: Histogram bounds (seconds) for block propagation delay at scale.
 PROPAGATION_BUCKETS = (0.05, 0.1, 0.15, 0.25, 0.4, 0.6, 1.0, 1.5,
                        2.5, 4.0, 6.0, 10.0, 20.0, 60.0)
@@ -66,8 +70,6 @@ class ObservedRun:
 def run_block_relay_scenario(nodes: int = 20, degree: int = 4,
                              block_size: int = 200, extra: int = 200,
                              loss: float = 0.05, seed: int = 2024,
-                             latency: float = 0.05,
-                             bandwidth: float = 1_000_000.0,
                              protocol: RelayProtocol = RelayProtocol.GRAPHENE,
                              trace: bool = True,
                              until: Optional[float] = 120.0,
@@ -86,8 +88,7 @@ def run_block_relay_scenario(nodes: int = 20, degree: int = 4,
     simulator = Simulator()
     peers = [Node(f"n{i:02d}", simulator, protocol=protocol)
              for i in range(nodes)]
-    connect_random_regular(peers, degree=degree, latency=latency,
-                           bandwidth=bandwidth, rng=random.Random(seed),
+    connect_random_regular(peers, degree=degree, rng=random.Random(seed),
                            loss_rate=loss)
     tracer = Tracer(simulator).attach(*peers) if trace else None
     scenario = make_block_scenario(n=block_size, extra=extra, fraction=1.0,
@@ -182,10 +183,8 @@ def run_propagation_scenario(
         nodes: int = 1000, degree: int = 8, blocks: int = 200,
         block_txns: int = 24, interval: float = 2.0,
         topology: str = "scale_free", loss: float = 0.0, seed: int = 2026,
-        latency: float = 0.05, bandwidth: float = 1_000_000.0,
         protocol: RelayProtocol = RelayProtocol.GRAPHENE,
-        link_model: Optional[GeoLinkModel] = None,
-        drain: float = 30.0, max_events_per_cycle: int = 5_000_000,
+        drain: float = 30.0,
         on_cycle: Optional[Callable[[CycleStats], None]] = None
 ) -> PropagationRun:
     """Relay ``blocks`` blocks over sustained tx ingest at scale.
@@ -231,12 +230,10 @@ def run_propagation_scenario(
              for i in range(nodes)]
     rng = random.Random(seed)
     if topology == "scale_free":
-        model = link_model or GeoLinkModel(loss_rate=loss)
         connect_scale_free(peers, m=max(1, degree // 2), rng=rng,
-                           link_model=model)
+                           link_model=GeoLinkModel(loss_rate=loss))
     else:
-        connect_random_regular(peers, degree=degree, latency=latency,
-                               bandwidth=bandwidth, rng=rng,
+        connect_random_regular(peers, degree=degree, rng=rng,
                                loss_rate=loss)
 
     gen = TransactionGenerator(seed=seed)
@@ -269,7 +266,7 @@ def run_propagation_scenario(
 
     total_cycles = blocks + max(0, int(drain / interval)) + 1
     simulator.run_cycles(cycle=interval, cycles=total_cycles,
-                         max_events_per_cycle=max_events_per_cycle,
+                         max_events_per_cycle=MAX_EVENTS_PER_CYCLE,
                          on_cycle=note_cycle)
 
     registry = collect_run_metrics(peers)

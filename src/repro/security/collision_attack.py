@@ -25,6 +25,7 @@ from repro.chain.block import Block
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, TransactionGenerator
 from repro.core.params import GrapheneConfig, optimize_a
+from repro.core.protocol2 import SPECIAL_CASE_FPR
 from repro.pds.bloom import BloomFilter
 from repro.utils.hashing import sha256
 
@@ -88,7 +89,7 @@ def run_collision_attack(n: int = 200, extra: int = 200, seed: int = 0,
     bloom_s.update_packed(block.columns.ids)
     t2_passed_s = bool(bloom_s.contains_packed(t2.txid)[0])
 
-    fr = min(1.0, max(config.special_case_fpr, plan_s.fpr))
+    fr = min(1.0, max(SPECIAL_CASE_FPR, plan_s.fpr))
     bloom_r = BloomFilter.from_fpr(max(1, n), fr, seed=seed ^ 0x52)
     pool = receiver.columns()
     passed = pool.words[bloom_s.contains_packed(pool.ids)]

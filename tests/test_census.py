@@ -1,7 +1,7 @@
 """The census gate (``scripts/census.py --check``): the committed table
 covers every ``src/repro`` function, every root exited 0, no reached or
-referenced row has lost its last caller, and a test-only one must be
-named in DESIGN.md section 1."""
+referenced row has lost its last caller, a test-only one must be
+named in DESIGN.md section 1, and a new knob needs a live setter."""
 
 from __future__ import annotations
 
@@ -109,3 +109,41 @@ def test_a_row_whose_last_caller_is_deleted_fails(tree):
             ("obs/trace.py::Tracer.to_jsonl", "referenced")):
         assert (f"{key}: {status} in docs/CENSUS.md, but no live code "
                 "names it any more (run `make census`)") in problems
+
+
+def _plant_knob(tree):
+    """Give ``ordering_info_bytes`` a defaulted parameter; its key."""
+    module = tree / "src" / "repro" / "chain" / "ordering.py"
+    text = module.read_text()
+    assert "def ordering_info_bytes(n: int) -> int:" in text
+    module.write_text(text.replace(
+        "def ordering_info_bytes(n: int) -> int:",
+        "def ordering_info_bytes(n: int, planted: int = 0) -> int:"))
+    return "chain/ordering.py::ordering_info_bytes(planted=)"
+
+
+def test_a_planted_knob_that_nothing_sets_fails(tree):
+    key = _plant_knob(tree)
+    assert census.knobs(tree)[key] == "nothing"
+    assert census.check(tree) == [
+        f"{key}: a knob that nothing sets -- make it a constant, delete "
+        "it, or give it a live caller"]
+
+
+def test_the_same_knob_set_from_a_script_passes(tree):
+    key = _plant_knob(tree)
+    (tree / "scripts" / "planted.py").write_text(
+        "from repro.chain.ordering import ordering_info_bytes\n\n"
+        "ordering_info_bytes(3, planted=1)\n")
+    assert census.knobs(tree)[key] == "scripts/planted.py"
+    assert census.check(tree) == []
+
+
+def test_a_knob_set_only_through_a_forwarding_parameter():
+    # run_propagation_scenario passes its own ``loss`` on, so the link
+    # model's one field is set wherever that parameter is: the CLI.
+    setters = census.knobs(REPO)
+    assert setters["obs/scenario.py::run_propagation_scenario(loss=)"] \
+        == "src/repro/cli.py"
+    assert setters["net/topology.py::GeoLinkModel.loss_rate"] \
+        == "src/repro/cli.py"

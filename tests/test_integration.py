@@ -135,23 +135,6 @@ class TestConfigVariants:
                                                   sc.receiver_mempool)
         assert outcome.success
 
-    @pytest.mark.parametrize("denom", [24, 240, 2400])
-    def test_decode_rate_variants_work(self, denom):
-        config = GrapheneConfig(decode_denom=denom)
-        sc = make_block_scenario(n=200, extra=200, fraction=1.0, seed=4100)
-        outcome = BlockRelaySession(config).relay(sc.block,
-                                                  sc.receiver_mempool)
-        assert outcome.success
-
-    def test_stricter_decode_rate_costs_more(self):
-        sc = make_block_scenario(n=1000, extra=1000, fraction=1.0, seed=4200)
-        loose = BlockRelaySession(GrapheneConfig(decode_denom=24)).relay(
-            sc.block, sc.receiver_mempool)
-        strict = BlockRelaySession(GrapheneConfig(decode_denom=2400)).relay(
-            sc.block, sc.receiver_mempool)
-        assert loose.success and strict.success
-        assert strict.cost.iblt_i >= loose.cost.iblt_i
-
     def test_sync_scenarios_across_sizes(self):
         for n, frac in ((100, 0.2), (500, 0.6), (1000, 0.9)):
             sc = make_sync_scenario(n=n, fraction_common=frac, seed=n)

@@ -17,6 +17,7 @@ from repro.core.params import (
     optimize_a,
     optimize_b,
 )
+from repro.core.protocol2 import SPECIAL_CASE_FPR
 from repro.errors import ParameterError
 from repro.pds.bloom import bloom_size_bytes
 from repro.pds.param_table import default_param_table
@@ -43,7 +44,7 @@ class TestOptimizeA:
         n, m = 2000, 4000
         plan = optimize_a(n, m, config)
         from repro.core.bounds import a_star
-        table = config.table()
+        table = default_param_table()
         for a in (plan.a - 1, plan.a + 1):
             if not 1 <= a <= m - n:
                 continue
@@ -80,7 +81,7 @@ class TestOptimizeA:
         iblt_only = optimize_a(n, m, config).total_bytes  # sanity anchor
         assert plan.total_bytes <= iblt_only
         tiny_fpr_bloom = bloom_size_bytes(n, 1.0 / (m - n)) + 9
-        table = config.table()
+        table = default_param_table()
         assert plan.total_bytes <= tiny_fpr_bloom + config.iblt_bytes(
             table.params_for(2))
 
@@ -127,15 +128,15 @@ class TestGrapheneConfig:
     def test_defaults_match_paper(self, config):
         assert config.beta == pytest.approx(239 / 240)
         assert config.cell_bytes == 12
-        assert config.decode_denom == 240
         assert config.short_id_bytes == 8
-        assert config.special_case_fpr == 0.1
+        assert SPECIAL_CASE_FPR == 0.1
 
-    def test_table_lookup(self, config):
-        assert config.table() is default_param_table(240)
+    def test_table_lookup(self):
+        # Every plan is sized from the 1/240 table (paper 4.1).
+        assert default_param_table() is default_param_table(240)
 
     def test_iblt_bytes(self, config):
-        params = config.table().params_for(10)
+        params = default_param_table().params_for(10)
         assert config.iblt_bytes(params) == 12 + params.cells * 12
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 7])
@@ -154,6 +155,27 @@ class TestGrapheneConfig:
         # success=False; 0 escaped as a bare ValueError.
         with pytest.raises(ParameterError):
             GrapheneConfig(short_id_bytes=width)
+
+    @pytest.mark.parametrize("protocol", [0, 2, 4])
+    def test_protocol_must_be_one_or_three(self, protocol):
+        # Protocol 2 is P1's fallback, not an opening: a sender engine
+        # handed protocol=2 used to serve Protocol 1 without a word.
+        with pytest.raises(ParameterError):
+            GrapheneConfig(protocol=protocol)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.1])
+    def test_beta_must_be_a_probability_below_one(self, beta):
+        # beta = 1.5 used to construct and fail only at the first relay.
+        with pytest.raises(ParameterError):
+            GrapheneConfig(beta=beta)
+
+    @pytest.mark.parametrize("cell_bytes", [-1, 0, 256])
+    def test_cell_bytes_must_fit_the_u8_header_field(self, cell_bytes):
+        # 0 used to fail deep inside closed_form_a; the IBLT header
+        # carries the width as a u8, so 256 cannot be sent.
+        with pytest.raises(ParameterError):
+            GrapheneConfig(cell_bytes=cell_bytes)
+        assert GrapheneConfig(cell_bytes=255).cell_bytes == 255
 
     @pytest.mark.parametrize("width", range(1, 9))
     def test_every_legal_short_id_width_relays(self, width):
@@ -261,7 +283,7 @@ class TestWinnerOnlyPlan:
 
     @staticmethod
     def _reference(candidates, upper, items, recover_of, config):
-        table = config.table()
+        table = default_param_table()
         best = None
         for a in candidates:
             fpr, recover = min(1.0, a / upper), recover_of(a)
@@ -280,7 +302,7 @@ class TestWinnerOnlyPlan:
         ids=["default", "beta99-cell17"])
     def test_field_identical_on_seeded_inputs(self, config):
         rng = random.Random(20190819)
-        table = config.table()
+        table = default_param_table()
         differing = 0
         for _ in range(1300):  # x 2 calls x 2 configs = 5 200 plans
             n, excess = rng.randrange(1, 3000), rng.randrange(1, 6000)

@@ -28,6 +28,7 @@ from repro.codec import encode_tx_list
 from repro.core.engine import GrapheneReceiverEngine
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
+from repro.net import host as host_module
 from repro.net.peer import (
     BlockServer,
     MeshFetchResult,
@@ -532,11 +533,11 @@ async def _fan_out(server, block, fetchers):
         *(fetcher.fetch_next(timeout=15) for fetcher in fetchers))
 
 
-def _serve_once(block, mempools, config=None, policy=None):
+def _serve_once(block, mempools, config=None):
     """One serving manager, one fetcher per mempool, one block: returns
     the (closed) server -- its registry outlives it -- and the results."""
     async def run():
-        server = PeerManager("server", config=config, policy=policy)
+        server = PeerManager("server", config=config)
         await server.listen()
         fetchers = [PeerManager(f"fetcher{i}", mempool=mempool,
                                 config=config)
@@ -604,16 +605,17 @@ class TestServedOnce:
         for result, pool in zip(results, (small, large, small)):
             _assert_loopback_twin(result, sc.block, pool)
 
-    def test_multi_frame_exchanges_survive_a_serving_cap_of_one(self):
+    def test_multi_frame_exchanges_survive_a_serving_cap_of_one(
+            self, monkeypatch):
         """The bug the re-keying closes: per ``(connection, root)`` a
         cap of 1 (or > 64 connections at the default) evicted the first
         fetcher's engine when the second's ``getdata`` arrived and
         rebuilt it on the next frame.  P1 fails, P2, short-id fetch --
         three serves per fetcher, all from the one engine."""
+        monkeypatch.setattr(host_module, "SERVING_CAP", 1)
         sc = _scenario(305, fraction=0.9, n=200)
         pools = [sc.receiver_mempool.copy() for _ in range(2)]
-        server, results = _serve_once(
-            sc.block, pools, policy=RecoveryPolicy(serving_cap=1))
+        server, results = _serve_once(sc.block, pools)
         (engine,) = server.serving_engines.values()
         assert engine.openings_built == 1
         assert sorted(event.command for event in engine.telemetry) \
@@ -653,15 +655,15 @@ class TestServedOnce:
         assert popped is None
         assert list(server.serving_engines) == [second.root] != [first.root]
 
-    def test_serving_cap_bounds_blocks(self):
+    def test_serving_cap_bounds_blocks(self, monkeypatch):
+        monkeypatch.setattr(host_module, "SERVING_CAP", 2)
         scenarios = [_scenario(310 + i, n=20) for i in range(4)]
         pool = scenarios[0].receiver_mempool
         for sc in scenarios[1:]:
             pool.add_many(sc.receiver_mempool.transactions())
 
         async def run():
-            server = PeerManager("server",
-                                 policy=RecoveryPolicy(serving_cap=2))
+            server = PeerManager("server")
             await server.listen()
             fetcher = PeerManager("fetcher", mempool=pool)
             try:

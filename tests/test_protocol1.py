@@ -177,7 +177,7 @@ class TestPrefill:
         receiver.add_many(gen.make_batch(50))
 
         payload = build_protocol1(block.txs, len(receiver), config,
-                                  auto_prefill_coinbase=False)
+                                  prefill=())
         assert not payload.prefilled
         result = receive_protocol1(payload, receiver, config,
                                    validate_block=block)
@@ -188,9 +188,33 @@ class TestPrefill:
         gen = TransactionGenerator(seed=63)
         txs = gen.make_batch(50) + [gen.make_coinbase(size=120)]
         with_prefill = build_protocol1(txs, 100, config)
-        without = build_protocol1(txs, 100, config,
-                                  auto_prefill_coinbase=False)
+        without = build_protocol1(txs, 100, config, prefill=())
         assert with_prefill.wire_size() >= without.wire_size() + 120
+
+    @pytest.mark.parametrize("protocol", [1, 3])
+    def test_one_prefill_rule(self, config, protocol):
+        """``None`` prefills exactly the coinbase, ``()`` nothing, and a
+        list exactly that list -- the coinbase too only if listed."""
+        from repro.chain.block import Block
+        from repro.chain.transaction import TransactionGenerator
+        from repro.core.protocol3 import build_protocol3
+
+        def prefilled(prefill):
+            if protocol == 3:
+                payload, _ = build_protocol3(block.columns, 150, config,
+                                             prefill=prefill)
+            else:
+                payload = build_protocol1(block.columns, 150, config,
+                                          prefill=prefill)
+            return [tx.txid for tx in payload.prefilled]
+
+        gen = TransactionGenerator(seed=64)
+        coinbase = gen.make_coinbase()
+        block = Block.assemble(gen.make_batch(100) + [coinbase])
+        listed = [tx for tx in block.txs if not tx.is_coinbase][:3]
+        assert prefilled(None) == [coinbase.txid]
+        assert prefilled(()) == []
+        assert prefilled(listed) == [tx.txid for tx in listed]
 
     def test_explicit_prefill_list(self, config, small_scenario):
         extra_push = small_scenario.block.txs[:3]

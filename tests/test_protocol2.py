@@ -8,6 +8,7 @@ from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1, receive_protocol1
 from repro.core.protocol2 import (
+    SPECIAL_CASE_FPR,
     build_protocol2_request,
     finish_protocol2,
     respond_protocol2,
@@ -56,7 +57,7 @@ class TestRequest:
         request, state = build_protocol2_request(p1, payload, sc.m, config)
         assert request.special_case
         assert request.bloom_r.target_fpr == pytest.approx(
-            config.special_case_fpr)
+            SPECIAL_CASE_FPR)
 
     def test_standard_case_when_mempool_larger(self, config):
         sc = make_block_scenario(n=200, extra=200, fraction=0.9, seed=42)

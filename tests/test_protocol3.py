@@ -457,7 +457,7 @@ class TestFilterR:
         sc = make_sync_scenario(n, fraction, seed=11)
         payload, _ = build_protocol3(sc.sender_mempool.columns(),
                                      len(sc.receiver_mempool), CFG,
-                                     auto_prefill_coinbase=False)
+                                     prefill=())
         state = begin_protocol3(payload, sc.receiver_mempool, CFG)
         assert state.fpr_r == 0 and state.target_r == 0
 

@@ -23,6 +23,7 @@ from repro.codec import encode_tx_list
 from repro.core.engine import GrapheneSenderEngine
 from repro.core.params import GrapheneConfig
 from repro.errors import ProtocolFailure
+from repro.net import host as host_module
 from repro.net.host import HostViews, RelayHost
 from repro.net.recovery import RecoveryPolicy
 from repro.obs import Tracer
@@ -272,18 +273,30 @@ class TestTimers:
         assert driver.relay_timeouts == 0
         _assert_clean_slate(driver)
 
-    def test_disabled_recovery_arms_nothing(self):
-        _, driver, root = _setup(enabled=False)
+    def test_loss_free_relay_cancels_every_timer_it_arms(self):
+        """A relay that needs P2 arms a timer per request; with every
+        answer on time each is cancelled, none fires, and nothing is
+        counted as a timeout or a retry."""
+        sc, driver, root = _setup(fraction=0.5, n=120)
+        sender = GrapheneSenderEngine(sc.block)
         driver.host.on_inv(0, root)
-        assert driver.clock.timers == []
+        while not driver.finished:
+            driver.deliver(0, driver.reply(0, sender, root), root)
+        assert driver.finished[0][1].header.merkle_root == root
+        assert ("send", 0, "graphene_p2_request") in driver.calls
+        assert len(driver.clock.timers) >= 2  # P1, then the P2 request
+        assert all(t.cancelled and not t.fired for t in driver.clock.timers)
+        assert driver.relay_timeouts == driver.relay_retries == 0
+        _assert_clean_slate(driver)
 
 
 class TestServing:
-    def test_sweep_and_cap(self):
+    def test_sweep_and_cap(self, monkeypatch):
+        monkeypatch.setattr(host_module, "SERVING_CAP", 2)
         blocks = [make_block_scenario(n=20, extra=0, seed=s).block
                   for s in (11, 12, 13)]
         roots = [b.header.merkle_root for b in blocks]
-        driver = RecordingDriver(None, RecoveryPolicy(serving_cap=2),
+        driver = RecordingDriver(None, None,
                                  {r: b for r, b in zip(roots, blocks)})
         getdata = (0).to_bytes(4, "little")
         for root in roots:

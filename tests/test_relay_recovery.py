@@ -34,6 +34,7 @@ from repro.net import (
     Simulator,
     connect_random_regular,
 )
+from repro.net import host as host_module
 from repro.net.peer import (
     BlockServer,
     PeerConnection,
@@ -353,10 +354,10 @@ class TestStaleStateGC:
         assert root not in b.announced_roots
         assert b.relay_timeouts == 0  # timer was cancelled, never fired
 
-    def test_serving_engines_bounded(self, txgen):
+    def test_serving_engines_bounded(self, txgen, monkeypatch):
+        monkeypatch.setattr(host_module, "SERVING_CAP", 2)
         sim = Simulator()
         a, b = Node("a", sim), Node("b", sim)
-        a.recovery = RecoveryPolicy(serving_cap=2)
         a.connect(b)
         for batch in range(4):
             txs = txgen.make_batch(10)
@@ -367,12 +368,27 @@ class TestStaleStateGC:
         assert len(a.serving_engines) <= 2
         assert len(b.blocks) == 4
 
-    def test_zero_loss_run_identical_with_recovery_disabled(self):
+    def test_zero_loss_relay_cancels_every_timer_it_arms(self):
+        """Recovery is invisible on a loss-free run: every timer the
+        host arms is cancelled before it fires, nothing is counted or
+        recorded, and the run reads the same with timers 10x longer."""
         results = []
-        for policy in (RecoveryPolicy(), RecoveryPolicy(enabled=False)):
+        for timeout_base in (2.0, 20.0):
             sc = make_block_scenario(n=120, extra=120, fraction=0.5,
                                      seed=3)
             sim = Simulator()
+            armed, fired = [], []
+            schedule = sim.schedule
+
+            def recording(delay, callback, schedule=schedule, armed=armed,
+                          fired=fired):
+                handle = schedule(
+                    delay, lambda: (fired.append(handle), callback()))
+                armed.append(handle)
+                return handle
+
+            sim.schedule = recording
+            policy = RecoveryPolicy(timeout_base=timeout_base)
             a = Node("a", sim, recovery=policy)
             b = Node("b", sim, recovery=policy)
             a.connect(b)
@@ -380,7 +396,16 @@ class TestStaleStateGC:
             a.mine_block(sc.block)
             sim.run()
             root = sc.block.header.merkle_root
-            cost = CostBreakdown.from_events(b.relay_telemetry[root])
+            assert root in b.blocks
+            assert len(armed) >= 2  # P1, then the P2 request
+            assert all(handle.cancelled for handle in armed)
+            assert fired == []
+            events = b.relay_telemetry[root]
+            assert not [e for e in events
+                        if e.outcome in ("timeout", "retry")]
+            for node in (a, b):
+                assert node.relay_timeouts == node.relay_retries == 0
+            cost = CostBreakdown.from_events(events)
             results.append((sim.now, a.total_bytes_sent(),
                             b.total_bytes_sent(), cost.as_dict()))
         assert results[0] == results[1]

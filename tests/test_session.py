@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.scenarios import make_block_scenario
-from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
-from repro.errors import ProtocolFailure
 
 
 @pytest.fixture
@@ -68,18 +66,6 @@ class TestProtocol2Path:
                 assert outcome.cost.extra_getdata > 0
                 assert outcome.cost.fetched_tx_bytes > 0
         # Not asserting fetches > 0: b is tuned to make slips rare.
-
-    def test_strict_mode_raises_on_failure(self):
-        config = GrapheneConfig()
-        session = BlockRelaySession(config)
-        # Pathological: receiver has nothing at all and mempool is empty.
-        sc = make_block_scenario(n=60, extra=0, fraction=0.0, seed=50)
-        try:
-            outcome = session.relay(sc.block, sc.receiver_mempool,
-                                    strict=True)
-            assert outcome.success  # if it worked, fine
-        except ProtocolFailure:
-            pass  # also acceptable: the documented strict behaviour
 
 
 class TestOrderingCost:

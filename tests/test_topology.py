@@ -17,7 +17,12 @@ import repro
 from repro.errors import ParameterError
 from repro.net.node import Node
 from repro.net.simulator import Simulator
+from repro.net import topology
 from repro.net.topology import (
+    GEO_BANDWIDTH_CLASSES,
+    GEO_BASE_LATENCY,
+    GEO_JITTER,
+    GEO_LATENCY_PER_UNIT,
     GeoLinkModel,
     _is_connected,
     _steger_wormald_edges,
@@ -96,13 +101,13 @@ class TestScaleFree:
         with pytest.raises(ParameterError):
             connect_scale_free(nodes, m=0)
 
-    def test_uniform_links_without_model(self):
-        nodes = build(50, m=3, seed=9)
-        for node in nodes:
-            for link in node.peers.values():
-                assert link.latency == 0.05
-                assert link.bandwidth == 1_000_000.0
-                assert link.loss_rate == 0.0
+    def test_geo_links_without_model(self):
+        def links(nodes):
+            return [(link.latency, link.bandwidth, link.loss_rate)
+                    for node in nodes for link in node.peers.values()]
+
+        assert links(build(50, m=3, seed=9)) == links(
+            build(50, m=3, seed=9, link_model=GeoLinkModel()))
 
 
 class TestGeoLinkModel:
@@ -110,10 +115,10 @@ class TestGeoLinkModel:
         model = GeoLinkModel(loss_rate=0.02)
         nodes = build(120, m=4, seed=13, link_model=model)
         # Unit-square geometry: no two nodes are more than sqrt 2 apart.
-        ceiling = ((model.base_latency + math.sqrt(2) * model.latency_per_unit)
-                   * (1 + model.jitter / 2))
-        floor = model.base_latency * (1 - model.jitter / 2)
-        classes = set(model.bandwidth_classes)
+        ceiling = ((GEO_BASE_LATENCY + math.sqrt(2) * GEO_LATENCY_PER_UNIT)
+                   * (1 + GEO_JITTER / 2))
+        floor = GEO_BASE_LATENCY * (1 - GEO_JITTER / 2)
+        classes = set(GEO_BANDWIDTH_CLASSES)
         for node in nodes:
             for link in node.peers.values():
                 assert floor - 1e-12 <= link.latency <= ceiling + 1e-12
@@ -123,7 +128,7 @@ class TestGeoLinkModel:
     def test_bandwidth_mix_is_skewed(self):
         model = GeoLinkModel()
         nodes = build(200, m=4, seed=17, link_model=model)
-        counts = {bw: 0 for bw in model.bandwidth_classes}
+        counts = {bw: 0 for bw in GEO_BANDWIDTH_CLASSES}
         total = 0
         for node in nodes:
             for link in node.peers.values():
@@ -131,27 +136,27 @@ class TestGeoLinkModel:
                 total += 1
         # The weighted draw must roughly honour its weights: the
         # heaviest class dominates and the rare class stays rare.
-        assert counts[model.bandwidth_classes[0]] > total * 0.35
-        assert counts[model.bandwidth_classes[-1]] < total * 0.30
+        assert counts[GEO_BANDWIDTH_CLASSES[0]] > total * 0.35
+        assert counts[GEO_BANDWIDTH_CLASSES[-1]] < total * 0.30
 
-    def test_latency_tracks_distance(self):
-        model = GeoLinkModel(jitter=0.0)
+    def test_latency_tracks_distance(self, monkeypatch):
+        monkeypatch.setattr(topology, "GEO_JITTER", 0.0)
+        model = GeoLinkModel()
         rng = random.Random(0)
         near = model.link((0.1, 0.1), (0.1, 0.2), rng)
         far = model.link((0.0, 0.0), (1.0, 1.0), rng)
         assert far.latency > near.latency
         assert math.isclose(
             far.latency,
-            model.base_latency + math.sqrt(2) * model.latency_per_unit)
+            GEO_BASE_LATENCY + math.sqrt(2) * GEO_LATENCY_PER_UNIT)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            GeoLinkModel(base_latency=0.0)
-        with pytest.raises(ParameterError):
-            GeoLinkModel(jitter=2.5)
-        with pytest.raises(ParameterError):
-            GeoLinkModel(bandwidth_classes=(1.0,),
-                         bandwidth_weights=(0.5, 0.5))
+        # The shape is constant; the one field reaches every Link the
+        # model draws, which rejects a loss rate outside [0, 1).
+        rng = random.Random(0)
+        for loss_rate in (-0.1, 1.0):
+            with pytest.raises(ParameterError):
+                GeoLinkModel(loss_rate=loss_rate).link((0, 0), (1, 1), rng)
 
 
 #: Node counts of the oracle grid: every small count (where the
