@@ -14,7 +14,8 @@ would trip.  Every root must exit 0.
 ``sitecustomize`` module first on ``PYTHONPATH``, so every Python
 process a stage starts -- the ``repro serve`` / ``peer`` subprocesses
 of the socket smokes included -- records the code objects it calls
-(``sys.settrace`` call events; no line tracing) and dumps them at exit.
+(``sys.settrace`` call events) and, inside ``src/repro`` only, the
+lines it executes (line events), and dumps both at exit.
 To the functions reached it adds those referenced by name from live
 code: module-level code under ``src/``, anything under ``scripts/``,
 ``benchmarks/`` and ``examples/`` that is not a test, and the bodies
@@ -24,7 +25,11 @@ wrappers a script calls.
 Every other function is *test-only*, and the generated table
 ``docs/CENSUS.md`` says which.
 
-Its second table, the knobs (:func:`knobs`, static, no root run),
+A second table gives each module the lines inside its reached
+functions that no root executed (:func:`unexecuted`): the branches a
+root never takes, for cutting by hand.  No check reads it.
+
+The last table, the knobs (:func:`knobs`, static, no root run),
 lists every defaulted parameter of a public ``src/repro`` callable and
 every defaulted dataclass field ``src/`` never reassigns, each with the
 first live file that sets it, or "tests only" / "nothing".
@@ -58,6 +63,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -96,13 +102,23 @@ SITECUSTOMIZE = '''\
 import atexit, os, sys, threading
 
 _codes = {}
+_lines = set()
 _src = os.environ["REPRO_CENSUS_SRC"]
 _out = os.environ["REPRO_CENSUS_OUT"]
+
+
+def _line(frame, event, arg):
+    if event == "line":
+        _lines.add((frame.f_code.co_filename, frame.f_lineno))
+    return _line
 
 
 def _call(frame, event, arg):
     code = frame.f_code
     _codes[id(code)] = code
+    # Lines are traced inside src/repro only; the rest runs call-traced.
+    if code.co_filename.startswith(_src):
+        return _line
 
 
 def _dump():
@@ -115,6 +131,9 @@ def _dump():
              if code.co_filename.startswith(_src)}
     with open(os.path.join(_out, f"{os.getpid()}.hits"), "w") as handle:
         handle.write("\\n".join(sorted(names)))
+    with open(os.path.join(_out, f"{os.getpid()}.lines"), "w") as handle:
+        handle.write("\\n".join(f"{name}\\t{line}"
+                                for name, line in sorted(_lines)))
 
 
 atexit.register(_dump)
@@ -315,6 +334,50 @@ def classify(src: Path, reached: set) -> dict:
                 take(key, bodies.get(key, ()))
                 changed = True
     return {key: status.get(key, ("test-only", "")) for key in functions}
+
+
+# ---------------------------------------------------------------------------
+# The lines reached functions leave unexecuted
+# ---------------------------------------------------------------------------
+
+def read_lines(dump: str, src: Path) -> dict:
+    """``path -> {line}`` of a line dump (``filename<TAB>line`` rows,
+    filenames absolute under ``src``; paths relative to it)."""
+    executed: dict = {}
+    for row in dump.splitlines():
+        filename, line = row.rsplit("\t", 1)
+        rel = Path(filename).relative_to(src).as_posix()
+        executed.setdefault(rel, set()).add(int(line))
+    return executed
+
+
+def _code_objects(code):
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield const
+            yield from _code_objects(const)
+
+
+def unexecuted(src: Path, reached: set, executed: dict) -> dict:
+    """``path -> (lines, not executed)`` for every module under ``src``
+    with a reached function: the lines that carry bytecode in a reached
+    function (nested functions and comprehensions folded into it, as in
+    the call table), and how many of them are not in ``executed``
+    (``path -> {line}``)."""
+    out = {}
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        module = compile(path.read_text(), str(path), "exec")
+        lines = set()
+        for code in _code_objects(module):
+            key = f"{rel}::{code.co_qualname.split('.<locals>')[0]}"
+            if key in reached:
+                lines.update(line for _, _, line in code.co_lines()
+                             if line is not None)
+        if lines:
+            out[rel] = (len(lines),
+                        len(lines - executed.get(rel, set())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +740,9 @@ def roots(repo: Path) -> dict:
 
 def run_roots(repo: Path, work: Path) -> tuple:
     """Run every root under the hook, its output in ``work/<root>.log``;
-    ``(hits per root, exit codes)`` where hits are ``"path::Qual.name"``
-    keys."""
+    ``(hits per root, exit codes, executed lines)`` where hits are
+    ``"path::Qual.name"`` keys and the lines ``path -> {line}`` over all
+    roots."""
     shutil.rmtree(work, ignore_errors=True)
     hook = work / "hook"
     hook.mkdir(parents=True)
@@ -720,8 +784,12 @@ def run_roots(repo: Path, work: Path) -> tuple:
 
     with ThreadPoolExecutor(WORKERS) as pool:
         results = list(pool.map(run, roots(repo).items()))
+    executed: dict = {}
+    for dump in work.glob("*/*.lines"):
+        for rel, lines in read_lines(dump.read_text(), src).items():
+            executed.setdefault(rel, set()).update(lines)
     return ({name: hits for name, hits, _ in results},
-            {name: code for name, _, code in results})
+            {name: code for name, _, code in results}, executed)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +802,7 @@ _ROOT = re.compile(r"^\| `([a-z0-9-]+)` \| (-?\d+) \| \d+ \|$", re.M)
 
 
 def render(classes: dict, lines: dict, hits: dict, codes: dict,
-           knob_setters: dict) -> str:
+           unrun: dict, knob_setters: dict) -> str:
     counts = Counter(status for status, _ in classes.values())
     sizes = {s: sum(lines[k] for k, (st, _) in classes.items() if st == s)
              for s in STATUSES}
@@ -771,6 +839,25 @@ def render(classes: dict, lines: dict, hits: dict, codes: dict,
         elif status == "test-only":
             by = "DESIGN.md §1"
         out.append(f"| `{key}` | {lines[key]} | {status} | {by} |")
+    out += [
+        "",
+        "## Lines: what reached functions leave unexecuted",
+        "",
+        "For each module with a reached function: the lines of its "
+        "reached functions that carry bytecode (nested functions and "
+        "comprehensions included), and how many of those no root "
+        "executed (`sys.settrace` line events, recorded inside "
+        "`src/repro` by the same hook).  They are the branches no root "
+        "takes -- error and recovery paths among them -- and a place to "
+        "look for code to cut by hand; no check reads this table.  "
+        f"{sum(n for _, n in unrun.values())} of "
+        f"{sum(n for n, _ in unrun.values())} lines not executed.",
+        "",
+        "| module | lines in reached functions | not executed |",
+        "|---|---|---|",
+    ]
+    out += [f"| `{rel}` | {total} | {missed} |"
+            for rel, (total, missed) in unrun.items()]
     unset = Counter(by for by in knob_setters.values() if by in UNSET)
     out += [
         "",
@@ -888,11 +975,14 @@ def main(argv=None) -> int:
     src = REPO / "src" / "repro"
     print("running the roots under the call hook:")
     started = time.perf_counter()
-    hits, codes = run_roots(REPO, REPO / WORK)
+    hits, codes, executed = run_roots(REPO, REPO / WORK)
     reached = set().union(*hits.values())
     classes = classify(src, reached)
+    unrun = unexecuted(src, {key for key, (status, _) in classes.items()
+                             if status == "reached"}, executed)
     (REPO / TABLE).write_text(
-        render(classes, src_functions(src), hits, codes, knobs(REPO)))
+        render(classes, src_functions(src), hits, codes, unrun,
+               knobs(REPO)))
     counts = Counter(status for status, _ in classes.values())
     print(f"wrote {TABLE}: " + ", ".join(
         f"{counts[s]} {s}" for s in STATUSES)

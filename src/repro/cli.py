@@ -36,6 +36,7 @@ from repro.core.engine import ENCODED_OPENINGS, SENDER_STEPS
 from repro.core.mempool_sync import synchronize_mempools
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
+from repro.errors import ParameterError
 from repro.net.node import RelayProtocol
 
 #: ``--protocol`` choices: the relay protocols a simulated node speaks.
@@ -145,16 +146,11 @@ def _cmd_attack(args) -> int:
 
 def _cmd_netsim(args) -> int:
     from repro.analysis.forks import measure_propagation_delay
-    from repro.errors import ParameterError
 
-    try:
-        run = measure_propagation_delay(
-            RelayProtocol(args.protocol), args.block_size, nodes=args.nodes,
-            degree=args.degree, latency=args.latency,
-            bandwidth=args.bandwidth, extra_mempool=0, seed=args.seed)
-    except ParameterError as exc:
-        print(f"netsim: {exc}", file=sys.stderr)
-        return 1
+    run = measure_propagation_delay(
+        RelayProtocol(args.protocol), args.block_size, nodes=args.nodes,
+        degree=args.degree, latency=args.latency,
+        bandwidth=args.bandwidth, extra_mempool=0, seed=args.seed)
     print(f"{args.protocol}: {run.nodes}/{args.nodes} nodes in "
           f"{run.coverage_delay:.3f} s, {run.total_bytes:,} bytes total")
     return 0
@@ -373,8 +369,8 @@ def _cmd_peer(args) -> int:
     document."""
     import asyncio
 
+    from repro.net import RecoveryPolicy
     from repro.net.peer import PeerManager
-    from repro.net.recovery import RecoveryPolicy
     from repro.obs import Tracer, WallClock
 
     if not args.connect:
@@ -696,7 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParameterError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

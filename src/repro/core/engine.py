@@ -716,7 +716,7 @@ class GrapheneReceiverEngine:
                     else message)
 
     # ------------------------------------------------------------------
-    # Recovery hooks (timeout/retry drivers, see repro.net.recovery)
+    # Recovery hooks (the relay host's timers, see repro.net.host)
     # ------------------------------------------------------------------
 
     def accepts(self, command: str) -> bool:

@@ -52,7 +52,7 @@ PHASES = ("inv", "p1", "p2", "p3", "fetch", "push")
 #: are set by the engines on phase-resolving messages; "timeout" (the
 #: awaited response never arrived, zero bytes) and "retry" (the request
 #: was retransmitted and its bytes charged again) come from the relay
-#: recovery subsystem (:mod:`repro.net.recovery`).
+#: host's recovery ladder (:mod:`repro.net.host`).
 OUTCOMES = ("", "decoded", "fallback", "fetch", "continue", "done",
             "failed", "timeout", "retry")
 

@@ -17,7 +17,7 @@ from repro.net.simulator import (
     Link,
     Simulator,
 )
-from repro.net.recovery import RecoveryPolicy
+from repro.net.host import RecoveryPolicy
 from repro.net.transport import LoopbackTransport
 from repro.net.node import Node, RelayProtocol
 from repro.net.topology import (

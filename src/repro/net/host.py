@@ -1,4 +1,4 @@
-"""RelayHost: one relay host, two clocks.
+"""RelayHost: one relay host, two clocks, and the recovery ladder.
 
 Everything a node keeps about blocks in flight is kept here, once and
 without I/O, for both drivers -- the simulator's
@@ -11,10 +11,7 @@ without I/O, for both drivers -- the simulator's
   ladder's state, the receiver engine of the current attempt and the
   root's telemetry stream (streams outlive their fetch, up to
   :data:`TELEMETRY_CAP`);
-* the **ladder dispatch**: the only caller of
-  :func:`~repro.net.recovery.on_timeout`,
-  :func:`~repro.net.recovery.escalate` and
-  :func:`~repro.net.recovery.fail_over`;
+* the **recovery ladder** (below), climbed by the host's own timers;
 * the **serving registry**: one sender engine per held root, answering
   every peer, dropped once its root leaves the driver's ``blocks`` and
   capped at :data:`SERVING_CAP`;
@@ -29,6 +26,30 @@ without I/O, for both drivers -- the simulator's
   ``via="fullblock"`` when rung 2 delivered the block); a sync's span
   ends in ``done`` (``pushed``), ``failed`` or ``abandon``
   (``attempts``).
+
+The paper's deployment story (sections 4.3 and 5) is that Graphene
+keeps propagating under real p2p conditions: one dropped
+``graphene_block`` must not leave a receiver in ``WAIT_P1`` forever.
+Every exchange therefore runs under a timer (:class:`RecoveryPolicy`),
+and a stalled block fetch climbs one rung per timeout::
+
+    rung 1  resend the last request to the same peer
+            (exponential backoff, at most ``max_retries`` times)
+    rung 2  escalate to a full-block getdata from that peer
+            (same retry cap; a decode failure enters here at once)
+    rung 3  fail over to the next live announcer of the root not yet
+            tried (restarting the protocol exchange from scratch)
+
+When every announcer has been tried the fetch is *abandoned*: its state
+is dropped and a later inv from any peer starts over.  A mempool sync
+climbs rung 1 only; it has one responder and no full-block rung, so it
+abandons there.  Every timer is cancelled the moment the awaited
+response arrives, so a loss-free run never observes the ladder -- the
+same messages cross the wire in the same order, byte for byte.
+Timeouts and retries bump ``relay_timeouts`` / ``relay_retries`` and
+append ``outcome="timeout"`` / ``"retry"`` events to the exchange's
+stream (a retry carries the resent bytes, so
+:meth:`~repro.core.sizing.CostBreakdown.from_events` charges it).
 
 The host takes events -- an ``inv``, an engine frame, a sync frame, a
 full block, a timer firing, a peer gone -- each with a peer handle, an
@@ -51,9 +72,10 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Protocol
+from typing import Callable, ClassVar, Dict, List, Optional, Protocol, Set
 
 from repro.chain.block import Block
 from repro.chain.merkle import merkle_root_packed
@@ -65,20 +87,9 @@ from repro.core.engine import (
     SENDER_STEPS,
 )
 from repro.core.mempool_sync import adopt_reconciled
-from repro.errors import ProtocolFailure
-from repro.net.recovery import (
-    ABANDON,
-    ESCALATE,
-    FetchState,
-    RESEND,
-    STAGE_ENGINE,
-    STAGE_FULLBLOCK,
-    STAGE_REQUEST,
-    escalate,
-    fail_over,
-    on_timeout,
-    prune_oldest,
-)
+from repro.core.sizing import getdata_bytes
+from repro.core.telemetry import MessageEvent, message_event
+from repro.errors import ParameterError, ProtocolFailure
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +99,11 @@ logger = logging.getLogger(__name__)
 #: registry (block relay, and mempool sync by ``(peer, nonce)``).
 TELEMETRY_CAP = 256
 SERVING_CAP = 64
+
+#: Ladder stages of one in-flight block fetch.
+STAGE_ENGINE = "engine"        # Graphene engine exchange in progress
+STAGE_REQUEST = "request"      # baseline protocol request outstanding
+STAGE_FULLBLOCK = "fullblock"  # escalated to a full-block getdata
 
 #: Engine step command -> sync wire command.  The engines speak the
 #: relay vocabulary; the wire tags sync traffic distinctly so a node can
@@ -110,13 +126,90 @@ _STEP_BY_WIRE = {wire: step for step, wire in WIRE_BY_STEP.items()}
 SYNC_COMMANDS = frozenset(_STEP_BY_WIRE) | {"sync_push"}
 
 
+@dataclass
+class RecoveryPolicy:
+    """Knobs for the relay recovery ladder.
+
+    ``timeout_base`` is the first-attempt timer; each retry multiplies
+    it by ``backoff``.  ``max_retries`` caps resends *per rung* (the
+    engine/request rung and the full-block rung each get their own
+    budget).  The retention caps are the module constants
+    :data:`TELEMETRY_CAP` and :data:`SERVING_CAP`.
+    """
+
+    timeout_base: float = 2.0
+    backoff: float = 2.0
+    max_retries: int = 3
+
+    def __post_init__(self):
+        # NaN fails every comparison, and an infinite timer never fires:
+        # either would run the exchange without a ladder.
+        if not (math.isfinite(self.timeout_base) and self.timeout_base > 0):
+            raise ParameterError(
+                f"timeout_base must be finite and > 0, "
+                f"got {self.timeout_base}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 1.0):
+            raise ParameterError(
+                f"backoff must be finite and >= 1, got {self.backoff}")
+        if self.max_retries < 0:
+            raise ParameterError(
+                f"max_retries must be >= 0, got {self.max_retries}")
+
+    def timeout_for(self, attempts: int) -> float:
+        """Timer duration after ``attempts`` resends on this rung."""
+        return self.timeout_base * self.backoff ** attempts
+
+
+@dataclass
+class FetchState:
+    """Recovery-ladder state of one in-flight exchange (a block fetch
+    or a mempool sync): the base of :class:`Fetch` and
+    :class:`SyncState`.
+
+    ``peer`` is a peer handle: the node id in the simulator, the
+    connection id on sockets.  ``key`` tags the exchange on the wire
+    (the block's Merkle root, the sync nonce); ``engine`` is its
+    receiver engine; ``timer`` is whatever the driver's clock hands
+    back (an ``EventHandle`` or an ``asyncio.TimerHandle``).
+    """
+
+    peer: object                    # announcer currently serving the fetch
+    stage: str                      # STAGE_ENGINE/REQUEST/FULLBLOCK
+    attempts: int = 0               # resends on the current rung
+    timer: Optional[object] = None  # handle of the armed timeout
+    tried: Set[object] = field(default_factory=set)  # exhausted peers
+    key: object = None
+    engine: Optional[object] = None
+
+
+def fullblock_event(outcome: str = "") -> MessageEvent:
+    """A receiver-side event of the full-block rung, where no engine is
+    driving: the escalation request itself (``outcome=""``), a
+    ``"timeout"`` on it, or its ``"retry"``.
+
+    The two sends carry ``extra_getdata`` -- real bytes, honestly
+    charged, and the retry re-charges a decomposition the anchor
+    actually carried; a timeout is zero-byte.
+    """
+    parts = {} if outcome == "timeout" \
+        else {"extra_getdata": getdata_bytes(0)}
+    return message_event("getdata", "sent", "receiver", "fetch", 4, parts,
+                         outcome)
+
+
+def prune_oldest(registry: dict, cap: int) -> None:
+    """Evict insertion-oldest entries until ``registry`` fits ``cap``."""
+    while len(registry) > cap:
+        registry.pop(next(iter(registry)))
+
+
 class Driver(Protocol):
     """The verbs a :class:`RelayHost` acts through.
 
     A driver also carries the facts the host reads at the moment of
     use, so it may swap any of them between exchanges: ``node_id``,
     ``mempool`` (``None`` on a node that never fetches), ``config``,
-    ``recovery`` (the :class:`~repro.net.recovery.RecoveryPolicy`),
+    ``recovery`` (the :class:`RecoveryPolicy`),
     ``tracer`` and ``blocks`` (root -> held block).
     """
 
@@ -165,8 +258,8 @@ class Fetch(FetchState):
 @dataclass
 class SyncState(FetchState):
     """Initiator-side state for one in-flight sync: the ladder's
-    :class:`~repro.net.recovery.FetchState` (``peer`` is the responder's
-    handle, ``key`` the nonce) plus the session's own facts."""
+    :class:`FetchState` (``peer`` is the responder's handle, ``key`` the
+    nonce) plus the session's own facts."""
 
     done: bool = False
     succeeded: bool = False
@@ -422,46 +515,60 @@ class RelayHost:
     # -- the ladder -----------------------------------------------------
 
     def _fetch_timeout(self, fetch: Fetch) -> None:
+        """The fetch's timer fired: resend on the current rung while its
+        budget lasts, then escalate from the exchange (rung 1 -> 2) or
+        fail over from the full block (rung 2 -> 3)."""
         if not self.driver.is_alive(fetch.peer):
             # The socket is gone and its read loop has not said so yet.
             self._fail_over(fetch)
             return
+        self.relay_timeouts += 1
+        # The engine records its own timeout and retry while it drives
+        # the exchange; past it, the full-block rung's events are ours.
         engine = fetch.engine if fetch.stage == STAGE_ENGINE else None
-        rung = on_timeout(fetch, self.driver.recovery, self, engine,
-                          fetch.stream)
-        if rung is ESCALATE:
-            self._escalate(fetch, "timeout")
-        elif rung is RESEND:
-            if engine is not None:
-                self.driver.send_action(fetch.peer, fetch.key,
-                                        engine.reemit_last_request())
+        if engine is not None:
+            engine.note_timeout()
+        elif fetch.stream is not None:
+            fetch.stream.append(fullblock_event("timeout"))
+        if fetch.attempts >= self.driver.recovery.max_retries:
+            if fetch.stage == STAGE_FULLBLOCK:
+                self._fail_over(fetch)
             else:
-                self.driver.request_block(
-                    fetch.peer, fetch.key, fetch.stage == STAGE_FULLBLOCK)
-            self.arm(fetch)
+                self._escalate(fetch, "timeout")
+            return
+        fetch.attempts += 1
+        self.relay_retries += 1
+        if engine is not None:
+            self.driver.send_action(fetch.peer, fetch.key,
+                                    engine.reemit_last_request())
         else:
-            self._fail_over(fetch)
+            full = fetch.stage == STAGE_FULLBLOCK
+            if full and fetch.stream is not None:
+                fetch.stream.append(fullblock_event("retry"))
+            self.driver.request_block(fetch.peer, fetch.key, full)
+        self.arm(fetch)
 
     def _sync_timeout(self, state: SyncState) -> None:
-        resends = state.attempts
-        if not self.driver.is_alive(state.peer):
-            # A gone peer has no resends left: the timeout is counted,
-            # no retry is.
-            state.attempts = self.driver.recovery.max_retries
-        # A sync has no full-block rung and one responder, so any rung
-        # but RESEND abandons.
-        if on_timeout(state, self.driver.recovery, self, state.engine,
-                      None) is not RESEND:
-            logger.info("%s: mempool sync %d with %s abandoned after %d "
-                        "resends", self.driver.node_id, state.key,
-                        self.driver.peer_label(state.peer), resends)
-            self.mark("sync", state.key, "abandon", attempts=resends)
-            state.done = True
+        """The sync's timer fired: resend to the responder while the
+        budget lasts and it is alive, else abandon -- a sync has one
+        responder and no full-block rung.  A gone responder's timeout
+        is counted; no retry is."""
+        self.relay_timeouts += 1
+        state.engine.note_timeout()
+        if state.attempts < self.driver.recovery.max_retries \
+                and self.driver.is_alive(state.peer):
+            state.attempts += 1
+            self.relay_retries += 1
+            self.driver.send_action(state.peer, state.key,
+                                    state.engine.reemit_last_request(),
+                                    WIRE_BY_STEP)
+            self.arm(state)
             return
-        self.driver.send_action(state.peer, state.key,
-                                state.engine.reemit_last_request(),
-                                WIRE_BY_STEP)
-        self.arm(state)
+        logger.info("%s: mempool sync %d with %s abandoned after %d "
+                    "resends", self.driver.node_id, state.key,
+                    self.driver.peer_label(state.peer), state.attempts)
+        self.mark("sync", state.key, "abandon", attempts=state.attempts)
+        state.done = True
 
     def _end_sync(self, state: SyncState, succeeded: bool) -> None:
         """The session's engine is DONE -- adopt the reconciled view,
@@ -491,14 +598,20 @@ class RelayHost:
                     else "stalled")
         self.mark("relay", fetch.key, "escalate", why=why, peer=label)
         fetch.escalated = True
-        escalate(fetch, fetch.stream)
+        fetch.stage, fetch.attempts = STAGE_FULLBLOCK, 0
+        if fetch.stream is not None:
+            fetch.stream.append(fullblock_event())
         self.driver.request_block(fetch.peer, fetch.key, True)
         self.arm(fetch)
 
     def _fail_over(self, fetch: Fetch) -> None:
-        """Rung 3: restart at the next live announcer, or abandon."""
-        live = (p for p in fetch.announcers if self.driver.is_alive(p))
-        if fail_over(fetch, live, self.stage) is ABANDON:
+        """Rung 3: restart at the first live announcer not yet tried, in
+        arrival order, or abandon."""
+        fetch.tried.add(fetch.peer)
+        alternate = next((peer for peer in fetch.announcers
+                          if peer not in fetch.tried
+                          and self.driver.is_alive(peer)), None)
+        if alternate is None:
             logger.warning("%s: abandoning fetch of %s (every announcer "
                            "exhausted); a fresh inv will restart it",
                            self.driver.node_id, fetch.key.hex()[:12])
@@ -506,6 +619,7 @@ class RelayHost:
             self._close(fetch.key)
             self.driver.fetch_finished(None, None, fetch)
             return
+        fetch.peer, fetch.stage, fetch.attempts = alternate, self.stage, 0
         label = self.driver.peer_label(fetch.peer)
         logger.info("%s: failing over fetch of %s to %s",
                     self.driver.node_id, fetch.key.hex()[:12], label)

@@ -33,9 +33,15 @@ from repro.chain.mempool import Mempool
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import INV_ENTRY_BYTES, getdata_bytes
 from repro.errors import ParameterError
-from repro.net.host import HostViews, RelayHost, SyncState
+from repro.net.host import (
+    HostViews,
+    RecoveryPolicy,
+    RelayHost,
+    STAGE_ENGINE,
+    STAGE_REQUEST,
+    SyncState,
+)
 from repro.net.messages import HANDLERS, NetMessage, enveloped
-from repro.net.recovery import RecoveryPolicy, STAGE_ENGINE, STAGE_REQUEST
 from repro.net.simulator import FaultInjector, Link, Simulator
 
 

@@ -8,7 +8,7 @@ real TCP streams.
 There is one socket path.  :class:`PeerManager`
 (:mod:`repro.net.peer.manager`) runs a listener and a dial list in one
 event loop, demultiplexes concurrent exchanges by root key, and is the
-asyncio driver of the recovery ladder in :mod:`repro.net.recovery` --
+asyncio driver of the recovery ladder of :mod:`repro.net.host` --
 including alternate-announcer failover (see docs/PEERING.md).
 :class:`BlockServer` and :func:`fetch_block` are that manager with a
 group of one (a listener serving one block; a one-entry dial list

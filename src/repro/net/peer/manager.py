@@ -12,8 +12,8 @@ Every frame this package reads off a socket is read here:
   connection id as the peer handle, to the node's
   :class:`~repro.net.host.RelayHost` -- the host the simulator's
   :class:`~repro.net.node.Node` runs too.  It keeps the announcer,
-  fetch and serving registries, climbs the recovery ladder of
-  :mod:`repro.net.recovery` (re-emit with backoff, escalate to a
+  fetch and serving registries, climbs the recovery ladder
+  (re-emit with backoff, escalate to a
   full-block ``getdata_block``, fail over to the next announcer on a
   different connection, abandon) and marks the relay span.
 * This module maps the host's verbs onto sockets: an engine action is
@@ -53,7 +53,7 @@ from repro.core.params import GrapheneConfig
 from repro.core.sizing import CostBreakdown
 from repro.core.telemetry import StreamTotals
 from repro.errors import ProtocolFailure, ReproError
-from repro.net.host import HostViews, RelayHost
+from repro.net.host import HostViews, RecoveryPolicy, RelayHost
 from repro.net.peer.peer import PeerConnection, PeerFetchResult
 from repro.net.peer.protocol import (
     decode_full_block,
@@ -63,7 +63,6 @@ from repro.net.peer.protocol import (
     split_keyed,
 )
 from repro.net.peer.transport import AsyncioTransport
-from repro.net.recovery import RecoveryPolicy
 
 logger = logging.getLogger(__name__)
 

@@ -2,7 +2,7 @@
 
 This is the deployment face of the relay stack.  The Graphene control
 flow lives entirely in :mod:`repro.core.engine` and the recovery
-ladder in :mod:`repro.net.recovery`; the one place that reads frames
+ladder in :mod:`repro.net.host`; the one place that reads frames
 off a socket and drives either is
 :class:`~repro.net.peer.manager.PeerManager`.  This module holds what
 every connection of a manager is made of:

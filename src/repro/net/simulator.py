@@ -33,8 +33,8 @@ overheads that cap a naive event loop at a few dozen peers:
   an optional hook after each step -- the scenario layer's way of
   collecting per-cycle aggregates without per-message telemetry.
 
-Two facilities exist for the relay recovery subsystem
-(:mod:`repro.net.recovery`):
+Two facilities exist for the relay recovery ladder
+(:class:`~repro.net.host.RelayHost`):
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`EventHandle` so timeout timers can be cancelled when the
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Tuple
@@ -158,11 +159,14 @@ class Link:
     _loss_rng: Optional[random.Random] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise ParameterError(f"latency must be >= 0, got {self.latency}")
-        if self.bandwidth <= 0:
+        # NaN fails every comparison, and an infinite delay never
+        # delivers: both would put a wrong clock on every message.
+        if not (math.isfinite(self.latency) and self.latency >= 0):
             raise ParameterError(
-                f"bandwidth must be > 0, got {self.bandwidth}")
+                f"latency must be finite and >= 0, got {self.latency}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ParameterError(
+                f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ParameterError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}")

@@ -21,7 +21,7 @@ cross a wire -- they are the *local* endpoint's result, and each driver
 reads them off its own engine (``LoopbackTransport`` records the one
 its internal pump reaches as ``final``).
 
-Recovery retransmissions (see :mod:`repro.net.recovery`) flow through
+Recovery retransmissions (see :mod:`repro.net.host`) flow through
 the same send path as first sends: a re-emitted engine action carries a
 fresh ``outcome="retry"`` event with the original byte decomposition,
 so retried bytes are charged exactly like original ones.  Duplicate

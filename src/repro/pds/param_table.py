@@ -15,9 +15,6 @@ Lookups are conservative in two ways:
   (decode success is monotone non-increasing in items for fixed shape);
 * a request beyond the table extrapolates with the largest entry's hedge
   factor plus a safety margin.
-
-If a table file is missing (e.g. mid-regeneration), a deliberately
-generous built-in fallback keeps every protocol functional.
 """
 
 from __future__ import annotations
@@ -39,17 +36,6 @@ SUPPORTED_DENOMS = (24, 240, 2400)
 DEFAULT_DENOM = 240
 
 _EXTRAPOLATION_MARGIN = 1.05
-
-# (max_j, tau, k): generous shapes used only when no CSV is available.
-_FALLBACK_ROWS = (
-    (2, 16.0, 4),
-    (5, 12.0, 4),
-    (10, 6.0, 4),
-    (30, 3.0, 4),
-    (100, 2.0, 4),
-    (300, 1.7, 4),
-    (10**9, 1.6, 4),
-)
 
 
 @dataclass(frozen=True)
@@ -81,19 +67,6 @@ class IBLTParamTable:
             for record in csv.DictReader(handle):
                 rows.append((int(record["j"]), int(record["k"]),
                              int(record["cells"])))
-        return cls(rows, denom)
-
-    @classmethod
-    def fallback(cls, denom: int) -> "IBLTParamTable":
-        """Generous built-in table used when no CSV has been generated."""
-        rows = []
-        grid = [1, 2, 3, 5, 8, 10, 20, 30, 50, 100, 200, 300, 500, 1000]
-        for j in grid:
-            tau, k = next(
-                (tau, k) for max_j, tau, k in _FALLBACK_ROWS if j <= max_j)
-            cells = math.ceil(j * tau)
-            cells += -cells % k
-            rows.append((j, k, max(cells, k)))
         return cls(rows, denom)
 
     def params_for(self, j: int) -> IBLTParams:
@@ -145,14 +118,20 @@ def _data_path(denom: int) -> Optional[Path]:
 def default_param_table(denom: int = DEFAULT_DENOM) -> IBLTParamTable:
     """Return the shipped table for failure rate ``1/denom`` (cached).
 
-    Falls back to :meth:`IBLTParamTable.fallback` when the CSV is absent.
+    Only the rates of :data:`SUPPORTED_DENOMS` ship; a ``denom`` with no
+    table -- or a shipped one whose CSV is missing -- raises
+    :class:`~repro.errors.ParameterError` rather than serve shapes no
+    search certified for that rate.
     """
-    if denom <= 1:
-        raise ParameterError(f"denom must exceed 1, got {denom}")
     if denom in _CACHE:
         return _CACHE[denom]
     path = _data_path(denom)
-    table = (IBLTParamTable.from_csv(path, denom) if path is not None
-             else IBLTParamTable.fallback(denom))
-    _CACHE[denom] = table
+    if path is None:
+        raise ParameterError(
+            f"no IBLT parameter table ships for failure rate 1/{denom}; "
+            f"the shipped rates are "
+            f"{', '.join(f'1/{d}' for d in SUPPORTED_DENOMS)} (search "
+            f"one live with `repro iblt-params --search`, or generate a "
+            f"table with scripts/gen_param_tables.py)")
+    table = _CACHE[denom] = IBLTParamTable.from_csv(path, denom)
     return table

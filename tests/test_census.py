@@ -147,3 +147,37 @@ def test_a_knob_set_only_through_a_forwarding_parameter():
         == "src/repro/cli.py"
     assert setters["net/topology.py::GeoLinkModel.loss_rate"] \
         == "src/repro/cli.py"
+
+
+PLANTED = '''\
+def reached(x):
+    def helper():
+        return x
+    if x:
+        return 1
+    raise ValueError(x)
+
+
+def never():
+    return 2
+'''
+
+
+def test_unexecuted_lines_of_reached_functions(tmp_path):
+    # Lines 1-6 carry bytecode in ``reached`` (its nested ``helper``
+    # folded in); the dump ran 1, 2, 4 and 5, plus the module-level
+    # ``def never`` on line 9, which is no reached function's line.
+    src = tmp_path / "repro"
+    (src / "pkg").mkdir(parents=True)
+    module = src / "pkg" / "planted.py"
+    module.write_text(PLANTED)
+    (src / "pkg" / "idle.py").write_text("def idle():\n    return 0\n")
+    dump = "\n".join(f"{module}\t{line}" for line in (1, 2, 4, 5, 9))
+    executed = census.read_lines(dump, src)
+    assert executed == {"pkg/planted.py": {1, 2, 4, 5, 9}}
+    assert census.unexecuted(src, {"pkg/planted.py::reached"},
+                             executed) == {"pkg/planted.py": (6, 2)}
+    # Reaching ``never`` too adds its lines: 2 + 1 of them unrun.
+    assert census.unexecuted(
+        src, {"pkg/planted.py::reached", "pkg/planted.py::never"},
+        executed) == {"pkg/planted.py": (8, 3)}

@@ -64,6 +64,14 @@ class TestIBLTParams:
     def test_other_denom(self, capsys):
         assert main(["iblt-params", "--j", "50", "--denom", "24"]) == 0
 
+    def test_a_rate_with_no_table_is_refused(self, capsys):
+        assert main(["iblt-params", "--j", "50", "--denom", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro iblt-params: no IBLT parameter table ships for failure "
+            "rate 1/100000")
+
 
 class TestExperiment:
     def test_known_driver(self, capsys):
@@ -99,6 +107,14 @@ class TestNetsim:
         assert main(["netsim", "--nodes", "4", "--degree", "2",
                      "--block-size", "40",
                      "--protocol", "full_block"]) == 0
+
+    def test_non_finite_latency_is_refused(self, capsys):
+        assert main(["netsim", "--nodes", "6", "--degree", "2",
+                     "--block-size", "50", "--latency", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("repro netsim: latency must be finite and "
+                                ">= 0, got nan\n")
 
 
 class TestPeerJSON:
@@ -188,3 +204,11 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_infinite_timeout_base_is_refused_before_dialing(self, capsys):
+        # Port 1 is never dialed: the policy is refused first.
+        assert main(["peer", "--port", "1", "--timeout-base", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert "connected" not in captured.out
+        assert captured.err == ("repro peer: timeout_base must be finite "
+                                "and > 0, got inf\n")

@@ -96,7 +96,7 @@ class TestBlockRelayUnderLoss:
     """Recovery properties of Graphene relay over lossy links.
 
     A lost message can hit any phase of the exchange; the recovery
-    ladder (see repro.net.recovery) must either deliver the block or
+    ladder (see repro.net.host) must either deliver the block or
     abandon it cleanly within the policy bounds.  The only permanently
     stranding loss is the announcement itself: with a single announcer
     a dropped inv leaves nothing to recover from (multi-peer

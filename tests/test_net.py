@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.chain.block import Block
@@ -75,6 +77,16 @@ class TestLink:
             Link(latency=-1)
         with pytest.raises(ParameterError):
             Link(bandwidth=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_latency(self, value):
+        with pytest.raises(ParameterError, match="latency must be finite"):
+            Link(latency=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bandwidth(self, value):
+        with pytest.raises(ParameterError, match="bandwidth must be finite"):
+            Link(bandwidth=value)
 
 
 class TestNetMessage:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ParameterError
@@ -27,9 +29,8 @@ def _linear_params_for(table, j):
 class TestLookup:
     @pytest.mark.parametrize("table", [
         default_param_table(DEFAULT_DENOM),
-        IBLTParamTable.fallback(DEFAULT_DENOM),
         IBLTParamTable([(5, 3, 15), (5, 4, 20), (9, 4, 28)], 240),
-    ], ids=["csv", "fallback", "repeated-j"])
+    ], ids=["csv", "repeated-j"])
     def test_bisect_equals_the_linear_scan(self, table):
         max_j = table.rows[-1][0]
         for j in range(max_j + 51):
@@ -89,6 +90,25 @@ class TestShippedTables:
     def test_rejects_bad_denom(self):
         with pytest.raises(ParameterError):
             default_param_table(1)
+
+    #: Rows, and a digest of them, of each shipped table.
+    SHIPPED = {24: (42, "2d75c5a3b2f55ae3"), 240: (46, "0f09279dc3de249c"),
+               2400: (42, "7091f827de21c50c")}
+
+    @pytest.mark.parametrize("denom", SUPPORTED_DENOMS)
+    def test_shipped_rows_unchanged(self, denom):
+        rows = default_param_table(denom).rows
+        assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+                [:16]) == self.SHIPPED[denom]
+
+    def test_a_rate_with_no_table_raises(self):
+        """No shapes are served at a rate no search certified: the error
+        names the shipped rates and the live search."""
+        with pytest.raises(ParameterError) as info:
+            default_param_table(100000)
+        message = str(info.value)
+        assert "1/100000" in message and "--search" in message
+        assert all(f"1/{denom}" in message for denom in SUPPORTED_DENOMS)
 
     def test_cells_always_divisible_by_k(self):
         table = default_param_table(DEFAULT_DENOM)

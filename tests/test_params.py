@@ -226,18 +226,12 @@ class TestParamTableEdges:
     last row extrapolates with the tail hedge plus margin."""
 
     def test_zero_clamps_to_smallest_row(self):
-        from repro.pds.param_table import IBLTParamTable
         for denom in (24, 240, 2400):
             table = default_param_table(denom)
             row_j, row_k, row_cells = table.rows[0]
             params = table.params_for(0)
             assert params.cells == row_cells
             assert params.k == row_k
-        # The built-in fallback's smallest row is 16 cells; the old
-        # degenerate k-cell answer under-allocated by 4x.
-        fallback = IBLTParamTable.fallback(240)
-        assert fallback.params_for(0) == fallback.params_for(1)
-        assert fallback.params_for(0).cells >= 16
 
     def test_zero_never_smaller_than_one(self):
         for denom in (24, 240, 2400):

@@ -29,6 +29,7 @@ from repro.core.engine import GrapheneReceiverEngine
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
 from repro.net import host as host_module
+from repro.net.host import RecoveryPolicy
 from repro.net.peer import (
     BlockServer,
     MeshFetchResult,
@@ -37,7 +38,6 @@ from repro.net.peer import (
     encode_inv,
     encode_keyed,
 )
-from repro.net.recovery import RecoveryPolicy
 from repro.obs import Tracer, WallClock
 
 #: Small timeouts so ladder tests stall in milliseconds, not seconds.

@@ -26,6 +26,7 @@ from repro.chain.scenarios import make_block_scenario
 from repro.core.session import BlockRelaySession
 from repro.core.sizing import CostBreakdown
 from repro.errors import ParameterError, ProtocolFailure
+from repro.net.host import RecoveryPolicy
 from repro.net.peer import (
     AsyncioTransport,
     BlockServer,
@@ -37,7 +38,6 @@ from repro.net.peer import (
     fetch_block,
     split_keyed,
 )
-from repro.net.recovery import RecoveryPolicy
 from repro.net.transport import LoopbackTransport
 from repro.core.engine import (
     ActionKind,

@@ -77,9 +77,9 @@ from repro.core.sizing import (
 from repro.errors import ParameterError, ProtocolFailure
 from repro.pds.bloom import BloomFilter
 from repro.pds.riblt import RIBLTEncoder, symbol_stream_bytes
+from repro.net.host import RecoveryPolicy
 from repro.net.node import Node
 from repro.net.peer import BlockServer, fetch_block
-from repro.net.recovery import RecoveryPolicy
 from repro.net.simulator import Link, Simulator
 from repro.net.transport import LoopbackTransport
 

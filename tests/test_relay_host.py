@@ -24,8 +24,7 @@ from repro.core.engine import GrapheneSenderEngine
 from repro.core.params import GrapheneConfig
 from repro.errors import ProtocolFailure
 from repro.net import host as host_module
-from repro.net.host import HostViews, RelayHost
-from repro.net.recovery import RecoveryPolicy
+from repro.net.host import HostViews, RecoveryPolicy, RelayHost
 from repro.obs import Tracer
 
 

@@ -1,4 +1,4 @@
-"""Tests for the relay recovery subsystem (repro.net.recovery).
+"""Tests for the relay recovery ladder (repro.net.host.RelayHost).
 
 Timeout timers, the retry -> full block -> alternate peer ladder,
 fault injection, stale-state GC, and the acceptance chaos scenario:
@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.engine import (
 )
 from repro.core.params import GrapheneConfig
 from repro.core.session import BlockRelaySession
-from repro.core.sizing import CostBreakdown, getdata_bytes
+from repro.core.sizing import CostBreakdown, getdata_bytes, inv_bytes
 from repro.errors import ParameterError, ProtocolFailure
 from repro.net import (
     FaultInjector,
@@ -35,26 +36,20 @@ from repro.net import (
     connect_random_regular,
 )
 from repro.net import host as host_module
+from repro.net.host import (
+    RelayHost,
+    STAGE_ENGINE,
+    STAGE_FULLBLOCK,
+    STAGE_REQUEST,
+)
 from repro.net.peer import (
     BlockServer,
     PeerConnection,
     PeerManager,
     encode_full_block,
 )
-from repro.net.recovery import (
-    ABANDON,
-    ESCALATE,
-    FAILOVER,
-    FetchState,
-    RESEND,
-    STAGE_ENGINE,
-    STAGE_FULLBLOCK,
-    STAGE_REQUEST,
-    escalate,
-    fail_over,
-    on_timeout,
-)
 from repro.obs import Tracer, WallClock
+from tests.test_relay_host import RecordingDriver
 
 
 def _graphene_pair(fault=None, scenario_seed=7, recovery=None):
@@ -167,6 +162,22 @@ class TestStrictShortIdRequests:
         from repro.codec import decode_tx_list
         txs, _ = decode_tx_list(sender.on_shortid_request(wanted).message)
         assert len(txs) == 3
+
+
+class TestRecoveryPolicy:
+    """A non-finite timing would run an exchange with no ladder (an
+    infinite timer never fires) or on a NaN clock."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timeout_base(self, value):
+        with pytest.raises(ParameterError,
+                           match="timeout_base must be finite"):
+            RecoveryPolicy(timeout_base=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_backoff(self, value):
+        with pytest.raises(ParameterError, match="backoff must be finite"):
+            RecoveryPolicy(backoff=value)
 
 
 class TestEngineRecoveryHooks:
@@ -502,84 +513,100 @@ class TestSyncRecovery:
             == self.FINGERPRINT[protocol, fault]
 
 
-class _Tally:
-    def __init__(self):
-        self.relay_timeouts = 0
-        self.relay_retries = 0
+def _recorded(events):
+    return [(e.command, e.phase, e.outcome, dict(e.parts)) for e in events]
 
 
-class _StubEngine:
-    """Stands in for a driving receiver engine: the ladder only ever
-    tells it that its last request timed out."""
+#: Events a Graphene fetch's stream gains on the ladder: an engine's
+#: opening (the inv it answers, its getdata), the engine's own timeout
+#: and retry of that getdata, and the full-block rung's request, timeout
+#: and retry.
+OPENING = [("inv", "inv", "", {"inv": inv_bytes()}),
+           ("getdata", "p1", "", {"getdata": getdata_bytes(0)})]
+STALLED = ("getdata", "p1", "timeout", {})
+RESENT = ("getdata", "p1", "retry", {"getdata": getdata_bytes(0)})
+ANCHOR = ("getdata", "fetch", "", {"extra_getdata": getdata_bytes(0)})
+TIMEOUT = ("getdata", "fetch", "timeout", {})
+RETRY = ("getdata", "fetch", "retry", {"extra_getdata": getdata_bytes(0)})
 
-    def __init__(self):
-        self.timeouts_noted = 0
-
-    def note_timeout(self):
-        self.timeouts_noted += 1
-
-
-def _climb(state, policy, tally, engine, stream, announcers, restart):
-    """One timeout, composed the way both drivers compose it."""
-    rung = on_timeout(state, policy, tally, engine, stream)
-    if rung is ESCALATE:
-        escalate(state, stream)
-    elif rung is FAILOVER:
-        rung = fail_over(state, announcers, restart)
-    return rung
+#: An announcer that went away before the fetch reached it.
+GONE = 2
 
 
-def _recorded(stream):
-    return [(e.outcome, dict(e.parts)) for e in stream]
-
-
-ANCHOR = ("", {"extra_getdata": getdata_bytes(0)})
-RETRY = ("retry", {"extra_getdata": getdata_bytes(0)})
-TIMEOUT = ("timeout", {})
+def _host_at(stage, attempts, max_retries, graphene, announcers):
+    """A host fetching one root announced by ``announcers`` (in arrival
+    order), climbed to ``attempts`` resends on ``stage``.  A Graphene
+    host opens at the engine rung, a baseline host at its own request;
+    the full-block rung is entered through a decode failure."""
+    sc = make_block_scenario(n=60, extra=60, fraction=1.0, seed=3)
+    driver = RecordingDriver(sc.receiver_mempool, RecoveryPolicy(
+        timeout_base=1.0, backoff=2.0, max_retries=max_retries))
+    if not graphene:
+        driver.host = RelayHost(driver, STAGE_REQUEST)
+    driver.gone.add(GONE)
+    root = sc.block.header.merkle_root
+    for peer in announcers:
+        driver.host.on_inv(peer, root)
+    if stage == STAGE_FULLBLOCK:
+        driver.host.decode_failed(0, root)
+    for _ in range(attempts):
+        driver.clock.fire()
+    fetch = driver.host.fetches[root]
+    assert (fetch.stage, fetch.attempts, fetch.peer) == (stage, attempts, 0)
+    return driver, fetch
 
 
 class TestLadderTable:
-    """The shared ladder, driven bare: no simulator, no event loop.
+    """One timeout of a fetch on a :class:`~repro.net.host.RelayHost`,
+    cell by cell: the recording driver and fake clock of
+    ``tests/test_relay_host.py``, no simulator, no event loop.
 
     One row per ``(stage, attempts vs max_retries, alternates left)``
-    cell: the rung it returns, the state it leaves, the events it
-    records and what it counts."""
+    cell: the driver verbs the timeout calls, the state it leaves the
+    fetch in, the events its stream gains and what the host counts.
+    ``announcers`` always opens with peer 0; :data:`GONE` announced and
+    went away."""
 
-    # stage, attempts, max_retries, traced stream?, announcers
-    #   -> rung, (stage, attempts, peer), recorded, (timeouts, retries)
+    # stage, attempts, max_retries, Graphene host (a stream)?, announcers
+    #   -> rung, (stage, attempts, peer, verbs), recorded,
+    #      (timeouts, retries)
     TABLE = [
-        # Engine rung: the engine records the timeout (and, when the
-        # driver re-emits, the retry); the ladder appends nothing.
-        (STAGE_ENGINE, 0, 2, True, ["p0", "p1"],
-         RESEND, (STAGE_ENGINE, 1, "p0"), [], (1, 1)),
-        (STAGE_ENGINE, 1, 2, True, ["p0", "p1"],
-         RESEND, (STAGE_ENGINE, 2, "p0"), [], (1, 1)),
-        (STAGE_ENGINE, 2, 2, True, ["p0", "p1"],
-         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), [ANCHOR], (1, 0)),
-        (STAGE_ENGINE, 0, 0, True, ["p0", "p1"],
-         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), [ANCHOR], (1, 0)),
+        # Engine rung: the engine records the timeout and the retry.
+        (STAGE_ENGINE, 0, 2, True, [0, 1], "resend",
+         (STAGE_ENGINE, 1, 0, [("send", 0, "getdata")]),
+         [STALLED, RESENT], (1, 1)),
+        (STAGE_ENGINE, 1, 2, True, [0, 1], "resend",
+         (STAGE_ENGINE, 2, 0, [("send", 0, "getdata")]),
+         [STALLED, RESENT], (1, 1)),
+        (STAGE_ENGINE, 2, 2, True, [0, 1], "escalate",
+         (STAGE_FULLBLOCK, 0, 0, [("full", 0)]), [STALLED, ANCHOR], (1, 0)),
+        (STAGE_ENGINE, 0, 0, True, [0, 1], "escalate",
+         (STAGE_FULLBLOCK, 0, 0, [("full", 0)]), [STALLED, ANCHOR], (1, 0)),
         # Compact Blocks / XThin opening rung: no engine, no stream.
-        (STAGE_REQUEST, 0, 1, False, ["p0", "p1"],
-         RESEND, (STAGE_REQUEST, 1, "p0"), None, (1, 1)),
-        (STAGE_REQUEST, 1, 1, False, ["p0", "p1"],
-         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
-        (STAGE_REQUEST, 0, 0, False, [],
-         ESCALATE, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
-        # Full-block rung: the ladder records both events itself.
-        (STAGE_FULLBLOCK, 0, 1, True, ["p0", "p1"],
-         RESEND, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT, RETRY], (1, 1)),
-        (STAGE_FULLBLOCK, 0, 1, False, ["p0", "p1"],
-         RESEND, (STAGE_FULLBLOCK, 1, "p0"), None, (1, 1)),
-        (STAGE_FULLBLOCK, 1, 1, True, ["p0", "p1"],
-         FAILOVER, ("restart", 0, "p1"), [TIMEOUT], (1, 0)),
-        (STAGE_FULLBLOCK, 0, 0, True, ["p0", "p1"],
-         FAILOVER, ("restart", 0, "p1"), [TIMEOUT], (1, 0)),
-        (STAGE_FULLBLOCK, 1, 1, True, ["p0"],
-         ABANDON, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT], (1, 0)),
-        (STAGE_FULLBLOCK, 1, 1, True, [],
-         ABANDON, (STAGE_FULLBLOCK, 1, "p0"), [TIMEOUT], (1, 0)),
-        (STAGE_FULLBLOCK, 0, 0, False, [],
-         ABANDON, (STAGE_FULLBLOCK, 0, "p0"), None, (1, 0)),
+        (STAGE_REQUEST, 0, 1, False, [0, 1], "resend",
+         (STAGE_REQUEST, 1, 0, [("request", 0)]), None, (1, 1)),
+        (STAGE_REQUEST, 1, 1, False, [0, 1], "escalate",
+         (STAGE_FULLBLOCK, 0, 0, [("full", 0)]), None, (1, 0)),
+        (STAGE_REQUEST, 0, 0, False, [0, GONE], "escalate",
+         (STAGE_FULLBLOCK, 0, 0, [("full", 0)]), None, (1, 0)),
+        # Full-block rung: the host records both events itself, and a
+        # failover restarts the exchange on the root's one stream.
+        (STAGE_FULLBLOCK, 0, 1, True, [0, 1], "resend",
+         (STAGE_FULLBLOCK, 1, 0, [("full", 0)]), [TIMEOUT, RETRY], (1, 1)),
+        (STAGE_FULLBLOCK, 0, 1, False, [0, 1], "resend",
+         (STAGE_FULLBLOCK, 1, 0, [("full", 0)]), None, (1, 1)),
+        (STAGE_FULLBLOCK, 1, 1, True, [0, 1], "failover",
+         (STAGE_ENGINE, 0, 1, [("send", 1, "getdata")]),
+         [TIMEOUT, *OPENING], (1, 0)),
+        (STAGE_FULLBLOCK, 0, 0, True, [0, 1], "failover",
+         (STAGE_ENGINE, 0, 1, [("send", 1, "getdata")]),
+         [TIMEOUT, *OPENING], (1, 0)),
+        (STAGE_FULLBLOCK, 1, 1, True, [0], "abandon",
+         (STAGE_FULLBLOCK, 1, 0, []), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 1, 1, True, [0, GONE], "abandon",
+         (STAGE_FULLBLOCK, 1, 0, []), [TIMEOUT], (1, 0)),
+        (STAGE_FULLBLOCK, 0, 0, False, [0, GONE], "abandon",
+         (STAGE_FULLBLOCK, 0, 0, []), None, (1, 0)),
     ]
 
     @pytest.mark.parametrize(
@@ -587,47 +614,64 @@ class TestLadderTable:
         "rung,after,recorded,counted", TABLE)
     def test_cell(self, stage, attempts, max_retries, streamed,
                   announcers, rung, after, recorded, counted):
-        state = FetchState(peer="p0", stage=stage, attempts=attempts)
-        stream = [] if streamed else None
-        engine = _StubEngine() if stage == STAGE_ENGINE else None
-        tally = _Tally()
-        got = _climb(state, RecoveryPolicy(max_retries=max_retries), tally,
-                     engine, stream, announcers, "restart")
-        assert got is rung
-        assert (state.stage, state.attempts, state.peer) == after
-        assert (tally.relay_timeouts, tally.relay_retries) == counted
-        if engine is not None:
-            assert engine.timeouts_noted == 1
+        driver, fetch = _host_at(stage, attempts, max_retries, streamed,
+                                 announcers)
+        calls, start = len(driver.calls), len(fetch.stream or ())
+        timeouts, retries = driver.relay_timeouts, driver.relay_retries
+        driver.clock.fire()
+        assert driver.calls[calls:] == after[3]
+        assert (fetch.stage, fetch.attempts, fetch.peer) == after[:3]
+        assert (driver.relay_timeouts - timeouts,
+                driver.relay_retries - retries) == counted
         if streamed:
-            assert _recorded(stream) == recorded
-            assert all(e.command == "getdata" and e.phase == "fetch"
-                       and e.direction == "sent" for e in stream)
-        assert state.tried == ({"p0"} if rung in (FAILOVER, ABANDON)
+            assert _recorded(fetch.stream[start:]) == recorded
+            assert all(e.direction == "sent"
+                       for e in fetch.stream[start:] if e.command == "getdata")
+        else:
+            assert fetch.stream is None and recorded is None
+        assert fetch.tried == ({0} if rung in ("failover", "abandon")
                                else set())
+        assert driver.finished == ([(None, None, fetch)]
+                                   if rung == "abandon" else [])
+        assert (fetch.key in driver.host.fetches) == (rung != "abandon")
 
     def test_failover_skips_tried_announcers_in_arrival_order(self):
-        state = FetchState(peer="p0", stage=STAGE_FULLBLOCK, tried={"p1"})
-        assert fail_over(state, iter(["p0", "p1", "p2", "p3"]),
-                         STAGE_ENGINE) is FAILOVER
-        assert state.peer == "p2" and state.tried == {"p0", "p1"}
-        assert fail_over(state, iter(["p0", "p1", "p2"]),
-                         STAGE_ENGINE) is ABANDON
-        assert state.tried == {"p0", "p1", "p2"}
+        """Rung 3 moves to the first announcer, in arrival order, that
+        is alive and not yet tried -- p0 stays alive but is tried, the
+        gone one is passed over -- and abandons with none left."""
+        driver, fetch = _host_at(STAGE_ENGINE, 0, 0, True, [0, 3, GONE, 1])
+        for peer, tried in ((3, {0}), (1, {0, 3})):
+            driver.clock.fire()  # escalate
+            driver.clock.fire()  # fail over
+            assert (fetch.peer, fetch.tried) == (peer, tried)
+        driver.clock.fire()
+        driver.clock.fire()
+        assert fetch.tried == {0, 1, 3}
+        assert driver.finished == [(None, None, fetch)]
+        assert [call for call in driver.calls if call[0] == "send"] == [
+            ("send", 0, "getdata"), ("send", 3, "getdata"),
+            ("send", 1, "getdata")]
+        assert [mark for mark in driver.marks if mark[0] != "escalate"] == [
+            ("failover", {"to": "p3"}), ("failover", {"to": "p1"}),
+            ("abandon", {})]
 
     def test_decode_failed_entry_shares_the_escalation_step(self):
-        """A decode failure enters rung 2 without a timeout: nothing is
-        counted, the backoff resets, the request is anchored."""
-        state = FetchState(peer="p0", stage=STAGE_ENGINE, attempts=1)
-        stream = []
-        escalate(state, stream)
-        assert (state.stage, state.attempts) == (STAGE_FULLBLOCK, 0)
-        assert _recorded(stream) == [ANCHOR]
-        # From there the timeout path continues on the same rung.
-        tally = _Tally()
-        assert on_timeout(state, RecoveryPolicy(max_retries=1), tally,
-                          None, stream) is RESEND
-        assert _recorded(stream) == [ANCHOR, TIMEOUT, RETRY]
-        assert CostBreakdown.from_events(stream).extra_getdata \
+        """A decode failure enters rung 2 without a timeout: nothing more
+        is counted as a timeout or retry, the backoff resets, the request
+        is anchored, and the next timeout resends on that rung."""
+        driver, fetch = _host_at(STAGE_ENGINE, 1, 1, True, [0, 1])
+        start = len(fetch.stream)
+        driver.host.decode_failed(0, fetch.key)
+        assert (fetch.stage, fetch.attempts) == (STAGE_FULLBLOCK, 0)
+        assert driver.calls[-1] == ("full", 0)
+        assert (driver.relay_failures, driver.relay_timeouts,
+                driver.relay_retries) == (1, 1, 1)
+        assert _recorded(fetch.stream[start:]) == [ANCHOR]
+        driver.clock.fire()
+        assert driver.calls[-1] == ("full", 0)
+        assert (fetch.stage, fetch.attempts) == (STAGE_FULLBLOCK, 1)
+        assert _recorded(fetch.stream[start:]) == [ANCHOR, TIMEOUT, RETRY]
+        assert CostBreakdown.from_events(fetch.stream).extra_getdata \
             == 2 * getdata_bytes(0)
 
 
