@@ -260,7 +260,8 @@ def _cmd_report(args) -> int:
     report.add_metrics(registry)
 
     print(f"{args.protocol}: {run.covered}/{args.nodes} nodes in "
-          f"{run.simulator.now:.3f}s simulated "
+          f"{run.covered_at:.3f}s simulated, run to "
+          f"{run.simulator.now:.3f}s "
           f"({int(registry.sum('relay_timeouts'))} timeouts, "
           f"{int(registry.sum('relay_retries'))} retries, decode success "
           f"rate {registry.sum('decode_success_rate'):.2f})")

@@ -73,6 +73,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Protocol, Set
@@ -210,7 +211,8 @@ class Driver(Protocol):
     use, so it may swap any of them between exchanges: ``node_id``,
     ``mempool`` (``None`` on a node that never fetches), ``config``,
     ``recovery`` (the :class:`RecoveryPolicy`),
-    ``tracer`` and ``blocks`` (root -> held block).
+    ``tracer`` and ``blocks`` (root -> held block).  The driver owns its
+    host; the host holds it by a weak reference.
     """
 
     def send_action(self, peer: int, key, action, wire=None) -> None:
@@ -281,7 +283,9 @@ class RelayHost:
     """
 
     def __init__(self, driver: Driver, stage: str = STAGE_ENGINE):
-        self.driver = driver
+        # Weak: the driver owns this host, so a strong back-reference
+        # would make every node or manager a cycle.
+        self._driver = weakref.ref(driver)
         self.stage = stage
         self.fetches: Dict[bytes, Fetch] = {}
         self.serving: Dict[bytes, GrapheneSenderEngine] = {}
@@ -303,28 +307,39 @@ class RelayHost:
         self.relay_retries = 0
         self.relay_failures = 0
 
+    @property
+    def driver(self) -> Driver:
+        """The node or manager this host acts through."""
+        driver = self._driver()
+        if driver is None:
+            raise ParameterError("relay host outlived its driver")
+        return driver
+
     # -- observability --------------------------------------------------
 
     def stream(self, kind: str, key) -> list:
         """A telemetry stream for one exchange: traced when a tracer is
         set, else a plain list."""
-        tracer = self.driver.tracer
+        driver = self.driver
+        tracer = driver.tracer
         if tracer is not None:
-            return tracer.stream(self.driver.node_id, kind, key)
+            return tracer.stream(driver.node_id, kind, key)
         return []
 
     def mark(self, kind: str, key, name: str, **detail) -> None:
         """Annotate an exchange span (no-op without a tracer)."""
-        tracer = self.driver.tracer
+        driver = self.driver
+        tracer = driver.tracer
         if tracer is not None:
-            tracer.mark(self.driver.node_id, kind, key, name, **detail)
+            tracer.mark(driver.node_id, kind, key, name, **detail)
 
     # -- events ---------------------------------------------------------
 
     def lacks(self, root: bytes) -> bool:
         """Whether an ``inv`` or a full block for ``root`` is news."""
-        return (self.driver.mempool is not None
-                and root not in self.driver.blocks
+        driver = self.driver
+        return (driver.mempool is not None
+                and root not in driver.blocks
                 and root not in self.settled)
 
     def on_inv(self, peer: int, root: bytes) -> bool:
@@ -350,8 +365,9 @@ class RelayHost:
         the fetch -- or is shed (a late duplicate after a retry, a reply
         from an announcer the fetch left, an exchange not running)."""
         if command not in RECEIVER_STEPS:
-            if root in self.driver.blocks:
-                self.driver.send_action(
+            driver = self.driver
+            if root in driver.blocks:
+                driver.send_action(
                     peer, root, self._serving(root).handle(command, message))
             return
         fetch = self.fetches.get(root)
@@ -369,8 +385,9 @@ class RelayHost:
         ``getdata``), a reply advances the session by the rule
         :meth:`on_frame` applies to fetches, and the push of H ends the
         sync this node served."""
+        driver = self.driver
         if command == "sync_push":
-            self.driver.mempool.add_many(message)
+            driver.mempool.add_many(message)
             self.sync_serving.pop((peer, nonce), None)
             return
         step = _STEP_BY_WIRE[command]
@@ -381,15 +398,15 @@ class RelayHost:
                 if step != "getdata":
                     return  # a late frame of a finished or unknown sync
                 engine = self.sync_serving[key] = GrapheneSenderEngine(
-                    txs=self.driver.mempool.columns(),
-                    config=self.driver.config,
+                    txs=driver.mempool.columns(),
+                    config=driver.config,
                     telemetry=self.stream("sync-serve", nonce))
                 # A lost push would leak this engine forever; retain a
                 # bounded working set instead (an evicted sync restarts
                 # through the initiator's ladder).
                 prune_oldest(self.sync_serving, SERVING_CAP)
-            self.driver.send_action(peer, nonce, engine.handle(step, message),
-                                    WIRE_BY_STEP)
+            driver.send_action(peer, nonce, engine.handle(step, message),
+                               WIRE_BY_STEP)
             return
         state = self.syncs.get(nonce)
         if state is None or state.done or state.peer != peer \
@@ -401,9 +418,10 @@ class RelayHost:
     def open_sync(self, peer: int) -> int:
         """Open a mempool sync with ``peer`` (the newest
         :data:`TELEMETRY_CAP` sessions are kept); returns its nonce."""
+        driver = self.driver
         nonce = next(self._sync_nonces)
         engine = GrapheneReceiverEngine(
-            self.driver.mempool, self.driver.config, mode="mempool",
+            driver.mempool, driver.config, mode="mempool",
             telemetry=self.stream("sync", nonce))
         state = self.syncs[nonce] = SyncState(
             peer=peer, stage=STAGE_ENGINE, key=nonce, engine=engine)
@@ -463,36 +481,39 @@ class RelayHost:
 
     def on_peer_gone(self, peer: int) -> None:
         """``peer`` went away: every fetch at it fails over now."""
+        driver = self.driver
         for fetch in [f for f in self.fetches.values() if f.peer == peer]:
             logger.info("%s: announcer %s vanished mid-fetch of %s; "
-                        "failing over", self.driver.node_id,
-                        self.driver.peer_label(peer), fetch.key.hex()[:12])
+                        "failing over", driver.node_id,
+                        driver.peer_label(peer), fetch.key.hex()[:12])
             self._fail_over(fetch)
 
     def complete(self, peer: int, block: Block,
                  via_fullblock: bool = False) -> None:
         """``block`` is here, from ``peer``: end its fetch and hand the
         block to the driver."""
+        driver = self.driver
         root = block.header.merkle_root
         fetch = self._close(root)
         self.settled[root] = True
         prune_oldest(self.settled, TELEMETRY_CAP)
         if root in self.relay_telemetry:
-            detail = {"origin": self.driver.peer_label(peer)}
+            detail = {"origin": driver.peer_label(peer)}
             if via_fullblock:
                 detail["via"] = "fullblock"
             self.mark("relay", root, "done", **detail)
         if fetch is not None:
             fetch.via_fullblock = via_fullblock
-        self.driver.fetch_finished(peer, block, fetch)
+        driver.fetch_finished(peer, block, fetch)
 
     # -- timers ---------------------------------------------------------
 
     def arm(self, state: FetchState) -> None:
         """(Re)arm the timer of a fetch or sync session at its backoff."""
+        driver = self.driver
         self.cancel(state)
-        state.timer = self.driver.call_later(
-            self.driver.recovery.timeout_for(state.attempts),
+        state.timer = driver.call_later(
+            driver.recovery.timeout_for(state.attempts),
             lambda: self._on_timer(state))
 
     def cancel(self, state: FetchState) -> None:
@@ -518,7 +539,8 @@ class RelayHost:
         """The fetch's timer fired: resend on the current rung while its
         budget lasts, then escalate from the exchange (rung 1 -> 2) or
         fail over from the full block (rung 2 -> 3)."""
-        if not self.driver.is_alive(fetch.peer):
+        driver = self.driver
+        if not driver.is_alive(fetch.peer):
             # The socket is gone and its read loop has not said so yet.
             self._fail_over(fetch)
             return
@@ -530,7 +552,7 @@ class RelayHost:
             engine.note_timeout()
         elif fetch.stream is not None:
             fetch.stream.append(fullblock_event("timeout"))
-        if fetch.attempts >= self.driver.recovery.max_retries:
+        if fetch.attempts >= driver.recovery.max_retries:
             if fetch.stage == STAGE_FULLBLOCK:
                 self._fail_over(fetch)
             else:
@@ -539,13 +561,13 @@ class RelayHost:
         fetch.attempts += 1
         self.relay_retries += 1
         if engine is not None:
-            self.driver.send_action(fetch.peer, fetch.key,
-                                    engine.reemit_last_request())
+            driver.send_action(fetch.peer, fetch.key,
+                               engine.reemit_last_request())
         else:
             full = fetch.stage == STAGE_FULLBLOCK
             if full and fetch.stream is not None:
                 fetch.stream.append(fullblock_event("retry"))
-            self.driver.request_block(fetch.peer, fetch.key, full)
+            driver.request_block(fetch.peer, fetch.key, full)
         self.arm(fetch)
 
     def _sync_timeout(self, state: SyncState) -> None:
@@ -553,37 +575,38 @@ class RelayHost:
         budget lasts and it is alive, else abandon -- a sync has one
         responder and no full-block rung.  A gone responder's timeout
         is counted; no retry is."""
+        driver = self.driver
         self.relay_timeouts += 1
         state.engine.note_timeout()
-        if state.attempts < self.driver.recovery.max_retries \
-                and self.driver.is_alive(state.peer):
+        if state.attempts < driver.recovery.max_retries \
+                and driver.is_alive(state.peer):
             state.attempts += 1
             self.relay_retries += 1
-            self.driver.send_action(state.peer, state.key,
-                                    state.engine.reemit_last_request(),
-                                    WIRE_BY_STEP)
+            driver.send_action(state.peer, state.key,
+                               state.engine.reemit_last_request(),
+                               WIRE_BY_STEP)
             self.arm(state)
             return
         logger.info("%s: mempool sync %d with %s abandoned after %d "
-                    "resends", self.driver.node_id, state.key,
-                    self.driver.peer_label(state.peer), state.attempts)
+                    "resends", driver.node_id, state.key,
+                    driver.peer_label(state.peer), state.attempts)
         self.mark("sync", state.key, "abandon", attempts=state.attempts)
         state.done = True
 
     def _end_sync(self, state: SyncState, succeeded: bool) -> None:
         """The session's engine is DONE -- adopt the reconciled view,
         push H -- or FAILED to decode."""
+        driver = self.driver
         self.cancel(state)
         state.done = True
-        label = self.driver.peer_label(state.peer)
+        label = driver.peer_label(state.peer)
         if not succeeded:
             logger.info("mempool sync %d with %s failed to decode",
                         state.key, label)
             self.mark("sync", state.key, "failed", why="decode")
             return
-        _, h_txs, event = adopt_reconciled(self.driver.mempool,
-                                           state.engine)
-        self.driver.push_txs(state.peer, state.key, h_txs, event)
+        _, h_txs, event = adopt_reconciled(driver.mempool, state.engine)
+        driver.push_txs(state.peer, state.key, h_txs, event)
         state.succeeded = True
         self.mark("sync", state.key, "done", pushed=len(h_txs))
         logger.debug("mempool sync %d with %s complete: pushed %d txns",
@@ -591,9 +614,10 @@ class RelayHost:
 
     def _escalate(self, fetch: Fetch, why: str) -> None:
         """Rung 2: stop nursing the exchange and request the block."""
-        label = self.driver.peer_label(fetch.peer)
+        driver = self.driver
+        label = driver.peer_label(fetch.peer)
         logger.info("%s: fetch of %s from %s %s; escalating to full block",
-                    self.driver.node_id, fetch.key.hex()[:12], label,
+                    driver.node_id, fetch.key.hex()[:12], label,
                     "would not decode" if why == "decode_failed"
                     else "stalled")
         self.mark("relay", fetch.key, "escalate", why=why, peer=label)
@@ -601,28 +625,29 @@ class RelayHost:
         fetch.stage, fetch.attempts = STAGE_FULLBLOCK, 0
         if fetch.stream is not None:
             fetch.stream.append(fullblock_event())
-        self.driver.request_block(fetch.peer, fetch.key, True)
+        driver.request_block(fetch.peer, fetch.key, True)
         self.arm(fetch)
 
     def _fail_over(self, fetch: Fetch) -> None:
         """Rung 3: restart at the first live announcer not yet tried, in
         arrival order, or abandon."""
+        driver = self.driver
         fetch.tried.add(fetch.peer)
         alternate = next((peer for peer in fetch.announcers
                           if peer not in fetch.tried
-                          and self.driver.is_alive(peer)), None)
+                          and driver.is_alive(peer)), None)
         if alternate is None:
             logger.warning("%s: abandoning fetch of %s (every announcer "
                            "exhausted); a fresh inv will restart it",
-                           self.driver.node_id, fetch.key.hex()[:12])
+                           driver.node_id, fetch.key.hex()[:12])
             self.mark("relay", fetch.key, "abandon")
             self._close(fetch.key)
-            self.driver.fetch_finished(None, None, fetch)
+            driver.fetch_finished(None, None, fetch)
             return
         fetch.peer, fetch.stage, fetch.attempts = alternate, self.stage, 0
-        label = self.driver.peer_label(fetch.peer)
+        label = driver.peer_label(fetch.peer)
         logger.info("%s: failing over fetch of %s to %s",
-                    self.driver.node_id, fetch.key.hex()[:12], label)
+                    driver.node_id, fetch.key.hex()[:12], label)
         self.mark("relay", fetch.key, "failover", to=label)
         fetch.failovers += 1
         self._start(fetch)
@@ -630,9 +655,10 @@ class RelayHost:
     def _start(self, fetch: Fetch) -> None:
         """(Re)start the exchange at ``fetch.peer`` -- the first attempt
         and every failover: a fresh engine on the root's one stream."""
+        driver = self.driver
         root = fetch.key
         if fetch.stage == STAGE_REQUEST:
-            self.driver.request_block(fetch.peer, root, False)
+            driver.request_block(fetch.peer, root, False)
         else:
             stream = self.relay_telemetry.get(root)
             if stream is None:
@@ -641,8 +667,8 @@ class RelayHost:
             prune_oldest(self.relay_telemetry, TELEMETRY_CAP)
             fetch.stream, fetch.attempt_start = stream, len(stream)
             fetch.engine = GrapheneReceiverEngine(
-                self.driver.mempool, self.driver.config, telemetry=stream)
-            self.driver.send_action(fetch.peer, root, fetch.engine.start())
+                driver.mempool, driver.config, telemetry=stream)
+            driver.send_action(fetch.peer, root, fetch.engine.start())
         self.arm(fetch)
 
     def _close(self, root: bytes) -> Optional[Fetch]:
@@ -654,14 +680,15 @@ class RelayHost:
     def _serving(self, root: bytes) -> GrapheneSenderEngine:
         engine = self.serving.get(root)
         if engine is None:
-            blocks = self.driver.blocks
+            driver = self.driver
+            blocks = driver.blocks
             # An engine lives no longer than its block: one whose root
             # left ``blocks`` is unreachable and would only pin the
             # block's transactions.
             for stale in self.serving.keys() - blocks.keys():
                 del self.serving[stale]
             engine = self.serving[root] = GrapheneSenderEngine(
-                blocks[root], self.driver.config,
+                blocks[root], driver.config,
                 telemetry=self.stream("serve", root))
             prune_oldest(self.serving, SERVING_CAP)
         return engine

@@ -89,17 +89,18 @@ class MinerNode(Node):
         if not self._mining or self._block_budget <= 0:
             return
         self._block_budget -= 1
+        now = self.simulator.now
         # A fresh coinbase makes every block unique -- the reason two
         # fork-racing blocks over the same mempool still differ.
         txs = ([self._txgen.make_coinbase()]
                + self.mempool.transactions()[: self.max_block_txns])
         block = assemble_child(self.chain.tip, txs,
-                               timestamp=int(self.simulator.now * 1000),
+                               timestamp=int(now * 1000),
                                nonce=self.rng.getrandbits(32))
         self.mined.append(block)
         logger.debug("%s mined block %d (height %d, %d txns) at t=%.2f",
                      self.node_id, len(self.mined), self.chain.height + 1,
-                     block.n, self.simulator.now)
+                     block.n, now)
         self._accept_block(block, origin=None)
         if self._mining and self._block_budget > 0:
             self._schedule_next_find()

@@ -18,14 +18,21 @@ propagation on top.
 What each command does on arrival, the Compact Blocks / XThin wire
 handlers included, is the table :data:`repro.net.messages.HANDLERS`.
 Each :class:`~repro.net.simulator.Link` counts the bytes sent on it.
+
+Ownership runs one way: the simulator owns its nodes, a node owns its
+links (keyed by the peer's ``nid``) and its relay host, and nothing
+points back with a strong reference -- ``Node.simulator`` and the
+host's driver are weak.  A dropped run is freed by reference counting.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+import weakref
 import zlib
-from typing import Optional
+from collections.abc import Mapping
+from typing import Iterator, Optional
 
 from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
@@ -64,6 +71,35 @@ class RelayProtocol(enum.Enum):
     FULL_BLOCK = "full_block"
 
 
+class PeerLinks(Mapping):
+    """Read-only ``Node -> Link`` view of a node's :attr:`Node.links`,
+    in wiring order."""
+
+    __slots__ = ("_node",)
+
+    def __init__(self, node: "Node"):
+        self._node = node
+
+    def __getitem__(self, peer: "Node") -> Link:
+        node, nid = self._node, getattr(peer, "nid", None)
+        if nid in node.links and node._peer_refs[nid]() is peer:
+            return node.links[nid]
+        raise KeyError(peer)
+
+    def __iter__(self) -> Iterator["Node"]:
+        node = self._node
+        for nid in node.links:
+            peer = node._peer_refs[nid]()
+            if peer is None:
+                raise ParameterError(
+                    f"a peer of {node.node_id!r} is gone: hold every node "
+                    f"of a network for as long as it is used")
+            yield peer
+
+    def __len__(self) -> int:
+        return len(self._node.links)
+
+
 class Node(HostViews):
     """One peer in the simulated network."""
 
@@ -74,7 +110,8 @@ class Node(HostViews):
         if not node_id:
             raise ParameterError("node_id must be non-empty")
         self.node_id = node_id
-        self.simulator = simulator
+        # Weak: the simulator owns this node (see the module docstring).
+        self._simulator = weakref.ref(simulator)
         #: This node's index in ``simulator.nodes``: the integer peer
         #: handle its relay host keeps.
         self.nid = len(simulator.nodes)
@@ -91,7 +128,11 @@ class Node(HostViews):
         self.tracer = None
         self.mempool = Mempool()
         self.blocks: dict = {}          # merkle root -> Block
-        self.peers: dict = {}           # node -> Link
+        #: Peer ``nid`` -> the :class:`Link` toward it; :meth:`connect`
+        #: is the one writer, :attr:`peers` the ``Node``-keyed view.
+        self.links: dict = {}
+        # Peer ``nid`` -> weak reference to the peer, for that view.
+        self._peer_refs: dict = {}
         self.block_arrival: dict = {}   # merkle root -> sim time
         #: Announcers, fetches, the ladder, serving engines and mempool
         #: syncs; read through the :class:`HostViews` properties.
@@ -100,6 +141,21 @@ class Node(HostViews):
             else STAGE_REQUEST)
         # Compact Blocks repair state: root -> (header, matched txs).
         self._cb_pending: dict = {}
+
+    @property
+    def simulator(self) -> Simulator:
+        """The simulator this node runs on."""
+        simulator = self._simulator()
+        if simulator is None:
+            raise ParameterError(
+                f"node {self.node_id!r} outlived its simulator: hold the "
+                f"Simulator for as long as its nodes are used")
+        return simulator
+
+    @property
+    def peers(self) -> PeerLinks:
+        """Peer ``Node`` -> the :class:`Link` toward it (read-only)."""
+        return PeerLinks(self)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -124,35 +180,41 @@ class Node(HostViews):
         """
         if other is self:
             raise ParameterError("a node cannot peer with itself")
-        self.peers[other] = link or Link()
-        other.peers[self] = reverse_link or Link(
-            latency=self.peers[other].latency,
-            bandwidth=self.peers[other].bandwidth)
-        self.peers[other].ensure_loss_seed(
-            derive_loss_seed(self.node_id, other.node_id))
-        other.peers[self].ensure_loss_seed(
+        # Equal weak references: one simulator, alive or gone.
+        if other._simulator != self._simulator:
+            raise ParameterError(
+                f"{self.node_id} and {other.node_id} run on different "
+                f"simulators")
+        self._peer_refs[other.nid] = weakref.ref(other)
+        other._peer_refs[self.nid] = weakref.ref(self)
+        forward = self.links[other.nid] = link or Link()
+        backward = other.links[self.nid] = reverse_link or Link(
+            latency=forward.latency, bandwidth=forward.bandwidth)
+        forward.ensure_loss_seed(derive_loss_seed(self.node_id, other.node_id))
+        backward.ensure_loss_seed(
             derive_loss_seed(other.node_id, self.node_id))
 
     def _send(self, peer: "Node", message: NetMessage) -> None:
-        link = self.peers.get(peer)
+        link = self.links.get(peer.nid)
         if link is None:
             raise ParameterError(
                 f"{self.node_id} is not peered with {peer.node_id}")
+        simulator = self.simulator
+        now = simulator.now
         size = message.total_size
         link.bytes_sent += size
         link.messages_sent += 1
-        dropped = link.drops(self.simulator.now, message.command)
+        dropped = link.drops(now, message.command)
         # A dropped message still occupied the sender side of the link:
         # the bytes left the NIC before being lost, so the FIFO busy
         # window advances (and the link's counters charged them) either
         # way.
-        deliver_at = link.transmit_schedule(self.simulator.now, size)
+        deliver_at = link.transmit_schedule(now, size)
         if dropped:
             return
         # Deliveries are never cancelled; the handle-free post path
         # skips one EventHandle allocation per message.
-        self.simulator.post_at(
-            deliver_at, lambda: peer.receive(self, message))
+        simulator.post_at(deliver_at, lambda: peer.receive(self, message))
 
     def receive(self, sender: "Node", message: NetMessage) -> None:
         """Act on ``message`` from ``sender`` (a delivery event's body)."""
@@ -179,10 +241,13 @@ class Node(HostViews):
         root = block.header.merkle_root
         if root in self.blocks:
             return
+        simulator = self.simulator
         self.blocks[root] = block
-        self.block_arrival[root] = self.simulator.now
+        self.block_arrival[root] = simulator.now
         self.mempool.remove_block(block.txids)
-        for peer in self.peers:
+        nodes = simulator.nodes
+        for nid in self.links:
+            peer = nodes[nid]
             if peer is origin:
                 continue
             self._send(peer, NetMessage("inv", ("block", root),
@@ -228,7 +293,7 @@ class Node(HostViews):
         return self.simulator.schedule(delay, fn)
 
     def is_alive(self, peer: int) -> bool:
-        return self.simulator.nodes[peer] in self.peers
+        return peer in self.links
 
     def peer_label(self, peer: int) -> str:
         return self.simulator.nodes[peer].node_id
@@ -288,7 +353,7 @@ class Node(HostViews):
     # ------------------------------------------------------------------
 
     def total_bytes_sent(self) -> int:
-        return sum(link.bytes_sent for link in self.peers.values())
+        return sum(link.bytes_sent for link in self.links.values())
 
     def __repr__(self) -> str:
         return (f"Node({self.node_id!r}, protocol={self.protocol.value}, "

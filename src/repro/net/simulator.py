@@ -54,6 +54,7 @@ import heapq
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
@@ -65,9 +66,11 @@ class EventHandle:
     """Cancellation token for one scheduled event (lazy deletion)."""
 
     cancelled: bool = False
-    #: Owning simulator, set on push; lets :meth:`cancel` keep the
-    #: simulator's live-event counter exact without a heap scan.
-    _sim: Optional["Simulator"] = field(default=None, repr=False)
+    #: Weak reference to the owning simulator, set on push; lets
+    #: :meth:`cancel` keep the simulator's live-event counter exact
+    #: without a heap scan.  Weak because the simulator's heap holds
+    #: this handle: a strong one would make every pending timer a cycle.
+    _sim: Optional[weakref.ref] = field(default=None, repr=False)
     #: True once this event left the live count (popped or cancelled),
     #: guarding the counter against double decrements -- e.g. cancelling
     #: a handle whose event already fired.
@@ -77,8 +80,9 @@ class EventHandle:
         self.cancelled = True
         if not self._done:
             self._done = True
-            if self._sim is not None:
-                self._sim._note_cancel()
+            sim = None if self._sim is None else self._sim()
+            if sim is not None:
+                sim._note_cancel()
 
 
 @dataclass(slots=True)
@@ -240,7 +244,14 @@ _COMPACT_MIN = 512
 
 
 class Simulator:
-    """Discrete-event loop with a virtual clock."""
+    """Discrete-event loop with a virtual clock.
+
+    The simulator owns its nodes (:attr:`nodes`); everything that points
+    back at it -- a node, its relay host, an :class:`EventHandle`, a
+    tracer -- holds a weak reference.  The graph a run builds is then
+    acyclic, and reference counting frees a dropped run at once instead
+    of leaving it to the cycle collector's next full pass.
+    """
 
     def __init__(self):
         #: Heap of ``(when, seq, callback, handle)``; ``handle`` is None
@@ -262,6 +273,8 @@ class Simulator:
         self._live = 0
         #: Cancelled events still sitting in the heap (compaction gauge).
         self._cancelled_pending = 0
+        #: The weak reference every :class:`EventHandle` is given.
+        self._ref = weakref.ref(self)
 
     # -- scheduling ------------------------------------------------------
 
@@ -279,7 +292,7 @@ class Simulator:
         """Run ``callback`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ParameterError(f"delay must be >= 0, got {delay}")
-        handle = EventHandle(_sim=self)
+        handle = EventHandle(_sim=self._ref)
         self._push(self.now + delay, callback, handle)
         return handle
 
@@ -289,7 +302,7 @@ class Simulator:
         if when < self.now:
             raise ParameterError(
                 f"cannot schedule in the past: {when} < {self.now}")
-        handle = EventHandle(_sim=self)
+        handle = EventHandle(_sim=self._ref)
         self._push(when, callback, handle)
         return handle
 

@@ -60,6 +60,13 @@ class ObservedRun:
         """Nodes holding the block at the end of the run."""
         return sum(1 for node in self.nodes if self.root in node.blocks)
 
+    @property
+    def covered_at(self) -> float:
+        """When the last node holding the block got it (simulated
+        seconds); the run's horizon, ``simulator.now``, is later."""
+        return max(node.block_arrival.get(self.root, 0.0)
+                   for node in self.nodes)
+
     def relay_streams(self) -> dict:
         """Every per-relay telemetry stream, keyed by (node_id, root)."""
         return {(node.node_id, root): events

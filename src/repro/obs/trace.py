@@ -31,10 +31,13 @@ from __future__ import annotations
 import itertools
 import json
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.telemetry import MessageEvent
+from repro.errors import ParameterError
+from repro.net.simulator import Simulator
 
 #: Exchange kinds the node layer emits (manual streams may add more).
 SPAN_KINDS = ("relay", "serve", "sync", "sync-serve")
@@ -248,7 +251,11 @@ class Tracer:
     """Collects timestamped telemetry and assembles exchange spans."""
 
     def __init__(self, simulator):
-        self.simulator = simulator
+        # A simulator is read through a weak reference: it owns its
+        # nodes, and they this tracer.  Any other clock (a WallClock)
+        # is the tracer's own.
+        self._clock = weakref.ref(simulator) \
+            if isinstance(simulator, Simulator) else lambda: simulator
         self.records: List[TraceRecord] = []
         self.marks: List[TraceMark] = []
         self._seq = itertools.count()
@@ -263,17 +270,23 @@ class Tracer:
         """A fresh telemetry list whose appends are timestamped here."""
         return TracedStream(self, node_id, kind, format_key(key))
 
+    def _now(self) -> float:
+        clock = self._clock()
+        if clock is None:
+            raise ParameterError("tracer outlived its simulator")
+        return clock.now
+
     def _record(self, node: str, kind: str, key: str,
                 event: MessageEvent) -> None:
         self.records.append(TraceRecord(
-            t=self.simulator.now, seq=next(self._seq),
+            t=self._now(), seq=next(self._seq),
             node=node, kind=kind, key=key, event=event))
 
     def mark(self, node_id: str, kind: str, key, name: str,
              **detail) -> None:
         """Annotate an exchange with a recovery/completion step."""
         self.marks.append(TraceMark(
-            t=self.simulator.now, seq=next(self._seq), node=node_id,
+            t=self._now(), seq=next(self._seq), node=node_id,
             kind=kind, key=format_key(key), name=name,
             detail=tuple(sorted((str(k), str(v))
                                 for k, v in detail.items()))))

@@ -117,6 +117,22 @@ class TestNetsim:
                                 ">= 0, got nan\n")
 
 
+class TestReport:
+    def test_header_says_when_coverage_was_reached(self, capsys):
+        """The header's first time is the last arrival of the block, not
+        the horizon the run was driven to; the horizon follows it."""
+        from repro.cli import _observed_run, build_parser
+
+        argv = ["report", "--nodes", "8", "--until", "30"]
+        run = _observed_run(build_parser().parse_args(argv))
+        last = max(node.block_arrival[run.root] for node in run.nodes)
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert 0.0 < last < 30.0
+        assert header.startswith(f"graphene: 8/8 nodes in {last:.3f}s "
+                                 f"simulated, run to 30.000s (")
+
+
 class TestPeerJSON:
     """``repro peer --json`` against a live socket server.
 

@@ -261,17 +261,20 @@ def test_socket_workload_shapes():
             await late.close()
             del sc
             gc.collect()
+            # Read while the server is alive: once it is dropped, the
+            # live block goes with it.
+            freed = [ref() is None for _, ref in served]
             return (results, served, live, split_keyed(payload)[0],
-                    list(server.serving_engines))
+                    list(server.serving_engines), freed)
         finally:
             for manager in fetchers + [server]:
                 await manager.close()
 
-    results, served, live, answered, retained = asyncio.run(run())
+    results, served, live, answered, retained, freed = asyncio.run(run())
     assert [result.success and result.root for result in results] \
         == [root for root, _ in served for _ in range(2)]
     assert answered == live == served[-1][0] and retained == [live]
-    assert [ref() is None for _, ref in served] == [True, True, False]
+    assert freed == [True, True, False]
 
 
 def test_input_records_round_trip():

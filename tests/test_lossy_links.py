@@ -76,8 +76,7 @@ class TestSendUnderLoss:
 
         # Heal the links for the repair pass (sync needs its own
         # messages through), then reconcile: b catches up completely.
-        a.peers[b] = Link(latency=0.01)
-        b.peers[a] = Link(latency=0.01)
+        a.connect(b, Link(latency=0.01), Link(latency=0.01))
         nonce = b.initiate_mempool_sync(a)
         sim.run()
         assert b.sync_result(nonce).succeeded

@@ -106,6 +106,15 @@ class TestNodeWiring:
         with pytest.raises(ParameterError):
             node.connect(node)
 
+    def test_no_peering_across_simulators(self):
+        """Links are keyed by ``nid``, an index into one simulator's
+        nodes: a peer on another simulator would alias a stranger."""
+        first, second = Simulator(), Simulator()
+        a, b = Node("a", first), Node("b", second)
+        with pytest.raises(ParameterError, match="different simulators"):
+            a.connect(b)
+        assert not a.links and not b.links
+
 
 class TestBlockRelayOverNetwork:
     @pytest.mark.parametrize("protocol", list(RelayProtocol))

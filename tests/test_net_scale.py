@@ -289,8 +289,7 @@ class TestColumnarState:
         a.mine_block(_make_block(1))
         sim.run()
         assert a.peers[b].bytes_sent > 0
-        a.peers[b] = Link(latency=0.01)
-        b.peers[a] = Link(latency=0.01)
+        a.connect(b, Link(latency=0.01), Link(latency=0.01))
         assert a.peers[b].bytes_sent == 0
         assert a.peers[b].messages_sent == 0
         assert a.total_bytes_sent() == 0

@@ -57,6 +57,7 @@ from repro.core.protocol3 import (
     MIN_BATCH,
     OVERHEAD,
     SEED_R,
+    STREAM_CAP_FACTOR,
     SymbolBatch,
     begin_protocol3,
     build_protocol3,
@@ -642,6 +643,44 @@ class TestHostileStreams:
         with pytest.raises(ParameterError):
             sender.handle("graphene_p3_request",
                           encode_protocol3_request(cap, 100))
+
+
+class TestStreamCap:
+    """The receiver's symbol cap is ``8 * max(16, n + z)`` (PROTOCOL.md
+    §2.6): a batch that ends on it is read, one symbol longer is refused
+    before any of it is."""
+
+    def _begun(self, n):
+        sc = make_block_scenario(n=n, extra=n, fraction=0.5, seed=41)
+        payload, encoder = build_protocol3(sc.block.txs,
+                                           len(sc.receiver_mempool), CFG)
+        return payload, encoder, begin_protocol3(payload,
+                                                 sc.receiver_mempool, CFG)
+
+    @pytest.mark.parametrize("n,floored", [(4, True), (300, False)])
+    def test_cap_is_eight_times_the_union_bound(self, n, floored):
+        payload, _, state = self._begun(n)
+        union = payload.n + len(state.candidate_set)
+        assert (union < 16) is floored
+        assert state.cap == STREAM_CAP_FACTOR * max(16, union) \
+            == 8 * max(16, union)
+
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_a_batch_may_end_on_the_cap(self, n):
+        _, encoder, state = self._begun(n)
+        start = state.symbols
+        ingest_symbols(state, SymbolBatch(
+            start, *encoder.window(start, state.cap - start)))
+        assert state.symbols == state.cap
+
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_one_symbol_past_the_cap_is_refused(self, n):
+        _, encoder, state = self._begun(n)
+        start = state.symbols
+        with pytest.raises(ParameterError, match="exceeds cap"):
+            ingest_symbols(state, SymbolBatch(
+                start, *encoder.window(start, state.cap - start + 1)))
+        assert state.symbols == start
 
 
 class TestHostileTails:

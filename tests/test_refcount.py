@@ -8,10 +8,13 @@ method of itself.  Each test below warms its relay shape once, then,
 with automatic collection off, runs it again and asks
 ``gc.collect()`` how much it had left behind -- it must be nothing.
 
-What stays cyclic by design is the simulated network itself (``Node``
-<-> ``RelayHost``, peers keyed by ``Node``, ``NodeStats`` -> ``Node``):
-it is freed as a whole when dropped, so only a *live* network's
-per-block garbage is asserted here.
+The same holds for whole networks: the simulator owns its nodes, a
+node its links (keyed by peer id) and its relay host, and every
+reference back -- ``Node.simulator``, the host's driver, an
+``EventHandle``'s simulator, a tracer's clock -- is weak.  A dropped
+simulated network, or a closed and dropped group of ``PeerManager``s,
+is freed by reference counting the moment its last outside reference
+goes, and a live network leaves nothing behind per block.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from __future__ import annotations
 import asyncio
 import gc
 import random
+import weakref
 from contextlib import contextmanager
+
+import pytest
 
 from repro.chain.block import Block
 from repro.chain.mempool import Mempool
@@ -29,11 +35,14 @@ from repro.core.engine import (ActionKind, GrapheneReceiverEngine,
                                GrapheneSenderEngine)
 from repro.core.mempool_sync import synchronize_mempools
 from repro.core.params import GrapheneConfig
+from repro.errors import ParameterError
 from repro.net.node import Node
 from repro.net.peer import PeerManager
 from repro.net.simulator import Simulator
 from repro.net.topology import connect_random_regular
 from repro.net.transport import LoopbackTransport
+from repro.obs.scenario import (run_block_relay_scenario,
+                                run_propagation_scenario)
 
 
 @contextmanager
@@ -168,3 +177,91 @@ def test_a_live_simulated_network_leaves_nothing_per_block():
     assert all(len(node.blocks) == 6 for node in nodes)
     # The ladder ran: lost messages were retried along the way.
     assert sum(node.relay_retries for node in nodes) > 0
+
+
+def _dropped(build):
+    """An operation that builds a run with ``build(seed)``, drops it and
+    checks that its simulator went with it, before any collection."""
+    def operation(seed):
+        run = build(seed)
+        simulator = weakref.ref(run.simulator)
+        del run
+        assert simulator() is None, "something still holds the network"
+    return operation
+
+
+class TestDroppedNetworks:
+    @pytest.mark.parametrize("options", [
+        {"trace": False}, {"trace": True},
+        {"trace": False, "sync_rounds": 2}], ids=["untraced", "traced",
+                                                  "synced"])
+    def test_block_relay_scenario(self, options):
+        assert garbage_of(_dropped(
+            lambda seed: run_block_relay_scenario(seed=seed, **options))) \
+            == [0]
+
+    def test_propagation_scenario(self):
+        assert garbage_of(_dropped(lambda seed: run_propagation_scenario(
+            nodes=30, degree=4, blocks=3, block_txns=20, loss=0.05,
+            seed=seed))) == [0]
+
+    def test_a_node_outliving_its_simulator_says_so(self):
+        node = Node("n0", Simulator())
+        with pytest.raises(ParameterError, match="outlived its simulator"):
+            node.simulator
+        with pytest.raises(ParameterError, match="outlived its simulator"):
+            node.mine_block(Block.assemble(
+                TransactionGenerator(seed=1).make_batch(3)))
+
+
+def _own_garbage(garbage: list) -> list:
+    """What of ``garbage`` is not the standard library's: a closed
+    selector transport keeps a bound method of itself
+    (``_read_ready_cb``), a cycle reference counting cannot free, and
+    takes its socket and its ``extra`` dict along."""
+    ids = {id(obj) for obj in garbage}
+    stdlib = {id(obj) for obj in garbage
+              if type(obj).__name__ == "_SelectorSocketTransport"}
+    frontier = [obj for obj in garbage if id(obj) in stdlib]
+    while frontier:
+        for ref in gc.get_referents(frontier.pop()):
+            if id(ref) in ids and id(ref) not in stdlib:
+                stdlib.add(id(ref))
+                frontier.append(ref)
+    return [obj for obj in garbage if id(obj) not in stdlib]
+
+
+def test_a_closed_peer_manager_trio_is_freed_when_dropped():
+    """One serving and two fetching managers relay a block, close and
+    are dropped: nothing of theirs waits for the collector."""
+    async def trio(seed):
+        server = PeerManager("server")
+        fetchers = [PeerManager(f"fetcher{i}", mempool=Mempool())
+                    for i in range(2)]
+        port = await server.listen()
+        for fetcher in fetchers:
+            await fetcher.connect("127.0.0.1", port)
+        scenario = make_block_scenario(200, 200, 1.0, seed=seed)
+        for fetcher in fetchers:
+            fetcher.mempool = scenario.receiver_mempool
+        server.serve_block(scenario.block)
+        results = await asyncio.gather(
+            *(fetcher.fetch_next(timeout=60.0) for fetcher in fetchers))
+        assert all(result.success for result in results)
+        for manager in fetchers + [server]:
+            await manager.close()
+        return weakref.ref(server)
+
+    asyncio.run(trio(0))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        server = asyncio.run(trio(1))
+        assert server() is None, "something still holds the server"
+        gc.collect()
+        assert _own_garbage(gc.garbage) == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

@@ -500,7 +500,7 @@ class TestSyncRecovery:
                        FaultInjector(drop_commands=frozenset({opening})))
         if fault == "unpeered":
             # Between the first timeout (t=2) and the second (t=6).
-            sim.schedule(2.5, lambda: b.peers.__delitem__(a))
+            sim.schedule(2.5, lambda: b.links.pop(a.nid))
         nonce = b.initiate_mempool_sync(a)
         sim.run()
         state = b.sync_result(nonce)

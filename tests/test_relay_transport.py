@@ -187,10 +187,10 @@ class TestSyncNonces:
             sim = Simulator()
             a, b = Node("a", sim), Node("b", sim)
             a.connect(b)
-            return a, b
+            return sim, a, b
 
-        a1, b1 = fresh_pair()
-        a2, b2 = fresh_pair()
+        sim1, a1, b1 = fresh_pair()
+        sim2, a2, b2 = fresh_pair()
         n_a1 = a1.initiate_mempool_sync(b1)
         n_a2 = a2.initiate_mempool_sync(b2)
         assert n_a1 == n_a2  # same node id => same sequence, every run

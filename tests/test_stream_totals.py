@@ -46,8 +46,12 @@ events = st.builds(
     outcome=st.sampled_from(OUTCOMES))
 
 
+#: The clock the traced streams read; a tracer holds it weakly.
+_SIMULATOR = Simulator()
+
+
 def _traced(stream_events):
-    stream = Tracer(Simulator()).stream("n0", "relay", b"k")
+    stream = Tracer(_SIMULATOR).stream("n0", "relay", b"k")
     for event in stream_events:
         stream.append(event)
     return stream
@@ -81,7 +85,8 @@ def _running(stream_events) -> StreamTotals:
 def _metrics(stream) -> dict:
     """The ``relay_*`` counters ``collect_run_metrics`` folds out of one
     node holding ``stream`` as its only relay."""
-    node = Node("n0", Simulator())
+    simulator = Simulator()
+    node = Node("n0", simulator)
     node.relay_telemetry[b"root"] = stream
     counters = collect_run_metrics([node]).snapshot()["counters"]
     return {name: value for name, value in counters.items()
