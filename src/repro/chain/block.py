@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.chain.columns import TxColumns
-from repro.chain.merkle import merkle_root_packed
+from repro.chain.merkle import certified_root, matches_root
 from repro.chain.transaction import Transaction
 from repro.errors import ParameterError
 
@@ -61,11 +61,12 @@ class Block:
 
         The Merkle root is computed over the canonical order, mirroring
         Bitcoin Cash post-CTOR (paper 6.2), so Graphene never needs to
-        transmit ordering information for these blocks.
+        transmit ordering information for these blocks.  The root is
+        remembered as certified by the leaves it was computed from.
         """
         ordered = TxColumns.of(txs).canonical()
         header = BlockHeader(prev_hash=prev_hash,
-                             merkle_root=merkle_root_packed(ordered.ids),
+                             merkle_root=certified_root(ordered.ids),
                              timestamp=timestamp, nonce=nonce)
         return cls(header=header, txs=tuple(ordered.txs))
 
@@ -101,15 +102,14 @@ class Block:
         Returns the canonically ordered list when it hashes to this
         block's root, else ``None`` -- what a CTOR receiver does at
         Protocol 1 step 4 / Protocol 2 step 5.  The sorted rows' IDs are
-        gathered into the one buffer the packed Merkle tree reads, whose
-        root memo turns a repeat validation (one per hop of a relay)
-        into one lookup of the leaves; the transactions are gathered
-        only once the root matches.
+        gathered into the one buffer the packed Merkle tree reads; a
+        root this process has certified before (one per hop of a relay)
+        is checked by comparing that buffer to the leaves that certified
+        it.  The transactions are gathered only once the root matches.
         """
         columns = TxColumns.of(candidate)
         order = columns.canonical_rows(rows)
-        if merkle_root_packed(columns.words[order].tobytes()) \
-                != self.header.merkle_root:
+        if not matches_root(columns.ids_of(order), self.header.merkle_root):
             return None
         return columns.gather(order)
 

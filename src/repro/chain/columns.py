@@ -19,7 +19,6 @@ old set -- Protocol 3 holds one across its round trips.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as _np
@@ -38,14 +37,19 @@ class TxColumns:
     words:
         ``ids`` viewed as an ``(n, 4)`` little-endian ``uint64`` matrix
         (read-only; shares the buffer).
+
+    The first :meth:`gather` also lays ``txs`` out as a read-only numpy
+    object column, which every later gather indexes.  The column is
+    derived state: a pickle carries ``txs`` and ``ids`` only.
     """
 
-    __slots__ = ("txs", "ids", "words")
+    __slots__ = ("txs", "ids", "words", "_objects")
 
     def __init__(self, txs: Sequence, ids: bytes | None = None):
         self.txs = txs
         self.ids = b"".join([tx.txid for tx in txs]) if ids is None else ids
         self.words = _np.frombuffer(self.ids, dtype="<u8").reshape(-1, 4)
+        self._objects = None
 
     @classmethod
     def of(cls, txs) -> "TxColumns":
@@ -88,19 +92,26 @@ class TxColumns:
 
     def take(self, rows) -> "TxColumns":
         """The snapshot of ``rows`` (an index array), in that order."""
-        return TxColumns(self.gather(rows), self.words[rows].tobytes())
+        return TxColumns(self.gather(rows), self.ids_of(rows))
+
+    def ids_of(self, rows) -> bytes:
+        """The IDs of ``rows`` (an integer index array) end to end, in
+        that order.  ``take`` copies whole 32-byte rows; fancy indexing
+        the ``(n, 4)`` matrix walks it word by word, ≈ 5x slower at
+        2 000 rows."""
+        return self.words.take(rows, axis=0).tobytes()
 
     def gather(self, rows) -> list:
-        """The transactions of ``rows`` (an index array), in that order.
-
-        ``itemgetter`` over two rows or more: one C call, ≈ 35 % faster
-        than a comprehension at 2 000 rows (it returns a bare item, not a
-        tuple, for one row, and cannot be built for none).
-        """
-        rows = rows.tolist()
-        if len(rows) < 2:
-            return [self.txs[row] for row in rows]
-        return list(itemgetter(*rows)(self.txs))
+        """The transactions of ``rows`` (an integer index array), in that
+        order: one fancy index into the object column, then one
+        ``tolist``, so no Python frame runs per row."""
+        objects = self._objects
+        if objects is None:
+            objects = _np.fromiter(self.txs, dtype=object,
+                                   count=len(self.txs))
+            objects.flags.writeable = False
+            self._objects = objects
+        return objects[rows].tolist()
 
     def canonical(self) -> "TxColumns":
         """This set in canonical (CTOR) order: ``sorted`` by txid."""

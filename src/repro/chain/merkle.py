@@ -18,14 +18,16 @@ from repro.errors import ParameterError
 from repro.utils.memo import BoundedMemo
 
 
-#: Memoized roots keyed by the packed (ordered) leaves themselves.  A
-#: relay validates the same candidate set repeatedly (sender assembly,
-#: per-receiver Merkle checks), and looking the leaves up is one pass of
-#: the dict's own hash plus one ``memcmp`` where the tree itself is
-#: ~2(n-1) double-SHA calls.  The key is exact -- no fingerprint stands
-#: in for the leaves -- so it is bounded by the bytes its keys pin.
+#: Roots this process has certified, keyed by the root, each holding
+#: the ordered leaves that hashed to it.  Every hop of a relay checks
+#: the same block against the same header: with the root in hand, a
+#: repeat check is one ``memcmp`` of the candidate's leaves against the
+#: held ones, where the tree is ~2(n-1) double-SHA calls (and a memo
+#: keyed by the leaves would hash the whole buffer to find them).  Only
+#: leaves that hash to their root get in, so no candidate can plant a
+#: value; bounded by the bytes the held leaves pin.
 _ROOT_CACHE_BYTES = 1 << 20
-_ROOT_CACHE = BoundedMemo(_ROOT_CACHE_BYTES, lambda leaves, root: len(leaves))
+_ROOT_CACHE = BoundedMemo(_ROOT_CACHE_BYTES, lambda root, leaves: len(leaves))
 
 _DIGEST = type(hashlib.sha256()).digest
 
@@ -57,17 +59,40 @@ def merkle_root_packed(ids: bytes) -> bytes:
             f"packed leaves must be 32-byte rows, got {len(ids)} bytes")
     if not ids:
         return bytes(32)
-    ids = bytes(ids)
-    cached = _ROOT_CACHE.lookup(ids)
-    if cached is not None:
-        return cached
     sha256, digest = hashlib.sha256, _DIGEST
-    level = ids
+    level = bytes(ids)
     while len(level) > 32:
         if len(level) % 64:
             level += level[-32:]
         pairs = _np.frombuffer(level, dtype="V64").tolist()
         level = b"".join(map(digest, map(sha256, map(digest,
                                                      map(sha256, pairs)))))
-    _ROOT_CACHE.remember(ids, level)
     return level
+
+
+def certified_root(ids) -> bytes:
+    """:func:`merkle_root_packed` of ``ids``, remembered as certified by
+    them -- what a block's assembler knows of the root it names."""
+    root = merkle_root_packed(ids)
+    if root not in _ROOT_CACHE:
+        _ROOT_CACHE.remember(root, bytes(ids))
+    return root
+
+
+def matches_root(ids, root: bytes) -> bool:
+    """Whether ordered 32-byte leaves ``ids`` hash to ``root``.
+
+    A held root is certified by comparing ``ids`` to the leaves it
+    holds.  The tree is computed only on a miss or a mismatch; a
+    mismatch may still hash to ``root``, since the tree pairs an odd
+    level's last node with itself and doubling that leaf keeps the
+    root.  Only leaves that hash to ``root`` on a miss are remembered.
+    """
+    held = _ROOT_CACHE.lookup(root)
+    if held is not None and held == ids:
+        return True
+    if merkle_root_packed(ids) != root:
+        return False
+    if held is None:
+        _ROOT_CACHE.remember(root, bytes(ids))
+    return True

@@ -220,8 +220,8 @@ def _cmd_trace(args) -> int:
     run = _observed_run(args)
     tracer = run.tracer
     print(f"{args.protocol}: {run.covered}/{args.nodes} nodes hold the "
-          f"block after {run.simulator.now:.3f}s simulated; "
-          f"{len(tracer.spans())} spans")
+          f"block in {run.covered_at:.3f}s simulated, run to "
+          f"{run.simulator.now:.3f}s; {len(tracer.spans())} spans")
     print(tracer.timeline(events=not args.summary, kind=args.kind,
                           limit=args.limit))
     if args.jsonl:

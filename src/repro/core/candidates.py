@@ -71,7 +71,7 @@ class CandidateSet:
 
     def ids(self) -> bytes:
         """Z's 32-byte txids end to end, in candidate order."""
-        return self.source.words[self.rows].tobytes()
+        return self.source.ids_of(self.rows)
 
     def rows_without(self, remote: Iterable[int]):
         """Z's rows minus the candidates whose short ID is in ``remote``.

@@ -179,6 +179,10 @@ def closed_form_a(n: int, tau: float, cell_bytes: int) -> int:
 #: is safe.  Bounded at 4 096 plans (each entry counts 1).
 _PLAN_CACHE = BoundedMemo(4096, lambda key, plan: 1)
 
+#: Memoized Protocol 2 plans keyed ``(z, missing_bound, ystar, config)``,
+#: the exact inputs of :func:`optimize_b`, bounded like ``_PLAN_CACHE``.
+_PLAN_B_CACHE = BoundedMemo(4096, lambda key, plan: 1)
+
 
 def optimize_a(n: int, m: int, config: Optional[GrapheneConfig] = None) -> FilterIBLTPlan:
     """Choose ``a`` minimizing the total size of Bloom filter S and IBLT I.
@@ -235,6 +239,16 @@ def optimize_b(z: int, missing_bound: int, ystar: int,
     config = config or GrapheneConfig()
     if z < 0 or ystar < 0:
         raise ParameterError(f"z and ystar must be non-negative: {z}, {ystar}")
+    key = (z, missing_bound, ystar, config)
+    plan = _PLAN_B_CACHE.lookup(key)
+    if plan is None:
+        plan = _optimize_b_uncached(z, missing_bound, ystar, config)
+        _PLAN_B_CACHE.remember(key, plan)
+    return plan
+
+
+def _optimize_b_uncached(z: int, missing_bound: int, ystar: int,
+                         config: GrapheneConfig) -> FilterIBLTPlan:
     table = default_param_table()
     if missing_bound <= 0:
         # Nothing provably missing; R degenerates, J still repairs y*.

@@ -50,6 +50,7 @@ from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT
 from repro.pds.param_table import default_param_table
 from repro.pds.pingpong import pingpong_decode
+from repro.utils.memo import BoundedMemo
 from repro.utils.serialization import compact_size_len
 
 #: The fixed ``f_R`` of the ``m ~ n`` special case, known to both sides
@@ -128,14 +129,26 @@ class Protocol2Result(Protocol1Result):
     used_pingpong: bool = False
 
 
+#: Memoized ``(x*, y*)`` keyed by their exact inputs ``(z, m, fpr,
+#: beta, n)``.  ``x*`` walks a Chernoff term per candidate count, which
+#: every P2 request whose sweep lands on the same counts repeats.
+#: Bounded at 4 096 pairs (each entry counts 1).
+_BOUNDS_CACHE = BoundedMemo(4096, lambda key, bounds: 1)
+
+
 def _bounds(z: int, m: int, fpr: float, beta: float,
             n: Optional[int] = None) -> tuple[int, int]:
     """``(x*, y*)`` of Theorems 2 and 3 -- ``(0, z)`` where the filter
     passed everything, so ``z`` carries no information."""
     if fpr >= 1.0:
         return 0, z
-    xstar = x_star(z, m, fpr, beta=beta, n=n)
-    return xstar, y_star(z, m, fpr, beta=beta, xstar=xstar, n=n)
+    key = (z, m, fpr, beta, n)
+    bounds = _BOUNDS_CACHE.lookup(key)
+    if bounds is None:
+        xstar = x_star(z, m, fpr, beta=beta, n=n)
+        bounds = xstar, y_star(z, m, fpr, beta=beta, xstar=xstar, n=n)
+        _BOUNDS_CACHE.remember(key, bounds)
+    return bounds
 
 
 def build_protocol2_request(

@@ -21,9 +21,9 @@ INV_ENTRY_BYTES = 36
 MSG_HEADER_BYTES = 24
 
 
-def inv_bytes(entries: int = 1) -> int:
-    """Size of an inv message announcing ``entries`` objects."""
-    return MSG_HEADER_BYTES + compact_size_len(entries) + INV_ENTRY_BYTES * entries
+def inv_bytes() -> int:
+    """Size of an inv message announcing one block."""
+    return MSG_HEADER_BYTES + compact_size_len(1) + INV_ENTRY_BYTES
 
 
 def getdata_bytes(mempool_count: int = 0) -> int:

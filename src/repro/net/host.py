@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Protocol, Set
 
 from repro.chain.block import Block
-from repro.chain.merkle import merkle_root_packed
+from repro.chain.merkle import matches_root
 from repro.core.engine import (
     ActionKind,
     GrapheneReceiverEngine,
@@ -451,7 +451,7 @@ class RelayHost:
         if not self.lacks(root):
             self.frames_shed += 1
             return
-        if merkle_root_packed(block.columns.ids) != root:
+        if not matches_root(block.columns.ids, root):
             raise ProtocolFailure(
                 f"full block from {self.driver.peer_label(peer)} does not "
                 f"hash to its header's Merkle root {root.hex()[:12]}")

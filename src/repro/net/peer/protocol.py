@@ -77,13 +77,11 @@ class VersionInfo:
     node_id: str
 
 
-def encode_version(node_id: str, nonce: int | None = None,
-                   version: int = PROTOCOL_VERSION) -> bytes:
-    """``version u32 | nonce u64 | id_len compact | node_id utf-8``."""
+def encode_version(node_id: str) -> bytes:
+    """``version u32 | nonce u64 | id_len compact | node_id utf-8``, at
+    :data:`PROTOCOL_VERSION` with the nonce derived from ``node_id``."""
     ident = node_id.encode("utf-8")
-    if nonce is None:
-        nonce = derive_sync_nonce(node_id)
-    return (struct.pack("<IQ", version, nonce)
+    return (struct.pack("<IQ", PROTOCOL_VERSION, derive_sync_nonce(node_id))
             + compact_size(len(ident)) + ident)
 
 

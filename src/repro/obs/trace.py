@@ -141,19 +141,17 @@ class Span:
     marks: List[TraceMark]
     records: List[TraceRecord]
 
-    def as_dict(self, include_events: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "node": self.node, "kind": self.kind, "key": self.key,
             "start": self.start, "end": self.end, "status": self.status,
             "messages": self.messages, "bytes": self.bytes,
             "timeouts": self.timeouts, "retries": self.retries,
             "phases": [p.as_dict() for p in self.phases],
             "marks": [m.as_dict() for m in self.marks],
+            "events": [dict(t=r.t, **r.event.as_dict())
+                       for r in self.records],
         }
-        if include_events:
-            out["events"] = [dict(t=r.t, **r.event.as_dict())
-                             for r in self.records]
-        return out
 
 
 def _derive_status(marks: List[TraceMark], records: List[TraceRecord]) -> str:
@@ -299,10 +297,9 @@ class Tracer:
             spans = [span for span in spans if span.kind == kind]
         return spans
 
-    def to_jsonl(self, include_events: bool = True,
-                 kind: Optional[str] = None) -> str:
+    def to_jsonl(self, kind: Optional[str] = None) -> str:
         """One JSON object per span, deterministic key order."""
-        lines = [json.dumps(span.as_dict(include_events), sort_keys=True)
+        lines = [json.dumps(span.as_dict(), sort_keys=True)
                  for span in self.spans(kind)]
         return "\n".join(lines) + ("\n" if lines else "")
 

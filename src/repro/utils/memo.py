@@ -1,17 +1,35 @@
 """One eviction rule, and one hit/miss count, for every memo in the package.
 
-The Bloom index matrices (:mod:`repro.pds.bloom`), the IBLT
-folded columns (:mod:`repro.pds.iblt`) and the Merkle roots
-(:mod:`repro.chain.merkle`) are each keyed by the packed bytes their
-value is a pure function of, so a single entry can pin a whole
-mempool's ID buffer.  They are therefore bounded by the bytes they pin,
-not by how many entries they hold.  The Protocol 1 plans
-(:mod:`repro.core.params`), the interned telemetry events
-(:mod:`repro.core.telemetry`) and the process-wide openings of
-:mod:`repro.core.engine` -- one memo of encoded openings, keyed by
-everything a blob is a function of, and one of decoded openings, keyed
-by the blob -- pin little each and count every entry as 1; so does a
-sender engine's own ``(protocol, m)`` index of what it served.
+Every module-level :class:`BoundedMemo` is named here (a test holds the
+list to the source):
+
+* ``repro.pds.bloom._INDEX_MEMO`` -- Bloom bit-index matrices, keyed by
+  the seed, the geometry and the packed ID rows;
+* ``repro.pds.iblt._FOLD_CACHE`` -- IBLT folded columns, keyed by the
+  table's shape, its seed and the key column's bytes;
+* ``repro.chain.merkle._ROOT_CACHE`` -- certified Merkle roots, keyed by
+  the root and holding the ordered leaves that hashed to it; a check is
+  a compare of the candidate's leaves to the held ones, and only leaves
+  that hashed to their root get in.
+
+These three pin whole mempool or block ID buffers, so each is bounded
+by the bytes it pins, not by how many entries it holds.  The rest pin
+little each and count every entry as 1:
+
+* ``repro.core.params._PLAN_CACHE`` -- Protocol 1 plans, keyed
+  ``(n, m, config)``;
+* ``repro.core.params._PLAN_B_CACHE`` -- Protocol 2 plans, keyed by
+  :func:`~repro.core.params.optimize_b`'s exact inputs;
+* ``repro.core.protocol2._BOUNDS_CACHE`` -- Protocol 2's ``(x*, y*)``,
+  keyed ``(z, m, fpr, beta, n)``;
+* ``repro.core.telemetry._EVENTS`` -- the interned telemetry events;
+* ``repro.core.engine.ENCODED_OPENINGS`` -- encoded openings, keyed by
+  everything a blob is a function of;
+* ``repro.core.engine.DECODED_OPENINGS`` -- decoded openings, keyed by
+  the blob (which counts one more per 64 KiB).
+
+So does a sender engine's own ``(protocol, m)`` index of what it served,
+which lives and dies with the engine.
 
 Every memo is consulted through :meth:`BoundedMemo.lookup`, which
 counts ``hits`` and ``misses``: the one counter pair that says how

@@ -133,6 +133,23 @@ class TestReport:
                                  f"simulated, run to 30.000s (")
 
 
+class TestTrace:
+    def test_header_says_when_coverage_was_reached(self, capsys):
+        """As in ``repro report``: the last arrival of the block first,
+        then the horizon the run was driven to."""
+        from repro.cli import _observed_run, build_parser
+
+        argv = ["trace", "--nodes", "8", "--until", "30", "--summary"]
+        run = _observed_run(build_parser().parse_args(argv))
+        last = max(node.block_arrival[run.root] for node in run.nodes)
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert 0.0 < last < 30.0
+        assert header == (f"graphene: 8/8 nodes hold the block in "
+                          f"{last:.3f}s simulated, run to 30.000s; "
+                          f"{len(run.tracer.spans())} spans")
+
+
 class TestPeerJSON:
     """``repro peer --json`` against a live socket server.
 

@@ -10,18 +10,21 @@ selection they make, and one count.
   against its ``bincount`` + ``bitwise_xor.at`` path, on both sides of
   ``_SCATTER_MIN`` and of the ``uint16`` cell range.
 * The Merkle tree against a per-node reference, odd levels included.
-* The row gather at 0, 1 and 2 rows, and canonical order over a subset
-  of rows.
+* The row gather against the per-row list (any size, any integer
+  dtype, after a pickle), and canonical order over a subset of rows.
 * A fresh 2 000-transaction Protocol 1 relay makes no ``ufunc.at`` call
   (cProfile counts them; nothing is timed).
 """
 
 from __future__ import annotations
 
+import ast
 import cProfile
+import pickle
 import pstats
 import random
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from repro.pds.bloom import BloomFilter
 from repro.pds.iblt import IBLT, _SCATTER_MIN, scatter
 from repro.pds.reference import ReferenceBloomFilter, ReferenceIBLT, \
     encode_reference_iblt
+from repro.utils import memo as memo_module
 from repro.utils.hashing import mix64, mix64_array, reduce_mod, sha256
 from repro.utils.memo import BoundedMemo
 
@@ -247,6 +251,26 @@ class TestBoundedMemo:
         memo.clear()
         assert not memo and memo.pinned == 0
 
+    def test_every_module_memo_is_named_in_the_memo_docstring(self):
+        """A module-level memo lands documented: each ``NAME =
+        BoundedMemo(...)`` under ``src/repro`` is listed in
+        :mod:`repro.utils.memo`'s docstring as ``module.NAME``."""
+        package = Path(memo_module.__file__).resolve().parents[1]
+        found = []
+        for path in sorted(package.rglob("*.py")):
+            module = ".".join(
+                ("repro", *path.relative_to(package).with_suffix("").parts))
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Assign) \
+                        and isinstance(node.value, ast.Call) \
+                        and getattr(node.value.func, "id", None) \
+                        == "BoundedMemo":
+                    found += [f"{module}.{target.id}"
+                              for target in node.targets]
+        assert "repro.chain.merkle._ROOT_CACHE" in found
+        assert [name for name in found
+                if f"``{name}``" not in memo_module.__doc__] == []
+
     def test_lookup_counts_hits_and_misses_and_clear_zeroes_them(self):
         memo = BoundedMemo(2, lambda key, value: 1)
         assert memo.lookup("a") is None
@@ -272,6 +296,26 @@ class TestRows:
         txs = txgen.make_batch(8)
         gathered = TxColumns(tuple(txs)).gather(np.array(rows, dtype=np.intp))
         assert gathered == [txs[row] for row in rows]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16,
+                                       np.uint16, np.int32, np.uint32,
+                                       np.int64, np.uint64, np.intp])
+    def test_gather_is_the_per_row_list(self, txgen, dtype):
+        txs = tuple(txgen.make_batch(9))
+        columns = TxColumns(txs)
+        before = pickle.dumps(columns)
+        for rows in ([], [6], [3, 3, 3], [8, 0, 4, 0, 8], range(9)):
+            index = np.array(rows, dtype=dtype)
+            gathered = columns.gather(index)
+            assert type(gathered) is list
+            assert all(a is b for a, b in zip(
+                gathered, [txs[r] for r in rows], strict=True))
+            assert columns.take(index).txs == gathered
+        # The object column is never pickled; a copy builds its own.
+        assert pickle.dumps(columns) == before
+        copy = pickle.loads(before)
+        assert [tx.txid for tx in copy.gather(np.array([5, 1], dtype))] \
+            == [txs[5].txid, txs[1].txid]
 
     def test_canonical_order_over_a_subset_of_rows(self):
         rng = random.Random(8)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import merkle
-from repro.chain.merkle import merkle_root, merkle_root_packed
+from repro.chain.merkle import (certified_root, matches_root, merkle_root,
+                                merkle_root_packed)
 from repro.errors import ParameterError
 from repro.utils.hashing import sha256
 
@@ -60,39 +61,98 @@ class TestMerkleRoot:
 
 
 class TestRootMemo:
-    """The memo is keyed by the leaves themselves and bounded in bytes."""
+    """The memo is keyed by the root it certifies, holds the leaves that
+    certified it, and is bounded in bytes."""
 
     @staticmethod
     def _leaves(tag: int, count: int) -> bytes:
         return b"".join(sha256(b"%d/%d" % (tag, i)) for i in range(count))
 
-    def test_hit_is_the_uncached_root_for_equal_bytes_in_any_buffer(self):
+    @staticmethod
+    def _count_trees(monkeypatch) -> list:
+        calls: list = []
+        tree = merkle.merkle_root_packed
+
+        def counted(ids):
+            calls.append(len(ids))
+            return tree(ids)
+        monkeypatch.setattr(merkle, "merkle_root_packed", counted)
+        return calls
+
+    def test_hit_is_the_uncached_root_for_equal_bytes_in_any_buffer(
+            self, monkeypatch):
         leaves = self._leaves(1, 37)
         merkle._ROOT_CACHE.clear()
         root = merkle_root_packed(leaves)
-        assert list(merkle._ROOT_CACHE) == [leaves]
-        assert merkle_root_packed(bytes(bytearray(leaves))) == root
-        assert merkle_root_packed(bytearray(leaves)) == root
-        assert merkle_root_packed(memoryview(leaves)) == root
+        assert not merkle._ROOT_CACHE  # the tree itself remembers nothing
+        assert matches_root(leaves, root)
+        assert list(merkle._ROOT_CACHE.items()) == [(root, leaves)]
+        trees = self._count_trees(monkeypatch)
+        for buffer in (bytes(bytearray(leaves)), bytearray(leaves),
+                       memoryview(leaves)):
+            assert matches_root(buffer, root)
+        assert trees == [] and merkle._ROOT_CACHE.hits == 3
         assert len(merkle._ROOT_CACHE) == 1
         merkle._ROOT_CACHE.clear()
-        assert merkle_root_packed(leaves) == root
+        assert matches_root(memoryview(leaves), root) and trees == [len(leaves)]
+        assert type(merkle._ROOT_CACHE[root]) is bytes
+        merkle._ROOT_CACHE.clear()
 
     def test_pinned_bytes_stay_within_the_budget(self):
         merkle._ROOT_CACHE.clear()
         count = merkle._ROOT_CACHE_BYTES // (32 * 8)  # 8 entries fill it
         for tag in range(30):
-            merkle_root_packed(self._leaves(tag, count))
-            assert sum(map(len, merkle._ROOT_CACHE)) \
-                <= merkle._ROOT_CACHE_BYTES
-        newest = self._leaves(29, count)
-        assert newest in merkle._ROOT_CACHE
-        # A buffer larger than the whole budget is kept alone, and is
+            root = certified_root(self._leaves(tag, count))
+            assert sum(map(len, merkle._ROOT_CACHE.values())) \
+                == merkle._ROOT_CACHE.pinned <= merkle._ROOT_CACHE_BYTES
+        assert merkle._ROOT_CACHE[root] == self._leaves(29, count)
+        # Leaves larger than the whole budget are kept alone, and are
         # the first to go at the next insertion.
         huge = self._leaves(99, merkle._ROOT_CACHE_BYTES // 32 + 2)
-        assert merkle_root_packed(huge) == merkle_root_packed(huge)
-        assert list(merkle._ROOT_CACHE) == [huge]
-        merkle_root_packed(newest[:64])
-        assert list(merkle._ROOT_CACHE) == [newest[:64]]
+        huge_root = certified_root(huge)
+        assert certified_root(huge) == huge_root
+        assert list(merkle._ROOT_CACHE.items()) == [(huge_root, huge)]
+        small = self._leaves(29, 2)
+        assert matches_root(small, merkle_root_packed(small))
+        assert list(merkle._ROOT_CACHE.values()) == [small]
         merkle._ROOT_CACHE.clear()
 
+    def test_ten_thousand_roots_stay_within_the_budget(self):
+        merkle._ROOT_CACHE.clear()
+        for tag in range(10_000):
+            leaves = self._leaves(tag, 16)  # 512 bytes: 2 048 fill it
+            assert matches_root(leaves, certified_root(leaves))
+            assert merkle._ROOT_CACHE.pinned <= merkle._ROOT_CACHE_BYTES
+        assert merkle._ROOT_CACHE.pinned \
+            == sum(map(len, merkle._ROOT_CACHE.values()))
+        assert merkle._ROOT_CACHE.hits == 10_000
+        merkle._ROOT_CACHE.clear()
+
+    def test_held_leaves_that_differ_are_recomputed_and_rejected(
+            self, monkeypatch):
+        leaves = self._leaves(2, 9)
+        merkle._ROOT_CACHE.clear()
+        root = certified_root(leaves)
+        swapped = leaves[32:64] + leaves[:32] + leaves[64:]
+        trees = self._count_trees(monkeypatch)
+        assert not matches_root(swapped, root)
+        assert trees == [len(swapped)]
+        # Bitcoin's odd-level rule: doubling the last leaf of an odd
+        # list keeps the root.  Such a twin is recomputed and accepted,
+        # and the leaves that certified the root first stay held.
+        twin = leaves + leaves[-32:]
+        assert matches_root(twin, root) and len(trees) == 2
+        assert list(merkle._ROOT_CACHE.items()) == [(root, leaves)]
+        merkle._ROOT_CACHE.clear()
+
+    def test_hostile_candidates_never_enter_the_memo(self):
+        merkle._ROOT_CACHE.clear()
+        honest = self._leaves(3, 12)
+        root = merkle_root_packed(honest)
+        for hostile in (self._leaves(4, 12), honest[32:], honest[:-32],
+                        honest[:32] * 12):
+            assert not matches_root(hostile, root)
+        assert not merkle._ROOT_CACHE
+        assert matches_root(honest, root)
+        assert list(merkle._ROOT_CACHE.items()) == [(root, honest)]
+        merkle._ROOT_CACHE.clear()

@@ -382,10 +382,6 @@ class TestTracerExport:
             assert {"node", "kind", "key", "status", "phases",
                     "events"} <= set(span)
 
-    def test_jsonl_without_events_is_summary_only(self, lossy_run):
-        line = lossy_run.tracer.to_jsonl(include_events=False).splitlines()[0]
-        assert "events" not in json.loads(line)
-
     def test_timeline_mentions_spans_and_marks(self, lossy_run):
         text = lossy_run.tracer.timeline()
         assert "relay" in text and "done" in text

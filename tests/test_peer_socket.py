@@ -66,6 +66,12 @@ def _fetch(scenario, **kwargs):
     return asyncio.run(_serve_and_fetch(scenario, **kwargs))
 
 
+
+def _future_version(node_id: str) -> bytes:
+    """A ``version`` payload claiming the protocol version after ours."""
+    return (struct.pack("<I", PROTOCOL_VERSION + 1)
+            + encode_version(node_id)[4:])
+
 class TestByteParity:
     """Socket relay == loopback relay, byte for byte and event for event."""
 
@@ -132,8 +138,7 @@ class TestHandshake:
                     "127.0.0.1", port)
                 conn = PeerConnection(reader, writer, "oldpeer")
                 # Speak an unknown protocol version by hand.
-                conn.send("version", encode_version(
-                    "oldpeer", version=PROTOCOL_VERSION + 1))
+                conn.send("version", _future_version("oldpeer"))
                 await conn.drain()
                 # The server rejects us: either it closes (EOF on our
                 # next read) or our own handshake machinery never sees
@@ -154,8 +159,7 @@ class TestHandshake:
             async def fake_server(reader, writer):
                 decoder_conn = PeerConnection(reader, writer, "fake")
                 await decoder_conn.read_frame()  # the client's version
-                decoder_conn.send("version", encode_version(
-                    "fake", version=PROTOCOL_VERSION + 1))
+                decoder_conn.send("version", _future_version("fake"))
                 await decoder_conn.drain()
 
             server = await asyncio.start_server(fake_server,

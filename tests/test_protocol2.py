@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.scenarios import make_block_scenario, make_sync_scenario
+from repro.core import params, protocol2
+from repro.core.bounds import x_star, y_star
 from repro.core.params import GrapheneConfig
 from repro.core.protocol1 import build_protocol1, receive_protocol1
 from repro.core.protocol2 import (
@@ -153,3 +155,44 @@ class TestFinish:
         # Everything recovered is from the sender's mempool.
         sender_ids = {tx.txid for tx in sender_txs}
         assert {tx.txid for tx in result.reconciled} <= sender_ids
+
+
+class TestPlanMemos:
+    """``(x*, y*)`` and the ``b`` plan are memoized by their exact inputs:
+    a hit answers as the computation did, and no key count outgrows the
+    budget."""
+
+    def test_a_hit_is_the_computed_answer(self, missing_scenario, config):
+        protocol2._BOUNDS_CACHE.clear()
+        params._PLAN_B_CACHE.clear()
+        payload, p1 = _run_p1(missing_scenario, config)
+        first, _ = build_protocol2_request(p1, payload, missing_scenario.m,
+                                           config)
+        misses = (protocol2._BOUNDS_CACHE.misses,
+                  params._PLAN_B_CACHE.misses)
+        again, _ = build_protocol2_request(p1, payload, missing_scenario.m,
+                                           config)
+        assert (again.xstar, again.ystar, again.b, again.bloom_r._bits) \
+            == (first.xstar, first.ystar, first.b, first.bloom_r._bits)
+        assert misses == (protocol2._BOUNDS_CACHE.misses,
+                          params._PLAN_B_CACHE.misses)
+        assert protocol2._BOUNDS_CACHE.hits >= 1
+        assert params._PLAN_B_CACHE.hits >= 1
+        key = next(iter(protocol2._BOUNDS_CACHE))
+        xstar = x_star(*key[:3], beta=key[3], n=key[4])
+        assert protocol2._BOUNDS_CACHE[key] == (xstar, y_star(
+            *key[:3], beta=key[3], xstar=xstar, n=key[4]))
+        for key, plan in params._PLAN_B_CACHE.items():
+            assert plan == params._optimize_b_uncached(*key)
+
+    def test_ten_thousand_keys_stay_within_each_budget(self, config):
+        protocol2._BOUNDS_CACHE.clear()
+        params._PLAN_B_CACHE.clear()
+        for i in range(10_000):
+            protocol2._bounds(3 + i % 5, 10 + i, 0.1, config.beta, 8)
+            params.optimize_b(1 + i, 0, i % 7, config)
+        for memo in (protocol2._BOUNDS_CACHE, params._PLAN_B_CACHE):
+            assert 0 < len(memo) == memo.pinned <= memo.budget
+            assert memo.misses == 10_000
+        protocol2._BOUNDS_CACHE.clear()
+        params._PLAN_B_CACHE.clear()

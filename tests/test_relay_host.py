@@ -18,6 +18,7 @@ from typing import Callable
 
 import pytest
 
+from repro.chain import merkle
 from repro.chain.scenarios import make_block_scenario, make_sync_scenario
 from repro.codec import encode_tx_list
 from repro.core.engine import GrapheneSenderEngine
@@ -258,6 +259,19 @@ class TestShedding:
         driver.host.on_block(0, sc.block)
         assert driver.host.frames_shed == 1
         assert not driver.host.on_inv(2, root)
+
+    def test_a_forged_block_never_enters_the_root_memo(self):
+        sc, driver, root = _setup()
+        other = make_block_scenario(n=60, extra=60, seed=4).block
+        forged = type(sc.block)(header=sc.block.header, txs=other.txs)
+        merkle._ROOT_CACHE.clear()
+        driver.host.on_inv(0, root)
+        with pytest.raises(ProtocolFailure, match="p0"):
+            driver.host.on_block(0, forged)
+        assert root not in merkle._ROOT_CACHE
+        driver.host.on_block(1, sc.block)
+        assert merkle._ROOT_CACHE[root] == sc.block.columns.ids
+        merkle._ROOT_CACHE.clear()
 
 
 class TestTimers:

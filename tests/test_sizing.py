@@ -12,10 +12,7 @@ from repro.core.sizing import (
 
 class TestMessageSizes:
     def test_inv_single_entry(self):
-        assert inv_bytes(1) == 24 + 1 + 36
-
-    def test_inv_batches(self):
-        assert inv_bytes(10) == 24 + 1 + 360
+        assert inv_bytes() == 24 + 1 + 36
 
     def test_getdata_carries_mempool_count(self):
         small = getdata_bytes(10)
