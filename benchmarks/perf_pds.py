@@ -27,8 +27,9 @@ S + I for a block, receiver sweeps an (n + 10%) mempool through S,
 builds I', subtracts and decodes -- the paper's common relay case.
 
 Every repetition draws fresh keys, so the whole-batch memos (Bloom index
-matrix, folded IBLT columns) miss where a real session's would:
-speedups reflect first-touch work, not hits replayed across repetitions.
+matrix, folded IBLT columns, decoded IBLT tables) miss where a real
+session's would: speedups reflect first-touch work, not hits replayed
+across repetitions (``iblt_decode`` builds its tables anew each time).
 """
 
 from __future__ import annotations

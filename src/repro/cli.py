@@ -241,8 +241,11 @@ def _cmd_report(args) -> int:
         check_stream_invariants,
         collect_run_metrics,
         render_byte_table,
+        render_memo_table,
         render_outcome_table,
     )
+    from repro.utils.memo import memo_stats
+
     run = _observed_run(args)
     registry = collect_run_metrics(run.nodes, tracer=run.tracer)
     streams = run.relay_streams()
@@ -258,6 +261,7 @@ def _cmd_report(args) -> int:
     report.invariants.append(
         check_metrics_match_costs(registry, streams, prefix="relay"))
     report.add_metrics(registry)
+    report.memos = memo_stats()
 
     print(f"{args.protocol}: {run.covered}/{args.nodes} nodes in "
           f"{run.covered_at:.3f}s simulated, run to "
@@ -269,6 +273,9 @@ def _cmd_report(args) -> int:
     print(render_byte_table(registry, prefix="relay"))
     print("\nrelay outcomes (count/bytes):")
     print(render_outcome_table(registry, prefix="relay"))
+    print("\nprocess memos (counts since start; pinned = bytes or "
+          "entries held):")
+    print(render_memo_table(report.memos))
     if args.sync_rounds:
         print("\nmempool sync bytes by phase (per initiator):")
         print(render_byte_table(registry, prefix="sync"))

@@ -16,7 +16,9 @@ deterministic test case and checks a battery of invariants:
   :mod:`repro.pds.reference` and against their own per-item paths
   (``update`` vs repeated ``insert``, ``contains_many`` vs
   ``__contains__``), at batch sizes from empty up; an IBLT or encoder
-  also against its packed entry point (a ``uint64`` key column).
+  also against its packed entry point (a ``uint64`` key column).  An
+  IBLT decode is checked warm (a memo hit) and cold (the peel past the
+  memo), here and in the codec engine's IBLT cases.
 * :class:`RelayEngine` -- random small lossy topologies with optional
   :class:`~repro.net.simulator.FaultInjector` schedules, asserting
   convergence-or-clean-abandon and every RunReport invariant.
@@ -105,6 +107,24 @@ def _outcome(result) -> tuple:
     return (result.success, result.decode_complete,
             sorted(result.missing_short_ids),
             [tx.txid for tx in result.reconciled])
+
+
+def _peeled(result) -> tuple:
+    """What a peel recovered, ``(complete, local, remote)``, from the
+    columnar or the reference IBLT alike."""
+    return (result.complete, result.local, result.remote)
+
+
+def _reference_of(table):
+    """The scalar reference IBLT holding ``table``'s cells as they are."""
+    from repro.pds.reference import ReferenceIBLT
+
+    ref = ReferenceIBLT(table.cells, k=table.k, seed=table.seed,
+                        cell_bytes=table.cell_bytes)
+    for cell, count, key_sum, check_sum in zip(
+            ref._table, table._counts, table._key_sums, table._check_sums):
+        cell.count, cell.key_sum, cell.check_sum = count, key_sum, check_sum
+    return ref
 
 
 def _p2(params: dict, index: int):
@@ -344,11 +364,15 @@ class CodecEngine(Engine):
             return self.fail("iblt-size-model",
                              f"wire {len(blob)}B != model "
                              f"{iblt.serialized_size()}B", params)
-        mine, theirs = iblt.decode(), decoded.decode()
+        # ``decoded`` holds ``iblt``'s cells, so one of their decodes is
+        # a memo hit: the peel past the memo and the reference peel are
+        # the independent answers.
+        mine = _peeled(iblt._peel_uncached())
         return self.first_mismatch([
-            ("iblt-decode-parity", (theirs.complete, theirs.local,
-                                    theirs.remote),
-             (mine.complete, mine.local, mine.remote))], params)
+            ("iblt-decode-parity", _peeled(decoded.decode()), mine),
+            ("iblt-decode-memo", _peeled(iblt.decode()), mine),
+            ("iblt-decode-vs-reference",
+             _peeled(_reference_of(decoded).decode()), mine)], params)
 
     def _check_transaction(self, params) -> Optional[FuzzFailure]:
         rng = rng_from("tx", params["seed"])
@@ -855,7 +879,11 @@ class PDSEngine(Engine):
         ref_other = ReferenceIBLT(cells, **shape)
         ref_other.update(shared + only_b)
         diff, ref_diff = batch.subtract(other), ref.subtract(ref_other)
-        mine, theirs = diff.decode(), ref_diff.decode()
+        mine, theirs = _peeled(diff.decode()), _peeled(ref_diff.decode())
+        # A second subtract decodes from the memo; the peel past it must
+        # agree with both.
+        warm = _peeled(batch.subtract(other).decode())
+        cold = _peeled(diff._peel_uncached())
         columns = ("_counts", "_key_sums", "_check_sums")
         return self.first_mismatch([
             ("iblt-batch-vs-scalar",
@@ -866,9 +894,9 @@ class PDSEngine(Engine):
              encode_reference_iblt(ref)),
             ("iblt-subtract-vs-reference", encode_iblt(diff),
              encode_reference_iblt(ref_diff)),
-            ("iblt-decode-vs-reference",
-             (mine.complete, mine.local, mine.remote),
-             (theirs.complete, theirs.local, theirs.remote)),
+            ("iblt-decode-vs-reference", mine, theirs),
+            ("iblt-decode-memo-vs-peel", warm, cold),
+            ("iblt-peel-vs-reference", cold, theirs),
         ], params)
 
     def _check_bloom(self, params) -> Optional[FuzzFailure]:

@@ -37,6 +37,7 @@ from repro.obs.report import (
     check_metrics_match_costs,
     check_stream_invariants,
     render_byte_table,
+    render_memo_table,
     render_outcome_table,
 )
 from repro.obs.scenario import (
@@ -70,6 +71,7 @@ __all__ = [
     "check_metrics_match_costs",
     "check_stream_invariants",
     "render_byte_table",
+    "render_memo_table",
     "render_outcome_table",
     "BlockRecord",
     "ObservedRun",

@@ -58,6 +58,8 @@ class RunReport:
     invariants: List[Invariant] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     context: dict = field(default_factory=dict)
+    #: :func:`repro.utils.memo.memo_stats`, read once the run is over.
+    memos: dict = field(default_factory=dict)
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         """Record one check; returns ``ok`` so callers can branch."""
@@ -85,6 +87,8 @@ class RunReport:
             "invariants": [inv.as_dict() for inv in self.invariants],
             "context": self.context,
             "metrics": self.metrics,
+            "memos": {name: dict(zip(MEMO_COLUMNS, counts))
+                      for name, counts in self.memos.items()},
         }
 
     def write(self, path) -> Path:
@@ -202,9 +206,27 @@ def check_metrics_match_costs(registry: MetricsRegistry,
 # Table rendering (the `python -m repro report` output)
 # ---------------------------------------------------------------------------
 
-def _format_row(cells, widths) -> str:
-    return "  ".join(str(cell).rjust(width)
-                     for cell, width in zip(cells, widths))
+def _render_rows(rows) -> str:
+    """``rows``, the header first, right-aligned in columns with a rule
+    under the header."""
+    widths = [max(len(str(row[i])) for row in rows)
+              for i in range(len(rows[0]))]
+    rule = ["-" * width for width in widths]
+    return "\n".join("  ".join(str(cell).rjust(width)
+                               for cell, width in zip(row, widths))
+                     for row in [rows[0], rule, *rows[1:]])
+
+
+#: The fields of one :func:`repro.utils.memo.memo_stats` row.
+MEMO_COLUMNS = ("hits", "misses", "entries", "pinned")
+
+
+def render_memo_table(memos: dict) -> str:
+    """The process's memos, one row each: ``memo_stats()``'s counts."""
+    rows = [("memo",) + MEMO_COLUMNS]
+    rows += [(name.removeprefix("repro."),) + tuple(counts)
+             for name, counts in memos.items()]
+    return _render_rows(rows)
 
 
 def render_byte_table(registry: MetricsRegistry,
@@ -225,12 +247,7 @@ def render_byte_table(registry: MetricsRegistry,
     totals = [int(registry.sum(f"{prefix}_bytes", phase=phase))
               for phase in PHASES]
     rows.append(["total"] + totals + [sum(totals)])
-    widths = [max(len(str(row[i])) for row in rows)
-              for i in range(len(header))]
-    lines = [_format_row(rows[0], widths),
-             _format_row(["-" * w for w in widths], widths)]
-    lines += [_format_row(row, widths) for row in rows[1:]]
-    return "\n".join(lines)
+    return _render_rows(rows)
 
 
 def render_outcome_table(registry: MetricsRegistry,
@@ -258,9 +275,4 @@ def render_outcome_table(registry: MetricsRegistry,
                                   outcome=outcome))
         totals.append(f"{count}/{nbytes}")
     rows.append(["total"] + totals)
-    widths = [max(len(str(row[i])) for row in rows)
-              for i in range(len(header))]
-    lines = [_format_row(rows[0], widths),
-             _format_row(["-" * w for w in widths], widths)]
-    lines += [_format_row(row, widths) for row in rows[1:]]
-    return "\n".join(lines)
+    return _render_rows(rows)

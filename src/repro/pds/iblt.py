@@ -26,7 +26,8 @@ Storage is columnar: three flat parallel arrays (``array('q')`` counts,
 cell objects.  ``subtract`` combines whole columns through numpy views
 of the arrays, ``copy`` is three C-level memcpys, emptiness is a memcmp
 against zeros, and ``decode`` peels on scratch columns with a worklist
-of candidate pure cells rather than cloning a cell-object table.  Cell
+of candidate pure cells rather than cloning a cell-object table -- once
+per distinct table per process, since the result is memoized.  Cell
 positions and checksums are the keyed mixes of
 :class:`~repro.utils.hashing.DerivedHasher` -- a handful of integer
 multiplies per key, no SHA-256 and no per-key cache; the scalar
@@ -68,6 +69,20 @@ DEFAULT_CELL_BYTES = 12
 #: its keys and columns pin.
 _FOLD_CACHE = BoundedMemo(
     1 << 18, lambda key, columns: len(key[3]) + 8 * sum(map(len, columns)))
+
+#: What one recovered key pins in a held :class:`DecodeResult`: the
+#: ``int`` and its ``frozenset`` slot.
+_RECOVERED_KEY_BYTES = 64
+
+#: Peeled tables, keyed ``(cells, k, seed, counts | key_sums |
+#: check_sums bytes)`` -- the peel is a pure function of exactly those,
+#: and its result is frozen.  Every receiver of one block whose
+#: candidate set is equal peels an equal difference I - I'.  Bounded by
+#: the key bytes plus ``_RECOVERED_KEY_BYTES`` per recovered key; a
+#: table whose peel raises is never held.
+_DECODE_CACHE = BoundedMemo(
+    1 << 18, lambda key, result: len(key[3]) + _RECOVERED_KEY_BYTES * (
+        len(result.local) + len(result.remote)))
 
 #: Fixed per-IBLT wire header, 12 bytes:
 #: ``cells u32 | k u8 | seed u32 | cell_bytes u8 | pad u16``
@@ -355,9 +370,23 @@ class IBLT:
         A 0-cell table reports a clean decode *failure*: with no cells
         there is no evidence the difference is empty, and the all-zero
         "complete" answer would be a silently wrong set.
+
+        Each table is peeled once per process: the result is held in
+        ``_DECODE_CACHE`` under the table's shape, seed and cell bytes,
+        and :meth:`_peel_uncached` runs only on a miss.
         """
         if not self.cells:
             return DecodeResult(False)
+        dkey = (self.cells, self.k, self.seed, b"".join(
+            (self._counts, self._key_sums, self._check_sums)))
+        result = _DECODE_CACHE.lookup(dkey)
+        if result is None:
+            result = self._peel_uncached()
+            _DECODE_CACHE.remember(dkey, result)
+        return result
+
+    def _peel_uncached(self) -> DecodeResult:
+        """The peel behind :meth:`decode`, past its memo (cells > 0)."""
         counts = array("q", self._counts)
         key_sums = array("Q", self._key_sums)
         check_sums = array("Q", self._check_sums)

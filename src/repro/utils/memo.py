@@ -7,14 +7,17 @@ list to the source):
   the seed, the geometry and the packed ID rows;
 * ``repro.pds.iblt._FOLD_CACHE`` -- IBLT folded columns, keyed by the
   table's shape, its seed and the key column's bytes;
+* ``repro.pds.iblt._DECODE_CACHE`` -- peeled IBLT differences, keyed
+  by the table's shape, its seed and its cell bytes, and holding the
+  frozen result; a table whose peel raises never gets in;
 * ``repro.chain.merkle._ROOT_CACHE`` -- certified Merkle roots, keyed by
   the root and holding the ordered leaves that hashed to it; a check is
   a compare of the candidate's leaves to the held ones, and only leaves
   that hashed to their root get in.
 
-These three pin whole mempool or block ID buffers, so each is bounded
-by the bytes it pins, not by how many entries it holds.  The rest pin
-little each and count every entry as 1:
+These four pin whole IBLT tables or mempool or block ID buffers, so
+each is bounded by the bytes it pins, not by how many entries it holds.
+The rest pin little each and count every entry as 1:
 
 * ``repro.core.params._PLAN_CACHE`` -- Protocol 1 plans, keyed
   ``(n, m, config)``;
@@ -33,10 +36,39 @@ which lives and dies with the engine.
 
 Every memo is consulted through :meth:`BoundedMemo.lookup`, which
 counts ``hits`` and ``misses``: the one counter pair that says how
-often each layer answers.
+often each layer answers.  :data:`MODULE_MEMOS` lists the module-level
+ones and :func:`memo_stats` reads their counters.
 """
 
 from __future__ import annotations
+
+from importlib import import_module
+
+#: The dotted name of every module-level memo, in the order above.
+MODULE_MEMOS = (
+    "repro.pds.bloom._INDEX_MEMO",
+    "repro.pds.iblt._FOLD_CACHE",
+    "repro.pds.iblt._DECODE_CACHE",
+    "repro.chain.merkle._ROOT_CACHE",
+    "repro.core.params._PLAN_CACHE",
+    "repro.core.params._PLAN_B_CACHE",
+    "repro.core.protocol2._BOUNDS_CACHE",
+    "repro.core.telemetry._EVENTS",
+    "repro.core.engine.ENCODED_OPENINGS",
+    "repro.core.engine.DECODED_OPENINGS",
+)
+
+
+def memo_stats() -> dict:
+    """``{name: (hits, misses, entries, pinned)}`` for every name in
+    :data:`MODULE_MEMOS`: the process's counts since each was last
+    cleared."""
+    stats = {}
+    for name in MODULE_MEMOS:
+        module, attr = name.rsplit(".", 1)
+        memo = getattr(import_module(module), attr)
+        stats[name] = (memo.hits, memo.misses, len(memo), memo.pinned)
+    return stats
 
 
 class BoundedMemo(dict):

@@ -133,6 +133,34 @@ class TestReport:
                                  f"simulated, run to 30.000s (")
 
 
+    def test_memo_table_shows_the_decode_memo_answering(self, capsys,
+                                                         tmp_path):
+        """After the outcome table, one row per module memo; on the
+        default run every receiver after the first peels the difference
+        the first one peeled, so ``_DECODE_CACHE`` hits.  ``--json``
+        carries the same counts under ``memos``."""
+        from repro.pds import iblt
+        from repro.utils.memo import MODULE_MEMOS
+
+        iblt._DECODE_CACHE.clear()
+        path = tmp_path / "report.json"
+        assert main(["report", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("process memos"):out.index("invariants:")]
+        rows = {line.split()[0]: [int(cell) for cell in line.split()[1:]]
+                for line in table.splitlines()[3:] if line.strip()}
+        assert list(rows) == [name.removeprefix("repro.")
+                              for name in MODULE_MEMOS]
+        assert out.index("relay outcomes") < out.index("process memos")
+        hits, misses, entries, pinned = rows["pds.iblt._DECODE_CACHE"]
+        assert hits > 0 and misses > 0 and entries > 0 and pinned > 0
+        memos = json.loads(path.read_text())["memos"]
+        assert {name.removeprefix("repro."): [
+                    counts[key] for key in ("hits", "misses", "entries",
+                                            "pinned")]
+                for name, counts in memos.items()} == rows
+
+
 class TestTrace:
     def test_header_says_when_coverage_was_reached(self, capsys):
         """As in ``repro report``: the last arrival of the block first,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.codec import encode_iblt
 from repro.errors import MalformedIBLTError, ParameterError
+from repro.pds import iblt as iblt_module
 from repro.pds.iblt import (
     DEFAULT_CELL_BYTES,
     IBLT,
@@ -200,6 +201,110 @@ class TestMalformedGuard:
             iblt.xor_cell(idx, key, +1)
         with pytest.raises(MalformedIBLTError):
             iblt.decode()
+
+
+class TestDecodeMemo:
+    """``IBLT.decode`` peels a table once per process: the frozen result
+    is held under the table's exact shape, seed and cell bytes."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        iblt_module._DECODE_CACHE.clear()
+        yield iblt_module._DECODE_CACHE
+        iblt_module._DECODE_CACHE.clear()
+
+    @staticmethod
+    def _pair():
+        shared = _keys(40, seed=11)
+        a = IBLT.from_keys(shared + _keys(6, seed=12), 96, seed=5)
+        b = IBLT.from_keys(shared + _keys(4, seed=13), 96, seed=5)
+        return a, b
+
+    def test_second_subtract_decodes_from_the_memo(self, cold, monkeypatch):
+        a, b = self._pair()
+        first = a.subtract(b).decode()
+        assert first.complete and len(first.local) == 6
+        assert (cold.hits, cold.misses) == (0, 1)
+
+        def no_peel(table):
+            raise AssertionError("peeled a table the memo holds")
+
+        monkeypatch.setattr(IBLT, "_peel_uncached", no_peel)
+        again = a.subtract(b).decode()
+        assert (cold.hits, cold.misses) == (1, 1)
+        assert again is first
+        monkeypatch.undo()
+        assert a.subtract(b)._peel_uncached() == first
+
+    def test_a_malformed_table_raises_every_time_and_is_never_held(
+            self, cold):
+        from repro.security.malformed_iblt import make_malformed_iblt
+
+        table = make_malformed_iblt(honest_keys=_keys(10, seed=14))
+        for calls in (1, 2, 3):
+            with pytest.raises(MalformedIBLTError):
+                table.decode()
+            assert (len(cold), cold.pinned, cold.misses) == (0, 0, calls)
+
+    def test_a_zero_cell_table_never_reaches_the_key(self, cold):
+        assert not IBLT(0).decode().complete
+        assert (cold.hits, cold.misses, len(cold)) == (0, 0, 0)
+
+    @staticmethod
+    def _variants(table):
+        """Tables one field away from ``table``: one cell's count,
+        keySum or checkSum, then the seed, k and the cell count."""
+        cells, k, seed = table.cells, table.k, table.seed
+        columns = [np.frombuffer(col, dtype=dtype).copy() for col, dtype in
+                   ((table._counts, np.int64), (table._key_sums, np.uint64),
+                    (table._check_sums, np.uint64))]
+        for which in range(3):
+            moved = [col.copy() for col in columns]
+            moved[which][7] += 1
+            yield IBLT.from_wire(cells, k, seed, DEFAULT_CELL_BYTES, *moved)
+        yield IBLT.from_wire(cells, k, seed + 1, DEFAULT_CELL_BYTES, *columns)
+        yield IBLT.from_wire(cells, k - 1, seed, DEFAULT_CELL_BYTES, *columns)
+        padded = [np.concatenate([col, np.zeros(k, col.dtype)])
+                  for col in columns]
+        yield IBLT.from_wire(cells + k, k, seed, DEFAULT_CELL_BYTES, *padded)
+
+    def test_any_field_changed_is_a_miss(self, cold):
+        a, b = self._pair()
+        diff = a.subtract(b)
+        diff.decode()
+        for misses, other in enumerate(self._variants(diff), start=2):
+            try:
+                cold_result = other._peel_uncached()
+            except MalformedIBLTError:
+                cold_result = None
+            try:
+                result = other.decode()
+            except MalformedIBLTError:
+                result = None
+            assert (cold.hits, cold.misses) == (0, misses)
+            assert result == cold_result
+        assert misses == 7
+
+    def test_distinct_tables_stay_within_the_budget(self, cold):
+        held = 0
+        for i in range(10_000):
+            IBLT.from_keys([i, i << 40], 24, k=3).decode()
+            held = max(held, cold.pinned)
+        assert cold.misses == 10_000 and 0 < held <= cold.budget
+        assert cold.pinned == sum(cold.size(key, result)
+                                  for key, result in cold.items())
+
+    def test_an_oversized_table_is_held_alone_until_the_next(self, cold):
+        small = IBLT.from_keys(_keys(3, seed=15), 24)
+        small.decode()
+        big = IBLT.from_keys(_keys(50, seed=16), 12_000)
+        assert 24 * big.cells > cold.budget
+        assert big.decode().local == set(_keys(50, seed=16))
+        assert len(cold) == 1 and cold.pinned > cold.budget
+        assert big.decode().complete and cold.hits == 1
+        small.decode()
+        assert len(cold) == 1 and cold.pinned < cold.budget
+        assert (cold.hits, cold.misses) == (1, 3)
 
 
 class TestCopy:

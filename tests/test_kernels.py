@@ -252,9 +252,11 @@ class TestBoundedMemo:
         assert not memo and memo.pinned == 0
 
     def test_every_module_memo_is_named_in_the_memo_docstring(self):
-        """A module-level memo lands documented: each ``NAME =
-        BoundedMemo(...)`` under ``src/repro`` is listed in
-        :mod:`repro.utils.memo`'s docstring as ``module.NAME``."""
+        """A module-level memo lands documented and counted: each ``NAME
+        = BoundedMemo(...)`` under ``src/repro`` is listed in
+        :mod:`repro.utils.memo`'s docstring as ``module.NAME``, and in
+        ``MODULE_MEMOS`` in the docstring's order, which ``memo_stats``
+        reads."""
         package = Path(memo_module.__file__).resolve().parents[1]
         found = []
         for path in sorted(package.rglob("*.py")):
@@ -270,6 +272,11 @@ class TestBoundedMemo:
         assert "repro.chain.merkle._ROOT_CACHE" in found
         assert [name for name in found
                 if f"``{name}``" not in memo_module.__doc__] == []
+        assert sorted(memo_module.MODULE_MEMOS) == sorted(found)
+        assert list(memo_module.MODULE_MEMOS) == sorted(
+            found, key=lambda name: memo_module.__doc__.index(f"``{name}``"))
+        assert list(memo_module.memo_stats()) == list(
+            memo_module.MODULE_MEMOS)
 
     def test_lookup_counts_hits_and_misses_and_clear_zeroes_them(self):
         memo = BoundedMemo(2, lambda key, value: 1)
