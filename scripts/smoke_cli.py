@@ -3,7 +3,8 @@
 
 ``serve`` and ``peer`` need each other and a socket, so they run in
 ``make smoke-socket`` / ``make smoke-mesh``; every other subcommand is in
-:data:`COMMANDS`.
+:data:`COMMANDS`, ``sim`` once per preset and view and each of its
+aliases once (``net --report`` on a 100-node, 3-block run).
 
 Usage::
 
@@ -20,7 +21,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: One small invocation per subcommand (``serve`` / ``peer``: see above).
+#: Small invocations of every subcommand (``serve`` / ``peer``: see
+#: above).
 COMMANDS = (
     ("relay", "--n", "200", "--extra", "200", "--fraction", "0.9",
      "--breakdown"),
@@ -28,9 +30,22 @@ COMMANDS = (
     ("iblt-params", "--j", "50"),
     ("experiment", "sec51", "--plot"),
     ("attack", "--trials", "3"),
+    # The simulated-network subcommand: every preset, every view.
+    ("sim", "relay", "--nodes", "8"),
+    ("sim", "relay", "--nodes", "8", "--trace", "--summary", "--limit", "5",
+     "--report", "--sync-rounds", "1"),
+    ("sim", "netsim", "--nodes", "8", "--block-size", "100", "--trace",
+     "--kind", "relay", "--summary", "--limit", "3"),
+    ("sim", "netsim", "--nodes", "8", "--block-size", "100", "--report"),
+    ("sim", "net", "--nodes", "30", "--blocks", "3", "--block-txns", "8",
+     "--interval", "1", "--verbose"),
+    ("sim", "net", "--nodes", "30", "--blocks", "2", "--block-txns", "8",
+     "--topology", "random_regular", "--trace", "--summary", "--limit", "3"),
+    # Its aliases: netsim, net, trace, report.
     ("netsim", "--nodes", "8", "--block-size", "100"),
     ("net", "--nodes", "30", "--blocks", "3", "--block-txns", "8",
      "--interval", "1"),
+    ("net", "--nodes", "100", "--blocks", "3", "--report"),
     ("trace", "--nodes", "6", "--summary", "--limit", "5"),
     ("report", "--nodes", "8"),
     ("fuzz", "--cases", "20", "--no-artifacts"),

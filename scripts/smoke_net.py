@@ -59,7 +59,6 @@ from repro.obs import (
     check_cost_parity,
     check_metrics_match_costs,
     check_stream_invariants,
-    collect_run_metrics,
 )
 
 DEFAULT_REPORT = REPO / "results" / "run_report.json"
@@ -158,7 +157,7 @@ def smoke_chaos(report: RunReport) -> None:
     run = run_block_relay_scenario(nodes=20, degree=4, block_size=200,
                                    extra=200, loss=0.05, seed=2024,
                                    until=120.0)
-    nodes, root = run.nodes, run.root
+    nodes = run.nodes
     report.check("chaos_coverage", run.covered == 20,
                  f"{run.covered}/20 nodes hold the block")
     timeouts = sum(n.relay_timeouts for n in nodes)
@@ -173,16 +172,14 @@ def smoke_chaos(report: RunReport) -> None:
                  f"{stranded} stale fetch-state entries left behind")
     # Accounting: the metrics fold must equal CostBreakdown.from_events
     # over the same streams, and retries must recharge honest bytes.
-    registry = collect_run_metrics(nodes, tracer=run.tracer)
     streams = run.relay_streams()
     report.extend(check_stream_invariants(streams, prefix="relay"))
     report.invariants.append(
-        check_metrics_match_costs(registry, streams, prefix="relay"))
-    report.add_metrics(registry)
+        check_metrics_match_costs(run.registry, streams, prefix="relay"))
+    report.add_metrics(run.registry)
     if run.covered == 20 and not stranded and timeouts:
-        last_arrival = max(n.block_arrival[root] for n in nodes)
         print(f"ok: chaos 20 nodes @ 5% loss converged in "
-              f"{last_arrival:.3f}s simulated ({timeouts} timeouts, "
+              f"{run.covered_at:.3f}s simulated ({timeouts} timeouts, "
               f"{retries} retries, no stranded state)")
     else:
         print("FAIL: chaos run violated an invariant (see run report)")
@@ -198,8 +195,7 @@ def smoke_scale(report: RunReport) -> None:
     report.check("scale_coverage", run.coverage == 1.0,
                  f"{len(run.delays)} of {10 * 99} deliveries landed "
                  f"({run.coverage:.2%})")
-    streams = {(n.node_id, root): events for n in run.nodes
-               for root, events in n.relay_telemetry.items()}
+    streams = run.relay_streams()
     retained = sum(len(events) for events in streams.values())
     holding = all(streams.values())
     report.check("scale_streams_hold_events", bool(streams) and holding,

@@ -10,8 +10,9 @@ throughput.  This module quantifies each link:
   block is found during the vulnerable window with probability
   ``1 - exp(-D / T)`` (the classic Decker-Wattenhofer model the paper
   cites as [18]).
-* :func:`measure_propagation_delay` -- run the packaged network
-  simulator and report when the last node holds the block.
+* :func:`~repro.obs.scenario.measure_propagation_delay` -- the
+  simulated-network preset that runs one block and reports when the
+  last node holds it (``covered_at``).
 * :func:`max_block_size_for_budget` -- invert the chain: given a fork
   budget, how large can blocks grow under each relay protocol?
 """
@@ -19,16 +20,10 @@ throughput.  This module quantifies each link:
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Optional
 
-from repro.chain.block import Block
-from repro.chain.transaction import TransactionGenerator
 from repro.errors import ParameterError
-from repro.net.node import Node, RelayProtocol
-from repro.net.simulator import Simulator
-from repro.net.topology import connect_random_regular
+from repro.net.node import RelayProtocol
+from repro.obs.scenario import measure_propagation_delay
 
 #: Bitcoin's mean inter-block interval in seconds.
 BITCOIN_BLOCK_INTERVAL = 600.0
@@ -53,52 +48,6 @@ def delay_for_fork_budget(budget: float,
     return -block_interval * math.log(1.0 - budget)
 
 
-@dataclass(frozen=True)
-class PropagationMeasurement:
-    """One simulator run's outcome."""
-
-    protocol: RelayProtocol
-    block_txns: int
-    coverage_delay: float
-    total_bytes: int
-    nodes: int
-
-
-def measure_propagation_delay(
-        protocol: RelayProtocol, block_txns: int,
-        nodes: int = 12, degree: int = 4,
-        latency: float = 0.05, bandwidth: float = 250_000.0,
-        extra_mempool: Optional[int] = None,
-        seed: int = 0) -> PropagationMeasurement:
-    """Propagate one block through a random-regular network; time it."""
-    if block_txns < 1:
-        raise ParameterError(f"block_txns must be >= 1, got {block_txns}")
-    sim = Simulator()
-    peers = [Node(f"n{i}", sim, protocol=protocol) for i in range(nodes)]
-    connect_random_regular(peers, degree=degree, latency=latency,
-                           bandwidth=bandwidth, rng=random.Random(seed))
-    gen = TransactionGenerator(seed=seed)
-    block_txs = gen.make_batch(block_txns)
-    extras = gen.make_batch(extra_mempool if extra_mempool is not None
-                            else block_txns)
-    for peer in peers:
-        peer.mempool.add_many(block_txs)
-        peer.mempool.add_many(extras)
-    block = Block.assemble(block_txs)
-    peers[0].mine_block(block)
-    sim.run()
-    root = block.header.merkle_root
-    missing = [p for p in peers if root not in p.blocks]
-    if missing:
-        raise ParameterError(
-            f"propagation incomplete: {len(missing)} nodes never got the "
-            "block (protocol failure)")
-    delay = max(p.block_arrival[root] for p in peers)
-    return PropagationMeasurement(
-        protocol=protocol, block_txns=block_txns, coverage_delay=delay,
-        total_bytes=sum(p.total_bytes_sent() for p in peers), nodes=nodes)
-
-
 def fork_rate_curve(protocol: RelayProtocol,
                     block_sizes=(200, 1000, 4000),
                     block_interval: float = BITCOIN_BLOCK_INTERVAL,
@@ -110,9 +59,9 @@ def fork_rate_curve(protocol: RelayProtocol,
         rows.append({
             "protocol": protocol.value,
             "n": n,
-            "coverage_delay": measured.coverage_delay,
+            "coverage_delay": measured.covered_at,
             "fork_probability": fork_probability(
-                measured.coverage_delay, block_interval),
+                measured.covered_at, block_interval),
         })
     return rows
 
@@ -132,7 +81,7 @@ def max_block_size_for_budget(
     best = 0
     for n in candidates:
         measured = measure_propagation_delay(protocol, n, **net_kwargs)
-        if measured.coverage_delay <= allowed:
+        if measured.covered_at <= allowed:
             best = n
         else:
             break

@@ -115,6 +115,23 @@ def _peeled(result) -> tuple:
     return (result.complete, result.local, result.remote)
 
 
+def _sibling_decodes(table, tag: int) -> tuple:
+    """Decode ``table`` with one cell's count, keySum or checkSum moved by
+    one bit (column and cell from ``tag``, no rng draw) warm, through the
+    memo, and cold; each side is its peel or ``"malformed"``.  Right
+    after ``table`` itself, a memo key blind to that field parts them."""
+    sibling = table.copy()
+    column = (sibling._counts, sibling._key_sums, sibling._check_sums)
+    column[tag % 3][tag % sibling.cells] ^= 1
+    sides = []
+    for decode in (sibling.decode, sibling._peel_uncached):
+        try:
+            sides.append(_peeled(decode()))
+        except MalformedIBLTError:
+            sides.append("malformed")
+    return tuple(sides)
+
+
 def _reference_of(table):
     """The scalar reference IBLT holding ``table``'s cells as they are."""
     from repro.pds.reference import ReferenceIBLT
@@ -371,6 +388,8 @@ class CodecEngine(Engine):
         return self.first_mismatch([
             ("iblt-decode-parity", _peeled(decoded.decode()), mine),
             ("iblt-decode-memo", _peeled(iblt.decode()), mine),
+            ("iblt-decode-memo-sibling",
+             *_sibling_decodes(iblt, params["seed"])),
             ("iblt-decode-vs-reference",
              _peeled(_reference_of(decoded).decode()), mine)], params)
 
@@ -880,6 +899,7 @@ class PDSEngine(Engine):
         ref_other.update(shared + only_b)
         diff, ref_diff = batch.subtract(other), ref.subtract(ref_other)
         mine, theirs = _peeled(diff.decode()), _peeled(ref_diff.decode())
+        sibling = _sibling_decodes(diff, params["seed"])
         # A second subtract decodes from the memo; the peel past it must
         # agree with both.
         warm = _peeled(batch.subtract(other).decode())
@@ -896,6 +916,7 @@ class PDSEngine(Engine):
              encode_reference_iblt(ref_diff)),
             ("iblt-decode-vs-reference", mine, theirs),
             ("iblt-decode-memo-vs-peel", warm, cold),
+            ("iblt-decode-memo-sibling", *sibling),
             ("iblt-peel-vs-reference", cold, theirs),
         ], params)
 

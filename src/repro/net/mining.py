@@ -24,7 +24,6 @@ from typing import Optional
 from repro.chain.block import Block
 from repro.chain.ledger import Blockchain, assemble_child
 from repro.chain.transaction import TransactionGenerator
-from repro.core.params import GrapheneConfig
 from repro.errors import ParameterError
 from repro.net.node import Node, RelayProtocol
 from repro.net.simulator import Simulator
@@ -33,20 +32,22 @@ from repro.net.topology import connect_random_regular
 
 logger = logging.getLogger(__name__)
 
+#: Peers per miner in :func:`run_mining_experiment`'s overlay (fewer
+#: when there are fewer other miners).
+MINER_DEGREE = 3
+
 
 class MinerNode(Node):
     """A peer that also mines: chain state plus a Poisson block clock."""
 
     def __init__(self, node_id: str, simulator: Simulator,
                  protocol: RelayProtocol = RelayProtocol.GRAPHENE,
-                 config: Optional[GrapheneConfig] = None,
                  genesis: Optional[Block] = None,
                  hashrate_share: float = 0.0,
                  block_interval: float = 600.0,
                  max_block_txns: int = 1000,
                  rng: Optional[random.Random] = None):
-        super().__init__(node_id, simulator, protocol=protocol,
-                         config=config)
+        super().__init__(node_id, simulator, protocol=protocol)
         if not 0.0 <= hashrate_share <= 1.0:
             raise ParameterError(
                 f"hashrate_share must be in [0, 1], got {hashrate_share}")
@@ -133,11 +134,10 @@ class MiningReport:
 
 def run_mining_experiment(
         protocol: RelayProtocol, blocks: int = 40,
-        miners: int = 5, degree: int = 3,
+        miners: int = 5,
         block_interval: float = 600.0, block_txns: int = 500,
         latency: float = 0.2, bandwidth: float = 50_000.0,
-        seed: int = 0,
-        config: Optional[GrapheneConfig] = None) -> MiningReport:
+        seed: int = 0) -> MiningReport:
     """Mine ``blocks`` blocks across a miner clique-ish network.
 
     Every miner holds an equal hash-rate share.  A shared traffic source
@@ -151,14 +151,14 @@ def run_mining_experiment(
     sim = Simulator()
     genesis = Block.assemble([])
     nodes = [
-        MinerNode(f"miner{i}", sim, protocol=protocol, config=config,
+        MinerNode(f"miner{i}", sim, protocol=protocol,
                   genesis=genesis, hashrate_share=1.0 / miners,
                   block_interval=block_interval,
                   max_block_txns=block_txns,
                   rng=random.Random(master.getrandbits(32)))
         for i in range(miners)
     ]
-    connect_random_regular(nodes, degree=min(degree, miners - 1),
+    connect_random_regular(nodes, degree=min(MINER_DEGREE, miners - 1),
                            latency=latency, bandwidth=bandwidth,
                            rng=master)
 

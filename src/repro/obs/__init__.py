@@ -42,8 +42,8 @@ from repro.obs.report import (
 )
 from repro.obs.scenario import (
     BlockRecord,
-    ObservedRun,
-    PropagationRun,
+    NetworkRun,
+    measure_propagation_delay,
     run_block_relay_scenario,
     run_propagation_scenario,
 )
@@ -74,8 +74,8 @@ __all__ = [
     "render_memo_table",
     "render_outcome_table",
     "BlockRecord",
-    "ObservedRun",
-    "PropagationRun",
+    "NetworkRun",
+    "measure_propagation_delay",
     "run_block_relay_scenario",
     "run_propagation_scenario",
     "PhaseSpan",

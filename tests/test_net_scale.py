@@ -11,7 +11,7 @@ from repro.core.telemetry import MessageEvent, message_event
 from repro.core.sizing import CostBreakdown
 from repro.errors import ParameterError, SimulationBudgetError
 from repro.net.messages import NetMessage
-from repro.net.node import Node
+from repro.net.node import Node, RelayProtocol
 from repro.net.simulator import FaultInjector, Link, Simulator, _COMPACT_MIN
 
 
@@ -329,7 +329,7 @@ class TestPropagationScenario:
         from repro.obs import run_propagation_scenario
         run = run_propagation_scenario(nodes=12, degree=4, blocks=3,
                                        block_txns=8, interval=1.0,
-                                       seed=3, drain=10.0)
+                                       seed=3)
         assert len(run.records) == 3
         assert run.coverage == 1.0
         assert run.fork_rate == 0.0
@@ -345,7 +345,7 @@ class TestPropagationScenario:
         from repro.obs import run_propagation_scenario
         run = run_propagation_scenario(nodes=64, degree=4, blocks=2,
                                        block_txns=8, interval=1.0,
-                                       seed=3, drain=5.0)
+                                       seed=3)
         streams = [stream for node in run.nodes
                    for stream in node.relay_telemetry.values()]
         assert len(streams) == 2 * 63
@@ -363,7 +363,7 @@ class TestPropagationScenario:
         from repro.obs import run_propagation_scenario
         runs = [run_propagation_scenario(nodes=12, degree=4, blocks=2,
                                          block_txns=8, interval=1.0,
-                                         seed=9, drain=5.0)
+                                         seed=9)
                 for _ in range(2)]
         assert runs[0].delays == runs[1].delays
         assert ([r.root for r in runs[0].records]
@@ -375,18 +375,36 @@ class TestPropagationScenario:
         from repro.obs import run_propagation_scenario
         run = run_propagation_scenario(nodes=8, degree=4, blocks=2,
                                        block_txns=6, interval=1.0,
-                                       seed=5, drain=4.0)
+                                       seed=5)
         assert sum(s.events for s in run.cycles) \
             == run.simulator.events_processed
         assert run.cycles[-1].pending == 0
         assert not any(s.truncated for s in run.cycles)
 
     def test_validation(self):
-        from repro.obs import run_propagation_scenario
+        from repro.obs import (measure_propagation_delay,
+                               run_block_relay_scenario,
+                               run_propagation_scenario)
         with pytest.raises(ParameterError):
             run_propagation_scenario(nodes=1)
         with pytest.raises(ParameterError):
             run_propagation_scenario(nodes=4, topology="torus")
+        # Every preset goes through the one runner's checks, before a
+        # node is built.
+        bad = [lambda: run_propagation_scenario(interval=float("inf")),
+               lambda: run_propagation_scenario(interval=float("nan")),
+               # ~3e301 cycles: refused, not started.
+               lambda: run_propagation_scenario(interval=1e-300),
+               lambda: run_propagation_scenario(interval=5e-324),
+               lambda: run_block_relay_scenario(nodes=0),
+               lambda: run_block_relay_scenario(until=-1.0),
+               lambda: run_block_relay_scenario(until=float("nan")),
+               lambda: run_block_relay_scenario(sync_rounds=-1),
+               lambda: measure_propagation_delay(RelayProtocol.GRAPHENE,
+                                                 10, nodes=1)]
+        for build in bad:
+            with pytest.raises(ParameterError):
+                build()
 
 
 def _make_block(i):

@@ -218,7 +218,7 @@ class TestMetricsMatchCosts:
         # streams per node.
         runs = [lossy_run.nodes, run_propagation_scenario(
             nodes=12, degree=4, blocks=3, block_txns=8, interval=1.0,
-            seed=3, drain=10.0).nodes]
+            seed=3).nodes]
         calls = []
         counter = MetricsRegistry.counter
 
