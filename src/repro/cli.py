@@ -251,9 +251,11 @@ def _show_report(run, args, report) -> None:
         check_metrics_match_costs,
         check_stream_invariants,
         render_byte_table,
+        render_helper_line,
         render_memo_table,
         render_outcome_table,
     )
+    from repro.chain.merkle import helper_stats
     from repro.utils.memo import memo_stats
 
     registry = run.registry
@@ -262,6 +264,7 @@ def _show_report(run, args, report) -> None:
     report.invariants.append(
         check_metrics_match_costs(registry, streams, prefix="relay"))
     report.memos = memo_stats()
+    report.merkle_helper = helper_stats()
     print(f"{args.protocol}: {run.covered}/{args.nodes} nodes in "
           f"{run.covered_at:.3f}s simulated, run to "
           f"{run.simulator.now:.3f}s "
@@ -275,6 +278,7 @@ def _show_report(run, args, report) -> None:
     print("\nprocess memos (counts since start; pinned = bytes or "
           "entries held):")
     print(render_memo_table(report.memos))
+    print(render_helper_line(report.merkle_helper))
     if getattr(args, "sync_rounds", 0):
         print("\nmempool sync bytes by phase (per initiator):")
         print(render_byte_table(registry, prefix="sync"))

@@ -63,19 +63,17 @@ class MinerNode(Node):
         self._txgen = TransactionGenerator(seed=self.rng.getrandbits(32))
         self.mined: list = []
         self._mining = False
-        self._block_budget = 0
 
     # ------------------------------------------------------------------
     # Mining clock
     # ------------------------------------------------------------------
 
-    def start_mining(self, block_budget: int = 10**9) -> None:
-        """Begin finding blocks; stop after ``block_budget`` own blocks."""
+    def start_mining(self) -> None:
+        """Begin finding blocks, until :meth:`stop_mining`."""
         if self.hashrate_share <= 0.0:
             raise ParameterError(
                 f"{self.node_id} has no hash rate; cannot mine")
         self._mining = True
-        self._block_budget = block_budget
         self._schedule_next_find()
 
     def stop_mining(self) -> None:
@@ -87,9 +85,8 @@ class MinerNode(Node):
         self.simulator.schedule(delay, self._on_block_found)
 
     def _on_block_found(self) -> None:
-        if not self._mining or self._block_budget <= 0:
+        if not self._mining:
             return
-        self._block_budget -= 1
         now = self.simulator.now
         # A fresh coinbase makes every block unique -- the reason two
         # fork-racing blocks over the same mempool still differ.
@@ -103,7 +100,7 @@ class MinerNode(Node):
                      self.node_id, len(self.mined), self.chain.height + 1,
                      block.n, now)
         self._accept_block(block, origin=None)
-        if self._mining and self._block_budget > 0:
+        if self._mining:
             self._schedule_next_find()
 
     # ------------------------------------------------------------------

@@ -172,8 +172,8 @@ class Node(HostViews):
         The default ``reverse_link`` copies the forward link's latency
         and bandwidth but *not* its ``loss_rate``: a topology helper
         that passes only ``link`` (``connect_random_regular``,
-        ``connect_clique``, ``connect_line``) loses traffic on the
-        forward direction of each peering alone.  Known and pinned by
+        ``connect_clique``) loses traffic on the forward direction of
+        each peering alone.  Known and pinned by
         the ``sim_lossy_20`` counts (ROADMAP item 4); pass
         ``reverse_link`` for symmetric loss, as ``connect_scale_free``
         does.

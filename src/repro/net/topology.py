@@ -33,12 +33,11 @@ def connect_clique(nodes: Sequence[Node], latency: float = 0.05,
             a.connect(b, _link(latency, bandwidth, loss_rate))
 
 
-def connect_line(nodes: Sequence[Node], latency: float = 0.05,
-                 bandwidth: float = 1_000_000.0,
-                 loss_rate: float = 0.0) -> None:
-    """Chain ``nodes`` in a line (worst-case propagation diameter)."""
+def connect_line(nodes: Sequence[Node]) -> None:
+    """Chain ``nodes`` in a line (worst-case propagation diameter) over
+    default links: 50 ms, 1 MB/s, loss-free."""
     for a, b in zip(nodes, nodes[1:]):
-        a.connect(b, _link(latency, bandwidth, loss_rate))
+        a.connect(b)
 
 
 def _steger_wormald_edges(degree: int, n: int,

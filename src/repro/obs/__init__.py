@@ -37,6 +37,7 @@ from repro.obs.report import (
     check_metrics_match_costs,
     check_stream_invariants,
     render_byte_table,
+    render_helper_line,
     render_memo_table,
     render_outcome_table,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "check_metrics_match_costs",
     "check_stream_invariants",
     "render_byte_table",
+    "render_helper_line",
     "render_memo_table",
     "render_outcome_table",
     "BlockRecord",

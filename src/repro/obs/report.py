@@ -60,6 +60,8 @@ class RunReport:
     context: dict = field(default_factory=dict)
     #: :func:`repro.utils.memo.memo_stats`, read once the run is over.
     memos: dict = field(default_factory=dict)
+    #: :func:`repro.chain.merkle.helper_stats`, read with :attr:`memos`.
+    merkle_helper: dict = field(default_factory=dict)
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         """Record one check; returns ``ok`` so callers can branch."""
@@ -89,6 +91,7 @@ class RunReport:
             "metrics": self.metrics,
             "memos": {name: dict(zip(MEMO_COLUMNS, counts))
                       for name, counts in self.memos.items()},
+            "merkle_helper": self.merkle_helper,
         }
 
     def write(self, path) -> Path:
@@ -227,6 +230,13 @@ def render_memo_table(memos: dict) -> str:
     rows += [(name.removeprefix("repro."),) + tuple(counts)
              for name, counts in memos.items()]
     return _render_rows(rows)
+
+
+def render_helper_line(counts: dict) -> str:
+    """:func:`repro.chain.merkle.helper_stats` on one line."""
+    return (f"merkle helper: {counts['split']} trees split; hashed inline "
+            f"{counts['busy']} busy, {counts['gone']} gone, "
+            f"{counts['not_ready']} not ready; {counts['starts']} started")
 
 
 def render_byte_table(registry: MetricsRegistry,

@@ -236,7 +236,7 @@ class TestReport:
         path = tmp_path / "report.json"
         assert main(["report", "--json", str(path)]) == 0
         out = capsys.readouterr().out
-        table = out[out.index("process memos"):out.index("invariants:")]
+        table = out[out.index("process memos"):out.index("merkle helper:")]
         rows = {line.split()[0]: [int(cell) for cell in line.split()[1:]]
                 for line in table.splitlines()[3:] if line.strip()}
         assert list(rows) == [name.removeprefix("repro.")
@@ -250,6 +250,27 @@ class TestReport:
                                             "pinned")]
                 for name, counts in memos.items()} == rows
 
+
+    def test_helper_line_follows_the_memo_table(self, capsys, tmp_path):
+        """One line after the memo table counts the Merkle helper's
+        split and inline trees and its starts; ``--json`` writes the
+        same counts under ``merkle_helper``.  The default run's blocks
+        are under the split threshold, so the run itself adds none."""
+        from repro.chain import merkle
+        from repro.obs import render_helper_line
+
+        merkle.merkle_root_packed(bytes(32 * merkle._SPLIT_MIN))
+        before = merkle.helper_stats()
+        path = tmp_path / "report.json"
+        assert main(["report", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        lines = out[out.index("process memos"):
+                    out.index("invariants:")].strip().splitlines()
+        counts = json.loads(path.read_text())["merkle_helper"]
+        assert counts == before == merkle.helper_stats()
+        assert lines[-1] == render_helper_line(counts)
+        assert lines[-1].startswith("merkle helper: ")
+        assert counts["starts"] <= 1
 
 class TestTrace:
     def test_header_says_when_coverage_was_reached(self, capsys):

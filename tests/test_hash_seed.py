@@ -23,7 +23,10 @@ _SCRIPT = """if True:
 
     sim = Simulator()
     miner = MinerNode("m", sim, hashrate_share=1.0, block_interval=10.0)
-    miner.start_mining(block_budget=3)
+    miner.start_mining()
+    while len(miner.mined) < 3:
+        sim.run(max_events=1)
+    miner.stop_mining()
     sim.run()
     found = [miner.block_arrival[block.header.merkle_root]
              for block in miner.mined]

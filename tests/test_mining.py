@@ -10,6 +10,16 @@ from repro.net.node import RelayProtocol
 from repro.net.simulator import Simulator
 
 
+def mine(sim: Simulator, miner: MinerNode, blocks: int) -> None:
+    """Run ``sim`` until ``miner`` has found ``blocks`` blocks, then stop
+    it and drain what is in flight."""
+    miner.start_mining()
+    while len(miner.mined) < blocks:
+        sim.run(max_events=1)
+    miner.stop_mining()
+    sim.run()
+
+
 class TestMinerNode:
     def test_rejects_bad_hashrate(self):
         sim = Simulator()
@@ -29,8 +39,7 @@ class TestMinerNode:
         # Share a genesis so chains agree.
         b.chain = type(b.chain)(a.chain.genesis)
         a.connect(b)
-        a.start_mining(block_budget=5)
-        sim.run()
+        mine(sim, a, 5)
         assert len(a.mined) == 5
         assert a.chain.height == 5
         assert a.chain.fork_rate() == 0.0
@@ -38,16 +47,14 @@ class TestMinerNode:
     def test_blocks_include_coinbase(self):
         sim = Simulator()
         a = MinerNode("a", sim, hashrate_share=1.0, block_interval=5.0)
-        a.start_mining(block_budget=2)
-        sim.run()
+        mine(sim, a, 2)
         for block in a.mined:
             assert any(tx.is_coinbase for tx in block.txs)
 
     def test_mined_blocks_are_all_distinct(self):
         sim = Simulator()
         a = MinerNode("a", sim, hashrate_share=1.0, block_interval=5.0)
-        a.start_mining(block_budget=4)
-        sim.run()
+        mine(sim, a, 4)
         roots = {block.header.merkle_root for block in a.mined}
         assert len(roots) == 4  # coinbase uniqueness
 

@@ -121,7 +121,7 @@ class TestBlockRelayOverNetwork:
     def test_block_reaches_all_nodes(self, protocol, txgen):
         sim = Simulator()
         nodes = [Node(f"n{i}", sim, protocol=protocol) for i in range(4)]
-        connect_line(nodes, latency=0.01)
+        connect_line(nodes)
         txs = txgen.make_batch(50)
         for node in nodes:
             node.mempool.add_many(txs)
@@ -136,7 +136,9 @@ class TestBlockRelayOverNetwork:
         for protocol in (RelayProtocol.GRAPHENE, RelayProtocol.FULL_BLOCK):
             sim = Simulator()
             nodes = [Node(f"n{i}", sim, protocol=protocol) for i in range(5)]
-            connect_line(nodes, latency=0.02, bandwidth=200_000)
+            # A slow line: the full block's transfer time shows.
+            for a, b in zip(nodes, nodes[1:]):
+                a.connect(b, Link(latency=0.02, bandwidth=200_000))
             txs = txgen.make_batch(400)
             for node in nodes:
                 node.mempool.add_many(txs)
