@@ -3,19 +3,19 @@
 Complements ``bench_extension_fork_rate`` (which converts measured
 propagation delays through the analytic 1 - e^(-D/T) model) by mining
 actual chains: Poisson miners race, relay with each protocol, and the
-block tree's stale-block count is the fork rate -- the quantity the
-paper's introduction argues Graphene improves.
+stale blocks of the reference ledger are the fork count -- the quantity
+the paper's introduction argues Graphene improves.
 """
 
 from __future__ import annotations
 
-from repro.net.mining import run_mining_experiment
 from repro.net.node import RelayProtocol
+from repro.obs import run_mining_scenario
 
 # Deliberately stressed: 400-txn blocks over ~120 kbit/s links with a
 # 20 s block interval, so relay time is a visible fraction of the
 # interval and forks actually occur within a small block budget.
-KWARGS = dict(blocks=40, miners=4, block_interval=20.0, block_txns=400,
+KWARGS = dict(blocks=40, miners=4, interval=20.0, block_txns=400,
               latency=0.3, bandwidth=15_000.0, seed=7)
 
 
@@ -25,14 +25,14 @@ def test_extension_mining_forks(benchmark, record_rows):
         for protocol in (RelayProtocol.GRAPHENE,
                          RelayProtocol.COMPACT_BLOCKS,
                          RelayProtocol.FULL_BLOCK):
-            report = run_mining_experiment(protocol, **KWARGS)
+            run = run_mining_scenario(protocol, **KWARGS)
             rows.append({
                 "protocol": protocol.value,
-                "blocks_mined": report.blocks_mined,
-                "stale_blocks": report.stale_blocks,
-                "fork_rate": report.fork_rate,
-                "reorgs": report.reorgs,
-                "main_chain_height": report.main_chain_height,
+                "blocks_mined": len(run.records),
+                "stale_blocks": run.forks,
+                "fork_rate": run.fork_rate,
+                "reorgs": run.reorgs,
+                "main_chain_height": run.ledger.height,
             })
         return rows
 

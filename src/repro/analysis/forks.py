@@ -15,6 +15,12 @@ throughput.  This module quantifies each link:
   last node holds it (``covered_at``).
 * :func:`max_block_size_for_budget` -- invert the chain: given a fork
   budget, how large can blocks grow under each relay protocol?
+
+The model's measured counterpart is
+:func:`~repro.obs.scenario.run_mining_scenario`: Poisson miners over
+the simulator, each assembling on its own ledger's tip, whose fork
+count (:attr:`~repro.obs.scenario.NetworkRun.forks`) is the stale
+blocks of a reference ledger -- the one fork count a simulated run has.
 """
 
 from __future__ import annotations

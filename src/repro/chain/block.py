@@ -56,7 +56,7 @@ class Block:
     @classmethod
     def assemble(cls, txs: Iterable[Transaction],
                  prev_hash: bytes = bytes(32),
-                 timestamp: int = 0, nonce: int = 0) -> "Block":
+                 timestamp: int = 0) -> "Block":
         """Build a block from transactions, applying canonical ordering.
 
         The Merkle root is computed over the canonical order, mirroring
@@ -67,7 +67,7 @@ class Block:
         ordered = TxColumns.of(txs).canonical()
         header = BlockHeader(prev_hash=prev_hash,
                              merkle_root=certified_root(ordered.ids),
-                             timestamp=timestamp, nonce=nonce)
+                             timestamp=timestamp)
         return cls(header=header, txs=tuple(ordered.txs))
 
     @property

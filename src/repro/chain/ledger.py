@@ -5,15 +5,18 @@ extending the same parent because a block propagated too slowly.  To
 observe that end to end, nodes need real chain state -- not just a bag
 of blocks.  :class:`Blockchain` keeps the header tree, tracks heights,
 picks the best tip (longest chain, first-seen tie-break like Bitcoin),
-reports reorgs, and counts stale blocks, which is exactly the fork-rate
-numerator the mining experiments measure.
+reports reorgs, and counts stale blocks.  Every simulated
+:class:`~repro.net.node.Node` extends one on each block it accepts,
+all rooted at the one :data:`GENESIS`, and a miner assembles on its own
+tip; so a fork is a ledger fact, and the stale blocks of a reference
+node's ledger are the fork count of a run
+(:attr:`repro.obs.scenario.NetworkRun.forks`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 from repro.chain.block import Block
 from repro.errors import ParameterError
@@ -35,7 +38,7 @@ class ChainEvent(enum.Enum):
     ORPHAN = "orphan"               # parent unknown; held aside
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     block: Block
     hash: bytes
@@ -54,20 +57,23 @@ class ReorgInfo:
     connected: list = field(default_factory=list)     # hashes, new branch
 
 
-class Blockchain:
-    """A block tree rooted at a genesis block."""
+#: The empty block every :class:`Blockchain` is rooted at, made once
+#: per process: every simulated node's ledger starts from it (entries
+#: are never changed once made, so the ledgers share its entry too).
+GENESIS = Block.assemble([])
+_GENESIS_HASH = block_hash(GENESIS)
+_GENESIS_ENTRY = _Entry(block=GENESIS, hash=_GENESIS_HASH, parent=b"",
+                        height=0, arrival_index=0)
 
-    def __init__(self, genesis: Optional[Block] = None):
-        self.genesis = genesis if genesis is not None else Block.assemble([])
-        genesis_hash = block_hash(self.genesis)
-        self._entries: dict = {
-            genesis_hash: _Entry(block=self.genesis, hash=genesis_hash,
-                                 parent=b"", height=0, arrival_index=0)
-        }
-        self._children: dict = {genesis_hash: []}
+
+class Blockchain:
+    """A block tree rooted at :data:`GENESIS`."""
+
+    def __init__(self):
+        self._entries: dict = {_GENESIS_HASH: _GENESIS_ENTRY}
         self._orphans: dict = {}  # parent hash -> list of blocks
         self._arrivals = 0
-        self.tip_hash = genesis_hash
+        self.tip_hash = _GENESIS_HASH
         self.reorgs: list = []
 
     # ------------------------------------------------------------------
@@ -113,9 +119,8 @@ class Blockchain:
     # Growth
     # ------------------------------------------------------------------
 
-    def add_block(self, block: Block,
-                  parent_hash: Optional[bytes] = None) -> ChainEvent:
-        """Insert ``block`` under ``parent_hash`` (default: current tip).
+    def add_block(self, block: Block) -> ChainEvent:
+        """Insert ``block`` under the block its header names.
 
         Orphans (unknown parent) are retained and connected when their
         parent arrives.  Returns what happened to the best chain.
@@ -123,13 +128,13 @@ class Blockchain:
         bhash = block_hash(block)
         if bhash in self._entries:
             return ChainEvent.DUPLICATE
-        parent = parent_hash if parent_hash is not None \
-            else bytes(block.header.prev_hash)
+        parent = bytes(block.header.prev_hash)
         if parent not in self._entries:
             self._orphans.setdefault(parent, []).append(block)
             return ChainEvent.ORPHAN
         event = self._connect(block, bhash, parent)
-        self._adopt_orphans(bhash)
+        if self._orphans:
+            self._adopt_orphans(bhash)
         return event
 
     def _connect(self, block: Block, bhash: bytes,
@@ -139,8 +144,6 @@ class Blockchain:
                        height=self._entries[parent].height + 1,
                        arrival_index=self._arrivals)
         self._entries[bhash] = entry
-        self._children.setdefault(parent, []).append(bhash)
-        self._children.setdefault(bhash, [])
 
         old_tip = self.tip_hash
         # Longest chain wins; first-seen breaks ties (no reorg on equal
@@ -156,9 +159,21 @@ class Blockchain:
         return ChainEvent.CREATED_FORK
 
     def _adopt_orphans(self, parent: bytes) -> None:
-        pending = self._orphans.pop(parent, [])
-        for block in pending:
-            self.add_block(block, parent_hash=parent)
+        """Connect the held blocks that descend from ``parent``, depth
+        first in arrival order, with a stack of siblings rather than a
+        call per generation: a long chain delivered backwards connects
+        at any height."""
+        stack = [(parent, iter(self._orphans.pop(parent, ())))]
+        while stack:
+            parent, pending = stack[-1]
+            block = next(pending, None)
+            if block is None:
+                stack.pop()
+                continue
+            bhash = block_hash(block)
+            if bhash not in self._entries:
+                self._connect(block, bhash, parent)
+                stack.append((bhash, iter(self._orphans.pop(bhash, ()))))
 
     def _ancestors(self, bhash: bytes) -> list:
         path = []
@@ -185,10 +200,17 @@ class Blockchain:
                 f"reorgs={len(self.reorgs)})")
 
 
-def assemble_child(parent: Block, txs, timestamp: int = 0,
-                   nonce: int = 0) -> Block:
-    """Build a block whose header commits to ``parent``."""
+def assemble_child(parent: Block, txs, timestamp: int = 0) -> Block:
+    """Build a block whose header commits to ``parent``.
+
+    ``txs`` is a transaction iterable, or a :class:`Block` already
+    assembled: its canonical transactions and certified Merkle root are
+    kept, and only the header is new (no tree is hashed again).
+    """
     if parent is None:
         raise ParameterError("parent block required")
-    return Block.assemble(txs, prev_hash=block_hash(parent),
-                          timestamp=timestamp, nonce=nonce)
+    prev_hash = block_hash(parent)
+    if isinstance(txs, Block):
+        return Block(header=replace(txs.header, prev_hash=prev_hash,
+                                    timestamp=timestamp), txs=txs.txs)
+    return Block.assemble(txs, prev_hash=prev_hash, timestamp=timestamp)

@@ -13,8 +13,10 @@ level, and the two halves are joined and finished here.  Each level
 below the join holds an even number of the helper's nodes, so an odd
 level's last node is paired with itself exactly where the one-process
 tree pairs it.  The one-helper rule: a process starts at most one
-helper, lazily, on its first large tree and only where it may run on
-two CPUs; it is ``python -I -S merkle_helper.py`` (never a fork of this
+helper, lazily, on its second large tree (a process that hashes one,
+its root memo answering every later check, never pays for a helper)
+and only where it may run on two CPUs; it is
+``python -I -S merkle_helper.py`` (never a fork of this
 interpreter, whose sockets, selectors and threads a fork would copy),
 used only once it has said it is ready, by one thread at a time, and
 only by the process that started it.  Any other case -- one CPU, a
@@ -70,9 +72,11 @@ _COUNTS = dict.fromkeys(("split", "busy", "gone", "not_ready", "starts"), 0)
 _LOCK = threading.Lock()
 _BUSY_LOCK = threading.Lock()
 
-#: The helper: ``None`` until a large tree asks for one, then a
-#: :class:`_Helper`, or :data:`_INLINE` where the process may use one CPU.
+#: The helper: ``None`` until a large tree is hashed, :data:`_DEFERRED`
+#: after the first, then (from the second on) a :class:`_Helper`, or
+#: :data:`_INLINE` where the process may use one CPU.
 _HELPER = None
+_DEFERRED = "deferred"
 _INLINE = "inline"
 
 
@@ -130,6 +134,9 @@ def _split(leaves: bytes):
     try:
         helper = _HELPER
         if helper is None:
+            _HELPER = _DEFERRED
+            return None
+        if helper is _DEFERRED:
             helper = _HELPER = _start()
         if helper is _INLINE:
             return None

@@ -242,7 +242,7 @@ def _show_summary(run, args) -> None:
           f"{run.delay_quantile(0.5):.3f}/{run.delay_quantile(0.9):.3f}/"
           f"{run.delay_quantile(0.99):.3f} s")
     print(f"  fork rate: {run.fork_rate:.2%} "
-          f"({run.forks}/{max(1, len(run.records) - 1)} on a stale tip), "
+          f"({run.forks}/{max(1, len(run.ledger) - 1)} stale blocks), "
           f"coverage {run.coverage:.2%}")
 
 

@@ -46,8 +46,6 @@ __all__ = [
     "connect_scale_free",
 ]
 
-from repro.net.mining import MinerNode, MiningReport, run_mining_experiment  # noqa: E402
 from repro.net.peer import AsyncioTransport, BlockServer, fetch_block  # noqa: E402
 
-__all__ += ["MinerNode", "MiningReport", "run_mining_experiment",
-            "AsyncioTransport", "BlockServer", "fetch_block"]
+__all__ += ["AsyncioTransport", "BlockServer", "fetch_block"]

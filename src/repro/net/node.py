@@ -1,8 +1,9 @@
 """Simulated peers that relay blocks.
 
-A :class:`Node` owns a mempool and relays blocks with a pluggable
-:class:`RelayProtocol`, announcing them with inv/getdata like Bitcoin's
-p2p layer (section 2.2).  What a node keeps about blocks in
+A :class:`Node` owns a mempool and a ledger
+(:class:`~repro.chain.ledger.Blockchain`) and relays blocks with a
+pluggable :class:`RelayProtocol`, announcing them with inv/getdata like
+Bitcoin's p2p layer (section 2.2).  What a node keeps about blocks in
 flight -- announcers, fetches, the recovery ladder, serving engines,
 span marks -- is its :class:`~repro.net.host.RelayHost`, the same host
 :class:`~repro.net.peer.manager.PeerManager` runs on sockets; a node is
@@ -36,6 +37,7 @@ from typing import Iterator, Optional
 
 from repro.baselines import compact_blocks, xthin
 from repro.chain.block import Block
+from repro.chain.ledger import Blockchain
 from repro.chain.mempool import Mempool
 from repro.core.params import GrapheneConfig
 from repro.core.sizing import INV_ENTRY_BYTES, getdata_bytes
@@ -128,6 +130,9 @@ class Node(HostViews):
         self.tracer = None
         self.mempool = Mempool()
         self.blocks: dict = {}          # merkle root -> Block
+        #: Every accepted block, as a tree on the shared genesis: what
+        #: this node would mine on (``chain.tip``) and its stale blocks.
+        self.chain = Blockchain()
         #: Peer ``nid`` -> the :class:`Link` toward it; :meth:`connect`
         #: is the one writer, :attr:`peers` the ``Node``-keyed view.
         self.links: dict = {}
@@ -237,12 +242,14 @@ class Node(HostViews):
         self._accept_block(block, origin=None)
 
     def _accept_block(self, block: Block, origin: Optional["Node"]) -> None:
-        """Hold ``block`` and announce it to every peer but ``origin``."""
+        """Hold ``block``, extend :attr:`chain` with it and announce it
+        to every peer but ``origin``."""
         root = block.header.merkle_root
         if root in self.blocks:
             return
         simulator = self.simulator
         self.blocks[root] = block
+        self.chain.add_block(block)
         self.block_arrival[root] = simulator.now
         self.mempool.remove_block(block.txids)
         nodes = simulator.nodes

@@ -46,6 +46,7 @@ from repro.obs.scenario import (
     NetworkRun,
     measure_propagation_delay,
     run_block_relay_scenario,
+    run_mining_scenario,
     run_propagation_scenario,
 )
 from repro.obs.trace import (
@@ -79,6 +80,7 @@ __all__ = [
     "NetworkRun",
     "measure_propagation_delay",
     "run_block_relay_scenario",
+    "run_mining_scenario",
     "run_propagation_scenario",
     "PhaseSpan",
     "Span",

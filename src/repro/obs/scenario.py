@@ -1,19 +1,23 @@
-"""One simulated-network runner, its run object, and three presets.
+"""One simulated-network runner, its run object, and four presets.
 
 A block that encodes smaller propagates faster, and a block that
 propagates faster causes fewer forks (paper sections 1-2.2).  Every
 simulated run that measures this goes through :func:`_run_network`: it
 builds the nodes, wires the topology, fills the mempools, mines, runs
 the simulator and returns one :class:`NetworkRun`, whose statistics
-are computed when first read, never inside the run.  The presets --
+are computed when first read, never inside the run.  Every node keeps a
+ledger and a miner assembles on its own tip, so a run's forks are the
+stale blocks of a reference node's ledger (:attr:`NetworkRun.forks`),
+whichever preset mined them.  The presets --
 :func:`run_block_relay_scenario`, :func:`measure_propagation_delay`,
-:func:`run_propagation_scenario` -- draw exactly what they drew before
-they shared the runner (``tests/test_node_layer.py::GOLDEN``,
-``tests/test_scenario_pins.py``).
+:func:`run_propagation_scenario`, :func:`run_mining_scenario` -- each
+keep their own draws; the first three are pinned
+(``tests/test_node_layer.py::GOLDEN``, ``tests/test_scenario_pins.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -21,6 +25,7 @@ from functools import cached_property
 from typing import List, Optional
 
 from repro.chain.block import Block
+from repro.chain.ledger import Blockchain, assemble_child
 from repro.chain.mempool import Mempool
 from repro.chain.scenarios import make_block_scenario
 from repro.chain.transaction import TransactionGenerator
@@ -60,9 +65,6 @@ class BlockRecord:
     root: bytes
     miner: str        #: node_id of the miner
     mined_at: float   #: simulator clock at mine time
-    #: True when the miner lacked the previous block at mine time --
-    #: the fork/stale-rate proxy (it would have extended a stale tip).
-    fork: bool
 
 
 @dataclass
@@ -132,15 +134,27 @@ class NetworkRun:
         expected = len(self.records) * (len(self.nodes) - 1)
         return len(self.delays) / expected if expected else 1.0
 
+    @cached_property
+    def ledger(self) -> Blockchain:
+        """The reference ledger: the chain of the node holding the most
+        blocks, the first such node on ties."""
+        return max(self.nodes, key=lambda node: len(node.chain)).chain
+
     @property
     def forks(self) -> int:
-        return sum(1 for record in self.records if record.fork)
+        """Stale blocks in :attr:`ledger`: blocks that lost a race."""
+        return len(self.ledger.stale_blocks())
 
     @property
     def fork_rate(self) -> float:
-        """Fraction of non-genesis blocks mined on a stale tip."""
-        eligible = len(self.records) - 1
-        return self.forks / eligible if eligible > 0 else 0.0
+        """Stale blocks as a fraction of :attr:`ledger`'s non-genesis
+        blocks."""
+        return self.ledger.fork_rate()
+
+    @property
+    def reorgs(self) -> int:
+        """Reorganizations :attr:`ledger` went through."""
+        return len(self.ledger.reorgs)
 
     @property
     def total_bytes(self) -> int:
@@ -187,16 +201,21 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
     ``fill`` is ``"scenario"`` (``make_block_scenario``: every node but
     the miner, node 0, holds the block plus ``extra``), ``"pool"`` (a
     ``TransactionGenerator(seed)`` block plus ``extra`` in every
-    mempool, node 0's too) or ``"ingest"`` (every ``interval`` seconds
-    a fresh batch lands in every mempool and a seeded miner mines it).
-    A one-block fill runs to ``until`` (None: until the queue drains),
-    ``"ingest"`` ``blocks`` cycles plus
-    :data:`DRAIN` seconds; then ``sync_rounds`` mempool syncs.
-    ``links`` (``latency`` / ``bandwidth``) go to
+    mempool, node 0's too), ``"ingest"`` (every ``interval`` seconds a
+    fresh batch lands in every mempool and a seeded pick of node mines
+    it) or ``"poisson"`` (as ``"ingest"``, but the gaps between blocks
+    are exponential with mean ``interval``, drawn from a stream of their
+    own: ``nodes`` miners of equal hash rate are one Poisson clock that
+    picks its miner uniformly).  Every miner assembles on its own
+    ledger's tip.  A one-block fill runs to ``until`` (None: until the
+    queue drains), a clocked fill in ``interval`` cycles until
+    :data:`DRAIN` seconds after its last block; then ``sync_rounds``
+    mempool syncs.  ``links`` (``latency`` / ``bandwidth``) go to
     :func:`~repro.net.topology.connect_random_regular`, whose own
     defaults hold otherwise; scale-free links come from a
     ``GeoLinkModel``.
     """
+    clocked = fill in ("ingest", "poisson")
     for ok, problem in (
             (nodes >= 2, f"need at least 2 nodes, got {nodes}"),
             (block_txns >= 1, f"block_txns must be >= 1, got {block_txns}"),
@@ -207,11 +226,11 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
             (until is None or until >= 0, f"until must be >= 0, got {until}"),
             (sync_rounds >= 0,
              f"sync_rounds must be >= 0, got {sync_rounds}"),
-            (fill != "ingest" or math.isfinite(interval) and interval > 0,
+            (not clocked or math.isfinite(interval) and interval > 0,
              f"interval must be finite and > 0, got {interval}")):
         if not ok:
             raise ParameterError(problem)
-    if fill == "ingest" and blocks + DRAIN / interval + 1 > MAX_CYCLES:
+    if clocked and blocks + DRAIN / interval + 1 > MAX_CYCLES:
         raise ParameterError(f"{blocks} blocks every {interval:g}s need "
                              f"more than {MAX_CYCLES:,} cycles")
 
@@ -229,51 +248,55 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
     records: List[BlockRecord] = []
     cycles: List[CycleStats] = []
 
-    def mine(miner: Node, block: Block) -> None:
-        records.append(BlockRecord(
-            root=block.header.merkle_root, miner=miner.node_id,
-            mined_at=simulator.now,
-            fork=bool(records) and records[-1].root not in miner.blocks))
+    def mine(miner: Node, txs, timestamp: int) -> None:
+        block = assemble_child(miner.chain.tip, txs, timestamp=timestamp)
+        records.append(BlockRecord(root=block.header.merkle_root,
+                                   miner=miner.node_id,
+                                   mined_at=simulator.now))
         miner.mine_block(block)
 
-    if fill == "ingest":
+    if clocked:
         gen = TransactionGenerator(seed=seed)
         miner_rng = random.Random(seed ^ 0x9E3779B9)
+        if fill == "ingest":
+            times = [height * interval for height in range(blocks)]
+            last_cycle = blocks - 1
+        else:
+            gaps = random.Random(seed ^ 0x5851F42D)
+            times = list(itertools.accumulate(
+                gaps.expovariate(1.0 / interval) for _ in range(blocks)))
+            last_cycle = int(times[-1] / interval)
 
         def ingest(height: int) -> None:
             batch = gen.make_batch(block_txns)
             for node in peers:
                 node.mempool.add_many(batch)
-            miner = peers[miner_rng.randrange(nodes)]
-            prev = records[-1].root if records else bytes(32)
-            mine(miner, Block.assemble(batch, prev_hash=prev,
-                                       timestamp=height))
+            mine(peers[miner_rng.randrange(nodes)], batch, timestamp=height)
 
-        for height in range(blocks):
-            simulator.schedule_at(height * interval,
-                                  lambda h=height: ingest(h))
+        for height, at in enumerate(times):
+            simulator.schedule_at(at, lambda h=height: ingest(h))
         simulator.run_cycles(cycle=interval,
-                             cycles=blocks + int(DRAIN / interval) + 1,
+                             cycles=last_cycle + 2 + int(DRAIN / interval),
                              max_events_per_cycle=MAX_EVENTS_PER_CYCLE,
                              on_cycle=cycles.append)
     else:
         if fill == "scenario":
             scenario = make_block_scenario(n=block_txns, extra=extra,
                                            fraction=1.0, seed=seed % 997)
-            block, pool = scenario.block, scenario.receiver_mempool
+            txs, pool = scenario.block, scenario.receiver_mempool
             holders = peers[1:]
         else:
             gen = TransactionGenerator(seed=seed)
             txs = gen.make_batch(block_txns)
             pool = Mempool(txs)
             pool.add_many(gen.make_batch(extra))
-            block, holders = Block.assemble(txs), peers
+            holders = peers
         # Every holder gets the same pool: pack it once, and each copy
         # shares that snapshot until its own set changes.
         pool.columns()
         for node in holders:
             node.mempool = pool.copy()
-        mine(peers[0], block)
+        mine(peers[0], txs, 0)
         simulator.run(until=until)
 
     for i in range(sync_rounds):
@@ -336,14 +359,39 @@ def run_propagation_scenario(
     """A block every ``interval`` seconds over sustained tx ingest.
 
     Ingest is direct: each batch lands in every mempool at mine time
-    (perfect gossip, as in :func:`~repro.net.mining.run_mining_experiment`),
-    since per-transaction gossip at 1000 nodes would cost ~35x the
-    events of the block relays under study.  A block is a fork when its
-    miner lacked the previous block at mine time (it would extend a
-    stale tip), so slower relay shows a higher fork rate (paper 2.2).
+    (perfect gossip), since per-transaction gossip at 1000 nodes would
+    cost ~35x the events of the block relays under study.  A seeded pick
+    of node mines each block on its own ledger's tip, so a miner that
+    still lacks the previous block forks, and slower relay shows more
+    stale blocks (paper 2.2; :attr:`NetworkRun.forks`).
     Streams keep every interned event at any node count.
     """
     return _run_network("ingest", ids="n{:04d}", nodes=nodes,
                         degree=degree, blocks=blocks, block_txns=block_txns,
                         interval=interval, topology=topology, loss=loss,
                         seed=seed, protocol=protocol, trace=trace)
+
+
+def run_mining_scenario(protocol: RelayProtocol, blocks: int, miners: int,
+                        interval: float, block_txns: int, latency: float,
+                        bandwidth: float, seed: int,
+                        trace: bool = False) -> NetworkRun:
+    """Poisson mining: ``blocks`` blocks found at exponential gaps of mean
+    ``interval`` by ``miners`` nodes of equal hash rate, every node a
+    miner.
+
+    The miners (``miner0`` ...) peer in a random-regular overlay of
+    degree ``min(3, miners - 1)`` over ``latency`` / ``bandwidth``
+    links.  A fresh batch of ``block_txns`` lands in every mempool at
+    each find (perfect tx gossip), so relay cost -- and hence the fork
+    rate -- is governed by ``protocol``: when relay is slow next to the
+    interval, two miners extend the same tip and one block goes stale
+    (paper 1).  The run drains :data:`DRAIN` seconds after the last
+    find; ``forks``, ``fork_rate`` and ``reorgs`` read the reference
+    ledger.
+    """
+    return _run_network("poisson", ids="miner{}", nodes=miners,
+                        degree=min(3, miners - 1), blocks=blocks,
+                        block_txns=block_txns, interval=interval,
+                        latency=latency, bandwidth=bandwidth, seed=seed,
+                        protocol=protocol, trace=trace)

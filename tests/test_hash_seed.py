@@ -1,8 +1,10 @@
 """Seeds and names derived from strings are the same in every process.
 
 Python salts ``hash()`` of a ``str`` per process (``PYTHONHASHSEED``),
-so a seed or a file name taken from it changes from one run to the
-next.  Both sites below use a stable digest instead.
+so a seed or a file name taken from it, or an order read off a set of
+strings, changes from one run to the next.  A Poisson mining run (its
+finds, miner picks and every delivery) and a fuzz artifact's name must
+not.
 """
 
 from __future__ import annotations
@@ -18,18 +20,15 @@ _SCRIPT = """if True:
     import json, sys, tempfile
     from repro.fuzz.engines import FuzzFailure
     from repro.fuzz.runner import write_artifact
-    from repro.net.mining import MinerNode
-    from repro.net.simulator import Simulator
+    from repro.net.node import RelayProtocol
+    from repro.obs import run_mining_scenario
 
-    sim = Simulator()
-    miner = MinerNode("m", sim, hashrate_share=1.0, block_interval=10.0)
-    miner.start_mining()
-    while len(miner.mined) < 3:
-        sim.run(max_events=1)
-    miner.stop_mining()
-    sim.run()
-    found = [miner.block_arrival[block.header.merkle_root]
-             for block in miner.mined]
+    run = run_mining_scenario(RelayProtocol.GRAPHENE, blocks=3, miners=3,
+                              interval=10.0, block_txns=20, latency=0.05,
+                              bandwidth=500_000.0, seed=0)
+    found = [(record.miner, record.mined_at,
+              [node.block_arrival[record.root] for node in run.nodes])
+             for record in run.records]
     failure = FuzzFailure(engine="codec", check="tx-roundtrip",
                           detail="synthetic",
                           params={"kind": "transaction", "seed": 11, "n": 3})

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chain.block import Block
 from repro.chain.ledger import (
+    GENESIS,
     Blockchain,
     ChainEvent,
     assemble_child,
@@ -39,7 +40,7 @@ class TestLinearGrowth:
 
     def test_main_chain_hashes(self, gen):
         chain = Blockchain()
-        blocks = [chain.genesis]
+        blocks = [GENESIS]
         for _ in range(5):
             block = _child(chain.tip, gen)
             chain.add_block(block)
@@ -119,11 +120,24 @@ class TestOrphans:
         chain.add_block(b1)
         assert chain.height == 3
 
+    def test_long_chain_delivered_backwards_connects(self, gen):
+        chain = Blockchain()
+        blocks, tip = [], chain.tip
+        for height in range(1, 2001):
+            tip = assemble_child(tip, [], timestamp=height)
+            blocks.append(tip)
+        for block in reversed(blocks[1:]):
+            assert chain.add_block(block) is ChainEvent.ORPHAN
+        assert chain.add_block(blocks[0]) is ChainEvent.EXTENDED_TIP
+        assert chain.height == 2000
+        assert chain.tip is blocks[-1]
+        assert not chain._orphans
+
 
 class TestHashing:
     def test_block_hash_depends_on_header(self, gen):
-        a = Block.assemble(gen.make_batch(2), nonce=1)
-        b = Block.assemble(list(a.txs), nonce=2)
+        a = Block.assemble(gen.make_batch(2), timestamp=1)
+        b = Block.assemble(list(a.txs), timestamp=2)
         assert a.header.merkle_root == b.header.merkle_root
         assert block_hash(a) != block_hash(b)
 

@@ -199,7 +199,9 @@ def ready_helper(fresh_helper):
     """A started helper that has said it is ready."""
     if merkle._cpus() < 2:
         pytest.skip("the helper runs only where two CPUs are usable")
-    assert merkle._split(bytes(32 * merkle._SPLIT_MIN)) is None
+    # The first large tree starts nothing, the second the helper.
+    for _ in range(2):
+        assert merkle._split(bytes(32 * merkle._SPLIT_MIN)) is None
     helper = merkle._HELPER
     _wait_ready(helper)
     return helper
@@ -230,6 +232,19 @@ class TestTwoProcessTree:
         assert run.covered == 6
         assert merkle._HELPER is None
         assert merkle.helper_stats() == dict.fromkeys(merkle._COUNTS, 0)
+
+    def test_only_the_second_large_tree_starts_the_helper(
+            self, fresh_helper):
+        if merkle._cpus() < 2:
+            pytest.skip("the helper runs only where two CPUs are usable")
+        first = b"".join(sha256(b"f%d" % i) for i in range(2000))
+        second = b"".join(sha256(b"s%d" % i) for i in range(2000))
+        assert merkle_root_packed(first) == _ladder(first)
+        assert merkle._HELPER is merkle._DEFERRED
+        assert merkle.helper_stats() == dict.fromkeys(merkle._COUNTS, 0)
+        assert merkle_root_packed(second) == _ladder(second)
+        assert isinstance(merkle._HELPER, merkle._Helper)
+        assert merkle.helper_stats()["starts"] == 1
 
     def test_killed_helper_falls_back_inline(self, ready_helper):
         leaves = b"".join(sha256(b"k%d" % i) for i in range(2000))
@@ -316,6 +331,7 @@ class TestTwoProcessTree:
             "import time\n"
             "from repro.chain import merkle\n"
             "leaves = bytes(range(32)) * 2000\n"
+            "merkle.merkle_root_packed(leaves)\n"
             "merkle.merkle_root_packed(leaves)\n"
             "helper = merkle._HELPER\n"
             "while helper is not merkle._INLINE and not helper.ready():\n"

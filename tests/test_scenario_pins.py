@@ -20,6 +20,7 @@ import hashlib
 import pytest
 
 from repro.analysis.forks import measure_propagation_delay
+from repro.chain.ledger import block_hash
 from repro.net import topology
 from repro.net.node import RelayProtocol
 from repro.net.simulator import Simulator
@@ -44,7 +45,8 @@ ONE_BLOCK = {
 #: the loss streams are seeded from the node ids.
 LOSSY = (80, 5539, 2.450633)
 
-#: options -> (events, wire bytes, (miner, fork) per block,
+#: options -> (events, wire bytes, (miner, off the reference ledger's
+#: main chain) per block,
 #: (deliveries, first delay, last delay, sha256 of the sorted delays))
 MULTI_BLOCK = [
     (dict(nodes=30, degree=4, blocks=3, block_txns=20, loss=0.05, seed=7),
@@ -110,7 +112,11 @@ def test_multi_block_preset_draws_what_it_drew(options, pinned):
     events, wire_bytes, blocks, (count, first, last, digest) = pinned
     assert run.simulator.events_processed == events
     assert sum(node.total_bytes_sent() for node in run.nodes) == wire_bytes
-    assert [(record.miner, record.fork) for record in run.records] == blocks
+    main = run.ledger.main_chain_hashes()
+    miners = {node.node_id: node for node in run.nodes}
+    assert [(record.miner,
+             block_hash(miners[record.miner].blocks[record.root]) not in main)
+            for record in run.records] == blocks
     delays = run.delays
     assert (len(delays), delays[0], delays[-1], _digest(delays)) \
         == (count, first, last, digest)
