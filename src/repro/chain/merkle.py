@@ -64,7 +64,8 @@ _EXIT_WAIT_S = 1.0
 
 #: Trees split with the helper; trees hashed here because the helper was
 #: busy (another thread's), gone (dead, broken or another process's) or
-#: not yet ready; helpers started.  Read through :func:`helper_stats`.
+#: not yet ready (the first, before the helper starts, among them);
+#: helpers started.  Read through :func:`helper_stats`.
 _COUNTS = dict.fromkeys(("split", "busy", "gone", "not_ready", "starts"), 0)
 
 #: Held (without blocking) by whichever thread starts or uses the helper;
@@ -74,7 +75,8 @@ _BUSY_LOCK = threading.Lock()
 
 #: The helper: ``None`` until a large tree is hashed, :data:`_DEFERRED`
 #: after the first, then (from the second on) a :class:`_Helper`, or
-#: :data:`_INLINE` where the process may use one CPU.
+#: :data:`_INLINE` where the process may use one CPU, a pipe cannot be
+#: polled or the helper cannot be started.
 _HELPER = None
 _DEFERRED = "deferred"
 _INLINE = "inline"
@@ -134,7 +136,13 @@ def _split(leaves: bytes):
     try:
         helper = _HELPER
         if helper is None:
-            _HELPER = _DEFERRED
+            # The first large tree is hashed here, counted not ready: a
+            # process that hashes only one never pays for a helper.
+            if _cpus() < 2 or not hasattr(select, "poll"):
+                _HELPER = _INLINE
+            else:
+                _HELPER = _DEFERRED
+                _COUNTS["not_ready"] += 1
             return None
         if helper is _DEFERRED:
             helper = _HELPER = _start()
@@ -162,10 +170,8 @@ def _cpus() -> int:
 
 
 def _start():
-    """A started :class:`_Helper`, or :data:`_INLINE` on one CPU, where
-    a pipe cannot be polled, or where the helper cannot be started."""
-    if _cpus() < 2 or not hasattr(select, "poll"):
-        return _INLINE
+    """A started :class:`_Helper`, or :data:`_INLINE` where it cannot be
+    started."""
     try:
         helper = _Helper()
     except OSError:

@@ -230,7 +230,13 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
              f"interval must be finite and > 0, got {interval}")):
         if not ok:
             raise ParameterError(problem)
-    if clocked and blocks + DRAIN / interval + 1 > MAX_CYCLES:
+    last = blocks - 1  # the cycle of the last block ("ingest")
+    if fill == "poisson":
+        gaps = random.Random(seed ^ 0x5851F42D)
+        times = list(itertools.accumulate(
+            gaps.expovariate(1.0 / interval) for _ in range(blocks)))
+        last = times[-1] / interval
+    if clocked and last + 2 + DRAIN / interval > MAX_CYCLES:
         raise ParameterError(f"{blocks} blocks every {interval:g}s need "
                              f"more than {MAX_CYCLES:,} cycles")
 
@@ -260,12 +266,6 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
         miner_rng = random.Random(seed ^ 0x9E3779B9)
         if fill == "ingest":
             times = [height * interval for height in range(blocks)]
-            last_cycle = blocks - 1
-        else:
-            gaps = random.Random(seed ^ 0x5851F42D)
-            times = list(itertools.accumulate(
-                gaps.expovariate(1.0 / interval) for _ in range(blocks)))
-            last_cycle = int(times[-1] / interval)
 
         def ingest(height: int) -> None:
             batch = gen.make_batch(block_txns)
@@ -276,7 +276,7 @@ def _run_network(fill: str, *, ids: str, nodes: int, degree: int,
         for height, at in enumerate(times):
             simulator.schedule_at(at, lambda h=height: ingest(h))
         simulator.run_cycles(cycle=interval,
-                             cycles=last_cycle + 2 + int(DRAIN / interval),
+                             cycles=int(last) + 2 + int(DRAIN / interval),
                              max_events_per_cycle=MAX_EVENTS_PER_CYCLE,
                              on_cycle=cycles.append)
     else:
@@ -374,8 +374,7 @@ def run_propagation_scenario(
 
 def run_mining_scenario(protocol: RelayProtocol, blocks: int, miners: int,
                         interval: float, block_txns: int, latency: float,
-                        bandwidth: float, seed: int,
-                        trace: bool = False) -> NetworkRun:
+                        bandwidth: float, seed: int) -> NetworkRun:
     """Poisson mining: ``blocks`` blocks found at exponential gaps of mean
     ``interval`` by ``miners`` nodes of equal hash rate, every node a
     miner.
@@ -394,4 +393,4 @@ def run_mining_scenario(protocol: RelayProtocol, blocks: int, miners: int,
                         degree=min(3, miners - 1), blocks=blocks,
                         block_txns=block_txns, interval=interval,
                         latency=latency, bandwidth=bandwidth, seed=seed,
-                        protocol=protocol, trace=trace)
+                        protocol=protocol, trace=False)

@@ -10,6 +10,7 @@ from repro.errors import ParameterError
 from repro.net.node import Node, RelayProtocol
 from repro.net.simulator import Link, Simulator
 from repro.obs import NetworkRun, run_mining_scenario, run_propagation_scenario
+from repro.obs import scenario
 from repro.obs.scenario import BlockRecord
 
 #: A calm network: 50 s between finds, fast links.
@@ -55,6 +56,23 @@ class TestMiningExperiment:
         graphene = run_mining_scenario(RelayProtocol.GRAPHENE, **kwargs)
         assert full.fork_rate > graphene.fork_rate
         assert full.forks >= 2
+
+    def test_cycle_bound_counts_the_drawn_finds(self, monkeypatch):
+        # Twelve finds 50 s apart on average need about 14 cycles, but
+        # exponential gaps may add up to more: the bound is checked on
+        # the drawn times, so no run exceeds it.
+        monkeypatch.setattr(scenario, "MAX_CYCLES", 14)
+        outcomes = []
+        for seed in range(6):
+            try:
+                run = run_mining_scenario(RelayProtocol.GRAPHENE,
+                                          **{**CALM, "seed": seed})
+            except ParameterError:
+                outcomes.append("refused")
+            else:
+                assert len(run.cycles) <= 14
+                outcomes.append("ran")
+        assert set(outcomes) == {"refused", "ran"}
 
     def test_rejects_bad_args(self):
         for bad in ({"blocks": 0}, {"miners": 1}, {"interval": 0.0}):
